@@ -8,6 +8,7 @@ measurement through semidefinite-programming duality.
 
 __version__ = "0.1.0"
 
+from .config import ConfigError
 from .fidelity import (
     BlockValue,
     EigenData,
@@ -61,6 +62,7 @@ from .partitions import (
     BoxRelation,
     DimensionRecord,
     Partition,
+    PartitionLevel,
     add_box_successors,
     conjugacy_class_size,
     conjugate,
@@ -68,6 +70,7 @@ from .partitions import (
     enumerate_partitions,
     log_specht_dim,
     log_weyl_dim,
+    partition_level,
     permutation_cycle_type,
     remove_box_predecessors,
     sn_character,

@@ -1,7 +1,8 @@
 """Batch command-line surface: fid, scan, verify, spectrum.
 
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
-1 verification failure, 2 usage error, 3 input-file error, 4 size cap.
+1 verification failure, 2 usage or configuration error, 3 input-file error,
+4 size cap.
 Numbers in CSV output use up to 17 significant digits and stay positional
 down to 1e-4 so rows diff cleanly; JSON uses the shortest lossless float
 representation.
@@ -18,6 +19,7 @@ import time
 import numpy as np
 
 from . import __version__
+from .config import ConfigError
 from .fidelity import (
     PortCoefficients,
     block_spectrum,
@@ -454,6 +456,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CoefficientsFileError as exc:
         print(f"coefficients file error: {exc}", file=sys.stderr)

@@ -17,7 +17,6 @@ lexicographic order, so results do not depend on scheduling.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -26,6 +25,7 @@ import mpmath
 import numpy as np
 from scipy.special import gammaln
 
+from .config import env_positive_int
 from .partitions import (
     Partition,
     add_box_successors,
@@ -33,7 +33,9 @@ from .partitions import (
     enumerate_partitions,
     log_specht_dim,
     log_weyl_dim,
+    partition_level,
     specht_dim,
+    table_partitions,
     weyl_dim,
 )
 
@@ -52,7 +54,7 @@ POWER_TOL = 1e-13
 
 def exact_threshold() -> int:
     """Largest N evaluated in exact-hybrid mode (env PBT_EXACT_THRESHOLD)."""
-    return int(os.environ.get(EXACT_THRESHOLD_ENV, str(DEFAULT_EXACT_THRESHOLD)))
+    return env_positive_int(EXACT_THRESHOLD_ENV, DEFAULT_EXACT_THRESHOLD)
 
 
 def _resolve_mode(N: int, numeric_mode: str) -> str:
@@ -345,15 +347,6 @@ def _fidelity_exact(d: int, N: int, coefficients: PortCoefficients | None) -> fl
         return float(total)
 
 
-def _partition_matrix(n: int, d: int) -> np.ndarray:
-    """Partitions of n with at most d rows as a zero-padded (K, d) int array."""
-    parts = enumerate_partitions(n, d)
-    mat = np.zeros((len(parts), d), dtype=np.int64)
-    for r, p in enumerate(parts):
-        mat[r, : len(p)] = p
-    return mat
-
-
 def _log_specht_vec(mat: np.ndarray, n: int) -> np.ndarray:
     K, d = mat.shape
     ell = mat + (d - 1 - np.arange(d))[None, :]
@@ -374,34 +367,21 @@ def _log_weyl_vec(mat: np.ndarray) -> np.ndarray:
     return val
 
 
-def _strip(row: np.ndarray) -> Partition:
-    return tuple(int(v) for v in row if v)
-
-
 def _fidelity_log(d: int, N: int, coefficients: PortCoefficients | None) -> float:
-    alphas = _partition_matrix(N - 1, d)
-    n_alpha = alphas.shape[0]
-    terms = np.full((n_alpha, d), -np.inf)
-    for i in range(d):
-        cand = alphas.copy()
-        cand[:, i] += 1
-        if i == 0:
-            valid = np.ones(n_alpha, dtype=bool)
-        else:
-            valid = cand[:, i] <= alphas[:, i - 1]
-        if not valid.any():
-            continue
-        sub = cand[valid]
-        half_log = 0.5 * (_log_specht_vec(sub, N) + _log_weyl_vec(sub))
-        if coefficients is not None:
-            log_c = np.array(
-                [
-                    math.log(c) if (c := coefficients.value(_strip(row))) > 0 else -np.inf
-                    for row in sub
-                ]
-            )
-            half_log = half_log + 0.5 * log_c
-        terms[valid, i] = half_log
+    level = partition_level(N, d)
+    mus = level.table
+    half_log = 0.5 * (_log_specht_vec(mus, N) + _log_weyl_vec(mus))
+    if coefficients is not None:
+        log_c = np.array(
+            [
+                math.log(c) if (c := coefficients.value(mu)) > 0 else -np.inf
+                for mu in table_partitions(mus)
+            ]
+        )
+        half_log = half_log + 0.5 * log_c
+    # terms[a, i]: half log-weight of alpha_a plus a box in row i
+    succ = level.successors
+    terms = np.where(succ >= 0, half_log[succ], -np.inf)
     peak = terms.max(axis=1)
     live = peak > -np.inf
     inner = peak[live] + np.log(
@@ -462,16 +442,16 @@ def box_incidence(d: int, N: int):
     """
     from scipy.sparse import csr_matrix
 
-    mus = enumerate_partitions(N, d)
-    index = {mu: i for i, mu in enumerate(mus)}
-    alphas = enumerate_partitions(N - 1, d)
-    rows, cols = [], []
-    for a, alpha in enumerate(alphas):
-        for rel in add_box_successors(alpha, d):
-            rows.append(a)
-            cols.append(index[rel.mu])
-    data = np.ones(len(rows))
-    return csr_matrix((data, (rows, cols)), shape=(len(alphas), len(mus))), mus
+    level = partition_level(N, d)
+    succ = level.successors
+    grown = succ >= 0
+    indptr = np.concatenate(([0], np.cumsum(grown.sum(axis=1))))
+    indices = succ[grown]  # row-major: the grown row ascends within each alpha
+    B = csr_matrix(
+        (np.ones(indices.size), indices, indptr),
+        shape=(succ.shape[0], level.table.shape[0]),
+    )
+    return B, table_partitions(level.table)
 
 
 def _power_iteration(matvec, dim: int, tol: float = POWER_TOL, max_iter: int = 500_000):

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 
+from .config import env_positive_int
 from .fidelity import PortCoefficients, block_spectrum
 from .partitions import (
     Partition,
@@ -44,7 +44,7 @@ POVM_TOL = 1e-10
 
 def oracle_cap() -> int:
     """Dense-construction size cap on d^(N+1) (env PBT_ORACLE_CAP)."""
-    return int(os.environ.get(ORACLE_CAP_ENV, str(DEFAULT_ORACLE_CAP)))
+    return env_positive_int(ORACLE_CAP_ENV, DEFAULT_ORACLE_CAP)
 
 
 class SizeCapError(ValueError):

@@ -5,9 +5,20 @@ trailing zeros; the empty tuple is the unique partition of 0. A row bound
 ``d`` is always passed as a separate argument, never stored, so the same
 tuple can be reused under any bound.
 
-Everything here is a pure function of its arguments. Results are memoised
-with ``lru_cache``, so a scan over many (d, N) pairs hits read-only tables
-after the first pass; concurrent readers are safe.
+Enumeration is array-native. ``partition_level(n, d)`` returns the level
+table of all partitions of ``n`` into at most ``d`` rows, a zero-padded
+(K, d) int64 matrix in descending lexicographic order, together with the
+index that maps each diagram of level n - 1 plus one box to its row in the
+table. Level n is built from level n - 1, because every diagram has exactly
+one parent (itself minus a box from its last row). The last level built for
+each ``d`` is kept and extended on demand, so a scan over increasing N
+builds every level once and holds one table per row bound, not one per N.
+``enumerate_partitions`` is a tuple view of the table.
+
+The per-diagram functions (box moves, dimensions, characters) are pure and
+memoised with ``lru_cache``. Concurrent readers are safe: level arrays are
+read-only, a level is complete before it is stored with a single dict
+assignment, and two threads that race to extend a level build equal tables.
 """
 
 from __future__ import annotations
@@ -17,6 +28,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
+
+import numpy as np
 
 Partition = tuple[int, ...]
 
@@ -47,34 +60,117 @@ def conjugate(mu: Partition) -> Partition:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def enumerate_partitions(n: int, max_rows: int) -> tuple[Partition, ...]:
-    """All partitions of ``n`` into at most ``max_rows`` parts.
+@dataclass(frozen=True)
+class PartitionLevel:
+    """All partitions of ``n`` into at most ``d`` rows, as read-only arrays.
 
-    The order is descending lexicographic, which is the canonical order used
-    by every summation in this package; iterating in a fixed order keeps
-    floating-point results bit-reproducible. ``n = 0`` yields the single
-    empty partition.
+    ``table`` is the (K, d) int64 matrix of the diagrams, zero-padded to
+    ``d`` columns, in descending lexicographic order, which is the canonical
+    order used by every summation in this package; iterating in a fixed order
+    keeps floating-point results bit-reproducible. ``lengths[m]`` is the
+    number of nonzero rows of ``table[m]``.
+
+    ``parent[m]`` is the row of level n - 1 holding ``table[m]`` minus one
+    box of its last row. ``successors[a, i]`` is the row of ``table``
+    holding row ``a`` of level n - 1 plus one box in row ``i``, or -1 where
+    that is not a diagram; every box-addition sum walks this index.
+    """
+
+    n: int
+    table: np.ndarray
+    lengths: np.ndarray
+    parent: np.ndarray
+    successors: np.ndarray
+
+
+# one level per row bound: the last one requested, extended on demand
+_levels: dict[int, PartitionLevel] = {}
+
+
+def _frozen_level(n, table, lengths, parent, successors) -> PartitionLevel:
+    for arr in (table, lengths, parent, successors):
+        arr.flags.writeable = False
+    return PartitionLevel(n, table, lengths, parent, successors)
+
+
+def _empty_level(d: int) -> PartitionLevel:
+    """Level 0: the empty diagram, with no rows and no parent."""
+    lengths = np.zeros(1, dtype=np.int64)
+    table = np.zeros((1, d), dtype=np.int64)
+    return _frozen_level(0, table, lengths, lengths - 1, np.empty((0, d), dtype=np.int64))
+
+
+def _next_level(level: PartitionLevel) -> PartitionLevel:
+    """Level n + 1 from level n.
+
+    Every diagram of n + 1 boxes has exactly one parent, the diagram left
+    after removing a box from its last row. So the children of a diagram
+    with k rows are itself with a box added to row k - 1, when that keeps
+    the rows decreasing, and to a new row k, when k < d. Listing each
+    parent's children in that order, parents in descending lexicographic
+    order, lists the new level already sorted.
+    """
+    rows, k = level.table, level.lengths
+    K, d = rows.shape
+    # a box may go into row i iff i == 0 or row i is shorter than row i - 1
+    flat = rows.reshape(-1)
+    open_rows = np.empty(K * d, dtype=bool)
+    np.less(flat[1:], flat[:-1], out=open_rows[1:])
+    open_rows[::d] = True
+    grow_last = (k > 0) & open_rows[np.arange(0, K * d, d) + np.maximum(k - 1, 0)]
+    counts = grow_last + (k < d).astype(np.int64)
+    parent = np.repeat(np.arange(K), counts)
+    grown = np.repeat(k - grow_last, counts)
+    grown[np.cumsum(counts)[counts == 2] - 1] += 1
+    children = np.arange(parent.size)
+    table = np.take(rows, parent, axis=0)
+    table.reshape(-1)[children * d + grown] += 1
+    lengths = k[parent] + (grown == k[parent])
+    successors = np.full(K * d, -1, dtype=np.int64)
+    successors[parent * d + grown] = children
+    # A box in an earlier open row i < k - 1 gives alpha + box_i, whose
+    # parent beta = alpha + box_i - box_{k-1} is in level n: find beta
+    # through level n's own index, then take beta's child in row k - 1.
+    earlier = np.flatnonzero(open_rows.reshape(K, d) & (np.arange(d) < (k - 1)[:, None]))
+    a, i = np.divmod(earlier, d)
+    beta = level.successors.reshape(-1)[level.parent[a] * d + i]
+    successors[earlier] = successors[beta * d + k[a] - 1]
+    return _frozen_level(level.n + 1, table, lengths, parent, successors.reshape(K, d))
+
+
+def partition_level(n: int, d: int) -> PartitionLevel:
+    """The partitions of ``n`` into at most ``d`` rows, with the index
+    from level n - 1 into them.
+
+    The last level built for each ``d`` is kept and extended one box at a
+    time, so a scan over increasing N builds every level once. A request
+    below the kept level starts again from the empty diagram.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if max_rows < 1:
-        raise ValueError("max_rows must be positive")
-    return tuple(_descending_partitions(n, max_rows, n))
+    if d < 1:
+        raise ValueError("row bound d must be positive")
+    level = _levels.get(d)
+    if level is None or level.n > n:
+        level = _empty_level(d)
+    while level.n < n:
+        level = _next_level(level)
+    _levels[d] = level
+    return level
 
 
-def _descending_partitions(n, rows_left, max_part):
-    if n == 0:
-        yield ()
-        return
-    if rows_left == 0 or max_part == 0:
-        return
-    # the leading part must cover at least n / rows_left, so every loop
-    # iteration below is productive and the recursion is output linear
-    smallest = -(-n // rows_left)
-    for first in range(min(n, max_part), smallest - 1, -1):
-        for rest in _descending_partitions(n - first, rows_left - 1, first):
-            yield (first, *rest)
+def table_partitions(table: np.ndarray) -> tuple[Partition, ...]:
+    """The rows of a zero-padded partition table as tuples, in table order."""
+    return tuple(tuple(v for v in row if v) for row in table.tolist())
+
+
+def enumerate_partitions(n: int, max_rows: int) -> tuple[Partition, ...]:
+    """All partitions of ``n`` into at most ``max_rows`` parts, as tuples.
+
+    A tuple view of ``partition_level(n, max_rows).table``: descending
+    lexicographic order, and ``n = 0`` yields the single empty partition.
+    """
+    return table_partitions(partition_level(n, max_rows).table)
 
 
 @dataclass(frozen=True)
@@ -167,7 +263,8 @@ def weyl_dim(mu: Partition, d: int) -> int:
         for j in range(row):
             num *= d + j - i
     q, r = divmod(num, _hook_product(mu))
-    assert r == 0, "hook-content product must be an integer"
+    if r:
+        raise ArithmeticError(f"hook-content quotient for {mu}, d={d} is not an integer")
     return q
 
 

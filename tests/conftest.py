@@ -1,11 +1,17 @@
 """Shared fixtures. Oracle constructions are cached per (d, N) so that the
 many cross-checks at the same desk-scale points do not rebuild PGMs."""
 
+import os
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
 from pbtfid import certificate_X, pbt_ensemble, pretty_good_measurement
+
+# tests that run `python -m pbtfid` in a subprocess import this checkout too
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 # the desk-scale grid used by most formula-vs-oracle comparisons
 ORACLE_GRID = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)]

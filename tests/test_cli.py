@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -23,6 +24,7 @@ from pbtfid.cli import (
 )
 
 SQ3 = math.sqrt(3.0)
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 def run_cli(capsys, *argv):
@@ -152,6 +154,24 @@ class TestFid:
         assert result.returncode == EXIT_USAGE
         result = run_subprocess("fid", "--d", "2")
         assert result.returncode == EXIT_USAGE
+
+
+class TestConfiguration:
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+    def test_bad_exact_threshold_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("PBT_EXACT_THRESHOLD", value)
+        code, out, err = run_cli(capsys, "fid", "--d", "2", "--N", "3")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1 and "PBT_EXACT_THRESHOLD" in err
+
+    @pytest.mark.parametrize("value", ["many", "0"])
+    def test_bad_oracle_cap_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("PBT_ORACLE_CAP", value)
+        code, out, err = run_cli(capsys, "verify", "--d", "2", "--N", "2")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1 and "PBT_ORACLE_CAP" in err
 
 
 class TestScan:
@@ -336,6 +356,16 @@ class TestDeterminism:
         assert json.loads(again.stdout)["fidelity"] == pytest.approx(
             record["fidelity"], rel=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "d, lo, hi", [(4, 41, 150), (2, 1, 1000)], ids=["scan-d4", "scan-d2"]
+    )
+    def test_log_domain_scan_matches_reference_bytes(self, capsys, d, lo, hi):
+        code, out, _ = run_cli(
+            capsys, "scan", "--d", str(d), "--from", str(lo), "--to", str(hi), "--format", "csv"
+        )
+        assert code == EXIT_OK
+        assert out == (REFERENCE / f"scan-d{d}.csv").read_text()
 
     def test_version_flag(self):
         result = run_subprocess("--version")

@@ -14,6 +14,7 @@ from pbtfid import (
     asymptote_standard,
     avg_state_eigenvalue,
     block_spectrum,
+    box_incidence,
     enumerate_partitions,
     fidelity_given_coefficients,
     fidelity_standard,
@@ -140,11 +141,12 @@ class TestStandardFidelity:
         assert abs(ratio - 0.75) < 0.01
 
     def test_exact_and_log_modes_agree(self):
-        for d in (1, 2, 3, 4):
-            for n in range(1, 31):
-                fe = fidelity_standard(d, n, "exact-hybrid").fidelity
-                fl = fidelity_standard(d, n, "log-domain").fidelity
-                assert fl == pytest.approx(fe, rel=1e-10)
+        # (12, 40) overflows a base-(N+1) int64 packing of 12 rows
+        points = [(d, n) for d in (1, 2, 3, 4) for n in range(1, 31)]
+        for d, n in points + [(5, 40), (8, 40), (12, 40)]:
+            fe = fidelity_standard(d, n, "exact-hybrid").fidelity
+            fl = fidelity_standard(d, n, "log-domain").fidelity
+            assert fl == pytest.approx(fe, rel=1e-12)
 
     def test_numeric_mode_selection(self, monkeypatch):
         assert fidelity_standard(2, 40).numeric_mode == "exact-hybrid"
@@ -284,6 +286,21 @@ def projected_gradient_maximum(d, N, n_starts=20, seed=424242):
 
 
 class TestOptimize:
+    @pytest.mark.parametrize("d, N", [(1, 4), (2, 7), (3, 9), (4, 12), (12, 14)])
+    def test_box_incidence_csr_matches_box_moves(self, d, N):
+        # the eigensolver's matvec sums in CSR order, so the arrays must not move
+        B, mus = box_incidence(d, N)
+        assert mus == enumerate_partitions(N, d)
+        column = {mu: m for m, mu in enumerate(mus)}
+        indptr, indices = [0], []
+        for alpha in enumerate_partitions(N - 1, d):
+            indices += [column[rel.mu] for rel in add_box_successors(alpha, d)]
+            indptr.append(len(indices))
+        assert B.shape == (len(indptr) - 1, len(mus))
+        assert B.indptr.tolist() == indptr
+        assert B.indices.tolist() == indices
+        assert B.data.tolist() == [1.0] * len(indices)
+
     def test_two_qubit_optimum(self):
         rep = optimize_coefficients(2, 2)
         assert rep.fidelity == pytest.approx(0.5, abs=1e-12)

@@ -1,6 +1,8 @@
 """Combinatorics: enumeration, box moves, dimensions, characters."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +18,7 @@ from pbtfid import (
     enumerate_partitions,
     log_specht_dim,
     log_weyl_dim,
+    partition_level,
     permutation_cycle_type,
     remove_box_predecessors,
     sn_character,
@@ -73,6 +76,97 @@ class TestEnumeration:
             enumerate_partitions(3, 0)
 
 
+def brute_force_partitions(n, d):
+    """Independent enumerator: every weakly decreasing tuple of positive
+    parts with sum n and at most d parts, ordered by Python's tuple sort."""
+    found = set()
+
+    def extend(prefix, left):
+        if left == 0:
+            found.add(prefix)
+        elif len(prefix) < d:
+            for part in range(1, min(prefix[-1] if prefix else left, left) + 1):
+                extend(prefix + (part,), left - part)
+
+    extend((), n)
+    return sorted(found, reverse=True)
+
+
+class TestLevelTables:
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_tables_match_brute_force(self, d):
+        for n in range(0, 31):
+            expected = brute_force_partitions(n, d)
+            assert list(enumerate_partitions(n, d)) == expected
+            table = partition_level(n, d).table
+            assert table.dtype == np.int64 and table.shape == (len(expected), d)
+            padded = [mu + (0,) * (d - len(mu)) for mu in expected]
+            assert table.tolist() == [list(row) for row in padded]
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (6, 3), (9, 4), (13, 2), (8, 8), (14, 12)])
+    def test_successor_index_matches_box_moves(self, n, d):
+        level = partition_level(n, d)
+        mus = enumerate_partitions(n, d)
+        alphas = enumerate_partitions(n - 1, d)
+        assert level.successors.shape == (len(alphas), d)
+        for a, alpha in enumerate(alphas):
+            expected = [-1] * d
+            for rel in add_box_successors(alpha, d):
+                expected[rel.row] = mus.index(rel.mu)
+            assert level.successors[a].tolist() == expected
+        for m, mu in enumerate(mus):
+            if mu:
+                parent = mu[:-1] + ((mu[-1] - 1,) if mu[-1] > 1 else ())
+                assert alphas[level.parent[m]] == parent
+
+    def test_independent_of_request_history(self):
+        points = [(n, d) for d in (2, 3, 5) for n in range(0, 16)]
+        fresh = {}
+        for n, d in points:
+            level = partition_level(n, d)
+            fresh[n, d] = (level.table.copy(), level.successors.copy())
+        descending = sorted(points, key=lambda p: -p[0])
+        alternating = [(n, d) for n in range(15, -1, -1) for d in (5, 2, 3)]
+        jump_back = [(15, 3), (2, 3), (15, 2), (7, 2), (0, 5), (11, 5)]
+        for n, d in descending + alternating + jump_back:
+            level = partition_level(n, d)
+            table, successors = fresh[n, d]
+            assert np.array_equal(level.table, table)
+            assert np.array_equal(level.successors, successors)
+            assert enumerate_partitions(n, d) == tuple(brute_force_partitions(n, d))
+
+    def test_concurrent_requests_see_complete_levels(self):
+        # more threads than cores, switching often, each walking its own order
+        expected = {n: tuple(brute_force_partitions(n, 3)) for n in range(25)}
+        orders = [list(range(25)), list(range(24, -1, -1)), [20, 3, 24, 0, 11, 12, 7]] * 2
+        failures = []
+
+        def walk(order):
+            for n in order:
+                if enumerate_partitions(n, 3) != expected[n]:
+                    failures.append(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=walk, args=(o,)) for o in orders]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+
+    def test_arrays_are_read_only(self):
+        level = partition_level(7, 3)
+        for arr in (level.table, level.lengths, level.parent, level.successors):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
 class TestBoxMoves:
     def test_add_box_examples(self):
         assert {b.mu for b in add_box_successors((1,), 2)} == {(2,), (1, 1)}
@@ -117,6 +211,12 @@ class TestDimensions:
             assert weyl_dim((1,), d) == d
         assert weyl_dim((2,), 2) == 3
         assert weyl_dim((2, 1), 2) == 2
+
+    def test_weyl_integrality_check_is_not_an_assert(self, monkeypatch):
+        # survives python -O; the diagram must not be cached already
+        monkeypatch.setattr("pbtfid.partitions._hook_product", lambda mu: 10**9 + 7)
+        with pytest.raises(ArithmeticError):
+            weyl_dim((9, 4, 4, 2), 13)
 
     def test_weyl_rejects_too_many_rows(self):
         with pytest.raises(ValueError):
