@@ -2,7 +2,7 @@
 
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
 1 verification failure, 2 usage or configuration error, 3 input-file error,
-4 size cap.
+4 size cap, 5 internal error.
 Numbers in CSV output use up to 17 significant digits and stay positional
 down to 1e-4 so rows diff cleanly; JSON uses the shortest lossless float
 representation.
@@ -33,7 +33,7 @@ from .oracle import (
     average_state,
     certificate_X,
     certificate_Y,
-    oracle_cap,
+    check_oracle_size,
     pbt_ensemble,
     run_verification,
 )
@@ -43,6 +43,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_SIZE_CAP = 4
+EXIT_INTERNAL = 5
 
 CSV_COLUMNS = ["d", "N", "mode", "F", "p_succ", "numeric_mode", "certificate_margin"]
 
@@ -242,6 +243,8 @@ def _cmd_fid(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    if args.mode == "given-coefficients":
+        raise UsageError("scan supports only standard and optimized modes")
     if not 1 <= args.n_min <= args.n_max:
         raise UsageError(f"bad range: need 1 <= from <= to, got {args.n_min}..{args.n_max}")
     records = []
@@ -255,13 +258,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cap = oracle_cap()
-    if args.d ** (args.N + 1) > cap:
-        print(
-            f"size cap exceeded: d^(N+1) = {args.d ** (args.N + 1)} > {cap}",
-            file=sys.stderr,
-        )
-        return EXIT_SIZE_CAP
+    check_oracle_size(args.d, args.N)
     coeffs = None
     if args.mode == "optimized":
         coeffs = optimize_coefficients(args.d, args.N).coefficients
@@ -307,6 +304,8 @@ def _cmd_verify(args) -> int:
 
 
 def _spectrum_rows(args):
+    if args.compare:
+        check_oracle_size(args.d, args.N)
     coeffs = None
     if args.operator == "Y":
         if args.coefficients is None:
@@ -315,12 +314,6 @@ def _spectrum_rows(args):
     rows = block_spectrum(args.d, args.N, args.operator, coeffs)
     oracle_info = None
     if args.compare:
-        cap = oracle_cap()
-        if args.d ** (args.N + 1) > cap:
-            raise SizeCapError(
-                f"--compare needs the dense oracle: d^(N+1) = "
-                f"{args.d ** (args.N + 1)} > {cap}"
-            )
         if args.operator == "avg":
             op = average_state(pbt_ensemble(args.d, args.N))
         elif args.operator == "X":
@@ -403,12 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, with_mode=True):
         p.add_argument("--d", type=_positive_int, required=True, help="local dimension")
         p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--coefficients", default=None, help="JSON coefficients file")
-        p.add_argument(
-            "--renormalize",
-            action="store_true",
-            help="rescale file coefficients onto the constraint surface",
-        )
         if with_mode:
             p.add_argument(
                 "--mode",
@@ -416,9 +403,18 @@ def build_parser() -> argparse.ArgumentParser:
                 default="standard",
             )
 
+    def coefficients_file(p):
+        p.add_argument("--coefficients", default=None, help="JSON coefficients file")
+        p.add_argument(
+            "--renormalize",
+            action="store_true",
+            help="rescale file coefficients onto the constraint surface",
+        )
+
     fid = sub.add_parser("fid", help="fidelity of a single (d, N) point")
     fid.add_argument("--N", type=_positive_int, required=True, help="number of ports")
     common(fid)
+    coefficients_file(fid)
     fid.set_defaults(func=_cmd_fid)
 
     scan_p = sub.add_parser("scan", help="fidelity over a range of N")
@@ -426,12 +422,11 @@ def build_parser() -> argparse.ArgumentParser:
     scan_p.add_argument("--to", dest="n_max", type=_positive_int, required=True)
     common(scan_p)
     scan_p.set_defaults(func=_cmd_scan)
-    # scan never takes a coefficients file; restrict its modes
-    scan_p.set_defaults(coefficients=None)
 
     verify = sub.add_parser("verify", help="certify formulas against the dense oracle")
     verify.add_argument("--N", type=_positive_int, required=True)
     common(verify)
+    coefficients_file(verify)
     verify.set_defaults(func=_cmd_verify)
 
     spectrum = sub.add_parser("spectrum", help="block eigenvalue table")
@@ -441,6 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--compare", action="store_true", help="add dense-oracle eigenvalue columns"
     )
     common(spectrum, with_mode=False)
+    coefficients_file(spectrum)
     spectrum.set_defaults(func=_cmd_spectrum)
     return parser
 
@@ -448,10 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "mode", None) != "standard" and args.command == "scan":
-        if args.mode == "given-coefficients":
-            print("scan supports only standard and optimized modes", file=sys.stderr)
-            return EXIT_USAGE
     try:
         return args.func(args)
     except UsageError as exc:
@@ -466,6 +458,9 @@ def main(argv=None) -> int:
     except SizeCapError as exc:
         print(f"size cap: {exc}", file=sys.stderr)
         return EXIT_SIZE_CAP
+    except Exception as exc:  # the CLI boundary: any other failure is a bug
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def run() -> None:

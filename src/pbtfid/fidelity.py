@@ -49,7 +49,7 @@ LOG_MODE = "log-domain"
 DENSE_EIGEN_LIMIT = 2000
 DEGENERACY_RTOL = 1e-10
 EIGEN_RESIDUAL_TOL = 1e-12
-POWER_TOL = 1e-13
+EIGSH_TOL = 1e-13
 
 
 def exact_threshold() -> int:
@@ -165,7 +165,7 @@ class EigenData:
     """Diagnostics of the principal-eigenvalue solve behind an optimized run."""
 
     principal_eigenvalue: float
-    iterations: int
+    iterations: int  # always 0: each eigensolver is one library call
     residual: float
 
 
@@ -235,56 +235,50 @@ def avg_state_eigenvalue(d: int, N: int, mu, alpha) -> Fraction:
     )
 
 
-def pgm_block_coefficient(d: int, N: int, mu, alpha) -> float:
-    """Block eigenvalue of the square-root-measurement certificate operator.
+def _unit_weight(mu: Partition) -> float:
+    """c_mu = 1: the maximally entangled port state."""
+    return 1.0
 
-    x = (1/d^N) * sqrt(m_mu/d_mu) * (1/m_alpha) * sum_{mu'} sqrt(d_mu' m_mu'),
-    summing over all one-box extensions mu' of alpha.
+
+def _certificate_block(d: int, N: int, mu, alpha, weight) -> float:
+    """Certificate block eigenvalue for port weights c_mu = weight(mu):
+
+    (1/d^N) * (1/(m_alpha d_mu)) * sqrt(c_mu m_mu d_mu)
+        * sum_{mu'} sqrt(c_mu' m_mu' d_mu'),
+
+    summing over all one-box extensions mu' of alpha, at MP_DPS digits.
     """
-    mu, alpha = _require_box_pair(d, N, mu, alpha)
-    with mpmath.workdps(MP_DPS):
-        surd_sum = mpmath.fsum(
-            mpmath.sqrt(specht_dim(rel.mu) * weyl_dim(rel.mu, d))
-            for rel in add_box_successors(alpha, d)
-        )
-        val = (
-            mpmath.sqrt(weyl_dim(mu, d))
-            / mpmath.sqrt(specht_dim(mu))
-            / weyl_dim(alpha, d)
-            / mpmath.mpf(d) ** N
-            * surd_sum
-        )
-        return float(val)
-
-
-def opt_block_coefficient(
-    d: int, N: int, mu, alpha, coefficients: PortCoefficients
-) -> float:
-    """Block eigenvalue of the certificate operator for a steered port state.
-
-    y = (1/d^N) * (1/(m_alpha d_mu)) * sqrt(c_mu m_mu d_mu)
-        * sum_{mu'} sqrt(c_mu' m_mu' d_mu').
-    """
-    mu, alpha = _require_box_pair(d, N, mu, alpha)
-    coefficients.validate()
     with mpmath.workdps(MP_DPS):
         surd_sum = mpmath.fsum(
             mpmath.sqrt(
-                mpmath.mpf(coefficients.value(rel.mu))
-                * specht_dim(rel.mu)
-                * weyl_dim(rel.mu, d)
+                mpmath.mpf(weight(rel.mu)) * specht_dim(rel.mu) * weyl_dim(rel.mu, d)
             )
             for rel in add_box_successors(alpha, d)
         )
         val = (
-            mpmath.sqrt(
-                mpmath.mpf(coefficients.value(mu)) * specht_dim(mu) * weyl_dim(mu, d)
-            )
+            mpmath.sqrt(mpmath.mpf(weight(mu)) * specht_dim(mu) * weyl_dim(mu, d))
             * surd_sum
             / (weyl_dim(alpha, d) * specht_dim(mu))
             / mpmath.mpf(d) ** N
         )
         return float(val)
+
+
+def pgm_block_coefficient(d: int, N: int, mu, alpha) -> float:
+    """Block eigenvalue x of the square-root-measurement certificate operator:
+    the certificate block at c = 1, x = sqrt(m_mu/d_mu) / (m_alpha d^N)
+    * sum_{mu'} sqrt(d_mu' m_mu')."""
+    return _certificate_block(d, N, *_require_box_pair(d, N, mu, alpha), _unit_weight)
+
+
+def opt_block_coefficient(
+    d: int, N: int, mu, alpha, coefficients: PortCoefficients
+) -> float:
+    """Block eigenvalue y of the certificate operator for a steered port state
+    (the certificate block at c = ``coefficients``, validated first)."""
+    mu, alpha = _require_box_pair(d, N, mu, alpha)
+    coefficients.validate()
+    return _certificate_block(d, N, mu, alpha, coefficients.value)
 
 
 @dataclass(frozen=True)
@@ -305,19 +299,19 @@ def block_spectrum(
     _check_dn(d, N)
     if operator not in ("avg", "X", "Y"):
         raise ValueError(f"unknown operator {operator!r}")
+    weight = _unit_weight
     if operator == "Y":
         if coefficients is None:
             raise ValueError("operator Y needs port coefficients")
         coefficients.validate()
+        weight = coefficients.value
     rows = []
     for alpha in enumerate_partitions(N - 1, d):
         for rel in add_box_successors(alpha, d):
             if operator == "avg":
                 value = float(avg_state_eigenvalue(d, N, rel.mu, alpha))
-            elif operator == "X":
-                value = pgm_block_coefficient(d, N, rel.mu, alpha)
             else:
-                value = opt_block_coefficient(d, N, rel.mu, alpha, coefficients)
+                value = _certificate_block(d, N, rel.mu, alpha, weight)
             mult = weyl_dim(alpha, d) * specht_dim(rel.mu)
             rows.append(BlockValue(alpha, rel.mu, value, mult))
     return rows
@@ -329,18 +323,16 @@ def block_spectrum(
 
 
 def _fidelity_exact(d: int, N: int, coefficients: PortCoefficients | None) -> float:
+    weight = _unit_weight if coefficients is None else coefficients.value
     with mpmath.workdps(MP_DPS):
         outer = []
         for alpha in enumerate_partitions(N - 1, d):
-            inner = []
-            for rel in add_box_successors(alpha, d):
-                weight = specht_dim(rel.mu) * weyl_dim(rel.mu, d)
-                if coefficients is None:
-                    inner.append(mpmath.sqrt(weight))
-                else:
-                    c = coefficients.value(rel.mu)
-                    if c > 0:
-                        inner.append(mpmath.sqrt(mpmath.mpf(c) * weight))
+            # the integer weight is exact, so c * weight rounds once and c = 1 is exact
+            inner = [
+                mpmath.sqrt(mpmath.mpf(c) * (specht_dim(rel.mu) * weyl_dim(rel.mu, d)))
+                for rel in add_box_successors(alpha, d)
+                if (c := weight(rel.mu)) > 0
+            ]
             s = mpmath.fsum(inner)
             outer.append(s * s)
         total = mpmath.fsum(outer) / mpmath.mpf(d) ** (N + 2)
@@ -454,67 +446,35 @@ def box_incidence(d: int, N: int):
     return B, table_partitions(level.table)
 
 
-def _power_iteration(matvec, dim: int, tol: float = POWER_TOL, max_iter: int = 500_000):
-    """Plain power iteration from the all-ones start; keeps the iterate in the
-    nonnegative cone, so under degeneracy it lands on the entrywise-nonnegative
-    vector of the top eigenspace."""
-    v = np.ones(dim) / math.sqrt(dim)
-    lam = 0.0
-    for it in range(1, max_iter + 1):
-        w = matvec(v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0, v, it
-        v = w / norm
-        new_lam = float(v @ matvec(v))
-        if it > 2 and abs(new_lam - lam) <= tol * max(abs(new_lam), 1.0):
-            resid = np.linalg.norm(matvec(v) - new_lam * v)
-            if resid <= EIGEN_RESIDUAL_TOL * max(abs(new_lam), 1.0):
-                return new_lam, v, it
-        lam = new_lam
-    raise RuntimeError("power iteration failed to converge")
-
-
 def _principal_eigenpair(B, n_mu: int):
     """Largest eigenpair of M = B^T B with an entrywise-nonnegative vector.
 
-    Returns (eigenvalue, unit vector, iterations, residual, degenerate).
+    M is nonnegative and its graph (mu joined to mu' when they share an
+    alpha) is connected, so by Perron-Frobenius its top eigenvalue is simple
+    and the top eigenvector is positive up to sign. Dense ``eigh`` solves up
+    to DENSE_EIGEN_LIMIT diagrams and Lanczos ``eigsh`` above it; each is one
+    library call with no iteration count of its own. ``degenerate`` flags a
+    top gap below DEGENERACY_RTOL, and a vector that is not nonnegative is
+    refused.
+
+    Returns (eigenvalue, unit vector, residual, degenerate).
     """
     matvec = lambda v: B.T @ (B @ v)  # noqa: E731
-    degenerate = False
     if n_mu <= DENSE_EIGEN_LIMIT:
-        dense = (B.T @ B).toarray()
-        eigvals, eigvecs = np.linalg.eigh(dense)
-        lam = float(eigvals[-1])
-        gap_ok = n_mu == 1 or (eigvals[-1] - eigvals[-2]) > DEGENERACY_RTOL * max(
-            abs(lam), 1.0
-        )
-        if gap_ok:
-            u = eigvecs[:, -1]
-            iterations = 0
-            if u.sum() < 0:
-                u = -u
-        else:
-            degenerate = True
-            lam, u, iterations = _power_iteration(matvec, n_mu)
+        eigvals, eigvecs = np.linalg.eigh((B.T @ B).toarray())
     else:
         from scipy.sparse.linalg import LinearOperator, eigsh
 
         op = LinearOperator((n_mu, n_mu), matvec=matvec, dtype=float)
-        v0 = np.ones(n_mu)
-        eigvals, eigvecs = eigsh(op, k=2, which="LA", v0=v0, tol=POWER_TOL)
-        order = np.argsort(eigvals)
-        lam = float(eigvals[order[-1]])
-        if (eigvals[order[-1]] - eigvals[order[-2]]) <= DEGENERACY_RTOL * max(
-            abs(lam), 1.0
-        ):
-            degenerate = True
-            lam, u, iterations = _power_iteration(matvec, n_mu)
-        else:
-            u = eigvecs[:, order[-1]]
-            iterations = 0
-            if u.sum() < 0:
-                u = -u
+        eigvals, eigvecs = eigsh(op, k=2, which="LA", v0=np.ones(n_mu), tol=EIGSH_TOL)
+    order = np.argsort(eigvals, kind="stable")
+    lam = float(eigvals[order[-1]])
+    degenerate = n_mu > 1 and bool(
+        eigvals[order[-1]] - eigvals[order[-2]] <= DEGENERACY_RTOL * max(abs(lam), 1.0)
+    )
+    u = eigvecs[:, order[-1]]
+    if u.sum() < 0:
+        u = -u
     floor = float(u.min())
     if floor < -1e-12:
         raise AssertionError(
@@ -523,7 +483,7 @@ def _principal_eigenpair(B, n_mu: int):
     u = np.clip(u, 0.0, None)
     u = u / np.linalg.norm(u)
     residual = float(np.linalg.norm(matvec(u) - lam * u))
-    return lam, u, iterations, residual, degenerate
+    return lam, u, residual, degenerate
 
 
 def optimize_coefficients(d: int, N: int, numeric_mode: str = "auto") -> FidelityReport:
@@ -536,7 +496,7 @@ def optimize_coefficients(d: int, N: int, numeric_mode: str = "auto") -> Fidelit
     _check_dn(d, N)
     mode = _resolve_mode(N, numeric_mode)
     B, mus = box_incidence(d, N)
-    lam, u, iterations, residual, degenerate = _principal_eigenpair(B, len(mus))
+    lam, u, residual, degenerate = _principal_eigenpair(B, len(mus))
     if residual > EIGEN_RESIDUAL_TOL * max(lam, 1.0):
         raise AssertionError(f"eigen residual {residual:.3e} above tolerance")
     log_d = math.log(d)
@@ -563,7 +523,7 @@ def optimize_coefficients(d: int, N: int, numeric_mode: str = "auto") -> Fidelit
         f,
         mode,
         coefficients=coefficients,
-        eigen_data=EigenData(lam, iterations, residual),
+        eigen_data=EigenData(lam, 0, residual),
         degenerate=degenerate,
     )
 

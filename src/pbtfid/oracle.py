@@ -51,7 +51,9 @@ class SizeCapError(ValueError):
     """A dense construction would exceed the configured size cap."""
 
 
-def _check_oracle_size(d: int, N: int) -> None:
+def check_oracle_size(d: int, N: int) -> None:
+    """Raise SizeCapError when a dense (d, N) construction, of dimension
+    d^(N+1), exceeds the oracle cap."""
     cap = oracle_cap()
     if d ** (N + 1) > cap:
         raise SizeCapError(
@@ -214,7 +216,7 @@ def maximally_entangled(d: int) -> DenseOperator:
 def build_rho(d: int, N: int, i: int) -> DenseOperator:
     """Discrimination state rho_i: an entangled pair on (A_i, B), maximally
     mixed on the remaining ports."""
-    _check_oracle_size(d, N)
+    check_oracle_size(d, N)
     if not 1 <= i <= N:
         raise ValueError(f"port index {i} outside 1..{N}")
     dims = (d,) * (N + 1)
@@ -426,7 +428,7 @@ def eta_ensemble(d: int, N: int, coefficients: PortCoefficients) -> Ensemble:
 def certificate_X(d: int, N: int) -> DenseOperator:
     """X = sum_i rho_i avg^(-1/2) rho_i avg^(-1/2); X/N is dual feasible and
     its trace over N equals the square-root measurement's success probability."""
-    _check_oracle_size(d, N)
+    check_oracle_size(d, N)
     rhos = [build_rho(d, N, i).matrix for i in range(1, N + 1)]
     avg, _ = hermitize(sum(rhos))
     inv_sqrt, _ = _pseudo_inv_sqrt(avg)
@@ -442,7 +444,7 @@ def certificate_X(d: int, N: int) -> DenseOperator:
 def certificate_Y(d: int, N: int, coefficients: PortCoefficients) -> DenseOperator:
     """Y = sum_i (O rho_i O) avg^(-1/2) rho_i avg^(-1/2) for the steered states;
     Y/N is dual feasible for discriminating the eta_i."""
-    _check_oracle_size(d, N)
+    check_oracle_size(d, N)
     coefficients.validate()
     rhos = [build_rho(d, N, i).matrix for i in range(1, N + 1)]
     avg, _ = hermitize(sum(rhos))
@@ -651,7 +653,7 @@ def run_verification(
     """
     from .fidelity import fidelity_given_coefficients, fidelity_standard
 
-    _check_oracle_size(d, N)
+    check_oracle_size(d, N)
     checks: list[CheckResult] = []
 
     def record(name, deviation, tolerance):

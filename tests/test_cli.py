@@ -1,8 +1,10 @@
 """Command-line surface: formats, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
+import os
 import math
 import subprocess
 import sys
@@ -13,6 +15,7 @@ import pytest
 
 from pbtfid.cli import (
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_SIZE_CAP,
     EXIT_USAGE,
@@ -33,9 +36,9 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_subprocess(*argv):
+def run_subprocess(*argv, env=None):
     return subprocess.run(
-        [sys.executable, "-m", "pbtfid", *argv], capture_output=True, text=True
+        [sys.executable, "-m", "pbtfid", *argv], capture_output=True, text=True, env=env
     )
 
 
@@ -155,6 +158,18 @@ class TestFid:
         result = run_subprocess("fid", "--d", "2")
         assert result.returncode == EXIT_USAGE
 
+    def test_internal_error_has_its_own_exit_code(self, capsys, monkeypatch):
+        import pbtfid.cli as cli_mod
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli_mod, "optimize_coefficients", broken)
+        code, out, err = run_cli(capsys, "fid", "--d", "2", "--N", "3", "--mode", "optimized")
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert err == "internal error: RuntimeError: boom\n"
+
 
 class TestConfiguration:
     @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
@@ -217,6 +232,16 @@ class TestScan:
             "--mode", "given-coefficients",
         )
         assert code == EXIT_USAGE
+
+    def test_scan_rejects_coefficient_file_flags(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps({"[2]": 1.0}))
+        for flag in (["--coefficients", str(path)], ["--renormalize"]):
+            result = run_subprocess(
+                "scan", "--d", "2", "--from", "1", "--to", "2", "--format", "csv", *flag
+            )
+            assert result.returncode == EXIT_USAGE
+            assert result.stdout == ""
 
 
 class TestVerify:
@@ -366,6 +391,21 @@ class TestDeterminism:
         )
         assert code == EXIT_OK
         assert out == (REFERENCE / f"scan-d{d}.csv").read_text()
+
+    @pytest.mark.parametrize("d, N", [(4, 60), (3, 152), (4, 80)])
+    def test_optimized_json_matches_reference_digest(self, d, N):
+        # dense eigh digits depend on the BLAS thread count; the reference
+        # was written with one thread
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        result = run_subprocess(
+            "fid", "--d", str(d), "--N", str(N), "--mode", "optimized", env=env
+        )
+        assert result.returncode == EXIT_OK
+        record = json.loads(result.stdout)
+        record.pop("wall_time_ms")
+        digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
+        reference = json.loads((REFERENCE / "optimize.json").read_text())
+        assert digest == reference[f"d{d}-N{N}"]
 
     def test_version_flag(self):
         result = run_subprocess("--version")

@@ -27,7 +27,7 @@ from pbtfid import (
     specht_dim,
     weyl_dim,
 )
-from pbtfid.fidelity import _principal_eigenpair
+from pbtfid.fidelity import DENSE_EIGEN_LIMIT, _principal_eigenpair
 
 SQ3 = math.sqrt(3.0)
 
@@ -343,11 +343,37 @@ class TestOptimize:
         from scipy.sparse import csr_matrix
 
         B = csr_matrix(np.eye(2))
-        lam, u, _, residual, degenerate = _principal_eigenpair(B, 2)
+        lam, u, residual, degenerate = _principal_eigenpair(B, 2)
         assert degenerate
         assert lam == pytest.approx(1.0, abs=1e-12)
         assert residual <= 1e-12
         assert u.min() >= -1e-12
+
+    def test_qubit_optimum_closed_form(self):
+        # Ishizaka & Hiroshima, PRA 79, 042306 (2009): F* = cos^2(pi/(N+2))
+        for N in range(1, 301):
+            assert optimize_coefficients(2, N).fidelity == pytest.approx(
+                math.cos(math.pi / (N + 2)) ** 2, abs=1e-15
+            )
+
+    def test_perron_premise_incidence_graph_is_connected(self):
+        # B^T B >= 0 with a connected graph has a simple top eigenvalue, which
+        # is why the optimizer needs no degenerate-eigenspace fallback
+        from scipy.sparse.csgraph import connected_components
+
+        for d in range(1, 7):
+            for N in range(1, 41):
+                B, _ = box_incidence(d, N)
+                n_parts, _ = connected_components(B.T @ B, directed=False)
+                assert n_parts == 1, (d, N)
+
+    @pytest.mark.parametrize("d, N", [(4, 60), (3, 152)], ids=["dense", "eigsh"])
+    def test_real_points_are_not_degenerate(self, d, N):
+        n_mu = len(box_incidence(d, N)[1])
+        assert (n_mu <= DENSE_EIGEN_LIMIT) == (N == 60)
+        rep = optimize_coefficients(d, N)
+        assert rep.degenerate is False
+        assert rep.eigen_data.iterations == 0
 
     def test_large_point_runs_in_log_mode(self):
         rep = optimize_coefficients(2, 60)
