@@ -8,7 +8,7 @@ measurement through semidefinite-programming duality.
 
 __version__ = "0.1.0"
 
-from .config import ConfigError
+from .config import ConfigError, SizeCapError
 from .fidelity import (
     BlockValue,
     EigenData,
@@ -32,11 +32,11 @@ from .oracle import (
     CheckResult,
     DenseOperator,
     Ensemble,
-    SizeCapError,
     average_state,
     build_eta,
     build_port_operator,
     build_rho,
+    certificate,
     certificate_X,
     certificate_Y,
     certify_optimality,

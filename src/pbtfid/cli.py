@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import ConfigError
+from .config import ConfigError, SizeCapError
 from .fidelity import (
     PortCoefficients,
     block_spectrum,
@@ -29,7 +29,6 @@ from .fidelity import (
     scan,
 )
 from .oracle import (
-    SizeCapError,
     average_state,
     certificate_X,
     certificate_Y,
@@ -109,7 +108,7 @@ def format_number(value) -> str:
 
 
 def _partition_key(mu) -> str:
-    return json.dumps(list(mu), separators=(",", ":"))
+    return json.dumps(list(mu), separators=(",", ":"), allow_nan=False)
 
 
 def load_coefficients(path: str, d: int, N: int, renormalize: bool) -> PortCoefficients:
@@ -211,7 +210,7 @@ def _record_csv_row(record: dict) -> list[str]:
 def _emit_records(records: list[dict], fmt: str, out) -> None:
     if fmt == "json":
         for record in records:
-            out.write(json.dumps(record) + "\n")
+            out.write(json.dumps(record, allow_nan=False) + "\n")
     else:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
@@ -219,19 +218,30 @@ def _emit_records(records: list[dict], fmt: str, out) -> None:
             writer.writerow(_record_csv_row(record))
 
 
+class UsageError(Exception):
+    pass
+
+
+def _check_file_flags(args, applies: bool, option: str) -> None:
+    """--coefficients is required where ``option`` is in force; elsewhere it
+    and --renormalize are usage errors rather than silently ignored."""
+    if applies and args.coefficients is None:
+        raise UsageError(f"{option} requires --coefficients")
+    if not applies and (args.coefficients is not None or args.renormalize):
+        raise UsageError(f"--coefficients and --renormalize apply only with {option}")
+
+
+def _file_coefficients(args) -> PortCoefficients:
+    return load_coefficients(args.coefficients, args.d, args.N, args.renormalize)
+
+
 def _resolve_report(args):
+    _check_file_flags(args, args.mode == "given-coefficients", "--mode given-coefficients")
     if args.mode == "standard":
         return fidelity_standard(args.d, args.N)
     if args.mode == "optimized":
         return optimize_coefficients(args.d, args.N)
-    if args.coefficients is None:
-        raise UsageError("--mode given-coefficients requires --coefficients")
-    coeffs = load_coefficients(args.coefficients, args.d, args.N, args.renormalize)
-    return fidelity_given_coefficients(args.d, args.N, coeffs)
-
-
-class UsageError(Exception):
-    pass
+    return fidelity_given_coefficients(args.d, args.N, _file_coefficients(args))
 
 
 def _cmd_fid(args) -> int:
@@ -258,14 +268,14 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    given = args.mode == "given-coefficients"
+    _check_file_flags(args, given, "--mode given-coefficients")
     check_oracle_size(args.d, args.N)
     coeffs = None
     if args.mode == "optimized":
         coeffs = optimize_coefficients(args.d, args.N).coefficients
-    elif args.mode == "given-coefficients":
-        if args.coefficients is None:
-            raise UsageError("--mode given-coefficients requires --coefficients")
-        coeffs = load_coefficients(args.coefficients, args.d, args.N, args.renormalize)
+    elif given:
+        coeffs = _file_coefficients(args)
     checks = run_verification(args.d, args.N, args.mode, coeffs)
     all_passed = all(c.passed for c in checks)
     for c in checks:
@@ -292,7 +302,7 @@ def _cmd_verify(args) -> int:
                 for c in checks
             ],
         }
-        sys.stdout.write(json.dumps(payload) + "\n")
+        sys.stdout.write(json.dumps(payload, allow_nan=False) + "\n")
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["check", "passed", "deviation", "tolerance"])
@@ -304,13 +314,10 @@ def _cmd_verify(args) -> int:
 
 
 def _spectrum_rows(args):
+    _check_file_flags(args, args.operator == "Y", "--operator Y")
     if args.compare:
         check_oracle_size(args.d, args.N)
-    coeffs = None
-    if args.operator == "Y":
-        if args.coefficients is None:
-            raise UsageError("--operator Y requires --coefficients")
-        coeffs = load_coefficients(args.coefficients, args.d, args.N, args.renormalize)
+    coeffs = _file_coefficients(args) if args.operator == "Y" else None
     rows = block_spectrum(args.d, args.N, args.operator, coeffs)
     oracle_info = None
     if args.compare:
@@ -358,7 +365,7 @@ def _cmd_spectrum(args) -> int:
             "operator": args.operator,
             "rows": payload_rows,
         }
-        sys.stdout.write(json.dumps(payload) + "\n")
+        sys.stdout.write(json.dumps(payload, allow_nan=False) + "\n")
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         header = ["alpha", "mu", "value", "multiplicity"]

@@ -1,4 +1,5 @@
-"""Settings read from the environment, validated where they are read."""
+"""Settings read from the environment, validated where they are read, and the
+errors that a configured or numeric limit raises."""
 
 from __future__ import annotations
 
@@ -7,6 +8,11 @@ import os
 
 class ConfigError(Exception):
     """An environment setting has a value the program cannot use."""
+
+
+class SizeCapError(ValueError):
+    """A computation would exceed a size cap: a dense construction above the
+    configured oracle cap, or a value beyond float64."""
 
 
 def env_positive_int(name: str, default: int) -> int:

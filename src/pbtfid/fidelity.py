@@ -25,7 +25,7 @@ import mpmath
 import numpy as np
 from scipy.special import gammaln
 
-from .config import env_positive_int
+from .config import SizeCapError, env_positive_int
 from .partitions import (
     Partition,
     add_box_successors,
@@ -492,6 +492,7 @@ def optimize_coefficients(d: int, N: int, numeric_mode: str = "auto") -> Fidelit
     Substituting u_mu = sqrt(c_mu d_mu m_mu) turns the constrained maximisation
     into the principal-eigenvalue problem of the nonnegative matrix B^T B, so
     F* = lambda_max / d^2 and the optimal weights come from the Perron vector.
+    A weight too large for float64 raises SizeCapError naming its diagram.
     """
     _check_dn(d, N)
     mode = _resolve_mode(N, numeric_mode)
@@ -513,7 +514,9 @@ def optimize_coefficients(d: int, N: int, numeric_mode: str = "auto") -> Fidelit
         try:
             entries[mu] = math.exp(log_c)
         except OverflowError:
-            entries[mu] = math.inf
+            raise SizeCapError(
+                f"coefficient of mu={list(mu)} overflows float64 at d={d}, N={N}"
+            ) from None
     coefficients = PortCoefficients(d, N, entries)
     f = lam / (d * d)
     return _make_report(

@@ -6,6 +6,13 @@ the dual-certificate operators, and the full teleportation channel. Sizes are
 capped (d^(N+1) <= PBT_ORACLE_CAP, default 4096) because this module exists
 for certification, not production scans.
 
+The dual candidate comes from the measurement under test: K = sum_i p_i
+sigma_i E_i, with E the square-root measurement of the unsteered rho_i and
+sigma_i the states discriminated (rho_i, or the steered eta_i). tr K equals
+the achieved success probability, so the duality gap is zero by construction;
+the substantive checks are feasibility (K >= p_i sigma_i) and the match of
+K's spectrum with the closed-form block values.
+
 Tensor-factor convention: the N port slots A_1..A_N come first and the single
 B slot is last, with row-major index fusion (np.kron order). Permutations act
 on the A slots only.
@@ -16,11 +23,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-from .config import env_positive_int
+from .config import SizeCapError, env_positive_int
 from .fidelity import PortCoefficients, block_spectrum
 from .partitions import (
     Partition,
@@ -45,10 +52,6 @@ POVM_TOL = 1e-10
 def oracle_cap() -> int:
     """Dense-construction size cap on d^(N+1) (env PBT_ORACLE_CAP)."""
     return env_positive_int(ORACLE_CAP_ENV, DEFAULT_ORACLE_CAP)
-
-
-class SizeCapError(ValueError):
-    """A dense construction would exceed the configured size cap."""
 
 
 def check_oracle_size(d: int, N: int) -> None:
@@ -85,9 +88,7 @@ class DenseOperator:
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
         self.factor_dims = tuple(int(x) for x in self.factor_dims)
-        dim = 1
-        for f in self.factor_dims:
-            dim *= f
+        dim = math.prod(self.factor_dims)
         if self.matrix.shape != (dim, dim):
             raise ValueError(
                 f"matrix shape {self.matrix.shape} does not match factor "
@@ -147,9 +148,7 @@ def reorder_factors(
     tensor = matrix.reshape(*dims, *dims)
     axes = list(new_order) + [n + k for k in new_order]
     tensor = np.transpose(tensor, axes)
-    full = 1
-    for f in dims:
-        full *= f
+    full = math.prod(dims)
     return tensor.reshape(full, full)
 
 
@@ -158,10 +157,7 @@ def embed_operator(
 ) -> np.ndarray:
     """Lift an operator acting on ``slots`` (in that order) to the full space."""
     others = [k for k in range(len(dims)) if k not in slots]
-    rest_dim = 1
-    for k in others:
-        rest_dim *= dims[k]
-    combined = np.kron(matrix, np.eye(rest_dim))
+    combined = np.kron(matrix, np.eye(math.prod(dims[k] for k in others)))
     order = list(slots) + others
     inverse = [order.index(j) for j in range(len(dims))]
     return reorder_factors(combined, tuple(dims[k] for k in order), inverse)
@@ -180,9 +176,7 @@ def partial_trace(op: DenseOperator, traced: list[int]) -> DenseOperator:
     col_idx = [k if k in traced_set else n + k for k in range(n)]
     out_idx = [k for k in keep] + [n + k for k in keep]
     result = np.einsum(tensor, row_idx + col_idx, out_idx)
-    kept_dim = 1
-    for k in keep:
-        kept_dim *= dims[k]
+    kept_dim = math.prod(dims[k] for k in keep)
     return DenseOperator(
         result.reshape(kept_dim, kept_dim), tuple(dims[k] for k in keep)
     )
@@ -260,6 +254,12 @@ class Ensemble:
     def factor_dims(self) -> tuple[int, ...]:
         return self.states[0].factor_dims
 
+    @cached_property
+    def _average_decomposition(self) -> tuple[np.ndarray, np.ndarray]:
+        """Pseudo-inverse square root and support projector of the
+        probability-weighted average, computed on first use."""
+        return _pseudo_inv_sqrt(average_state(self, normalized=True).matrix)
+
 
 def pbt_ensemble(d: int, N: int) -> Ensemble:
     """The uniform ensemble of the N discrimination states rho_i."""
@@ -301,8 +301,7 @@ def pretty_good_measurement(ensemble: Ensemble) -> list[DenseOperator]:
     The elements form a POVM on the support of the ensemble average; off
     that support they are zero.
     """
-    avg = average_state(ensemble, normalized=True).matrix
-    inv_sqrt, _ = _pseudo_inv_sqrt(avg)
+    inv_sqrt, _ = ensemble._average_decomposition
     povm = []
     for p, st in zip(ensemble.probs, ensemble.states):
         element, _ = hermitize(inv_sqrt @ (p * st.matrix) @ inv_sqrt)
@@ -329,8 +328,7 @@ def success_probability(ensemble: Ensemble, povm: list[DenseOperator]) -> float:
     if len(povm) != len(ensemble.states):
         raise ValueError("POVM length does not match the ensemble")
     _check_povm_elements(povm)
-    avg = average_state(ensemble, normalized=True).matrix
-    _, support = _pseudo_inv_sqrt(avg)
+    _, support = ensemble._average_decomposition
     total = sum(e.matrix for e in povm)
     defect = float(np.max(np.abs(support @ (total - np.eye(total.shape[0])) @ support)))
     if defect > POVM_TOL:
@@ -357,11 +355,7 @@ def _class_sums(d: int, n: int) -> dict[Partition, np.ndarray]:
     sums: dict[Partition, np.ndarray] = {}
     for perm in itertools.permutations(range(n)):
         lam = permutation_cycle_type(perm)
-        mat = permutation_operator(perm, d)
-        if lam in sums:
-            sums[lam] += mat
-        else:
-            sums[lam] = mat
+        sums[lam] = sums.get(lam, 0.0) + permutation_operator(perm, d)
     return sums
 
 
@@ -404,20 +398,27 @@ def build_port_operator(d: int, N: int, coefficients: PortCoefficients) -> Dense
     return DenseOperator(acc, (d,) * N, hermitian=True)
 
 
+def _steered_states(
+    d: int, N: int, coefficients: PortCoefficients, rhos: list[DenseOperator]
+) -> list[DenseOperator]:
+    """(O x 1_B) rho (O x 1_B) for each of the given states, with O built once."""
+    lifted = np.kron(build_port_operator(d, N, coefficients).matrix, np.eye(d))
+    etas = []
+    for rho in rhos:
+        mat, _ = hermitize(lifted @ rho.matrix @ lifted)
+        etas.append(DenseOperator(mat, rho.factor_dims, hermitian=True))
+    return etas
+
+
 def build_eta(d: int, N: int, i: int, coefficients: PortCoefficients) -> DenseOperator:
     """Steered discrimination state eta_i = (O x 1_B) rho_i (O x 1_B)."""
-    rho = build_rho(d, N, i)
-    port_op = build_port_operator(d, N, coefficients)
-    lifted = np.kron(port_op.matrix, np.eye(d))
-    mat, _ = hermitize(lifted @ rho.matrix @ lifted)
-    return DenseOperator(mat, rho.factor_dims, hermitian=True)
+    return _steered_states(d, N, coefficients, [build_rho(d, N, i)])[0]
 
 
 def eta_ensemble(d: int, N: int, coefficients: PortCoefficients) -> Ensemble:
     """Uniform ensemble of the steered states eta_i."""
-    return Ensemble(
-        [build_eta(d, N, i, coefficients) for i in range(1, N + 1)], [1.0 / N] * N
-    )
+    rhos = [build_rho(d, N, i) for i in range(1, N + 1)]
+    return Ensemble(_steered_states(d, N, coefficients, rhos), [1.0 / N] * N)
 
 
 # ---------------------------------------------------------------------------
@@ -425,38 +426,33 @@ def eta_ensemble(d: int, N: int, coefficients: PortCoefficients) -> Ensemble:
 # ---------------------------------------------------------------------------
 
 
-def certificate_X(d: int, N: int) -> DenseOperator:
-    """X = sum_i rho_i avg^(-1/2) rho_i avg^(-1/2); X/N is dual feasible and
-    its trace over N equals the square-root measurement's success probability."""
-    check_oracle_size(d, N)
-    rhos = [build_rho(d, N, i).matrix for i in range(1, N + 1)]
-    avg, _ = hermitize(sum(rhos))
-    inv_sqrt, _ = _pseudo_inv_sqrt(avg)
-    acc = np.zeros_like(avg)
-    for r in rhos:
-        acc = acc + r @ inv_sqrt @ r @ inv_sqrt
+def certificate(states: list[DenseOperator], povm: list[DenseOperator]) -> DenseOperator:
+    """sum_i sigma_i E_i: the dual candidate of the measurement E against the
+    states sigma_i, Hermitised with its defect recorded. For a uniform
+    ensemble of n states it is n times K = sum_i p_i sigma_i E_i."""
+    acc = sum(st.matrix @ e.matrix for st, e in zip(states, povm))
     mat, defect = hermitize(acc)
     if defect > HERMITICITY_TOL:
         raise AssertionError(f"certificate defect {defect:.3e} above tolerance")
-    return DenseOperator(mat, (d,) * (N + 1), hermitian=True, herm_defect=defect)
+    return DenseOperator(mat, states[0].factor_dims, hermitian=True, herm_defect=defect)
+
+
+def certificate_X(d: int, N: int) -> DenseOperator:
+    """X = sum_i rho_i E_i with E the square-root measurement of the rho_i;
+    X/N is dual feasible and its trace over N equals that measurement's
+    success probability."""
+    ens = pbt_ensemble(d, N)
+    return certificate(ens.states, pretty_good_measurement(ens))
 
 
 def certificate_Y(d: int, N: int, coefficients: PortCoefficients) -> DenseOperator:
-    """Y = sum_i (O rho_i O) avg^(-1/2) rho_i avg^(-1/2) for the steered states;
-    Y/N is dual feasible for discriminating the eta_i."""
+    """Y = sum_i eta_i E_i with the same unsteered E as X; Y/N is dual
+    feasible for discriminating the steered states eta_i."""
     check_oracle_size(d, N)
     coefficients.validate()
-    rhos = [build_rho(d, N, i).matrix for i in range(1, N + 1)]
-    avg, _ = hermitize(sum(rhos))
-    inv_sqrt, _ = _pseudo_inv_sqrt(avg)
-    lifted = np.kron(build_port_operator(d, N, coefficients).matrix, np.eye(d))
-    acc = np.zeros_like(avg)
-    for r in rhos:
-        acc = acc + lifted @ r @ lifted @ inv_sqrt @ r @ inv_sqrt
-    mat, defect = hermitize(acc)
-    if defect > HERMITICITY_TOL:
-        raise AssertionError(f"certificate defect {defect:.3e} above tolerance")
-    return DenseOperator(mat, (d,) * (N + 1), hermitian=True, herm_defect=defect)
+    ens = pbt_ensemble(d, N)
+    etas = _steered_states(d, N, coefficients, ens.states)
+    return certificate(etas, pretty_good_measurement(ens))
 
 
 @dataclass(frozen=True)
@@ -475,6 +471,9 @@ def certify_optimality(
     ensemble: Ensemble, povm: list[DenseOperator], K: DenseOperator, tol: float = 1e-8
 ) -> CertificateReport:
     """Check that K is dual feasible and gap-free for the given measurement.
+
+    A K built by ``certificate`` from this measurement has no gap by
+    construction; the gap still exposes a K that belongs to another one.
 
     A failed certificate is a valid negative result; nothing raises unless
     the inputs are malformed.
@@ -527,9 +526,7 @@ def _apply_on_slots(matrix, vec, slots, dims):
     rest = [k for k in range(n) if k not in slots]
     tensor = vec.reshape(dims)
     tensor = np.transpose(tensor, slots + rest)
-    front = 1
-    for k in slots:
-        front *= dims[k]
+    front = math.prod(dims[k] for k in slots)
     out = (matrix @ tensor.reshape(front, -1)).reshape(
         [dims[k] for k in slots] + [dims[k] for k in rest]
     )
@@ -543,9 +540,7 @@ def _keep_matrix(v, w, keep, dims):
     rest = [k for k in range(n) if k not in keep]
     vt = np.transpose(v.reshape(dims), rest + keep)
     wt = np.transpose(w.reshape(dims), rest + keep)
-    kept_dim = 1
-    for k in keep:
-        kept_dim *= dims[k]
+    kept_dim = math.prod(dims[k] for k in keep)
     vm = vt.reshape(-1, kept_dim)
     wm = wt.reshape(-1, kept_dim)
     return vm.T @ wm.conj()
@@ -649,7 +644,9 @@ def run_verification(
     For ``standard`` the certificate is X/N against the rho ensemble; for
     ``given-coefficients`` (or an optimized run, which supplies the optimal
     coefficients) it is Y/N against the eta ensemble, measured with the
-    square-root measurement of the *unsteered* states.
+    square-root measurement of the *unsteered* states. The states, the
+    measurement and the certificate are each built once, and the success
+    probability is the one ``certify_optimality`` measures.
     """
     from .fidelity import fidelity_given_coefficients, fidelity_standard
 
@@ -666,29 +663,24 @@ def run_verification(
             raise ValueError("standard mode does not take coefficients")
         formula = fidelity_standard(d, N).fidelity
         ens = rho_ens
-        cert = certificate_X(d, N)
         cert_blocks = block_spectrum(d, N, "X")
     elif mode in ("given-coefficients", "optimized"):
         if coefficients is None:
             raise ValueError(f"{mode} mode needs coefficients")
         formula = fidelity_given_coefficients(d, N, coefficients).fidelity
-        ens = eta_ensemble(d, N, coefficients)
-        cert = certificate_Y(d, N, coefficients)
+        ens = Ensemble(_steered_states(d, N, coefficients, rho_ens.states), rho_ens.probs)
         cert_blocks = block_spectrum(d, N, "Y", coefficients)
     else:
         raise ValueError(f"unknown verification mode {mode!r}")
+    cert = certificate(ens.states, povm)
+    report = certify_optimality(
+        ens, povm, DenseOperator(cert.matrix / N, cert.factor_dims, hermitian=True)
+    )
 
-    achieved = success_probability(ens, povm)
-    record("formula_vs_oracle", abs(formula - achieved * N / d**2), 1e-9)
-
+    record("formula_vs_oracle", abs(formula - report.success_probability * N / d**2), 1e-9)
     avg = average_state(rho_ens)
     record("avg_state_spectrum", match_block_spectrum(avg, block_spectrum(d, N, "avg")), 1e-9)
     record("certificate_spectrum", match_block_spectrum(cert, cert_blocks), 1e-9)
-
-    scaled = DenseOperator(
-        cert.matrix / N, cert.factor_dims, hermitian=True
-    )
-    report = certify_optimality(ens, povm, scaled)
     record("dual_feasibility", max(0.0, -report.feasibility), 1e-9)
     record("duality_gap", abs(report.gap), 1e-8)
     return checks

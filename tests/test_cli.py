@@ -152,6 +152,12 @@ class TestFid:
         assert code == EXIT_OK
         assert json.loads(out)["fidelity"] == pytest.approx(0.25, rel=1e-12)
 
+    def test_float64_overflow_is_size_cap_without_output(self, capsys):
+        code, out, err = run_cli(capsys, "fid", "--d", "2", "--N", "1100", "--mode", "optimized")
+        assert code == EXIT_SIZE_CAP
+        assert out == ""
+        assert err.count("\n") == 1 and "overflows float64" in err
+
     def test_usage_error_exit_code(self):
         result = run_subprocess("fid", "--d", "0", "--N", "2")
         assert result.returncode == EXIT_USAGE
@@ -242,6 +248,31 @@ class TestScan:
             )
             assert result.returncode == EXIT_USAGE
             assert result.stdout == ""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["fid", "--N", "3"],
+            ["fid", "--N", "3", "--mode", "optimized"],
+            ["verify", "--N", "3"],
+            ["verify", "--N", "3", "--mode", "optimized"],
+            ["spectrum", "--N", "3"],
+            ["spectrum", "--N", "3", "--operator", "X", "--compare"],
+        ],
+        ids=["fid", "fid-optimized", "verify", "verify-optimized", "spectrum", "spectrum-X"],
+    )
+    @pytest.mark.parametrize(
+        "flags", [["--coefficients"], ["--renormalize"], ["--coefficients", "--renormalize"]]
+    )
+    def test_file_flags_rejected_where_unused(self, capsys, tmp_path, command, flags):
+        missing = str(tmp_path / "missing.json")
+        argv = [*command, "--d", "2"]
+        for flag in flags:
+            argv += [flag, missing] if flag == "--coefficients" else [flag]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("usage error:")
 
 
 class TestVerify:

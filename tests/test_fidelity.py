@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from pbtfid import (
     PortCoefficients,
+    SizeCapError,
     add_box_successors,
     asymptote_standard,
     avg_state_eigenvalue,
@@ -366,6 +367,17 @@ class TestOptimize:
                 B, _ = box_incidence(d, N)
                 n_parts, _ = connected_components(B.T @ B, directed=False)
                 assert n_parts == 1, (d, N)
+
+    def test_coefficient_beyond_float64_is_a_named_size_cap(self):
+        # c_[N] grows like 2^N / (N + 1) at d = 2; the first N past float64 is 1059
+        with pytest.raises(SizeCapError, match=r"mu=\[1100\] overflows float64 at d=2, N=1100"):
+            optimize_coefficients(2, 1100)
+
+    def test_size_cap_error_is_one_class(self):
+        import pbtfid.config
+        import pbtfid.oracle
+
+        assert SizeCapError is pbtfid.config.SizeCapError is pbtfid.oracle.SizeCapError
 
     @pytest.mark.parametrize("d, N", [(4, 60), (3, 152)], ids=["dense", "eigsh"])
     def test_real_points_are_not_degenerate(self, d, N):

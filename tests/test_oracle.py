@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -42,8 +43,9 @@ from pbtfid import (
     weyl_dim,
     young_projector,
 )
-from conftest import cached_certificate_x, cached_ensemble, cached_pgm
+from conftest import ORACLE_GRID, cached_certificate_x, cached_ensemble, cached_pgm
 
+import pbtfid.oracle as oracle_mod
 from pbtfid.fidelity import opt_block_coefficient
 
 SQ3 = math.sqrt(3.0)
@@ -56,6 +58,34 @@ def random_valid_coefficients(d, N, rng):
     total = sum(r * specht_dim(mu) * weyl_dim(mu, d) for r, mu in zip(raw, mus))
     scale = d**N / total
     return PortCoefficients(d, N, {mu: float(r * scale) for r, mu in zip(raw, mus)})
+
+
+def reference_certificate(d, N, coefficients=None):
+    """The loop formula sum_i (O rho_i O) A^(-1/2) rho_i A^(-1/2), with
+    A = sum_i rho_i and O = 1 for X, built independently of the PGM."""
+    rhos = [build_rho(d, N, i).matrix for i in range(1, N + 1)]
+    avg = sum(rhos)
+    w, v = np.linalg.eigh((avg + avg.conj().T) / 2)
+    keep = w > 1e-10 * w.max()
+    inv_sqrt = (v[:, keep] / np.sqrt(w[keep])) @ v[:, keep].conj().T
+    if coefficients is None:
+        lifted = np.eye(d ** (N + 1))
+    else:
+        lifted = np.kron(build_port_operator(d, N, coefficients).matrix, np.eye(d))
+    acc = sum(lifted @ r @ lifted @ inv_sqrt @ r @ inv_sqrt for r in rhos)
+    return (acc + acc.conj().T) / 2
+
+
+def count_eigensolves(monkeypatch):
+    """Count numpy's dense Hermitian eigh / eigvalsh calls from here on."""
+    counts = Counter()
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
 
 
 def lift_unitary(U, N):
@@ -497,6 +527,16 @@ class TestCertificates:
                 assert val == pytest.approx(d ** (N - 1), abs=1e-8)
 
 
+    @pytest.mark.parametrize("dn", ORACLE_GRID)
+    def test_x_and_y_match_the_loop_formula(self, dn):
+        d, N = dn
+        X = cached_certificate_x(d, N).matrix
+        assert np.max(np.abs(X - reference_certificate(d, N))) <= 1e-12
+        c = random_valid_coefficients(d, N, np.random.default_rng(59))
+        Y = certificate_Y(d, N, c).matrix
+        assert np.max(np.abs(Y - reference_certificate(d, N, c))) <= 1e-12
+
+
 class TestCertifyOptimality:
     def test_pgm_certified_by_x(self, oracle_grid):
         for d, N in oracle_grid:
@@ -608,6 +648,40 @@ class TestVerificationBundle:
         c = random_valid_coefficients(2, 3, rng)
         checks = run_verification(2, 3, "given-coefficients", c)
         assert all(ch.passed for ch in checks)
+
+    def test_standard_decomposes_each_operator_once(self, monkeypatch):
+        d, N = 2, 4
+        built = Counter()
+        real_rho, real_success = oracle_mod.build_rho, oracle_mod.success_probability
+
+        def counted_rho(*args):
+            built["rho"] += 1
+            return real_rho(*args)
+
+        def counted_success(*args):
+            built["success_probability"] += 1
+            return real_success(*args)
+
+        monkeypatch.setattr(oracle_mod, "build_rho", counted_rho)
+        monkeypatch.setattr(oracle_mod, "success_probability", counted_success)
+        counts = count_eigensolves(monkeypatch)
+        checks = run_verification(d, N, "standard")
+        assert all(c.passed for c in checks)
+        assert built == {"rho": N, "success_probability": 1}
+        # one eigh of the average state; eigvalsh: N state checks, N POVM
+        # checks, two spectra, N feasibility checks
+        assert counts["eigh"] <= 1
+        assert counts["eigvalsh"] <= 3 * N + 2
+
+    def test_given_coefficients_decomposes_each_average_once(self, monkeypatch):
+        d, N = 2, 3
+        c = random_valid_coefficients(d, N, np.random.default_rng(61))
+        counts = count_eigensolves(monkeypatch)
+        checks = run_verification(d, N, "given-coefficients", c)
+        assert all(ch.passed for ch in checks)
+        # the rho and eta averages once each; eigvalsh adds the N eta checks
+        assert counts["eigh"] <= 2
+        assert counts["eigvalsh"] <= 4 * N + 2
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
