@@ -3,6 +3,9 @@
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
 1 verification failure, 2 usage or configuration error, 3 input-file error,
 4 size cap, 5 internal error.
+``scan`` writes each row as soon as it is computed: when a size cap stops it
+part-way (exit 4), the rows of the points before the cap are already on
+stdout, and stderr carries one line naming the cap.
 Numbers in CSV output use up to 17 significant digits and stay positional
 down to 1e-4 so rows diff cleanly; JSON uses the shortest lossless float
 representation.
@@ -207,15 +210,14 @@ def _record_csv_row(record: dict) -> list[str]:
     ]
 
 
-def _emit_records(records: list[dict], fmt: str, out) -> None:
+def _record_writer(fmt: str, out):
+    """Write the CSV header now (nothing for JSON lines) and return a
+    function that writes one record."""
     if fmt == "json":
-        for record in records:
-            out.write(json.dumps(record, allow_nan=False) + "\n")
-    else:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for record in records:
-            writer.writerow(_record_csv_row(record))
+        return lambda record: out.write(json.dumps(record, allow_nan=False) + "\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    return lambda record: writer.writerow(_record_csv_row(record))
 
 
 class UsageError(Exception):
@@ -248,7 +250,7 @@ def _cmd_fid(args) -> int:
     start = time.perf_counter()
     report = _resolve_report(args)
     wall = (time.perf_counter() - start) * 1000.0
-    _emit_records([output_record(report, wall)], args.format, sys.stdout)
+    _record_writer(args.format, sys.stdout)(output_record(report, wall))
     return EXIT_OK
 
 
@@ -257,13 +259,12 @@ def _cmd_scan(args) -> int:
         raise UsageError("scan supports only standard and optimized modes")
     if not 1 <= args.n_min <= args.n_max:
         raise UsageError(f"bad range: need 1 <= from <= to, got {args.n_min}..{args.n_max}")
-    records = []
+    write = _record_writer(args.format, sys.stdout)
     for n in range(args.n_min, args.n_max + 1):
         start = time.perf_counter()
         report = scan(args.d, [n], mode=args.mode)[0]
         wall = (time.perf_counter() - start) * 1000.0
-        records.append(output_record(report, wall))
-    _emit_records(records, args.format, sys.stdout)
+        write(output_record(report, wall))
     return EXIT_OK
 
 

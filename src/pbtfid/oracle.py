@@ -6,12 +6,20 @@ the dual-certificate operators, and the full teleportation channel. Sizes are
 capped (d^(N+1) <= PBT_ORACLE_CAP, default 4096) because this module exists
 for certification, not production scans.
 
+Every construction here is real symmetric: the states, the square-root
+measurement, the projectors, the certificates and the port state all have
+real entries, so the eigensolves are real LAPACK calls. ``DenseOperator``
+also holds complex matrices, such as a state conjugated by a Haar unitary.
+
 The dual candidate comes from the measurement under test: K = sum_i p_i
 sigma_i E_i, with E the square-root measurement of the unsteered rho_i and
 sigma_i the states discriminated (rho_i, or the steered eta_i). tr K equals
 the achieved success probability, so the duality gap is zero by construction;
 the substantive checks are feasibility (K >= p_i sigma_i) and the match of
-K's spectrum with the closed-form block values.
+K's spectrum with the closed-form block values. Feasibility takes one
+eigensolve: the N constraints are one orbit under the port transpositions,
+so K - p_1 sigma_1 is decomposed once and every other constraint is compared
+with its transposed image, the measured defect lowering the reported bound.
 
 Tensor-factor convention: the N port slots A_1..A_N come first and the single
 B slot is last, with row-major index fusion (np.kron order). Permutations act
@@ -72,7 +80,10 @@ def check_oracle_size(d: int, N: int) -> None:
 
 @dataclass
 class DenseOperator:
-    """A complex square matrix with tensor-factor bookkeeping.
+    """A real or complex square matrix with tensor-factor bookkeeping.
+
+    Real input stays real (integer or bool input becomes float64) and complex
+    input stays complex; the oracle's own constructions are real symmetric.
 
     ``factor_dims`` lists the dimension of each tensor slot. When
     ``hermitian`` is set the matrix is checked against its adjoint;
@@ -86,7 +97,8 @@ class DenseOperator:
     herm_defect: float | None = None
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
+        matrix = np.asarray(self.matrix)
+        self.matrix = matrix.astype(np.result_type(matrix.dtype, np.float64), copy=False)
         self.factor_dims = tuple(int(x) for x in self.factor_dims)
         dim = math.prod(self.factor_dims)
         if self.matrix.shape != (dim, dim):
@@ -196,7 +208,7 @@ def partial_trace_first(op: DenseOperator) -> DenseOperator:
 
 def maximally_entangled_vector(d: int) -> np.ndarray:
     """(1/sqrt d) sum_i |ii> as a flat vector on two slots."""
-    return (np.eye(d, dtype=complex) / math.sqrt(d)).reshape(-1)
+    return (np.eye(d) / math.sqrt(d)).reshape(-1)
 
 
 def maximally_entangled(d: int) -> DenseOperator:
@@ -390,7 +402,7 @@ def young_projector(mu, d: int) -> DenseOperator:
 def build_port_operator(d: int, N: int, coefficients: PortCoefficients) -> DenseOperator:
     """O = sum_mu sqrt(c_mu) P_mu acting on the N port slots."""
     coefficients.validate()
-    acc = np.zeros((d**N, d**N), dtype=complex)
+    acc = np.zeros((d**N, d**N))
     for mu in enumerate_partitions(N, d):
         c = coefficients.value(mu)
         if c > 0:
@@ -460,17 +472,39 @@ class CertificateReport:
     """Weak-duality audit of a measurement against a dual candidate K."""
 
     gap: float  # tr K - achieved success probability
-    feasibility: float  # min over i of the smallest eigenvalue of K - p_i rho_i
+    feasibility: float  # lower bound on min over i of lambda_min(K - p_i sigma_i)
+    swap_defect: float  # largest port-transposition defect delta_i
     success_probability: float
     dual_value: float
     certified: bool
     tolerance: float
 
 
+def _port_swaps(d: int, N: int) -> list[np.ndarray]:
+    """Index gathers g_i, i = 2..N, of the transposition Pi_i of ports 1 and i
+    on (C^d)^(N+1): M[np.ix_(g_i, g_i)] is Pi_i M Pi_i^T."""
+    digits = _digit_table(N + 1, d)
+    weights = d ** np.arange(N, -1, -1, dtype=np.int64)
+    gathers = []
+    for k in range(1, N):
+        swapped = digits.copy()
+        swapped[:, [0, k]] = digits[:, [k, 0]]
+        gathers.append(swapped @ weights)
+    return gathers
+
+
 def certify_optimality(
     ensemble: Ensemble, povm: list[DenseOperator], K: DenseOperator, tol: float = 1e-8
 ) -> CertificateReport:
     """Check that K is dual feasible and gap-free for the given measurement.
+
+    The ensemble must be N port states on (C^d)^(N+1), state i belonging to
+    port i. Feasibility takes one eigensolve, of B = K - p_1 sigma_1. Each
+    other constraint is compared with the transposed image of B: with Pi_i
+    swapping ports 1 and i, delta_i = ||Pi_i B Pi_i^T - (K - p_i sigma_i)||_F,
+    and by Weyl's inequality lambda_min(B) - max_i delta_i is a lower bound on
+    every lambda_min(K - p_i sigma_i). The port symmetry is checked, not
+    assumed: a K or an ensemble without it can only read as less feasible.
 
     A K built by ``certificate`` from this measurement has no gap by
     construction; the gap still exposes a K that belongs to another one.
@@ -480,17 +514,31 @@ def certify_optimality(
     """
     if hermiticity_defect(K.matrix) > HERMITICITY_TOL:
         raise ValueError("dual candidate K must be hermitian")
+    dims, N = ensemble.factor_dims, len(ensemble.states)
+    layout = (dims[0],) * (N + 1) if dims else None
+    if dims != layout or K.factor_dims != layout or any(
+        st.factor_dims != layout for st in ensemble.states
+    ):
+        raise ValueError(
+            f"certify_optimality needs N port states on (C^d)^(N+1); got {N} "
+            f"states on factor dims {dims} and K on {K.factor_dims}"
+        )
     achieved = success_probability(ensemble, povm)
     dual_value = float(np.trace(K.matrix).real)
-    feasibility = math.inf
-    for p, st in zip(ensemble.probs, ensemble.states):
-        low = float(np.linalg.eigvalsh(K.matrix - p * st.matrix).min())
-        feasibility = min(feasibility, low)
+    probs, states = ensemble.probs, ensemble.states
+    base = K.matrix - probs[0] * states[0].matrix
+    swap_defect = 0.0
+    for g, p, st in zip(_port_swaps(dims[0], N), probs[1:], states[1:]):
+        image = base[np.ix_(g, g)]
+        image -= K.matrix - p * st.matrix
+        swap_defect = max(swap_defect, float(np.linalg.norm(image)))
+    feasibility = float(np.linalg.eigvalsh(base).min()) - swap_defect
     gap = dual_value - achieved
     certified = feasibility >= -tol and abs(gap) <= tol
     return CertificateReport(
         gap=gap,
         feasibility=feasibility,
+        swap_defect=swap_defect,
         success_probability=achieved,
         dual_value=dual_value,
         certified=certified,
@@ -572,7 +620,7 @@ def teleportation_fidelity_direct(
     psi = np.kron(maximally_entangled_vector(d), port_state_vector(d, N, coefficients))
     protocol_slots = [0] + list(range(2, N + 2))
     disc_dims = (d,) * (N + 1)
-    output = np.zeros((d * d, d * d), dtype=complex)
+    output = np.zeros((d * d, d * d), dtype=psi.dtype)
     for i, element in enumerate(povm, start=1):
         # discrimination order (A_1..A_N, B) -> protocol order (A_0, A_1..A_N)
         protocol_matrix = reorder_factors(

@@ -227,6 +227,25 @@ class TestScan:
             jsonschema.validate(record, OUTPUT_SCHEMA)
             assert record["N"] == n
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_size_cap_keeps_the_rows_before_it(self, fmt):
+        # d=2 optimized coefficients overflow float64 from N = 1059 on
+        result = run_subprocess(
+            "scan", "--d", "2", "--from", "1056", "--to", "1062",
+            "--mode", "optimized", "--format", fmt,
+        )
+        assert result.returncode == EXIT_SIZE_CAP
+        assert result.stderr.count("\n") == 1 and result.stderr.startswith("size cap:")
+        if fmt == "csv":
+            rows = list(csv.reader(io.StringIO(result.stdout)))
+            assert rows[0] == ["d", "N", "mode", "F", "p_succ", "numeric_mode", "certificate_margin"]
+            assert [int(r[1]) for r in rows[1:]] == [1056, 1057, 1058]
+        else:
+            records = [json.loads(line) for line in result.stdout.splitlines()]
+            assert [r["N"] for r in records] == [1056, 1057, 1058]
+            for record in records:
+                jsonschema.validate(record, OUTPUT_SCHEMA)
+
     def test_bad_range_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "scan", "--d", "2", "--from", "5", "--to", "2")
         assert code == EXIT_USAGE

@@ -149,6 +149,26 @@ class TestStandardFidelity:
             fl = fidelity_standard(d, n, "log-domain").fidelity
             assert fl == pytest.approx(fe, rel=1e-12)
 
+    @staticmethod
+    def _check_across_threshold(points, threshold):
+        for d, n in points:
+            auto = fidelity_standard(d, n)
+            expected = "exact-hybrid" if n <= threshold else "log-domain"
+            assert auto.numeric_mode == expected, (d, n)
+            fe = fidelity_standard(d, n, "exact-hybrid").fidelity
+            fl = fidelity_standard(d, n, "log-domain").fidelity
+            assert auto.fidelity == (fe if n <= threshold else fl)
+            assert fl == pytest.approx(fe, rel=1e-12)
+
+    def test_modes_agree_across_the_default_threshold(self):
+        points = [(d, n) for d in (2, 3, 4, 5) for n in range(38, 44)]
+        self._check_across_threshold(points, 40)
+
+    def test_modes_agree_across_a_lowered_threshold(self, monkeypatch):
+        monkeypatch.setenv("PBT_EXACT_THRESHOLD", "10")
+        points = [(d, n) for d in (2, 3, 4, 5) for n in range(9, 13)]
+        self._check_across_threshold(points, 10)
+
     def test_numeric_mode_selection(self, monkeypatch):
         assert fidelity_standard(2, 40).numeric_mode == "exact-hybrid"
         assert fidelity_standard(2, 41).numeric_mode == "log-domain"

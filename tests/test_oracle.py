@@ -34,6 +34,7 @@ from pbtfid import (
     partial_trace_first,
     pbt_ensemble,
     permutation_operator,
+    port_state_vector,
     pretty_good_measurement,
     remove_box_predecessors,
     run_verification,
@@ -88,6 +89,14 @@ def count_eigensolves(monkeypatch):
     return counts
 
 
+def per_state_minimum(ensemble, K):
+    """min over i of lambda_min(K - p_i sigma_i), one eigensolve per state."""
+    return min(
+        float(np.linalg.eigvalsh(K.matrix - p * st.matrix).min())
+        for p, st in zip(ensemble.probs, ensemble.states)
+    )
+
+
 def lift_unitary(U, N):
     """U^(xN) (x) conj(U) on the discrimination space."""
     out = U
@@ -109,6 +118,33 @@ class TestDenseOperator:
     def test_scalar_factorless_operator(self):
         op = DenseOperator(np.array([[2.0]]), ())
         assert op.dim == 1 and op.trace() == 2.0
+
+    def test_dtype_kept_or_promoted(self):
+        assert DenseOperator(np.eye(2), (2,)).matrix.dtype == np.float64
+        assert DenseOperator(np.eye(2, dtype=int), (2,)).matrix.dtype == np.float64
+        assert DenseOperator(np.eye(2, dtype=bool), (2,)).matrix.dtype == np.float64
+        assert DenseOperator(np.eye(2, dtype=complex), (2,)).matrix.dtype == np.complex128
+
+
+class TestRealArithmetic:
+    def test_constructions_are_float64(self):
+        d, N = 2, 3
+        c = random_valid_coefficients(d, N, np.random.default_rng(67))
+        ens = pbt_ensemble(d, N)
+        arrays = {
+            "build_rho": build_rho(d, N, 2).matrix,
+            "pbt_ensemble": ens.states[0].matrix,
+            "pretty_good_measurement": pretty_good_measurement(ens)[0].matrix,
+            "young_projector": young_projector((2, 1), d).matrix,
+            "build_port_operator": build_port_operator(d, N, c).matrix,
+            "_steered_states": oracle_mod._steered_states(d, N, c, ens.states)[0].matrix,
+            "certificate_X": certificate_X(d, N).matrix,
+            "certificate_Y": certificate_Y(d, N, c).matrix,
+            "port_state_vector": port_state_vector(d, N, None),
+            "port_state_vector(c)": port_state_vector(d, N, c),
+        }
+        for name, array in arrays.items():
+            assert array.dtype == np.float64, name
 
 
 class TestMaximallyEntangled:
@@ -417,8 +453,6 @@ class TestEtaStates:
 
     def test_eta_equals_traced_port_state(self):
         # conjugating rho_i must agree with tracing the steered pure port state
-        from pbtfid import port_state_vector
-
         d, N = 2, 3
         c = optimize_coefficients(d, N).coefficients
         vec = port_state_vector(d, N, c)
@@ -577,6 +611,103 @@ class TestCertifyOptimality:
         assert not report.certified
         assert report.gap > 0.1  # strict suboptimality of the uniform split
 
+    @pytest.mark.parametrize("dn", ORACLE_GRID)
+    def test_feasibility_equals_the_per_state_minimum(self, dn):
+        d, N = dn
+        X = cached_certificate_x(d, N)
+        ens = cached_ensemble(d, N)
+        K = DenseOperator(X.matrix / N, X.factor_dims, hermitian=True)
+        report = certify_optimality(ens, list(cached_pgm(d, N)), K)
+        assert abs(report.feasibility - per_state_minimum(ens, K)) <= 1e-12
+        c = random_valid_coefficients(d, N, np.random.default_rng(71))
+        Y = certificate_Y(d, N, c)
+        etas = eta_ensemble(d, N, c)
+        K = DenseOperator(Y.matrix / N, Y.factor_dims, hermitian=True)
+        report = certify_optimality(etas, list(cached_pgm(d, N)), K)
+        assert abs(report.feasibility - per_state_minimum(etas, K)) <= 1e-12
+
+    @pytest.mark.parametrize("dn", [(2, 3), (3, 2)])
+    def test_feasibility_is_a_lower_bound_without_port_symmetry(self, dn):
+        # a traceless perturbation on slot A_1 alone breaks the port symmetry
+        # and keeps the gap at zero, so only feasibility can fail
+        d, N = dn
+        ens = cached_ensemble(d, N)
+        povm = list(cached_pgm(d, N))
+        X = cached_certificate_x(d, N)
+        a = np.random.default_rng(73).standard_normal((d, d))
+        h = a + a.T - np.trace(a + a.T) / d * np.eye(d)
+        tilt = embed_operator(h, [0], X.factor_dims)
+        infeasible = 0
+        for eps in (1e-10, 1e-7, 1e-4, 1e-1):
+            K = DenseOperator(X.matrix / N + eps * tilt, X.factor_dims, hermitian=True)
+            report = certify_optimality(ens, povm, K)
+            true_min = per_state_minimum(ens, K)
+            assert report.feasibility <= true_min + 1e-12
+            assert report.swap_defect > 0
+            assert abs(report.gap) <= 1e-12
+            if true_min < -report.tolerance:
+                infeasible += 1
+                assert not report.certified
+            else:
+                assert report.certified
+        assert infeasible == 3
+
+    def test_asymmetric_candidate_feasible_for_the_first_port_only(self):
+        # K = X/N - eps u u^T + eps/dim, with u a kernel vector of the second
+        # constraint projected off the kernel of the first: the first
+        # constraint stays PSD, the second does not, and the gap stays zero
+        d, N = 2, 3
+        ens = cached_ensemble(d, N)
+        X = cached_certificate_x(d, N)
+        base = X.matrix / N
+        kernels = []
+        for p, st in zip(ens.probs[:2], ens.states[:2]):
+            w, v = np.linalg.eigh(base - p * st.matrix)
+            kernels.append(v[:, w < 1e-9])
+        first, second = kernels
+        u = second[:, 0] - first @ (first.T @ second[:, 0])
+        u /= np.linalg.norm(u)
+        eps = 1e-3
+        K = DenseOperator(
+            base - eps * np.outer(u, u) + eps / X.dim * np.eye(X.dim),
+            X.factor_dims,
+            hermitian=True,
+        )
+        report = certify_optimality(ens, list(cached_pgm(d, N)), K)
+        first_min = np.linalg.eigvalsh(K.matrix - ens.probs[0] * ens.states[0].matrix).min()
+        assert first_min >= -1e-12
+        assert per_state_minimum(ens, K) < -report.tolerance
+        assert abs(report.gap) <= 1e-12
+        assert report.feasibility <= per_state_minimum(ens, K) + 1e-12
+        assert not report.certified
+
+    def test_non_port_layout_rejected(self):
+        vecs = np.eye(3)
+        states = [DenseOperator(np.outer(v, v), (3,), hermitian=True) for v in vecs]
+        ens = Ensemble(states, [1 / 3] * 3)
+        K = DenseOperator(np.eye(3) / 3, (3,), hermitian=True)
+        with pytest.raises(ValueError, match="port states"):
+            certify_optimality(ens, pretty_good_measurement(ens), K)
+        ens = cached_ensemble(2, 2)
+        X = cached_certificate_x(2, 2)
+        with pytest.raises(ValueError, match="port states"):
+            certify_optimality(ens, list(cached_pgm(2, 2)), DenseOperator(X.matrix / 2, (8,)))
+
+    def test_one_feasibility_eigensolve(self, monkeypatch):
+        d, N = 2, 4
+        ens = cached_ensemble(d, N)
+        povm = list(cached_pgm(d, N))
+        X = cached_certificate_x(d, N)
+        achieved = success_probability(ens, povm)
+        # the POVM validation inside success_probability is not feasibility
+        monkeypatch.setattr(oracle_mod, "success_probability", lambda *args: achieved)
+        counts = count_eigensolves(monkeypatch)
+        report = certify_optimality(
+            ens, povm, DenseOperator(X.matrix / N, X.factor_dims, hermitian=True)
+        )
+        assert report.certified
+        assert counts == {"eigvalsh": 1}
+
     def test_non_hermitian_candidate_rejected(self):
         ens = cached_ensemble(2, 2)
         dim = ens.states[0].dim
@@ -669,9 +800,9 @@ class TestVerificationBundle:
         assert all(c.passed for c in checks)
         assert built == {"rho": N, "success_probability": 1}
         # one eigh of the average state; eigvalsh: N state checks, N POVM
-        # checks, two spectra, N feasibility checks
+        # checks, two spectra, one feasibility eigensolve
         assert counts["eigh"] <= 1
-        assert counts["eigvalsh"] <= 3 * N + 2
+        assert counts["eigvalsh"] <= 2 * N + 3
 
     def test_given_coefficients_decomposes_each_average_once(self, monkeypatch):
         d, N = 2, 3
@@ -679,9 +810,10 @@ class TestVerificationBundle:
         counts = count_eigensolves(monkeypatch)
         checks = run_verification(d, N, "given-coefficients", c)
         assert all(ch.passed for ch in checks)
-        # the rho and eta averages once each; eigvalsh adds the N eta checks
+        # the rho and eta averages once each; eigvalsh: N rho and N eta state
+        # checks, N POVM checks, two spectra, one feasibility eigensolve
         assert counts["eigh"] <= 2
-        assert counts["eigvalsh"] <= 4 * N + 2
+        assert counts["eigvalsh"] <= 3 * N + 3
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
