@@ -33,6 +33,7 @@ from .fidelity import (
 )
 from .oracle import (
     average_state,
+    block_spectrum_match,
     certificate_X,
     certificate_Y,
     check_oracle_size,
@@ -142,24 +143,14 @@ def load_coefficients(path: str, d: int, N: int, renormalize: bool) -> PortCoeff
             raise CoefficientsFileError(f"{path}: key {key!r} must be a JSON array")
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise CoefficientsFileError(f"{path}: value for {key!r} is not a number")
-        entries[mu] = float(value)
+        entries[mu] = value
     try:
         coeffs = PortCoefficients.from_mapping(d, N, entries)
     except ValueError as exc:
         raise CoefficientsFileError(f"{path}: {exc}") from exc
-    if renormalize:
-        from .partitions import specht_dim, weyl_dim
-
-        total = sum(
-            c * specht_dim(mu) * weyl_dim(mu, d) for mu, c in coeffs.entries.items()
-        )
-        if total <= 0:
-            raise CoefficientsFileError(f"{path}: all coefficients are zero")
-        scale = d**N / total
-        coeffs = PortCoefficients(
-            d, N, {mu: c * scale for mu, c in coeffs.entries.items()}
-        )
     try:
+        if renormalize:
+            coeffs = coeffs.renormalized()
         coeffs.validate()
     except ValueError as exc:
         raise CoefficientsFileError(f"{path}: {exc}") from exc
@@ -328,19 +319,7 @@ def _spectrum_rows(args):
             op = certificate_X(args.d, args.N)
         else:
             op = certificate_Y(args.d, args.N, coeffs)
-        eigvals = np.sort(np.linalg.eigvalsh(op.matrix))
-        rank = sum(r.multiplicity for r in rows)
-        top = eigvals[eigvals.size - rank :]
-        order = sorted(range(len(rows)), key=lambda k: rows[k].value)
-        oracle_info = {}
-        offset = 0
-        for k in order:
-            chunk = top[offset : offset + rows[k].multiplicity]
-            offset += rows[k].multiplicity
-            oracle_info[k] = (
-                float(np.median(chunk)),
-                float(np.max(np.abs(chunk - rows[k].value))),
-            )
+        oracle_info, _ = block_spectrum_match(op, rows)
     return rows, oracle_info
 
 

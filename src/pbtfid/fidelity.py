@@ -110,35 +110,55 @@ class PortCoefficients:
                 raise ValueError(
                     f"{mu} is not a partition of {N} into at most {d} rows"
                 )
+            try:
+                c = float(c)
+            except OverflowError as exc:
+                raise ValueError(f"coefficient for {mu} overflows float64") from exc
+            if not math.isfinite(c):
+                raise ValueError(f"non-finite coefficient {c!r} for {mu}")
             if c < 0:
                 raise ValueError(f"negative coefficient {c!r} for {mu}")
-            clean[mu] = float(c)
+            clean[mu] = c
         return cls(d, N, clean)
 
     def value(self, mu: Partition) -> float:
         return float(self.entries.get(tuple(mu), 0.0))
 
-    def constraint_residual(self) -> float:
-        """Relative deviation of sum c*d_mu*m_mu from d**N."""
+    def _normalisation_ratio(self) -> float:
+        """sum c*d_mu*m_mu / d**N, which a valid assignment sets to 1: exact
+        integer dimensions up to the exact threshold, log-sum-exp above it."""
         if self.N <= exact_threshold():
             total = math.fsum(
                 c * specht_dim(mu) * weyl_dim(mu, self.d)
                 for mu, c in sorted(self.entries.items(), reverse=True)
                 if c > 0
             )
-            return abs(total / self.d**self.N - 1.0)
+            return total / self.d**self.N
         logs = [
             math.log(c) + log_specht_dim(mu) + log_weyl_dim(mu, self.d)
             for mu, c in sorted(self.entries.items(), reverse=True)
             if c > 0
         ]
         if not logs:
-            return 1.0
-        return abs(math.exp(_logsumexp(logs) - self.N * math.log(self.d)) - 1.0)
+            return 0.0
+        return math.exp(_logsumexp(logs) - self.N * math.log(self.d))
+
+    def constraint_residual(self) -> float:
+        """Relative deviation of sum c*d_mu*m_mu from d**N."""
+        return abs(self._normalisation_ratio() - 1.0)
+
+    def renormalized(self) -> "PortCoefficients":
+        """The same coefficients rescaled onto sum c*d_mu*m_mu = d**N."""
+        ratio = self._normalisation_ratio()
+        if not ratio > 0:
+            raise ValueError("all coefficients are zero")
+        return PortCoefficients(
+            self.d, self.N, {mu: c / ratio for mu, c in self.entries.items()}
+        )
 
     def validate(self, rtol: float = 1e-12) -> None:
-        if any(c < 0 for c in self.entries.values()):
-            raise ValueError("port coefficients must be nonnegative")
+        if not all(math.isfinite(c) and c >= 0 for c in self.entries.values()):
+            raise ValueError("port coefficients must be finite and nonnegative")
         residual = self.constraint_residual()
         if residual > rtol:
             raise ValueError(

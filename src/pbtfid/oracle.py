@@ -23,7 +23,11 @@ with its transposed image, the measured defect lowering the reported bound.
 
 Tensor-factor convention: the N port slots A_1..A_N come first and the single
 B slot is last, with row-major index fusion (np.kron order). Permutations act
-on the A slots only.
+on the A slots only. Every slot permutation is one index gather from
+``slot_gather``: reordering factors, the port swaps, the port-state regroup,
+the channel contraction, and the isotypic projectors, whose character sums
+are accumulated at the gathered entries without building a permutation
+matrix.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -129,39 +133,29 @@ def hermitize(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     return (matrix + matrix.conj().T) / 2.0, defect
 
 
-def _digit_table(n_slots: int, d: int) -> np.ndarray:
-    idx = np.arange(d**n_slots)
-    out = np.empty((d**n_slots, n_slots), dtype=np.int64)
-    for k in range(n_slots - 1, -1, -1):
-        out[:, k] = idx % d
-        idx = idx // d
-    return out
+def slot_gather(dims: tuple[int, ...], order) -> np.ndarray:
+    """Flat index map of a tensor-slot permutation on slots of sizes ``dims``:
+    ``v[slot_gather(dims, order)]`` is ``v`` with new slot j holding old slot
+    ``order[j]``, and ``M[np.ix_(g, g)]`` reorders both sides of a matrix.
+    Every slot rearrangement in this module is such a gather."""
+    return np.arange(math.prod(dims)).reshape(dims).transpose(order).ravel()
 
 
 def permutation_operator(perm: tuple[int, ...], d: int) -> np.ndarray:
-    """Matrix moving the content of slot k to slot perm[k] on (C^d)^(len perm)."""
+    """Matrix moving the content of slot k to slot perm[k] on (C^d)^(len perm).
+
+    A reference for tests: no oracle construction builds a permutation matrix.
+    """
     n = len(perm)
-    full = d**n
-    digits = _digit_table(n, d)
-    moved = np.empty_like(digits)
-    moved[:, list(perm)] = digits
-    weights = d ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    rows = moved @ weights
-    mat = np.zeros((full, full))
-    mat[rows, np.arange(full)] = 1.0
-    return mat
+    return np.eye(d**n)[slot_gather((d,) * n, np.argsort(perm))]
 
 
 def reorder_factors(
     matrix: np.ndarray, dims: tuple[int, ...], new_order: list[int]
 ) -> np.ndarray:
     """Reorder tensor slots; ``new_order[j]`` is the old slot at new position j."""
-    n = len(dims)
-    tensor = matrix.reshape(*dims, *dims)
-    axes = list(new_order) + [n + k for k in new_order]
-    tensor = np.transpose(tensor, axes)
-    full = math.prod(dims)
-    return tensor.reshape(full, full)
+    g = slot_gather(dims, new_order)
+    return matrix[np.ix_(g, g)]
 
 
 def embed_operator(
@@ -361,21 +355,16 @@ def success_probability(ensemble: Ensemble, povm: list[DenseOperator]) -> float:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _class_sums(d: int, n: int) -> dict[Partition, np.ndarray]:
-    """Sum of permutation operators over each conjugacy class of S_n."""
-    sums: dict[Partition, np.ndarray] = {}
-    for perm in itertools.permutations(range(n)):
-        lam = permutation_cycle_type(perm)
-        sums[lam] = sums.get(lam, 0.0) + permutation_operator(perm, d)
-    return sums
-
-
 def young_projector(mu, d: int) -> DenseOperator:
     """Projector onto the isotypic component of the slot-permutation action.
 
-    Character averaging: P_mu = (d_mu / n!) sum_pi chi_mu(pi) R(pi). The
-    factorial cost restricts n to MAX_PROJECTOR_BOXES.
+    Character averaging: P_mu = (d_mu / n!) sum_pi chi_mu(pi) R(pi). Row r of
+    R(pi) has its one entry at column g_pi[r], with g_pi the slot gather of
+    pi, so each chi_mu(pi) is added at those n! * d^n positions directly and
+    no permutation matrix is built. chi_mu is looked up once per cycle type.
+    pi is used as the gather order, which gives R(pi^-1); the sum is the same
+    because pi and pi^-1 share a cycle type. The factorial cost restricts n to
+    MAX_PROJECTOR_BOXES.
     """
     mu = check_partition(mu)
     n = sum(mu)
@@ -387,9 +376,20 @@ def young_projector(mu, d: int) -> DenseOperator:
         raise ValueError(f"partition {mu} has more than d={d} rows")
     if d**n > oracle_cap():
         raise SizeCapError(f"d^n = {d ** n} exceeds the oracle cap {oracle_cap()}")
-    acc = np.zeros((d**n, d**n))
-    for lam, mat in _class_sums(d, n).items():
-        acc = acc + sn_character(mu, lam) * mat
+    full = d**n
+    chi: dict[Partition, int] = {}
+    weights, columns = [], []
+    for perm in itertools.permutations(range(n)):
+        lam = permutation_cycle_type(perm)
+        if lam not in chi:
+            chi[lam] = sn_character(mu, lam)
+        weights.append(chi[lam])
+        columns.append(slot_gather((d,) * n, perm))
+    # the sums are integers, exact in float64 in any order
+    positions = np.arange(0, full * full, full) + np.stack(columns)
+    acc = np.bincount(
+        positions.ravel(), np.repeat(np.array(weights, dtype=float), full), full * full
+    ).reshape(full, full)
     proj = acc * (specht_dim(mu) / math.factorial(n))
     return DenseOperator(proj, (d,) * n, hermitian=True)
 
@@ -483,13 +483,11 @@ class CertificateReport:
 def _port_swaps(d: int, N: int) -> list[np.ndarray]:
     """Index gathers g_i, i = 2..N, of the transposition Pi_i of ports 1 and i
     on (C^d)^(N+1): M[np.ix_(g_i, g_i)] is Pi_i M Pi_i^T."""
-    digits = _digit_table(N + 1, d)
-    weights = d ** np.arange(N, -1, -1, dtype=np.int64)
     gathers = []
     for k in range(1, N):
-        swapped = digits.copy()
-        swapped[:, [0, k]] = digits[:, [k, 0]]
-        gathers.append(swapped @ weights)
+        order = list(range(N + 1))
+        order[0], order[k] = k, 0
+        gathers.append(slot_gather((d,) * (N + 1), order))
     return gathers
 
 
@@ -561,37 +559,11 @@ def port_state_vector(d: int, N: int, coefficients: PortCoefficients | None) -> 
     vec = reduce(np.kron, [pair] * N)
     # kron order is A_1 B_1 A_2 B_2 ...; regroup to A_1..A_N B_1..B_N
     order = list(range(0, 2 * N, 2)) + list(range(1, 2 * N, 2))
-    tensor = vec.reshape((d,) * (2 * N))
-    vec = np.transpose(tensor, order).reshape(-1)
+    vec = vec[slot_gather((d,) * (2 * N), order)]
     if coefficients is not None:
-        port_op = build_port_operator(d, N, coefficients)
-        vec = _apply_on_slots(port_op.matrix, vec, list(range(N)), (d,) * (2 * N))
+        port_op = build_port_operator(d, N, coefficients).matrix
+        vec = (port_op @ vec.reshape(d**N, -1)).reshape(-1)
     return vec
-
-
-def _apply_on_slots(matrix, vec, slots, dims):
-    n = len(dims)
-    rest = [k for k in range(n) if k not in slots]
-    tensor = vec.reshape(dims)
-    tensor = np.transpose(tensor, slots + rest)
-    front = math.prod(dims[k] for k in slots)
-    out = (matrix @ tensor.reshape(front, -1)).reshape(
-        [dims[k] for k in slots] + [dims[k] for k in rest]
-    )
-    inverse = np.argsort(slots + rest)
-    return np.transpose(out, inverse).reshape(-1)
-
-
-def _keep_matrix(v, w, keep, dims):
-    """sum over traced slots of v[t, k] conj(w[t, k']) as a matrix on the kept slots."""
-    n = len(dims)
-    rest = [k for k in range(n) if k not in keep]
-    vt = np.transpose(v.reshape(dims), rest + keep)
-    wt = np.transpose(w.reshape(dims), rest + keep)
-    kept_dim = math.prod(dims[k] for k in keep)
-    vm = vt.reshape(-1, kept_dim)
-    wm = wt.reshape(-1, kept_dim)
-    return vm.T @ wm.conj()
 
 
 def teleportation_fidelity_direct(
@@ -616,18 +588,21 @@ def teleportation_fidelity_direct(
     if len(povm) != N:
         raise ValueError(f"need one POVM element per port, got {len(povm)}")
     _check_povm_elements(povm)
-    dims = (d,) * (2 * N + 2)  # slots: A_0, R, A_1..A_N, B_1..B_N
+    dims = (d,) * (2 * N + 2)
     psi = np.kron(maximally_entangled_vector(d), port_state_vector(d, N, coefficients))
-    protocol_slots = [0] + list(range(2, N + 2))
-    disc_dims = (d,) * (N + 1)
+    # kron order is A_0, R, A_1..A_N, B_1..B_N; as a matrix, the rows are the
+    # protocol slots A_0..A_N and the columns R, B_1..B_N
+    order = [0] + list(range(2, N + 2)) + [1] + list(range(N + 2, 2 * N + 2))
+    psi = psi[slot_gather(dims, order)].reshape(d ** (N + 1), -1)
+    slots = (d,) * (N + 1)
     output = np.zeros((d * d, d * d), dtype=psi.dtype)
     for i, element in enumerate(povm, start=1):
         # discrimination order (A_1..A_N, B) -> protocol order (A_0, A_1..A_N)
-        protocol_matrix = reorder_factors(
-            element.matrix, disc_dims, [N] + list(range(N))
-        )
-        branch = _apply_on_slots(protocol_matrix, psi, protocol_slots, dims)
-        output += _keep_matrix(branch, psi, [N + 1 + i, 1], dims)
+        protocol_matrix = reorder_factors(element.matrix, slots, [N] + list(range(N)))
+        # columns to B_j (j != i), B_i, R: everything but (B_i, R) is traced
+        cols = slot_gather(slots, [j for j in range(1, N + 1) if j != i] + [i, 0])
+        branch = (protocol_matrix @ psi).take(cols, axis=1).reshape(-1, d * d)
+        output += branch.T @ psi.take(cols, axis=1).reshape(-1, d * d).conj()
     target = maximally_entangled_vector(d)
     fidelity = float((target.conj() @ output @ target).real)
     if not -1e-10 <= fidelity <= 1 + 1e-10:
@@ -648,24 +623,36 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def match_block_spectrum(op: DenseOperator, blocks) -> float:
-    """Largest deviation between the operator's spectrum and the block multiset.
+def block_spectrum_match(op: DenseOperator, blocks) -> tuple[list[tuple[float, float]], float]:
+    """Assign the operator's spectrum to the block multiset.
 
-    The expected eigenvalues (each block value repeated by its multiplicity)
-    are compared elementwise against the top of the sorted spectrum; whatever
-    is left over must be numerically zero and contributes its magnitude.
+    The top eigenvalues go to the blocks in increasing block value, each block
+    taking as many as its multiplicity. Returns, per block in the given order,
+    the median of its eigenvalues and their largest deviation from the block
+    value, and the largest magnitude among the leftover eigenvalues, which
+    must be numerically zero (0.0 when there are none).
     """
     eigvals = np.sort(np.linalg.eigvalsh(op.matrix))
-    expected = np.sort(
-        np.concatenate([np.full(b.multiplicity, b.value) for b in blocks])
-    )
-    rank = expected.size
+    rank = sum(b.multiplicity for b in blocks)
     if rank > eigvals.size:
         raise ValueError("block multiset larger than the operator dimension")
-    dev = float(np.max(np.abs(eigvals[eigvals.size - rank :] - expected)))
-    if rank < eigvals.size:
-        dev = max(dev, float(np.max(np.abs(eigvals[: eigvals.size - rank]))))
-    return dev
+    top = eigvals[eigvals.size - rank :]
+    per_block: list[tuple[float, float]] = [(0.0, 0.0)] * len(blocks)
+    offset = 0
+    for k in sorted(range(len(blocks)), key=lambda k: blocks[k].value):
+        chunk = top[offset : offset + blocks[k].multiplicity]
+        offset += blocks[k].multiplicity
+        per_block[k] = (float(np.median(chunk)), float(np.max(np.abs(chunk - blocks[k].value))))
+    leftover = eigvals[: eigvals.size - rank]
+    return per_block, float(np.max(np.abs(leftover))) if leftover.size else 0.0
+
+
+def match_block_spectrum(op: DenseOperator, blocks) -> float:
+    """Largest deviation between the operator's spectrum and the block
+    multiset: the largest per-block deviation of ``block_spectrum_match``,
+    or its leftover eigenvalue magnitude when that is larger."""
+    per_block, leftover = block_spectrum_match(op, blocks)
+    return float(np.max([dev for _, dev in per_block] + [leftover]))
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,37 @@ class TestFid:
         assert code == EXIT_OK
         assert json.loads(out)["fidelity"] == pytest.approx((2 + SQ3) / 8, rel=1e-12)
 
+    def test_renormalize_beyond_float_dimensions(self, capsys, tmp_path):
+        # d_mu * m_mu at d=2 N=1100 overflows a float; the sum is taken in log form
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"[550,550]": 1.0}))
+        code, out, err = run_cli(
+            capsys,
+            "fid", "--d", "2", "--N", "1100",
+            "--mode", "given-coefficients", "--coefficients", str(path), "--renormalize",
+        )
+        assert code == EXIT_OK, err
+        record = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in JSON"))
+        jsonschema.validate(record, OUTPUT_SCHEMA)
+        assert record["fidelity"] == pytest.approx(0.25, rel=1e-12)
+        assert record["coefficients"]["[550,550]"] == pytest.approx(22909.02378994769, rel=1e-12)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
+    @pytest.mark.parametrize(
+        "command",
+        [["fid"], ["fid", "--format", "csv"], ["verify"], ["spectrum", "--operator", "Y"]],
+    )
+    def test_non_finite_coefficient_is_input_error(self, capsys, tmp_path, literal, command):
+        path = tmp_path / "c.json"
+        path.write_text('{"[2]": %s, "[1,1]": 4.0}' % literal)
+        mode = [] if command[0] == "spectrum" else ["--mode", "given-coefficients"]
+        code, out, err = run_cli(
+            capsys, *command, "--d", "2", "--N", "2", *mode, "--coefficients", str(path)
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.count("\n") == 1 and "(2,)" in err
+
     def test_missing_partitions_default_to_zero(self, capsys, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"[1,1]": 4.0}))

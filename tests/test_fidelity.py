@@ -209,6 +209,40 @@ class TestPortCoefficients:
         c.validate()  # 4 * 1 * 1 == 4 == 2^2
         assert c.value((2,)) == 0.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        # NaN compares false both ways, so a sign check alone lets it through
+        with pytest.raises(ValueError, match="non-finite"):
+            PortCoefficients.from_mapping(2, 2, {(2,): bad, (1, 1): 4.0})
+        with pytest.raises(ValueError, match="finite"):
+            PortCoefficients(2, 2, {(2,): bad, (1, 1): 4.0}).validate()
+
+    def test_rejects_integer_beyond_float64(self):
+        with pytest.raises(ValueError, match="overflows float64"):
+            PortCoefficients.from_mapping(2, 2, {(2,): 10**400, (1, 1): 4.0})
+
+    @pytest.mark.parametrize("d, N", [(2, 2), (3, 4), (2, 60), (3, 50)])
+    def test_renormalized_lands_on_constraint(self, d, N):
+        # N = 60 and 50 exceed the default exact threshold: the log-sum-exp sum
+        c = PortCoefficients(d, N, {mu: 7.5 for mu in enumerate_partitions(N, d)})
+        assert c.constraint_residual() > 1.0
+        fixed = c.renormalized()
+        fixed.validate()
+        ones = PortCoefficients.uniform(d, N)
+        for mu in ones.entries:
+            assert fixed.value(mu) == pytest.approx(1.0, rel=1e-12)
+
+    def test_renormalized_beyond_float_dimensions(self):
+        # d_mu * m_mu at d=2 N=1100 does not fit a float; the log form does
+        c = PortCoefficients(2, 1100, {(550, 550): 1.0}).renormalized()
+        c.validate()
+        assert math.isfinite(c.value((550, 550))) and c.value((550, 550)) > 1.0
+
+    def test_renormalized_rejects_all_zero(self):
+        for N in (3, 60):
+            with pytest.raises(ValueError, match="all coefficients are zero"):
+                PortCoefficients(2, N, {}).renormalized()
+
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
     def test_random_rescaled_draws_validate(self, seed):

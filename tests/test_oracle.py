@@ -1,5 +1,6 @@
 """Dense ground truth: states, measurements, projectors, certificates, channel."""
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -33,11 +34,13 @@ from pbtfid import (
     partial_trace,
     partial_trace_first,
     pbt_ensemble,
+    permutation_cycle_type,
     permutation_operator,
     port_state_vector,
     pretty_good_measurement,
     remove_box_predecessors,
     run_verification,
+    sn_character,
     specht_dim,
     success_probability,
     teleportation_fidelity_direct,
@@ -372,6 +375,99 @@ class TestYoungProjectors:
             assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
+def _basis_permutation(perm, d):
+    """R(perm) column by column: e_{i_1} x ... x e_{i_n} goes to the product
+    with e_{i_k} in slot perm[k]."""
+    n = len(perm)
+    eye = np.eye(d)
+    cols = []
+    for digits in itertools.product(range(d), repeat=n):
+        moved = [None] * n
+        for k, i in enumerate(digits):
+            moved[perm[k]] = eye[i]
+        cols.append(functools.reduce(np.kron, moved))
+    return np.array(cols).T
+
+
+def _transpose_reorder(matrix, dims, new_order):
+    """Slot reordering by reshape and transpose of the operator tensor."""
+    n = len(dims)
+    axes = list(new_order) + [n + k for k in new_order]
+    return matrix.reshape(*dims, *dims).transpose(axes).reshape(matrix.shape)
+
+
+class TestSlotGather:
+    def test_gather_definition_on_mixed_dims(self):
+        dims = (2, 3, 2)
+        v = np.arange(12)
+        for order in itertools.permutations(range(3)):
+            moved = v[oracle_mod.slot_gather(dims, order)].reshape([dims[k] for k in order])
+            for old in np.ndindex(*dims):
+                assert moved[tuple(old[k] for k in order)] == v.reshape(dims)[old]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_permutation_operator_against_basis_vectors(self, d, n):
+        # non-involutions (3-cycles, 4-cycles) tell perm from its inverse
+        for perm in itertools.permutations(range(n)):
+            assert np.array_equal(permutation_operator(perm, d), _basis_permutation(perm, d))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_young_projector_equals_character_sum(self, d, n):
+        # the character sums are integers, so equality is exact
+        terms = [
+            (permutation_cycle_type(perm), permutation_operator(perm, d))
+            for perm in itertools.permutations(range(n))
+        ]
+        for mu in enumerate_partitions(n, d):
+            acc = np.zeros((d**n, d**n))
+            for lam, mat in terms:
+                acc += sn_character(mu, lam) * mat
+            expected = acc * (specht_dim(mu) / math.factorial(n))
+            assert np.array_equal(young_projector(mu, d).matrix, expected)
+
+    def test_projectors_build_no_permutation_matrix(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("permutation_operator called")
+
+        monkeypatch.setattr(oracle_mod, "permutation_operator", forbidden)
+        for mu in enumerate_partitions(4, 3):
+            young_projector(mu, 3)
+        build_port_operator(2, 4, PortCoefficients.uniform(2, 4))
+
+    def test_reorder_and_embed_on_mixed_dims(self):
+        rng = np.random.default_rng(11)
+        dims = (2, 3, 2)
+        m = rng.standard_normal((12, 12))
+        for order in itertools.permutations(range(3)):
+            assert np.array_equal(
+                oracle_mod.reorder_factors(m, dims, list(order)),
+                _transpose_reorder(m, dims, order),
+            )
+        for slots in ([0], [1], [2], [0, 2], [2, 0], [1, 2], [2, 1, 0]):
+            small = rng.standard_normal((math.prod(dims[k] for k in slots),) * 2)
+            sub = [dims[k] for k in slots]
+            others = [k for k in range(3) if k not in slots]
+            expected = np.zeros((12, 12))
+            for row in np.ndindex(*dims):
+                for col in np.ndindex(*dims):
+                    if all(row[k] == col[k] for k in others):
+                        r = np.ravel_multi_index([row[k] for k in slots], sub)
+                        c = np.ravel_multi_index([col[k] for k in slots], sub)
+                        expected[np.ravel_multi_index(row, dims), np.ravel_multi_index(col, dims)] = small[r, c]
+            assert np.array_equal(embed_operator(small, slots, dims), expected)
+
+    @pytest.mark.parametrize("d, N", [(2, 2), (2, 4), (3, 3)])
+    def test_port_swaps_equal_conjugation(self, d, N):
+        m = np.random.default_rng(5).standard_normal((d ** (N + 1),) * 2)
+        for k, g in enumerate(oracle_mod._port_swaps(d, N), start=1):
+            perm = list(range(N + 1))
+            perm[0], perm[k] = k, 0
+            pm = permutation_operator(tuple(perm), d)
+            assert np.array_equal(m[np.ix_(g, g)], pm @ m @ pm.T)
+
+
 class TestPartialTrace:
     def test_first_factor_of_pair(self):
         assert np.allclose(
@@ -471,10 +567,15 @@ class TestCertificates:
 
     def test_x_spectrum_matches_blocks(self, oracle_grid):
         for d, N in oracle_grid:
-            dev = match_block_spectrum(
-                cached_certificate_x(d, N), block_spectrum(d, N, "X")
-            )
+            blocks = block_spectrum(d, N, "X")
+            dev = match_block_spectrum(cached_certificate_x(d, N), blocks)
             assert dev <= 1e-9
+            per_block, leftover = oracle_mod.block_spectrum_match(
+                cached_certificate_x(d, N), blocks
+            )
+            assert dev == max([leftover] + [dev for _, dev in per_block])
+            for (median, _), b in zip(per_block, blocks):
+                assert median == pytest.approx(b.value, abs=1e-9)
 
     def test_x_dominates_each_state(self, oracle_grid):
         for d, N in oracle_grid:
