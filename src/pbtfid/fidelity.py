@@ -125,15 +125,17 @@ class PortCoefficients:
         return float(self.entries.get(tuple(mu), 0.0))
 
     def _normalisation_ratio(self) -> float:
-        """sum c*d_mu*m_mu / d**N, which a valid assignment sets to 1: exact
-        integer dimensions up to the exact threshold, log-sum-exp above it."""
+        """sum c*d_mu*m_mu / d**N, which a valid assignment sets to 1: summed
+        exactly in rationals up to the exact threshold (the ratio is at most
+        the largest c, so only an intermediate could overflow a float),
+        log-sum-exp above it."""
         if self.N <= exact_threshold():
-            total = math.fsum(
-                c * specht_dim(mu) * weyl_dim(mu, self.d)
-                for mu, c in sorted(self.entries.items(), reverse=True)
+            total = sum(
+                Fraction(c) * specht_dim(mu) * weyl_dim(mu, self.d)
+                for mu, c in self.entries.items()
                 if c > 0
             )
-            return total / self.d**self.N
+            return float(total / self.d**self.N)
         logs = [
             math.log(c) + log_specht_dim(mu) + log_weyl_dim(mu, self.d)
             for mu, c in sorted(self.entries.items(), reverse=True)

@@ -20,6 +20,12 @@ K's spectrum with the closed-form block values. Feasibility takes one
 eigensolve: the N constraints are one orbit under the port transpositions,
 so K - p_1 sigma_1 is decomposed once and every other constraint is compared
 with its transposed image, the measured defect lowering the reported bound.
+The states and the measurement are validated the same way (``_check_psd``):
+port 1 is decomposed, each other port is accepted when its measured swap
+defect keeps the Weyl bound nonnegative, and is decomposed itself otherwise.
+``verify --d 2 --N 8`` thus takes 6 dense eigendecompositions, not 20: the
+average state, port 1 of the states and of the measurement, the two spectra
+and the feasibility solve.
 
 Tensor-factor convention: the N port slots A_1..A_N come first and the single
 B slot is last, with row-major index fusion (np.kron order). Permutations act
@@ -141,6 +147,62 @@ def slot_gather(dims: tuple[int, ...], order) -> np.ndarray:
     return np.arange(math.prod(dims)).reshape(dims).transpose(order).ravel()
 
 
+def _port_swaps(d: int, N: int) -> list[np.ndarray]:
+    """Index gathers g_i, i = 2..N, of the transposition Pi_i of ports 1 and i
+    on (C^d)^(N+1): M[np.ix_(g_i, g_i)] is Pi_i M Pi_i^T."""
+    gathers = []
+    for k in range(1, N):
+        order = list(range(N + 1))
+        order[0], order[k] = k, 0
+        gathers.append(slot_gather((d,) * (N + 1), order))
+    return gathers
+
+
+def _port_layout(operators: list[DenseOperator]) -> int | None:
+    """d when the operators are N operators on (C^d)^(N+1), the N port slots
+    and B, so that operator i belongs to port i; None for any other layout."""
+    dims = operators[0].factor_dims if operators else ()
+    if dims and all(op.factor_dims == (dims[0],) * (len(operators) + 1) for op in operators):
+        return dims[0]
+    return None
+
+
+def _check_psd(operators: list[DenseOperator], tol: float, name: str) -> None:
+    """Raise ValueError unless every operator is hermitian and positive
+    semidefinite to within ``tol``, naming the first failing one and its
+    own smallest eigenvalue.
+
+    Operators laid out as one port orbit (``_port_layout``) take one
+    ``eigvalsh``, of M_1. With Pi_k swapping ports 1 and k, Weyl's inequality
+    bounds lambda_min(M_k) below by lambda_min(M_1) minus the measured
+    defect ||Pi_k M_1 Pi_k^T - M_k||_F, and minus dim * (h_1 + h_k) / 2 for
+    the entrywise hermiticity defects h, because ``eigvalsh`` reads one
+    triangle (h is zero for the oracle's own constructions). A bound of at
+    least -tol accepts M_k. Otherwise, and for any other layout, M_k is
+    decomposed, so exactly the operators that pass a per-operator
+    eigensolve are accepted.
+    """
+    herm = [hermiticity_defect(op.matrix) for op in operators]
+    for k, defect in enumerate(herm):
+        if defect > tol:
+            raise ValueError(f"{name} {k} not hermitian (defect {defect:.3e})")
+    d = _port_layout(operators)
+    swaps = _port_swaps(d, len(operators)) if d is not None else []
+    low_first = 0.0
+    for k, op in enumerate(operators):
+        low = -math.inf
+        if 0 < k <= len(swaps):
+            g = swaps[k - 1]
+            defect = float(np.linalg.norm(operators[0].matrix[np.ix_(g, g)] - op.matrix))
+            low = low_first - defect - op.dim * (herm[0] + herm[k]) / 2
+        if low < -tol:
+            low = float(np.linalg.eigvalsh(op.matrix).min())
+            if low < -tol:
+                raise ValueError(f"{name} {k} not PSD (min eig {low:.3e})")
+        if k == 0:
+            low_first = low
+
+
 def permutation_operator(perm: tuple[int, ...], d: int) -> np.ndarray:
     """Matrix moving the content of slot k to slot perm[k] on (C^d)^(len perm).
 
@@ -250,11 +312,7 @@ class Ensemble:
             tr = np.trace(st.matrix)
             if abs(tr - 1.0) > 1e-12:
                 raise ValueError(f"state {k} has trace {tr}")
-            if hermiticity_defect(st.matrix) > 1e-12:
-                raise ValueError(f"state {k} is not hermitian")
-            low = float(np.linalg.eigvalsh(st.matrix).min())
-            if low < -1e-12:
-                raise ValueError(f"state {k} has negative eigenvalue {low:.3e}")
+        _check_psd(self.states, 1e-12, "state")
 
     @property
     def factor_dims(self) -> tuple[int, ...]:
@@ -316,13 +374,7 @@ def pretty_good_measurement(ensemble: Ensemble) -> list[DenseOperator]:
 
 
 def _check_povm_elements(povm: list[DenseOperator]) -> None:
-    for k, e in enumerate(povm):
-        defect = hermiticity_defect(e.matrix)
-        if defect > POVM_TOL:
-            raise ValueError(f"POVM element {k} not hermitian (defect {defect:.3e})")
-        low = float(np.linalg.eigvalsh(e.matrix).min())
-        if low < -POVM_TOL:
-            raise ValueError(f"POVM element {k} not PSD (min eig {low:.3e})")
+    _check_psd(povm, POVM_TOL, "POVM element")
 
 
 def success_probability(ensemble: Ensemble, povm: list[DenseOperator]) -> float:
@@ -341,8 +393,9 @@ def success_probability(ensemble: Ensemble, povm: list[DenseOperator]) -> float:
         raise ValueError(
             f"POVM incomplete on the ensemble support (defect {defect:.3e})"
         )
+    # tr(sigma E) = sum_jk conj(sigma_jk) E_jk for hermitian sigma: O(dim^2)
     value = math.fsum(
-        p * float(np.trace(st.matrix @ e.matrix).real)
+        p * float(np.vdot(st.matrix, e.matrix).real)
         for p, st, e in zip(ensemble.probs, ensemble.states, povm)
     )
     if not -1e-10 <= value <= 1 + 1e-10:
@@ -355,40 +408,50 @@ def success_probability(ensemble: Ensemble, povm: list[DenseOperator]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def young_projector(mu, d: int) -> DenseOperator:
+def _permutation_table(d: int, n: int) -> tuple[np.ndarray, list[Partition], np.ndarray]:
+    """Every permutation pi of n slots of size d, for ``young_projector``:
+    the flat positions of the d^n entries of R(pi) in a d^n x d^n matrix
+    (row r of R(pi) has its one entry at column g_pi[r], g_pi the slot gather
+    of pi), one row per pi, with the distinct cycle types and the index of
+    each pi's type among them. The projectors of one (d, n) share it. Its
+    size is factorial in n, which restricts n to MAX_PROJECTOR_BOXES.
+    """
+    if n > MAX_PROJECTOR_BOXES:
+        raise SizeCapError(f"character averaging is limited to n <= {MAX_PROJECTOR_BOXES}")
+    if d**n > oracle_cap():
+        raise SizeCapError(f"d^n = {d ** n} exceeds the oracle cap {oracle_cap()}")
+    full = d**n
+    perms = list(itertools.permutations(range(n)))
+    types = [permutation_cycle_type(perm) for perm in perms]
+    classes = list(dict.fromkeys(types))
+    class_index = np.array([classes.index(lam) for lam in types])
+    columns = np.stack([slot_gather((d,) * n, perm) for perm in perms])
+    return np.arange(0, full * full, full) + columns, classes, class_index
+
+
+def young_projector(mu, d: int, table: tuple | None = None) -> DenseOperator:
     """Projector onto the isotypic component of the slot-permutation action.
 
-    Character averaging: P_mu = (d_mu / n!) sum_pi chi_mu(pi) R(pi). Row r of
-    R(pi) has its one entry at column g_pi[r], with g_pi the slot gather of
-    pi, so each chi_mu(pi) is added at those n! * d^n positions directly and
-    no permutation matrix is built. chi_mu is looked up once per cycle type.
-    pi is used as the gather order, which gives R(pi^-1); the sum is the same
-    because pi and pi^-1 share a cycle type. The factorial cost restricts n to
-    MAX_PROJECTOR_BOXES.
+    Character averaging: P_mu = (d_mu / n!) sum_pi chi_mu(pi) R(pi), with
+    each chi_mu(pi) added at the positions of R(pi)'s entries
+    (``_permutation_table``), so no permutation matrix is built. chi_mu is
+    evaluated once per cycle type. pi is used as the gather order, which
+    gives R(pi^-1); the sum is the same because pi and pi^-1 share a cycle
+    type. ``table`` is ``_permutation_table(d, |mu|)``, passed by callers
+    that build several projectors of one size; it is built here otherwise.
     """
     mu = check_partition(mu)
     n = sum(mu)
     if n == 0:
         raise ValueError("need a nonempty diagram")
-    if n > MAX_PROJECTOR_BOXES:
-        raise SizeCapError(f"character averaging is limited to n <= {MAX_PROJECTOR_BOXES}")
     if len(mu) > d:
         raise ValueError(f"partition {mu} has more than d={d} rows")
-    if d**n > oracle_cap():
-        raise SizeCapError(f"d^n = {d ** n} exceeds the oracle cap {oracle_cap()}")
+    positions, classes, class_index = table if table is not None else _permutation_table(d, n)
     full = d**n
-    chi: dict[Partition, int] = {}
-    weights, columns = [], []
-    for perm in itertools.permutations(range(n)):
-        lam = permutation_cycle_type(perm)
-        if lam not in chi:
-            chi[lam] = sn_character(mu, lam)
-        weights.append(chi[lam])
-        columns.append(slot_gather((d,) * n, perm))
+    chi = np.array([sn_character(mu, lam) for lam in classes], dtype=float)
     # the sums are integers, exact in float64 in any order
-    positions = np.arange(0, full * full, full) + np.stack(columns)
     acc = np.bincount(
-        positions.ravel(), np.repeat(np.array(weights, dtype=float), full), full * full
+        positions.ravel(), np.repeat(chi[class_index], full), full * full
     ).reshape(full, full)
     proj = acc * (specht_dim(mu) / math.factorial(n))
     return DenseOperator(proj, (d,) * n, hermitian=True)
@@ -400,13 +463,15 @@ def young_projector(mu, d: int) -> DenseOperator:
 
 
 def build_port_operator(d: int, N: int, coefficients: PortCoefficients) -> DenseOperator:
-    """O = sum_mu sqrt(c_mu) P_mu acting on the N port slots."""
+    """O = sum_mu sqrt(c_mu) P_mu acting on the N port slots, with one
+    permutation table for all the projectors."""
     coefficients.validate()
+    table = _permutation_table(d, N)
     acc = np.zeros((d**N, d**N))
     for mu in enumerate_partitions(N, d):
         c = coefficients.value(mu)
         if c > 0:
-            acc = acc + math.sqrt(c) * young_projector(mu, d).matrix
+            acc = acc + math.sqrt(c) * young_projector(mu, d, table).matrix
     return DenseOperator(acc, (d,) * N, hermitian=True)
 
 
@@ -480,17 +545,6 @@ class CertificateReport:
     tolerance: float
 
 
-def _port_swaps(d: int, N: int) -> list[np.ndarray]:
-    """Index gathers g_i, i = 2..N, of the transposition Pi_i of ports 1 and i
-    on (C^d)^(N+1): M[np.ix_(g_i, g_i)] is Pi_i M Pi_i^T."""
-    gathers = []
-    for k in range(1, N):
-        order = list(range(N + 1))
-        order[0], order[k] = k, 0
-        gathers.append(slot_gather((d,) * (N + 1), order))
-    return gathers
-
-
 def certify_optimality(
     ensemble: Ensemble, povm: list[DenseOperator], K: DenseOperator, tol: float = 1e-8
 ) -> CertificateReport:
@@ -513,10 +567,7 @@ def certify_optimality(
     if hermiticity_defect(K.matrix) > HERMITICITY_TOL:
         raise ValueError("dual candidate K must be hermitian")
     dims, N = ensemble.factor_dims, len(ensemble.states)
-    layout = (dims[0],) * (N + 1) if dims else None
-    if dims != layout or K.factor_dims != layout or any(
-        st.factor_dims != layout for st in ensemble.states
-    ):
+    if _port_layout(ensemble.states) is None or K.factor_dims != dims:
         raise ValueError(
             f"certify_optimality needs N port states on (C^d)^(N+1); got {N} "
             f"states on factor dims {dims} and K on {K.factor_dims}"

@@ -13,6 +13,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from pbtfid import fidelity_standard
 from pbtfid.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
@@ -155,6 +156,19 @@ class TestFid:
         jsonschema.validate(record, OUTPUT_SCHEMA)
         assert record["fidelity"] == pytest.approx(0.25, rel=1e-12)
         assert record["coefficients"]["[550,550]"] == pytest.approx(22909.02378994769, rel=1e-12)
+
+    def test_renormalize_near_float_maximum(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"[2]": 1e308, "[1,1]": 1e308}))
+        code, out, err = run_cli(
+            capsys,
+            "fid", "--d", "2", "--N", "2",
+            "--mode", "given-coefficients", "--coefficients", str(path), "--renormalize",
+        )
+        assert code == EXIT_OK, err
+        record = json.loads(out)
+        assert record["coefficients"] == {"[2]": 1.0, "[1,1]": 1.0}
+        assert record["fidelity"] == fidelity_standard(2, 2).fidelity
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
     @pytest.mark.parametrize(

@@ -238,6 +238,13 @@ class TestPortCoefficients:
         c.validate()
         assert math.isfinite(c.value((550, 550))) and c.value((550, 550)) > 1.0
 
+    def test_renormalized_near_float_maximum(self):
+        # c * d_mu * m_mu overflows a float although the rescaled c = 1 does not
+        c = PortCoefficients.from_mapping(2, 2, {(2,): 1e308, (1, 1): 1e308})
+        fixed = c.renormalized()
+        fixed.validate()
+        assert fixed.entries == {(2,): 1.0, (1, 1): 1.0}
+
     def test_renormalized_rejects_all_zero(self):
         for N in (3, 60):
             with pytest.raises(ValueError, match="all coefficients are zero"):

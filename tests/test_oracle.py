@@ -332,6 +332,86 @@ class TestSuccessProbabilityValidation:
         assert ps == pytest.approx(1 / 3, abs=1e-12)
 
 
+def shifted_down(op, shift):
+    """The operator with ``shift`` times its lowest eigenprojector removed,
+    its trace kept by spreading ``shift`` over the identity."""
+    w, v = np.linalg.eigh(op.matrix)
+    m = op.matrix - shift * np.outer(v[:, 0], v[:, 0].conj()) + shift / op.dim * np.eye(op.dim)
+    return DenseOperator((m + m.conj().T) / 2, op.factor_dims, hermitian=True)
+
+
+class TestOrbitValidation:
+    """States and POVMs on the port layout take one eigensolve for port 1;
+    the other ports are accepted by their measured swap defects, or else
+    decomposed themselves."""
+
+    def test_pgm_ensemble_takes_one_eigensolve(self, monkeypatch):
+        d, N = 2, 4
+        ens, povm = cached_ensemble(d, N), list(cached_pgm(d, N))
+        counts = count_eigensolves(monkeypatch)
+        Ensemble(list(ens.states), list(ens.probs))
+        oracle_mod._check_povm_elements(povm)
+        assert counts == {"eigvalsh": 2}
+
+    def test_non_orbit_povm_accepted_through_the_fallback(self, monkeypatch):
+        # P = |0><0| on port 1 and its complement: a complete projective
+        # measurement whose elements are not images of each other
+        ens = cached_ensemble(2, 2)
+        P = np.kron(np.diag([1.0, 0.0]), np.eye(4))
+        povm = [
+            DenseOperator(P, ens.factor_dims, hermitian=True),
+            DenseOperator(np.eye(8) - P, ens.factor_dims, hermitian=True),
+        ]
+        counts = count_eigensolves(monkeypatch)
+        assert success_probability(ens, povm) == pytest.approx(0.5, abs=1e-12)
+        assert counts == {"eigvalsh": 2}
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_non_psd_state_named_with_its_own_eigenvalue(self, k):
+        ens = cached_ensemble(2, 4)
+        states = list(ens.states)
+        states[k] = shifted_down(states[k], 0.02)
+        low = np.linalg.eigvalsh(states[k].matrix).min()
+        assert low < -1e-3
+        with pytest.raises(ValueError, match=rf"^state {k} not PSD \(min eig {low:.3e}\)$"):
+            Ensemble(states, list(ens.probs))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_non_psd_povm_element_named_with_its_own_eigenvalue(self, k):
+        ens = cached_ensemble(2, 4)
+        povm = list(cached_pgm(2, 4))
+        povm[k] = shifted_down(povm[k], 0.02)
+        low = np.linalg.eigvalsh(povm[k].matrix).min()
+        assert low < -1e-3
+        message = rf"^POVM element {k} not PSD \(min eig {low:.3e}\)$"
+        with pytest.raises(ValueError, match=message):
+            success_probability(ens, povm)
+        with pytest.raises(ValueError, match=message):
+            teleportation_fidelity_direct(2, 4, povm)
+
+    def test_complex_orbit_and_trace(self, monkeypatch):
+        # U^(xN) (x) conj(U) commutes with the port swaps, so the conjugated
+        # states and their measurement stay one orbit, now complex
+        d, N = 2, 3
+        V = lift_unitary(haar_unitary(d, np.random.default_rng(HAAR_SEED)), N)
+        states = []
+        for st in cached_ensemble(d, N).states:
+            m = V @ st.matrix @ V.conj().T
+            states.append(DenseOperator((m + m.conj().T) / 2, st.factor_dims, hermitian=True))
+        ens = Ensemble(states, [1 / N] * N)
+        povm = pretty_good_measurement(ens)
+        assert povm[0].matrix.dtype == complex
+        counts = count_eigensolves(monkeypatch)
+        ps = success_probability(ens, povm)
+        assert counts == {"eigvalsh": 1}
+        reference = math.fsum(
+            p * float(np.trace(st.matrix @ e.matrix).real)
+            for p, st, e in zip(ens.probs, ens.states, povm)
+        )
+        assert abs(ps - reference) <= 1e-15
+        assert ps == pytest.approx(fidelity_standard(d, N).success_probability, abs=1e-12)
+
+
 class TestYoungProjectors:
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -505,6 +585,25 @@ class TestPortOperator:
         ) * young_projector((1, 1), 2).matrix
         assert np.allclose(op.matrix, expected, atol=1e-12)
         assert np.trace(op.matrix @ op.matrix).real == pytest.approx(4.0, abs=1e-10)
+
+    @pytest.mark.parametrize("dn", [(2, 6), (3, 4)])
+    def test_one_permutation_table_for_all_projectors(self, monkeypatch, dn):
+        d, N = dn
+        c = random_valid_coefficients(d, N, np.random.default_rng(67))
+        expected = np.zeros((d**N, d**N))
+        for mu in enumerate_partitions(N, d):
+            expected = expected + math.sqrt(c.value(mu)) * young_projector(mu, d).matrix
+        built = Counter()
+        real_table = oracle_mod._permutation_table
+
+        def counted_table(*args):
+            built[args] += 1
+            return real_table(*args)
+
+        monkeypatch.setattr(oracle_mod, "_permutation_table", counted_table)
+        op = build_port_operator(d, N, c)
+        assert built == {(d, N): 1}
+        assert np.array_equal(op.matrix, expected)
 
     def test_normalisation_and_symmetries(self):
         rng = np.random.default_rng(17)
@@ -852,6 +951,14 @@ class TestTeleportationChannel:
             fidelity_given_coefficients(d, N, c).fidelity, abs=1e-9
         )
 
+    def test_channel_validates_the_povm_with_one_eigensolve(self, monkeypatch):
+        d, N = 2, 4
+        povm = list(cached_pgm(d, N))
+        counts = count_eigensolves(monkeypatch)
+        direct = teleportation_fidelity_direct(d, N, povm)
+        assert direct == pytest.approx(fidelity_standard(d, N).fidelity, abs=1e-9)
+        assert counts == {"eigvalsh": 1}
+
     def test_channel_cap(self):
         povm = [
             DenseOperator(np.eye(2**11) / 10, (2,) * 11, hermitian=True)
@@ -900,10 +1007,11 @@ class TestVerificationBundle:
         checks = run_verification(d, N, "standard")
         assert all(c.passed for c in checks)
         assert built == {"rho": N, "success_probability": 1}
-        # one eigh of the average state; eigvalsh: N state checks, N POVM
-        # checks, two spectra, one feasibility eigensolve
+        # one eigh of the average state; eigvalsh: port 1 of the states and of
+        # the POVM (the other ports by their swap defects), two spectra, one
+        # feasibility eigensolve
         assert counts["eigh"] <= 1
-        assert counts["eigvalsh"] <= 2 * N + 3
+        assert counts["eigvalsh"] <= 5
 
     def test_given_coefficients_decomposes_each_average_once(self, monkeypatch):
         d, N = 2, 3
@@ -911,10 +1019,11 @@ class TestVerificationBundle:
         counts = count_eigensolves(monkeypatch)
         checks = run_verification(d, N, "given-coefficients", c)
         assert all(ch.passed for ch in checks)
-        # the rho and eta averages once each; eigvalsh: N rho and N eta state
-        # checks, N POVM checks, two spectra, one feasibility eigensolve
+        # the rho and eta averages once each; eigvalsh: port 1 of the rho
+        # states, the eta states and the POVM, two spectra, one feasibility
+        # eigensolve
         assert counts["eigh"] <= 2
-        assert counts["eigvalsh"] <= 3 * N + 3
+        assert counts["eigvalsh"] <= 6
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
