@@ -50,6 +50,7 @@ DENSE_EIGEN_LIMIT = 2000
 DEGENERACY_RTOL = 1e-10
 EIGEN_RESIDUAL_TOL = 1e-12
 EIGSH_TOL = 1e-13
+NORMALISATION_RTOL = 1e-12  # PortCoefficients.validate on sum c*d_mu*m_mu = d**N
 
 
 def exact_threshold() -> int:
@@ -158,11 +159,11 @@ class PortCoefficients:
             self.d, self.N, {mu: c / ratio for mu, c in self.entries.items()}
         )
 
-    def validate(self, rtol: float = 1e-12) -> None:
+    def validate(self) -> None:
         if not all(math.isfinite(c) and c >= 0 for c in self.entries.values()):
             raise ValueError("port coefficients must be finite and nonnegative")
         residual = self.constraint_residual()
-        if residual > rtol:
+        if residual > NORMALISATION_RTOL:
             raise ValueError(
                 f"port coefficients violate the normalisation "
                 f"sum c*d_mu*m_mu = d**N (relative residual {residual:.3e})"

@@ -10,6 +10,12 @@ Every construction here is real symmetric: the states, the square-root
 measurement, the projectors, the certificates and the port state all have
 real entries, so the eigensolves are real LAPACK calls. ``DenseOperator``
 also holds complex matrices, such as a state conjugated by a Haar unitary.
+Hermiticity is measured where it can fail. ``certificate`` measures
+sum_i sigma_i E_i before symmetrising it. Input states, measurements and
+dual candidates are measured when validated (``_check_psd``,
+``certify_optimality``). The other constructions are exactly symmetric as
+built (kron products and gathers of symmetric matrices, integer character
+sums, ``hermitize``), so nothing measures them again.
 
 The dual candidate comes from the measurement under test: K = sum_i p_i
 sigma_i E_i, with E the square-root measurement of the unsteered rho_i and
@@ -19,11 +25,10 @@ the substantive checks are feasibility (K >= p_i sigma_i) and the match of
 K's spectrum with the closed-form block values. Feasibility takes one
 eigensolve: the N constraints are one orbit under the port transpositions,
 so K - p_1 sigma_1 is decomposed once and every other constraint is compared
-with its transposed image, the measured defect lowering the reported bound.
-The states and the measurement are validated the same way (``_check_psd``):
-port 1 is decomposed, each other port is accepted when its measured swap
-defect keeps the Weyl bound nonnegative, and is decomposed itself otherwise.
-``verify --d 2 --N 8`` thus takes 6 dense eigendecompositions, not 20: the
+with its transposed image (``_port_orbit_bound``), the measured defect
+lowering the reported bound. The states and the measurement are validated
+with the same bound (``_check_psd``), decomposing a port only when its bound
+fails. ``verify --d 2 --N 8`` thus takes 6 dense eigendecompositions: the
 average state, port 1 of the states and of the measurement, the two spectra
 and the feasibility solve.
 
@@ -46,7 +51,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .config import SizeCapError, env_positive_int
-from .fidelity import PortCoefficients, block_spectrum
+from .fidelity import PortCoefficients, block_spectrum, fidelity_given_coefficients, fidelity_standard
 from .partitions import (
     Partition,
     check_partition,
@@ -65,6 +70,7 @@ MAX_PROJECTOR_BOXES = 6  # character averaging is factorial in N
 HERMITICITY_TOL = 1e-10
 PSEUDO_INVERSE_RTOL = 1e-10
 POVM_TOL = 1e-10
+CERTIFY_TOL = 1e-8  # on the feasibility bound and on the duality gap
 
 
 def oracle_cap() -> int:
@@ -95,16 +101,14 @@ class DenseOperator:
     Real input stays real (integer or bool input becomes float64) and complex
     input stays complex; the oracle's own constructions are real symmetric.
 
-    ``factor_dims`` lists the dimension of each tensor slot. When
-    ``hermitian`` is set the matrix is checked against its adjoint;
-    ``herm_defect`` records the pre-symmetrisation defect for operators
-    that were explicitly Hermitised.
+    ``factor_dims`` lists the dimension of each tensor slot. Construction
+    checks the shape only: hermiticity is measured where a matrix is
+    symmetrised (``certificate``) or taken as input (``_check_psd`` for
+    states and measurements, ``certify_optimality`` for the dual candidate).
     """
 
     matrix: np.ndarray
     factor_dims: tuple[int, ...]
-    hermitian: bool = False
-    herm_defect: float | None = None
 
     def __post_init__(self):
         matrix = np.asarray(self.matrix)
@@ -116,10 +120,6 @@ class DenseOperator:
                 f"matrix shape {self.matrix.shape} does not match factor "
                 f"dims {self.factor_dims}"
             )
-        if self.hermitian:
-            defect = hermiticity_defect(self.matrix)
-            if defect > 1e-12:
-                raise ValueError(f"operator marked hermitian has defect {defect:.3e}")
 
     @property
     def dim(self) -> int:
@@ -133,10 +133,10 @@ def hermiticity_defect(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix - matrix.conj().T))) if matrix.size else 0.0
 
 
-def hermitize(matrix: np.ndarray) -> tuple[np.ndarray, float]:
-    """Symmetrise (M + M^dagger)/2 and report the pre-symmetrisation defect."""
-    defect = hermiticity_defect(matrix)
-    return (matrix + matrix.conj().T) / 2.0, defect
+def hermitize(matrix: np.ndarray) -> np.ndarray:
+    """(M + M^dagger)/2, exactly hermitian in floating point: entry (k, j)
+    is the conjugate of entry (j, k) because both round the same sums."""
+    return (matrix + matrix.conj().T) / 2.0
 
 
 def slot_gather(dims: tuple[int, ...], order) -> np.ndarray:
@@ -167,40 +167,52 @@ def _port_layout(operators: list[DenseOperator]) -> int | None:
     return None
 
 
+def _port_orbit_bound(
+    first: np.ndarray, others, dims: tuple[int, ...]
+) -> tuple[float, list[float]]:
+    """lambda_min(M_1) and the swap defects delta_k = ||Pi_k M_1 Pi_k^T - M_k||_F
+    of ``first`` = M_1 and ``others`` = M_2..M_N on ``dims`` = (d,) * (N + 1),
+    Pi_k swapping ports 1 and k. By Weyl's inequality lambda_min(M_1) - delta_k
+    bounds lambda_min(M_k) below: one eigensolve serves the whole orbit, and
+    the port symmetry is measured, not assumed."""
+    low = float(np.linalg.eigvalsh(first).min())
+    defects = [
+        float(np.linalg.norm(first[np.ix_(g, g)] - other))
+        for g, other in zip(_port_swaps(dims[0], len(dims) - 1), others)
+    ]
+    return low, defects
+
+
 def _check_psd(operators: list[DenseOperator], tol: float, name: str) -> None:
     """Raise ValueError unless every operator is hermitian and positive
     semidefinite to within ``tol``, naming the first failing one and its
     own smallest eigenvalue.
 
-    Operators laid out as one port orbit (``_port_layout``) take one
-    ``eigvalsh``, of M_1. With Pi_k swapping ports 1 and k, Weyl's inequality
-    bounds lambda_min(M_k) below by lambda_min(M_1) minus the measured
-    defect ||Pi_k M_1 Pi_k^T - M_k||_F, and minus dim * (h_1 + h_k) / 2 for
-    the entrywise hermiticity defects h, because ``eigvalsh`` reads one
-    triangle (h is zero for the oracle's own constructions). A bound of at
-    least -tol accepts M_k. Otherwise, and for any other layout, M_k is
-    decomposed, so exactly the operators that pass a per-operator
-    eigensolve are accepted.
+    A port orbit (``_port_layout``) takes one ``eigvalsh``, of M_1
+    (``_port_orbit_bound``). M_k is accepted when lambda_min(M_1) - delta_k -
+    dim * (h_1 + h_k) / 2 is at least -tol, the last term covering the
+    entrywise hermiticity defects h because ``eigvalsh`` reads one triangle.
+    Otherwise, and for any other layout, M_k is decomposed, so exactly the
+    operators that pass a per-operator eigensolve are accepted.
     """
     herm = [hermiticity_defect(op.matrix) for op in operators]
     for k, defect in enumerate(herm):
         if defect > tol:
             raise ValueError(f"{name} {k} not hermitian (defect {defect:.3e})")
-    d = _port_layout(operators)
-    swaps = _port_swaps(d, len(operators)) if d is not None else []
-    low_first = 0.0
-    for k, op in enumerate(operators):
-        low = -math.inf
-        if 0 < k <= len(swaps):
-            g = swaps[k - 1]
-            defect = float(np.linalg.norm(operators[0].matrix[np.ix_(g, g)] - op.matrix))
-            low = low_first - defect - op.dim * (herm[0] + herm[k]) / 2
+    lows = [-math.inf] * len(operators)
+    if _port_layout(operators) is not None:
+        low_first, defects = _port_orbit_bound(
+            operators[0].matrix, (op.matrix for op in operators[1:]), operators[0].factor_dims
+        )
+        lows[0] = low_first
+        for k, defect in enumerate(defects, start=1):
+            lows[k] = low_first - defect - operators[k].dim * (herm[0] + herm[k]) / 2
+    for k, (op, low) in enumerate(zip(operators, lows)):
+        # a failing M_1 is decomposed again here, on its way to the error
         if low < -tol:
             low = float(np.linalg.eigvalsh(op.matrix).min())
             if low < -tol:
                 raise ValueError(f"{name} {k} not PSD (min eig {low:.3e})")
-        if k == 0:
-            low_first = low
 
 
 def permutation_operator(perm: tuple[int, ...], d: int) -> np.ndarray:
@@ -272,7 +284,7 @@ def maximally_entangled(d: int) -> DenseOperator:
     if d < 1:
         raise ValueError("d must be positive")
     v = maximally_entangled_vector(d)
-    return DenseOperator(np.outer(v, v.conj()), (d, d), hermitian=True)
+    return DenseOperator(np.outer(v, v.conj()), (d, d))
 
 
 def build_rho(d: int, N: int, i: int) -> DenseOperator:
@@ -282,15 +294,8 @@ def build_rho(d: int, N: int, i: int) -> DenseOperator:
     if not 1 <= i <= N:
         raise ValueError(f"port index {i} outside 1..{N}")
     dims = (d,) * (N + 1)
-    phi = maximally_entangled(d).matrix
-    rest = np.eye(d ** (N - 1)) / d ** (N - 1)
-    combined = np.kron(rest, phi)
-    # combined slot order: the other ports ascending, then A_i, then B
-    others = [k for k in range(N) if k != i - 1]
-    order = others + [i - 1, N]
-    inverse = [order.index(j) for j in range(N + 1)]
-    mat = reorder_factors(combined, tuple(dims[k] for k in order), inverse)
-    return DenseOperator(mat, dims, hermitian=True)
+    pair = maximally_entangled(d).matrix * (1 / d ** (N - 1))
+    return DenseOperator(embed_operator(pair, [i - 1, N], dims), dims)
 
 
 @dataclass
@@ -335,8 +340,7 @@ def average_state(ensemble: Ensemble, normalized: bool = False) -> DenseOperator
     acc = np.zeros_like(ensemble.states[0].matrix)
     for p, st in zip(ensemble.probs, ensemble.states):
         acc = acc + (p * st.matrix if normalized else st.matrix)
-    mat, _ = hermitize(acc)
-    return DenseOperator(mat, ensemble.factor_dims, hermitian=True)
+    return DenseOperator(hermitize(acc), ensemble.factor_dims)
 
 
 # ---------------------------------------------------------------------------
@@ -366,15 +370,17 @@ def pretty_good_measurement(ensemble: Ensemble) -> list[DenseOperator]:
     that support they are zero.
     """
     inv_sqrt, _ = ensemble._average_decomposition
-    povm = []
-    for p, st in zip(ensemble.probs, ensemble.states):
-        element, _ = hermitize(inv_sqrt @ (p * st.matrix) @ inv_sqrt)
-        povm.append(DenseOperator(element, ensemble.factor_dims, hermitian=True))
-    return povm
+    return [
+        DenseOperator(hermitize(inv_sqrt @ (p * st.matrix) @ inv_sqrt), ensemble.factor_dims)
+        for p, st in zip(ensemble.probs, ensemble.states)
+    ]
 
 
-def _check_povm_elements(povm: list[DenseOperator]) -> None:
-    _check_psd(povm, POVM_TOL, "POVM element")
+def _check_factor_dims(povm: list[DenseOperator], dims: tuple[int, ...]) -> None:
+    """Raise ValueError naming the first POVM element not acting on ``dims``."""
+    for k, e in enumerate(povm):
+        if e.factor_dims != dims:
+            raise ValueError(f"POVM element {k} acts on factor dims {e.factor_dims}, not {dims}")
 
 
 def success_probability(ensemble: Ensemble, povm: list[DenseOperator]) -> float:
@@ -385,7 +391,8 @@ def success_probability(ensemble: Ensemble, povm: list[DenseOperator]) -> float:
     """
     if len(povm) != len(ensemble.states):
         raise ValueError("POVM length does not match the ensemble")
-    _check_povm_elements(povm)
+    _check_factor_dims(povm, ensemble.factor_dims)
+    _check_psd(povm, POVM_TOL, "POVM element")
     _, support = ensemble._average_decomposition
     total = sum(e.matrix for e in povm)
     defect = float(np.max(np.abs(support @ (total - np.eye(total.shape[0])) @ support)))
@@ -454,7 +461,7 @@ def young_projector(mu, d: int, table: tuple | None = None) -> DenseOperator:
         positions.ravel(), np.repeat(chi[class_index], full), full * full
     ).reshape(full, full)
     proj = acc * (specht_dim(mu) / math.factorial(n))
-    return DenseOperator(proj, (d,) * n, hermitian=True)
+    return DenseOperator(proj, (d,) * n)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +479,7 @@ def build_port_operator(d: int, N: int, coefficients: PortCoefficients) -> Dense
         c = coefficients.value(mu)
         if c > 0:
             acc = acc + math.sqrt(c) * young_projector(mu, d, table).matrix
-    return DenseOperator(acc, (d,) * N, hermitian=True)
+    return DenseOperator(acc, (d,) * N)
 
 
 def _steered_states(
@@ -480,11 +487,9 @@ def _steered_states(
 ) -> list[DenseOperator]:
     """(O x 1_B) rho (O x 1_B) for each of the given states, with O built once."""
     lifted = np.kron(build_port_operator(d, N, coefficients).matrix, np.eye(d))
-    etas = []
-    for rho in rhos:
-        mat, _ = hermitize(lifted @ rho.matrix @ lifted)
-        etas.append(DenseOperator(mat, rho.factor_dims, hermitian=True))
-    return etas
+    return [
+        DenseOperator(hermitize(lifted @ rho.matrix @ lifted), rho.factor_dims) for rho in rhos
+    ]
 
 
 def build_eta(d: int, N: int, i: int, coefficients: PortCoefficients) -> DenseOperator:
@@ -505,13 +510,13 @@ def eta_ensemble(d: int, N: int, coefficients: PortCoefficients) -> Ensemble:
 
 def certificate(states: list[DenseOperator], povm: list[DenseOperator]) -> DenseOperator:
     """sum_i sigma_i E_i: the dual candidate of the measurement E against the
-    states sigma_i, Hermitised with its defect recorded. For a uniform
+    states sigma_i, Hermitised after its defect is checked. For a uniform
     ensemble of n states it is n times K = sum_i p_i sigma_i E_i."""
     acc = sum(st.matrix @ e.matrix for st, e in zip(states, povm))
-    mat, defect = hermitize(acc)
+    defect = hermiticity_defect(acc)
     if defect > HERMITICITY_TOL:
         raise AssertionError(f"certificate defect {defect:.3e} above tolerance")
-    return DenseOperator(mat, states[0].factor_dims, hermitian=True, herm_defect=defect)
+    return DenseOperator(hermitize(acc), states[0].factor_dims)
 
 
 def certificate_X(d: int, N: int) -> DenseOperator:
@@ -546,17 +551,15 @@ class CertificateReport:
 
 
 def certify_optimality(
-    ensemble: Ensemble, povm: list[DenseOperator], K: DenseOperator, tol: float = 1e-8
+    ensemble: Ensemble, povm: list[DenseOperator], K: DenseOperator
 ) -> CertificateReport:
     """Check that K is dual feasible and gap-free for the given measurement.
 
     The ensemble must be N port states on (C^d)^(N+1), state i belonging to
-    port i. Feasibility takes one eigensolve, of B = K - p_1 sigma_1. Each
-    other constraint is compared with the transposed image of B: with Pi_i
-    swapping ports 1 and i, delta_i = ||Pi_i B Pi_i^T - (K - p_i sigma_i)||_F,
-    and by Weyl's inequality lambda_min(B) - max_i delta_i is a lower bound on
-    every lambda_min(K - p_i sigma_i). The port symmetry is checked, not
-    assumed: a K or an ensemble without it can only read as less feasible.
+    port i. Feasibility is ``_port_orbit_bound`` of the constraints
+    K - p_i sigma_i: lambda_min(K - p_1 sigma_1) - max_i delta_i bounds every
+    lambda_min(K - p_i sigma_i) below, so a K or an ensemble without the
+    port symmetry can only read as less feasible.
 
     A K built by ``certificate`` from this measurement has no gap by
     construction; the gap still exposes a K that belongs to another one.
@@ -574,16 +577,12 @@ def certify_optimality(
         )
     achieved = success_probability(ensemble, povm)
     dual_value = float(np.trace(K.matrix).real)
-    probs, states = ensemble.probs, ensemble.states
-    base = K.matrix - probs[0] * states[0].matrix
-    swap_defect = 0.0
-    for g, p, st in zip(_port_swaps(dims[0], N), probs[1:], states[1:]):
-        image = base[np.ix_(g, g)]
-        image -= K.matrix - p * st.matrix
-        swap_defect = max(swap_defect, float(np.linalg.norm(image)))
-    feasibility = float(np.linalg.eigvalsh(base).min()) - swap_defect
+    constraints = (K.matrix - p * st.matrix for p, st in zip(ensemble.probs, ensemble.states))
+    low, defects = _port_orbit_bound(next(constraints), constraints, dims)
+    swap_defect = max([0.0] + defects)
+    feasibility = low - swap_defect
     gap = dual_value - achieved
-    certified = feasibility >= -tol and abs(gap) <= tol
+    certified = feasibility >= -CERTIFY_TOL and abs(gap) <= CERTIFY_TOL
     return CertificateReport(
         gap=gap,
         feasibility=feasibility,
@@ -591,7 +590,7 @@ def certify_optimality(
         success_probability=achieved,
         dual_value=dual_value,
         certified=certified,
-        tolerance=tol,
+        tolerance=CERTIFY_TOL,
     )
 
 
@@ -638,7 +637,8 @@ def teleportation_fidelity_direct(
         )
     if len(povm) != N:
         raise ValueError(f"need one POVM element per port, got {len(povm)}")
-    _check_povm_elements(povm)
+    _check_factor_dims(povm, (d,) * (N + 1))
+    _check_psd(povm, POVM_TOL, "POVM element")
     dims = (d,) * (2 * N + 2)
     psi = np.kron(maximally_entangled_vector(d), port_state_vector(d, N, coefficients))
     # kron order is A_0, R, A_1..A_N, B_1..B_N; as a matrix, the rows are the
@@ -734,8 +734,6 @@ def run_verification(
     measurement and the certificate are each built once, and the success
     probability is the one ``certify_optimality`` measures.
     """
-    from .fidelity import fidelity_given_coefficients, fidelity_standard
-
     check_oracle_size(d, N)
     checks: list[CheckResult] = []
 
@@ -759,9 +757,7 @@ def run_verification(
     else:
         raise ValueError(f"unknown verification mode {mode!r}")
     cert = certificate(ens.states, povm)
-    report = certify_optimality(
-        ens, povm, DenseOperator(cert.matrix / N, cert.factor_dims, hermitian=True)
-    )
+    report = certify_optimality(ens, povm, DenseOperator(cert.matrix / N, cert.factor_dims))
 
     record("formula_vs_oracle", abs(formula - report.success_probability * N / d**2), 1e-9)
     avg = average_state(rho_ens)

@@ -129,7 +129,7 @@ def test_criterion_06_dual_certificates():
         rep = certify_optimality(
             cached_ensemble(d, N),
             list(cached_pgm(d, N)),
-            DenseOperator(X.matrix / N, X.factor_dims, hermitian=True),
+            DenseOperator(X.matrix / N, X.factor_dims),
         )
         worst_gap = max(worst_gap, abs(rep.gap))
         for _ in range(5):
@@ -143,7 +143,7 @@ def test_criterion_06_dual_certificates():
             rep = certify_optimality(
                 eta_ensemble(d, N, c),
                 list(cached_pgm(d, N)),
-                DenseOperator(Y.matrix / N, Y.factor_dims, hermitian=True),
+                DenseOperator(Y.matrix / N, Y.factor_dims),
             )
             worst_gap = max(worst_gap, abs(rep.gap))
     report(

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -80,16 +81,29 @@ def reference_certificate(d, N, coefficients=None):
     return (acc + acc.conj().T) / 2
 
 
-def count_eigensolves(monkeypatch):
-    """Count numpy's dense Hermitian eigh / eigvalsh calls from here on."""
+def count_eigensolves(monkeypatch, hermiticity=False):
+    """Count numpy's dense Hermitian eigh / eigvalsh calls from here on, and
+    the oracle's ``hermiticity_defect`` measurements when ``hermiticity`` is
+    set."""
     counts = Counter()
-    for name in ("eigh", "eigvalsh"):
-        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+    targets = [(np.linalg, "eigh"), (np.linalg, "eigvalsh")]
+    if hermiticity:
+        targets.append((oracle_mod, "hermiticity_defect"))
+    for owner, name in targets:
+        def counted(*args, _name=name, _real=getattr(owner, name), **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     return counts
+
+
+def with_asymmetry(op, eps):
+    """The operator with ``eps`` added at entry (0, 1) only: hermiticity
+    defect eps, trace kept."""
+    m = op.matrix.copy()
+    m[0, 1] += eps
+    return DenseOperator(m, op.factor_dims)
 
 
 def per_state_minimum(ensemble, K):
@@ -112,11 +126,6 @@ class TestDenseOperator:
     def test_shape_must_match_factors(self):
         with pytest.raises(ValueError):
             DenseOperator(np.eye(3), (2, 2))
-
-    def test_hermitian_flag_checked(self):
-        bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError):
-            DenseOperator(bad, (2,), hermitian=True)
 
     def test_scalar_factorless_operator(self):
         op = DenseOperator(np.array([[2.0]]), ())
@@ -260,7 +269,7 @@ class TestAverageState:
 class TestPrettyGoodMeasurement:
     def test_orthogonal_pure_states_recover_projective(self):
         vecs = np.eye(3, dtype=complex)
-        states = [DenseOperator(np.outer(v, v.conj()), (3,), hermitian=True) for v in vecs]
+        states = [DenseOperator(np.outer(v, v.conj()), (3,)) for v in vecs]
         ens = Ensemble(states, [1 / 3] * 3)
         povm = pretty_good_measurement(ens)
         for e, v in zip(povm, vecs):
@@ -303,7 +312,7 @@ class TestSuccessProbabilityValidation:
     def test_incomplete_povm_rejected(self):
         ens = cached_ensemble(2, 2)
         half = [
-            DenseOperator(e.matrix / 2, e.factor_dims, hermitian=True)
+            DenseOperator(e.matrix / 2, e.factor_dims)
             for e in cached_pgm(2, 2)
         ]
         with pytest.raises(ValueError, match="incomplete"):
@@ -315,8 +324,8 @@ class TestSuccessProbabilityValidation:
         bad = np.eye(dim)
         bad[0, 0] = -0.5
         povm = [
-            DenseOperator(bad, ens.factor_dims, hermitian=True),
-            DenseOperator(np.eye(dim) - bad, ens.factor_dims, hermitian=True),
+            DenseOperator(bad, ens.factor_dims),
+            DenseOperator(np.eye(dim) - bad, ens.factor_dims),
         ]
         with pytest.raises(ValueError, match="PSD"):
             success_probability(ens, povm)
@@ -325,11 +334,21 @@ class TestSuccessProbabilityValidation:
         ens = cached_ensemble(2, 3)
         dim = ens.states[0].dim
         povm = [
-            DenseOperator(np.eye(dim) / 3, ens.factor_dims, hermitian=True)
+            DenseOperator(np.eye(dim) / 3, ens.factor_dims)
             for _ in range(3)
         ]
         ps = success_probability(ens, povm)
         assert ps == pytest.approx(1 / 3, abs=1e-12)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (8,)])
+    def test_povm_on_other_factor_dims_rejected(self, dims):
+        # (2, 2) elements are 4 x 4; (8,) ones have the right size but not the
+        # ensemble's (2, 2, 2) tensor structure
+        ens = cached_ensemble(2, 2)
+        povm = [DenseOperator(np.eye(math.prod(dims)) / 2, dims) for _ in range(2)]
+        message = f"POVM element 0 acts on factor dims {dims}, not (2, 2, 2)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            success_probability(ens, povm)
 
 
 def shifted_down(op, shift):
@@ -337,7 +356,7 @@ def shifted_down(op, shift):
     its trace kept by spreading ``shift`` over the identity."""
     w, v = np.linalg.eigh(op.matrix)
     m = op.matrix - shift * np.outer(v[:, 0], v[:, 0].conj()) + shift / op.dim * np.eye(op.dim)
-    return DenseOperator((m + m.conj().T) / 2, op.factor_dims, hermitian=True)
+    return DenseOperator((m + m.conj().T) / 2, op.factor_dims)
 
 
 class TestOrbitValidation:
@@ -350,7 +369,7 @@ class TestOrbitValidation:
         ens, povm = cached_ensemble(d, N), list(cached_pgm(d, N))
         counts = count_eigensolves(monkeypatch)
         Ensemble(list(ens.states), list(ens.probs))
-        oracle_mod._check_povm_elements(povm)
+        oracle_mod._check_psd(povm, oracle_mod.POVM_TOL, "POVM element")
         assert counts == {"eigvalsh": 2}
 
     def test_non_orbit_povm_accepted_through_the_fallback(self, monkeypatch):
@@ -359,8 +378,8 @@ class TestOrbitValidation:
         ens = cached_ensemble(2, 2)
         P = np.kron(np.diag([1.0, 0.0]), np.eye(4))
         povm = [
-            DenseOperator(P, ens.factor_dims, hermitian=True),
-            DenseOperator(np.eye(8) - P, ens.factor_dims, hermitian=True),
+            DenseOperator(P, ens.factor_dims),
+            DenseOperator(np.eye(8) - P, ens.factor_dims),
         ]
         counts = count_eigensolves(monkeypatch)
         assert success_probability(ens, povm) == pytest.approx(0.5, abs=1e-12)
@@ -389,6 +408,22 @@ class TestOrbitValidation:
         with pytest.raises(ValueError, match=message):
             teleportation_fidelity_direct(2, 4, povm)
 
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_non_hermitian_state_rejected(self, k):
+        ens = cached_ensemble(2, 4)
+        states = list(ens.states)
+        states[k] = with_asymmetry(states[k], 1e-3)
+        with pytest.raises(ValueError, match=rf"^state {k} not hermitian \(defect 1\.000e-03\)$"):
+            Ensemble(states, list(ens.probs))
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_non_hermitian_povm_element_rejected(self, k):
+        povm = list(cached_pgm(2, 4))
+        povm[k] = with_asymmetry(povm[k], 1e-3)
+        message = rf"^POVM element {k} not hermitian \(defect 1\.000e-03\)$"
+        with pytest.raises(ValueError, match=message):
+            success_probability(cached_ensemble(2, 4), povm)
+
     def test_complex_orbit_and_trace(self, monkeypatch):
         # U^(xN) (x) conj(U) commutes with the port swaps, so the conjugated
         # states and their measurement stay one orbit, now complex
@@ -397,7 +432,7 @@ class TestOrbitValidation:
         states = []
         for st in cached_ensemble(d, N).states:
             m = V @ st.matrix @ V.conj().T
-            states.append(DenseOperator((m + m.conj().T) / 2, st.factor_dims, hermitian=True))
+            states.append(DenseOperator((m + m.conj().T) / 2, st.factor_dims))
         ens = Ensemble(states, [1 / N] * N)
         povm = pretty_good_measurement(ens)
         assert povm[0].matrix.dtype == complex
@@ -662,7 +697,13 @@ class TestCertificates:
     def test_x_trace_2_2(self):
         X = cached_certificate_x(2, 2)
         assert X.trace() == pytest.approx((2 + SQ3) / 2, abs=1e-12)
-        assert X.herm_defect is not None and X.herm_defect <= 1e-10
+
+    def test_asymmetric_certificate_raises(self):
+        # |0><0| |+><+| does not commute: sigma E = [[1/2, 1/2], [0, 0]]
+        sigma = DenseOperator(np.diag([1.0, 0.0]), (2,))
+        plus = DenseOperator(np.full((2, 2), 0.5), (2,))
+        with pytest.raises(AssertionError, match=r"^certificate defect 5\.000e-01 above tolerance$"):
+            oracle_mod.certificate([sigma], [plus])
 
     def test_x_spectrum_matches_blocks(self, oracle_grid):
         for d, N in oracle_grid:
@@ -778,7 +819,7 @@ class TestCertifyOptimality:
             report = certify_optimality(
                 cached_ensemble(d, N),
                 list(cached_pgm(d, N)),
-                DenseOperator(X.matrix / N, X.factor_dims, hermitian=True),
+                DenseOperator(X.matrix / N, X.factor_dims),
             )
             assert report.certified
             assert abs(report.gap) <= 1e-10
@@ -792,7 +833,7 @@ class TestCertifyOptimality:
             report = certify_optimality(
                 eta_ensemble(d, N, c),
                 list(cached_pgm(d, N)),
-                DenseOperator(Y.matrix / N, Y.factor_dims, hermitian=True),
+                DenseOperator(Y.matrix / N, Y.factor_dims),
             )
             assert report.certified
 
@@ -801,12 +842,12 @@ class TestCertifyOptimality:
         ens = cached_ensemble(d, N)
         dim = ens.states[0].dim
         uniform = [
-            DenseOperator(np.eye(dim) / N, ens.factor_dims, hermitian=True)
+            DenseOperator(np.eye(dim) / N, ens.factor_dims)
             for _ in range(N)
         ]
         X = cached_certificate_x(d, N)
         report = certify_optimality(
-            ens, uniform, DenseOperator(X.matrix / N, X.factor_dims, hermitian=True)
+            ens, uniform, DenseOperator(X.matrix / N, X.factor_dims)
         )
         assert not report.certified
         assert report.gap > 0.1  # strict suboptimality of the uniform split
@@ -816,13 +857,13 @@ class TestCertifyOptimality:
         d, N = dn
         X = cached_certificate_x(d, N)
         ens = cached_ensemble(d, N)
-        K = DenseOperator(X.matrix / N, X.factor_dims, hermitian=True)
+        K = DenseOperator(X.matrix / N, X.factor_dims)
         report = certify_optimality(ens, list(cached_pgm(d, N)), K)
         assert abs(report.feasibility - per_state_minimum(ens, K)) <= 1e-12
         c = random_valid_coefficients(d, N, np.random.default_rng(71))
         Y = certificate_Y(d, N, c)
         etas = eta_ensemble(d, N, c)
-        K = DenseOperator(Y.matrix / N, Y.factor_dims, hermitian=True)
+        K = DenseOperator(Y.matrix / N, Y.factor_dims)
         report = certify_optimality(etas, list(cached_pgm(d, N)), K)
         assert abs(report.feasibility - per_state_minimum(etas, K)) <= 1e-12
 
@@ -839,7 +880,7 @@ class TestCertifyOptimality:
         tilt = embed_operator(h, [0], X.factor_dims)
         infeasible = 0
         for eps in (1e-10, 1e-7, 1e-4, 1e-1):
-            K = DenseOperator(X.matrix / N + eps * tilt, X.factor_dims, hermitian=True)
+            K = DenseOperator(X.matrix / N + eps * tilt, X.factor_dims)
             report = certify_optimality(ens, povm, K)
             true_min = per_state_minimum(ens, K)
             assert report.feasibility <= true_min + 1e-12
@@ -871,7 +912,6 @@ class TestCertifyOptimality:
         K = DenseOperator(
             base - eps * np.outer(u, u) + eps / X.dim * np.eye(X.dim),
             X.factor_dims,
-            hermitian=True,
         )
         report = certify_optimality(ens, list(cached_pgm(d, N)), K)
         first_min = np.linalg.eigvalsh(K.matrix - ens.probs[0] * ens.states[0].matrix).min()
@@ -883,9 +923,9 @@ class TestCertifyOptimality:
 
     def test_non_port_layout_rejected(self):
         vecs = np.eye(3)
-        states = [DenseOperator(np.outer(v, v), (3,), hermitian=True) for v in vecs]
+        states = [DenseOperator(np.outer(v, v), (3,)) for v in vecs]
         ens = Ensemble(states, [1 / 3] * 3)
-        K = DenseOperator(np.eye(3) / 3, (3,), hermitian=True)
+        K = DenseOperator(np.eye(3) / 3, (3,))
         with pytest.raises(ValueError, match="port states"):
             certify_optimality(ens, pretty_good_measurement(ens), K)
         ens = cached_ensemble(2, 2)
@@ -903,7 +943,7 @@ class TestCertifyOptimality:
         monkeypatch.setattr(oracle_mod, "success_probability", lambda *args: achieved)
         counts = count_eigensolves(monkeypatch)
         report = certify_optimality(
-            ens, povm, DenseOperator(X.matrix / N, X.factor_dims, hermitian=True)
+            ens, povm, DenseOperator(X.matrix / N, X.factor_dims)
         )
         assert report.certified
         assert counts == {"eigvalsh": 1}
@@ -919,8 +959,15 @@ class TestCertifyOptimality:
 
 class TestTeleportationChannel:
     def test_trivial_povm_single_port(self):
-        povm = [DenseOperator(np.eye(4), (2, 2), hermitian=True)]
+        povm = [DenseOperator(np.eye(4), (2, 2))]
         assert teleportation_fidelity_direct(2, 1, povm) == pytest.approx(0.25, abs=1e-12)
+
+    def test_povm_on_other_factor_dims_rejected(self):
+        # elements on (C^2)^2 for a channel that measures (C^2)^3
+        povm = [DenseOperator(np.eye(4) / 2, (2, 2)) for _ in range(2)]
+        message = "POVM element 0 acts on factor dims (2, 2), not (2, 2, 2)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            teleportation_fidelity_direct(2, 2, povm)
 
     def test_identity_channel_harness(self):
         # the fidelity functional itself: overlap of the target with itself is 1
@@ -961,7 +1008,7 @@ class TestTeleportationChannel:
 
     def test_channel_cap(self):
         povm = [
-            DenseOperator(np.eye(2**11) / 10, (2,) * 11, hermitian=True)
+            DenseOperator(np.eye(2**11) / 10, (2,) * 11)
             for _ in range(10)
         ]
         with pytest.raises(SizeCapError):
@@ -1003,7 +1050,7 @@ class TestVerificationBundle:
 
         monkeypatch.setattr(oracle_mod, "build_rho", counted_rho)
         monkeypatch.setattr(oracle_mod, "success_probability", counted_success)
-        counts = count_eigensolves(monkeypatch)
+        counts = count_eigensolves(monkeypatch, hermiticity=True)
         checks = run_verification(d, N, "standard")
         assert all(c.passed for c in checks)
         assert built == {"rho": N, "success_probability": 1}
@@ -1012,6 +1059,9 @@ class TestVerificationBundle:
         # feasibility eigensolve
         assert counts["eigh"] <= 1
         assert counts["eigvalsh"] <= 5
+        # hermiticity is measured on each state and POVM element as input,
+        # on sum_i rho_i E_i before symmetrising, and on K
+        assert counts["hermiticity_defect"] <= 2 * N + 2
 
     def test_given_coefficients_decomposes_each_average_once(self, monkeypatch):
         d, N = 2, 3
