@@ -13,9 +13,19 @@ also holds complex matrices, such as a state conjugated by a Haar unitary.
 Hermiticity is measured where it can fail. ``certificate`` measures
 sum_i sigma_i E_i before symmetrising it. Input states, measurements and
 dual candidates are measured when validated (``_check_psd``,
-``certify_optimality``). The other constructions are exactly symmetric as
-built (kron products and gathers of symmetric matrices, integer character
-sums, ``hermitize``), so nothing measures them again.
+``certify_optimality``), and non-finite entries are rejected there. The
+other constructions are exactly symmetric as built (kron products and
+gathers of symmetric matrices, integer character sums, ``hermitize``), so
+nothing measures them again.
+
+The states rho_i, the square-root measurement E_i, the steered states eta_i
+and the terms sigma_i E_i of the certificate are port orbits: the images of
+their port-1 members under the swap Pi_i of ports 1 and i. Each is built at
+port 1 with one dense product and gathered to the other ports, but only
+when its inputs are an exact orbit, every member equal entry by entry to
+the gathered port-1 member (``_exact_port_orbit``); other inputs are built
+element by element. An exact orbit is also validated by its port-1 member
+alone.
 
 The dual candidate comes from the measurement under test: K = sum_i p_i
 sigma_i E_i, with E the square-root measurement of the unsteered rho_i and
@@ -26,11 +36,12 @@ K's spectrum with the closed-form block values. Feasibility takes one
 eigensolve: the N constraints are one orbit under the port transpositions,
 so K - p_1 sigma_1 is decomposed once and every other constraint is compared
 with its transposed image (``_port_orbit_bound``), the measured defect
-lowering the reported bound. The states and the measurement are validated
-with the same bound (``_check_psd``), decomposing a port only when its bound
-fails. ``verify --d 2 --N 8`` thus takes 6 dense eigendecompositions: the
-average state, port 1 of the states and of the measurement, the two spectra
-and the feasibility solve.
+lowering the reported bound. States and measurements that are not an exact
+orbit are validated with the same bound (``_check_psd``), decomposing a port
+only when its bound fails. ``verify --d 2 --N 8`` thus takes 6 dense
+eigendecompositions (the average state, port 1 of the states and of the
+measurement, the two spectra and the feasibility solve), 4 hermiticity
+measurements and one ``build_rho``.
 
 Tensor-factor convention: the N port slots A_1..A_N come first and the single
 B slot is last, with row-major index fusion (np.kron order). Permutations act
@@ -45,7 +56,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
@@ -142,14 +153,20 @@ def hermitize(matrix: np.ndarray) -> np.ndarray:
 def slot_gather(dims: tuple[int, ...], order) -> np.ndarray:
     """Flat index map of a tensor-slot permutation on slots of sizes ``dims``:
     ``v[slot_gather(dims, order)]`` is ``v`` with new slot j holding old slot
-    ``order[j]``, and ``M[np.ix_(g, g)]`` reorders both sides of a matrix.
+    ``order[j]``, and ``_gather_both(M, g)`` reorders both sides of a matrix.
     Every slot rearrangement in this module is such a gather."""
     return np.arange(math.prod(dims)).reshape(dims).transpose(order).ravel()
 
 
+def _gather_both(matrix: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``matrix[np.ix_(g, g)]``, taken as two one-axis gathers: the same
+    entries in about half the time of the two-axis fancy index."""
+    return matrix.take(g, axis=0).take(g, axis=1)
+
+
 def _port_swaps(d: int, N: int) -> list[np.ndarray]:
     """Index gathers g_i, i = 2..N, of the transposition Pi_i of ports 1 and i
-    on (C^d)^(N+1): M[np.ix_(g_i, g_i)] is Pi_i M Pi_i^T."""
+    on (C^d)^(N+1): _gather_both(M, g_i) is Pi_i M Pi_i^T."""
     gathers = []
     for k in range(1, N):
         order = list(range(N + 1))
@@ -177,42 +194,76 @@ def _port_orbit_bound(
     the port symmetry is measured, not assumed."""
     low = float(np.linalg.eigvalsh(first).min())
     defects = [
-        float(np.linalg.norm(first[np.ix_(g, g)] - other))
+        float(np.linalg.norm(_gather_both(first, g) - other))
         for g, other in zip(_port_swaps(dims[0], len(dims) - 1), others)
     ]
     return low, defects
 
 
-def _check_psd(operators: list[DenseOperator], tol: float, name: str) -> None:
-    """Raise ValueError unless every operator is hermitian and positive
-    semidefinite to within ``tol``, naming the first failing one and its
-    own smallest eigenvalue.
+def _exact_port_orbit(operators: list[DenseOperator]) -> list[np.ndarray] | None:
+    """The port-swap gathers g_k (``_port_swaps``) when the operators are an
+    exact port orbit: N operators on (C^d)^(N+1) (``_port_layout``) with every
+    M_k, k >= 2, equal entry by entry to Pi_k M_1 Pi_k^T (``_gather_both``).
+    None for any other layout, and whenever one entry differs: the symmetry
+    is measured, never assumed. A non-finite entry never compares equal."""
+    d = _port_layout(operators)
+    if d is None:
+        return None
+    gathers = _port_swaps(d, len(operators))
+    first = operators[0].matrix
+    others = zip(gathers, operators[1:])
+    if all(np.array_equal(_gather_both(first, g), op.matrix) for g, op in others):
+        return gathers
+    return None
 
-    A port orbit (``_port_layout``) takes one ``eigvalsh``, of M_1
+
+def _orbit_images(first: DenseOperator, gathers: list[np.ndarray]) -> list[DenseOperator]:
+    """M_1 followed by its images Pi_k M_1 Pi_k^T under the port-swap gathers."""
+    images = (_gather_both(first.matrix, g) for g in gathers)
+    return [first] + [DenseOperator(m, first.factor_dims) for m in images]
+
+
+def _check_psd(operators: list[DenseOperator], tol: float, name: str) -> list[np.ndarray] | None:
+    """Raise ValueError unless every operator is finite, hermitian and
+    positive semidefinite to within ``tol``, naming the first failing one and
+    its own smallest eigenvalue. Returns the operators' exact port-orbit
+    gathers (``_exact_port_orbit``), None when they are not one.
+
+    An exact port orbit is validated by M_1 alone: every M_k is a
+    permutation similarity of M_1, with the same entries, spectrum and
+    hermiticity defect, so one defect and one ``eigvalsh`` decide for all.
+
+    Any other port layout (``_port_layout``) takes one ``eigvalsh``, of M_1
     (``_port_orbit_bound``). M_k is accepted when lambda_min(M_1) - delta_k -
     dim * (h_1 + h_k) / 2 is at least -tol, the last term covering the
     entrywise hermiticity defects h because ``eigvalsh`` reads one triangle.
     Otherwise, and for any other layout, M_k is decomposed, so exactly the
     operators that pass a per-operator eigensolve are accepted.
     """
-    herm = [hermiticity_defect(op.matrix) for op in operators]
+    orbit = _exact_port_orbit(operators)
+    checked = operators if orbit is None else operators[:1]
+    for k, op in enumerate(checked):
+        if not np.isfinite(op.matrix).all():
+            raise ValueError(f"{name} {k} has non-finite entries")
+    herm = [hermiticity_defect(op.matrix) for op in checked]
     for k, defect in enumerate(herm):
-        if defect > tol:
+        if not defect <= tol:
             raise ValueError(f"{name} {k} not hermitian (defect {defect:.3e})")
-    lows = [-math.inf] * len(operators)
-    if _port_layout(operators) is not None:
+    lows = [-math.inf] * len(checked)
+    if orbit is None and _port_layout(operators) is not None:
         low_first, defects = _port_orbit_bound(
             operators[0].matrix, (op.matrix for op in operators[1:]), operators[0].factor_dims
         )
         lows[0] = low_first
         for k, defect in enumerate(defects, start=1):
             lows[k] = low_first - defect - operators[k].dim * (herm[0] + herm[k]) / 2
-    for k, (op, low) in enumerate(zip(operators, lows)):
+    for k, (op, low) in enumerate(zip(checked, lows)):
         # a failing M_1 is decomposed again here, on its way to the error
-        if low < -tol:
+        if not low >= -tol:
             low = float(np.linalg.eigvalsh(op.matrix).min())
-            if low < -tol:
+            if not low >= -tol:
                 raise ValueError(f"{name} {k} not PSD (min eig {low:.3e})")
+    return orbit
 
 
 def permutation_operator(perm: tuple[int, ...], d: int) -> np.ndarray:
@@ -229,7 +280,7 @@ def reorder_factors(
 ) -> np.ndarray:
     """Reorder tensor slots; ``new_order[j]`` is the old slot at new position j."""
     g = slot_gather(dims, new_order)
-    return matrix[np.ix_(g, g)]
+    return _gather_both(matrix, g)
 
 
 def embed_operator(
@@ -304,20 +355,23 @@ class Ensemble:
 
     states: list[DenseOperator]
     probs: list[float]
+    # the exact port-orbit gathers of the states, measured on validation
+    _port_orbit: list[np.ndarray] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.states) != len(self.probs):
             raise ValueError("states and probs must have equal length")
-        if any(p < 0 for p in self.probs):
-            raise ValueError("probabilities must be nonnegative")
+        if not all(math.isfinite(p) and p >= 0 for p in self.probs):
+            raise ValueError("probabilities must be finite and nonnegative")
         total = math.fsum(self.probs)
-        if abs(total - 1.0) > 1e-14:
+        if not abs(total - 1.0) <= 1e-14:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
+        _check_factor_dims(self.states, self.states[0].factor_dims, "state")
+        self._port_orbit = _check_psd(self.states, 1e-12, "state")
         for k, st in enumerate(self.states):
             tr = np.trace(st.matrix)
-            if abs(tr - 1.0) > 1e-12:
+            if not abs(tr - 1.0) <= 1e-12:
                 raise ValueError(f"state {k} has trace {tr}")
-        _check_psd(self.states, 1e-12, "state")
 
     @property
     def factor_dims(self) -> tuple[int, ...]:
@@ -331,8 +385,9 @@ class Ensemble:
 
 
 def pbt_ensemble(d: int, N: int) -> Ensemble:
-    """The uniform ensemble of the N discrimination states rho_i."""
-    return Ensemble([build_rho(d, N, i) for i in range(1, N + 1)], [1.0 / N] * N)
+    """The uniform ensemble of the N discrimination states rho_i: rho_1 and
+    its images under the port swaps, equal entry by entry to ``build_rho``."""
+    return Ensemble(_orbit_images(build_rho(d, N, 1), _port_swaps(d, N)), [1.0 / N] * N)
 
 
 def average_state(ensemble: Ensemble, normalized: bool = False) -> DenseOperator:
@@ -367,20 +422,24 @@ def pretty_good_measurement(ensemble: Ensemble) -> list[DenseOperator]:
     """Square-root measurement E_i = avg^(-1/2) p_i rho_i avg^(-1/2).
 
     The elements form a POVM on the support of the ensemble average; off
-    that support they are zero.
+    that support they are zero. Equally likely states forming an exact port
+    orbit give an orbit: E_1 is built and E_k gathered from it.
     """
     inv_sqrt, _ = ensemble._average_decomposition
-    return [
+    orbit = ensemble._port_orbit if len(set(ensemble.probs)) == 1 else None
+    states = ensemble.states if orbit is None else ensemble.states[:1]
+    povm = [
         DenseOperator(hermitize(inv_sqrt @ (p * st.matrix) @ inv_sqrt), ensemble.factor_dims)
-        for p, st in zip(ensemble.probs, ensemble.states)
+        for p, st in zip(ensemble.probs, states)
     ]
+    return povm if orbit is None else _orbit_images(povm[0], orbit)
 
 
-def _check_factor_dims(povm: list[DenseOperator], dims: tuple[int, ...]) -> None:
-    """Raise ValueError naming the first POVM element not acting on ``dims``."""
-    for k, e in enumerate(povm):
-        if e.factor_dims != dims:
-            raise ValueError(f"POVM element {k} acts on factor dims {e.factor_dims}, not {dims}")
+def _check_factor_dims(operators: list[DenseOperator], dims: tuple[int, ...], name: str) -> None:
+    """Raise ValueError naming the first operator not acting on ``dims``."""
+    for k, op in enumerate(operators):
+        if op.factor_dims != dims:
+            raise ValueError(f"{name} {k} acts on factor dims {op.factor_dims}, not {dims}")
 
 
 def success_probability(ensemble: Ensemble, povm: list[DenseOperator]) -> float:
@@ -391,12 +450,12 @@ def success_probability(ensemble: Ensemble, povm: list[DenseOperator]) -> float:
     """
     if len(povm) != len(ensemble.states):
         raise ValueError("POVM length does not match the ensemble")
-    _check_factor_dims(povm, ensemble.factor_dims)
+    _check_factor_dims(povm, ensemble.factor_dims, "POVM element")
     _check_psd(povm, POVM_TOL, "POVM element")
     _, support = ensemble._average_decomposition
     total = sum(e.matrix for e in povm)
     defect = float(np.max(np.abs(support @ (total - np.eye(total.shape[0])) @ support)))
-    if defect > POVM_TOL:
+    if not defect <= POVM_TOL:
         raise ValueError(
             f"POVM incomplete on the ensemble support (defect {defect:.3e})"
         )
@@ -485,11 +544,16 @@ def build_port_operator(d: int, N: int, coefficients: PortCoefficients) -> Dense
 def _steered_states(
     d: int, N: int, coefficients: PortCoefficients, rhos: list[DenseOperator]
 ) -> list[DenseOperator]:
-    """(O x 1_B) rho (O x 1_B) for each of the given states, with O built once."""
+    """(O x 1_B) rho (O x 1_B) for each of the given states, with O built
+    once; for an exact port orbit of states, eta_1 is built and eta_k
+    gathered from it."""
     lifted = np.kron(build_port_operator(d, N, coefficients).matrix, np.eye(d))
-    return [
-        DenseOperator(hermitize(lifted @ rho.matrix @ lifted), rho.factor_dims) for rho in rhos
+    orbit = _exact_port_orbit(rhos)
+    etas = [
+        DenseOperator(hermitize(lifted @ rho.matrix @ lifted), rho.factor_dims)
+        for rho in (rhos if orbit is None else rhos[:1])
     ]
+    return etas if orbit is None else _orbit_images(etas[0], orbit)
 
 
 def build_eta(d: int, N: int, i: int, coefficients: PortCoefficients) -> DenseOperator:
@@ -511,10 +575,17 @@ def eta_ensemble(d: int, N: int, coefficients: PortCoefficients) -> Ensemble:
 def certificate(states: list[DenseOperator], povm: list[DenseOperator]) -> DenseOperator:
     """sum_i sigma_i E_i: the dual candidate of the measurement E against the
     states sigma_i, Hermitised after its defect is checked. For a uniform
-    ensemble of n states it is n times K = sum_i p_i sigma_i E_i."""
-    acc = sum(st.matrix @ e.matrix for st, e in zip(states, povm))
+    ensemble of n states it is n times K = sum_i p_i sigma_i E_i. When both
+    lists are exact port orbits, sigma_k E_k = Pi_k sigma_1 E_1 Pi_k^T: one
+    product and its gathered images."""
+    orbit = _exact_port_orbit(states)
+    if orbit is not None and _exact_port_orbit(povm) is not None:
+        first = states[0].matrix @ povm[0].matrix
+        acc = sum((_gather_both(first, g) for g in orbit), first)
+    else:
+        acc = sum(st.matrix @ e.matrix for st, e in zip(states, povm))
     defect = hermiticity_defect(acc)
-    if defect > HERMITICITY_TOL:
+    if not defect <= HERMITICITY_TOL:
         raise AssertionError(f"certificate defect {defect:.3e} above tolerance")
     return DenseOperator(hermitize(acc), states[0].factor_dims)
 
@@ -567,7 +638,9 @@ def certify_optimality(
     A failed certificate is a valid negative result; nothing raises unless
     the inputs are malformed.
     """
-    if hermiticity_defect(K.matrix) > HERMITICITY_TOL:
+    if not np.isfinite(K.matrix).all():
+        raise ValueError("dual candidate K has non-finite entries")
+    if not hermiticity_defect(K.matrix) <= HERMITICITY_TOL:
         raise ValueError("dual candidate K must be hermitian")
     dims, N = ensemble.factor_dims, len(ensemble.states)
     if _port_layout(ensemble.states) is None or K.factor_dims != dims:
@@ -637,7 +710,7 @@ def teleportation_fidelity_direct(
         )
     if len(povm) != N:
         raise ValueError(f"need one POVM element per port, got {len(povm)}")
-    _check_factor_dims(povm, (d,) * (N + 1))
+    _check_factor_dims(povm, (d,) * (N + 1), "POVM element")
     _check_psd(povm, POVM_TOL, "POVM element")
     dims = (d,) * (2 * N + 2)
     psi = np.kron(maximally_entangled_vector(d), port_state_vector(d, N, coefficients))

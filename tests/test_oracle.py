@@ -1,10 +1,12 @@
 """Dense ground truth: states, measurements, projectors, certificates, channel."""
 
+import ast
 import functools
 import itertools
 import math
 import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,6 +361,143 @@ def shifted_down(op, shift):
     return DenseOperator((m + m.conj().T) / 2, op.factor_dims)
 
 
+def with_entry(op, value, k=0, j=1):
+    """The operator with entry (k, j) set to ``value``."""
+    m = op.matrix.copy()
+    m[k, j] = value
+    return DenseOperator(m, op.factor_dims)
+
+
+class TestEnsembleValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_probability_rejected(self, bad):
+        states = list(cached_ensemble(2, 2).states)
+        with pytest.raises(ValueError, match="^probabilities must be finite and nonnegative$"):
+            Ensemble(states, [bad, 1.0])
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_non_finite_state_rejected(self, k):
+        ens = cached_ensemble(2, 4)
+        states = list(ens.states)
+        states[k] = with_entry(states[k], math.nan)
+        with pytest.raises(ValueError, match=rf"^state {k} has non-finite entries$"):
+            Ensemble(states, list(ens.probs))
+
+    @pytest.mark.parametrize("dims", [(4,), (2, 2, 2)])
+    def test_states_on_other_factor_dims_rejected(self, dims):
+        # (4,) has the size of (2, 2) but not its tensor structure
+        dim = math.prod(dims)
+        states = [
+            DenseOperator(np.eye(4) / 4, (2, 2)),
+            DenseOperator(np.eye(dim) / dim, dims),
+        ]
+        message = f"state 1 acts on factor dims {dims}, not (2, 2)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Ensemble(states, [0.5, 0.5])
+
+
+def per_element_pgm(ensemble):
+    """E_k = S p_k sigma_k S, S the pseudo-inverse square root of the
+    average, one product per element."""
+    inv_sqrt, _ = ensemble._average_decomposition
+    return [
+        oracle_mod.hermitize(inv_sqrt @ (p * st.matrix) @ inv_sqrt)
+        for p, st in zip(ensemble.probs, ensemble.states)
+    ]
+
+
+class TestOrbitConstruction:
+    """rho, the PGM, eta and the certificate are built at port 1 and gathered
+    to the other ports when their inputs are exact port orbits."""
+
+    @pytest.mark.parametrize("dn", ORACLE_GRID)
+    def test_gathered_states_equal_build_rho(self, dn):
+        d, N = dn
+        ens = cached_ensemble(d, N)
+        for k, st in enumerate(ens.states):
+            assert np.array_equal(st.matrix, build_rho(d, N, k + 1).matrix)
+        assert ens._port_orbit is not None
+
+    @pytest.mark.parametrize("dn", ORACLE_GRID)
+    def test_gathered_pgm_and_eta_match_the_per_element_formula(self, dn):
+        d, N = dn
+        ens = cached_ensemble(d, N)
+        povm = list(cached_pgm(d, N))
+        # both exact orbits, so certificate_X gathers sigma_1 E_1 as well
+        assert oracle_mod._exact_port_orbit(povm) is not None
+        for e, reference in zip(povm, per_element_pgm(ens)):
+            assert np.max(np.abs(e.matrix - reference)) <= 1e-13
+        c = random_valid_coefficients(d, N, np.random.default_rng(79))
+        etas = oracle_mod._steered_states(d, N, c, ens.states)
+        assert oracle_mod._exact_port_orbit(etas) is not None
+        lifted = np.kron(build_port_operator(d, N, c).matrix, np.eye(d))
+        for eta, rho in zip(etas, ens.states):
+            reference = oracle_mod.hermitize(lifted @ rho.matrix @ lifted)
+            assert np.max(np.abs(eta.matrix - reference)) <= 1e-13
+
+    def test_unequal_probabilities_take_the_per_element_path(self, monkeypatch):
+        d, N = 2, 3
+        states = list(cached_ensemble(d, N).states)
+        ens = Ensemble(states, [0.5, 0.3, 0.2])
+        assert ens._port_orbit is not None
+        povm = pretty_good_measurement(ens)
+        assert oracle_mod._exact_port_orbit(povm) is None
+        for e, reference in zip(povm, per_element_pgm(ens)):
+            assert np.array_equal(e.matrix, reference)
+        counts = count_eigensolves(monkeypatch)
+        ps = success_probability(ens, povm)
+        assert -1e-10 <= ps <= 1 + 1e-10
+        # port 1 of the POVM by eigvalsh, the other ports by Weyl or eigvalsh
+        assert 1 <= counts["eigvalsh"] <= N
+
+    def test_state_perturbed_at_one_port_takes_the_per_element_path(self):
+        d, N = 2, 3
+        ens = cached_ensemble(d, N)
+        states = list(ens.states)
+        dim = states[1].dim
+        mixed = 0.99 * states[1].matrix + 0.01 * np.eye(dim) / dim
+        states[1] = DenseOperator(mixed, states[1].factor_dims)
+        perturbed = Ensemble(states, list(ens.probs))
+        assert perturbed._port_orbit is None
+        povm = pretty_good_measurement(perturbed)
+        for e, reference in zip(povm, per_element_pgm(perturbed)):
+            assert np.array_equal(e.matrix, reference)
+        unperturbed = success_probability(ens, list(cached_pgm(d, N)))
+        assert success_probability(perturbed, povm) < unperturbed
+        c = random_valid_coefficients(d, N, np.random.default_rng(83))
+        etas = oracle_mod._steered_states(d, N, c, states)
+        assert oracle_mod._exact_port_orbit(etas) is None
+
+    def test_complex_haar_orbit_takes_the_per_element_path(self):
+        d, N = 2, 3
+        V = lift_unitary(haar_unitary(d, np.random.default_rng(HAAR_SEED)), N)
+        states = []
+        for st in cached_ensemble(d, N).states:
+            m = V @ st.matrix @ V.conj().T
+            states.append(DenseOperator((m + m.conj().T) / 2, st.factor_dims))
+        ens = Ensemble(states, [1 / N] * N)
+        assert ens._port_orbit is None
+        povm = pretty_good_measurement(ens)
+        for e, reference in zip(povm, per_element_pgm(ens)):
+            assert np.array_equal(e.matrix, reference)
+        assert success_probability(ens, povm) == pytest.approx(
+            fidelity_standard(d, N).success_probability, abs=1e-12
+        )
+        cert = oracle_mod.certificate(ens.states, povm)
+        reference = sum(st.matrix @ e.matrix for st, e in zip(ens.states, povm))
+        assert np.array_equal(cert.matrix, oracle_mod.hermitize(reference))
+
+    def test_exact_non_psd_orbit_named_at_port_one(self, monkeypatch):
+        d, N = 2, 4
+        first = shifted_down(cached_ensemble(d, N).states[0], 0.02)
+        states = oracle_mod._orbit_images(first, oracle_mod._port_swaps(d, N))
+        low = np.linalg.eigvalsh(first.matrix).min()
+        counts = count_eigensolves(monkeypatch)
+        with pytest.raises(ValueError, match=rf"^state 0 not PSD \(min eig {low:.3e}\)$"):
+            Ensemble(states, [1 / N] * N)
+        assert counts == {"eigvalsh": 1}
+
+
 class TestOrbitValidation:
     """States and POVMs on the port layout take one eigensolve for port 1;
     the other ports are accepted by their measured swap defects, or else
@@ -415,6 +554,16 @@ class TestOrbitValidation:
         states[k] = with_asymmetry(states[k], 1e-3)
         with pytest.raises(ValueError, match=rf"^state {k} not hermitian \(defect 1\.000e-03\)$"):
             Ensemble(states, list(ens.probs))
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_non_finite_povm_element_rejected(self, k):
+        povm = list(cached_pgm(2, 4))
+        povm[k] = with_entry(povm[k], math.nan)
+        message = rf"^POVM element {k} has non-finite entries$"
+        with pytest.raises(ValueError, match=message):
+            success_probability(cached_ensemble(2, 4), povm)
+        with pytest.raises(ValueError, match=message):
+            teleportation_fidelity_direct(2, 4, povm)
 
     @pytest.mark.parametrize("k", [0, 2])
     def test_non_hermitian_povm_element_rejected(self, k):
@@ -948,6 +1097,13 @@ class TestCertifyOptimality:
         assert report.certified
         assert counts == {"eigvalsh": 1}
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_candidate_rejected(self, bad):
+        X = cached_certificate_x(2, 2)
+        K = with_entry(DenseOperator(X.matrix / 2, X.factor_dims), bad, 3, 3)
+        with pytest.raises(ValueError, match="^dual candidate K has non-finite entries$"):
+            certify_optimality(cached_ensemble(2, 2), list(cached_pgm(2, 2)), K)
+
     def test_non_hermitian_candidate_rejected(self):
         ens = cached_ensemble(2, 2)
         dim = ens.states[0].dim
@@ -1053,15 +1209,16 @@ class TestVerificationBundle:
         counts = count_eigensolves(monkeypatch, hermiticity=True)
         checks = run_verification(d, N, "standard")
         assert all(c.passed for c in checks)
-        assert built == {"rho": N, "success_probability": 1}
+        # rho_1 is built, rho_2..rho_N are its gathered images
+        assert built == {"rho": 1, "success_probability": 1}
         # one eigh of the average state; eigvalsh: port 1 of the states and of
-        # the POVM (the other ports by their swap defects), two spectra, one
+        # the POVM (exact orbits, validated by port 1), two spectra, one
         # feasibility eigensolve
         assert counts["eigh"] <= 1
         assert counts["eigvalsh"] <= 5
-        # hermiticity is measured on each state and POVM element as input,
-        # on sum_i rho_i E_i before symmetrising, and on K
-        assert counts["hermiticity_defect"] <= 2 * N + 2
+        # hermiticity is measured on port 1 of the states and of the POVM, on
+        # sum_i rho_i E_i before symmetrising, and on K
+        assert counts["hermiticity_defect"] <= 4
 
     def test_given_coefficients_decomposes_each_average_once(self, monkeypatch):
         d, N = 2, 3
@@ -1080,3 +1237,25 @@ class TestVerificationBundle:
             run_verification(2, 2, "bogus")
         with pytest.raises(ValueError):
             run_verification(2, 2, "given-coefficients", None)
+
+
+def test_oracle_imports_only_the_pinned_fidelity_names():
+    # the oracle is an independent ground truth: it may call the formula side
+    # only to compare with it, never for a shortcut in its own constructions
+    tree = ast.parse(Path(oracle_mod.__file__).read_text())
+    from_fidelity = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module in (".fidelity", "pbtfid.fidelity"):
+                from_fidelity |= {alias.name for alias in node.names}
+            else:
+                assert "fidelity" not in {alias.name for alias in node.names}, module
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("pbtfid") for alias in node.names)
+    assert from_fidelity == {
+        "PortCoefficients",
+        "block_spectrum",
+        "fidelity_given_coefficients",
+        "fidelity_standard",
+    }
