@@ -22,10 +22,14 @@ The states rho_i, the square-root measurement E_i, the steered states eta_i
 and the terms sigma_i E_i of the certificate are port orbits: the images of
 their port-1 members under the swap Pi_i of ports 1 and i. Each is built at
 port 1 with one dense product and gathered to the other ports, but only
-when its inputs are an exact orbit, every member equal entry by entry to
-the gathered port-1 member (``_exact_port_orbit``); other inputs are built
-element by element. An exact orbit is also validated by its port-1 member
-alone.
+when its inputs are measured to allow it; other inputs are built element by
+element. The states must be an exact orbit, every member equal entry by
+entry to the gathered port-1 member (``_swap_defects``, measured once when
+the ``Ensemble`` is validated). The square-root measurement also needs the
+average to commute with every Pi_k, so rho_1 must also equal its image
+under every permutation of ports 2..N (``Ensemble._symmetric_orbit``): an
+exact orbit of a rho_1 without that symmetry has an average that the swaps
+change. An exact orbit is validated by its port-1 member alone.
 
 The dual candidate comes from the measurement under test: K = sum_i p_i
 sigma_i E_i, with E the square-root measurement of the unsteered rho_i and
@@ -35,7 +39,7 @@ the substantive checks are feasibility (K >= p_i sigma_i) and the match of
 K's spectrum with the closed-form block values. Feasibility takes one
 eigensolve: the N constraints are one orbit under the port transpositions,
 so K - p_1 sigma_1 is decomposed once and every other constraint is compared
-with its transposed image (``_port_orbit_bound``), the measured defect
+with its transposed image (``_swap_defects``), the measured defect
 lowering the reported bound. States and measurements that are not an exact
 orbit are validated with the same bound (``_check_psd``), decomposing a port
 only when its bound fails. ``verify --d 2 --N 8`` thus takes 6 dense
@@ -175,6 +179,19 @@ def _port_swaps(d: int, N: int) -> list[np.ndarray]:
     return gathers
 
 
+def _port_1_stabilizer(d: int, N: int) -> list[np.ndarray]:
+    """Index gathers on (C^d)^(N+1) of the swap of ports 2 and 3 and of the
+    cycle of ports 2..N, which together generate every permutation of ports
+    2..N: an operator equal to its gathered images under these equals its
+    image under each such permutation."""
+    if N < 3:
+        return []
+    swap = [0, 2, 1] + list(range(3, N + 1))
+    cycle = [0] + list(range(2, N)) + [1, N]
+    orders = [swap] if N == 3 else [swap, cycle]
+    return [slot_gather((d,) * (N + 1), order) for order in orders]
+
+
 def _port_layout(operators: list[DenseOperator]) -> int | None:
     """d when the operators are N operators on (C^d)^(N+1), the N port slots
     and B, so that operator i belongs to port i; None for any other layout."""
@@ -184,37 +201,27 @@ def _port_layout(operators: list[DenseOperator]) -> int | None:
     return None
 
 
-def _port_orbit_bound(
+def _swap_defects(
     first: np.ndarray, others, dims: tuple[int, ...]
-) -> tuple[float, list[float]]:
-    """lambda_min(M_1) and the swap defects delta_k = ||Pi_k M_1 Pi_k^T - M_k||_F
-    of ``first`` = M_1 and ``others`` = M_2..M_N on ``dims`` = (d,) * (N + 1),
-    Pi_k swapping ports 1 and k. By Weyl's inequality lambda_min(M_1) - delta_k
-    bounds lambda_min(M_k) below: one eigensolve serves the whole orbit, and
-    the port symmetry is measured, not assumed."""
-    low = float(np.linalg.eigvalsh(first).min())
-    defects = [
-        float(np.linalg.norm(_gather_both(first, g) - other))
-        for g, other in zip(_port_swaps(dims[0], len(dims) - 1), others)
-    ]
-    return low, defects
-
-
-def _exact_port_orbit(operators: list[DenseOperator]) -> list[np.ndarray] | None:
-    """The port-swap gathers g_k (``_port_swaps``) when the operators are an
-    exact port orbit: N operators on (C^d)^(N+1) (``_port_layout``) with every
-    M_k, k >= 2, equal entry by entry to Pi_k M_1 Pi_k^T (``_gather_both``).
-    None for any other layout, and whenever one entry differs: the symmetry
-    is measured, never assumed. A non-finite entry never compares equal."""
-    d = _port_layout(operators)
-    if d is None:
-        return None
-    gathers = _port_swaps(d, len(operators))
-    first = operators[0].matrix
-    others = zip(gathers, operators[1:])
-    if all(np.array_equal(_gather_both(first, g), op.matrix) for g, op in others):
-        return gathers
-    return None
+) -> tuple[list[np.ndarray], list[float], bool]:
+    """The port-swap gathers g_k of ``dims`` = (d,) * (N + 1), the swap
+    defects delta_k = ||Pi_k M_1 Pi_k^T - M_k||_F of ``first`` = M_1 and
+    ``others`` = M_2..M_N, and whether the operators are an exact port orbit:
+    every difference zero entry by entry, which a non-finite entry never is.
+    Each gathered image is formed once. By Weyl's inequality
+    lambda_min(M_1) - delta_k bounds lambda_min(M_k) below, so one eigensolve
+    serves the whole orbit, and the port symmetry is measured, not assumed."""
+    gathers = _port_swaps(dims[0], len(dims) - 1)
+    defects, exact = [], True
+    for g, other in zip(gathers, others):
+        diff = _gather_both(first, g) - other
+        if diff.any():
+            exact = False
+            defects.append(float(np.linalg.norm(diff)))
+        else:
+            defects.append(0.0)
+        del diff  # freed before the next image and operator are formed
+    return gathers, defects, exact
 
 
 def _orbit_images(first: DenseOperator, gathers: list[np.ndarray]) -> list[DenseOperator]:
@@ -226,22 +233,25 @@ def _orbit_images(first: DenseOperator, gathers: list[np.ndarray]) -> list[Dense
 def _check_psd(operators: list[DenseOperator], tol: float, name: str) -> list[np.ndarray] | None:
     """Raise ValueError unless every operator is finite, hermitian and
     positive semidefinite to within ``tol``, naming the first failing one and
-    its own smallest eigenvalue. Returns the operators' exact port-orbit
-    gathers (``_exact_port_orbit``), None when they are not one.
+    its own smallest eigenvalue. Returns the port-swap gathers when the
+    operators are an exact port orbit (``_swap_defects``), else None.
 
-    An exact port orbit is validated by M_1 alone: every M_k is a
-    permutation similarity of M_1, with the same entries, spectrum and
-    hermiticity defect, so one defect and one ``eigvalsh`` decide for all.
-
-    Any other port layout (``_port_layout``) takes one ``eigvalsh``, of M_1
-    (``_port_orbit_bound``). M_k is accepted when lambda_min(M_1) - delta_k -
-    dim * (h_1 + h_k) / 2 is at least -tol, the last term covering the
-    entrywise hermiticity defects h because ``eigvalsh`` reads one triangle.
-    Otherwise, and for any other layout, M_k is decomposed, so exactly the
-    operators that pass a per-operator eigensolve are accepted.
+    On the port layout (``_port_layout``) M_1 takes one ``eigvalsh`` and M_k
+    is accepted when lambda_min(M_1) - delta_k - dim * (h_1 + h_k) / 2 is at
+    least -tol, the last term covering the entrywise hermiticity defects h
+    because ``eigvalsh`` reads one triangle. An exact orbit has every
+    delta_k = 0, and every M_k is a permutation similarity of M_1, with its
+    entries and its defect h_k = h_1: M_1 alone is checked for finiteness and
+    hermiticity. An M_k that fails its bound, and any operator of another
+    layout, is decomposed itself, so exactly the operators that pass a
+    per-operator eigensolve are accepted.
     """
-    orbit = _exact_port_orbit(operators)
-    checked = operators if orbit is None else operators[:1]
+    orbit = None
+    if _port_layout(operators) is not None:
+        others = (op.matrix for op in operators[1:])
+        orbit = _swap_defects(operators[0].matrix, others, operators[0].factor_dims)
+    exact = orbit is not None and orbit[2]
+    checked = operators[:1] if exact else operators
     for k, op in enumerate(checked):
         if not np.isfinite(op.matrix).all():
             raise ValueError(f"{name} {k} has non-finite entries")
@@ -249,21 +259,19 @@ def _check_psd(operators: list[DenseOperator], tol: float, name: str) -> list[np
     for k, defect in enumerate(herm):
         if not defect <= tol:
             raise ValueError(f"{name} {k} not hermitian (defect {defect:.3e})")
-    lows = [-math.inf] * len(checked)
-    if orbit is None and _port_layout(operators) is not None:
-        low_first, defects = _port_orbit_bound(
-            operators[0].matrix, (op.matrix for op in operators[1:]), operators[0].factor_dims
-        )
-        lows[0] = low_first
-        for k, defect in enumerate(defects, start=1):
-            lows[k] = low_first - defect - operators[k].dim * (herm[0] + herm[k]) / 2
-    for k, (op, low) in enumerate(zip(checked, lows)):
-        # a failing M_1 is decomposed again here, on its way to the error
-        if not low >= -tol:
+    herm = herm * len(operators) if exact else herm
+    lows = [-math.inf] * len(operators)
+    if orbit is not None:
+        lows[0] = float(np.linalg.eigvalsh(operators[0].matrix).min())
+        for k, defect in enumerate(orbit[1], start=1):
+            lows[k] = lows[0] - defect - operators[k].dim * (herm[0] + herm[k]) / 2
+    for k, (op, low) in enumerate(zip(operators, lows)):
+        # a bound, or no value yet: decompose the operator itself
+        if not low >= -tol and (k > 0 or orbit is None):
             low = float(np.linalg.eigvalsh(op.matrix).min())
-            if not low >= -tol:
-                raise ValueError(f"{name} {k} not PSD (min eig {low:.3e})")
-    return orbit
+        if not low >= -tol:
+            raise ValueError(f"{name} {k} not PSD (min eig {low:.3e})")
+    return orbit[0] if exact else None
 
 
 def permutation_operator(perm: tuple[int, ...], d: int) -> np.ndarray:
@@ -378,6 +386,22 @@ class Ensemble:
         return self.states[0].factor_dims
 
     @cached_property
+    def _symmetric_orbit(self) -> list[np.ndarray] | None:
+        """The port-swap gathers when the ensemble is invariant under every
+        port permutation, else None: its states are an exact port orbit with
+        equal probabilities, and rho_1 equals its image under every
+        permutation of the ports 2..N entry by entry (``_port_1_stabilizer``).
+        Then each port permutation permutes the states, and the average
+        commutes with every Pi_k."""
+        if self._port_orbit is None or len(set(self.probs)) != 1:
+            return None
+        first = self.states[0].matrix
+        stabilizer = _port_1_stabilizer(self.factor_dims[0], len(self.states))
+        if all(np.array_equal(_gather_both(first, g), first) for g in stabilizer):
+            return self._port_orbit
+        return None
+
+    @cached_property
     def _average_decomposition(self) -> tuple[np.ndarray, np.ndarray]:
         """Pseudo-inverse square root and support projector of the
         probability-weighted average, computed on first use."""
@@ -422,11 +446,12 @@ def pretty_good_measurement(ensemble: Ensemble) -> list[DenseOperator]:
     """Square-root measurement E_i = avg^(-1/2) p_i rho_i avg^(-1/2).
 
     The elements form a POVM on the support of the ensemble average; off
-    that support they are zero. Equally likely states forming an exact port
-    orbit give an orbit: E_1 is built and E_k gathered from it.
+    that support they are zero. An ensemble invariant under every port
+    permutation (``Ensemble._symmetric_orbit``) has an average that commutes
+    with every Pi_k, so E_k = Pi_k E_1 Pi_k^T: E_1 is built and E_k gathered.
     """
     inv_sqrt, _ = ensemble._average_decomposition
-    orbit = ensemble._port_orbit if len(set(ensemble.probs)) == 1 else None
+    orbit = ensemble._symmetric_orbit
     states = ensemble.states if orbit is None else ensemble.states[:1]
     povm = [
         DenseOperator(hermitize(inv_sqrt @ (p * st.matrix) @ inv_sqrt), ensemble.factor_dims)
@@ -541,30 +566,37 @@ def build_port_operator(d: int, N: int, coefficients: PortCoefficients) -> Dense
     return DenseOperator(acc, (d,) * N)
 
 
+def _lifted_port_operator(d: int, N: int, coefficients: PortCoefficients) -> np.ndarray:
+    """O x 1_B on the discrimination space."""
+    return np.kron(build_port_operator(d, N, coefficients).matrix, np.eye(d))
+
+
+def _steer(lifted: np.ndarray, rho: DenseOperator) -> DenseOperator:
+    return DenseOperator(hermitize(lifted @ rho.matrix @ lifted), rho.factor_dims)
+
+
 def _steered_states(
-    d: int, N: int, coefficients: PortCoefficients, rhos: list[DenseOperator]
+    d: int, N: int, coefficients: PortCoefficients, ensemble: Ensemble
 ) -> list[DenseOperator]:
-    """(O x 1_B) rho (O x 1_B) for each of the given states, with O built
-    once; for an exact port orbit of states, eta_1 is built and eta_k
-    gathered from it."""
-    lifted = np.kron(build_port_operator(d, N, coefficients).matrix, np.eye(d))
-    orbit = _exact_port_orbit(rhos)
-    etas = [
-        DenseOperator(hermitize(lifted @ rho.matrix @ lifted), rho.factor_dims)
-        for rho in (rhos if orbit is None else rhos[:1])
-    ]
+    """(O x 1_B) rho (O x 1_B) for each state of the ensemble, with O built
+    once. O x 1_B commutes with every port permutation, so when the states
+    are an exact port orbit (``Ensemble._port_orbit``) eta_1 is built and
+    eta_k gathered from it."""
+    lifted = _lifted_port_operator(d, N, coefficients)
+    orbit = ensemble._port_orbit
+    rhos = ensemble.states if orbit is None else ensemble.states[:1]
+    etas = [_steer(lifted, rho) for rho in rhos]
     return etas if orbit is None else _orbit_images(etas[0], orbit)
 
 
 def build_eta(d: int, N: int, i: int, coefficients: PortCoefficients) -> DenseOperator:
     """Steered discrimination state eta_i = (O x 1_B) rho_i (O x 1_B)."""
-    return _steered_states(d, N, coefficients, [build_rho(d, N, i)])[0]
+    return _steer(_lifted_port_operator(d, N, coefficients), build_rho(d, N, i))
 
 
 def eta_ensemble(d: int, N: int, coefficients: PortCoefficients) -> Ensemble:
     """Uniform ensemble of the steered states eta_i."""
-    rhos = [build_rho(d, N, i) for i in range(1, N + 1)]
-    return Ensemble(_steered_states(d, N, coefficients, rhos), [1.0 / N] * N)
+    return Ensemble(_steered_states(d, N, coefficients, pbt_ensemble(d, N)), [1.0 / N] * N)
 
 
 # ---------------------------------------------------------------------------
@@ -572,14 +604,21 @@ def eta_ensemble(d: int, N: int, coefficients: PortCoefficients) -> Ensemble:
 # ---------------------------------------------------------------------------
 
 
-def certificate(states: list[DenseOperator], povm: list[DenseOperator]) -> DenseOperator:
+def certificate(
+    states: list[DenseOperator],
+    povm: list[DenseOperator],
+    orbit: list[np.ndarray] | None = None,
+) -> DenseOperator:
     """sum_i sigma_i E_i: the dual candidate of the measurement E against the
     states sigma_i, Hermitised after its defect is checked. For a uniform
-    ensemble of n states it is n times K = sum_i p_i sigma_i E_i. When both
-    lists are exact port orbits, sigma_k E_k = Pi_k sigma_1 E_1 Pi_k^T: one
-    product and its gathered images."""
-    orbit = _exact_port_orbit(states)
-    if orbit is not None and _exact_port_orbit(povm) is not None:
+    ensemble of n states it is n times K = sum_i p_i sigma_i E_i.
+
+    ``orbit`` is given by callers whose two lists were built as exact port
+    orbits under these port-swap gathers: the square-root measurement of an
+    ensemble with ``Ensemble._symmetric_orbit``, against its states or their
+    ``_steered_states``. Then sigma_k E_k = Pi_k sigma_1 E_1 Pi_k^T: one
+    product and its gathered images. Otherwise each term is its own product."""
+    if orbit is not None:
         first = states[0].matrix @ povm[0].matrix
         acc = sum((_gather_both(first, g) for g in orbit), first)
     else:
@@ -595,7 +634,7 @@ def certificate_X(d: int, N: int) -> DenseOperator:
     X/N is dual feasible and its trace over N equals that measurement's
     success probability."""
     ens = pbt_ensemble(d, N)
-    return certificate(ens.states, pretty_good_measurement(ens))
+    return certificate(ens.states, pretty_good_measurement(ens), ens._symmetric_orbit)
 
 
 def certificate_Y(d: int, N: int, coefficients: PortCoefficients) -> DenseOperator:
@@ -604,8 +643,8 @@ def certificate_Y(d: int, N: int, coefficients: PortCoefficients) -> DenseOperat
     check_oracle_size(d, N)
     coefficients.validate()
     ens = pbt_ensemble(d, N)
-    etas = _steered_states(d, N, coefficients, ens.states)
-    return certificate(etas, pretty_good_measurement(ens))
+    etas = _steered_states(d, N, coefficients, ens)
+    return certificate(etas, pretty_good_measurement(ens), ens._symmetric_orbit)
 
 
 @dataclass(frozen=True)
@@ -627,10 +666,10 @@ def certify_optimality(
     """Check that K is dual feasible and gap-free for the given measurement.
 
     The ensemble must be N port states on (C^d)^(N+1), state i belonging to
-    port i. Feasibility is ``_port_orbit_bound`` of the constraints
-    K - p_i sigma_i: lambda_min(K - p_1 sigma_1) - max_i delta_i bounds every
-    lambda_min(K - p_i sigma_i) below, so a K or an ensemble without the
-    port symmetry can only read as less feasible.
+    port i. Feasibility is the Weyl bound of ``_swap_defects`` on the
+    constraints K - p_i sigma_i: lambda_min(K - p_1 sigma_1) - max_i delta_i
+    bounds every lambda_min(K - p_i sigma_i) below, so a K or an ensemble
+    without the port symmetry can only read as less feasible.
 
     A K built by ``certificate`` from this measurement has no gap by
     construction; the gap still exposes a K that belongs to another one.
@@ -651,7 +690,9 @@ def certify_optimality(
     achieved = success_probability(ensemble, povm)
     dual_value = float(np.trace(K.matrix).real)
     constraints = (K.matrix - p * st.matrix for p, st in zip(ensemble.probs, ensemble.states))
-    low, defects = _port_orbit_bound(next(constraints), constraints, dims)
+    first = next(constraints)
+    low = float(np.linalg.eigvalsh(first).min())
+    _, defects, _ = _swap_defects(first, constraints, dims)
     swap_defect = max([0.0] + defects)
     feasibility = low - swap_defect
     gap = dual_value - achieved
@@ -825,11 +866,13 @@ def run_verification(
         if coefficients is None:
             raise ValueError(f"{mode} mode needs coefficients")
         formula = fidelity_given_coefficients(d, N, coefficients).fidelity
-        ens = Ensemble(_steered_states(d, N, coefficients, rho_ens.states), rho_ens.probs)
+        ens = Ensemble(_steered_states(d, N, coefficients, rho_ens), rho_ens.probs)
         cert_blocks = block_spectrum(d, N, "Y", coefficients)
     else:
         raise ValueError(f"unknown verification mode {mode!r}")
-    cert = certificate(ens.states, povm)
+    # a symmetric rho ensemble has a gathered measurement, and its states
+    # and their steered images are gathered orbits
+    cert = certificate(ens.states, povm, rho_ens._symmetric_orbit)
     report = certify_optimality(ens, povm, DenseOperator(cert.matrix / N, cert.factor_dims))
 
     record("formula_vs_oracle", abs(formula - report.success_probability * N / d**2), 1e-9)

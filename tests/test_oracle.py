@@ -151,7 +151,7 @@ class TestRealArithmetic:
             "pretty_good_measurement": pretty_good_measurement(ens)[0].matrix,
             "young_projector": young_projector((2, 1), d).matrix,
             "build_port_operator": build_port_operator(d, N, c).matrix,
-            "_steered_states": oracle_mod._steered_states(d, N, c, ens.states)[0].matrix,
+            "_steered_states": oracle_mod._steered_states(d, N, c, ens)[0].matrix,
             "certificate_X": certificate_X(d, N).matrix,
             "certificate_Y": certificate_Y(d, N, c).matrix,
             "port_state_vector": port_state_vector(d, N, None),
@@ -406,6 +406,12 @@ def per_element_pgm(ensemble):
     ]
 
 
+def is_exact_orbit(operators):
+    """Whether the operators are an exact port orbit, by ``_swap_defects``."""
+    others = (op.matrix for op in operators[1:])
+    return oracle_mod._swap_defects(operators[0].matrix, others, operators[0].factor_dims)[2]
+
+
 class TestOrbitConstruction:
     """rho, the PGM, eta and the certificate are built at port 1 and gathered
     to the other ports when their inputs are exact port orbits."""
@@ -423,13 +429,15 @@ class TestOrbitConstruction:
         d, N = dn
         ens = cached_ensemble(d, N)
         povm = list(cached_pgm(d, N))
-        # both exact orbits, so certificate_X gathers sigma_1 E_1 as well
-        assert oracle_mod._exact_port_orbit(povm) is not None
+        assert ens._symmetric_orbit is not None and is_exact_orbit(povm)
         for e, reference in zip(povm, per_element_pgm(ens)):
             assert np.max(np.abs(e.matrix - reference)) <= 1e-13
+        gathered = oracle_mod.certificate(ens.states, povm, ens._symmetric_orbit)
+        per_element = oracle_mod.certificate(ens.states, povm)
+        assert np.max(np.abs(gathered.matrix - per_element.matrix)) <= 1e-13
         c = random_valid_coefficients(d, N, np.random.default_rng(79))
-        etas = oracle_mod._steered_states(d, N, c, ens.states)
-        assert oracle_mod._exact_port_orbit(etas) is not None
+        etas = oracle_mod._steered_states(d, N, c, ens)
+        assert is_exact_orbit(etas)
         lifted = np.kron(build_port_operator(d, N, c).matrix, np.eye(d))
         for eta, rho in zip(etas, ens.states):
             reference = oracle_mod.hermitize(lifted @ rho.matrix @ lifted)
@@ -439,9 +447,9 @@ class TestOrbitConstruction:
         d, N = 2, 3
         states = list(cached_ensemble(d, N).states)
         ens = Ensemble(states, [0.5, 0.3, 0.2])
-        assert ens._port_orbit is not None
+        assert ens._port_orbit is not None and ens._symmetric_orbit is None
         povm = pretty_good_measurement(ens)
-        assert oracle_mod._exact_port_orbit(povm) is None
+        assert not is_exact_orbit(povm)
         for e, reference in zip(povm, per_element_pgm(ens)):
             assert np.array_equal(e.matrix, reference)
         counts = count_eigensolves(monkeypatch)
@@ -465,8 +473,37 @@ class TestOrbitConstruction:
         unperturbed = success_probability(ens, list(cached_pgm(d, N)))
         assert success_probability(perturbed, povm) < unperturbed
         c = random_valid_coefficients(d, N, np.random.default_rng(83))
-        etas = oracle_mod._steered_states(d, N, c, states)
-        assert oracle_mod._exact_port_orbit(etas) is None
+        etas = oracle_mod._steered_states(d, N, c, perturbed)
+        lifted = np.kron(build_port_operator(d, N, c).matrix, np.eye(d))
+        for eta, rho in zip(etas, states):
+            assert np.array_equal(eta.matrix, oracle_mod.hermitize(lifted @ rho.matrix @ lifted))
+
+    @pytest.mark.parametrize(
+        "ports, symmetric",
+        [("0+1", False), ("0++1", False), ("0+++", True)],
+    )
+    def test_orbit_of_a_product_state(self, ports, symmetric):
+        # rho_1 = |0><0| x |+><+| x |1><1| x 1/2 on (A_1, A_2, A_3, B) and
+        # its exact swap images: the average ~ abc + bac + cba is not
+        # invariant under the swap of ports 1 and 2 (cba -> bca), so the
+        # square-root measurement is not the orbit of E_1. "0++1" is
+        # invariant under the swap of ports 2 and 3 but not under the cycle
+        # of ports 2..4; "0+++" is invariant under every permutation of them
+        kets = {"0": np.diag([1.0, 0.0]), "1": np.diag([0.0, 1.0]), "+": np.full((2, 2), 0.5)}
+        d, N = 2, len(ports)
+        first = functools.reduce(np.kron, [kets[c] for c in ports] + [np.eye(2) / 2])
+        first = DenseOperator(first, (d,) * (N + 1))
+        ens = Ensemble(oracle_mod._orbit_images(first, oracle_mod._port_swaps(d, N)), [1 / N] * N)
+        assert ens._port_orbit is not None
+        assert (ens._symmetric_orbit is not None) == symmetric
+        povm = pretty_good_measurement(ens)
+        for e, reference in zip(povm, per_element_pgm(ens)):
+            assert np.max(np.abs(e.matrix - reference)) <= (1e-13 if symmetric else 0.0)
+        reference = math.fsum(
+            p * float(np.trace(st.matrix @ e.matrix))
+            for p, st, e in zip(ens.probs, ens.states, povm)
+        )
+        assert success_probability(ens, povm) == pytest.approx(reference, abs=1e-14)
 
     def test_complex_haar_orbit_takes_the_per_element_path(self):
         d, N = 2, 3
@@ -486,6 +523,30 @@ class TestOrbitConstruction:
         cert = oracle_mod.certificate(ens.states, povm)
         reference = sum(st.matrix @ e.matrix for st, e in zip(ens.states, povm))
         assert np.array_equal(cert.matrix, oracle_mod.hermitize(reference))
+
+    def test_exact_orbit_non_hermitian_at_the_psd_edge(self, monkeypatch):
+        # rho_1 with -eps at pairs of its upper triangle that the swap of
+        # ports 1 and 2 moves into the lower triangle, inside the kernel of
+        # rho_2: eigvalsh reads M_1 as rho_1 but M_2 as rho_2 with a negative
+        # block, so the ports must be decomposed one by one
+        d, N, eps = 2, 3, 0.9e-12
+        base = cached_ensemble(d, N).states[0].matrix
+        g = oracle_mod._port_swaps(d, N)[0]
+        image = base[np.ix_(g, g)]
+        kernel = [i for i in range(base.shape[0]) if not image[i].any()]
+        m = base.copy()
+        for i, j in itertools.combinations(kernel, 2):
+            if g[j] < g[i]:
+                m[g[j], g[i]] = -eps
+        first = DenseOperator(m, (d,) * (N + 1))
+        states = oracle_mod._orbit_images(first, oracle_mod._port_swaps(d, N))
+        assert is_exact_orbit(states) and oracle_mod.hermiticity_defect(m) == eps
+        lows = [float(np.linalg.eigvalsh(st.matrix).min()) for st in states]
+        assert lows[0] >= -1e-12 and lows[1] < -1e-12
+        counts = count_eigensolves(monkeypatch)
+        with pytest.raises(ValueError, match=rf"^state 1 not PSD \(min eig {lows[1]:.3e}\)$"):
+            Ensemble(states, [1 / N] * N)
+        assert counts == {"eigvalsh": 2}
 
     def test_exact_non_psd_orbit_named_at_port_one(self, monkeypatch):
         d, N = 2, 4
@@ -1195,6 +1256,7 @@ class TestVerificationBundle:
         d, N = 2, 4
         built = Counter()
         real_rho, real_success = oracle_mod.build_rho, oracle_mod.success_probability
+        real_defects = oracle_mod._swap_defects
 
         def counted_rho(*args):
             built["rho"] += 1
@@ -1204,13 +1266,20 @@ class TestVerificationBundle:
             built["success_probability"] += 1
             return real_success(*args)
 
+        def counted_defects(*args):
+            built["swap_defects"] += 1
+            return real_defects(*args)
+
         monkeypatch.setattr(oracle_mod, "build_rho", counted_rho)
         monkeypatch.setattr(oracle_mod, "success_probability", counted_success)
+        monkeypatch.setattr(oracle_mod, "_swap_defects", counted_defects)
         counts = count_eigensolves(monkeypatch, hermiticity=True)
         checks = run_verification(d, N, "standard")
         assert all(c.passed for c in checks)
-        # rho_1 is built, rho_2..rho_N are its gathered images
-        assert built == {"rho": 1, "success_probability": 1}
+        # rho_1 is built, rho_2..rho_N are its gathered images; the orbits
+        # are measured when the states and the POVM are validated, and the
+        # swap defects once more for the feasibility bound
+        assert built == {"rho": 1, "success_probability": 1, "swap_defects": 3}
         # one eigh of the average state; eigvalsh: port 1 of the states and of
         # the POVM (exact orbits, validated by port 1), two spectra, one
         # feasibility eigensolve
