@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Run the full oracle certification sweep over every size under the cap.
 
-For each (d, N) with d^(N+1) within the oracle cap and N small enough for
-the projector constructions, runs the formula-vs-oracle comparison, the
-spectrum matching, and the dual-certificate checks, in both the standard
-and the optimized setting.
+For each d in (2, 3, 4) and every N >= 1 with d^(N+1) within both --max-dim
+and the oracle cap (PBT_ORACLE_CAP), runs the formula-vs-oracle comparison,
+the spectrum matching, and the dual-certificate checks in the standard
+setting, and in the optimized setting for N up to MAX_PROJECTOR_BOXES, where
+the character averaging of the isotypic projectors stops.
 
 Example:
     python3 scripts/certify_desk_scale.py --max-dim 256
@@ -13,20 +14,22 @@ Example:
 import argparse
 import sys
 
-from pbtfid import optimize_coefficients, run_verification
+from pbtfid import optimize_coefficients, oracle_cap, run_verification
+from pbtfid.oracle import MAX_PROJECTOR_BOXES
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-dim", type=int, default=128, help="cap on d^(N+1)")
     args = parser.parse_args()
+    cap = min(args.max_dim, oracle_cap())
 
     failures = 0
     for d in (2, 3, 4):
-        for n in range(1, 7):
-            if d ** (n + 1) > args.max_dim:
-                continue
-            for mode in ("standard", "optimized"):
+        n = 1
+        while d ** (n + 1) <= cap:
+            modes = ("standard", "optimized") if n <= MAX_PROJECTOR_BOXES else ("standard",)
+            for mode in modes:
                 coeffs = (
                     optimize_coefficients(d, n).coefficients
                     if mode == "optimized"
@@ -40,6 +43,7 @@ def main() -> int:
                     f"[{'PASS' if ok else 'FAIL'}] d={d} N={n} {mode:9s} "
                     f"worst deviation {worst:.2e}"
                 )
+            n += 1
     print(f"{failures} failing configurations")
     return 1 if failures else 0
 

@@ -21,7 +21,7 @@ nothing measures them again.
 The states rho_i, the square-root measurement E_i, the steered states eta_i
 and the terms sigma_i E_i of the certificate are port orbits: the images of
 their port-1 members under the swap Pi_i of ports 1 and i. Each is built at
-port 1 with one dense product and gathered to the other ports, but only
+port 1 with one product and gathered to the other ports, but only
 when its inputs are measured to allow it; other inputs are built element by
 element. The states must be an exact orbit, every member equal entry by
 entry to the gathered port-1 member (``_swap_defects``, measured once when
@@ -42,10 +42,24 @@ so K - p_1 sigma_1 is decomposed once and every other constraint is compared
 with its transposed image (``_swap_defects``), the measured defect
 lowering the reported bound. States and measurements that are not an exact
 orbit are validated with the same bound (``_check_psd``), decomposing a port
-only when its bound fails. ``verify --d 2 --N 8`` thus takes 6 dense
-eigendecompositions (the average state, port 1 of the states and of the
-measurement, the two spectra and the feasibility solve), 4 hermiticity
-measurements and one ``build_rho``.
+only when its bound fails.
+
+Symmetry (i) of the protocol makes every operator here commute with
+U^(xN) x conj(U), and for diagonal U that splits (C^d)^(N+1) into weight
+sectors: index (a_1..a_N, b) has weight n_k(a) - [b = k], counted from its
+digits (``_Sectors``). An operator is measured, entry by entry, to be zero
+off its sectors (a NaN is not zero) and is then held as its diagonal
+blocks: the eigensolves, the products, the port-swap gathers (a port
+permutation maps each sector onto itself) and the symmetrisations run one
+block at a time, and what is built from blocked operators is blocked. An
+operator not measured sector-diagonal (a Haar-conjugated state, another
+layout, a perturbed input) takes the dense path, the one-sector case of the
+same code, together with every operator it is combined with.
+``verify --d 2 --N 8`` thus takes 6 operator decompositions (the average
+state, port 1 of the states and of the measurement, the two spectra and the
+feasibility solve), each as 10 LAPACK calls on blocks of at most 126 of the
+512 dimensions, 4 hermiticity measurements and one ``build_rho``, whose
+full matrix is the only one the run builds.
 
 Tensor-factor convention: the N port slots A_1..A_N come first and the single
 B slot is last, with row-major index fusion (np.kron order). Permutations act
@@ -109,7 +123,6 @@ def check_oracle_size(d: int, N: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class DenseOperator:
     """A real or complex square matrix with tensor-factor bookkeeping.
 
@@ -120,28 +133,49 @@ class DenseOperator:
     checks the shape only: hermiticity is measured where a matrix is
     symmetrised (``certificate``) or taken as input (``_check_psd`` for
     states and measurements, ``certify_optimality`` for the dual candidate).
+
+    An operator also has sectors (``_Sectors``), measured on first use
+    (``_measured``): the weight sectors when its matrix is zero off them,
+    else one sector holding every index. The oracle's constructions from
+    sector-diagonal operators are built block by block; their full
+    ``matrix`` is filled, read-only, when first asked for.
     """
 
-    matrix: np.ndarray
-    factor_dims: tuple[int, ...]
-
-    def __post_init__(self):
-        matrix = np.asarray(self.matrix)
-        self.matrix = matrix.astype(np.result_type(matrix.dtype, np.float64), copy=False)
-        self.factor_dims = tuple(int(x) for x in self.factor_dims)
+    def __init__(self, matrix, factor_dims):
+        matrix = np.asarray(matrix)
+        self._matrix = matrix.astype(np.result_type(matrix.dtype, np.float64), copy=False)
+        self.factor_dims = tuple(int(x) for x in factor_dims)
         dim = math.prod(self.factor_dims)
-        if self.matrix.shape != (dim, dim):
+        if self._matrix.shape != (dim, dim):
             raise ValueError(
-                f"matrix shape {self.matrix.shape} does not match factor "
+                f"matrix shape {self._matrix.shape} does not match factor "
                 f"dims {self.factor_dims}"
             )
+        self._sectors: _Sectors | None = None
+        self._data: np.ndarray | None = None
+
+    @classmethod
+    def _in_sectors(cls, sectors: _Sectors, data: np.ndarray) -> DenseOperator:
+        """The operator zero off ``sectors`` with the given block data."""
+        op = cls.__new__(cls)
+        op._matrix, op.factor_dims, op._sectors, op._data = None, sectors.dims, sectors, data
+        return op
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = self._sectors.matrix(self._data)
+            self._matrix.flags.writeable = False
+        return self._matrix
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return math.prod(self.factor_dims)
 
     def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+        if self._data is None:
+            return float(np.trace(self._matrix).real)
+        return float(self._sectors.trace(self._data).real)
 
 
 def hermiticity_defect(matrix: np.ndarray) -> float:
@@ -166,6 +200,194 @@ def _gather_both(matrix: np.ndarray, g: np.ndarray) -> np.ndarray:
     """``matrix[np.ix_(g, g)]``, taken as two one-axis gathers: the same
     entries in about half the time of the two-axis fancy index."""
     return matrix.take(g, axis=0).take(g, axis=1)
+
+
+# ---------------------------------------------------------------------------
+# Weight sectors
+# ---------------------------------------------------------------------------
+
+
+class _Sectors:
+    """A partition of the basis indices of an operator space into sectors,
+    and the matrices zero off them, held as their diagonal blocks.
+
+    Each sector is an ascending index array, so the lower triangle of a
+    block is the matrix's own and ``eigvalsh`` reads the same entries block
+    by block as it does on the full matrix. The data of a matrix is its
+    blocks, raveled and concatenated in sector order. Elementwise
+    arithmetic, norms, maxima and comparisons read the same on the data as
+    on the full matrix, whose other entries are zero; products, eigensolves,
+    symmetrisation and the port-permutation gathers go block by block.
+
+    ``weights(dims)`` gives the weight sectors of the port layout and
+    ``dense(dims)`` one sector holding every index, whose data is the full
+    matrix raveled: the dense path is the one-sector case of the same code.
+    """
+
+    def __init__(self, dims: tuple[int, ...], labels: np.ndarray):
+        self.dims = dims
+        self.dim = labels.size
+        self.sizes = np.bincount(labels).tolist()
+        self.size = sum(n * n for n in self.sizes)  # entries in the data
+        starts = itertools.accumulate([0] + self.sizes[:-1])
+        data_starts = itertools.accumulate([0] + [n * n for n in self.sizes[:-1]])
+        # (index start, data start, size) of each sector
+        self._spans = list(zip(starts, data_starts, self.sizes))
+        self._labels = labels
+        self._order = np.argsort(labels, kind="stable")
+        self._sorted_labels = labels[self._order]
+        self.index = [self._order[start : start + n] for start, _, n in self._spans]
+        self._local = np.empty(self.dim, dtype=np.intp)  # position within the sector
+        for sector in self.index:
+            self._local[sector] = np.arange(sector.size)
+
+    @classmethod
+    def weights(cls, dims: tuple[int, ...]) -> _Sectors | None:
+        """The weight sectors of (C^d)^(N+1), the N port slots and B, or None
+        for any other ``dims``. Basis index (a_1..a_N, b) has the weight
+        n_k(a) - [b = k], k = 0..d-1, with n_k(a) the number of ports in
+        state k: U^(xN) x conj(U) multiplies it by prod_k u_k^weight_k for
+        diagonal U, so every operator commuting with these is zero between
+        indices of different weights. The weights are digit counts of the
+        index, not representation-theory data."""
+        n = len(dims)
+        if n < 2 or dims != (dims[0],) * n:
+            return None
+        d = dims[0]
+        digits = np.arange(d**n)[:, None] // d ** np.arange(n - 1, -1, -1) % d
+        levels = np.arange(d)
+        weight = (digits[:, :-1, None] == levels).sum(axis=1) - (digits[:, -1:] == levels)
+        _, labels = np.unique(weight, axis=0, return_inverse=True)
+        return cls(dims, labels.ravel())
+
+    @classmethod
+    def dense(cls, dims: tuple[int, ...]) -> _Sectors:
+        return cls(dims, np.zeros(math.prod(dims), dtype=np.intp))
+
+    @property
+    def blocked(self) -> bool:
+        return len(self.sizes) > 1
+
+    def __eq__(self, other) -> bool:
+        # the weight sectors and the dense layout of one dims differ in their
+        # sector count unless they coincide
+        same = isinstance(other, _Sectors) and other.dims == self.dims
+        return same and other.sizes == self.sizes
+
+    def blocks(self, data: np.ndarray) -> list[np.ndarray]:
+        """Views of the diagonal blocks in ``data``."""
+        return [data[start : start + n * n].reshape(n, n) for _, start, n in self._spans]
+
+    @cached_property
+    def _positions(self) -> np.ndarray:
+        """Flat positions in the full matrix of the data entries."""
+        return np.concatenate([(s[:, None] * self.dim + s).ravel() for s in self.index])
+
+    def measure(self, matrix: np.ndarray) -> np.ndarray | None:
+        """The data of ``matrix`` when its entries off the sectors are zero,
+        counted entry by entry (a NaN is not zero), else None."""
+        if not self.blocked:
+            return matrix.ravel()
+        data = matrix.take(self._positions)
+        return data if np.count_nonzero(data) == np.count_nonzero(matrix) else None
+
+    def matrix(self, data: np.ndarray) -> np.ndarray:
+        """The full matrix with ``data`` as its blocks."""
+        if not self.blocked:
+            return data.reshape(self.dim, self.dim)
+        out = np.zeros((self.dim, self.dim), dtype=data.dtype)
+        out.put(self._positions, data)
+        return out
+
+    def operator(self, data: np.ndarray) -> DenseOperator:
+        return DenseOperator._in_sectors(self, data)
+
+    def gather(self, data: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """The data of ``_gather_both(M, g)``, M the matrix of ``data`` and g
+        the index gather of a port permutation. A port permutation keeps
+        every digit count, so it maps each sector onto itself and acts as a
+        gather inside each block."""
+        moved = g[self._order]
+        if not np.array_equal(self._labels[moved], self._sorted_labels):
+            raise AssertionError("the gather mixes sectors")
+        local = self._local[moved]
+        out = np.empty_like(data)
+        for src, dst, (start, _, n) in zip(self.blocks(data), self.blocks(out), self._spans):
+            within = local[start : start + n]
+            np.take(src.take(within, axis=0), within, axis=1, out=dst)
+        return out
+
+    def product(self, *factors: np.ndarray) -> np.ndarray:
+        """The data of the left-to-right product of the factors' matrices."""
+        out = np.empty(self.size, dtype=np.result_type(*factors))
+        for dst, *blocks in zip(self.blocks(out), *map(self.blocks, factors)):
+            dst[...] = reduce(np.matmul, blocks)
+        return out
+
+    def hermitize(self, data: np.ndarray) -> np.ndarray:
+        out = np.empty_like(data)
+        for src, dst in zip(self.blocks(data), self.blocks(out)):
+            dst[...] = hermitize(src)
+        return out
+
+    def trace(self, data: np.ndarray):
+        return sum(np.trace(block) for block in self.blocks(data))
+
+    def identity(self) -> np.ndarray:
+        out = np.zeros(self.size)
+        for block in self.blocks(out):
+            np.fill_diagonal(block, 1.0)
+        return out
+
+
+def _measured(
+    op: DenseOperator, weights: _Sectors | None = None
+) -> tuple[_Sectors, np.ndarray]:
+    """The operator's sectors and its data in them, measured on first use:
+    its weight sectors (``weights`` when given for its dims) when its matrix
+    is zero off them entry by entry, else the dense layout."""
+    if op._sectors is None:
+        if weights is None or weights.dims != op.factor_dims:
+            weights = _Sectors.weights(op.factor_dims)
+        data = None if weights is None else weights.measure(op._matrix)
+        if data is None:
+            weights, data = _Sectors.dense(op.factor_dims), op._matrix.ravel()
+        op._sectors, op._data = weights, data
+    return op._sectors, op._data
+
+
+def _common(operators: list[DenseOperator]) -> tuple[_Sectors, list[np.ndarray]]:
+    """Sectors shared by operators on one factor dims, and each operator's
+    data in them: the weight sectors when every operator is measured zero
+    off them, else the dense layout. The weight sectors are built at most
+    once."""
+    known = [op._sectors for op in operators if op._sectors is not None]
+    weights = next((sectors for sectors in known if sectors.blocked), None)
+    if weights is None and len(known) < len(operators):
+        weights = _Sectors.weights(operators[0].factor_dims)
+    measured = [_measured(op, weights) for op in operators]
+    sectors = measured[0][0]
+    if all(other == sectors for other, _ in measured):
+        return sectors, [data for _, data in measured]
+    return _Sectors.dense(sectors.dims), [op.matrix.ravel() for op in operators]
+
+
+def _eigensolve(sectors: _Sectors, data: np.ndarray, vectors: bool = False) -> list:
+    """The oracle's one decomposition: ``eigh`` (with ``vectors``) or
+    ``eigvalsh`` of each block, one LAPACK call per sector."""
+    solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
+    return [solve(block) for block in sectors.blocks(data)]
+
+
+def _lowest(sectors: _Sectors, data: np.ndarray) -> float:
+    """The smallest eigenvalue of the matrix of ``data`` (NaN propagates)."""
+    return float(np.min([w.min() for w in _eigensolve(sectors, data)]))
+
+
+def _asymmetry(sectors: _Sectors, data: np.ndarray) -> float:
+    """The largest entrywise hermiticity defect of the matrix of ``data``
+    (NaN propagates)."""
+    return float(np.max([hermiticity_defect(block) for block in sectors.blocks(data)]))
 
 
 def _port_swaps(d: int, N: int) -> list[np.ndarray]:
@@ -202,19 +424,21 @@ def _port_layout(operators: list[DenseOperator]) -> int | None:
 
 
 def _swap_defects(
-    first: np.ndarray, others, dims: tuple[int, ...]
+    sectors: _Sectors, first: np.ndarray, others
 ) -> tuple[list[np.ndarray], list[float], bool]:
-    """The port-swap gathers g_k of ``dims`` = (d,) * (N + 1), the swap
-    defects delta_k = ||Pi_k M_1 Pi_k^T - M_k||_F of ``first`` = M_1 and
-    ``others`` = M_2..M_N, and whether the operators are an exact port orbit:
-    every difference zero entry by entry, which a non-finite entry never is.
-    Each gathered image is formed once. By Weyl's inequality
-    lambda_min(M_1) - delta_k bounds lambda_min(M_k) below, so one eigensolve
-    serves the whole orbit, and the port symmetry is measured, not assumed."""
+    """The port-swap gathers g_k of ``sectors.dims`` = (d,) * (N + 1), the
+    swap defects delta_k = ||Pi_k M_1 Pi_k^T - M_k||_F of ``first`` = M_1 and
+    ``others`` = M_2..M_N (their data in ``sectors``), and whether the
+    operators are an exact port orbit: every difference zero entry by entry,
+    which a non-finite entry never is. Each gathered image is formed once.
+    By Weyl's inequality lambda_min(M_1) - delta_k bounds lambda_min(M_k)
+    below, so one eigensolve serves the whole orbit, and the port symmetry
+    is measured, not assumed."""
+    dims = sectors.dims
     gathers = _port_swaps(dims[0], len(dims) - 1)
     defects, exact = [], True
     for g, other in zip(gathers, others):
-        diff = _gather_both(first, g) - other
+        diff = sectors.gather(first, g) - other
         if diff.any():
             exact = False
             defects.append(float(np.linalg.norm(diff)))
@@ -226,8 +450,8 @@ def _swap_defects(
 
 def _orbit_images(first: DenseOperator, gathers: list[np.ndarray]) -> list[DenseOperator]:
     """M_1 followed by its images Pi_k M_1 Pi_k^T under the port-swap gathers."""
-    images = (_gather_both(first.matrix, g) for g in gathers)
-    return [first] + [DenseOperator(m, first.factor_dims) for m in images]
+    sectors, data = _measured(first)
+    return [first] + [sectors.operator(sectors.gather(data, g)) for g in gathers]
 
 
 def _check_psd(operators: list[DenseOperator], tol: float, name: str) -> list[np.ndarray] | None:
@@ -236,39 +460,40 @@ def _check_psd(operators: list[DenseOperator], tol: float, name: str) -> list[np
     its own smallest eigenvalue. Returns the port-swap gathers when the
     operators are an exact port orbit (``_swap_defects``), else None.
 
-    On the port layout (``_port_layout``) M_1 takes one ``eigvalsh`` and M_k
+    On the port layout (``_port_layout``) M_1 takes one eigensolve and M_k
     is accepted when lambda_min(M_1) - delta_k - dim * (h_1 + h_k) / 2 is at
     least -tol, the last term covering the entrywise hermiticity defects h
-    because ``eigvalsh`` reads one triangle. An exact orbit has every
-    delta_k = 0, and every M_k is a permutation similarity of M_1, with its
-    entries and its defect h_k = h_1: M_1 alone is checked for finiteness and
-    hermiticity. An M_k that fails its bound, and any operator of another
-    layout, is decomposed itself, so exactly the operators that pass a
-    per-operator eigensolve are accepted.
+    because ``eigvalsh`` reads one triangle (of each block, which is the
+    matrix's own). An exact orbit has every delta_k = 0, and every M_k is a
+    permutation similarity of M_1, with its entries and its defect
+    h_k = h_1: M_1 alone is checked for finiteness and hermiticity. An M_k
+    that fails its bound, and any operator of another layout, is decomposed
+    itself, so exactly the operators that pass a per-operator eigensolve
+    are accepted.
     """
+    sectors, arrays = _common(operators)
     orbit = None
     if _port_layout(operators) is not None:
-        others = (op.matrix for op in operators[1:])
-        orbit = _swap_defects(operators[0].matrix, others, operators[0].factor_dims)
+        orbit = _swap_defects(sectors, arrays[0], arrays[1:])
     exact = orbit is not None and orbit[2]
-    checked = operators[:1] if exact else operators
-    for k, op in enumerate(checked):
-        if not np.isfinite(op.matrix).all():
+    checked = arrays[:1] if exact else arrays
+    for k, data in enumerate(checked):
+        if not np.isfinite(data).all():
             raise ValueError(f"{name} {k} has non-finite entries")
-    herm = [hermiticity_defect(op.matrix) for op in checked]
+    herm = [_asymmetry(sectors, data) for data in checked]
     for k, defect in enumerate(herm):
         if not defect <= tol:
             raise ValueError(f"{name} {k} not hermitian (defect {defect:.3e})")
     herm = herm * len(operators) if exact else herm
     lows = [-math.inf] * len(operators)
     if orbit is not None:
-        lows[0] = float(np.linalg.eigvalsh(operators[0].matrix).min())
+        lows[0] = _lowest(sectors, arrays[0])
         for k, defect in enumerate(orbit[1], start=1):
-            lows[k] = lows[0] - defect - operators[k].dim * (herm[0] + herm[k]) / 2
-    for k, (op, low) in enumerate(zip(operators, lows)):
+            lows[k] = lows[0] - defect - sectors.dim * (herm[0] + herm[k]) / 2
+    for k, (data, low) in enumerate(zip(arrays, lows)):
         # a bound, or no value yet: decompose the operator itself
         if not low >= -tol and (k > 0 or orbit is None):
-            low = float(np.linalg.eigvalsh(op.matrix).min())
+            low = _lowest(sectors, data)
         if not low >= -tol:
             raise ValueError(f"{name} {k} not PSD (min eig {low:.3e})")
     return orbit[0] if exact else None
@@ -377,7 +602,8 @@ class Ensemble:
         _check_factor_dims(self.states, self.states[0].factor_dims, "state")
         self._port_orbit = _check_psd(self.states, 1e-12, "state")
         for k, st in enumerate(self.states):
-            tr = np.trace(st.matrix)
+            sectors, data = _measured(st)
+            tr = sectors.trace(data)
             if not abs(tr - 1.0) <= 1e-12:
                 raise ValueError(f"state {k} has trace {tr}")
 
@@ -395,17 +621,17 @@ class Ensemble:
         commutes with every Pi_k."""
         if self._port_orbit is None or len(set(self.probs)) != 1:
             return None
-        first = self.states[0].matrix
+        sectors, first = _measured(self.states[0])
         stabilizer = _port_1_stabilizer(self.factor_dims[0], len(self.states))
-        if all(np.array_equal(_gather_both(first, g), first) for g in stabilizer):
+        if all(np.array_equal(sectors.gather(first, g), first) for g in stabilizer):
             return self._port_orbit
         return None
 
     @cached_property
-    def _average_decomposition(self) -> tuple[np.ndarray, np.ndarray]:
+    def _average_decomposition(self) -> tuple[DenseOperator, DenseOperator]:
         """Pseudo-inverse square root and support projector of the
         probability-weighted average, computed on first use."""
-        return _pseudo_inv_sqrt(average_state(self, normalized=True).matrix)
+        return _pseudo_inv_sqrt(average_state(self, normalized=True))
 
 
 def pbt_ensemble(d: int, N: int) -> Ensemble:
@@ -416,10 +642,11 @@ def pbt_ensemble(d: int, N: int) -> Ensemble:
 
 def average_state(ensemble: Ensemble, normalized: bool = False) -> DenseOperator:
     """Sum of the states, probability weighted when ``normalized`` is set."""
-    acc = np.zeros_like(ensemble.states[0].matrix)
-    for p, st in zip(ensemble.probs, ensemble.states):
-        acc = acc + (p * st.matrix if normalized else st.matrix)
-    return DenseOperator(hermitize(acc), ensemble.factor_dims)
+    sectors, arrays = _common(ensemble.states)
+    acc = np.zeros_like(arrays[0])
+    for p, data in zip(ensemble.probs, arrays):
+        acc = acc + (p * data if normalized else data)
+    return sectors.operator(sectors.hermitize(acc))
 
 
 # ---------------------------------------------------------------------------
@@ -427,19 +654,26 @@ def average_state(ensemble: Ensemble, normalized: bool = False) -> DenseOperator
 # ---------------------------------------------------------------------------
 
 
-def _pseudo_inv_sqrt(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pseudo-inverse square root and support projector of a PSD matrix.
+def _pseudo_inv_sqrt(op: DenseOperator) -> tuple[DenseOperator, DenseOperator]:
+    """Pseudo-inverse square root and support projector of a PSD operator,
+    in its sectors.
 
-    Eigenvalues below PSEUDO_INVERSE_RTOL times the largest count as zero,
-    restricting everything to the numerically meaningful support.
+    Eigenvalues below PSEUDO_INVERSE_RTOL times the largest of all blocks
+    count as zero, restricting everything to the numerically meaningful
+    support.
     """
-    eigvals, eigvecs = np.linalg.eigh(matrix)
-    top = float(eigvals.max(initial=0.0))
-    keep = eigvals > PSEUDO_INVERSE_RTOL * top
-    vecs = eigvecs[:, keep]
-    inv_sqrt = (vecs / np.sqrt(eigvals[keep])) @ vecs.conj().T
-    support = vecs @ vecs.conj().T
-    return inv_sqrt, support
+    sectors, data = _measured(op)
+    pairs = _eigensolve(sectors, data, vectors=True)
+    top = max(float(eigvals.max(initial=0.0)) for eigvals, _ in pairs)
+    inv_sqrt, support = np.empty_like(data), np.empty_like(data)
+    for (eigvals, eigvecs), inv_block, support_block in zip(
+        pairs, sectors.blocks(inv_sqrt), sectors.blocks(support)
+    ):
+        keep = eigvals > PSEUDO_INVERSE_RTOL * top
+        vecs = eigvecs[:, keep]
+        inv_block[...] = (vecs / np.sqrt(eigvals[keep])) @ vecs.conj().T
+        support_block[...] = vecs @ vecs.conj().T
+    return sectors.operator(inv_sqrt), sectors.operator(support)
 
 
 def pretty_good_measurement(ensemble: Ensemble) -> list[DenseOperator]:
@@ -450,12 +684,12 @@ def pretty_good_measurement(ensemble: Ensemble) -> list[DenseOperator]:
     permutation (``Ensemble._symmetric_orbit``) has an average that commutes
     with every Pi_k, so E_k = Pi_k E_1 Pi_k^T: E_1 is built and E_k gathered.
     """
-    inv_sqrt, _ = ensemble._average_decomposition
     orbit = ensemble._symmetric_orbit
     states = ensemble.states if orbit is None else ensemble.states[:1]
+    sectors, (inv_sqrt, *arrays) = _common([ensemble._average_decomposition[0], *states])
     povm = [
-        DenseOperator(hermitize(inv_sqrt @ (p * st.matrix) @ inv_sqrt), ensemble.factor_dims)
-        for p, st in zip(ensemble.probs, states)
+        sectors.operator(sectors.hermitize(sectors.product(inv_sqrt, p * data, inv_sqrt)))
+        for p, data in zip(ensemble.probs, arrays)
     ]
     return povm if orbit is None else _orbit_images(povm[0], orbit)
 
@@ -477,17 +711,20 @@ def success_probability(ensemble: Ensemble, povm: list[DenseOperator]) -> float:
         raise ValueError("POVM length does not match the ensemble")
     _check_factor_dims(povm, ensemble.factor_dims, "POVM element")
     _check_psd(povm, POVM_TOL, "POVM element")
-    _, support = ensemble._average_decomposition
-    total = sum(e.matrix for e in povm)
-    defect = float(np.max(np.abs(support @ (total - np.eye(total.shape[0])) @ support)))
+    n = len(povm)
+    operators = [ensemble._average_decomposition[1], *ensemble.states, *povm]
+    sectors, (support, *arrays) = _common(operators)
+    total = sum(arrays[n:])
+    incomplete = sectors.product(support, total - sectors.identity(), support)
+    defect = float(np.max(np.abs(incomplete)))
     if not defect <= POVM_TOL:
         raise ValueError(
             f"POVM incomplete on the ensemble support (defect {defect:.3e})"
         )
     # tr(sigma E) = sum_jk conj(sigma_jk) E_jk for hermitian sigma: O(dim^2)
     value = math.fsum(
-        p * float(np.vdot(st.matrix, e.matrix).real)
-        for p, st, e in zip(ensemble.probs, ensemble.states, povm)
+        p * float(np.vdot(st, e).real)
+        for p, st, e in zip(ensemble.probs, arrays[:n], arrays[n:])
     )
     if not -1e-10 <= value <= 1 + 1e-10:
         raise AssertionError(f"success probability {value} outside [0, 1]")
@@ -566,22 +803,25 @@ def build_port_operator(d: int, N: int, coefficients: PortCoefficients) -> Dense
     return DenseOperator(acc, (d,) * N)
 
 
-def _lifted_port_operator(d: int, N: int, coefficients: PortCoefficients) -> np.ndarray:
+def _lifted_port_operator(d: int, N: int, coefficients: PortCoefficients) -> DenseOperator:
     """O x 1_B on the discrimination space."""
-    return np.kron(build_port_operator(d, N, coefficients).matrix, np.eye(d))
+    lifted = np.kron(build_port_operator(d, N, coefficients).matrix, np.eye(d))
+    return DenseOperator(lifted, (d,) * (N + 1))
 
 
-def _steer(lifted: np.ndarray, rho: DenseOperator) -> DenseOperator:
-    return DenseOperator(hermitize(lifted @ rho.matrix @ lifted), rho.factor_dims)
+def _steer(lifted: DenseOperator, rho: DenseOperator) -> DenseOperator:
+    """(O x 1_B) rho (O x 1_B), in the sectors the two share."""
+    sectors, (o, r) = _common([lifted, rho])
+    return sectors.operator(sectors.hermitize(sectors.product(o, r, o)))
 
 
 def _steered_states(
     d: int, N: int, coefficients: PortCoefficients, ensemble: Ensemble
 ) -> list[DenseOperator]:
     """(O x 1_B) rho (O x 1_B) for each state of the ensemble, with O built
-    once. O x 1_B commutes with every port permutation, so when the states
-    are an exact port orbit (``Ensemble._port_orbit``) eta_1 is built and
-    eta_k gathered from it."""
+    and measured once. O x 1_B commutes with every port permutation, so
+    when the states are an exact port orbit (``Ensemble._port_orbit``) eta_1
+    is built and eta_k gathered from it."""
     lifted = _lifted_port_operator(d, N, coefficients)
     orbit = ensemble._port_orbit
     rhos = ensemble.states if orbit is None else ensemble.states[:1]
@@ -618,15 +858,17 @@ def certificate(
     ensemble with ``Ensemble._symmetric_orbit``, against its states or their
     ``_steered_states``. Then sigma_k E_k = Pi_k sigma_1 E_1 Pi_k^T: one
     product and its gathered images. Otherwise each term is its own product."""
+    sectors, arrays = _common([*states, *povm])
+    sigmas, elements = arrays[: len(states)], arrays[len(states) :]
     if orbit is not None:
-        first = states[0].matrix @ povm[0].matrix
-        acc = sum((_gather_both(first, g) for g in orbit), first)
+        first = sectors.product(sigmas[0], elements[0])
+        acc = sum((sectors.gather(first, g) for g in orbit), first)
     else:
-        acc = sum(st.matrix @ e.matrix for st, e in zip(states, povm))
-    defect = hermiticity_defect(acc)
+        acc = sum(sectors.product(st, e) for st, e in zip(sigmas, elements))
+    defect = _asymmetry(sectors, acc)
     if not defect <= HERMITICITY_TOL:
         raise AssertionError(f"certificate defect {defect:.3e} above tolerance")
-    return DenseOperator(hermitize(acc), states[0].factor_dims)
+    return sectors.operator(sectors.hermitize(acc))
 
 
 def certificate_X(d: int, N: int) -> DenseOperator:
@@ -677,9 +919,10 @@ def certify_optimality(
     A failed certificate is a valid negative result; nothing raises unless
     the inputs are malformed.
     """
-    if not np.isfinite(K.matrix).all():
+    k_sectors, k_data = _measured(K)
+    if not np.isfinite(k_data).all():
         raise ValueError("dual candidate K has non-finite entries")
-    if not hermiticity_defect(K.matrix) <= HERMITICITY_TOL:
+    if not _asymmetry(k_sectors, k_data) <= HERMITICITY_TOL:
         raise ValueError("dual candidate K must be hermitian")
     dims, N = ensemble.factor_dims, len(ensemble.states)
     if _port_layout(ensemble.states) is None or K.factor_dims != dims:
@@ -688,11 +931,12 @@ def certify_optimality(
             f"states on factor dims {dims} and K on {K.factor_dims}"
         )
     achieved = success_probability(ensemble, povm)
-    dual_value = float(np.trace(K.matrix).real)
-    constraints = (K.matrix - p * st.matrix for p, st in zip(ensemble.probs, ensemble.states))
+    dual_value = K.trace()
+    sectors, (k, *sigmas) = _common([K, *ensemble.states])
+    constraints = (k - p * st for p, st in zip(ensemble.probs, sigmas))
     first = next(constraints)
-    low = float(np.linalg.eigvalsh(first).min())
-    _, defects, _ = _swap_defects(first, constraints, dims)
+    low = _lowest(sectors, first)
+    _, defects, _ = _swap_defects(sectors, first, constraints)
     swap_defect = max([0.0] + defects)
     feasibility = low - swap_defect
     gap = dual_value - achieved
@@ -797,7 +1041,7 @@ def block_spectrum_match(op: DenseOperator, blocks) -> tuple[list[tuple[float, f
     value, and the largest magnitude among the leftover eigenvalues, which
     must be numerically zero (0.0 when there are none).
     """
-    eigvals = np.sort(np.linalg.eigvalsh(op.matrix))
+    eigvals = np.sort(np.concatenate(_eigensolve(*_measured(op))))
     rank = sum(b.multiplicity for b in blocks)
     if rank > eigvals.size:
         raise ValueError("block multiset larger than the operator dimension")
@@ -873,7 +1117,8 @@ def run_verification(
     # a symmetric rho ensemble has a gathered measurement, and its states
     # and their steered images are gathered orbits
     cert = certificate(ens.states, povm, rho_ens._symmetric_orbit)
-    report = certify_optimality(ens, povm, DenseOperator(cert.matrix / N, cert.factor_dims))
+    sectors, data = _measured(cert)
+    report = certify_optimality(ens, povm, sectors.operator(data / N))
 
     record("formula_vs_oracle", abs(formula - report.success_probability * N / d**2), 1e-9)
     avg = average_state(rho_ens)

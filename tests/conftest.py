@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from pbtfid import certificate_X, pbt_ensemble, pretty_good_measurement
+import pbtfid.oracle as oracle_mod
+from pbtfid import build_rho, certificate_X, pbt_ensemble, pretty_good_measurement
 
 # tests that run `python -m pbtfid` in a subprocess import this checkout too
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -30,6 +31,14 @@ def cached_pgm(d, N):
 @lru_cache(maxsize=None)
 def cached_certificate_x(d, N):
     return certificate_X(d, N)
+
+
+def steered_states(d, N, coefficients):
+    """[build_eta(d, N, i, coefficients) for i = 1..N], bit for bit: each
+    eta_i steered from its own build_rho, with the lifted port operator
+    built once instead of once per port."""
+    lifted = oracle_mod._lifted_port_operator(d, N, coefficients)
+    return [oracle_mod._steer(lifted, build_rho(d, N, i)) for i in range(1, N + 1)]
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,6 @@ from pbtfid import (
     PortCoefficients,
     add_box_successors,
     block_spectrum,
-    build_eta,
     build_rho,
     certificate_Y,
     certify_optimality,
@@ -37,7 +36,13 @@ from pbtfid import (
     weyl_dim,
     young_projector,
 )
-from conftest import ORACLE_GRID, cached_certificate_x, cached_ensemble, cached_pgm
+from conftest import (
+    ORACLE_GRID,
+    cached_certificate_x,
+    cached_ensemble,
+    cached_pgm,
+    steered_states,
+)
 from test_fidelity import projected_gradient_maximum, random_valid_coefficients
 
 
@@ -135,10 +140,8 @@ def test_criterion_06_dual_certificates():
         for _ in range(5):
             c = random_valid_coefficients(d, N, rng)
             Y = certificate_Y(d, N, c)
-            for i in range(1, N + 1):
-                low = float(
-                    np.linalg.eigvalsh(Y.matrix - build_eta(d, N, i, c).matrix).min()
-                )
+            for eta in steered_states(d, N, c):
+                low = float(np.linalg.eigvalsh(Y.matrix - eta.matrix).min())
                 worst_feas = max(worst_feas, -low)
             rep = certify_optimality(
                 eta_ensemble(d, N, c),

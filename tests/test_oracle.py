@@ -50,7 +50,13 @@ from pbtfid import (
     weyl_dim,
     young_projector,
 )
-from conftest import ORACLE_GRID, cached_certificate_x, cached_ensemble, cached_pgm
+from conftest import (
+    ORACLE_GRID,
+    cached_certificate_x,
+    cached_ensemble,
+    cached_pgm,
+    steered_states,
+)
 
 import pbtfid.oracle as oracle_mod
 from pbtfid.fidelity import opt_block_coefficient
@@ -84,20 +90,41 @@ def reference_certificate(d, N, coefficients=None):
 
 
 def count_eigensolves(monkeypatch, hermiticity=False):
-    """Count numpy's dense Hermitian eigh / eigvalsh calls from here on, and
-    the oracle's ``hermiticity_defect`` measurements when ``hermiticity`` is
-    set."""
-    counts = Counter()
-    targets = [(np.linalg, "eigh"), (np.linalg, "eigvalsh")]
-    if hermiticity:
-        targets.append((oracle_mod, "hermiticity_defect"))
-    for owner, name in targets:
-        def counted(*args, _name=name, _real=getattr(owner, name), **kwargs):
-            counts[_name] += 1
-            return _real(*args, **kwargs)
+    """Count the oracle's operator decompositions from here on, as "eigh"
+    (with eigenvectors) or "eigvalsh", and its hermiticity measurements, as
+    "hermiticity", when ``hermiticity`` is set. Also returns the dimension
+    of every LAPACK eigensolve they make, one per sector block."""
+    counts, lapack = Counter(), []
+    real_eigensolve, real_asymmetry = oracle_mod._eigensolve, oracle_mod._asymmetry
 
-        monkeypatch.setattr(owner, name, counted)
-    return counts
+    def eigensolve(sectors, data, vectors=False):
+        counts["eigh" if vectors else "eigvalsh"] += 1
+        return real_eigensolve(sectors, data, vectors)
+
+    def asymmetry(*args):
+        counts["hermiticity"] += 1
+        return real_asymmetry(*args)
+
+    for name in ("eigh", "eigvalsh"):
+        def solve(a, *args, _real=getattr(np.linalg, name), **kwargs):
+            lapack.append(a.shape[-1])
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, solve)
+    monkeypatch.setattr(oracle_mod, "_eigensolve", eigensolve)
+    if hermiticity:
+        monkeypatch.setattr(oracle_mod, "_asymmetry", asymmetry)
+    return counts, lapack
+
+
+def largest_sector(d, N):
+    """The largest weight-sector dimension of (C^d)^(N+1)."""
+    return max(oracle_mod._Sectors.weights((d,) * (N + 1)).sizes)
+
+
+def is_blocked(op):
+    """Whether the oracle measures the operator zero off its weight sectors."""
+    return oracle_mod._measured(op)[0].blocked
 
 
 def with_asymmetry(op, eps):
@@ -399,7 +426,7 @@ class TestEnsembleValidation:
 def per_element_pgm(ensemble):
     """E_k = S p_k sigma_k S, S the pseudo-inverse square root of the
     average, one product per element."""
-    inv_sqrt, _ = ensemble._average_decomposition
+    inv_sqrt = ensemble._average_decomposition[0].matrix
     return [
         oracle_mod.hermitize(inv_sqrt @ (p * st.matrix) @ inv_sqrt)
         for p, st in zip(ensemble.probs, ensemble.states)
@@ -408,8 +435,8 @@ def per_element_pgm(ensemble):
 
 def is_exact_orbit(operators):
     """Whether the operators are an exact port orbit, by ``_swap_defects``."""
-    others = (op.matrix for op in operators[1:])
-    return oracle_mod._swap_defects(operators[0].matrix, others, operators[0].factor_dims)[2]
+    sectors, arrays = oracle_mod._common(operators)
+    return oracle_mod._swap_defects(sectors, arrays[0], arrays[1:])[2]
 
 
 class TestOrbitConstruction:
@@ -452,11 +479,13 @@ class TestOrbitConstruction:
         assert not is_exact_orbit(povm)
         for e, reference in zip(povm, per_element_pgm(ens)):
             assert np.array_equal(e.matrix, reference)
-        counts = count_eigensolves(monkeypatch)
+        counts, lapack = count_eigensolves(monkeypatch)
         ps = success_probability(ens, povm)
         assert -1e-10 <= ps <= 1 + 1e-10
-        # port 1 of the POVM by eigvalsh, the other ports by Weyl or eigvalsh
+        # port 1 of the POVM by eigvalsh, the other ports by Weyl or eigvalsh,
+        # each block by block
         assert 1 <= counts["eigvalsh"] <= N
+        assert max(lapack) <= largest_sector(d, N)
 
     def test_state_perturbed_at_one_port_takes_the_per_element_path(self):
         d, N = 2, 3
@@ -513,7 +542,7 @@ class TestOrbitConstruction:
             m = V @ st.matrix @ V.conj().T
             states.append(DenseOperator((m + m.conj().T) / 2, st.factor_dims))
         ens = Ensemble(states, [1 / N] * N)
-        assert ens._port_orbit is None
+        assert ens._port_orbit is None and not any(map(is_blocked, states))
         povm = pretty_good_measurement(ens)
         for e, reference in zip(povm, per_element_pgm(ens)):
             assert np.array_equal(e.matrix, reference)
@@ -543,20 +572,23 @@ class TestOrbitConstruction:
         assert is_exact_orbit(states) and oracle_mod.hermiticity_defect(m) == eps
         lows = [float(np.linalg.eigvalsh(st.matrix).min()) for st in states]
         assert lows[0] >= -1e-12 and lows[1] < -1e-12
-        counts = count_eigensolves(monkeypatch)
+        counts, lapack = count_eigensolves(monkeypatch)
         with pytest.raises(ValueError, match=rf"^state 1 not PSD \(min eig {lows[1]:.3e}\)$"):
             Ensemble(states, [1 / N] * N)
         assert counts == {"eigvalsh": 2}
+        # -eps lies off the weight sectors: the dense path, one block
+        assert not is_blocked(first) and lapack == [first.dim] * 2
 
     def test_exact_non_psd_orbit_named_at_port_one(self, monkeypatch):
         d, N = 2, 4
         first = shifted_down(cached_ensemble(d, N).states[0], 0.02)
         states = oracle_mod._orbit_images(first, oracle_mod._port_swaps(d, N))
         low = np.linalg.eigvalsh(first.matrix).min()
-        counts = count_eigensolves(monkeypatch)
+        counts, lapack = count_eigensolves(monkeypatch)
         with pytest.raises(ValueError, match=rf"^state 0 not PSD \(min eig {low:.3e}\)$"):
             Ensemble(states, [1 / N] * N)
         assert counts == {"eigvalsh": 1}
+        assert max(lapack) <= (largest_sector(d, N) if is_blocked(first) else first.dim)
 
 
 class TestOrbitValidation:
@@ -567,10 +599,11 @@ class TestOrbitValidation:
     def test_pgm_ensemble_takes_one_eigensolve(self, monkeypatch):
         d, N = 2, 4
         ens, povm = cached_ensemble(d, N), list(cached_pgm(d, N))
-        counts = count_eigensolves(monkeypatch)
+        counts, lapack = count_eigensolves(monkeypatch)
         Ensemble(list(ens.states), list(ens.probs))
         oracle_mod._check_psd(povm, oracle_mod.POVM_TOL, "POVM element")
         assert counts == {"eigvalsh": 2}
+        assert max(lapack) == largest_sector(d, N) == 10
 
     def test_non_orbit_povm_accepted_through_the_fallback(self, monkeypatch):
         # P = |0><0| on port 1 and its complement: a complete projective
@@ -581,9 +614,11 @@ class TestOrbitValidation:
             DenseOperator(P, ens.factor_dims),
             DenseOperator(np.eye(8) - P, ens.factor_dims),
         ]
-        counts = count_eigensolves(monkeypatch)
+        counts, lapack = count_eigensolves(monkeypatch)
         assert success_probability(ens, povm) == pytest.approx(0.5, abs=1e-12)
         assert counts == {"eigvalsh": 2}
+        # P is diagonal, so both elements are decomposed block by block
+        assert max(lapack) <= largest_sector(2, 2)
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_non_psd_state_named_with_its_own_eigenvalue(self, k):
@@ -646,15 +681,172 @@ class TestOrbitValidation:
         ens = Ensemble(states, [1 / N] * N)
         povm = pretty_good_measurement(ens)
         assert povm[0].matrix.dtype == complex
-        counts = count_eigensolves(monkeypatch)
+        counts, lapack = count_eigensolves(monkeypatch)
         ps = success_probability(ens, povm)
         assert counts == {"eigvalsh": 1}
+        # rounding leaves the conjugated states off the weight sectors
+        assert not any(map(is_blocked, states)) and lapack == [povm[0].dim]
         reference = math.fsum(
             p * float(np.trace(st.matrix @ e.matrix).real)
             for p, st, e in zip(ens.probs, ens.states, povm)
         )
         assert abs(ps - reference) <= 1e-15
         assert ps == pytest.approx(fidelity_standard(d, N).success_probability, abs=1e-12)
+
+
+def oracle_outputs(d, N, c):
+    """The PGM, X, Y, both feasibility bounds, both spectrum matches and the
+    success probability, built from scratch at (d, N)."""
+    ens = pbt_ensemble(d, N)
+    povm = pretty_good_measurement(ens)
+    X, Y = certificate_X(d, N), certificate_Y(d, N, c)
+    x_report = certify_optimality(ens, povm, DenseOperator(X.matrix / N, X.factor_dims))
+    y_report = certify_optimality(
+        eta_ensemble(d, N, c), povm, DenseOperator(Y.matrix / N, Y.factor_dims)
+    )
+    matches = [
+        oracle_mod.block_spectrum_match(average_state(ens), block_spectrum(d, N, "avg")),
+        oracle_mod.block_spectrum_match(X, block_spectrum(d, N, "X")),
+    ]
+    return {
+        "blocked": [is_blocked(op) for op in (ens.states[0], povm[0], X, Y)],
+        "pgm": np.stack([e.matrix for e in povm]),
+        "X": X.matrix,
+        "Y": Y.matrix,
+        "feasibility": np.array([x_report.feasibility, y_report.feasibility]),
+        "spectra": np.concatenate([[*np.ravel(per_block), left] for per_block, left in matches]),
+        "success_probability": np.array([x_report.success_probability]),
+    }
+
+
+def dense_only(monkeypatch):
+    """Make every operator measured from here on take the dense layout."""
+    monkeypatch.setattr(oracle_mod._Sectors, "weights", classmethod(lambda cls, dims: None))
+
+
+def kernel_pair_across_sectors(op):
+    """Indices i < j of two zero rows of the operator in different weight
+    sectors."""
+    sectors = oracle_mod._Sectors.weights(op.factor_dims)
+    zero_rows = ~op.matrix.any(axis=1)
+    candidates = [sector[zero_rows[sector]] for sector in sectors.index]
+    first, second = [c for c in candidates if c.size][:2]
+    return int(min(first[0], second[0])), int(max(first[0], second[0]))
+
+
+class TestWeightSectors:
+    """Operators measured zero off the weight sectors n_k(a) - [b = k] are
+    processed block by block; any other operator takes the dense path."""
+
+    @pytest.mark.parametrize("d, N", [(d, N) for d in (1, 2, 3) for N in range(1, 5)])
+    def test_sectors_are_the_weight_classes(self, d, N):
+        dims = (d,) * (N + 1)
+        sectors = oracle_mod._Sectors.weights(dims)
+        classes = {}
+        for index in range(d ** (N + 1)):
+            digits = np.unravel_index(index, dims)
+            weight = tuple(
+                sum(a == k for a in digits[:-1]) - (digits[-1] == k) for k in range(d)
+            )
+            classes.setdefault(weight, []).append(index)
+        assert sorted(sector.tolist() for sector in sectors.index) == sorted(classes.values())
+        assert sum(sectors.sizes) == d ** (N + 1)
+        gathers = oracle_mod._port_swaps(d, N) + oracle_mod._port_1_stabilizer(d, N)
+        for sector in sectors.index:
+            assert np.all(np.diff(sector) > 0)
+            for g in gathers:
+                assert np.array_equal(np.sort(g[sector]), sector)
+
+    def test_sizes_at_d2_n8(self):
+        sectors = oracle_mod._Sectors.weights((2,) * 9)
+        assert sectors.sizes == [math.comb(9, k) for k in range(10)]
+        assert sectors.size == 48620
+
+    def test_data_round_trip_and_gathers(self):
+        d, N = 2, 4
+        rho = build_rho(d, N, 2).matrix
+        sectors = oracle_mod._Sectors.weights((d,) * (N + 1))
+        data = sectors.measure(rho)
+        assert data.size == sectors.size and np.array_equal(sectors.matrix(data), rho)
+        for g in oracle_mod._port_swaps(d, N):
+            image = sectors.matrix(sectors.gather(data, g))
+            assert np.array_equal(image, oracle_mod._gather_both(rho, g))
+
+    def test_filled_matrix_is_read_only(self):
+        state = pbt_ensemble(2, 3).states[1]
+        assert is_blocked(state)
+        assert np.array_equal(state.matrix, build_rho(2, 3, 2).matrix)
+        with pytest.raises(ValueError):
+            state.matrix[0, 0] = 1.0
+
+    @pytest.mark.parametrize("dn", ORACLE_GRID)
+    def test_blocked_and_dense_paths_agree(self, monkeypatch, dn):
+        d, N = dn
+        c = random_valid_coefficients(d, N, np.random.default_rng(89))
+        blocked = oracle_outputs(d, N, c)
+        dense_only(monkeypatch)
+        dense = oracle_outputs(d, N, c)
+        assert all(blocked.pop("blocked")) and not any(dense.pop("blocked"))
+        for name, value in blocked.items():
+            assert np.max(np.abs(value - dense[name])) <= 1e-12, name
+
+    def test_off_sector_perturbation_takes_the_dense_path(self):
+        # rho_2 mixed with a pure state across two sectors: PSD, trace one,
+        # not sector-diagonal; every operator built with it is dense
+        d, N = 2, 3
+        states = list(cached_ensemble(d, N).states)
+        i, j = kernel_pair_across_sectors(states[1])
+        v = np.zeros(states[1].dim)
+        v[[i, j]] = 1 / math.sqrt(2)
+        mixed = 0.99 * states[1].matrix + 0.01 * np.outer(v, v)
+        states[1] = DenseOperator(mixed, states[1].factor_dims)
+        ens = Ensemble(states, [1 / N] * N)
+        assert not is_blocked(states[1]) and is_blocked(states[0])
+        povm = pretty_good_measurement(ens)
+        assert not any(map(is_blocked, povm))
+        # the square-root measurement with numpy alone
+        mats = [st.matrix for st in states]
+        w, vecs = np.linalg.eigh(sum(mats) / N)
+        keep = w > 1e-10 * w.max()
+        inv_sqrt = (vecs[:, keep] / np.sqrt(w[keep])) @ vecs[:, keep].T
+        reference = math.fsum(
+            float(np.trace(m @ inv_sqrt @ m @ inv_sqrt)) / N**2 for m in mats
+        )
+        assert success_probability(ens, povm) == pytest.approx(reference, abs=1e-12)
+        assert success_probability(ens, povm) < success_probability(
+            cached_ensemble(d, N), list(cached_pgm(d, N))
+        )
+
+    def test_off_sector_indefinite_state_rejected(self):
+        # +-eps on two zero rows in different sectors: eigenvalues +-eps,
+        # which every block of the sectors would miss
+        d, N, eps = 2, 3, 1e-3
+        states = list(cached_ensemble(d, N).states)
+        i, j = kernel_pair_across_sectors(states[1])
+        m = states[1].matrix.copy()
+        m[i, j] = m[j, i] = eps
+        states[1] = DenseOperator(m, states[1].factor_dims)
+        assert not is_blocked(states[1])
+        low = np.linalg.eigvalsh(m).min()
+        assert low == pytest.approx(-eps, abs=1e-15)
+        with pytest.raises(ValueError, match=rf"^state 1 not PSD \(min eig {low:.3e}\)$"):
+            Ensemble(states, [1 / N] * N)
+
+    @pytest.mark.parametrize("off_sector", [True, False])
+    def test_nan_rejected_on_or_off_the_sectors(self, off_sector):
+        d, N = 2, 4
+        sectors = oracle_mod._Sectors.weights((d,) * (N + 1))
+        big = next(s for s in sectors.index if s.size > 1)
+        k, j = (sectors.index[0][0], big[0]) if off_sector else (big[0], big[1])
+        states = list(cached_ensemble(d, N).states)
+        states[2] = with_entry(states[2], math.nan, k, j)
+        assert is_blocked(states[2]) != off_sector
+        with pytest.raises(ValueError, match="^state 2 has non-finite entries$"):
+            Ensemble(states, [1 / N] * N)
+        povm = list(cached_pgm(d, N))
+        povm[2] = with_entry(povm[2], math.nan, k, j)
+        with pytest.raises(ValueError, match="^POVM element 2 has non-finite entries$"):
+            success_probability(cached_ensemble(d, N), povm)
 
 
 class TestYoungProjectors:
@@ -869,23 +1061,28 @@ class TestPortOperator:
 
 
 class TestEtaStates:
+    @pytest.mark.parametrize("dn", [(2, 3), (3, 2)])
+    def test_one_port_operator_steers_like_build_eta(self, dn):
+        d, N = dn
+        c = random_valid_coefficients(d, N, np.random.default_rng(29))
+        for i, eta in enumerate(steered_states(d, N, c), start=1):
+            assert np.array_equal(eta.matrix, build_eta(d, N, i, c).matrix)
+
     def test_uniform_reduces_to_rho(self):
         ones = PortCoefficients.uniform(2, 3)
-        for i in (1, 2, 3):
-            assert np.allclose(
-                build_eta(2, 3, i, ones).matrix, build_rho(2, 3, i).matrix, atol=1e-12
-            )
+        for i, eta in enumerate(steered_states(2, 3, ones), start=1):
+            assert np.allclose(eta.matrix, build_rho(2, 3, i).matrix, atol=1e-12)
 
     def test_unit_trace(self):
         c = PortCoefficients(2, 2, {(2,): 2 / 3, (1, 1): 2.0})
-        for i in (1, 2):
-            assert build_eta(2, 2, i, c).trace() == pytest.approx(1.0, abs=1e-10)
+        for eta in steered_states(2, 2, c):
+            assert eta.trace() == pytest.approx(1.0, abs=1e-10)
 
     def test_permutation_orbit(self):
         rng = np.random.default_rng(23)
         d, N = 2, 3
         c = random_valid_coefficients(d, N, rng)
-        etas = [build_eta(d, N, i, c).matrix for i in range(1, N + 1)]
+        etas = [eta.matrix for eta in steered_states(d, N, c)]
         for perm in itertools.permutations(range(N)):
             pm = np.kron(permutation_operator(perm, d), np.eye(d))
             for i in range(N):
@@ -897,10 +1094,10 @@ class TestEtaStates:
         c = optimize_coefficients(d, N).coefficients
         vec = port_state_vector(d, N, c)
         full = DenseOperator(np.outer(vec, vec.conj()), (d,) * (2 * N))
-        for i in range(1, N + 1):
+        for i, eta in enumerate(steered_states(d, N, c), start=1):
             traced = [N + j for j in range(N) if j != i - 1]
             sigma = partial_trace(full, traced)
-            assert np.max(np.abs(sigma.matrix - build_eta(d, N, i, c).matrix)) <= 1e-12
+            assert np.max(np.abs(sigma.matrix - eta.matrix)) <= 1e-12
 
 
 class TestCertificates:
@@ -969,10 +1166,8 @@ class TestCertificates:
                 c = random_valid_coefficients(d, N, rng)
                 Y = certificate_Y(d, N, c)
                 assert match_block_spectrum(Y, block_spectrum(d, N, "Y", c)) <= 1e-9
-                for i in range(1, N + 1):
-                    low = np.linalg.eigvalsh(
-                        Y.matrix - build_eta(d, N, i, c).matrix
-                    ).min()
+                for eta in steered_states(d, N, c):
+                    low = np.linalg.eigvalsh(Y.matrix - eta.matrix).min()
                     assert low >= -1e-9
 
     def test_y_trace_matches_eta_discrimination(self):
@@ -1151,12 +1346,13 @@ class TestCertifyOptimality:
         achieved = success_probability(ens, povm)
         # the POVM validation inside success_probability is not feasibility
         monkeypatch.setattr(oracle_mod, "success_probability", lambda *args: achieved)
-        counts = count_eigensolves(monkeypatch)
+        counts, lapack = count_eigensolves(monkeypatch)
         report = certify_optimality(
             ens, povm, DenseOperator(X.matrix / N, X.factor_dims)
         )
         assert report.certified
         assert counts == {"eigvalsh": 1}
+        assert max(lapack) <= largest_sector(d, N)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_candidate_rejected(self, bad):
@@ -1218,10 +1414,11 @@ class TestTeleportationChannel:
     def test_channel_validates_the_povm_with_one_eigensolve(self, monkeypatch):
         d, N = 2, 4
         povm = list(cached_pgm(d, N))
-        counts = count_eigensolves(monkeypatch)
+        counts, lapack = count_eigensolves(monkeypatch)
         direct = teleportation_fidelity_direct(d, N, povm)
         assert direct == pytest.approx(fidelity_standard(d, N).fidelity, abs=1e-9)
         assert counts == {"eigvalsh": 1}
+        assert max(lapack) <= largest_sector(d, N)
 
     def test_channel_cap(self):
         povm = [
@@ -1273,7 +1470,7 @@ class TestVerificationBundle:
         monkeypatch.setattr(oracle_mod, "build_rho", counted_rho)
         monkeypatch.setattr(oracle_mod, "success_probability", counted_success)
         monkeypatch.setattr(oracle_mod, "_swap_defects", counted_defects)
-        counts = count_eigensolves(monkeypatch, hermiticity=True)
+        counts, lapack = count_eigensolves(monkeypatch, hermiticity=True)
         checks = run_verification(d, N, "standard")
         assert all(c.passed for c in checks)
         # rho_1 is built, rho_2..rho_N are its gathered images; the orbits
@@ -1287,12 +1484,14 @@ class TestVerificationBundle:
         assert counts["eigvalsh"] <= 5
         # hermiticity is measured on port 1 of the states and of the POVM, on
         # sum_i rho_i E_i before symmetrising, and on K
-        assert counts["hermiticity_defect"] <= 4
+        assert counts["hermiticity"] <= 4
+        # every operator is decomposed block by block
+        assert max(lapack) <= largest_sector(d, N)
 
     def test_given_coefficients_decomposes_each_average_once(self, monkeypatch):
         d, N = 2, 3
         c = random_valid_coefficients(d, N, np.random.default_rng(61))
-        counts = count_eigensolves(monkeypatch)
+        counts, lapack = count_eigensolves(monkeypatch)
         checks = run_verification(d, N, "given-coefficients", c)
         assert all(ch.passed for ch in checks)
         # the rho and eta averages once each; eigvalsh: port 1 of the rho
@@ -1300,6 +1499,7 @@ class TestVerificationBundle:
         # eigensolve
         assert counts["eigh"] <= 2
         assert counts["eigvalsh"] <= 6
+        assert max(lapack) <= largest_sector(d, N)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -21,8 +21,14 @@ def run_script(name, *args):
 
 
 def test_certify_desk_scale_sweep_passes():
-    out = run_script("certify_desk_scale.py", "--max-dim", "64")
-    assert out.splitlines()[-1] == "0 failing configurations"
+    # 2^8 = 256: d=2 standard runs to N=7, past the optimized limit N=6
+    out = run_script("certify_desk_scale.py", "--max-dim", "256")
+    lines = out.splitlines()
+    assert lines[-1] == "0 failing configurations"
+    runs = [line.split("]", 1)[1].split(" worst")[0].split() for line in lines[:-1]]
+    assert ["d=2", "N=7", "standard"] in runs and ["d=2", "N=7", "optimized"] not in runs
+    assert ["d=2", "N=6", "optimized"] in runs and ["d=2", "N=8", "standard"] not in runs
+    assert ["d=3", "N=4", "optimized"] in runs and ["d=4", "N=3", "standard"] in runs
 
 
 def test_compare_protocols_reaches_the_qubit_optimum():
