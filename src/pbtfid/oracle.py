@@ -24,9 +24,10 @@ their port-1 members under the swap Pi_i of ports 1 and i. Each is built at
 port 1 with one product and gathered to the other ports, but only
 when its inputs are measured to allow it; other inputs are built element by
 element. The states must be an exact orbit, every member equal entry by
-entry to the gathered port-1 member (``_swap_defects``, measured once when
-the ``Ensemble`` is validated). The square-root measurement also needs the
-average to commute with every Pi_k, so rho_1 must also equal its image
+entry to the gathered port-1 member: a list built by gathering records it
+(``_recorded_orbit``), and any other list is measured (``_swap_defects``)
+when the ``Ensemble`` is validated. The square-root measurement also needs
+the average to commute with every Pi_k, so rho_1 must also equal its image
 under every permutation of ports 2..N (``Ensemble._symmetric_orbit``): an
 exact orbit of a rho_1 without that symmetry has an average that the swaps
 change. An exact orbit is validated by its port-1 member alone.
@@ -54,20 +55,23 @@ permutation maps each sector onto itself) and the symmetrisations run one
 block at a time, and what is built from blocked operators is blocked. An
 operator not measured sector-diagonal (a Haar-conjugated state, another
 layout, a perturbed input) takes the dense path, the one-sector case of the
-same code, together with every operator it is combined with.
-``verify --d 2 --N 8`` thus takes 6 operator decompositions (the average
-state, port 1 of the states and of the measurement, the two spectra and the
-feasibility solve), each as 10 LAPACK calls on blocks of at most 126 of the
-512 dimensions, 4 hermiticity measurements and one ``build_rho``, whose
-full matrix is the only one the run builds.
+same code, together with every operator it is combined with. The channel
+(``teleportation_fidelity_direct``) reads each POVM sector as a set of rows
+of its input state and multiplies and traces each block with the columns
+those rows reach. ``verify --d 2 --N 8`` thus takes 6 operator
+decompositions (the average state, port 1 of the states and of the
+measurement, the two spectra and the feasibility solve), each as 10 LAPACK
+calls on blocks of at most 126 of the 512 dimensions, 4 hermiticity
+measurements and one ``build_rho``, whose full matrix is the only one the
+run builds; the channel builds none.
 
 Tensor-factor convention: the N port slots A_1..A_N come first and the single
 B slot is last, with row-major index fusion (np.kron order). Permutations act
 on the A slots only. Every slot permutation is one index gather from
 ``slot_gather``: reordering factors, the port swaps, the port-state regroup,
-the channel contraction, and the isotypic projectors, whose character sums
-are accumulated at the gathered entries without building a permutation
-matrix.
+the channel's row and column orders, and the isotypic projectors, whose
+character sums are accumulated at the gathered entries without building a
+permutation matrix.
 """
 
 from __future__ import annotations
@@ -93,7 +97,7 @@ from .partitions import (
 
 ORACLE_CAP_ENV = "PBT_ORACLE_CAP"
 DEFAULT_ORACLE_CAP = 4096
-CHANNEL_CAP = 1024  # teleportation_fidelity_direct squares the state space
+CHANNEL_CAP = 1024  # the channel's input state has d^(2N+2) entries
 MAX_PROJECTOR_BOXES = 6  # character averaging is factorial in N
 
 HERMITICITY_TOL = 1e-10
@@ -153,12 +157,15 @@ class DenseOperator:
             )
         self._sectors: _Sectors | None = None
         self._data: np.ndarray | None = None
+        # (source, gather) when ``_orbit_images`` gathered this from source
+        self._image_of: tuple[DenseOperator, np.ndarray] | None = None
 
     @classmethod
     def _in_sectors(cls, sectors: _Sectors, data: np.ndarray) -> DenseOperator:
         """The operator zero off ``sectors`` with the given block data."""
         op = cls.__new__(cls)
         op._matrix, op.factor_dims, op._sectors, op._data = None, sectors.dims, sectors, data
+        op._image_of = None
         return op
 
     @property
@@ -449,16 +456,40 @@ def _swap_defects(
 
 
 def _orbit_images(first: DenseOperator, gathers: list[np.ndarray]) -> list[DenseOperator]:
-    """M_1 followed by its images Pi_k M_1 Pi_k^T under the port-swap gathers."""
+    """M_1 followed by its images Pi_k M_1 Pi_k^T under the port-swap gathers.
+    Each image records its source and gather, so the list is recognised as
+    an exact orbit without gathering it again (``_recorded_orbit``)."""
     sectors, data = _measured(first)
-    return [first] + [sectors.operator(sectors.gather(data, g)) for g in gathers]
+    images = [first]
+    for g in gathers:
+        image = sectors.operator(sectors.gather(data, g))
+        image._image_of = (first, g)
+        images.append(image)
+    return images
+
+
+def _recorded_orbit(
+    operators: list[DenseOperator],
+) -> tuple[list[np.ndarray], list[float], bool] | None:
+    """What ``_swap_defects`` would measure, without gathering, when every
+    operator k >= 2 was gathered from operator 1 by the port swap g_k
+    (``_orbit_images``): the gathers, zero defects and an exact orbit, true
+    by construction. None for any other list."""
+    first = operators[0]
+    gathers = _port_swaps(first.factor_dims[0], len(operators))
+    for op, g in zip(operators[1:], gathers):
+        source = op._image_of
+        if source is None or source[0] is not first or not np.array_equal(source[1], g):
+            return None
+    return gathers, [0.0] * len(gathers), True
 
 
 def _check_psd(operators: list[DenseOperator], tol: float, name: str) -> list[np.ndarray] | None:
     """Raise ValueError unless every operator is finite, hermitian and
     positive semidefinite to within ``tol``, naming the first failing one and
     its own smallest eigenvalue. Returns the port-swap gathers when the
-    operators are an exact port orbit (``_swap_defects``), else None.
+    operators are an exact port orbit, recorded as built (``_recorded_orbit``)
+    or measured (``_swap_defects``), else None.
 
     On the port layout (``_port_layout``) M_1 takes one eigensolve and M_k
     is accepted when lambda_min(M_1) - delta_k - dim * (h_1 + h_k) / 2 is at
@@ -474,7 +505,7 @@ def _check_psd(operators: list[DenseOperator], tol: float, name: str) -> list[np
     sectors, arrays = _common(operators)
     orbit = None
     if _port_layout(operators) is not None:
-        orbit = _swap_defects(sectors, arrays[0], arrays[1:])
+        orbit = _recorded_orbit(operators) or _swap_defects(sectors, arrays[0], arrays[1:])
     exact = orbit is not None and orbit[2]
     checked = arrays[:1] if exact else arrays
     for k, data in enumerate(checked):
@@ -974,6 +1005,45 @@ def port_state_vector(d: int, N: int, coefficients: PortCoefficients | None) -> 
     return vec
 
 
+def _reached_blocks(
+    psi: np.ndarray, row_sets: list[np.ndarray]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each set of rows of ``psi``, the columns those rows reach,
+    ascending, and the block psi[rows, columns]. A column is reached when one
+    of the rows has a nonzero entry in it, counted entry by entry (a NaN is
+    not zero), so ``psi`` is zero outside the blocks."""
+    label = np.empty(psi.shape[0], dtype=np.intp)
+    for k, rows in enumerate(row_sets):
+        label[rows] = k
+    entry_rows, entry_columns = np.nonzero(psi)
+    pairs = np.unique(label[entry_rows] * psi.shape[1] + entry_columns)
+    owner, columns = np.divmod(pairs, psi.shape[1])
+    bounds = np.searchsorted(owner, np.arange(len(row_sets) + 1))
+    return [
+        (cols, psi[np.ix_(rows, cols)])
+        for rows, cols in zip(row_sets, np.split(columns, bounds[1:-1]))
+    ]
+
+
+def _traced_block(
+    branch: np.ndarray, block: np.ndarray, position: np.ndarray, d2: int
+) -> np.ndarray:
+    """The d2 x d2 matrix sum_{r, o} branch[r, (o, q)] conj(block[r, (o, q')]),
+    the partial trace over the rows r and the traced slots o: column k of
+    both matrices is (o, q) = divmod(position[k], d2), its position in the
+    traced-then-kept column order. Each matrix is folded to (o, q, r), zero
+    where no column has that (o, q), and the slices of each o multiplied."""
+    traced, kept = np.divmod(position, d2)
+    present, traced = np.unique(traced, return_inverse=True)
+
+    def fold(matrix: np.ndarray) -> np.ndarray:
+        out = np.zeros((present.size * d2, matrix.shape[0]), dtype=matrix.dtype)
+        out[traced * d2 + kept] = matrix.T
+        return out.reshape(present.size, d2, -1)
+
+    return np.matmul(fold(branch), fold(block).conj().transpose(0, 2, 1)).sum(axis=0)
+
+
 def teleportation_fidelity_direct(
     d: int,
     N: int,
@@ -982,12 +1052,18 @@ def teleportation_fidelity_direct(
 ) -> float:
     """Simulate the full teleportation channel and return its entanglement fidelity.
 
-    The channel output on (B_0, reference) is assembled branch by branch by
-    explicit tensor contraction: the measurement acts on the input system and
-    the A ports, everything except the signalled port and the reference is
-    traced out, and the branches are summed after relabelling the port as
-    B_0. The POVM is supplied on the discrimination space (ports then B) and
-    reinterpreted as the protocol measurement by moving the B slot in front.
+    The input state psi of A_0, R and the port state is a matrix with the
+    protocol slots A_0..A_N as rows and R, B_1..B_N as columns. Branch i
+    applies E_i to the rows; everything but B_i and R is traced out, and the
+    branches are summed with B_i relabelled as B_0. The POVM is supplied on
+    the discrimination space (ports then B) and read as the protocol
+    measurement by moving the B slot to the front, so a sector of the POVM
+    (``_common``) is a set of protocol rows. Each sector's rows reach a set
+    of columns of psi (``_reached_blocks``), outside which they are zero, so
+    every E_i psi and its partial trace are formed one sector block at a
+    time and accumulated into the d^2 x d^2 output. A POVM not measured
+    sector-diagonal is one sector of every row. Sectors whose reaches
+    overlap are still exact, each block as wide as its reach.
     """
     if d ** (N + 1) > CHANNEL_CAP:
         raise SizeCapError(
@@ -997,6 +1073,7 @@ def teleportation_fidelity_direct(
         raise ValueError(f"need one POVM element per port, got {len(povm)}")
     _check_factor_dims(povm, (d,) * (N + 1), "POVM element")
     _check_psd(povm, POVM_TOL, "POVM element")
+    sectors, arrays = _common(povm)
     dims = (d,) * (2 * N + 2)
     psi = np.kron(maximally_entangled_vector(d), port_state_vector(d, N, coefficients))
     # kron order is A_0, R, A_1..A_N, B_1..B_N; as a matrix, the rows are the
@@ -1004,14 +1081,16 @@ def teleportation_fidelity_direct(
     order = [0] + list(range(2, N + 2)) + [1] + list(range(N + 2, 2 * N + 2))
     psi = psi[slot_gather(dims, order)].reshape(d ** (N + 1), -1)
     slots = (d,) * (N + 1)
-    output = np.zeros((d * d, d * d), dtype=psi.dtype)
-    for i, element in enumerate(povm, start=1):
-        # discrimination order (A_1..A_N, B) -> protocol order (A_0, A_1..A_N)
-        protocol_matrix = reorder_factors(element.matrix, slots, [N] + list(range(N)))
+    # protocol row p is discrimination index g[p], g moving B to the front
+    protocol_row = np.argsort(slot_gather(slots, [N] + list(range(N))))
+    blocks = _reached_blocks(psi, [protocol_row[index] for index in sectors.index])
+    output = np.zeros((d * d, d * d), dtype=np.result_type(psi, *arrays))
+    for i, data in enumerate(arrays, start=1):
         # columns to B_j (j != i), B_i, R: everything but (B_i, R) is traced
-        cols = slot_gather(slots, [j for j in range(1, N + 1) if j != i] + [i, 0])
-        branch = (protocol_matrix @ psi).take(cols, axis=1).reshape(-1, d * d)
-        output += branch.T @ psi.take(cols, axis=1).reshape(-1, d * d).conj()
+        position = np.argsort(slot_gather(slots, [j for j in range(1, N + 1) if j != i] + [i, 0]))
+        for element, (columns, block) in zip(sectors.blocks(data), blocks):
+            branch = np.matmul(element, block)
+            output += _traced_block(branch, block, position[columns], d * d)
     target = maximally_entangled_vector(d)
     fidelity = float((target.conj() @ output @ target).real)
     if not -1e-10 <= fidelity <= 1 + 1e-10:

@@ -89,6 +89,26 @@ def reference_certificate(d, N, coefficients=None):
     return (acc + acc.conj().T) / 2
 
 
+def dense_channel_fidelity(d, N, povm, coefficients=None):
+    """Entanglement fidelity of the teleportation channel from full matrices:
+    each POVM element reordered to the protocol slots (A_0, A_1..A_N) and
+    applied to the whole input state psi, everything but (B_i, R) traced
+    out by one gather and one product per branch."""
+    dims = (d,) * (2 * N + 2)
+    psi = np.kron(maximally_entangled_vector(d), oracle_mod.port_state_vector(d, N, coefficients))
+    order = [0] + list(range(2, N + 2)) + [1] + list(range(N + 2, 2 * N + 2))
+    psi = psi[oracle_mod.slot_gather(dims, order)].reshape(d ** (N + 1), -1)
+    slots = (d,) * (N + 1)
+    output = np.zeros((d * d, d * d), dtype=complex)
+    for i, element in enumerate(povm, start=1):
+        protocol_matrix = oracle_mod.reorder_factors(element.matrix, slots, [N] + list(range(N)))
+        cols = oracle_mod.slot_gather(slots, [j for j in range(1, N + 1) if j != i] + [i, 0])
+        branch = (protocol_matrix @ psi).take(cols, axis=1).reshape(-1, d * d)
+        output += branch.T @ psi.take(cols, axis=1).reshape(-1, d * d).conj()
+    target = maximally_entangled_vector(d)
+    return float((target.conj() @ output @ target).real)
+
+
 def count_eigensolves(monkeypatch, hermiticity=False):
     """Count the oracle's operator decompositions from here on, as "eigh"
     (with eigenvectors) or "eigvalsh", and its hermiticity measurements, as
@@ -604,6 +624,31 @@ class TestOrbitValidation:
         oracle_mod._check_psd(povm, oracle_mod.POVM_TOL, "POVM element")
         assert counts == {"eigvalsh": 2}
         assert max(lapack) == largest_sector(d, N) == 10
+
+    def test_recorded_orbit_is_not_measured_again(self, monkeypatch):
+        # the images _orbit_images built are an exact orbit by construction;
+        # equal operators from elsewhere, images of another first member, or
+        # images in another order are measured
+        ens = cached_ensemble(2, 4)
+        measured = Counter()
+        real_defects = oracle_mod._swap_defects
+
+        def counted_defects(*args):
+            measured["swap_defects"] += 1
+            return real_defects(*args)
+
+        monkeypatch.setattr(oracle_mod, "_swap_defects", counted_defects)
+        assert Ensemble(list(ens.states), list(ens.probs))._port_orbit is not None
+        assert measured["swap_defects"] == 0
+        copies = [DenseOperator(st.matrix, st.factor_dims) for st in ens.states]
+        assert Ensemble(copies, list(ens.probs))._port_orbit is not None
+        assert measured["swap_defects"] == 1
+        other_first = [copies[0], *ens.states[1:]]
+        assert Ensemble(other_first, list(ens.probs))._port_orbit is not None
+        assert measured["swap_defects"] == 2
+        swapped = [ens.states[0], ens.states[2], ens.states[1], *ens.states[3:]]
+        assert Ensemble(swapped, list(ens.probs))._port_orbit is None
+        assert measured["swap_defects"] == 3
 
     def test_non_orbit_povm_accepted_through_the_fallback(self, monkeypatch):
         # P = |0><0| on port 1 and its complement: a complete projective
@@ -1388,28 +1433,33 @@ class TestTeleportationChannel:
         target = maximally_entangled_vector(2)
         assert (target.conj() @ phi.matrix @ target).real == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("dn", [(2, 2), (2, 3)])
+    @pytest.mark.parametrize("dn", [(2, 2), (2, 3), (3, 3)])
     def test_standard_channel_matches_formula(self, dn):
         d, N = dn
-        direct = teleportation_fidelity_direct(d, N, list(cached_pgm(d, N)))
+        povm = list(cached_pgm(d, N))
+        direct = teleportation_fidelity_direct(d, N, povm)
         assert direct == pytest.approx(fidelity_standard(d, N).fidelity, abs=1e-9)
+        assert direct == pytest.approx(dense_channel_fidelity(d, N, povm), abs=1e-12)
 
     def test_steered_channel_matches_formula(self):
         d, N = 2, 2
         rep = optimize_coefficients(d, N)
-        direct = teleportation_fidelity_direct(
-            d, N, list(cached_pgm(d, N)), rep.coefficients
-        )
+        povm = list(cached_pgm(d, N))
+        direct = teleportation_fidelity_direct(d, N, povm, rep.coefficients)
         assert direct == pytest.approx(rep.fidelity, abs=1e-9)
+        reference = dense_channel_fidelity(d, N, povm, rep.coefficients)
+        assert direct == pytest.approx(reference, abs=1e-12)
 
     def test_steered_channel_random_coefficients(self):
         rng = np.random.default_rng(47)
         d, N = 2, 3
         c = random_valid_coefficients(d, N, rng)
-        direct = teleportation_fidelity_direct(d, N, list(cached_pgm(d, N)), c)
+        povm = list(cached_pgm(d, N))
+        direct = teleportation_fidelity_direct(d, N, povm, c)
         assert direct == pytest.approx(
             fidelity_given_coefficients(d, N, c).fidelity, abs=1e-9
         )
+        assert direct == pytest.approx(dense_channel_fidelity(d, N, povm, c), abs=1e-12)
 
     def test_channel_validates_the_povm_with_one_eigensolve(self, monkeypatch):
         d, N = 2, 4
@@ -1419,6 +1469,69 @@ class TestTeleportationChannel:
         assert direct == pytest.approx(fidelity_standard(d, N).fidelity, abs=1e-9)
         assert counts == {"eigvalsh": 1}
         assert max(lapack) <= largest_sector(d, N)
+
+    def test_haar_conjugated_povm_takes_one_sector(self):
+        # U on B mixes the weights, so the POVM is one sector of every row
+        d, N = 2, 3
+        U = haar_unitary(d, np.random.default_rng(HAAR_SEED))
+        V = np.kron(np.eye(d**N), U)
+        povm = [DenseOperator(V @ e.matrix @ V.conj().T, e.factor_dims) for e in cached_pgm(d, N)]
+        direct = teleportation_fidelity_direct(d, N, povm)
+        assert not any(is_blocked(e) for e in povm)
+        assert direct == pytest.approx(dense_channel_fidelity(d, N, povm), abs=1e-12)
+
+    def test_port_state_with_overlapping_reaches(self, monkeypatch):
+        # U on B_1 makes the rows of one POVM sector reach columns that other
+        # sectors reach too: psi is not block-diagonal, and stays exact
+        d, N = 2, 3
+        povm = list(cached_pgm(d, N))
+        U = haar_unitary(d, np.random.default_rng(HAAR_SEED))
+        real_state = oracle_mod.port_state_vector
+
+        def rotated_state(*args):
+            vec = real_state(*args).reshape(d**N, d, -1)
+            return np.einsum("ij,ajb->aib", U, vec).reshape(-1)
+
+        real_blocks, reaches = oracle_mod._reached_blocks, []
+
+        def reached_blocks(*args):
+            blocks = real_blocks(*args)
+            reaches.extend(columns for columns, _ in blocks)
+            return blocks
+
+        monkeypatch.setattr(oracle_mod, "port_state_vector", rotated_state)
+        monkeypatch.setattr(oracle_mod, "_reached_blocks", reached_blocks)
+        direct = teleportation_fidelity_direct(d, N, povm)
+        assert sum(c.size for c in reaches) > np.unique(np.concatenate(reaches)).size
+        assert direct == pytest.approx(dense_channel_fidelity(d, N, povm), abs=1e-12)
+        assert direct != pytest.approx(fidelity_standard(d, N).fidelity, abs=1e-6)
+
+    def test_channel_at_the_cap_matches_the_formula(self):
+        d, N = 2, 9
+        povm = pretty_good_measurement(pbt_ensemble(d, N))
+        direct = teleportation_fidelity_direct(d, N, povm)
+        assert direct == pytest.approx(fidelity_standard(d, N).fidelity, abs=1e-9)
+
+    def test_channel_fills_no_full_matrix(self, monkeypatch):
+        d, N = 2, 8
+        povm = pretty_good_measurement(pbt_ensemble(d, N))
+        read, shapes = [], []
+        real_matrix, real_matmul = DenseOperator.matrix, np.matmul
+
+        def matrix(op):
+            read.append(op)
+            return real_matrix.fget(op)
+
+        def matmul(*operands, **kwargs):
+            shapes.extend(np.shape(a) for a in operands)
+            return real_matmul(*operands, **kwargs)
+
+        monkeypatch.setattr(DenseOperator, "matrix", property(matrix))
+        monkeypatch.setattr(np, "matmul", matmul)
+        direct = teleportation_fidelity_direct(d, N, povm)
+        assert direct == pytest.approx(fidelity_standard(d, N).fidelity, abs=1e-9)
+        assert read == [] and all(e._matrix is None for e in povm)
+        assert shapes and max(max(shape[-2:]) for shape in shapes) <= largest_sector(d, N) == 126
 
     def test_channel_cap(self):
         povm = [
@@ -1473,10 +1586,10 @@ class TestVerificationBundle:
         counts, lapack = count_eigensolves(monkeypatch, hermiticity=True)
         checks = run_verification(d, N, "standard")
         assert all(c.passed for c in checks)
-        # rho_1 is built, rho_2..rho_N are its gathered images; the orbits
-        # are measured when the states and the POVM are validated, and the
-        # swap defects once more for the feasibility bound
-        assert built == {"rho": 1, "success_probability": 1, "swap_defects": 3}
+        # rho_1 is built, rho_2..rho_N are its gathered images; the states
+        # and the POVM are orbits recorded as built, so the swap defects are
+        # measured once, for the feasibility bound
+        assert built == {"rho": 1, "success_probability": 1, "swap_defects": 1}
         # one eigh of the average state; eigvalsh: port 1 of the states and of
         # the POVM (exact orbits, validated by port 1), two spectra, one
         # feasibility eigensolve
@@ -1487,6 +1600,26 @@ class TestVerificationBundle:
         assert counts["hermiticity"] <= 4
         # every operator is decomposed block by block
         assert max(lapack) <= largest_sector(d, N)
+
+    def test_orbit_images_are_gathered_once(self, monkeypatch):
+        # rho and the PGM are gathered as built and not again when validated:
+        # verify takes the orbits of rho, the PGM and the certificate, the
+        # stabilizer of rho_1 and the feasibility defects; the channel job the
+        # orbits of rho and the PGM and the stabilizer
+        gathers = Counter()
+        real_gather = oracle_mod._Sectors.gather
+
+        def counted_gather(self, *args):
+            gathers["gather"] += 1
+            return real_gather(self, *args)
+
+        monkeypatch.setattr(oracle_mod._Sectors, "gather", counted_gather)
+        assert all(c.passed for c in run_verification(2, 8, "standard"))
+        assert gathers["gather"] == 30
+        gathers.clear()
+        povm = pretty_good_measurement(pbt_ensemble(2, 8))
+        teleportation_fidelity_direct(2, 8, povm)
+        assert gathers["gather"] == 16
 
     def test_given_coefficients_decomposes_each_average_once(self, monkeypatch):
         d, N = 2, 3
