@@ -12,6 +12,14 @@ Two numeric modes back every evaluation:
 
 Summations always iterate partitions in the canonical descending
 lexicographic order, so results do not depend on scheduling.
+
+The log-domain sums read ln Gamma and ln at integers from tables. ln Gamma
+is filled by a port of cephes' ``lgam``, the routine behind
+``scipy.special.gammaln``, which it equals bit for bit, so scipy is not
+imported for it. The optimizer forms B^T B and its matvec from the
+successor index of the partition level with numpy; only the iterative
+eigensolver above DENSE_EIGEN_LIMIT, and the CSR view ``box_incidence``,
+import scipy.
 """
 
 from __future__ import annotations
@@ -23,7 +31,6 @@ from typing import Iterable, Mapping, Sequence
 
 import mpmath
 import numpy as np
-from scipy.special import gammaln
 
 from .config import SizeCapError, env_positive_int
 from .partitions import (
@@ -32,7 +39,9 @@ from .partitions import (
     check_partition,
     enumerate_partitions,
     log_specht_dim,
+    log_specht_row,
     log_weyl_dim,
+    log_weyl_row,
     partition_level,
     specht_dim,
     table_partitions,
@@ -362,23 +371,79 @@ def _fidelity_exact(d: int, N: int, coefficients: PortCoefficients | None) -> fl
         return float(total)
 
 
+# cephes' lgam, the routine behind scipy.special.gammaln: the Stirling-series
+# coefficients and log(sqrt(2 pi))
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_LS2PI = 0.91893853320467274178
+
+
+def _cephes_lgamma(k: int) -> float:
+    """ln Gamma(k) at an integer k >= 1, evaluated as cephes' lgam evaluates
+    it, so that every bit equals scipy.special.gammaln(k): below 13 the log
+    of (k - 1)!, exact in float64, and from 13 the Stirling series."""
+    if k < 13:
+        return math.log(float(math.factorial(k - 1)))
+    x = float(k)
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + (
+            (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+            + 0.0833333333333333333333
+        ) / x
+    poly = _LGAM_A[0]
+    for a in _LGAM_A[1:]:
+        poly = poly * p + a
+    return q + poly / x
+
+
+# _cephes_lgamma(k) and np.log(k) at k = 0, 1, ... (at k = 0 their limits),
+# the last tables built, extended on demand
+_int_tables = (np.array([math.inf]), np.array([-math.inf]))
+
+
+def _integer_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tables of _cephes_lgamma(k) and np.log(k), holding at least
+    k <= n. A grown table is stored with a single assignment."""
+    global _int_tables
+    lgamma, log = _int_tables
+    if lgamma.size <= n:
+        size = max(n + 1, 2 * lgamma.size)
+        grown = [_cephes_lgamma(k) for k in range(lgamma.size, size)]
+        lgamma = np.concatenate((lgamma, grown))
+        with np.errstate(divide="ignore"):
+            log = np.log(np.arange(size))
+        _int_tables = (lgamma, log)
+    return lgamma, log
+
+
 def _log_specht_vec(mat: np.ndarray, n: int) -> np.ndarray:
     K, d = mat.shape
     ell = mat + (d - 1 - np.arange(d))[None, :]
+    lgamma, log = _integer_tables(n + d)
     val = np.full(K, math.lgamma(n + 1))
     for i in range(d):
         for j in range(i + 1, d):
-            val += np.log(ell[:, i] - ell[:, j])
-        val -= gammaln(ell[:, i] + 1)
+            val += log[ell[:, i] - ell[:, j]]
+        val -= lgamma[ell[:, i] + 1]
     return val
 
 
 def _log_weyl_vec(mat: np.ndarray) -> np.ndarray:
     K, d = mat.shape
+    _, log = _integer_tables(int(mat.max(initial=0)) + d)
     val = np.zeros(K)
     for i in range(d):
         for j in range(i + 1, d):
-            val += np.log(mat[:, i] - mat[:, j] + (j - i)) - math.log(j - i)
+            val += log[mat[:, i] - mat[:, j] + (j - i)] - math.log(j - i)
     return val
 
 
@@ -469,22 +534,55 @@ def box_incidence(d: int, N: int):
     return B, table_partitions(level.table)
 
 
-def _principal_eigenpair(B, n_mu: int):
-    """Largest eigenpair of M = B^T B with an entrywise-nonnegative vector.
+def _gram(successors: np.ndarray, n_mu: int) -> np.ndarray:
+    """Dense B^T B of the box incidence B of a successor table
+    (``PartitionLevel.successors``): entry (mu, nu) counts the alphas that
+    both cover, an exact small integer, so it equals box_incidence's
+    ``(B.T @ B).toarray()``."""
+    grown = successors >= 0
+    both = grown[:, :, None] & grown[:, None, :]
+    flat = (successors[:, :, None] * n_mu + successors[:, None, :])[both]
+    gram = np.zeros(n_mu * n_mu)
+    np.add.at(gram, flat, 1.0)
+    return gram.reshape(n_mu, n_mu)
+
+
+def _gram_matvec(successors: np.ndarray, n_mu: int):
+    """v -> B^T (B v) for the box incidence B of a successor table, adding
+    in the order of box_incidence's CSR products so that the bits equal
+    ``B.T @ (B @ v)``: (B v)_alpha sums alpha's successors in ascending row,
+    then each mu accumulates (B v)_alpha over ascending alpha."""
+    grown = successors >= 0
+    alpha = np.nonzero(grown)[0]  # row-major: CSR order
+    mu = successors[grown]
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        gathered = np.where(grown, np.ravel(v)[successors], 0.0)
+        w = np.zeros(successors.shape[0])
+        for column in gathered.T:
+            w += column
+        return np.bincount(mu, weights=w[alpha], minlength=n_mu)
+
+    return matvec
+
+
+def _principal_eigenpair(successors: np.ndarray, n_mu: int):
+    """Largest eigenpair of M = B^T B with an entrywise-nonnegative vector,
+    for the box incidence B of a successor table.
 
     M is nonnegative and its graph (mu joined to mu' when they share an
     alpha) is connected, so by Perron-Frobenius its top eigenvalue is simple
     and the top eigenvector is positive up to sign. Dense ``eigh`` solves up
     to DENSE_EIGEN_LIMIT diagrams and Lanczos ``eigsh`` above it; each is one
-    library call with no iteration count of its own. ``degenerate`` flags a
-    top gap below DEGENERACY_RTOL, and a vector that is not nonnegative is
-    refused.
+    library call with no iteration count of its own. Only the Lanczos path
+    imports scipy. ``degenerate`` flags a top gap below DEGENERACY_RTOL, and
+    a vector that is not nonnegative is refused.
 
     Returns (eigenvalue, unit vector, residual, degenerate).
     """
-    matvec = lambda v: B.T @ (B @ v)  # noqa: E731
+    matvec = _gram_matvec(successors, n_mu)
     if n_mu <= DENSE_EIGEN_LIMIT:
-        eigvals, eigvecs = np.linalg.eigh((B.T @ B).toarray())
+        eigvals, eigvecs = np.linalg.eigh(_gram(successors, n_mu))
     else:
         from scipy.sparse.linalg import LinearOperator, eigsh
 
@@ -519,8 +617,9 @@ def optimize_coefficients(d: int, N: int, numeric_mode: str = "auto") -> Fidelit
     """
     _check_dn(d, N)
     mode = _resolve_mode(N, numeric_mode)
-    B, mus = box_incidence(d, N)
-    lam, u, residual, degenerate = _principal_eigenpair(B, len(mus))
+    level = partition_level(N, d)
+    mus = table_partitions(level.table)
+    lam, u, residual, degenerate = _principal_eigenpair(level.successors, len(mus))
     if residual > EIGEN_RESIDUAL_TOL * max(lam, 1.0):
         raise AssertionError(f"eigen residual {residual:.3e} above tolerance")
     log_d = math.log(d)
@@ -532,7 +631,7 @@ def optimize_coefficients(d: int, N: int, numeric_mode: str = "auto") -> Fidelit
         if mode == EXACT_MODE:
             log_dims = math.log(specht_dim(mu)) + math.log(weyl_dim(mu, d))
         else:
-            log_dims = log_specht_dim(mu) + log_weyl_dim(mu, d)
+            log_dims = log_specht_row(mu) + log_weyl_row(mu, d)
         log_c = N * log_d + 2.0 * math.log(float(u[i])) - log_dims
         try:
             entries[mu] = math.exp(log_c)

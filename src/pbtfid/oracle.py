@@ -203,6 +203,21 @@ def slot_gather(dims: tuple[int, ...], order) -> np.ndarray:
     return np.arange(math.prod(dims)).reshape(dims).transpose(order).ravel()
 
 
+def _unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, axis=0, return_inverse=True)`` for integer keys, one
+    per entry of a vector or row of a matrix, by one stable lexicographic
+    sort: the distinct keys ascending and each key's position among them.
+    (``np.unique`` imports ``numpy.ma`` on its first call.)"""
+    rows = keys.reshape(len(keys), math.prod(keys.shape[1:]))
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return keys[order[new]], inverse
+
+
 def _gather_both(matrix: np.ndarray, g: np.ndarray) -> np.ndarray:
     """``matrix[np.ix_(g, g)]``, taken as two one-axis gathers: the same
     entries in about half the time of the two-axis fancy index."""
@@ -264,8 +279,7 @@ class _Sectors:
         digits = np.arange(d**n)[:, None] // d ** np.arange(n - 1, -1, -1) % d
         levels = np.arange(d)
         weight = (digits[:, :-1, None] == levels).sum(axis=1) - (digits[:, -1:] == levels)
-        _, labels = np.unique(weight, axis=0, return_inverse=True)
-        return cls(dims, labels.ravel())
+        return cls(dims, _unique_inverse(weight)[1])
 
     @classmethod
     def dense(cls, dims: tuple[int, ...]) -> _Sectors:
@@ -1016,7 +1030,7 @@ def _reached_blocks(
     for k, rows in enumerate(row_sets):
         label[rows] = k
     entry_rows, entry_columns = np.nonzero(psi)
-    pairs = np.unique(label[entry_rows] * psi.shape[1] + entry_columns)
+    pairs, _ = _unique_inverse(label[entry_rows] * psi.shape[1] + entry_columns)
     owner, columns = np.divmod(pairs, psi.shape[1])
     bounds = np.searchsorted(owner, np.arange(len(row_sets) + 1))
     return [
@@ -1034,7 +1048,7 @@ def _traced_block(
     traced-then-kept column order. Each matrix is folded to (o, q, r), zero
     where no column has that (o, q), and the slices of each o multiplied."""
     traced, kept = np.divmod(position, d2)
-    present, traced = np.unique(traced, return_inverse=True)
+    present, traced = _unique_inverse(traced)
 
     def fold(matrix: np.ndarray) -> np.ndarray:
         out = np.zeros((present.size * d2, matrix.shape[0]), dtype=matrix.dtype)
@@ -1128,9 +1142,12 @@ def block_spectrum_match(op: DenseOperator, blocks) -> tuple[list[tuple[float, f
     per_block: list[tuple[float, float]] = [(0.0, 0.0)] * len(blocks)
     offset = 0
     for k in sorted(range(len(blocks)), key=lambda k: blocks[k].value):
-        chunk = top[offset : offset + blocks[k].multiplicity]
-        offset += blocks[k].multiplicity
-        per_block[k] = (float(np.median(chunk)), float(np.max(np.abs(chunk - blocks[k].value))))
+        m = blocks[k].multiplicity
+        chunk = top[offset : offset + m]
+        offset += m
+        # the chunk is sorted, so its median is read off (np.median imports numpy.ma)
+        median = (chunk[(m - 1) // 2] + chunk[m // 2]) / 2
+        per_block[k] = (float(median), float(np.max(np.abs(chunk - blocks[k].value))))
     leftover = eigvals[: eigvals.size - rank]
     return per_block, float(np.max(np.abs(leftover))) if leftover.size else 0.0
 

@@ -16,9 +16,13 @@ builds every level once and holds one table per row bound, not one per N.
 ``enumerate_partitions`` is a tuple view of the table.
 
 The per-diagram functions (box moves, dimensions, characters) are pure and
-memoised with ``lru_cache``. Concurrent readers are safe: level arrays are
-read-only, a level is complete before it is stored with a single dict
-assignment, and two threads that race to extend a level build equal tables.
+memoised with ``lru_cache``. The log-dimensions are validated, cached
+wrappers around row kernels (``log_specht_row``, ``log_weyl_row``) that read
+ln Gamma and ln at integers from tables grown on demand; a caller that
+already holds partition tuples, such as a loop over a level, calls the
+kernels directly. Concurrent readers are safe: level arrays are read-only,
+a level or table is complete before it is stored with a single assignment,
+and two threads that race to extend one build equal tables.
 """
 
 from __future__ import annotations
@@ -268,6 +272,53 @@ def weyl_dim(mu: Partition, d: int) -> int:
     return q
 
 
+# math.lgamma(k) and math.log(k) at k = 0, 1, ... (at k = 0 their limits),
+# the last tables built, extended on demand
+_log_tables: tuple[list[float], list[float]] = ([math.inf], [-math.inf])
+
+
+def _integer_logs(n: int) -> tuple[list[float], list[float]]:
+    """The tables of math.lgamma(k) and math.log(k), holding at least k <= n.
+    A grown table is stored with a single assignment, so readers never see a
+    partial one."""
+    global _log_tables
+    lgamma, log = _log_tables
+    if len(lgamma) <= n:
+        size = max(n + 1, 2 * len(lgamma))
+        lgamma = lgamma + [math.lgamma(k) for k in range(len(lgamma), size)]
+        log = log + [math.log(k) for k in range(len(log), size)]
+        _log_tables = (lgamma, log)
+    return lgamma, log
+
+
+def log_specht_row(mu: Partition) -> float:
+    """``log_specht_dim`` of a diagram already known to be a partition
+    tuple, unvalidated and uncached; the same sum in the same order."""
+    n, k = sum(mu), len(mu)
+    if n == 0:
+        return 0.0
+    lgamma, log = _integer_logs(n + 1)
+    ell = [mu[i] + k - 1 - i for i in range(k)]
+    val = lgamma[n + 1]
+    for i in range(k):
+        for j in range(i + 1, k):
+            val += log[ell[i] - ell[j]]
+        val -= lgamma[ell[i] + 1]
+    return val
+
+
+def log_weyl_row(mu: Partition, d: int) -> float:
+    """``log_weyl_dim`` of a partition tuple with at most ``d`` rows,
+    unvalidated and uncached; the same sum in the same order."""
+    rows = mu + (0,) * (d - len(mu))
+    _, log = _integer_logs(rows[0] + d)
+    val = 0.0
+    for i in range(d):
+        for j in range(i + 1, d):
+            val += log[rows[i] - rows[j] + j - i] - log[j - i]
+    return val
+
+
 @lru_cache(maxsize=None)
 def log_specht_dim(mu: Partition) -> float:
     """ln of the Specht dimension, without big-integer arithmetic.
@@ -276,17 +327,7 @@ def log_specht_dim(mu: Partition) -> float:
     l_i = mu_i + k - i, which costs O(k^2) instead of O(n) per diagram and
     keeps full scans to N ~ 10^3 cheap.
     """
-    mu = check_partition(mu)
-    n, k = sum(mu), len(mu)
-    if n == 0:
-        return 0.0
-    ell = [mu[i] + k - 1 - i for i in range(k)]
-    val = math.lgamma(n + 1)
-    for i in range(k):
-        for j in range(i + 1, k):
-            val += math.log(ell[i] - ell[j])
-        val -= math.lgamma(ell[i] + 1)
-    return val
+    return log_specht_row(check_partition(mu))
 
 
 @lru_cache(maxsize=None)
@@ -297,12 +338,7 @@ def log_weyl_dim(mu: Partition, d: int) -> float:
         raise ValueError("d must be positive")
     if len(mu) > d:
         raise ValueError(f"partition {mu} has more than d={d} rows")
-    rows = mu + (0,) * (d - len(mu))
-    val = 0.0
-    for i in range(d):
-        for j in range(i + 1, d):
-            val += math.log(rows[i] - rows[j] + j - i) - math.log(j - i)
-    return val
+    return log_weyl_row(mu, d)
 
 
 @dataclass(frozen=True)

@@ -505,3 +505,62 @@ class TestDeterminism:
     def test_version_flag(self):
         result = run_subprocess("--version")
         assert result.returncode == 0
+
+
+# Run in a fresh interpreter: import the CLI, run one job with its output
+# discarded, print the names of every loaded module.
+MODULE_PROBE = """
+import contextlib, io, json, sys
+import pbtfid.cli
+argv = sys.argv[1:]
+if argv == ["channel"]:
+    from pbtfid import oracle
+    povm = oracle.pretty_good_measurement(oracle.pbt_ensemble(2, 4))
+    oracle.teleportation_fidelity_direct(2, 4, povm)
+elif argv:
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        assert pbtfid.cli.main(argv) == 0
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def loaded_modules(*argv) -> set[str]:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    result = subprocess.run(
+        [sys.executable, "-c", MODULE_PROBE, *argv], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    return set(json.loads(result.stdout))
+
+
+def scipy_modules(modules: set[str]) -> set[str]:
+    return {m for m in modules if m == "scipy" or m.startswith("scipy.")}
+
+
+class TestImportHygiene:
+    """scipy is loaded only where ARPACK runs, and numpy.ma never, because
+    each costs import time that every invocation would pay."""
+
+    def test_import_loads_no_scipy(self):
+        assert scipy_modules(loaded_modules()) == set()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("scan", "--d", "2", "--from", "1", "--to", "60"),
+            ("fid", "--d", "3", "--N", "150", "--mode", "optimized"),
+            ("verify", "--d", "2", "--N", "4"),
+            ("channel",),
+        ],
+        ids=["scan", "dense-optimize", "verify", "channel"],
+    )
+    def test_run_loads_neither_scipy_nor_numpy_ma(self, argv):
+        modules = loaded_modules(*argv)
+        assert scipy_modules(modules) == set()
+        assert "numpy.ma" not in modules
+
+    def test_iterative_perron_solve_loads_scipy_sparse_linalg(self):
+        assert "scipy.sparse.linalg" in loaded_modules(
+            "fid", "--d", "3", "--N", "152", "--mode", "optimized"
+        )

@@ -28,7 +28,17 @@ from pbtfid import (
     specht_dim,
     weyl_dim,
 )
-from pbtfid.fidelity import DENSE_EIGEN_LIMIT, _principal_eigenpair
+from pbtfid.fidelity import (
+    DENSE_EIGEN_LIMIT,
+    _cephes_lgamma,
+    _gram,
+    _gram_matvec,
+    _integer_tables,
+    _log_specht_vec,
+    _log_weyl_vec,
+    _principal_eigenpair,
+)
+from pbtfid.partitions import partition_level
 
 SQ3 = math.sqrt(3.0)
 
@@ -182,6 +192,66 @@ class TestStandardFidelity:
             fidelity_standard(2, 0)
         with pytest.raises(ValueError):
             fidelity_standard(2, 3, numeric_mode="bogus")
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestScipyFreeKernels:
+    """The formula side imports no scipy: its integer log-gamma, log-dimension
+    and Perron kernels reproduce the scipy-based formulas bit for bit, which
+    keeps every committed reference byte valid."""
+
+    def test_cephes_lgamma_equals_gammaln(self):
+        from scipy.special import gammaln
+
+        # below 13 the factorial, then Stirling; 1000 and 1e8 switch the series
+        ks = list(range(1, 200_001)) + [10**6, 10**8 - 1, 10**8, 10**8 + 1, 10**9]
+        ours = [_cephes_lgamma(k) for k in ks]
+        assert np.array_equal(bits(ours), bits(gammaln(np.array(ks, dtype=float))))
+        table = _integer_tables(5000)[0]
+        assert np.array_equal(bits(table[1:5001]), bits(ours[:5000]))
+
+    @staticmethod
+    def scipy_log_specht(mat, n):
+        from scipy.special import gammaln
+
+        K, d = mat.shape
+        ell = mat + (d - 1 - np.arange(d))[None, :]
+        val = np.full(K, math.lgamma(n + 1))
+        for i in range(d):
+            for j in range(i + 1, d):
+                val += np.log(ell[:, i] - ell[:, j])
+            val -= gammaln(ell[:, i] + 1)
+        return val
+
+    @staticmethod
+    def numpy_log_weyl(mat):
+        K, d = mat.shape
+        val = np.zeros(K)
+        for i in range(d):
+            for j in range(i + 1, d):
+                val += np.log(mat[:, i] - mat[:, j] + (j - i)) - math.log(j - i)
+        return val
+
+    @pytest.mark.parametrize("d, n_max", [(1, 300), (2, 300), (3, 300), (4, 200), (5, 80)])
+    def test_log_dimension_vectors_equal_the_scipy_formula(self, d, n_max):
+        for n in range(n_max + 1):
+            mat = partition_level(n, d).table
+            assert np.array_equal(bits(_log_specht_vec(mat, n)), bits(self.scipy_log_specht(mat, n)))
+            assert np.array_equal(bits(_log_weyl_vec(mat)), bits(self.numpy_log_weyl(mat)))
+
+    @pytest.mark.parametrize("d, N", [(2, 7), (3, 9), (4, 12), (4, 60), (3, 152)])
+    def test_perron_kernels_equal_the_csr_products(self, d, N):
+        B, mus = box_incidence(d, N)
+        successors = partition_level(N, d).successors
+        assert np.array_equal(bits(_gram(successors, len(mus))), bits((B.T @ B).toarray()))
+        matvec = _gram_matvec(successors, len(mus))
+        rng = np.random.default_rng(N)
+        for _ in range(3):
+            v = rng.standard_normal(len(mus))
+            assert np.array_equal(bits(matvec(v)), bits(B.T @ (B @ v)))
 
 
 class TestPortCoefficients:
@@ -350,7 +420,7 @@ def projected_gradient_maximum(d, N, n_starts=20, seed=424242):
 class TestOptimize:
     @pytest.mark.parametrize("d, N", [(1, 4), (2, 7), (3, 9), (4, 12), (12, 14)])
     def test_box_incidence_csr_matches_box_moves(self, d, N):
-        # the eigensolver's matvec sums in CSR order, so the arrays must not move
+        # the Perron kernels add in this CSR order, so the arrays must not move
         B, mus = box_incidence(d, N)
         assert mus == enumerate_partitions(N, d)
         column = {mu: m for m, mu in enumerate(mus)}
@@ -401,11 +471,10 @@ class TestOptimize:
             )
 
     def test_degenerate_top_eigenspace_is_flagged(self):
-        # synthetic: B^T B with an exactly repeated top eigenvalue
-        from scipy.sparse import csr_matrix
-
-        B = csr_matrix(np.eye(2))
-        lam, u, residual, degenerate = _principal_eigenpair(B, 2)
+        # synthetic: alpha_0 -> mu_0 and alpha_1 -> mu_1, so B^T B = I has
+        # an exactly repeated top eigenvalue
+        successors = np.array([[0, -1], [1, -1]])
+        lam, u, residual, degenerate = _principal_eigenpair(successors, 2)
         assert degenerate
         assert lam == pytest.approx(1.0, abs=1e-12)
         assert residual <= 1e-12

@@ -802,6 +802,25 @@ class TestWeightSectors:
             for g in gathers:
                 assert np.array_equal(np.sort(g[sector]), sector)
 
+    @pytest.mark.parametrize("d, N", [(2, 8), (3, 5)])
+    def test_sort_based_unique_equals_np_unique(self, d, N):
+        # np.unique imports numpy.ma, so the oracle ranks keys by one sort
+        n = N + 1
+        digits = np.arange(d**n)[:, None] // d ** np.arange(n - 1, -1, -1) % d
+        levels = np.arange(d)
+        weight = (digits[:, :-1, None] == levels).sum(axis=1) - (digits[:, -1:] == levels)
+        unique, labels = np.unique(weight, axis=0, return_inverse=True)
+        ours, our_labels = oracle_mod._unique_inverse(weight)
+        assert np.array_equal(ours, unique)
+        assert np.array_equal(our_labels, labels.ravel())
+        assert np.array_equal(oracle_mod._Sectors.weights((d,) * n)._labels, labels.ravel())
+        flat = np.random.default_rng(d * 10 + N).integers(-5, 40, size=300)
+        unique, labels = np.unique(flat, return_inverse=True)
+        ours, our_labels = oracle_mod._unique_inverse(flat)
+        assert np.array_equal(ours, unique) and np.array_equal(our_labels, labels)
+        empty = oracle_mod._unique_inverse(np.empty(0, dtype=np.int64))
+        assert empty[0].size == 0 and empty[1].size == 0
+
     def test_sizes_at_d2_n8(self):
         sectors = oracle_mod._Sectors.weights((2,) * 9)
         assert sectors.sizes == [math.comb(9, k) for k in range(10)]
@@ -1168,6 +1187,23 @@ class TestCertificates:
             assert dev == max([leftover] + [dev for _, dev in per_block])
             for (median, _), b in zip(per_block, blocks):
                 assert median == pytest.approx(b.value, abs=1e-9)
+
+    @pytest.mark.parametrize("d, N", [(2, 3), (3, 3)])
+    def test_block_medians_equal_np_median(self, d, N):
+        # the chunks are read off the sorted spectrum, so the median is too;
+        # both points have odd and even multiplicities
+        op = average_state(cached_ensemble(d, N))
+        blocks = block_spectrum(d, N, "avg")
+        eigvals = np.sort(np.concatenate(oracle_mod._eigensolve(*oracle_mod._measured(op))))
+        top = eigvals[eigvals.size - sum(b.multiplicity for b in blocks) :]
+        per_block, _ = oracle_mod.block_spectrum_match(op, blocks)
+        offset, parities = 0, set()
+        for k in sorted(range(len(blocks)), key=lambda k: blocks[k].value):
+            m = blocks[k].multiplicity
+            parities.add(m % 2)
+            assert per_block[k][0] == float(np.median(top[offset : offset + m]))
+            offset += m
+        assert parities == {0, 1}
 
     def test_x_dominates_each_state(self, oracle_grid):
         for d, N in oracle_grid:
