@@ -20,17 +20,18 @@ nothing measures them again.
 
 The states rho_i, the square-root measurement E_i, the steered states eta_i
 and the terms sigma_i E_i of the certificate are port orbits: the images of
-their port-1 members under the swap Pi_i of ports 1 and i. Each is built at
-port 1 with one product and gathered to the other ports, but only
-when its inputs are measured to allow it; other inputs are built element by
-element. The states must be an exact orbit, every member equal entry by
-entry to the gathered port-1 member: a list built by gathering records it
-(``_recorded_orbit``), and any other list is measured (``_swap_defects``)
-when the ``Ensemble`` is validated. The square-root measurement also needs
-the average to commute with every Pi_k, so rho_1 must also equal its image
-under every permutation of ports 2..N (``Ensemble._symmetric_orbit``): an
-exact orbit of a rho_1 without that symmetry has an average that the swaps
-change. An exact orbit is validated by its port-1 member alone.
+their port-1 members under the swap Pi_i of ports 1 and i. ``_PortOrbit``
+holds one, built from its port-1 member by one gather per port, so it is
+exact by construction: it is recognised by its type, validated at port 1
+alone, and ``certificate`` of two orbits takes one product and its gathered
+images. Any other sequence is built and validated element by element; a
+list of states measured to be an exact orbit (``_swap_defects``: every
+member equal entry by entry to the gathered port-1 member) is kept as the
+orbit of its first member. The square-root measurement is an orbit only
+when the average commutes with every Pi_k, so rho_1 must also equal its
+image under every permutation of ports 2..N (``Ensemble._symmetric_orbit``):
+an exact orbit of a rho_1 without that symmetry has an average that the
+swaps change.
 
 The dual candidate comes from the measurement under test: K = sum_i p_i
 sigma_i E_i, with E the square-root measurement of the unsteered rho_i and
@@ -41,9 +42,7 @@ K's spectrum with the closed-form block values. Feasibility takes one
 eigensolve: the N constraints are one orbit under the port transpositions,
 so K - p_1 sigma_1 is decomposed once and every other constraint is compared
 with its transposed image (``_swap_defects``), the measured defect
-lowering the reported bound. States and measurements that are not an exact
-orbit are validated with the same bound (``_check_psd``), decomposing a port
-only when its bound fails.
+lowering the reported bound.
 
 Symmetry (i) of the protocol makes every operator here commute with
 U^(xN) x conj(U), and for diagonal U that splits (C^d)^(N+1) into weight
@@ -78,6 +77,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
@@ -157,15 +157,12 @@ class DenseOperator:
             )
         self._sectors: _Sectors | None = None
         self._data: np.ndarray | None = None
-        # (source, gather) when ``_orbit_images`` gathered this from source
-        self._image_of: tuple[DenseOperator, np.ndarray] | None = None
 
     @classmethod
     def _in_sectors(cls, sectors: _Sectors, data: np.ndarray) -> DenseOperator:
         """The operator zero off ``sectors`` with the given block data."""
         op = cls.__new__(cls)
         op._matrix, op.factor_dims, op._sectors, op._data = None, sectors.dims, sectors, data
-        op._image_of = None
         return op
 
     @property
@@ -377,7 +374,7 @@ def _measured(
     return op._sectors, op._data
 
 
-def _common(operators: list[DenseOperator]) -> tuple[_Sectors, list[np.ndarray]]:
+def _common(operators: Sequence[DenseOperator]) -> tuple[_Sectors, list[np.ndarray]]:
     """Sectors shared by operators on one factor dims, and each operator's
     data in them: the weight sectors when every operator is measured zero
     off them, else the dense layout. The weight sectors are built at most
@@ -435,7 +432,7 @@ def _port_1_stabilizer(d: int, N: int) -> list[np.ndarray]:
     return [slot_gather((d,) * (N + 1), order) for order in orders]
 
 
-def _port_layout(operators: list[DenseOperator]) -> int | None:
+def _port_layout(operators: Sequence[DenseOperator]) -> int | None:
     """d when the operators are N operators on (C^d)^(N+1), the N port slots
     and B, so that operator i belongs to port i; None for any other layout."""
     dims = operators[0].factor_dims if operators else ()
@@ -446,19 +443,18 @@ def _port_layout(operators: list[DenseOperator]) -> int | None:
 
 def _swap_defects(
     sectors: _Sectors, first: np.ndarray, others
-) -> tuple[list[np.ndarray], list[float], bool]:
-    """The port-swap gathers g_k of ``sectors.dims`` = (d,) * (N + 1), the
-    swap defects delta_k = ||Pi_k M_1 Pi_k^T - M_k||_F of ``first`` = M_1 and
-    ``others`` = M_2..M_N (their data in ``sectors``), and whether the
-    operators are an exact port orbit: every difference zero entry by entry,
-    which a non-finite entry never is. Each gathered image is formed once.
-    By Weyl's inequality lambda_min(M_1) - delta_k bounds lambda_min(M_k)
-    below, so one eigensolve serves the whole orbit, and the port symmetry
-    is measured, not assumed."""
+) -> tuple[list[float], bool]:
+    """The swap defects delta_k = ||Pi_k M_1 Pi_k^T - M_k||_F of ``first`` =
+    M_1 and ``others`` = M_2..M_N (their data in ``sectors``, of dims
+    (d,) * (N + 1)), and whether the operators are an exact port orbit: every
+    difference zero entry by entry, which a non-finite entry never is. Each
+    gathered image is formed once. By Weyl's inequality
+    lambda_min(M_1) - delta_k bounds lambda_min(M_k) below, so one
+    eigensolve bounds every M_k, with the port symmetry measured, not
+    assumed."""
     dims = sectors.dims
-    gathers = _port_swaps(dims[0], len(dims) - 1)
     defects, exact = [], True
-    for g, other in zip(gathers, others):
+    for g, other in zip(_port_swaps(dims[0], len(dims) - 1), others):
         diff = sectors.gather(first, g) - other
         if diff.any():
             exact = False
@@ -466,61 +462,55 @@ def _swap_defects(
         else:
             defects.append(0.0)
         del diff  # freed before the next image and operator are formed
-    return gathers, defects, exact
+    return defects, exact
 
 
-def _orbit_images(first: DenseOperator, gathers: list[np.ndarray]) -> list[DenseOperator]:
-    """M_1 followed by its images Pi_k M_1 Pi_k^T under the port-swap gathers.
-    Each image records its source and gather, so the list is recognised as
-    an exact orbit without gathering it again (``_recorded_orbit``)."""
-    sectors, data = _measured(first)
-    images = [first]
-    for g in gathers:
-        image = sectors.operator(sectors.gather(data, g))
-        image._image_of = (first, g)
-        images.append(image)
-    return images
+class _PortOrbit(Sequence):
+    """An exact port orbit: M_1 on (C^d)^(N+1) followed by its images
+    M_k = Pi_k M_1 Pi_k^T under the port-swap gathers (``_port_swaps``).
+
+    It is exact by construction, so consumers recognise it by its type and
+    never measure it again. Its members cannot be replaced, and a copy
+    (``list(orbit)``, a slice) is a plain sequence, measured like any other
+    input."""
+
+    __slots__ = ("gathers", "_members")
+
+    def __init__(self, first: DenseOperator):
+        dims = first.factor_dims
+        sectors, data = _measured(first)
+        self.gathers = _port_swaps(dims[0], len(dims) - 1)
+        images = (sectors.operator(sectors.gather(data, g)) for g in self.gathers)
+        self._members = (first, *images)
+
+    def __getitem__(self, k):
+        return self._members[k]
+
+    def __len__(self) -> int:
+        return len(self._members)
 
 
-def _recorded_orbit(
-    operators: list[DenseOperator],
-) -> tuple[list[np.ndarray], list[float], bool] | None:
-    """What ``_swap_defects`` would measure, without gathering, when every
-    operator k >= 2 was gathered from operator 1 by the port swap g_k
-    (``_orbit_images``): the gathers, zero defects and an exact orbit, true
-    by construction. None for any other list."""
-    first = operators[0]
-    gathers = _port_swaps(first.factor_dims[0], len(operators))
-    for op, g in zip(operators[1:], gathers):
-        source = op._image_of
-        if source is None or source[0] is not first or not np.array_equal(source[1], g):
-            return None
-    return gathers, [0.0] * len(gathers), True
-
-
-def _check_psd(operators: list[DenseOperator], tol: float, name: str) -> list[np.ndarray] | None:
+def _check_psd(operators: Sequence[DenseOperator], tol: float, name: str) -> bool:
     """Raise ValueError unless every operator is finite, hermitian and
     positive semidefinite to within ``tol``, naming the first failing one and
-    its own smallest eigenvalue. Returns the port-swap gathers when the
-    operators are an exact port orbit, recorded as built (``_recorded_orbit``)
-    or measured (``_swap_defects``), else None.
+    its own smallest eigenvalue. Returns whether the operators are an exact
+    port orbit: a ``_PortOrbit``, or measured by ``_swap_defects`` on the
+    port layout (``_port_layout``).
 
-    On the port layout (``_port_layout``) M_1 takes one eigensolve and M_k
-    is accepted when lambda_min(M_1) - delta_k - dim * (h_1 + h_k) / 2 is at
-    least -tol, the last term covering the entrywise hermiticity defects h
-    because ``eigvalsh`` reads one triangle (of each block, which is the
-    matrix's own). An exact orbit has every delta_k = 0, and every M_k is a
-    permutation similarity of M_1, with its entries and its defect
-    h_k = h_1: M_1 alone is checked for finiteness and hermiticity. An M_k
-    that fails its bound, and any operator of another layout, is decomposed
-    itself, so exactly the operators that pass a per-operator eigensolve
-    are accepted.
+    An exact orbit is checked at M_1: every M_k is a permutation similarity
+    of M_1, with its entries and its hermiticity defect h_1. M_1 takes one
+    eigensolve, and M_k is accepted when lambda_min(M_1) - dim * h_1 is at
+    least -tol, the last term covering the defect because ``eigvalsh`` reads
+    one triangle (of each block, which is the matrix's own). An M_k that
+    fails the bound, and every operator of any other sequence, is
+    decomposed itself, so exactly the operators that pass a per-operator
+    eigensolve are accepted.
     """
     sectors, arrays = _common(operators)
-    orbit = None
-    if _port_layout(operators) is not None:
-        orbit = _recorded_orbit(operators) or _swap_defects(sectors, arrays[0], arrays[1:])
-    exact = orbit is not None and orbit[2]
+    exact = isinstance(operators, _PortOrbit) or (
+        _port_layout(operators) is not None
+        and _swap_defects(sectors, arrays[0], arrays[1:])[1]
+    )
     checked = arrays[:1] if exact else arrays
     for k, data in enumerate(checked):
         if not np.isfinite(data).all():
@@ -529,19 +519,15 @@ def _check_psd(operators: list[DenseOperator], tol: float, name: str) -> list[np
     for k, defect in enumerate(herm):
         if not defect <= tol:
             raise ValueError(f"{name} {k} not hermitian (defect {defect:.3e})")
-    herm = herm * len(operators) if exact else herm
-    lows = [-math.inf] * len(operators)
-    if orbit is not None:
-        lows[0] = _lowest(sectors, arrays[0])
-        for k, defect in enumerate(orbit[1], start=1):
-            lows[k] = lows[0] - defect - sectors.dim * (herm[0] + herm[k]) / 2
-    for k, (data, low) in enumerate(zip(arrays, lows)):
-        # a bound, or no value yet: decompose the operator itself
-        if not low >= -tol and (k > 0 or orbit is None):
-            low = _lowest(sectors, data)
+    bound = -math.inf
+    for k, data in enumerate(arrays):
+        # port 1 of an orbit bounds the other ports; else decompose the operator
+        low = bound if bound >= -tol else _lowest(sectors, data)
         if not low >= -tol:
             raise ValueError(f"{name} {k} not PSD (min eig {low:.3e})")
-    return orbit[0] if exact else None
+        if exact and k == 0:
+            bound = low - sectors.dim * herm[0]
+    return exact
 
 
 def permutation_operator(perm: tuple[int, ...], d: int) -> np.ndarray:
@@ -631,10 +617,10 @@ def build_rho(d: int, N: int, i: int) -> DenseOperator:
 class Ensemble:
     """States with draw probabilities; validated on construction."""
 
-    states: list[DenseOperator]
+    states: Sequence[DenseOperator]
     probs: list[float]
-    # the exact port-orbit gathers of the states, measured on validation
-    _port_orbit: list[np.ndarray] | None = field(init=False, repr=False, compare=False)
+    # the states as an exact port orbit, when they are one
+    _orbit: _PortOrbit | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.states) != len(self.probs):
@@ -645,7 +631,11 @@ class Ensemble:
         if not abs(total - 1.0) <= 1e-14:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         _check_factor_dims(self.states, self.states[0].factor_dims, "state")
-        self._port_orbit = _check_psd(self.states, 1e-12, "state")
+        exact = _check_psd(self.states, 1e-12, "state")
+        if isinstance(self.states, _PortOrbit):
+            self._orbit = self.states
+        else:
+            self._orbit = _PortOrbit(self.states[0]) if exact else None
         for k, st in enumerate(self.states):
             sectors, data = _measured(st)
             tr = sectors.trace(data)
@@ -657,20 +647,17 @@ class Ensemble:
         return self.states[0].factor_dims
 
     @cached_property
-    def _symmetric_orbit(self) -> list[np.ndarray] | None:
-        """The port-swap gathers when the ensemble is invariant under every
-        port permutation, else None: its states are an exact port orbit with
-        equal probabilities, and rho_1 equals its image under every
-        permutation of the ports 2..N entry by entry (``_port_1_stabilizer``).
-        Then each port permutation permutes the states, and the average
-        commutes with every Pi_k."""
-        if self._port_orbit is None or len(set(self.probs)) != 1:
-            return None
+    def _symmetric_orbit(self) -> bool:
+        """Whether the ensemble is invariant under every port permutation:
+        its states are an exact port orbit with equal probabilities, and
+        rho_1 equals its image under every permutation of the ports 2..N
+        entry by entry (``_port_1_stabilizer``). Then each port permutation
+        permutes the states, and the average commutes with every Pi_k."""
+        if self._orbit is None or len(set(self.probs)) != 1:
+            return False
         sectors, first = _measured(self.states[0])
         stabilizer = _port_1_stabilizer(self.factor_dims[0], len(self.states))
-        if all(np.array_equal(sectors.gather(first, g), first) for g in stabilizer):
-            return self._port_orbit
-        return None
+        return all(np.array_equal(sectors.gather(first, g), first) for g in stabilizer)
 
     @cached_property
     def _average_decomposition(self) -> tuple[DenseOperator, DenseOperator]:
@@ -682,7 +669,7 @@ class Ensemble:
 def pbt_ensemble(d: int, N: int) -> Ensemble:
     """The uniform ensemble of the N discrimination states rho_i: rho_1 and
     its images under the port swaps, equal entry by entry to ``build_rho``."""
-    return Ensemble(_orbit_images(build_rho(d, N, 1), _port_swaps(d, N)), [1.0 / N] * N)
+    return Ensemble(_PortOrbit(build_rho(d, N, 1)), [1.0 / N] * N)
 
 
 def average_state(ensemble: Ensemble, normalized: bool = False) -> DenseOperator:
@@ -721,32 +708,34 @@ def _pseudo_inv_sqrt(op: DenseOperator) -> tuple[DenseOperator, DenseOperator]:
     return sectors.operator(inv_sqrt), sectors.operator(support)
 
 
-def pretty_good_measurement(ensemble: Ensemble) -> list[DenseOperator]:
+def pretty_good_measurement(ensemble: Ensemble) -> Sequence[DenseOperator]:
     """Square-root measurement E_i = avg^(-1/2) p_i rho_i avg^(-1/2).
 
     The elements form a POVM on the support of the ensemble average; off
     that support they are zero. An ensemble invariant under every port
     permutation (``Ensemble._symmetric_orbit``) has an average that commutes
-    with every Pi_k, so E_k = Pi_k E_1 Pi_k^T: E_1 is built and E_k gathered.
+    with every Pi_k, so E_k = Pi_k E_1 Pi_k^T: the ``_PortOrbit`` of E_1.
     """
-    orbit = ensemble._symmetric_orbit
-    states = ensemble.states if orbit is None else ensemble.states[:1]
+    symmetric = ensemble._symmetric_orbit
+    states = ensemble.states[:1] if symmetric else ensemble.states
     sectors, (inv_sqrt, *arrays) = _common([ensemble._average_decomposition[0], *states])
     povm = [
         sectors.operator(sectors.hermitize(sectors.product(inv_sqrt, p * data, inv_sqrt)))
         for p, data in zip(ensemble.probs, arrays)
     ]
-    return povm if orbit is None else _orbit_images(povm[0], orbit)
+    return _PortOrbit(povm[0]) if symmetric else povm
 
 
-def _check_factor_dims(operators: list[DenseOperator], dims: tuple[int, ...], name: str) -> None:
+def _check_factor_dims(
+    operators: Sequence[DenseOperator], dims: tuple[int, ...], name: str
+) -> None:
     """Raise ValueError naming the first operator not acting on ``dims``."""
     for k, op in enumerate(operators):
         if op.factor_dims != dims:
             raise ValueError(f"{name} {k} acts on factor dims {op.factor_dims}, not {dims}")
 
 
-def success_probability(ensemble: Ensemble, povm: list[DenseOperator]) -> float:
+def success_probability(ensemble: Ensemble, povm: Sequence[DenseOperator]) -> float:
     """sum_i p_i tr(rho_i E_i), after validating the POVM on the support.
 
     Completeness is required only on the support of the ensemble average: an
@@ -837,7 +826,10 @@ def young_projector(mu, d: int, table: tuple | None = None) -> DenseOperator:
 
 def build_port_operator(d: int, N: int, coefficients: PortCoefficients) -> DenseOperator:
     """O = sum_mu sqrt(c_mu) P_mu acting on the N port slots, with one
-    permutation table for all the projectors."""
+    permutation table for all the projectors. Every steered construction
+    passes through here, so coefficients for another (d, N) stop here."""
+    if (coefficients.d, coefficients.N) != (d, N):
+        raise ValueError(f"coefficients are for (d, N) = ({coefficients.d}, {coefficients.N})")
     coefficients.validate()
     table = _permutation_table(d, N)
     acc = np.zeros((d**N, d**N))
@@ -862,16 +854,15 @@ def _steer(lifted: DenseOperator, rho: DenseOperator) -> DenseOperator:
 
 def _steered_states(
     d: int, N: int, coefficients: PortCoefficients, ensemble: Ensemble
-) -> list[DenseOperator]:
+) -> Sequence[DenseOperator]:
     """(O x 1_B) rho (O x 1_B) for each state of the ensemble, with O built
     and measured once. O x 1_B commutes with every port permutation, so
-    when the states are an exact port orbit (``Ensemble._port_orbit``) eta_1
-    is built and eta_k gathered from it."""
+    when the states are an exact port orbit (``Ensemble._orbit``) the
+    steered states are the ``_PortOrbit`` of eta_1."""
     lifted = _lifted_port_operator(d, N, coefficients)
-    orbit = ensemble._port_orbit
-    rhos = ensemble.states if orbit is None else ensemble.states[:1]
-    etas = [_steer(lifted, rho) for rho in rhos]
-    return etas if orbit is None else _orbit_images(etas[0], orbit)
+    if ensemble._orbit is not None:
+        return _PortOrbit(_steer(lifted, ensemble._orbit[0]))
+    return [_steer(lifted, rho) for rho in ensemble.states]
 
 
 def build_eta(d: int, N: int, i: int, coefficients: PortCoefficients) -> DenseOperator:
@@ -889,25 +880,19 @@ def eta_ensemble(d: int, N: int, coefficients: PortCoefficients) -> Ensemble:
 # ---------------------------------------------------------------------------
 
 
-def certificate(
-    states: list[DenseOperator],
-    povm: list[DenseOperator],
-    orbit: list[np.ndarray] | None = None,
-) -> DenseOperator:
+def certificate(states: Sequence[DenseOperator], povm: Sequence[DenseOperator]) -> DenseOperator:
     """sum_i sigma_i E_i: the dual candidate of the measurement E against the
     states sigma_i, Hermitised after its defect is checked. For a uniform
     ensemble of n states it is n times K = sum_i p_i sigma_i E_i.
 
-    ``orbit`` is given by callers whose two lists were built as exact port
-    orbits under these port-swap gathers: the square-root measurement of an
-    ensemble with ``Ensemble._symmetric_orbit``, against its states or their
-    ``_steered_states``. Then sigma_k E_k = Pi_k sigma_1 E_1 Pi_k^T: one
-    product and its gathered images. Otherwise each term is its own product."""
+    When both are ``_PortOrbit``s, sigma_k E_k = Pi_k sigma_1 E_1 Pi_k^T:
+    one product and its gathered images. Otherwise each term is its own
+    product."""
     sectors, arrays = _common([*states, *povm])
     sigmas, elements = arrays[: len(states)], arrays[len(states) :]
-    if orbit is not None:
+    if isinstance(states, _PortOrbit) and isinstance(povm, _PortOrbit):
         first = sectors.product(sigmas[0], elements[0])
-        acc = sum((sectors.gather(first, g) for g in orbit), first)
+        acc = sum((sectors.gather(first, g) for g in states.gathers), first)
     else:
         acc = sum(sectors.product(st, e) for st, e in zip(sigmas, elements))
     defect = _asymmetry(sectors, acc)
@@ -921,7 +906,7 @@ def certificate_X(d: int, N: int) -> DenseOperator:
     X/N is dual feasible and its trace over N equals that measurement's
     success probability."""
     ens = pbt_ensemble(d, N)
-    return certificate(ens.states, pretty_good_measurement(ens), ens._symmetric_orbit)
+    return certificate(ens.states, pretty_good_measurement(ens))
 
 
 def certificate_Y(d: int, N: int, coefficients: PortCoefficients) -> DenseOperator:
@@ -931,7 +916,7 @@ def certificate_Y(d: int, N: int, coefficients: PortCoefficients) -> DenseOperat
     coefficients.validate()
     ens = pbt_ensemble(d, N)
     etas = _steered_states(d, N, coefficients, ens)
-    return certificate(etas, pretty_good_measurement(ens), ens._symmetric_orbit)
+    return certificate(etas, pretty_good_measurement(ens))
 
 
 @dataclass(frozen=True)
@@ -948,7 +933,7 @@ class CertificateReport:
 
 
 def certify_optimality(
-    ensemble: Ensemble, povm: list[DenseOperator], K: DenseOperator
+    ensemble: Ensemble, povm: Sequence[DenseOperator], K: DenseOperator
 ) -> CertificateReport:
     """Check that K is dual feasible and gap-free for the given measurement.
 
@@ -981,7 +966,7 @@ def certify_optimality(
     constraints = (k - p * st for p, st in zip(ensemble.probs, sigmas))
     first = next(constraints)
     low = _lowest(sectors, first)
-    _, defects, _ = _swap_defects(sectors, first, constraints)
+    defects, _ = _swap_defects(sectors, first, constraints)
     swap_defect = max([0.0] + defects)
     feasibility = low - swap_defect
     gap = dual_value - achieved
@@ -1061,7 +1046,7 @@ def _traced_block(
 def teleportation_fidelity_direct(
     d: int,
     N: int,
-    povm: list[DenseOperator],
+    povm: Sequence[DenseOperator],
     coefficients: PortCoefficients | None = None,
 ) -> float:
     """Simulate the full teleportation channel and return its entanglement fidelity.
@@ -1210,9 +1195,7 @@ def run_verification(
         cert_blocks = block_spectrum(d, N, "Y", coefficients)
     else:
         raise ValueError(f"unknown verification mode {mode!r}")
-    # a symmetric rho ensemble has a gathered measurement, and its states
-    # and their steered images are gathered orbits
-    cert = certificate(ens.states, povm, rho_ens._symmetric_orbit)
+    cert = certificate(ens.states, povm)
     sectors, data = _measured(cert)
     report = certify_optimality(ens, povm, sectors.operator(data / N))
 

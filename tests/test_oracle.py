@@ -2,6 +2,7 @@
 
 import ast
 import functools
+import inspect
 import itertools
 import math
 import re
@@ -456,7 +457,7 @@ def per_element_pgm(ensemble):
 def is_exact_orbit(operators):
     """Whether the operators are an exact port orbit, by ``_swap_defects``."""
     sectors, arrays = oracle_mod._common(operators)
-    return oracle_mod._swap_defects(sectors, arrays[0], arrays[1:])[2]
+    return oracle_mod._swap_defects(sectors, arrays[0], arrays[1:])[1]
 
 
 class TestOrbitConstruction:
@@ -469,18 +470,19 @@ class TestOrbitConstruction:
         ens = cached_ensemble(d, N)
         for k, st in enumerate(ens.states):
             assert np.array_equal(st.matrix, build_rho(d, N, k + 1).matrix)
-        assert ens._port_orbit is not None
+        assert ens._orbit is ens.states
 
     @pytest.mark.parametrize("dn", ORACLE_GRID)
     def test_gathered_pgm_and_eta_match_the_per_element_formula(self, dn):
         d, N = dn
         ens = cached_ensemble(d, N)
-        povm = list(cached_pgm(d, N))
-        assert ens._symmetric_orbit is not None and is_exact_orbit(povm)
+        povm = pretty_good_measurement(ens)
+        assert ens._symmetric_orbit and isinstance(povm, oracle_mod._PortOrbit)
+        assert is_exact_orbit(povm)
         for e, reference in zip(povm, per_element_pgm(ens)):
             assert np.max(np.abs(e.matrix - reference)) <= 1e-13
-        gathered = oracle_mod.certificate(ens.states, povm, ens._symmetric_orbit)
-        per_element = oracle_mod.certificate(ens.states, povm)
+        gathered = oracle_mod.certificate(ens.states, povm)
+        per_element = oracle_mod.certificate(list(ens.states), list(povm))
         assert np.max(np.abs(gathered.matrix - per_element.matrix)) <= 1e-13
         c = random_valid_coefficients(d, N, np.random.default_rng(79))
         etas = oracle_mod._steered_states(d, N, c, ens)
@@ -494,7 +496,7 @@ class TestOrbitConstruction:
         d, N = 2, 3
         states = list(cached_ensemble(d, N).states)
         ens = Ensemble(states, [0.5, 0.3, 0.2])
-        assert ens._port_orbit is not None and ens._symmetric_orbit is None
+        assert ens._orbit is not None and not ens._symmetric_orbit
         povm = pretty_good_measurement(ens)
         assert not is_exact_orbit(povm)
         for e, reference in zip(povm, per_element_pgm(ens)):
@@ -502,9 +504,8 @@ class TestOrbitConstruction:
         counts, lapack = count_eigensolves(monkeypatch)
         ps = success_probability(ens, povm)
         assert -1e-10 <= ps <= 1 + 1e-10
-        # port 1 of the POVM by eigvalsh, the other ports by Weyl or eigvalsh,
-        # each block by block
-        assert 1 <= counts["eigvalsh"] <= N
+        # the POVM is no exact orbit: each element by eigvalsh, block by block
+        assert counts["eigvalsh"] == N
         assert max(lapack) <= largest_sector(d, N)
 
     def test_state_perturbed_at_one_port_takes_the_per_element_path(self):
@@ -515,7 +516,7 @@ class TestOrbitConstruction:
         mixed = 0.99 * states[1].matrix + 0.01 * np.eye(dim) / dim
         states[1] = DenseOperator(mixed, states[1].factor_dims)
         perturbed = Ensemble(states, list(ens.probs))
-        assert perturbed._port_orbit is None
+        assert perturbed._orbit is None
         povm = pretty_good_measurement(perturbed)
         for e, reference in zip(povm, per_element_pgm(perturbed)):
             assert np.array_equal(e.matrix, reference)
@@ -542,9 +543,9 @@ class TestOrbitConstruction:
         d, N = 2, len(ports)
         first = functools.reduce(np.kron, [kets[c] for c in ports] + [np.eye(2) / 2])
         first = DenseOperator(first, (d,) * (N + 1))
-        ens = Ensemble(oracle_mod._orbit_images(first, oracle_mod._port_swaps(d, N)), [1 / N] * N)
-        assert ens._port_orbit is not None
-        assert (ens._symmetric_orbit is not None) == symmetric
+        ens = Ensemble(oracle_mod._PortOrbit(first), [1 / N] * N)
+        assert ens._orbit is not None
+        assert ens._symmetric_orbit == symmetric
         povm = pretty_good_measurement(ens)
         for e, reference in zip(povm, per_element_pgm(ens)):
             assert np.max(np.abs(e.matrix - reference)) <= (1e-13 if symmetric else 0.0)
@@ -562,7 +563,7 @@ class TestOrbitConstruction:
             m = V @ st.matrix @ V.conj().T
             states.append(DenseOperator((m + m.conj().T) / 2, st.factor_dims))
         ens = Ensemble(states, [1 / N] * N)
-        assert ens._port_orbit is None and not any(map(is_blocked, states))
+        assert ens._orbit is None and not any(map(is_blocked, states))
         povm = pretty_good_measurement(ens)
         for e, reference in zip(povm, per_element_pgm(ens)):
             assert np.array_equal(e.matrix, reference)
@@ -588,7 +589,7 @@ class TestOrbitConstruction:
             if g[j] < g[i]:
                 m[g[j], g[i]] = -eps
         first = DenseOperator(m, (d,) * (N + 1))
-        states = oracle_mod._orbit_images(first, oracle_mod._port_swaps(d, N))
+        states = oracle_mod._PortOrbit(first)
         assert is_exact_orbit(states) and oracle_mod.hermiticity_defect(m) == eps
         lows = [float(np.linalg.eigvalsh(st.matrix).min()) for st in states]
         assert lows[0] >= -1e-12 and lows[1] < -1e-12
@@ -602,7 +603,7 @@ class TestOrbitConstruction:
     def test_exact_non_psd_orbit_named_at_port_one(self, monkeypatch):
         d, N = 2, 4
         first = shifted_down(cached_ensemble(d, N).states[0], 0.02)
-        states = oracle_mod._orbit_images(first, oracle_mod._port_swaps(d, N))
+        states = oracle_mod._PortOrbit(first)
         low = np.linalg.eigvalsh(first.matrix).min()
         counts, lapack = count_eigensolves(monkeypatch)
         with pytest.raises(ValueError, match=rf"^state 0 not PSD \(min eig {low:.3e}\)$"):
@@ -612,9 +613,8 @@ class TestOrbitConstruction:
 
 
 class TestOrbitValidation:
-    """States and POVMs on the port layout take one eigensolve for port 1;
-    the other ports are accepted by their measured swap defects, or else
-    decomposed themselves."""
+    """States and POVMs that are exact port orbits take one eigensolve, for
+    port 1; any other sequence is decomposed element by element."""
 
     def test_pgm_ensemble_takes_one_eigensolve(self, monkeypatch):
         d, N = 2, 4
@@ -625,10 +625,10 @@ class TestOrbitValidation:
         assert counts == {"eigvalsh": 2}
         assert max(lapack) == largest_sector(d, N) == 10
 
-    def test_recorded_orbit_is_not_measured_again(self, monkeypatch):
-        # the images _orbit_images built are an exact orbit by construction;
-        # equal operators from elsewhere, images of another first member, or
-        # images in another order are measured
+    def test_orbit_object_is_not_measured_again(self, monkeypatch):
+        # a _PortOrbit is an exact orbit by construction; a copy of it, equal
+        # operators from elsewhere, images of another first member, or images
+        # in another order are measured
         ens = cached_ensemble(2, 4)
         measured = Counter()
         real_defects = oracle_mod._swap_defects
@@ -638,17 +638,26 @@ class TestOrbitValidation:
             return real_defects(*args)
 
         monkeypatch.setattr(oracle_mod, "_swap_defects", counted_defects)
-        assert Ensemble(list(ens.states), list(ens.probs))._port_orbit is not None
+        assert Ensemble(ens.states, list(ens.probs))._orbit is ens.states
         assert measured["swap_defects"] == 0
-        copies = [DenseOperator(st.matrix, st.factor_dims) for st in ens.states]
-        assert Ensemble(copies, list(ens.probs))._port_orbit is not None
+        assert Ensemble(list(ens.states), list(ens.probs))._orbit is not None
         assert measured["swap_defects"] == 1
-        other_first = [copies[0], *ens.states[1:]]
-        assert Ensemble(other_first, list(ens.probs))._port_orbit is not None
+        copies = [DenseOperator(st.matrix, st.factor_dims) for st in ens.states]
+        assert Ensemble(copies, list(ens.probs))._orbit is not None
         assert measured["swap_defects"] == 2
-        swapped = [ens.states[0], ens.states[2], ens.states[1], *ens.states[3:]]
-        assert Ensemble(swapped, list(ens.probs))._port_orbit is None
+        other_first = [copies[0], *ens.states[1:]]
+        assert Ensemble(other_first, list(ens.probs))._orbit is not None
         assert measured["swap_defects"] == 3
+        swapped = [ens.states[0], ens.states[2], ens.states[1], *ens.states[3:]]
+        assert Ensemble(swapped, list(ens.probs))._orbit is None
+        assert measured["swap_defects"] == 4
+
+    def test_orbit_members_cannot_be_replaced(self):
+        orbit = cached_ensemble(2, 3).states
+        assert isinstance(orbit, oracle_mod._PortOrbit)
+        with pytest.raises(TypeError):
+            orbit[1] = orbit[0]
+        assert not isinstance(orbit[:2], oracle_mod._PortOrbit)
 
     def test_non_orbit_povm_accepted_through_the_fallback(self, monkeypatch):
         # P = |0><0| on port 1 and its complement: a complete projective
@@ -728,9 +737,10 @@ class TestOrbitValidation:
         assert povm[0].matrix.dtype == complex
         counts, lapack = count_eigensolves(monkeypatch)
         ps = success_probability(ens, povm)
-        assert counts == {"eigvalsh": 1}
+        # rounding breaks the exact orbit, so each element is decomposed
+        assert counts == {"eigvalsh": N}
         # rounding leaves the conjugated states off the weight sectors
-        assert not any(map(is_blocked, states)) and lapack == [povm[0].dim]
+        assert not any(map(is_blocked, states)) and lapack == [povm[0].dim] * N
         reference = math.fsum(
             p * float(np.trace(st.matrix @ e.matrix).real)
             for p, st, e in zip(ens.probs, ens.states, povm)
@@ -1123,6 +1133,28 @@ class TestPortOperator:
                 lift = np.kron(lift, U)
             assert np.max(np.abs(lift @ op - op @ lift)) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda c: build_port_operator(2, 4, c),
+            lambda c: build_eta(2, 4, 1, c),
+            lambda c: port_state_vector(2, 4, c),
+            lambda c: eta_ensemble(2, 4, c),
+            lambda c: certificate_Y(2, 4, c),
+            lambda c: teleportation_fidelity_direct(2, 4, list(cached_pgm(2, 4)), c),
+        ],
+        ids=["port_operator", "eta", "port_state", "eta_ensemble", "certificate_Y", "channel"],
+    )
+    def test_coefficients_for_another_n_rejected(self, build):
+        c = optimize_coefficients(2, 3).coefficients
+        with pytest.raises(ValueError, match=r"^coefficients are for \(d, N\) = \(2, 3\)$"):
+            build(c)
+
+    def test_coefficients_for_another_d_rejected(self):
+        c = PortCoefficients.uniform(3, 3)
+        with pytest.raises(ValueError, match=r"^coefficients are for \(d, N\) = \(3, 3\)$"):
+            teleportation_fidelity_direct(2, 3, list(cached_pgm(2, 3)), c)
+
 
 class TestEtaStates:
     @pytest.mark.parametrize("dn", [(2, 3), (3, 2)])
@@ -1175,6 +1207,19 @@ class TestCertificates:
         plus = DenseOperator(np.full((2, 2), 0.5), (2,))
         with pytest.raises(AssertionError, match=r"^certificate defect 5\.000e-01 above tolerance$"):
             oracle_mod.certificate([sigma], [plus])
+
+    def test_no_orbit_is_trusted(self):
+        # the route is chosen by the arguments alone: [rho_1] * 3 is no port
+        # orbit, so against the PGM orbit each term rho_1 E_k is its own
+        # product, and the sum has trace tr rho_1 = 1
+        assert list(inspect.signature(oracle_mod.certificate).parameters) == ["states", "povm"]
+        d, N = 2, 3
+        povm = pretty_good_measurement(pbt_ensemble(d, N))
+        rho_1 = build_rho(d, N, 1)
+        cert = oracle_mod.certificate([rho_1] * N, povm)
+        reference = oracle_mod.hermitize(sum(rho_1.matrix @ e.matrix for e in povm))
+        assert np.max(np.abs(cert.matrix - reference)) <= 1e-15
+        assert cert.trace() == pytest.approx(1.0, abs=1e-12)
 
     def test_x_spectrum_matches_blocks(self, oracle_grid):
         for d, N in oracle_grid:
@@ -1623,8 +1668,8 @@ class TestVerificationBundle:
         checks = run_verification(d, N, "standard")
         assert all(c.passed for c in checks)
         # rho_1 is built, rho_2..rho_N are its gathered images; the states
-        # and the POVM are orbits recorded as built, so the swap defects are
-        # measured once, for the feasibility bound
+        # and the POVM are port orbits by construction, so the swap defects
+        # are measured once, for the feasibility bound
         assert built == {"rho": 1, "success_probability": 1, "swap_defects": 1}
         # one eigh of the average state; eigvalsh: port 1 of the states and of
         # the POVM (exact orbits, validated by port 1), two spectra, one
@@ -1637,7 +1682,7 @@ class TestVerificationBundle:
         # every operator is decomposed block by block
         assert max(lapack) <= largest_sector(d, N)
 
-    def test_orbit_images_are_gathered_once(self, monkeypatch):
+    def test_orbits_are_gathered_once(self, monkeypatch):
         # rho and the PGM are gathered as built and not again when validated:
         # verify takes the orbits of rho, the PGM and the certificate, the
         # stabilizer of rho_1 and the feasibility defects; the channel job the
