@@ -427,13 +427,14 @@ def _integer_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _log_specht_vec(mat: np.ndarray, n: int) -> np.ndarray:
     K, d = mat.shape
-    ell = mat + (d - 1 - np.arange(d))[None, :]
+    # the shifted row lengths ell_i = mu_i + d - 1 - i, one array per row i
+    ell = [mat[:, i] + (d - 1 - i) for i in range(d)]
     lgamma, log = _integer_tables(n + d)
     val = np.full(K, math.lgamma(n + 1))
     for i in range(d):
         for j in range(i + 1, d):
-            val += log[ell[:, i] - ell[:, j]]
-        val -= lgamma[ell[:, i] + 1]
+            val += log[ell[i] - ell[j]]
+        val -= lgamma[ell[i] + 1]
     return val
 
 
@@ -447,7 +448,73 @@ def _log_weyl_vec(mat: np.ndarray) -> np.ndarray:
     return val
 
 
+def _pairwise_sum(columns: list[np.ndarray]) -> np.ndarray:
+    """The elementwise sum of equal-length columns, added in the order of
+    numpy's ``pairwise_sum``, so that its bits equal ``.sum(axis=1)`` of the
+    C-ordered matrix holding them as columns: one after another below 8
+    columns, 8 running sums joined as a tree up to 128, halves above.
+    Adds into the columns."""
+    n = len(columns)
+    if n < 8:
+        total = columns[0]
+        for column in columns[1:]:
+            total += column
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(columns[:half]) + _pairwise_sum(columns[half:])
+    r = columns[:8]
+    tail = n - n % 8
+    for i in range(8, tail, 8):
+        for j in range(8):
+            r[j] += columns[i + j]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for column in columns[tail:]:
+        total += column
+    return total
+
+
+def _successor_logsumexp(successors: np.ndarray, half_log: np.ndarray) -> np.ndarray:
+    """log sum_i exp(half_log[successors[a, i]]) over the successors of each
+    alpha a of a successor table (``PartitionLevel.successors``, -1 for
+    none), for the alphas with at least one successor of finite weight, in
+    table order. ``_fidelity_log`` states the order of the operations."""
+    # -1 marks no successor and reads the appended -inf
+    weights = np.concatenate((half_log, [-np.inf]))
+    terms = [weights[column] for column in successors.T]
+    peak = terms[0].copy()
+    for column in terms[1:]:
+        np.maximum(peak, column, out=peak)
+    if peak.min() == -np.inf:
+        live = peak > -np.inf
+        terms = [column[live] for column in terms]
+        peak = peak[live]
+    for column in terms:
+        np.subtract(column, peak, out=column)
+        np.exp(column, out=column)
+    total = _pairwise_sum(terms)
+    np.log(total, out=total)
+    total += peak
+    return total
+
+
 def _fidelity_log(d: int, N: int, coefficients: PortCoefficients | None) -> float:
+    """F as one log-sum-exp per partition level, in float64.
+
+    Each mu's half log-weight 0.5 * ln(c_mu d_mu m_mu) is formed from the
+    level table one row of the diagrams at a time. The inner sum of each
+    alpha (``_successor_logsumexp``) works on the d columns of the
+    successor table, the successors grown in row i, each a contiguous array
+    over all alphas: the gathered terms, their peak by ``np.maximum``, and
+    their exponentials added in the order of numpy's row sum
+    (``_pairwise_sum``). So every alpha's log-sum keeps the bits of the
+    (K, d) matrix form, ``terms.max(axis=1)`` plus the log of
+    ``exp(terms - peak).sum(axis=1)``. F alone does not pin that order:
+    only the largest few alphas reach its last bit. Alphas whose every
+    successor weighs zero are dropped, with a compacting copy only when one
+    exists, which never happens for the standard port state (every alpha
+    grows in row 0).
+    """
     level = partition_level(N, d)
     mus = level.table
     half_log = 0.5 * (_log_specht_vec(mus, N) + _log_weyl_vec(mus))
@@ -459,14 +526,7 @@ def _fidelity_log(d: int, N: int, coefficients: PortCoefficients | None) -> floa
             ]
         )
         half_log = half_log + 0.5 * log_c
-    # terms[a, i]: half log-weight of alpha_a plus a box in row i
-    succ = level.successors
-    terms = np.where(succ >= 0, half_log[succ], -np.inf)
-    peak = terms.max(axis=1)
-    live = peak > -np.inf
-    inner = peak[live] + np.log(
-        np.exp(terms[live] - peak[live, None]).sum(axis=1)
-    )
+    inner = _successor_logsumexp(level.successors, half_log)
     if inner.size == 0:
         return 0.0
     doubled = 2.0 * inner

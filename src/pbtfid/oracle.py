@@ -26,12 +26,12 @@ exact by construction: it is recognised by its type, validated at port 1
 alone, and ``certificate`` of two orbits takes one product and its gathered
 images. Any other sequence is built and validated element by element; a
 list of states measured to be an exact orbit (``_swap_defects``: every
-member equal entry by entry to the gathered port-1 member) is kept as the
-orbit of its first member. The square-root measurement is an orbit only
-when the average commutes with every Pi_k, so rho_1 must also equal its
-image under every permutation of ports 2..N (``Ensemble._symmetric_orbit``):
-an exact orbit of a rho_1 without that symmetry has an average that the
-swaps change.
+member equal entry by entry to the gathered port-1 member) is marked as one
+(``Ensemble._exact_orbit``), and what is built from it starts from its first
+member. The square-root measurement is an orbit only when the average
+commutes with every Pi_k, so rho_1 must also equal its image under every
+permutation of ports 2..N (``Ensemble._symmetric_orbit``): an exact orbit
+of a rho_1 without that symmetry has an average that the swaps change.
 
 The dual candidate comes from the measurement under test: K = sum_i p_i
 sigma_i E_i, with E the square-root measurement of the unsteered rho_i and
@@ -619,8 +619,8 @@ class Ensemble:
 
     states: Sequence[DenseOperator]
     probs: list[float]
-    # the states as an exact port orbit, when they are one
-    _orbit: _PortOrbit | None = field(init=False, repr=False, compare=False)
+    # whether the states are an exact port orbit: a _PortOrbit, or measured
+    _exact_orbit: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.states) != len(self.probs):
@@ -631,11 +631,7 @@ class Ensemble:
         if not abs(total - 1.0) <= 1e-14:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         _check_factor_dims(self.states, self.states[0].factor_dims, "state")
-        exact = _check_psd(self.states, 1e-12, "state")
-        if isinstance(self.states, _PortOrbit):
-            self._orbit = self.states
-        else:
-            self._orbit = _PortOrbit(self.states[0]) if exact else None
+        self._exact_orbit = _check_psd(self.states, 1e-12, "state")
         for k, st in enumerate(self.states):
             sectors, data = _measured(st)
             tr = sectors.trace(data)
@@ -653,7 +649,7 @@ class Ensemble:
         rho_1 equals its image under every permutation of the ports 2..N
         entry by entry (``_port_1_stabilizer``). Then each port permutation
         permutes the states, and the average commutes with every Pi_k."""
-        if self._orbit is None or len(set(self.probs)) != 1:
+        if not self._exact_orbit or len(set(self.probs)) != 1:
             return False
         sectors, first = _measured(self.states[0])
         stabilizer = _port_1_stabilizer(self.factor_dims[0], len(self.states))
@@ -857,11 +853,11 @@ def _steered_states(
 ) -> Sequence[DenseOperator]:
     """(O x 1_B) rho (O x 1_B) for each state of the ensemble, with O built
     and measured once. O x 1_B commutes with every port permutation, so
-    when the states are an exact port orbit (``Ensemble._orbit``) the
+    when the states are an exact port orbit (``Ensemble._exact_orbit``) the
     steered states are the ``_PortOrbit`` of eta_1."""
     lifted = _lifted_port_operator(d, N, coefficients)
-    if ensemble._orbit is not None:
-        return _PortOrbit(_steer(lifted, ensemble._orbit[0]))
+    if ensemble._exact_orbit:
+        return _PortOrbit(_steer(lifted, ensemble.states[0]))
     return [_steer(lifted, rho) for rho in ensemble.states]
 
 

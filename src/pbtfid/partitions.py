@@ -9,11 +9,15 @@ Enumeration is array-native. ``partition_level(n, d)`` returns the level
 table of all partitions of ``n`` into at most ``d`` rows, a zero-padded
 (K, d) int64 matrix in descending lexicographic order, together with the
 index that maps each diagram of level n - 1 plus one box to its row in the
-table. Level n is built from level n - 1, because every diagram has exactly
-one parent (itself minus a box from its last row). The last level built for
-each ``d`` is kept and extended on demand, so a scan over increasing N
-builds every level once and holds one table per row bound, not one per N.
-``enumerate_partitions`` is a tuple view of the table.
+table. Both are stored column by column (Fortran order), so row i of every
+diagram is one contiguous array of length K, which is what the per-row
+kernels of the log-domain sums read. Level n is built from level n - 1,
+because every diagram has exactly one parent (itself minus a box from its
+last row); the index is filled one diagram row at a time, through level
+n - 1's own index. The last level built for each ``d`` is kept and extended
+on demand, so a scan over increasing N builds every level once and holds one
+table per row bound, not one per N. ``enumerate_partitions`` is a tuple view
+of the table.
 
 The per-diagram functions (box moves, dimensions, characters) are pure and
 memoised with ``lru_cache``. The log-dimensions are validated, cached
@@ -78,6 +82,10 @@ class PartitionLevel:
     box of its last row. ``successors[a, i]`` is the row of ``table``
     holding row ``a`` of level n - 1 plus one box in row ``i``, or -1 where
     that is not a diagram; every box-addition sum walks this index.
+
+    ``table`` and ``successors`` are Fortran-ordered: column ``i``, row i of
+    every diagram or the successors grown in row i, is contiguous. The
+    values, shapes and the order of the diagrams do not depend on it.
     """
 
     n: int
@@ -100,8 +108,9 @@ def _frozen_level(n, table, lengths, parent, successors) -> PartitionLevel:
 def _empty_level(d: int) -> PartitionLevel:
     """Level 0: the empty diagram, with no rows and no parent."""
     lengths = np.zeros(1, dtype=np.int64)
-    table = np.zeros((1, d), dtype=np.int64)
-    return _frozen_level(0, table, lengths, lengths - 1, np.empty((0, d), dtype=np.int64))
+    table = np.zeros((1, d), dtype=np.int64, order="F")
+    successors = np.empty((0, d), dtype=np.int64, order="F")
+    return _frozen_level(0, table, lengths, lengths - 1, successors)
 
 
 def _next_level(level: PartitionLevel) -> PartitionLevel:
@@ -112,34 +121,41 @@ def _next_level(level: PartitionLevel) -> PartitionLevel:
     with k rows are itself with a box added to row k - 1, when that keeps
     the rows decreasing, and to a new row k, when k < d. Listing each
     parent's children in that order, parents in descending lexicographic
-    order, lists the new level already sorted.
+    order, lists the new level already sorted, and a child's last row is
+    the row it grew.
     """
     rows, k = level.table, level.lengths
     K, d = rows.shape
+    last = k - 1
     # a box may go into row i iff i == 0 or row i is shorter than row i - 1
-    flat = rows.reshape(-1)
-    open_rows = np.empty(K * d, dtype=bool)
-    np.less(flat[1:], flat[:-1], out=open_rows[1:])
-    open_rows[::d] = True
-    grow_last = (k > 0) & open_rows[np.arange(0, K * d, d) + np.maximum(k - 1, 0)]
-    counts = grow_last + (k < d).astype(np.int64)
-    parent = np.repeat(np.arange(K), counts)
-    grown = np.repeat(k - grow_last, counts)
-    grown[np.cumsum(counts)[counts == 2] - 1] += 1
+    open_rows = np.ones((K, d), dtype=bool, order="F")
+    np.less(rows[:, 1:], rows[:, :-1], out=open_rows[:, 1:])
+    # entry (alpha, last row of alpha) of a column-major (K, d) array, flattened
+    at_last = last * K
+    # two child slots per diagram, a box in its last row and in a new row
+    slots = np.empty((K, 2), dtype=bool)
+    last_open = open_rows.reshape(-1, order="F")[at_last + np.arange(K)]
+    np.logical_and(last_open, k > 0, out=slots[:, 0])
+    np.less(k, d, out=slots[:, 1])
+    filled = np.flatnonzero(slots)
+    parent = filled >> 1
+    grown = last[parent] + (filled & 1)
     children = np.arange(parent.size)
-    table = np.take(rows, parent, axis=0)
-    table.reshape(-1)[children * d + grown] += 1
-    lengths = k[parent] + (grown == k[parent])
-    successors = np.full(K * d, -1, dtype=np.int64)
-    successors[parent * d + grown] = children
+    # the transposes are C-ordered (d, K): row i of each is column i of the level
+    table_t = np.take(rows.T, parent, axis=1)
+    table_t.reshape(-1)[grown * parent.size + children] += 1
+    successors_t = np.full((d, K), -1, dtype=np.int64)
+    flat = successors_t.reshape(-1)
+    flat[grown * K + parent] = children
     # A box in an earlier open row i < k - 1 gives alpha + box_i, whose
     # parent beta = alpha + box_i - box_{k-1} is in level n: find beta
-    # through level n's own index, then take beta's child in row k - 1.
-    earlier = np.flatnonzero(open_rows.reshape(K, d) & (np.arange(d) < (k - 1)[:, None]))
-    a, i = np.divmod(earlier, d)
-    beta = level.successors.reshape(-1)[level.parent[a] * d + i]
-    successors[earlier] = successors[beta * d + k[a] - 1]
-    return _frozen_level(level.n + 1, table, lengths, parent, successors.reshape(K, d))
+    # through level n's own index, then take beta's child in row k - 1,
+    # which the scatter above has filled. One row i at a time; a diagram of
+    # level n has at most min(n, d) rows.
+    for i in range(min(level.n, d) - 1):
+        beta = level.successors[:, i][level.parent]
+        np.copyto(successors_t[i], flat[at_last + beta], where=open_rows[:, i] & (last > i))
+    return _frozen_level(level.n + 1, table_t.T, grown + 1, parent, successors_t.T)
 
 
 def partition_level(n: int, d: int) -> PartitionLevel:

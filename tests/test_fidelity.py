@@ -36,9 +36,11 @@ from pbtfid.fidelity import (
     _integer_tables,
     _log_specht_vec,
     _log_weyl_vec,
+    _pairwise_sum,
     _principal_eigenpair,
+    _successor_logsumexp,
 )
-from pbtfid.partitions import partition_level
+from pbtfid.partitions import partition_level, table_partitions
 
 SQ3 = math.sqrt(3.0)
 
@@ -252,6 +254,80 @@ class TestScipyFreeKernels:
         for _ in range(3):
             v = rng.standard_normal(len(mus))
             assert np.array_equal(bits(matvec(v)), bits(B.T @ (B @ v)))
+
+
+class TestColumnLogSumExp:
+    """The log-domain sum runs column by column, one row of the diagrams at a
+    time. Every alpha's log-sum equals, bit for bit, the (K, d) matrix form
+    it replaced, frozen here: F alone does not pin the row-sum order, since
+    only the largest few alphas reach its last bit."""
+
+    @staticmethod
+    def matrix_logsumexp(successors, half_log):
+        # the C-ordered table, whose .sum(axis=1) adds along each row
+        successors = np.ascontiguousarray(successors)
+        terms = np.where(successors >= 0, half_log[successors], -np.inf)
+        peak = terms.max(axis=1)
+        live = peak > -np.inf
+        return peak[live] + np.log(np.exp(terms[live] - peak[live, None]).sum(axis=1))
+
+    @staticmethod
+    def fidelity_of(inner, d, N):
+        doubled = 2.0 * inner
+        top = doubled.max()
+        log_f = top + math.log(np.exp(doubled - top).sum()) - (N + 2) * math.log(d)
+        return min(math.exp(log_f), 1.0)
+
+    @staticmethod
+    def half_log(d, N, coefficients=None):
+        mat = partition_level(N, d).table
+        half_log = 0.5 * (_log_specht_vec(mat, N) + _log_weyl_vec(mat))
+        if coefficients is not None:
+            values = [coefficients.value(mu) for mu in table_partitions(mat)]
+            log_c = np.array([math.log(c) if c > 0 else -np.inf for c in values])
+            half_log = half_log + 0.5 * log_c
+        return half_log
+
+    @pytest.mark.parametrize("columns", [*range(1, 21), 64, 127, 128, 129, 136, 300])
+    def test_pairwise_sum_is_numpys_row_sum(self, columns):
+        # sequential below 8 columns, 8 running sums to 128, then halves
+        x = np.exp(np.random.default_rng(columns).standard_normal((400, columns)) * 5)
+        total = _pairwise_sum([x[:, i].copy() for i in range(columns)])
+        assert np.array_equal(bits(total), bits(x.sum(axis=1)))
+
+    @pytest.mark.parametrize(
+        "d, n_min, n_max", [(d, 41, 41) for d in range(1, 11)] + [(3, 41, 120), (5, 41, 60)]
+    )
+    def test_standard_rows_equal_the_matrix_form(self, d, n_min, n_max):
+        for N in range(n_min, n_max + 1):
+            successors = partition_level(N, d).successors
+            half_log = self.half_log(d, N)
+            inner = _successor_logsumexp(successors, half_log)
+            expected = self.matrix_logsumexp(successors, half_log)
+            assert np.array_equal(bits(inner), bits(expected))
+            report = fidelity_standard(d, N, numeric_mode="log-domain")
+            assert report.fidelity == self.fidelity_of(expected, d, N)
+
+    @pytest.mark.parametrize("d, N", [(2, 60), (3, 45), (4, 41), (9, 41)])
+    def test_alphas_without_a_live_successor_are_dropped(self, d, N):
+        rng = np.random.default_rng(d * N)
+        mus = enumerate_partitions(N, d)
+        raw = {mu: float(w) for mu, w in zip(mus, rng.random(len(mus)) + 0.05)}
+        for mu in mus:
+            if rng.random() < 0.6:
+                raw[mu] = 0.0
+        c = PortCoefficients(d, N, raw).renormalized()
+        successors = partition_level(N, d).successors
+        half_log = self.half_log(d, N, c)
+        terms = np.where(successors >= 0, half_log[successors], -np.inf)
+        dead = int((terms.max(axis=1) == -np.inf).sum())
+        assert 0 < dead < successors.shape[0]
+        inner = _successor_logsumexp(successors, half_log)
+        expected = self.matrix_logsumexp(successors, half_log)
+        assert inner.size == successors.shape[0] - dead
+        assert np.array_equal(bits(inner), bits(expected))
+        report = fidelity_given_coefficients(d, N, c, numeric_mode="log-domain")
+        assert report.fidelity == self.fidelity_of(expected, d, N)
 
 
 class TestPortCoefficients:

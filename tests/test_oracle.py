@@ -454,6 +454,19 @@ def per_element_pgm(ensemble):
     ]
 
 
+def count_gathers(monkeypatch):
+    """Count the sector gathers ``_Sectors.gather`` makes from now on."""
+    gathers = Counter()
+    real_gather = oracle_mod._Sectors.gather
+
+    def counted_gather(self, *args):
+        gathers["gather"] += 1
+        return real_gather(self, *args)
+
+    monkeypatch.setattr(oracle_mod._Sectors, "gather", counted_gather)
+    return gathers
+
+
 def is_exact_orbit(operators):
     """Whether the operators are an exact port orbit, by ``_swap_defects``."""
     sectors, arrays = oracle_mod._common(operators)
@@ -470,7 +483,7 @@ class TestOrbitConstruction:
         ens = cached_ensemble(d, N)
         for k, st in enumerate(ens.states):
             assert np.array_equal(st.matrix, build_rho(d, N, k + 1).matrix)
-        assert ens._orbit is ens.states
+        assert ens._exact_orbit and isinstance(ens.states, oracle_mod._PortOrbit)
 
     @pytest.mark.parametrize("dn", ORACLE_GRID)
     def test_gathered_pgm_and_eta_match_the_per_element_formula(self, dn):
@@ -496,7 +509,7 @@ class TestOrbitConstruction:
         d, N = 2, 3
         states = list(cached_ensemble(d, N).states)
         ens = Ensemble(states, [0.5, 0.3, 0.2])
-        assert ens._orbit is not None and not ens._symmetric_orbit
+        assert ens._exact_orbit and not ens._symmetric_orbit
         povm = pretty_good_measurement(ens)
         assert not is_exact_orbit(povm)
         for e, reference in zip(povm, per_element_pgm(ens)):
@@ -516,7 +529,7 @@ class TestOrbitConstruction:
         mixed = 0.99 * states[1].matrix + 0.01 * np.eye(dim) / dim
         states[1] = DenseOperator(mixed, states[1].factor_dims)
         perturbed = Ensemble(states, list(ens.probs))
-        assert perturbed._orbit is None
+        assert not perturbed._exact_orbit
         povm = pretty_good_measurement(perturbed)
         for e, reference in zip(povm, per_element_pgm(perturbed)):
             assert np.array_equal(e.matrix, reference)
@@ -544,7 +557,7 @@ class TestOrbitConstruction:
         first = functools.reduce(np.kron, [kets[c] for c in ports] + [np.eye(2) / 2])
         first = DenseOperator(first, (d,) * (N + 1))
         ens = Ensemble(oracle_mod._PortOrbit(first), [1 / N] * N)
-        assert ens._orbit is not None
+        assert ens._exact_orbit
         assert ens._symmetric_orbit == symmetric
         povm = pretty_good_measurement(ens)
         for e, reference in zip(povm, per_element_pgm(ens)):
@@ -563,7 +576,7 @@ class TestOrbitConstruction:
             m = V @ st.matrix @ V.conj().T
             states.append(DenseOperator((m + m.conj().T) / 2, st.factor_dims))
         ens = Ensemble(states, [1 / N] * N)
-        assert ens._orbit is None and not any(map(is_blocked, states))
+        assert not ens._exact_orbit and not any(map(is_blocked, states))
         povm = pretty_good_measurement(ens)
         for e, reference in zip(povm, per_element_pgm(ens)):
             assert np.array_equal(e.matrix, reference)
@@ -638,19 +651,36 @@ class TestOrbitValidation:
             return real_defects(*args)
 
         monkeypatch.setattr(oracle_mod, "_swap_defects", counted_defects)
-        assert Ensemble(ens.states, list(ens.probs))._orbit is ens.states
+        assert Ensemble(ens.states, list(ens.probs))._exact_orbit
         assert measured["swap_defects"] == 0
-        assert Ensemble(list(ens.states), list(ens.probs))._orbit is not None
+        assert Ensemble(list(ens.states), list(ens.probs))._exact_orbit
         assert measured["swap_defects"] == 1
         copies = [DenseOperator(st.matrix, st.factor_dims) for st in ens.states]
-        assert Ensemble(copies, list(ens.probs))._orbit is not None
+        assert Ensemble(copies, list(ens.probs))._exact_orbit
         assert measured["swap_defects"] == 2
         other_first = [copies[0], *ens.states[1:]]
-        assert Ensemble(other_first, list(ens.probs))._orbit is not None
+        assert Ensemble(other_first, list(ens.probs))._exact_orbit
         assert measured["swap_defects"] == 3
         swapped = [ens.states[0], ens.states[2], ens.states[1], *ens.states[3:]]
-        assert Ensemble(swapped, list(ens.probs))._orbit is None
+        assert not Ensemble(swapped, list(ens.probs))._exact_orbit
         assert measured["swap_defects"] == 4
+
+    def test_measured_orbit_is_gathered_once(self, monkeypatch):
+        # a plain list measured to be an exact orbit is kept as it is: the
+        # N - 1 images formed to measure it are not formed again, and the
+        # steered states start from its first member
+        d, N = 2, 4
+        ens = cached_ensemble(d, N)
+        states = list(ens.states)
+        gathers = count_gathers(monkeypatch)
+        measured = Ensemble(states, list(ens.probs))
+        assert gathers["gather"] == N - 1
+        assert measured._exact_orbit and measured.states is states
+        c = random_valid_coefficients(d, N, np.random.default_rng(89))
+        etas = oracle_mod._steered_states(d, N, c, measured)
+        assert isinstance(etas, oracle_mod._PortOrbit)
+        for eta, reference in zip(etas, oracle_mod._steered_states(d, N, c, ens)):
+            assert np.array_equal(eta.matrix, reference.matrix)
 
     def test_orbit_members_cannot_be_replaced(self):
         orbit = cached_ensemble(2, 3).states
@@ -1687,14 +1717,7 @@ class TestVerificationBundle:
         # verify takes the orbits of rho, the PGM and the certificate, the
         # stabilizer of rho_1 and the feasibility defects; the channel job the
         # orbits of rho and the PGM and the stabilizer
-        gathers = Counter()
-        real_gather = oracle_mod._Sectors.gather
-
-        def counted_gather(self, *args):
-            gathers["gather"] += 1
-            return real_gather(self, *args)
-
-        monkeypatch.setattr(oracle_mod._Sectors, "gather", counted_gather)
+        gathers = count_gathers(monkeypatch)
         assert all(c.passed for c in run_verification(2, 8, "standard"))
         assert gathers["gather"] == 30
         gathers.clear()

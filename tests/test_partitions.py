@@ -103,16 +103,24 @@ class TestLevelTables:
             padded = [mu + (0,) * (d - len(mu)) for mu in expected]
             assert table.tolist() == [list(row) for row in padded]
 
-    @pytest.mark.parametrize("n, d", [(1, 1), (6, 3), (9, 4), (13, 2), (8, 8), (14, 12)])
+    @pytest.mark.parametrize(
+        "n, d",
+        [(1, 1), (6, 3), (9, 4), (13, 2), (8, 8), (14, 12)]
+        + [(300, 1), (400, 2), (120, 3), (60, 4), (40, 5)],
+    )
     def test_successor_index_matches_box_moves(self, n, d):
         level = partition_level(n, d)
         mus = enumerate_partitions(n, d)
         alphas = enumerate_partitions(n - 1, d)
+        row_of = {mu: m for m, mu in enumerate(mus)}
         assert level.successors.shape == (len(alphas), d)
+        # column-major: each column, one row of the diagrams, is contiguous
+        for arr in (level.table, level.successors):
+            assert arr.flags.f_contiguous and not arr.flags.writeable
         for a, alpha in enumerate(alphas):
             expected = [-1] * d
             for rel in add_box_successors(alpha, d):
-                expected[rel.row] = mus.index(rel.mu)
+                expected[rel.row] = row_of[rel.mu]
             assert level.successors[a].tolist() == expected
         for m, mu in enumerate(mus):
             if mu:
