@@ -10,8 +10,13 @@ Two numeric modes back every evaluation:
   log-sum-exp aggregation, which keeps scans to N ~ 10^3 fast and overflow
   free.
 
-Summations always iterate partitions in the canonical descending
-lexicographic order, so results do not depend on scheduling.
+Every formula is a sum over the one-box edges alpha -> mu = alpha + box of
+Young's lattice, and every whole-level sum walks the successor index of
+``partition_level(N, d)``: alphas in its canonical descending lexicographic
+order, each alpha's covers in grown-row order, so results do not depend on
+scheduling. The exact-hybrid F and the block spectra form each mu's surd
+sqrt(c_mu d_mu m_mu) once and each alpha's surd sum once; the single-block
+functions use the same formula on the covers of their own alpha.
 
 The log-domain sums read ln Gamma and ln at integers from tables. ln Gamma
 is filled by a port of cephes' ``lgam``, the routine behind
@@ -38,6 +43,7 @@ from .partitions import (
     add_box_successors,
     check_partition,
     enumerate_partitions,
+    is_valid_partition,
     log_specht_dim,
     log_specht_row,
     log_weyl_dim,
@@ -87,6 +93,12 @@ def _check_dn(d: int, N: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _check_diagram(mu: Partition, d: int, N: int) -> None:
+    """Raise ValueError unless ``mu`` is a partition of N into at most d rows."""
+    if not (0 < len(mu) <= d and sum(mu) == N and is_valid_partition(mu)):
+        raise ValueError(f"{mu} is not a partition of {N} into at most {d} rows")
+
+
 @dataclass(frozen=True)
 class PortCoefficients:
     """Nonnegative block weights c_mu of a symmetric port state.
@@ -112,14 +124,10 @@ class PortCoefficients:
         cls, d: int, N: int, entries: Mapping[Sequence[int], float]
     ) -> "PortCoefficients":
         _check_dn(d, N)
-        allowed = set(enumerate_partitions(N, d))
         clean: dict[Partition, float] = {}
         for raw_mu, c in entries.items():
             mu = check_partition(raw_mu)
-            if mu not in allowed:
-                raise ValueError(
-                    f"{mu} is not a partition of {N} into at most {d} rows"
-                )
+            _check_diagram(mu, d, N)
             try:
                 c = float(c)
             except OverflowError as exc:
@@ -169,6 +177,8 @@ class PortCoefficients:
         )
 
     def validate(self) -> None:
+        for mu in self.entries:
+            _check_diagram(mu, self.d, self.N)
         if not all(math.isfinite(c) and c >= 0 for c in self.entries.values()):
             raise ValueError("port coefficients must be finite and nonnegative")
         residual = self.constraint_residual()
@@ -240,7 +250,8 @@ def _make_report(d, N, mode, fidelity, numeric_mode, **kw) -> FidelityReport:
 # ---------------------------------------------------------------------------
 
 
-def _require_box_pair(d: int, N: int, mu, alpha) -> tuple[Partition, Partition]:
+def _require_box_pair(d: int, N: int, mu, alpha) -> tuple[Partition, Partition, list[Partition]]:
+    """The validated pair and alpha's covers, the diagrams alpha + box."""
     _check_dn(d, N)
     mu = check_partition(mu)
     alpha = check_partition(alpha)
@@ -250,9 +261,17 @@ def _require_box_pair(d: int, N: int, mu, alpha) -> tuple[Partition, Partition]:
         raise ValueError(f"mu must be a partition of N = {N}, got {mu}")
     if len(alpha) > d or len(mu) > d:
         raise ValueError(f"row bound d = {d} exceeded")
-    if not any(rel.mu == mu for rel in add_box_successors(alpha, d)):
+    covers = [rel.mu for rel in add_box_successors(alpha, d)]
+    if mu not in covers:
         raise ValueError(f"{mu} is not {alpha} plus a single box")
-    return mu, alpha
+    return mu, alpha, covers
+
+
+def _avg_block(d: int, N: int, mu: Partition, alpha: Partition) -> Fraction:
+    return Fraction(
+        N * weyl_dim(mu, d) * specht_dim(alpha),
+        d**N * weyl_dim(alpha, d) * specht_dim(mu),
+    )
 
 
 def avg_state_eigenvalue(d: int, N: int, mu, alpha) -> Fraction:
@@ -260,47 +279,59 @@ def avg_state_eigenvalue(d: int, N: int, mu, alpha) -> Fraction:
 
     r = (N / d^N) * m_mu * d_alpha / (m_alpha * d_mu), exact.
     """
-    mu, alpha = _require_box_pair(d, N, mu, alpha)
-    return Fraction(
-        N * weyl_dim(mu, d) * specht_dim(alpha),
-        d**N * weyl_dim(alpha, d) * specht_dim(mu),
-    )
+    mu, alpha, _ = _require_box_pair(d, N, mu, alpha)
+    return _avg_block(d, N, mu, alpha)
 
 
-def _unit_weight(mu: Partition) -> float:
-    """c_mu = 1: the maximally entangled port state."""
-    return 1.0
+def _table_weights(mus: Sequence[Partition], coefficients: PortCoefficients | None) -> list[float]:
+    """c_mu for each diagram, in the order given: 1 for every diagram without
+    coefficients (the maximally entangled port state), 0 for one missing
+    from them."""
+    if coefficients is None:
+        return [1.0] * len(mus)
+    return [float(coefficients.entries.get(mu, 0.0)) for mu in mus]
 
 
-def _certificate_block(d: int, N: int, mu, alpha, weight) -> float:
-    """Certificate block eigenvalue for port weights c_mu = weight(mu):
+def _surds(d: int, mus: Sequence[Partition], weights: Sequence[float]) -> list:
+    """sqrt(c_mu d_mu m_mu) for each diagram, at the working precision. The
+    integer d_mu m_mu is exact, so c * (d_mu m_mu) rounds once and c = 1 is
+    exact; c = 0 gives 0, which ``mpmath.fsum`` skips."""
+    return [
+        mpmath.sqrt(mpmath.mpf(c) * (specht_dim(mu) * weyl_dim(mu, d)))
+        for mu, c in zip(mus, weights)
+    ]
 
-    (1/d^N) * (1/(m_alpha d_mu)) * sqrt(c_mu m_mu d_mu)
-        * sum_{mu'} sqrt(c_mu' m_mu' d_mu'),
 
-    summing over all one-box extensions mu' of alpha, at MP_DPS digits.
-    """
+def _surd_sums(successors: np.ndarray, surds: list) -> list:
+    """S_alpha, the sum of the surds of alpha's covers in grown-row order,
+    for each row alpha of a successor table (-1 for no cover)."""
+    return [mpmath.fsum([surds[m] for m in row if m >= 0]) for row in successors.tolist()]
+
+
+def _certificate_value(d: int, N: int, surd, surd_sum, m_alpha: int, d_mu: int) -> float:
+    """Certificate block eigenvalue (1/d^N) * surd_mu * S_alpha / (m_alpha d_mu)
+    for port weights c, with surd_mu = sqrt(c_mu d_mu m_mu) and S_alpha the
+    surd sum over alpha's covers; under MP_DPS digits."""
+    return float(surd * surd_sum / (m_alpha * d_mu) / mpmath.mpf(d) ** N)
+
+
+def _single_block(d: int, N: int, mu, alpha, coefficients: PortCoefficients | None) -> float:
+    """The certificate block of one (alpha, mu), from alpha's covers alone."""
+    mu, alpha, covers = _require_box_pair(d, N, mu, alpha)
+    if coefficients is not None:
+        coefficients.validate()
     with mpmath.workdps(MP_DPS):
-        surd_sum = mpmath.fsum(
-            mpmath.sqrt(
-                mpmath.mpf(weight(rel.mu)) * specht_dim(rel.mu) * weyl_dim(rel.mu, d)
-            )
-            for rel in add_box_successors(alpha, d)
-        )
-        val = (
-            mpmath.sqrt(mpmath.mpf(weight(mu)) * specht_dim(mu) * weyl_dim(mu, d))
-            * surd_sum
-            / (weyl_dim(alpha, d) * specht_dim(mu))
-            / mpmath.mpf(d) ** N
-        )
-        return float(val)
+        surds = _surds(d, covers, _table_weights(covers, coefficients))
+        surd_sum = mpmath.fsum(surds)
+        surd = surds[covers.index(mu)]
+        return _certificate_value(d, N, surd, surd_sum, weyl_dim(alpha, d), specht_dim(mu))
 
 
 def pgm_block_coefficient(d: int, N: int, mu, alpha) -> float:
     """Block eigenvalue x of the square-root-measurement certificate operator:
     the certificate block at c = 1, x = sqrt(m_mu/d_mu) / (m_alpha d^N)
     * sum_{mu'} sqrt(d_mu' m_mu')."""
-    return _certificate_block(d, N, *_require_box_pair(d, N, mu, alpha), _unit_weight)
+    return _single_block(d, N, mu, alpha, None)
 
 
 def opt_block_coefficient(
@@ -308,9 +339,7 @@ def opt_block_coefficient(
 ) -> float:
     """Block eigenvalue y of the certificate operator for a steered port state
     (the certificate block at c = ``coefficients``, validated first)."""
-    mu, alpha = _require_box_pair(d, N, mu, alpha)
-    coefficients.validate()
-    return _certificate_block(d, N, mu, alpha, coefficients.value)
+    return _single_block(d, N, mu, alpha, coefficients)
 
 
 @dataclass(frozen=True)
@@ -327,25 +356,39 @@ def block_spectrum(
     d: int, N: int, operator: str = "avg", coefficients: PortCoefficients | None = None
 ) -> list[BlockValue]:
     """Per-block eigenvalues of the average state ("avg") or a certificate
-    operator ("X", "Y"), in canonical partition order."""
+    operator ("X", "Y"), in canonical partition order: alphas in table order,
+    each alpha's covers in grown-row order. Walks the successor index of
+    ``partition_level(N, d)``; each surd and each surd sum is formed once."""
     _check_dn(d, N)
     if operator not in ("avg", "X", "Y"):
         raise ValueError(f"unknown operator {operator!r}")
-    weight = _unit_weight
     if operator == "Y":
         if coefficients is None:
             raise ValueError("operator Y needs port coefficients")
         coefficients.validate()
-        weight = coefficients.value
+    level = partition_level(N, d)
+    mus = table_partitions(level.table)
+    # every alpha grows in row 0: alpha is that cover less its first-row box
+    alpha_table = level.table[level.successors[:, 0]]
+    alpha_table[:, 0] -= 1
+    alphas = table_partitions(alpha_table)
     rows = []
-    for alpha in enumerate_partitions(N - 1, d):
-        for rel in add_box_successors(alpha, d):
-            if operator == "avg":
-                value = float(avg_state_eigenvalue(d, N, rel.mu, alpha))
-            else:
-                value = _certificate_block(d, N, rel.mu, alpha, weight)
-            mult = weyl_dim(alpha, d) * specht_dim(rel.mu)
-            rows.append(BlockValue(alpha, rel.mu, value, mult))
+    with mpmath.workdps(MP_DPS):
+        if operator != "avg":
+            weights = _table_weights(mus, coefficients if operator == "Y" else None)
+            surds = _surds(d, mus, weights)
+            sums = _surd_sums(level.successors, surds)
+        for a, (alpha, covers) in enumerate(zip(alphas, level.successors.tolist())):
+            m_alpha = weyl_dim(alpha, d)
+            for m in covers:
+                if m < 0:
+                    continue
+                mu, d_mu = mus[m], specht_dim(mus[m])
+                if operator == "avg":
+                    value = float(_avg_block(d, N, mu, alpha))
+                else:
+                    value = _certificate_value(d, N, surds[m], sums[a], m_alpha, d_mu)
+                rows.append(BlockValue(alpha, mu, value, m_alpha * d_mu))
     return rows
 
 
@@ -355,20 +398,15 @@ def block_spectrum(
 
 
 def _fidelity_exact(d: int, N: int, coefficients: PortCoefficients | None) -> float:
-    weight = _unit_weight if coefficients is None else coefficients.value
+    """F = d^-(N+2) sum_alpha S_alpha^2 at MP_DPS digits, rounded once to a
+    double: each mu's surd formed once, each alpha's surd sum over its row
+    of the successor index."""
+    level = partition_level(N, d)
+    mus = table_partitions(level.table)
     with mpmath.workdps(MP_DPS):
-        outer = []
-        for alpha in enumerate_partitions(N - 1, d):
-            # the integer weight is exact, so c * weight rounds once and c = 1 is exact
-            inner = [
-                mpmath.sqrt(mpmath.mpf(c) * (specht_dim(rel.mu) * weyl_dim(rel.mu, d)))
-                for rel in add_box_successors(alpha, d)
-                if (c := weight(rel.mu)) > 0
-            ]
-            s = mpmath.fsum(inner)
-            outer.append(s * s)
-        total = mpmath.fsum(outer) / mpmath.mpf(d) ** (N + 2)
-        return float(total)
+        surds = _surds(d, mus, _table_weights(mus, coefficients))
+        outer = [s * s for s in _surd_sums(level.successors, surds)]
+        return float(mpmath.fsum(outer) / mpmath.mpf(d) ** (N + 2))
 
 
 # cephes' lgam, the routine behind scipy.special.gammaln: the Stirling-series
@@ -519,12 +557,8 @@ def _fidelity_log(d: int, N: int, coefficients: PortCoefficients | None) -> floa
     mus = level.table
     half_log = 0.5 * (_log_specht_vec(mus, N) + _log_weyl_vec(mus))
     if coefficients is not None:
-        log_c = np.array(
-            [
-                math.log(c) if (c := coefficients.value(mu)) > 0 else -np.inf
-                for mu in table_partitions(mus)
-            ]
-        )
+        weights = _table_weights(table_partitions(mus), coefficients)
+        log_c = np.array([math.log(c) if c > 0 else -np.inf for c in weights])
         half_log = half_log + 0.5 * log_c
     inner = _successor_logsumexp(level.successors, half_log)
     if inner.size == 0:

@@ -24,14 +24,11 @@ their port-1 members under the swap Pi_i of ports 1 and i. ``_PortOrbit``
 holds one, built from its port-1 member by one gather per port, so it is
 exact by construction: it is recognised by its type, validated at port 1
 alone, and ``certificate`` of two orbits takes one product and its gathered
-images. Any other sequence is built and validated element by element; a
-list of states measured to be an exact orbit (``_swap_defects``: every
-member equal entry by entry to the gathered port-1 member) is marked as one
-(``Ensemble._exact_orbit``), and what is built from it starts from its first
-member. The square-root measurement is an orbit only when the average
-commutes with every Pi_k, so rho_1 must also equal its image under every
-permutation of ports 2..N (``Ensemble._symmetric_orbit``): an exact orbit
-of a rho_1 without that symmetry has an average that the swaps change.
+images. Any other sequence is built and validated element by element. The
+square-root measurement is an orbit only when the average commutes with
+every Pi_k, so rho_1 must also equal its image under every permutation of
+ports 2..N (``Ensemble._symmetric_orbit``): an exact orbit of a rho_1
+without that symmetry has an average that the swaps change.
 
 The dual candidate comes from the measurement under test: K = sum_i p_i
 sigma_i E_i, with E the square-root measurement of the unsteered rho_i and
@@ -78,7 +75,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
@@ -441,28 +438,19 @@ def _port_layout(operators: Sequence[DenseOperator]) -> int | None:
     return None
 
 
-def _swap_defects(
-    sectors: _Sectors, first: np.ndarray, others
-) -> tuple[list[float], bool]:
+def _swap_defects(sectors: _Sectors, first: np.ndarray, others) -> list[float]:
     """The swap defects delta_k = ||Pi_k M_1 Pi_k^T - M_k||_F of ``first`` =
     M_1 and ``others`` = M_2..M_N (their data in ``sectors``, of dims
-    (d,) * (N + 1)), and whether the operators are an exact port orbit: every
-    difference zero entry by entry, which a non-finite entry never is. Each
-    gathered image is formed once. By Weyl's inequality
-    lambda_min(M_1) - delta_k bounds lambda_min(M_k) below, so one
-    eigensolve bounds every M_k, with the port symmetry measured, not
-    assumed."""
+    (d,) * (N + 1)), each gathered image formed once and freed before the
+    next. By Weyl's inequality lambda_min(M_1) - delta_k bounds
+    lambda_min(M_k) below, so one eigensolve bounds every M_k, with the port
+    symmetry measured, not assumed."""
     dims = sectors.dims
-    defects, exact = [], True
-    for g, other in zip(_port_swaps(dims[0], len(dims) - 1), others):
-        diff = sectors.gather(first, g) - other
-        if diff.any():
-            exact = False
-            defects.append(float(np.linalg.norm(diff)))
-        else:
-            defects.append(0.0)
-        del diff  # freed before the next image and operator are formed
-    return defects, exact
+    swaps = _port_swaps(dims[0], len(dims) - 1)
+    return [
+        float(np.linalg.norm(sectors.gather(first, g) - other))
+        for g, other in zip(swaps, others)
+    ]
 
 
 class _PortOrbit(Sequence):
@@ -490,14 +478,12 @@ class _PortOrbit(Sequence):
         return len(self._members)
 
 
-def _check_psd(operators: Sequence[DenseOperator], tol: float, name: str) -> bool:
+def _check_psd(operators: Sequence[DenseOperator], tol: float, name: str) -> None:
     """Raise ValueError unless every operator is finite, hermitian and
     positive semidefinite to within ``tol``, naming the first failing one and
-    its own smallest eigenvalue. Returns whether the operators are an exact
-    port orbit: a ``_PortOrbit``, or measured by ``_swap_defects`` on the
-    port layout (``_port_layout``).
+    its own smallest eigenvalue.
 
-    An exact orbit is checked at M_1: every M_k is a permutation similarity
+    A ``_PortOrbit`` is checked at M_1: every M_k is a permutation similarity
     of M_1, with its entries and its hermiticity defect h_1. M_1 takes one
     eigensolve, and M_k is accepted when lambda_min(M_1) - dim * h_1 is at
     least -tol, the last term covering the defect because ``eigvalsh`` reads
@@ -507,10 +493,7 @@ def _check_psd(operators: Sequence[DenseOperator], tol: float, name: str) -> boo
     eigensolve are accepted.
     """
     sectors, arrays = _common(operators)
-    exact = isinstance(operators, _PortOrbit) or (
-        _port_layout(operators) is not None
-        and _swap_defects(sectors, arrays[0], arrays[1:])[1]
-    )
+    exact = isinstance(operators, _PortOrbit)
     checked = arrays[:1] if exact else arrays
     for k, data in enumerate(checked):
         if not np.isfinite(data).all():
@@ -527,7 +510,6 @@ def _check_psd(operators: Sequence[DenseOperator], tol: float, name: str) -> boo
             raise ValueError(f"{name} {k} not PSD (min eig {low:.3e})")
         if exact and k == 0:
             bound = low - sectors.dim * herm[0]
-    return exact
 
 
 def permutation_operator(perm: tuple[int, ...], d: int) -> np.ndarray:
@@ -619,8 +601,6 @@ class Ensemble:
 
     states: Sequence[DenseOperator]
     probs: list[float]
-    # whether the states are an exact port orbit: a _PortOrbit, or measured
-    _exact_orbit: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.states) != len(self.probs):
@@ -631,7 +611,7 @@ class Ensemble:
         if not abs(total - 1.0) <= 1e-14:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         _check_factor_dims(self.states, self.states[0].factor_dims, "state")
-        self._exact_orbit = _check_psd(self.states, 1e-12, "state")
+        _check_psd(self.states, 1e-12, "state")
         for k, st in enumerate(self.states):
             sectors, data = _measured(st)
             tr = sectors.trace(data)
@@ -645,11 +625,11 @@ class Ensemble:
     @cached_property
     def _symmetric_orbit(self) -> bool:
         """Whether the ensemble is invariant under every port permutation:
-        its states are an exact port orbit with equal probabilities, and
+        its states are a ``_PortOrbit`` with equal probabilities, and
         rho_1 equals its image under every permutation of the ports 2..N
         entry by entry (``_port_1_stabilizer``). Then each port permutation
         permutes the states, and the average commutes with every Pi_k."""
-        if not self._exact_orbit or len(set(self.probs)) != 1:
+        if not isinstance(self.states, _PortOrbit) or len(set(self.probs)) != 1:
             return False
         sectors, first = _measured(self.states[0])
         stabilizer = _port_1_stabilizer(self.factor_dims[0], len(self.states))
@@ -853,10 +833,10 @@ def _steered_states(
 ) -> Sequence[DenseOperator]:
     """(O x 1_B) rho (O x 1_B) for each state of the ensemble, with O built
     and measured once. O x 1_B commutes with every port permutation, so
-    when the states are an exact port orbit (``Ensemble._exact_orbit``) the
-    steered states are the ``_PortOrbit`` of eta_1."""
+    when the states are a ``_PortOrbit`` the steered states are the
+    ``_PortOrbit`` of eta_1."""
     lifted = _lifted_port_operator(d, N, coefficients)
-    if ensemble._exact_orbit:
+    if isinstance(ensemble.states, _PortOrbit):
         return _PortOrbit(_steer(lifted, ensemble.states[0]))
     return [_steer(lifted, rho) for rho in ensemble.states]
 
@@ -962,7 +942,7 @@ def certify_optimality(
     constraints = (k - p * st for p, st in zip(ensemble.probs, sigmas))
     first = next(constraints)
     low = _lowest(sectors, first)
-    defects, _ = _swap_defects(sectors, first, constraints)
+    defects = _swap_defects(sectors, first, constraints)
     swap_defect = max([0.0] + defects)
     feasibility = low - swap_defect
     gap = dual_value - achieved

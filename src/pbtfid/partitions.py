@@ -19,19 +19,28 @@ on demand, so a scan over increasing N builds every level once and holds one
 table per row bound, not one per N. ``enumerate_partitions`` is a tuple view
 of the table.
 
-The per-diagram functions (box moves, dimensions, characters) are pure and
-memoised with ``lru_cache``. The log-dimensions are validated, cached
-wrappers around row kernels (``log_specht_row``, ``log_weyl_row``) that read
-ln Gamma and ln at integers from tables grown on demand; a caller that
-already holds partition tuples, such as a loop over a level, calls the
-kernels directly. Concurrent readers are safe: level arrays are read-only,
-a level or table is complete before it is stored with a single assignment,
-and two threads that race to extend one build equal tables.
+Five per-diagram functions are memoised with ``lru_cache``. The exact
+dimensions (``specht_dim``, ``weyl_dim``) and the validated log-dimensions
+(``log_specht_dim``, ``log_weyl_dim``) are asked for the same diagrams again
+by every evaluation at one point: ``verify`` forms F and two block spectra
+at one (d, N), and ``PortCoefficients.validate`` at (4, 150) takes about
+0.5 s cold and 0.09 s warm. The Murnaghan-Nakayama recursion (``_mn_character``)
+reuses its own results. The box moves (``add_box_successors``,
+``remove_box_predecessors``) and ``dimension_record`` are not cached: the
+sums walk the level index, so these serve single-diagram checks and the
+tests that check the index against them. The log-dimensions wrap row
+kernels (``log_specht_row``, ``log_weyl_row``) that read ln Gamma and ln at
+integers from tables grown on demand; a caller that already holds
+partition tuples, such as a loop over a level, calls the kernels directly.
+Concurrent readers are safe: level arrays are read-only, a level or table
+is complete before it is stored with a single assignment, and two threads
+that race to extend one build equal tables.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -44,9 +53,8 @@ Partition = tuple[int, ...]
 
 def is_valid_partition(parts: Sequence[int]) -> bool:
     """True if ``parts`` is weakly decreasing with strictly positive entries."""
-    return all(p > 0 for p in parts) and all(
-        parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
-    )
+    # weakly decreasing, so positive iff the last entry is
+    return not parts or (parts[-1] > 0 and all(map(operator.ge, parts, parts[1:])))
 
 
 def check_partition(parts: Iterable[int]) -> Partition:
@@ -206,7 +214,6 @@ class BoxRelation:
     row: int
 
 
-@lru_cache(maxsize=None)
 def add_box_successors(alpha: Partition, d: int) -> tuple[BoxRelation, ...]:
     """All diagrams mu = alpha + one box with at most ``d`` rows.
 
@@ -231,7 +238,6 @@ def add_box_successors(alpha: Partition, d: int) -> tuple[BoxRelation, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def remove_box_predecessors(mu: Partition) -> tuple[BoxRelation, ...]:
     """All diagrams alpha = mu minus one box, i.e. rows i with mu_i > mu_{i+1}."""
     mu = check_partition(mu)
@@ -368,7 +374,6 @@ class DimensionRecord:
     log_weyl: float
 
 
-@lru_cache(maxsize=None)
 def dimension_record(mu: Partition, d: int) -> DimensionRecord:
     """Full dimension data for ``mu`` under the row bound ``d``.
 

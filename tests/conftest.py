@@ -25,7 +25,9 @@ def cached_ensemble(d, N):
 
 @lru_cache(maxsize=None)
 def cached_pgm(d, N):
-    return tuple(pretty_good_measurement(cached_ensemble(d, N)))
+    """The square-root measurement as built: the port orbit of E_1, which
+    cannot be modified; ``list(...)`` gives a plain, editable copy."""
+    return pretty_good_measurement(cached_ensemble(d, N))
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,10 @@
 """Formula evaluation, the coefficient optimizer, bounds and scans."""
 
 import math
+import re
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,9 @@ from pbtfid import (
 )
 from pbtfid.fidelity import (
     DENSE_EIGEN_LIMIT,
+    MP_DPS,
     _cephes_lgamma,
+    _fidelity_exact,
     _gram,
     _gram_matvec,
     _integer_tables,
@@ -330,6 +334,131 @@ class TestColumnLogSumExp:
         assert report.fidelity == self.fidelity_of(expected, d, N)
 
 
+def coefficients_with_zeros(d, N, seed):
+    """Random valid coefficients with about 40 % of the diagrams at weight
+    zero (the first diagram always weighted)."""
+    rng = np.random.default_rng(seed)
+    mus = enumerate_partitions(N, d)
+    raw = {mu: 0.0 if rng.random() < 0.4 else float(rng.random() + 0.05) for mu in mus}
+    raw[mus[0]] = 1.0
+    return PortCoefficients(d, N, raw).renormalized()
+
+
+class TestExactHybridBits:
+    """The exact-hybrid F and the block spectra walk the level index and form
+    each surd once. Every value equals, bit for bit, the tuple walk they
+    replaced, frozen here: alphas from ``enumerate_partitions``, covers from
+    ``add_box_successors``, and each certificate block re-forming its surds
+    as c * d_mu * m_mu, left to right."""
+
+    @staticmethod
+    def tuple_walk_fidelity(d, N, coefficients):
+        weight = (lambda mu: 1.0) if coefficients is None else coefficients.value
+        with mpmath.workdps(MP_DPS):
+            outer = []
+            for alpha in enumerate_partitions(N - 1, d):
+                inner = [
+                    mpmath.sqrt(mpmath.mpf(c) * (specht_dim(rel.mu) * weyl_dim(rel.mu, d)))
+                    for rel in add_box_successors(alpha, d)
+                    if (c := weight(rel.mu)) > 0
+                ]
+                s = mpmath.fsum(inner)
+                outer.append(s * s)
+            return float(mpmath.fsum(outer) / mpmath.mpf(d) ** (N + 2))
+
+    @staticmethod
+    def tuple_walk_block(d, N, mu, alpha, weight):
+        with mpmath.workdps(MP_DPS):
+            surd_sum = mpmath.fsum(
+                mpmath.sqrt(
+                    mpmath.mpf(weight(rel.mu)) * specht_dim(rel.mu) * weyl_dim(rel.mu, d)
+                )
+                for rel in add_box_successors(alpha, d)
+            )
+            val = (
+                mpmath.sqrt(mpmath.mpf(weight(mu)) * specht_dim(mu) * weyl_dim(mu, d))
+                * surd_sum
+                / (weyl_dim(alpha, d) * specht_dim(mu))
+                / mpmath.mpf(d) ** N
+            )
+            return float(val)
+
+    @classmethod
+    def tuple_walk_spectrum(cls, d, N, operator, coefficients=None):
+        weight = (lambda mu: 1.0) if coefficients is None else coefficients.value
+        rows = []
+        for alpha in enumerate_partitions(N - 1, d):
+            for rel in add_box_successors(alpha, d):
+                mu = rel.mu
+                if operator == "avg":
+                    value = float(
+                        Fraction(
+                            N * weyl_dim(mu, d) * specht_dim(alpha),
+                            d**N * weyl_dim(alpha, d) * specht_dim(mu),
+                        )
+                    )
+                else:
+                    value = cls.tuple_walk_block(d, N, mu, alpha, weight)
+                rows.append((alpha, mu, value, weyl_dim(alpha, d) * specht_dim(mu)))
+        return rows
+
+    @staticmethod
+    def rows_of(blocks):
+        return [(b.alpha, b.mu, b.value, b.multiplicity) for b in blocks]
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_standard_fidelity_equals_the_tuple_walk(self, d):
+        # d = 5 stops at N = 25 to bound the test's time; random c reaches 40
+        for N in range(1, 41 if d < 5 else 26):
+            assert _fidelity_exact(d, N, None) == self.tuple_walk_fidelity(d, N, None)
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_fidelity_with_zero_weights_equals_the_tuple_walk(self, d):
+        for N in [*range(1, 11), 17, 29, 40]:
+            c = coefficients_with_zeros(d, N, 100 * d + N)
+            assert _fidelity_exact(d, N, c) == self.tuple_walk_fidelity(d, N, c)
+
+    @pytest.mark.parametrize("d, N", [(1, 5), (2, 8), (3, 6), (4, 5), (2, 25), (3, 12), (4, 9)])
+    def test_block_spectra_equal_the_tuple_walk(self, d, N):
+        c = coefficients_with_zeros(d, N, 7 * d + N)
+        for operator, coefficients in (("avg", None), ("X", None), ("Y", c)):
+            rows = self.rows_of(block_spectrum(d, N, operator, coefficients))
+            assert rows == self.tuple_walk_spectrum(d, N, operator, coefficients)
+
+    @pytest.mark.parametrize("d, N", [(2, 5), (3, 4), (4, 4)])
+    def test_single_blocks_equal_the_tuple_walk(self, d, N):
+        c = coefficients_with_zeros(d, N, 11 * d + N)
+        for alpha in enumerate_partitions(N - 1, d):
+            for rel in add_box_successors(alpha, d):
+                x = pgm_block_coefficient(d, N, rel.mu, alpha)
+                y = opt_block_coefficient(d, N, rel.mu, alpha, c)
+                assert x == self.tuple_walk_block(d, N, rel.mu, alpha, lambda mu: 1.0)
+                assert y == self.tuple_walk_block(d, N, rel.mu, alpha, c.value)
+
+    def test_y_above_the_113_bit_line_equals_the_tuple_walk(self):
+        # c * d_mu exceeds the 166-bit working precision once d_mu reaches
+        # 2^113, so the tuple walk's c * d_mu * m_mu rounds twice where the
+        # level walk's c * (d_mu * m_mu) rounds once; the values still agree
+        d, N = 2, 130
+        c = optimize_coefficients(d, N).coefficients
+        rows = self.rows_of(block_spectrum(d, N, "Y", c))
+        assert max(specht_dim(mu) for _, mu, _, _ in rows) >= 2**113
+        assert rows == self.tuple_walk_spectrum(d, N, "Y", c)
+
+    @pytest.mark.parametrize("d, n_mu", [(2, 21), (3, 154), (4, 632)])
+    def test_each_surd_is_formed_once(self, d, n_mu, monkeypatch):
+        calls = []
+        real_sqrt = mpmath.sqrt
+
+        def sqrt(x):
+            calls.append(x)
+            return real_sqrt(x)
+
+        monkeypatch.setattr(mpmath, "sqrt", sqrt)
+        _fidelity_exact(d, 40, None)
+        assert len(calls) == n_mu == len(enumerate_partitions(40, d))
+
+
 class TestPortCoefficients:
     def test_uniform_is_valid(self):
         for d, N in [(2, 5), (3, 4), (1, 3)]:
@@ -349,6 +478,28 @@ class TestPortCoefficients:
         bad = PortCoefficients(2, 2, {(2,): 1.0, (1, 1): 2.0})
         with pytest.raises(ValueError, match="residual"):
             bad.validate()
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {(2,): 1.0, (3,): 0.25},  # a partition of 3, not of 2
+            {(2,): 1.0, (1, 1): 1.0, (0, 2): 0.0},  # not a partition
+            {(2,): 1.0, (1, 1): 1.0, (1, 1, 0): 0.0},  # a zero row
+        ],
+    )
+    def test_validate_rejects_keys_that_are_not_diagrams(self, entries):
+        c = PortCoefficients(2, 2, entries)
+        bad = next(mu for mu in entries if mu not in ((2,), (1, 1)))
+        message = rf"^{re.escape(str(bad))} is not a partition of 2 into at most 2 rows$"
+        with pytest.raises(ValueError, match=message):
+            c.validate()
+        with pytest.raises(ValueError, match=message):
+            fidelity_given_coefficients(2, 2, c)
+
+    def test_validate_rejects_more_rows_than_d(self):
+        c = PortCoefficients(2, 3, {(3,): 0.25, (2, 1): 0.25, (1, 1, 1): 0.0})
+        with pytest.raises(ValueError, match=r"^\(1, 1, 1\) is not a partition of 3"):
+            c.validate()
 
     def test_missing_entries_default_to_zero(self):
         c = PortCoefficients(2, 2, {(1, 1): 4.0})

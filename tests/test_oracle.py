@@ -468,9 +468,10 @@ def count_gathers(monkeypatch):
 
 
 def is_exact_orbit(operators):
-    """Whether the operators are an exact port orbit, by ``_swap_defects``."""
+    """Whether the operators are an exact port orbit: every swap defect of
+    ``_swap_defects`` zero (a NaN defect is not)."""
     sectors, arrays = oracle_mod._common(operators)
-    return oracle_mod._swap_defects(sectors, arrays[0], arrays[1:])[1]
+    return not any(oracle_mod._swap_defects(sectors, arrays[0], arrays[1:]))
 
 
 class TestOrbitConstruction:
@@ -483,7 +484,7 @@ class TestOrbitConstruction:
         ens = cached_ensemble(d, N)
         for k, st in enumerate(ens.states):
             assert np.array_equal(st.matrix, build_rho(d, N, k + 1).matrix)
-        assert ens._exact_orbit and isinstance(ens.states, oracle_mod._PortOrbit)
+        assert isinstance(ens.states, oracle_mod._PortOrbit)
 
     @pytest.mark.parametrize("dn", ORACLE_GRID)
     def test_gathered_pgm_and_eta_match_the_per_element_formula(self, dn):
@@ -507,9 +508,9 @@ class TestOrbitConstruction:
 
     def test_unequal_probabilities_take_the_per_element_path(self, monkeypatch):
         d, N = 2, 3
-        states = list(cached_ensemble(d, N).states)
+        states = cached_ensemble(d, N).states
         ens = Ensemble(states, [0.5, 0.3, 0.2])
-        assert ens._exact_orbit and not ens._symmetric_orbit
+        assert isinstance(ens.states, oracle_mod._PortOrbit) and not ens._symmetric_orbit
         povm = pretty_good_measurement(ens)
         assert not is_exact_orbit(povm)
         for e, reference in zip(povm, per_element_pgm(ens)):
@@ -529,7 +530,7 @@ class TestOrbitConstruction:
         mixed = 0.99 * states[1].matrix + 0.01 * np.eye(dim) / dim
         states[1] = DenseOperator(mixed, states[1].factor_dims)
         perturbed = Ensemble(states, list(ens.probs))
-        assert not perturbed._exact_orbit
+        assert not is_exact_orbit(perturbed.states)
         povm = pretty_good_measurement(perturbed)
         for e, reference in zip(povm, per_element_pgm(perturbed)):
             assert np.array_equal(e.matrix, reference)
@@ -557,7 +558,7 @@ class TestOrbitConstruction:
         first = functools.reduce(np.kron, [kets[c] for c in ports] + [np.eye(2) / 2])
         first = DenseOperator(first, (d,) * (N + 1))
         ens = Ensemble(oracle_mod._PortOrbit(first), [1 / N] * N)
-        assert ens._exact_orbit
+        assert is_exact_orbit(ens.states)
         assert ens._symmetric_orbit == symmetric
         povm = pretty_good_measurement(ens)
         for e, reference in zip(povm, per_element_pgm(ens)):
@@ -576,7 +577,7 @@ class TestOrbitConstruction:
             m = V @ st.matrix @ V.conj().T
             states.append(DenseOperator((m + m.conj().T) / 2, st.factor_dims))
         ens = Ensemble(states, [1 / N] * N)
-        assert not ens._exact_orbit and not any(map(is_blocked, states))
+        assert not is_exact_orbit(states) and not any(map(is_blocked, states))
         povm = pretty_good_measurement(ens)
         for e, reference in zip(povm, per_element_pgm(ens)):
             assert np.array_equal(e.matrix, reference)
@@ -626,23 +627,24 @@ class TestOrbitConstruction:
 
 
 class TestOrbitValidation:
-    """States and POVMs that are exact port orbits take one eigensolve, for
+    """States and POVMs held as a ``_PortOrbit`` take one eigensolve, for
     port 1; any other sequence is decomposed element by element."""
 
     def test_pgm_ensemble_takes_one_eigensolve(self, monkeypatch):
         d, N = 2, 4
-        ens, povm = cached_ensemble(d, N), list(cached_pgm(d, N))
+        ens, povm = cached_ensemble(d, N), cached_pgm(d, N)
         counts, lapack = count_eigensolves(monkeypatch)
-        Ensemble(list(ens.states), list(ens.probs))
+        Ensemble(ens.states, list(ens.probs))
         oracle_mod._check_psd(povm, oracle_mod.POVM_TOL, "POVM element")
         assert counts == {"eigvalsh": 2}
         assert max(lapack) == largest_sector(d, N) == 10
 
     def test_orbit_object_is_not_measured_again(self, monkeypatch):
-        # a _PortOrbit is an exact orbit by construction; a copy of it, equal
-        # operators from elsewhere, images of another first member, or images
-        # in another order are measured
-        ens = cached_ensemble(2, 4)
+        # a _PortOrbit is an exact orbit by construction: validated at port 1
+        # and steered at port 1. A copy of it is a plain list, validated and
+        # steered element by element; no sequence is measured for swaps
+        d, N = 2, 4
+        ens = cached_ensemble(d, N)
         measured = Counter()
         real_defects = oracle_mod._swap_defects
 
@@ -651,36 +653,18 @@ class TestOrbitValidation:
             return real_defects(*args)
 
         monkeypatch.setattr(oracle_mod, "_swap_defects", counted_defects)
-        assert Ensemble(ens.states, list(ens.probs))._exact_orbit
+        counts, _ = count_eigensolves(monkeypatch)
+        Ensemble(ens.states, list(ens.probs))
+        assert counts == {"eigvalsh": 1}
+        counts.clear()
+        copy = Ensemble(list(ens.states), list(ens.probs))
+        assert counts == {"eigvalsh": N}
         assert measured["swap_defects"] == 0
-        assert Ensemble(list(ens.states), list(ens.probs))._exact_orbit
-        assert measured["swap_defects"] == 1
-        copies = [DenseOperator(st.matrix, st.factor_dims) for st in ens.states]
-        assert Ensemble(copies, list(ens.probs))._exact_orbit
-        assert measured["swap_defects"] == 2
-        other_first = [copies[0], *ens.states[1:]]
-        assert Ensemble(other_first, list(ens.probs))._exact_orbit
-        assert measured["swap_defects"] == 3
-        swapped = [ens.states[0], ens.states[2], ens.states[1], *ens.states[3:]]
-        assert not Ensemble(swapped, list(ens.probs))._exact_orbit
-        assert measured["swap_defects"] == 4
-
-    def test_measured_orbit_is_gathered_once(self, monkeypatch):
-        # a plain list measured to be an exact orbit is kept as it is: the
-        # N - 1 images formed to measure it are not formed again, and the
-        # steered states start from its first member
-        d, N = 2, 4
-        ens = cached_ensemble(d, N)
-        states = list(ens.states)
-        gathers = count_gathers(monkeypatch)
-        measured = Ensemble(states, list(ens.probs))
-        assert gathers["gather"] == N - 1
-        assert measured._exact_orbit and measured.states is states
         c = random_valid_coefficients(d, N, np.random.default_rng(89))
-        etas = oracle_mod._steered_states(d, N, c, measured)
-        assert isinstance(etas, oracle_mod._PortOrbit)
+        etas = oracle_mod._steered_states(d, N, c, copy)
+        assert not isinstance(etas, oracle_mod._PortOrbit)
         for eta, reference in zip(etas, oracle_mod._steered_states(d, N, c, ens)):
-            assert np.array_equal(eta.matrix, reference.matrix)
+            assert np.max(np.abs(eta.matrix - reference.matrix)) <= 1e-13
 
     def test_orbit_members_cannot_be_replaced(self):
         orbit = cached_ensemble(2, 3).states
@@ -1574,7 +1558,7 @@ class TestTeleportationChannel:
 
     def test_channel_validates_the_povm_with_one_eigensolve(self, monkeypatch):
         d, N = 2, 4
-        povm = list(cached_pgm(d, N))
+        povm = cached_pgm(d, N)
         counts, lapack = count_eigensolves(monkeypatch)
         direct = teleportation_fidelity_direct(d, N, povm)
         assert direct == pytest.approx(fidelity_standard(d, N).fidelity, abs=1e-9)
