@@ -5,14 +5,18 @@ For each d in (2, 3, 4) and every N >= 1 with d^(N+1) within both --max-dim
 and the oracle cap (PBT_ORACLE_CAP), runs the formula-vs-oracle comparison,
 the spectrum matching, and the dual-certificate checks in the standard
 setting, and in the optimized setting for N up to MAX_PROJECTOR_BOXES, where
-the character averaging of the isotypic projectors stops.
+the character averaging of the isotypic projectors stops. Each result line
+gives the run's wall time and the process's peak resident memory so far
+(``ru_maxrss``), which grows with the largest size run.
 
 Example:
     python3 scripts/certify_desk_scale.py --max-dim 256
 """
 
 import argparse
+import resource
 import sys
+import time
 
 from pbtfid import optimize_coefficients, oracle_cap, run_verification
 from pbtfid.oracle import MAX_PROJECTOR_BOXES
@@ -35,13 +39,16 @@ def main() -> int:
                     if mode == "optimized"
                     else None
                 )
+                start = time.perf_counter()
                 checks = run_verification(d, n, mode, coeffs)
+                wall = time.perf_counter() - start
+                peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
                 ok = all(c.passed for c in checks)
                 failures += 0 if ok else 1
                 worst = max(c.deviation for c in checks)
                 print(
                     f"[{'PASS' if ok else 'FAIL'}] d={d} N={n} {mode:9s} "
-                    f"worst deviation {worst:.2e}"
+                    f"worst deviation {worst:.2e}, {wall:.2f} s, peak RSS {peak_mb:.0f} MB"
                 )
             n += 1
     print(f"{failures} failing configurations")

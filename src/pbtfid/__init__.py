@@ -40,7 +40,6 @@ from .oracle import (
     certificate_X,
     certificate_Y,
     certify_optimality,
-    embed_operator,
     eta_ensemble,
     haar_unitary,
     match_block_spectrum,
@@ -51,7 +50,6 @@ from .oracle import (
     partial_trace_first,
     pbt_ensemble,
     permutation_operator,
-    port_state_vector,
     pretty_good_measurement,
     run_verification,
     success_probability,

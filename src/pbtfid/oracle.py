@@ -1,34 +1,28 @@
 """Dense, from-first-principles ground truth at desk scale.
 
-Everything the formula modules claim is rebuilt here as explicit matrices:
+Everything the formula modules claim is rebuilt here as explicit operators:
 the discrimination states, the square-root measurement, isotypic projectors,
 the dual-certificate operators, and the full teleportation channel. Sizes are
 capped (d^(N+1) <= PBT_ORACLE_CAP, default 4096) because this module exists
 for certification, not production scans.
 
-Every construction here is real symmetric: the states, the square-root
-measurement, the projectors, the certificates and the port state all have
-real entries, so the eigensolves are real LAPACK calls. ``DenseOperator``
-also holds complex matrices, such as a state conjugated by a Haar unitary.
-Hermiticity is measured where it can fail. ``certificate`` measures
-sum_i sigma_i E_i before symmetrising it. Input states, measurements and
-dual candidates are measured when validated (``_check_psd``,
-``certify_optimality``), and non-finite entries are rejected there. The
-other constructions are exactly symmetric as built (kron products and
-gathers of symmetric matrices, integer character sums, ``hermitize``), so
-nothing measures them again.
+Every construction here is real symmetric, so the eigensolves are real LAPACK
+calls; ``DenseOperator`` also holds complex matrices, such as a state
+conjugated by a Haar unitary. Hermiticity is measured where it can fail:
+``certificate`` measures sum_i sigma_i E_i before symmetrising it, and input
+states, measurements and dual candidates are measured, with non-finite
+entries rejected, when validated (``_check_psd``, ``certify_optimality``).
+The other constructions are exactly symmetric as built.
 
 The states rho_i, the square-root measurement E_i, the steered states eta_i
-and the terms sigma_i E_i of the certificate are port orbits: the images of
-their port-1 members under the swap Pi_i of ports 1 and i. ``_PortOrbit``
-holds one, built from its port-1 member by one gather per port, so it is
-exact by construction: it is recognised by its type, validated at port 1
-alone, and ``certificate`` of two orbits takes one product and its gathered
-images. Any other sequence is built and validated element by element. The
-square-root measurement is an orbit only when the average commutes with
-every Pi_k, so rho_1 must also equal its image under every permutation of
-ports 2..N (``Ensemble._symmetric_orbit``): an exact orbit of a rho_1
-without that symmetry has an average that the swaps change.
+and the terms sigma_i E_i are port orbits: the images of their port-1
+members under the swap Pi_i of ports 1 and i. A ``_PortOrbit`` holds M_1 and
+the port-swap gathers; each consumer gathers member k when it reads it and
+drops it before reading the next. An orbit is exact by construction, so it is
+validated (entries, hermiticity, spectrum, trace) at port 1 alone, and
+``certificate`` of two orbits takes one product and its gathered images; any
+other sequence is validated element by element. E_i is an orbit only for equal probabilities and a rho_1 equal to
+its image under every permutation of ports 2..N (``Ensemble._symmetric_orbit``).
 
 The dual candidate comes from the measurement under test: K = sum_i p_i
 sigma_i E_i, with E the square-root measurement of the unsteered rho_i and
@@ -36,45 +30,34 @@ sigma_i the states discriminated (rho_i, or the steered eta_i). tr K equals
 the achieved success probability, so the duality gap is zero by construction;
 the substantive checks are feasibility (K >= p_i sigma_i) and the match of
 K's spectrum with the closed-form block values. Feasibility takes one
-eigensolve: the N constraints are one orbit under the port transpositions,
-so K - p_1 sigma_1 is decomposed once and every other constraint is compared
-with its transposed image (``_swap_defects``), the measured defect
-lowering the reported bound.
+eigensolve, of K - p_1 sigma_1, and every other constraint is compared with
+its transposed image (``_swap_defects``), the measured defect lowering the
+reported bound.
 
 Symmetry (i) of the protocol makes every operator here commute with
 U^(xN) x conj(U), and for diagonal U that splits (C^d)^(N+1) into weight
 sectors: index (a_1..a_N, b) has weight n_k(a) - [b = k], counted from its
-digits (``_Sectors``). An operator is measured, entry by entry, to be zero
-off its sectors (a NaN is not zero) and is then held as its diagonal
-blocks: the eigensolves, the products, the port-swap gathers (a port
-permutation maps each sector onto itself) and the symmetrisations run one
-block at a time, and what is built from blocked operators is blocked. An
-operator not measured sector-diagonal (a Haar-conjugated state, another
-layout, a perturbed input) takes the dense path, the one-sector case of the
-same code, together with every operator it is combined with. The channel
-(``teleportation_fidelity_direct``) reads each POVM sector as a set of rows
-of its input state and multiplies and traces each block with the columns
-those rows reach. ``verify --d 2 --N 8`` thus takes 6 operator
-decompositions (the average state, port 1 of the states and of the
-measurement, the two spectra and the feasibility solve), each as 10 LAPACK
-calls on blocks of at most 126 of the 512 dimensions, 4 hermiticity
-measurements and one ``build_rho``, whose full matrix is the only one the
-run builds; the channel builds none.
+digits (``_Sectors``). An operator measured zero off its sectors, entry by
+entry (a NaN is not zero), is held as its diagonal blocks, and eigensolves,
+products, port-swap gathers and symmetrisations run one block at a time; any
+other operator takes the dense path, the one-sector case of the same code.
+rho_i and O x 1_B are built from their nonzero entries, each checked to lie
+in one sector, and so is the channel's input state psi (d^(N+1) entries for
+rho_i and the standard psi); the channel multiplies each POVM sector block
+with the block of psi its rows reach. No full matrix is filled unless ``matrix``
+is read. ``verify --d 2 --N 8`` takes 6 operator decompositions, each as 10
+LAPACK calls on blocks of at most 126 of the 512 dimensions.
 
 Tensor-factor convention: the N port slots A_1..A_N come first and the single
 B slot is last, with row-major index fusion (np.kron order). Permutations act
-on the A slots only. Every slot permutation is one index gather from
-``slot_gather``: reordering factors, the port swaps, the port-state regroup,
-the channel's row and column orders, and the isotypic projectors, whose
-character sums are accumulated at the gathered entries without building a
-permutation matrix.
+on the A slots only, each as one index gather from ``slot_gather``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -94,7 +77,7 @@ from .partitions import (
 
 ORACLE_CAP_ENV = "PBT_ORACLE_CAP"
 DEFAULT_ORACLE_CAP = 4096
-CHANNEL_CAP = 1024  # the channel's input state has d^(2N+2) entries
+CHANNEL_CAP = 1024  # on d^(N+1): a POVM off the sectors takes full d^(N+1)-square products
 MAX_PROJECTOR_BOXES = 6  # character averaging is factorial in N
 
 HERMITICITY_TOL = 1e-10
@@ -192,7 +175,7 @@ def hermitize(matrix: np.ndarray) -> np.ndarray:
 def slot_gather(dims: tuple[int, ...], order) -> np.ndarray:
     """Flat index map of a tensor-slot permutation on slots of sizes ``dims``:
     ``v[slot_gather(dims, order)]`` is ``v`` with new slot j holding old slot
-    ``order[j]``, and ``_gather_both(M, g)`` reorders both sides of a matrix.
+    ``order[j]``, and ``M[g][:, g]`` reorders both sides of a matrix.
     Every slot rearrangement in this module is such a gather."""
     return np.arange(math.prod(dims)).reshape(dims).transpose(order).ravel()
 
@@ -210,12 +193,6 @@ def _unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inverse = np.empty(len(keys), dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
     return keys[order[new]], inverse
-
-
-def _gather_both(matrix: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``matrix[np.ix_(g, g)]``, taken as two one-axis gathers: the same
-    entries in about half the time of the two-axis fancy index."""
-    return matrix.take(g, axis=0).take(g, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +295,7 @@ class _Sectors:
         return DenseOperator._in_sectors(self, data)
 
     def gather(self, data: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """The data of ``_gather_both(M, g)``, M the matrix of ``data`` and g
+        """The data of ``M[g][:, g]``, M the matrix of ``data`` and g
         the index gather of a port permutation. A port permutation keeps
         every digit count, so it maps each sector onto itself and acts as a
         gather inside each block."""
@@ -329,7 +306,9 @@ class _Sectors:
         out = np.empty_like(data)
         for src, dst, (start, _, n) in zip(self.blocks(data), self.blocks(out), self._spans):
             within = local[start : start + n]
-            np.take(src.take(within, axis=0), within, axis=1, out=dst)
+            # positions within the block, in range by construction: "clip"
+            # skips the bounds check, which costs as much as the copy
+            np.take(src.take(within, axis=0, mode="clip"), within, axis=1, out=dst, mode="clip")
         return out
 
     def product(self, *factors: np.ndarray) -> np.ndarray:
@@ -348,12 +327,6 @@ class _Sectors:
     def trace(self, data: np.ndarray):
         return sum(np.trace(block) for block in self.blocks(data))
 
-    def identity(self) -> np.ndarray:
-        out = np.zeros(self.size)
-        for block in self.blocks(out):
-            np.fill_diagonal(block, 1.0)
-        return out
-
 
 def _measured(
     op: DenseOperator, weights: _Sectors | None = None
@@ -371,20 +344,37 @@ def _measured(
     return op._sectors, op._data
 
 
-def _common(operators: Sequence[DenseOperator]) -> tuple[_Sectors, list[np.ndarray]]:
-    """Sectors shared by operators on one factor dims, and each operator's
-    data in them: the weight sectors when every operator is measured zero
-    off them, else the dense layout. The weight sectors are built at most
-    once."""
-    known = [op._sectors for op in operators if op._sectors is not None]
+def _heads(operators: Sequence[DenseOperator]) -> Sequence[DenseOperator]:
+    """The operators to measure: M_1 of a ``_PortOrbit``, whose members share
+    its factor dims and sectors, else every operator."""
+    return [operators.first] if isinstance(operators, _PortOrbit) else operators
+
+
+def _common(*groups: Sequence[DenseOperator]) -> tuple[_Sectors, list]:
+    """Sectors shared by groups of operators on one factor dims, and for each
+    group an iterator over its operators' data in them: the weight sectors
+    when every operator is measured zero off them, else the dense layout. A
+    ``_PortOrbit`` is measured at M_1 and yields its members' data gathered
+    as read, so no orbit becomes a list of members; a consumer that drops
+    each before reading the next holds one member at a time. The weight
+    sectors are built at most once."""
+    heads = [op for group in groups for op in _heads(group)]
+    known = [op._sectors for op in heads if op._sectors is not None]
     weights = next((sectors for sectors in known if sectors.blocked), None)
-    if weights is None and len(known) < len(operators):
-        weights = _Sectors.weights(operators[0].factor_dims)
-    measured = [_measured(op, weights) for op in operators]
+    if weights is None and len(known) < len(heads):
+        weights = _Sectors.weights(heads[0].factor_dims)
+    measured = [_measured(op, weights) for op in heads]
     sectors = measured[0][0]
     if all(other == sectors for other, _ in measured):
-        return sectors, [data for _, data in measured]
-    return _Sectors.dense(sectors.dims), [op.matrix.ravel() for op in operators]
+        return sectors, [
+            g.data() if isinstance(g, _PortOrbit) else iter([op._data for op in g]) for g in groups
+        ]
+    return _Sectors.dense(sectors.dims), [(op.matrix.ravel() for op in g) for g in groups]
+
+
+def _zeros(sectors: _Sectors, operators: Sequence[DenseOperator]) -> np.ndarray:
+    """Zero data in ``sectors`` of the dtype of sums of the operators."""
+    return np.zeros(sectors.size, dtype=np.result_type(*(op._data for op in _heads(operators))))
 
 
 def _eigensolve(sectors: _Sectors, data: np.ndarray, vectors: bool = False) -> list:
@@ -407,7 +397,7 @@ def _asymmetry(sectors: _Sectors, data: np.ndarray) -> float:
 
 def _port_swaps(d: int, N: int) -> list[np.ndarray]:
     """Index gathers g_i, i = 2..N, of the transposition Pi_i of ports 1 and i
-    on (C^d)^(N+1): _gather_both(M, g_i) is Pi_i M Pi_i^T."""
+    on (C^d)^(N+1): M[g_i][:, g_i] is Pi_i M Pi_i^T."""
     gathers = []
     for k in range(1, N):
         order = list(range(N + 1))
@@ -433,7 +423,8 @@ def _port_layout(operators: Sequence[DenseOperator]) -> int | None:
     """d when the operators are N operators on (C^d)^(N+1), the N port slots
     and B, so that operator i belongs to port i; None for any other layout."""
     dims = operators[0].factor_dims if operators else ()
-    if dims and all(op.factor_dims == (dims[0],) * (len(operators) + 1) for op in operators):
+    ports = dims[:1] * (len(operators) + 1)
+    if dims and all(op.factor_dims == ports for op in _heads(operators)):
         return dims[0]
     return None
 
@@ -441,41 +432,57 @@ def _port_layout(operators: Sequence[DenseOperator]) -> int | None:
 def _swap_defects(sectors: _Sectors, first: np.ndarray, others) -> list[float]:
     """The swap defects delta_k = ||Pi_k M_1 Pi_k^T - M_k||_F of ``first`` =
     M_1 and ``others`` = M_2..M_N (their data in ``sectors``, of dims
-    (d,) * (N + 1)), each gathered image formed once and freed before the
-    next. By Weyl's inequality lambda_min(M_1) - delta_k bounds
-    lambda_min(M_k) below, so one eigensolve bounds every M_k, with the port
-    symmetry measured, not assumed."""
+    (d,) * (N + 1), of the dtype of ``first``), each read, compared with its
+    gathered image and freed before the next. By Weyl's inequality
+    lambda_min(M_1) - delta_k bounds lambda_min(M_k) below, so one
+    eigensolve bounds every M_k, with the port symmetry measured, not
+    assumed."""
     dims = sectors.dims
     swaps = _port_swaps(dims[0], len(dims) - 1)
-    return [
-        float(np.linalg.norm(sectors.gather(first, g) - other))
-        for g, other in zip(swaps, others)
-    ]
+
+    def defect(g, other):
+        image = sectors.gather(first, g)
+        image -= other
+        return float(np.linalg.norm(image))
+
+    return list(map(defect, swaps, others))
 
 
 class _PortOrbit(Sequence):
     """An exact port orbit: M_1 on (C^d)^(N+1) followed by its images
     M_k = Pi_k M_1 Pi_k^T under the port-swap gathers (``_port_swaps``).
 
-    It is exact by construction, so consumers recognise it by its type and
-    never measure it again. Its members cannot be replaced, and a copy
-    (``list(orbit)``, a slice) is a plain sequence, measured like any other
-    input."""
+    It holds M_1 and the gathers alone: member k is gathered from M_1 each
+    time it is read, and nothing keeps it. It is exact by construction, so
+    consumers recognise it by its type and never measure it again. Its
+    members cannot be replaced, and a copy (``list(orbit)``, a slice) is a
+    plain sequence, measured like any other input."""
 
-    __slots__ = ("gathers", "_members")
+    __slots__ = ("first", "gathers")
 
     def __init__(self, first: DenseOperator):
         dims = first.factor_dims
-        sectors, data = _measured(first)
+        _measured(first)
+        self.first = first
         self.gathers = _port_swaps(dims[0], len(dims) - 1)
-        images = (sectors.operator(sectors.gather(data, g)) for g in self.gathers)
-        self._members = (first, *images)
+
+    def data(self) -> Iterator[np.ndarray]:
+        """Each member's data in the sectors of M_1, gathered as read."""
+        sectors, first = _measured(self.first)
+        yield first
+        for g in self.gathers:
+            yield sectors.gather(first, g)
 
     def __getitem__(self, k):
-        return self._members[k]
+        if isinstance(k, slice):
+            return [self[j] for j in range(len(self))[k]]
+        k, (sectors, first) = range(len(self))[k], _measured(self.first)
+        if k == 0:
+            return self.first
+        return sectors.operator(sectors.gather(first, self.gathers[k - 1]))
 
     def __len__(self) -> int:
-        return len(self._members)
+        return len(self.gathers) + 1
 
 
 def _check_psd(operators: Sequence[DenseOperator], tol: float, name: str) -> None:
@@ -485,16 +492,16 @@ def _check_psd(operators: Sequence[DenseOperator], tol: float, name: str) -> Non
 
     A ``_PortOrbit`` is checked at M_1: every M_k is a permutation similarity
     of M_1, with its entries and its hermiticity defect h_1. M_1 takes one
-    eigensolve, and M_k is accepted when lambda_min(M_1) - dim * h_1 is at
-    least -tol, the last term covering the defect because ``eigvalsh`` reads
-    one triangle (of each block, which is the matrix's own). An M_k that
-    fails the bound, and every operator of any other sequence, is
-    decomposed itself, so exactly the operators that pass a per-operator
-    eigensolve are accepted.
+    eigensolve, and the other members are accepted when lambda_min(M_1) -
+    dim * h_1 is at least -tol, the last term covering the defect because
+    ``eigvalsh`` reads one triangle (of each block, which is the matrix's
+    own). When that bound fails each M_k, like every operator of any other
+    sequence, is decomposed itself, so exactly the operators that pass a
+    per-operator eigensolve are accepted.
     """
-    sectors, arrays = _common(operators)
     exact = isinstance(operators, _PortOrbit)
-    checked = arrays[:1] if exact else arrays
+    sectors, (arrays,) = _common(operators)
+    checked = [next(arrays)] if exact else list(arrays)
     for k, data in enumerate(checked):
         if not np.isfinite(data).all():
             raise ValueError(f"{name} {k} has non-finite entries")
@@ -502,14 +509,12 @@ def _check_psd(operators: Sequence[DenseOperator], tol: float, name: str) -> Non
     for k, defect in enumerate(herm):
         if not defect <= tol:
             raise ValueError(f"{name} {k} not hermitian (defect {defect:.3e})")
-    bound = -math.inf
-    for k, data in enumerate(arrays):
-        # port 1 of an orbit bounds the other ports; else decompose the operator
-        low = bound if bound >= -tol else _lowest(sectors, data)
+    for k, data in enumerate(itertools.chain(checked, arrays)):
+        low = _lowest(sectors, data)
         if not low >= -tol:
             raise ValueError(f"{name} {k} not PSD (min eig {low:.3e})")
-        if exact and k == 0:
-            bound = low - sectors.dim * herm[0]
+        if exact and k == 0 and low - sectors.dim * herm[0] >= -tol:
+            return  # port 1 of the orbit bounds the other ports
 
 
 def permutation_operator(perm: tuple[int, ...], d: int) -> np.ndarray:
@@ -519,25 +524,6 @@ def permutation_operator(perm: tuple[int, ...], d: int) -> np.ndarray:
     """
     n = len(perm)
     return np.eye(d**n)[slot_gather((d,) * n, np.argsort(perm))]
-
-
-def reorder_factors(
-    matrix: np.ndarray, dims: tuple[int, ...], new_order: list[int]
-) -> np.ndarray:
-    """Reorder tensor slots; ``new_order[j]`` is the old slot at new position j."""
-    g = slot_gather(dims, new_order)
-    return _gather_both(matrix, g)
-
-
-def embed_operator(
-    matrix: np.ndarray, slots: list[int], dims: tuple[int, ...]
-) -> np.ndarray:
-    """Lift an operator acting on ``slots`` (in that order) to the full space."""
-    others = [k for k in range(len(dims)) if k not in slots]
-    combined = np.kron(matrix, np.eye(math.prod(dims[k] for k in others)))
-    order = list(slots) + others
-    inverse = [order.index(j) for j in range(len(dims))]
-    return reorder_factors(combined, tuple(dims[k] for k in order), inverse)
 
 
 def partial_trace(op: DenseOperator, traced: list[int]) -> DenseOperator:
@@ -584,15 +570,39 @@ def maximally_entangled(d: int) -> DenseOperator:
     return DenseOperator(np.outer(v, v.conj()), (d, d))
 
 
+def _from_entries(
+    dims: tuple[int, ...], rows: np.ndarray, columns: np.ndarray, values: np.ndarray
+) -> DenseOperator:
+    """The operator on the port layout ``dims`` with the given entries and
+    zeros elsewhere: held in the weight sectors when each entry is measured
+    to lie in one, else in the dense layout. No full matrix is built."""
+    sectors = _Sectors.weights(dims)
+    if sectors is None or not np.array_equal(sectors._labels[rows], sectors._labels[columns]):
+        sectors = _Sectors.dense(dims)
+    # (data start, size) of each entry's sector
+    spans = np.array(sectors._spans)[sectors._labels[rows], 1:]
+    data = np.zeros(sectors.size, dtype=values.dtype)
+    data[spans[:, 0] + sectors._local[rows] * spans[:, 1] + sectors._local[columns]] = values
+    return sectors.operator(data)
+
+
 def build_rho(d: int, N: int, i: int) -> DenseOperator:
-    """Discrimination state rho_i: an entangled pair on (A_i, B), maximally
-    mixed on the remaining ports."""
+    """Discrimination state rho_i = Phi_{A_i B} x 1/d^(N-1): an entangled pair
+    on (A_i, B), maximally mixed on the remaining ports. It is built from its
+    d^(N+1) nonzero entries, <a, b| rho_i |a', b'> = 1/d^N for a_i = b,
+    a'_i = b' and a_j = a'_j at every other port j."""
     check_oracle_size(d, N)
     if not 1 <= i <= N:
         raise ValueError(f"port index {i} outside 1..{N}")
     dims = (d,) * (N + 1)
-    pair = maximally_entangled(d).matrix * (1 / d ** (N - 1))
-    return DenseOperator(embed_operator(pair, [i - 1, N], dims), dims)
+    # the indices with a_i = b = 0, and the steps raising a_i and b together
+    base = np.moveaxis(np.arange(d ** (N + 1)).reshape(dims), (i - 1, N), (0, 1))[0, 0]
+    base, pair = base.reshape(-1, 1, 1), np.arange(d) * (d ** (N + 1 - i) + 1)
+    rows, columns = np.broadcast_arrays(base + pair[:, None], base + pair)
+    # the pair's entry, 1/sqrt(d) squared, times the mixed ports' weight
+    amplitude = 1 / math.sqrt(d)
+    value = amplitude * amplitude * (1 / d ** (N - 1))
+    return _from_entries(dims, rows.ravel(), columns.ravel(), np.full(rows.size, value))
 
 
 @dataclass
@@ -612,7 +622,8 @@ class Ensemble:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         _check_factor_dims(self.states, self.states[0].factor_dims, "state")
         _check_psd(self.states, 1e-12, "state")
-        for k, st in enumerate(self.states):
+        # an orbit's members hold the diagonal of rho_1: its trace is theirs
+        for k, st in enumerate(_heads(self.states)):
             sectors, data = _measured(st)
             tr = sectors.trace(data)
             if not abs(tr - 1.0) <= 1e-12:
@@ -643,18 +654,18 @@ class Ensemble:
 
 
 def pbt_ensemble(d: int, N: int) -> Ensemble:
-    """The uniform ensemble of the N discrimination states rho_i: rho_1 and
-    its images under the port swaps, equal entry by entry to ``build_rho``."""
+    """The uniform ensemble of the N discrimination states rho_i: the port
+    orbit of rho_1, equal entry by entry to ``build_rho``."""
     return Ensemble(_PortOrbit(build_rho(d, N, 1)), [1.0 / N] * N)
 
 
 def average_state(ensemble: Ensemble, normalized: bool = False) -> DenseOperator:
     """Sum of the states, probability weighted when ``normalized`` is set."""
-    sectors, arrays = _common(ensemble.states)
-    acc = np.zeros_like(arrays[0])
+    sectors, (arrays,) = _common(ensemble.states)
+    total = _zeros(sectors, ensemble.states)
     for p, data in zip(ensemble.probs, arrays):
-        acc = acc + (p * data if normalized else data)
-    return sectors.operator(sectors.hermitize(acc))
+        total += p * data if normalized else data
+    return sectors.operator(sectors.hermitize(total))
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +705,7 @@ def pretty_good_measurement(ensemble: Ensemble) -> Sequence[DenseOperator]:
     """
     symmetric = ensemble._symmetric_orbit
     states = ensemble.states[:1] if symmetric else ensemble.states
-    sectors, (inv_sqrt, *arrays) = _common([ensemble._average_decomposition[0], *states])
+    sectors, ([inv_sqrt], arrays) = _common([ensemble._average_decomposition[0]], states)
     povm = [
         sectors.operator(sectors.hermitize(sectors.product(inv_sqrt, p * data, inv_sqrt)))
         for p, data in zip(ensemble.probs, arrays)
@@ -706,7 +717,7 @@ def _check_factor_dims(
     operators: Sequence[DenseOperator], dims: tuple[int, ...], name: str
 ) -> None:
     """Raise ValueError naming the first operator not acting on ``dims``."""
-    for k, op in enumerate(operators):
+    for k, op in enumerate(_heads(operators)):
         if op.factor_dims != dims:
             raise ValueError(f"{name} {k} acts on factor dims {op.factor_dims}, not {dims}")
 
@@ -721,21 +732,26 @@ def success_probability(ensemble: Ensemble, povm: Sequence[DenseOperator]) -> fl
         raise ValueError("POVM length does not match the ensemble")
     _check_factor_dims(povm, ensemble.factor_dims, "POVM element")
     _check_psd(povm, POVM_TOL, "POVM element")
-    n = len(povm)
-    operators = [ensemble._average_decomposition[1], *ensemble.states, *povm]
-    sectors, (support, *arrays) = _common(operators)
-    total = sum(arrays[n:])
-    incomplete = sectors.product(support, total - sectors.identity(), support)
-    defect = float(np.max(np.abs(incomplete)))
+    support = ensemble._average_decomposition[1]
+    sectors, ([support], states, elements) = _common([support], ensemble.states, povm)
+    # one pass over the members: the completeness sum, and tr(sigma E) =
+    # sum_jk conj(sigma_jk) E_jk for hermitian sigma, O(dim^2)
+    total = _zeros(sectors, povm)
+    terms = []
+    for p in ensemble.probs:
+        st, e = next(states), next(elements)
+        total += e
+        terms.append(p * float(np.vdot(st, e).real))
+        del st, e  # freed before the next members are gathered
+    for block in sectors.blocks(total):
+        np.fill_diagonal(block, block.diagonal() - 1)  # sum_i E_i - 1
+    blocks = zip(sectors.blocks(support), sectors.blocks(total))
+    defect = float(np.max([np.abs(s @ t @ s).max(initial=0.0) for s, t in blocks]))
     if not defect <= POVM_TOL:
         raise ValueError(
             f"POVM incomplete on the ensemble support (defect {defect:.3e})"
         )
-    # tr(sigma E) = sum_jk conj(sigma_jk) E_jk for hermitian sigma: O(dim^2)
-    value = math.fsum(
-        p * float(np.vdot(st, e).real)
-        for p, st, e in zip(ensemble.probs, arrays[:n], arrays[n:])
-    )
+    value = math.fsum(terms)
     if not -1e-10 <= value <= 1 + 1e-10:
         raise AssertionError(f"success probability {value} outside [0, 1]")
     return value
@@ -812,19 +828,23 @@ def build_port_operator(d: int, N: int, coefficients: PortCoefficients) -> Dense
     for mu in enumerate_partitions(N, d):
         c = coefficients.value(mu)
         if c > 0:
-            acc = acc + math.sqrt(c) * young_projector(mu, d, table).matrix
+            acc = acc + math.sqrt(c) * young_projector(mu, d, table)._matrix
     return DenseOperator(acc, (d,) * N)
 
 
 def _lifted_port_operator(d: int, N: int, coefficients: PortCoefficients) -> DenseOperator:
-    """O x 1_B on the discrimination space."""
-    lifted = np.kron(build_port_operator(d, N, coefficients).matrix, np.eye(d))
-    return DenseOperator(lifted, (d,) * (N + 1))
+    """O x 1_B on the discrimination space, from the nonzero entries of O:
+    entry ((a, b), (a', b)) is O_aa'."""
+    port = build_port_operator(d, N, coefficients)._matrix
+    a, a_out = np.nonzero(port)
+    b = np.arange(d)
+    rows, columns = (a[:, None] * d + b).ravel(), (a_out[:, None] * d + b).ravel()
+    return _from_entries((d,) * (N + 1), rows, columns, np.repeat(port[a, a_out], d))
 
 
 def _steer(lifted: DenseOperator, rho: DenseOperator) -> DenseOperator:
     """(O x 1_B) rho (O x 1_B), in the sectors the two share."""
-    sectors, (o, r) = _common([lifted, rho])
+    sectors, ((o, r),) = _common([lifted, rho])
     return sectors.operator(sectors.hermitize(sectors.product(o, r, o)))
 
 
@@ -864,12 +884,14 @@ def certificate(states: Sequence[DenseOperator], povm: Sequence[DenseOperator]) 
     When both are ``_PortOrbit``s, sigma_k E_k = Pi_k sigma_1 E_1 Pi_k^T:
     one product and its gathered images. Otherwise each term is its own
     product."""
-    sectors, arrays = _common([*states, *povm])
-    sigmas, elements = arrays[: len(states)], arrays[len(states) :]
     if isinstance(states, _PortOrbit) and isinstance(povm, _PortOrbit):
-        first = sectors.product(sigmas[0], elements[0])
-        acc = sum((sectors.gather(first, g) for g in states.gathers), first)
+        sectors, ([sigma], [element]) = _common([states.first], [povm.first])
+        first = sectors.product(sigma, element)
+        acc = first.copy()
+        for g in states.gathers:
+            acc += sectors.gather(first, g)
     else:
+        sectors, (sigmas, elements) = _common(states, povm)
         acc = sum(sectors.product(st, e) for st, e in zip(sigmas, elements))
     defect = _asymmetry(sectors, acc)
     if not defect <= HERMITICITY_TOL:
@@ -938,8 +960,15 @@ def certify_optimality(
         )
     achieved = success_probability(ensemble, povm)
     dual_value = K.trace()
-    sectors, (k, *sigmas) = _common([K, *ensemble.states])
-    constraints = (k - p * st for p, st in zip(ensemble.probs, sigmas))
+    sectors, ([k], sigmas) = _common([K], ensemble.states)
+    dtype = np.result_type(k, *(st._data for st in _heads(ensemble.states)))
+
+    def constraint(p, st):
+        out = np.multiply(st, -p, dtype=dtype)
+        out += k  # k - p st, bit for bit, in one array
+        return out
+
+    constraints = map(constraint, ensemble.probs, sigmas)
     first = next(constraints)
     low = _lowest(sectors, first)
     defects = _swap_defects(sectors, first, constraints)
@@ -963,41 +992,48 @@ def certify_optimality(
 # ---------------------------------------------------------------------------
 
 
-def port_state_vector(d: int, N: int, coefficients: PortCoefficients | None) -> np.ndarray:
-    """Pure port state on slots A_1..A_N, B_1..B_N.
-
-    None gives N independent maximally entangled pairs; otherwise the pairs
-    are steered by O built from the coefficients.
-    """
-    pair = maximally_entangled_vector(d)
-    vec = reduce(np.kron, [pair] * N)
-    # kron order is A_1 B_1 A_2 B_2 ...; regroup to A_1..A_N B_1..B_N
-    order = list(range(0, 2 * N, 2)) + list(range(1, 2 * N, 2))
-    vec = vec[slot_gather((d,) * (2 * N), order)]
-    if coefficients is not None:
-        port_op = build_port_operator(d, N, coefficients).matrix
-        vec = (port_op @ vec.reshape(d**N, -1)).reshape(-1)
-    return vec
+def _input_state(
+    d: int, N: int, coefficients: PortCoefficients | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries (rows, columns, values) of the channel's input
+    state psi = |Phi>_{A_0 R} x (O x 1_B) |Phi>^(xN)_{A_i B_i}, as the matrix
+    with the protocol slots A_0..A_N as rows and R, B_1..B_N as columns:
+    entry ((a_0, a), (r, b)) is [a_0 = r] O_ab / sqrt(d)^(N+1), with O the
+    port operator of the coefficients, or the identity for None (d^(N+1)
+    entries). The N + 1 pair amplitudes multiply in their kron order."""
+    amplitude = 1 / math.sqrt(d)
+    pairs = math.prod([amplitude] * N)
+    if coefficients is None:
+        a = b = np.arange(d**N)
+        port = np.full(d**N, pairs)
+    else:
+        port_op = build_port_operator(d, N, coefficients)._matrix
+        a, b = np.nonzero(port_op)
+        port = port_op[a, b] * pairs
+    offset = np.arange(d)[:, None] * d**N  # a_0 = r
+    return (offset + a).ravel(), (offset + b).ravel(), np.tile(amplitude * port, d)
 
 
 def _reached_blocks(
-    psi: np.ndarray, row_sets: list[np.ndarray]
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray], row_sets: list[np.ndarray]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """For each set of rows of ``psi``, the columns those rows reach,
-    ascending, and the block psi[rows, columns]. A column is reached when one
-    of the rows has a nonzero entry in it, counted entry by entry (a NaN is
-    not zero), so ``psi`` is zero outside the blocks."""
-    label = np.empty(psi.shape[0], dtype=np.intp)
-    for k, rows in enumerate(row_sets):
-        label[rows] = k
-    entry_rows, entry_columns = np.nonzero(psi)
-    pairs, _ = _unique_inverse(label[entry_rows] * psi.shape[1] + entry_columns)
-    owner, columns = np.divmod(pairs, psi.shape[1])
-    bounds = np.searchsorted(owner, np.arange(len(row_sets) + 1))
-    return [
-        (cols, psi[np.ix_(rows, cols)])
-        for rows, cols in zip(row_sets, np.split(columns, bounds[1:-1]))
-    ]
+    """For each set of rows of the square matrix psi with the given nonzero
+    entries (rows, columns, values), the columns those rows reach,
+    ascending, and the block psi[rows, columns] filled from the entries:
+    psi is zero outside the blocks."""
+    rows, columns, values = entries
+    size = sum(r.size for r in row_sets)
+    owner, local = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
+    for k, r in enumerate(row_sets):
+        owner[r], local[r] = k, np.arange(r.size)
+    blocks = []
+    for k, r in enumerate(row_sets):
+        mine = owner[rows] == k
+        reached, position = _unique_inverse(columns[mine])
+        block = np.zeros((r.size, reached.size), dtype=values.dtype)
+        block[local[rows[mine]], position] = values[mine]
+        blocks.append((reached, block))
+    return blocks
 
 
 def _traced_block(
@@ -1048,24 +1084,22 @@ def teleportation_fidelity_direct(
         raise ValueError(f"need one POVM element per port, got {len(povm)}")
     _check_factor_dims(povm, (d,) * (N + 1), "POVM element")
     _check_psd(povm, POVM_TOL, "POVM element")
-    sectors, arrays = _common(povm)
-    dims = (d,) * (2 * N + 2)
-    psi = np.kron(maximally_entangled_vector(d), port_state_vector(d, N, coefficients))
-    # kron order is A_0, R, A_1..A_N, B_1..B_N; as a matrix, the rows are the
-    # protocol slots A_0..A_N and the columns R, B_1..B_N
-    order = [0] + list(range(2, N + 2)) + [1] + list(range(N + 2, 2 * N + 2))
-    psi = psi[slot_gather(dims, order)].reshape(d ** (N + 1), -1)
+    sectors, (elements,) = _common(povm)
     slots = (d,) * (N + 1)
     # protocol row p is discrimination index g[p], g moving B to the front
     protocol_row = np.argsort(slot_gather(slots, [N] + list(range(N))))
-    blocks = _reached_blocks(psi, [protocol_row[index] for index in sectors.index])
-    output = np.zeros((d * d, d * d), dtype=np.result_type(psi, *arrays))
-    for i, data in enumerate(arrays, start=1):
+    row_sets = [protocol_row[index] for index in sectors.index]
+    blocks = _reached_blocks(_input_state(d, N, coefficients), row_sets)
+    output = 0
+    for i in range(1, N + 1):
         # columns to B_j (j != i), B_i, R: everything but (B_i, R) is traced
         position = np.argsort(slot_gather(slots, [j for j in range(1, N + 1) if j != i] + [i, 0]))
-        for element, (columns, block) in zip(sectors.blocks(data), blocks):
-            branch = np.matmul(element, block)
-            output += _traced_block(branch, block, position[columns], d * d)
+        # E_i is read here and freed with the generator, before E_(i+1)
+        traced = (
+            _traced_block(np.matmul(element, block), block, position[columns], d * d)
+            for element, (columns, block) in zip(sectors.blocks(next(elements)), blocks)
+        )
+        output = sum(traced, output)
     target = maximally_entangled_vector(d)
     fidelity = float((target.conj() @ output @ target).real)
     if not -1e-10 <= fidelity <= 1 + 1e-10:
@@ -1171,14 +1205,16 @@ def run_verification(
         cert_blocks = block_spectrum(d, N, "Y", coefficients)
     else:
         raise ValueError(f"unknown verification mode {mode!r}")
+    avg_deviation = match_block_spectrum(average_state(rho_ens), block_spectrum(d, N, "avg"))
     cert = certificate(ens.states, povm)
+    cert_deviation = match_block_spectrum(cert, cert_blocks)
     sectors, data = _measured(cert)
-    report = certify_optimality(ens, povm, sectors.operator(data / N))
+    # K = cert / N in place of cert, which is not read again
+    report = certify_optimality(ens, povm, sectors.operator(np.divide(data, N, out=data)))
 
     record("formula_vs_oracle", abs(formula - report.success_probability * N / d**2), 1e-9)
-    avg = average_state(rho_ens)
-    record("avg_state_spectrum", match_block_spectrum(avg, block_spectrum(d, N, "avg")), 1e-9)
-    record("certificate_spectrum", match_block_spectrum(cert, cert_blocks), 1e-9)
+    record("avg_state_spectrum", avg_deviation, 1e-9)
+    record("certificate_spectrum", cert_deviation, 1e-9)
     record("dual_feasibility", max(0.0, -report.feasibility), 1e-9)
     record("duality_gap", abs(report.gap), 1e-8)
     return checks

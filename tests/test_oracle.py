@@ -5,7 +5,11 @@ import functools
 import inspect
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -25,7 +29,6 @@ from pbtfid import (
     certificate_X,
     certificate_Y,
     certify_optimality,
-    embed_operator,
     enumerate_partitions,
     eta_ensemble,
     fidelity_given_coefficients,
@@ -40,7 +43,6 @@ from pbtfid import (
     pbt_ensemble,
     permutation_cycle_type,
     permutation_operator,
-    port_state_vector,
     pretty_good_measurement,
     remove_box_predecessors,
     run_verification,
@@ -56,8 +58,14 @@ from conftest import (
     cached_certificate_x,
     cached_ensemble,
     cached_pgm,
+    dense_input_state,
+    dense_rho,
+    embed_operator,
+    port_state_vector,
+    reorder_factors,
     steered_states,
 )
+from recorded_values import RECORDED_CHANNEL, RECORDED_VERIFY
 
 import pbtfid.oracle as oracle_mod
 from pbtfid.fidelity import opt_block_coefficient
@@ -90,19 +98,17 @@ def reference_certificate(d, N, coefficients=None):
     return (acc + acc.conj().T) / 2
 
 
-def dense_channel_fidelity(d, N, povm, coefficients=None):
+def dense_channel_fidelity(d, N, povm, coefficients=None, psi=None):
     """Entanglement fidelity of the teleportation channel from full matrices:
     each POVM element reordered to the protocol slots (A_0, A_1..A_N) and
-    applied to the whole input state psi, everything but (B_i, R) traced
-    out by one gather and one product per branch."""
-    dims = (d,) * (2 * N + 2)
-    psi = np.kron(maximally_entangled_vector(d), oracle_mod.port_state_vector(d, N, coefficients))
-    order = [0] + list(range(2, N + 2)) + [1] + list(range(N + 2, 2 * N + 2))
-    psi = psi[oracle_mod.slot_gather(dims, order)].reshape(d ** (N + 1), -1)
+    applied to the whole input state psi (``dense_input_state`` unless
+    given), everything but (B_i, R) traced out by one gather and one product
+    per branch."""
+    psi = dense_input_state(d, N, coefficients) if psi is None else psi
     slots = (d,) * (N + 1)
     output = np.zeros((d * d, d * d), dtype=complex)
     for i, element in enumerate(povm, start=1):
-        protocol_matrix = oracle_mod.reorder_factors(element.matrix, slots, [N] + list(range(N)))
+        protocol_matrix = reorder_factors(element.matrix, slots, [N] + list(range(N)))
         cols = oracle_mod.slot_gather(slots, [j for j in range(1, N + 1) if j != i] + [i, 0])
         branch = (protocol_matrix @ psi).take(cols, axis=1).reshape(-1, d * d)
         output += branch.T @ psi.take(cols, axis=1).reshape(-1, d * d).conj()
@@ -470,8 +476,8 @@ def count_gathers(monkeypatch):
 def is_exact_orbit(operators):
     """Whether the operators are an exact port orbit: every swap defect of
     ``_swap_defects`` zero (a NaN defect is not)."""
-    sectors, arrays = oracle_mod._common(operators)
-    return not any(oracle_mod._swap_defects(sectors, arrays[0], arrays[1:]))
+    sectors, (arrays,) = oracle_mod._common(operators)
+    return not any(oracle_mod._swap_defects(sectors, next(arrays), arrays))
 
 
 class TestOrbitConstruction:
@@ -858,7 +864,7 @@ class TestWeightSectors:
         assert data.size == sectors.size and np.array_equal(sectors.matrix(data), rho)
         for g in oracle_mod._port_swaps(d, N):
             image = sectors.matrix(sectors.gather(data, g))
-            assert np.array_equal(image, oracle_mod._gather_both(rho, g))
+            assert np.array_equal(image, rho[g][:, g])
 
     def test_filled_matrix_is_read_only(self):
         state = pbt_ensemble(2, 3).states[1]
@@ -1047,7 +1053,7 @@ class TestSlotGather:
         m = rng.standard_normal((12, 12))
         for order in itertools.permutations(range(3)):
             assert np.array_equal(
-                oracle_mod.reorder_factors(m, dims, list(order)),
+                reorder_factors(m, dims, list(order)),
                 _transpose_reorder(m, dims, order),
             )
         for slots in ([0], [1], [2], [0, 2], [2, 0], [1, 2], [2, 1, 0]):
@@ -1581,12 +1587,10 @@ class TestTeleportationChannel:
         d, N = 2, 3
         povm = list(cached_pgm(d, N))
         U = haar_unitary(d, np.random.default_rng(HAAR_SEED))
-        real_state = oracle_mod.port_state_vector
-
-        def rotated_state(*args):
-            vec = real_state(*args).reshape(d**N, d, -1)
-            return np.einsum("ij,ajb->aib", U, vec).reshape(-1)
-
+        # columns R, B_1, B_2..B_N: U acts on B_1
+        psi = dense_input_state(d, N).reshape(d ** (N + 1), d, d, -1)
+        psi = np.einsum("ij,rajb->raib", U, psi).reshape(d ** (N + 1), -1)
+        entries = (*np.nonzero(psi), psi[np.nonzero(psi)])
         real_blocks, reaches = oracle_mod._reached_blocks, []
 
         def reached_blocks(*args):
@@ -1594,11 +1598,11 @@ class TestTeleportationChannel:
             reaches.extend(columns for columns, _ in blocks)
             return blocks
 
-        monkeypatch.setattr(oracle_mod, "port_state_vector", rotated_state)
+        monkeypatch.setattr(oracle_mod, "_input_state", lambda *args: entries)
         monkeypatch.setattr(oracle_mod, "_reached_blocks", reached_blocks)
         direct = teleportation_fidelity_direct(d, N, povm)
         assert sum(c.size for c in reaches) > np.unique(np.concatenate(reaches)).size
-        assert direct == pytest.approx(dense_channel_fidelity(d, N, povm), abs=1e-12)
+        assert direct == pytest.approx(dense_channel_fidelity(d, N, povm, psi=psi), abs=1e-12)
         assert direct != pytest.approx(fidelity_standard(d, N).fidelity, abs=1e-6)
 
     def test_channel_at_the_cap_matches_the_formula(self):
@@ -1697,17 +1701,70 @@ class TestVerificationBundle:
         assert max(lapack) <= largest_sector(d, N)
 
     def test_orbits_are_gathered_once(self, monkeypatch):
-        # rho and the PGM are gathered as built and not again when validated:
-        # verify takes the orbits of rho, the PGM and the certificate, the
-        # stabilizer of rho_1 and the feasibility defects; the channel job the
-        # orbits of rho and the PGM and the stabilizer
-        gathers = count_gathers(monkeypatch)
+        # an orbit holds M_1 and its gathers: a consumer reads member k by one
+        # gather of M_1, and gathers any other array by each swap at most once
+        stack, gathers = [("outside", object())], Counter()
+        real_gather = oracle_mod._Sectors.gather
+
+        def gather(self, data, g):
+            gathers[stack[-1], id(data), id(g)] += 1
+            return real_gather(self, data, g)
+
+        def consumer(name, function):
+            def wrapped(*args, **kwargs):
+                stack.append((name, object()))  # one key per call
+                try:
+                    return function(*args, **kwargs)
+                finally:
+                    stack.pop()
+
+            return wrapped
+
+        monkeypatch.setattr(oracle_mod._Sectors, "gather", gather)
+        post_init = consumer("Ensemble", oracle_mod.Ensemble.__post_init__)
+        monkeypatch.setattr(oracle_mod.Ensemble, "__post_init__", post_init)
+        for name in (
+            "average_state",
+            "pretty_good_measurement",
+            "certificate",
+            "success_probability",
+            "certify_optimality",
+            "teleportation_fidelity_direct",
+        ):
+            monkeypatch.setattr(oracle_mod, name, consumer(name, getattr(oracle_mod, name)))
+
+        def per_consumer():
+            assert set(gathers.values()) == {1}
+            return Counter(name for (name, _), _, _ in gathers)
+
         assert all(c.passed for c in run_verification(2, 8, "standard"))
-        assert gathers["gather"] == 30
+        # the normalised and the plain average, the stabilizer of rho_1 (in
+        # the PGM), the certificate's terms, rho_k and E_k for the success
+        # probability, rho_k and the images of K - p rho_1 for the
+        # feasibility bound; the states are validated at port 1
+        assert per_consumer() == {
+            "average_state": 14,
+            "pretty_good_measurement": 2,
+            "certificate": 7,
+            "success_probability": 14,
+            "certify_optimality": 14,
+        }
         gathers.clear()
-        povm = pretty_good_measurement(pbt_ensemble(2, 8))
-        teleportation_fidelity_direct(2, 8, povm)
-        assert gathers["gather"] == 16
+        ens = oracle_mod.pbt_ensemble(2, 8)
+        povm = oracle_mod.pretty_good_measurement(ens)
+        oracle_mod.teleportation_fidelity_direct(2, 8, povm)
+        assert per_consumer() == {
+            "average_state": 7,
+            "pretty_good_measurement": 2,
+            "teleportation_fidelity_direct": 7,
+        }
+        # no orbit keeps a member: each is gathered when read and freed after
+        for orbit in (ens.states, povm):
+            held = [getattr(orbit, name) for name in type(orbit).__slots__]
+            assert [type(x) for x in held] == [DenseOperator, list]
+            assert not hasattr(orbit, "__dict__") and orbit[1] is not orbit[1]
+            member = weakref.ref(orbit[-1])
+            assert member() is None
 
     def test_given_coefficients_decomposes_each_average_once(self, monkeypatch):
         d, N = 2, 3
@@ -1727,6 +1784,96 @@ class TestVerificationBundle:
             run_verification(2, 2, "bogus")
         with pytest.raises(ValueError):
             run_verification(2, 2, "given-coefficients", None)
+
+
+class TestBuiltFromEntries:
+    """rho_i, O x 1_B and the channel's input state are built from their
+    nonzero entries; nothing in verification or the channel fills a full
+    matrix, and every output equals the full-matrix constructions'."""
+
+    def test_rho_equals_the_dense_construction(self, oracle_grid):
+        for d, N in oracle_grid + [(1, 3), (2, 1), (4, 2)]:
+            for i in range(1, N + 1):
+                rho = build_rho(d, N, i)
+                assert rho._matrix is None and is_blocked(rho) == (d > 1)
+                reference = dense_rho(d, N, i).matrix
+                assert np.array_equal(rho.matrix, reference)
+                assert np.array_equal(np.signbit(rho.matrix), np.signbit(reference))
+
+    def test_entry_off_the_sectors_takes_the_dense_layout(self):
+        dims = (2, 2, 2)
+        op = oracle_mod._from_entries(dims, np.array([0, 1]), np.array([0, 2]), np.ones(2))
+        expected = np.zeros((8, 8))
+        expected[0, 0] = expected[1, 2] = 1.0
+        assert not is_blocked(op) and np.array_equal(op.matrix, expected)
+
+    def test_lifted_port_operator_equals_the_kron(self, oracle_grid):
+        rng = np.random.default_rng(71)
+        for d, N in oracle_grid:
+            c = random_valid_coefficients(d, N, rng)
+            lifted = oracle_mod._lifted_port_operator(d, N, c)
+            assert is_blocked(lifted)
+            expected = np.kron(build_port_operator(d, N, c).matrix, np.eye(d))
+            assert np.array_equal(lifted.matrix, expected)
+
+    def test_input_state_equals_the_dense_construction(self, oracle_grid):
+        rng = np.random.default_rng(73)
+        for d, N in oracle_grid:
+            for c in (None, random_valid_coefficients(d, N, rng)):
+                rows, columns, values = oracle_mod._input_state(d, N, c)
+                reference = dense_input_state(d, N, c)
+                assert rows.size == (d ** (N + 1) if c is None else np.count_nonzero(reference))
+                built = np.zeros_like(reference)
+                built[rows, columns] = values
+                assert np.array_equal(built, reference)
+
+    def test_verification_reads_no_full_matrix(self, monkeypatch, oracle_grid):
+        coefficients = {dn: optimize_coefficients(*dn).coefficients for dn in oracle_grid}
+
+        def forbidden(op):
+            raise AssertionError("DenseOperator.matrix read")
+
+        monkeypatch.setattr(DenseOperator, "matrix", property(forbidden))
+        for d, N in oracle_grid:
+            assert all(c.passed for c in run_verification(d, N, "standard"))
+            checks = run_verification(d, N, "optimized", coefficients[d, N])
+            assert all(c.passed for c in checks)
+        povm = pretty_good_measurement(pbt_ensemble(2, 4))
+        direct = teleportation_fidelity_direct(2, 4, povm)
+        assert direct == pytest.approx(fidelity_standard(2, 4).fidelity, abs=1e-9)
+
+    @pytest.mark.parametrize("key", sorted(RECORDED_VERIFY))
+    def test_verification_agrees_with_the_recorded_values(self, key):
+        d, N, mode = key
+        c = optimize_coefficients(d, N).coefficients if mode == "optimized" else None
+        checks = run_verification(d, N, mode, c)
+        assert [ch.name for ch in checks] == list(RECORDED_VERIFY[key])
+        for ch in checks:
+            deviation, passed = RECORDED_VERIFY[key][ch.name]
+            assert ch.passed == passed and abs(ch.deviation - deviation) <= 1e-12
+
+    def test_channel_agrees_with_the_recorded_values(self):
+        for (d, N, mode), recorded in RECORDED_CHANNEL.items():
+            c = optimize_coefficients(d, N).coefficients if mode == "optimized" else None
+            direct = teleportation_fidelity_direct(d, N, cached_pgm(d, N), c)
+            assert abs(direct - recorded) <= 1e-12
+
+    def test_verify_memory_at_d2_n10(self):
+        # ru_maxrss growth over the import; the full-matrix construction of
+        # rho_1 and the stored orbit members took 192 MB here, this one 50 MB
+        script = (
+            "import resource\n"
+            "from pbtfid import run_verification\n"
+            "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "assert all(c.passed for c in run_verification(2, 10, 'standard'))\n"
+            "print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base) / 1024)\n"
+        )
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert float(result.stdout) <= 100.0
 
 
 def test_oracle_imports_only_the_pinned_fidelity_names():
