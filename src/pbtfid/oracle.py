@@ -3,50 +3,41 @@
 Everything the formula modules claim is rebuilt here as explicit operators:
 the discrimination states, the square-root measurement, isotypic projectors,
 the dual-certificate operators, and the full teleportation channel. Sizes are
-capped (d^(N+1) <= PBT_ORACLE_CAP, default 4096) because this module exists
-for certification, not production scans.
+capped (d^(N+1) <= PBT_ORACLE_CAP, default 4096): this module certifies.
 
-Every construction here is real symmetric, so the eigensolves are real LAPACK
-calls; ``DenseOperator`` also holds complex matrices, such as a state
-conjugated by a Haar unitary. Hermiticity is measured where it can fail:
-``certificate`` measures sum_i sigma_i E_i before symmetrising it, and input
-states, measurements and dual candidates are measured, with non-finite
-entries rejected, when validated (``_check_psd``, ``certify_optimality``).
-The other constructions are exactly symmetric as built.
+Every construction here is real symmetric; ``DenseOperator`` also holds
+complex matrices, such as a state conjugated by a Haar unitary. Hermiticity
+is measured where it can fail: ``certificate`` measures sum_i sigma_i E_i
+before symmetrising it, and input states, measurements and dual candidates
+are measured, non-finite entries rejected, when validated.
 
 The states rho_i, the square-root measurement E_i, the steered states eta_i
-and the terms sigma_i E_i are port orbits: the images of their port-1
+and the terms sigma_i E_i are port orbits, the images of their port-1
 members under the swap Pi_i of ports 1 and i. A ``_PortOrbit`` holds M_1 and
-the port-swap gathers; each consumer gathers member k when it reads it and
-drops it before reading the next. An orbit is exact by construction, so it is
-validated (entries, hermiticity, spectrum, trace) at port 1 alone, and
-``certificate`` of two orbits takes one product and its gathered images; any
-other sequence is validated element by element. E_i is an orbit only for equal probabilities and a rho_1 equal to
-its image under every permutation of ports 2..N (``Ensemble._symmetric_orbit``).
+the port-swap gathers; a consumer gathers member k when it reads it and
+drops it before reading the next. Exact by construction, an orbit is
+validated at port 1 alone; any other sequence element by element. E_i is an
+orbit only for equal probabilities and a rho_1 equal to its image under
+every permutation of ports 2..N (``Ensemble._symmetric_orbit``).
 
-The dual candidate comes from the measurement under test: K = sum_i p_i
-sigma_i E_i, with E the square-root measurement of the unsteered rho_i and
-sigma_i the states discriminated (rho_i, or the steered eta_i). tr K equals
-the achieved success probability, so the duality gap is zero by construction;
-the substantive checks are feasibility (K >= p_i sigma_i) and the match of
-K's spectrum with the closed-form block values. Feasibility takes one
-eigensolve, of K - p_1 sigma_1, and every other constraint is compared with
-its transposed image (``_swap_defects``), the measured defect lowering the
-reported bound.
+The dual candidate K = sum_i p_i sigma_i E_i comes from the measurement
+under test (E of the unsteered rho_i, sigma_i = rho_i or eta_i), so tr K is
+the achieved success probability and the gap is zero by construction; the
+checks are feasibility (K >= p_i sigma_i) and K's spectrum against the
+closed-form block values. Feasibility is one eigensolve, of K - p_1 sigma_1,
+lowered by the measured defects of the other constraints against its
+transposed images (``_swap_defects``).
 
-Symmetry (i) of the protocol makes every operator here commute with
-U^(xN) x conj(U), and for diagonal U that splits (C^d)^(N+1) into weight
-sectors: index (a_1..a_N, b) has weight n_k(a) - [b = k], counted from its
-digits (``_Sectors``). An operator measured zero off its sectors, entry by
-entry (a NaN is not zero), is held as its diagonal blocks, and eigensolves,
-products, port-swap gathers and symmetrisations run one block at a time; any
-other operator takes the dense path, the one-sector case of the same code.
-rho_i and O x 1_B are built from their nonzero entries, each checked to lie
-in one sector, and so is the channel's input state psi (d^(N+1) entries for
-rho_i and the standard psi); the channel multiplies each POVM sector block
-with the block of psi its rows reach. No full matrix is filled unless ``matrix``
-is read. ``verify --d 2 --N 8`` takes 6 operator decompositions, each as 10
-LAPACK calls on blocks of at most 126 of the 512 dimensions.
+Every operator here commutes with U^(xN) x conj(U), so for diagonal U it is
+zero between indices of different weight n_k(a) - [b = k], counted from the
+digits of (a_1..a_N, b) (``_Sectors``). An operator measured zero off these
+sectors, entry by entry (a NaN is not zero), is held as its diagonal blocks,
+and eigensolves, products, gathers and symmetrisations run block by block;
+any other operator is the one-sector case of the same code. rho_i and
+O x 1_B are built from their nonzero entries, each checked to lie in one
+sector, and the channel's input state psi from its nonzero entries too. No
+full matrix is filled unless ``matrix`` is read. ``verify --d 2 --N 8``
+takes 6 decompositions, each 10 LAPACK calls on blocks of at most 126.
 
 Tensor-factor convention: the N port slots A_1..A_N come first and the single
 B slot is last, with row-major index fusion (np.kron order). Permutations act
@@ -306,8 +297,7 @@ class _Sectors:
         out = np.empty_like(data)
         for src, dst, (start, _, n) in zip(self.blocks(data), self.blocks(out), self._spans):
             within = local[start : start + n]
-            # positions within the block, in range by construction: "clip"
-            # skips the bounds check, which costs as much as the copy
+            # in range by construction: "clip" skips the bounds check
             np.take(src.take(within, axis=0, mode="clip"), within, axis=1, out=dst, mode="clip")
         return out
 
@@ -345,19 +335,16 @@ def _measured(
 
 
 def _heads(operators: Sequence[DenseOperator]) -> Sequence[DenseOperator]:
-    """The operators to measure: M_1 of a ``_PortOrbit``, whose members share
-    its factor dims and sectors, else every operator."""
+    """M_1 of a ``_PortOrbit`` (its members share its dims and sectors),
+    else every operator."""
     return [operators.first] if isinstance(operators, _PortOrbit) else operators
 
 
 def _common(*groups: Sequence[DenseOperator]) -> tuple[_Sectors, list]:
     """Sectors shared by groups of operators on one factor dims, and for each
     group an iterator over its operators' data in them: the weight sectors
-    when every operator is measured zero off them, else the dense layout. A
-    ``_PortOrbit`` is measured at M_1 and yields its members' data gathered
-    as read, so no orbit becomes a list of members; a consumer that drops
-    each before reading the next holds one member at a time. The weight
-    sectors are built at most once."""
+    when every operator is measured zero off them, else the dense layout. An
+    orbit is measured at M_1 and its members are gathered as read."""
     heads = [op for group in groups for op in _heads(group)]
     known = [op._sectors for op in heads if op._sectors is not None]
     weights = next((sectors for sectors in known if sectors.blocked), None)
@@ -431,12 +418,10 @@ def _port_layout(operators: Sequence[DenseOperator]) -> int | None:
 
 def _swap_defects(sectors: _Sectors, first: np.ndarray, others) -> list[float]:
     """The swap defects delta_k = ||Pi_k M_1 Pi_k^T - M_k||_F of ``first`` =
-    M_1 and ``others`` = M_2..M_N (their data in ``sectors``, of dims
-    (d,) * (N + 1), of the dtype of ``first``), each read, compared with its
-    gathered image and freed before the next. By Weyl's inequality
-    lambda_min(M_1) - delta_k bounds lambda_min(M_k) below, so one
-    eigensolve bounds every M_k, with the port symmetry measured, not
-    assumed."""
+    M_1 and ``others`` = M_2..M_N (data in ``sectors`` of dims (d,) * (N + 1),
+    of the dtype of ``first``), each freed before the next is read. By
+    Weyl's inequality lambda_min(M_1) - delta_k bounds lambda_min(M_k), so
+    one eigensolve bounds every M_k, the port symmetry measured."""
     dims = sectors.dims
     swaps = _port_swaps(dims[0], len(dims) - 1)
 
@@ -452,11 +437,10 @@ class _PortOrbit(Sequence):
     """An exact port orbit: M_1 on (C^d)^(N+1) followed by its images
     M_k = Pi_k M_1 Pi_k^T under the port-swap gathers (``_port_swaps``).
 
-    It holds M_1 and the gathers alone: member k is gathered from M_1 each
-    time it is read, and nothing keeps it. It is exact by construction, so
-    consumers recognise it by its type and never measure it again. Its
-    members cannot be replaced, and a copy (``list(orbit)``, a slice) is a
-    plain sequence, measured like any other input."""
+    It holds M_1 and the gathers: member k is gathered each time it is read,
+    and nothing keeps it. Consumers recognise it by its type and never
+    measure it again. A copy (``list(orbit)``, a slice) is a plain
+    sequence."""
 
     __slots__ = ("first", "gathers")
 
@@ -492,12 +476,10 @@ def _check_psd(operators: Sequence[DenseOperator], tol: float, name: str) -> Non
 
     A ``_PortOrbit`` is checked at M_1: every M_k is a permutation similarity
     of M_1, with its entries and its hermiticity defect h_1. M_1 takes one
-    eigensolve, and the other members are accepted when lambda_min(M_1) -
-    dim * h_1 is at least -tol, the last term covering the defect because
-    ``eigvalsh`` reads one triangle (of each block, which is the matrix's
-    own). When that bound fails each M_k, like every operator of any other
-    sequence, is decomposed itself, so exactly the operators that pass a
-    per-operator eigensolve are accepted.
+    eigensolve, and the others are accepted when lambda_min(M_1) - dim * h_1
+    is at least -tol, the last term covering the defect because ``eigvalsh``
+    reads one triangle (of each block, which is the matrix's own). Else each
+    M_k, like every operator of any other sequence, is decomposed itself.
     """
     exact = isinstance(operators, _PortOrbit)
     sectors, (arrays,) = _common(operators)
@@ -573,9 +555,8 @@ def maximally_entangled(d: int) -> DenseOperator:
 def _from_entries(
     dims: tuple[int, ...], rows: np.ndarray, columns: np.ndarray, values: np.ndarray
 ) -> DenseOperator:
-    """The operator on the port layout ``dims`` with the given entries and
-    zeros elsewhere: held in the weight sectors when each entry is measured
-    to lie in one, else in the dense layout. No full matrix is built."""
+    """The operator on ``dims`` with the given entries, zero elsewhere, in
+    the weight sectors when each entry lies in one, else dense."""
     sectors = _Sectors.weights(dims)
     if sectors is None or not np.array_equal(sectors._labels[rows], sectors._labels[columns]):
         sectors = _Sectors.dense(dims)
@@ -587,10 +568,9 @@ def _from_entries(
 
 
 def build_rho(d: int, N: int, i: int) -> DenseOperator:
-    """Discrimination state rho_i = Phi_{A_i B} x 1/d^(N-1): an entangled pair
-    on (A_i, B), maximally mixed on the remaining ports. It is built from its
-    d^(N+1) nonzero entries, <a, b| rho_i |a', b'> = 1/d^N for a_i = b,
-    a'_i = b' and a_j = a'_j at every other port j."""
+    """Discrimination state rho_i = Phi_{A_i B} x 1/d^(N-1), from its d^(N+1)
+    nonzero entries <a, b| rho_i |a', b'> = 1/d^N: a_i = b, a'_i = b' and
+    a_j = a'_j at every other port j."""
     check_oracle_size(d, N)
     if not 1 <= i <= N:
         raise ValueError(f"port index {i} outside 1..{N}")
@@ -622,7 +602,7 @@ class Ensemble:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         _check_factor_dims(self.states, self.states[0].factor_dims, "state")
         _check_psd(self.states, 1e-12, "state")
-        # an orbit's members hold the diagonal of rho_1: its trace is theirs
+        # an orbit's members permute the diagonal of M_1
         for k, st in enumerate(_heads(self.states)):
             sectors, data = _measured(st)
             tr = sectors.trace(data)
@@ -734,8 +714,7 @@ def success_probability(ensemble: Ensemble, povm: Sequence[DenseOperator]) -> fl
     _check_psd(povm, POVM_TOL, "POVM element")
     support = ensemble._average_decomposition[1]
     sectors, ([support], states, elements) = _common([support], ensemble.states, povm)
-    # one pass over the members: the completeness sum, and tr(sigma E) =
-    # sum_jk conj(sigma_jk) E_jk for hermitian sigma, O(dim^2)
+    # one pass: the completeness sum, and tr(sigma E) = <sigma, E> (hermitian)
     total = _zeros(sectors, povm)
     terms = []
     for p in ensemble.probs:
@@ -833,8 +812,7 @@ def build_port_operator(d: int, N: int, coefficients: PortCoefficients) -> Dense
 
 
 def _lifted_port_operator(d: int, N: int, coefficients: PortCoefficients) -> DenseOperator:
-    """O x 1_B on the discrimination space, from the nonzero entries of O:
-    entry ((a, b), (a', b)) is O_aa'."""
+    """O x 1_B, from the nonzero entries O_aa' at ((a, b), (a', b))."""
     port = build_port_operator(d, N, coefficients)._matrix
     a, a_out = np.nonzero(port)
     b = np.arange(d)
@@ -995,12 +973,11 @@ def certify_optimality(
 def _input_state(
     d: int, N: int, coefficients: PortCoefficients | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzero entries (rows, columns, values) of the channel's input
-    state psi = |Phi>_{A_0 R} x (O x 1_B) |Phi>^(xN)_{A_i B_i}, as the matrix
-    with the protocol slots A_0..A_N as rows and R, B_1..B_N as columns:
-    entry ((a_0, a), (r, b)) is [a_0 = r] O_ab / sqrt(d)^(N+1), with O the
-    port operator of the coefficients, or the identity for None (d^(N+1)
-    entries). The N + 1 pair amplitudes multiply in their kron order."""
+    """The nonzero entries (rows, columns, values) of the input state
+    |Phi>_{A_0 R} x (O x 1_B) |Phi>^(xN)_{A_i B_i}, rows A_0..A_N and columns
+    R, B_1..B_N: entry ((a_0, a), (r, b)) is [a_0 = r] O_ab / sqrt(d)^(N+1),
+    O the port operator, the identity for None. The pair amplitudes multiply
+    in their kron order."""
     amplitude = 1 / math.sqrt(d)
     pairs = math.prod([amplitude] * N)
     if coefficients is None:
@@ -1018,9 +995,8 @@ def _reached_blocks(
     entries: tuple[np.ndarray, np.ndarray, np.ndarray], row_sets: list[np.ndarray]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """For each set of rows of the square matrix psi with the given nonzero
-    entries (rows, columns, values), the columns those rows reach,
-    ascending, and the block psi[rows, columns] filled from the entries:
-    psi is zero outside the blocks."""
+    entries (rows, columns, values), the columns they reach, ascending, and
+    the block psi[rows, columns]."""
     rows, columns, values = entries
     size = sum(r.size for r in row_sets)
     owner, local = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)

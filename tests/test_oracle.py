@@ -460,19 +460,6 @@ def per_element_pgm(ensemble):
     ]
 
 
-def count_gathers(monkeypatch):
-    """Count the sector gathers ``_Sectors.gather`` makes from now on."""
-    gathers = Counter()
-    real_gather = oracle_mod._Sectors.gather
-
-    def counted_gather(self, *args):
-        gathers["gather"] += 1
-        return real_gather(self, *args)
-
-    monkeypatch.setattr(oracle_mod._Sectors, "gather", counted_gather)
-    return gathers
-
-
 def is_exact_orbit(operators):
     """Whether the operators are an exact port orbit: every swap defect of
     ``_swap_defects`` zero (a NaN defect is not)."""
