@@ -66,8 +66,6 @@ from .partitions import (
     conjugate,
     dimension_record,
     enumerate_partitions,
-    log_specht_dim,
-    log_weyl_dim,
     partition_level,
     permutation_cycle_type,
     remove_box_predecessors,

@@ -97,6 +97,11 @@ class CoefficientsFileError(Exception):
     pass
 
 
+class _KeyPairs(list):
+    """A JSON object as its (key, value) pairs in file order, a repeated key
+    kept, so that a diagram named twice is seen."""
+
+
 def format_number(value) -> str:
     """Fixed decimal formatting: 17 significant digits, positional >= 1e-4."""
     if value is None:
@@ -116,45 +121,42 @@ def _partition_key(mu) -> str:
 
 
 def load_coefficients(path: str, d: int, N: int, renormalize: bool) -> PortCoefficients:
-    """Read a JSON map {"[rows...]": c} and build validated coefficients.
+    """Read a JSON map {"[rows...]": c} and build the coefficients.
 
-    Missing diagrams default to 0. Unless ``renormalize`` is set, any
-    violation of the normalisation is rejected with the measured residual.
+    Each key is a JSON array of integer row lengths, naming a diagram at
+    most once; missing diagrams default to 0. Unless ``renormalize`` is set,
+    any violation of the normalisation is rejected with the measured
+    residual.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_KeyPairs)
     except OSError as exc:
         raise CoefficientsFileError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CoefficientsFileError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
+    if not isinstance(raw, _KeyPairs):
         raise CoefficientsFileError(f"{path}: expected a JSON object at top level")
     entries = {}
-    for key, value in raw.items():
+    for key, value in raw:
         try:
             rows = json.loads(key)
-            mu = tuple(int(r) for r in rows)
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
+        except json.JSONDecodeError:
+            rows = None
+        # type() rather than isinstance(): JSON true is a bool, an int subclass
+        if not (isinstance(rows, list) and all(type(r) is int for r in rows)):
             raise CoefficientsFileError(
-                f"{path}: key {key!r} is not a JSON array of row lengths"
-            ) from exc
-        if not isinstance(rows, list):
-            raise CoefficientsFileError(f"{path}: key {key!r} must be a JSON array")
+                f"{path}: key {key!r} is not a JSON array of integer row lengths"
+            )
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise CoefficientsFileError(f"{path}: value for {key!r} is not a number")
-        entries[mu] = value
+        if tuple(rows) in entries:
+            raise CoefficientsFileError(f"{path}: diagram {rows} is given twice")
+        entries[tuple(rows)] = value
     try:
-        coeffs = PortCoefficients.from_mapping(d, N, entries)
+        return PortCoefficients.from_mapping(d, N, entries, renormalize=renormalize)
     except ValueError as exc:
         raise CoefficientsFileError(f"{path}: {exc}") from exc
-    try:
-        if renormalize:
-            coeffs = coeffs.renormalized()
-        coeffs.validate()
-    except ValueError as exc:
-        raise CoefficientsFileError(f"{path}: {exc}") from exc
-    return coeffs
 
 
 def output_record(report, wall_time_ms: float) -> dict:
@@ -170,7 +172,7 @@ def output_record(report, wall_time_ms: float) -> dict:
         "numeric_mode": report.numeric_mode,
         "certificate_margin": margin,
         "coefficients": (
-            {_partition_key(mu): c for mu, c in sorted(report.coefficients.entries.items(), reverse=True)}
+            {_partition_key(mu): c for mu, c in report.coefficients.items()}
             if report.coefficients is not None
             else None
         ),

@@ -18,6 +18,13 @@ scheduling. The exact-hybrid F and the block spectra form each mu's surd
 sqrt(c_mu d_mu m_mu) once and each alpha's surd sum once; the single-block
 functions use the same formula on the covers of their own alpha.
 
+Port weights c_mu are a ``PortCoefficients``: one read-only weight per row
+of the level table, checked once when built (finite, nonnegative, and
+sum c_mu d_mu m_mu = d^N, summed exactly up to the exact threshold and as
+one log-sum-exp of the level's log-dimensions above it). The sums read the
+weights as that array and check nothing again; the single-block functions
+read the weights of their covers by diagram.
+
 The log-domain sums read ln Gamma and ln at integers from tables. ln Gamma
 is filled by a port of cephes' ``lgam``, the routine behind
 ``scipy.special.gammaln``, which it equals bit for bit, so scipy is not
@@ -32,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import mpmath
 import numpy as np
@@ -42,11 +49,7 @@ from .partitions import (
     Partition,
     add_box_successors,
     check_partition,
-    enumerate_partitions,
-    is_valid_partition,
-    log_specht_dim,
     log_specht_row,
-    log_weyl_dim,
     log_weyl_row,
     partition_level,
     specht_dim,
@@ -65,7 +68,7 @@ DENSE_EIGEN_LIMIT = 2000
 DEGENERACY_RTOL = 1e-10
 EIGEN_RESIDUAL_TOL = 1e-12
 EIGSH_TOL = 1e-13
-NORMALISATION_RTOL = 1e-12  # PortCoefficients.validate on sum c*d_mu*m_mu = d**N
+NORMALISATION_RTOL = 1e-12  # PortCoefficients on sum c*d_mu*m_mu = d**N
 
 
 def exact_threshold() -> int:
@@ -93,108 +96,112 @@ def _check_dn(d: int, N: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _check_diagram(mu: Partition, d: int, N: int) -> None:
-    """Raise ValueError unless ``mu`` is a partition of N into at most d rows."""
-    if not (0 < len(mu) <= d and sum(mu) == N and is_valid_partition(mu)):
-        raise ValueError(f"{mu} is not a partition of {N} into at most {d} rows")
+def _checked_weights(d: int, N: int, weights) -> np.ndarray:
+    """A read-only float64 copy of ``weights``, refused unless it holds one
+    finite, nonnegative weight per diagram of ``partition_level(N, d)``."""
+    _check_dn(d, N)
+    table = partition_level(N, d).table
+    weights = np.array(weights, dtype=np.float64)
+    if weights.shape != (table.shape[0],):
+        raise ValueError(f"expected {table.shape[0]} weights, one per diagram, got shape {weights.shape}")
+    for m in np.flatnonzero(~np.isfinite(weights) | (weights < 0))[:1]:
+        c, mu = float(weights[m]), table_partitions(table[m : m + 1])[0]
+        raise ValueError(f"{'non-finite' if not math.isfinite(c) else 'negative'} coefficient {c!r} for {mu}")
+    weights.flags.writeable = False
+    return weights
 
 
-@dataclass(frozen=True)
+def _normalisation_ratio(d: int, N: int, weights: np.ndarray) -> float:
+    """sum c*d_mu*m_mu / d**N over the level, which a valid assignment sets
+    to 1: summed exactly in rationals up to the exact threshold (the ratio is
+    at most the largest c, so only an intermediate could overflow a float),
+    as one log-sum-exp of the level's log-dimensions above it."""
+    live = np.flatnonzero(weights > 0)
+    rows = partition_level(N, d).table[live]
+    if N <= exact_threshold():
+        total = sum(
+            Fraction(c) * specht_dim(mu) * weyl_dim(mu, d)
+            for mu, c in zip(table_partitions(rows), weights[live].tolist())
+        )
+        return float(total / d**N)
+    if live.size == 0:
+        return 0.0
+    logs = np.log(weights[live]) + _log_specht_vec(rows, N) + _log_weyl_vec(rows)
+    top = logs.max()
+    return math.exp(top + math.log(np.exp(logs - top).sum()) - N * math.log(d))
+
+
+@dataclass(frozen=True, eq=False)
 class PortCoefficients:
     """Nonnegative block weights c_mu of a symmetric port state.
 
-    A valid assignment satisfies  sum_mu c_mu * d_mu * m_{d,mu} = d**N,
-    with d_mu / m_{d,mu} the Specht / Weyl dimensions. Diagrams missing
-    from ``entries`` carry weight zero, which simply drops them from every
-    downstream sum.
+    ``weights`` is a read-only float64 array with one c_mu per row of
+    ``partition_level(N, d).table``, in its order. Every instance is checked
+    once, when it is built: the weights are finite and nonnegative and
+    satisfy  sum_mu c_mu * d_mu * m_{d,mu} = d**N  to NORMALISATION_RTOL,
+    with d_mu / m_{d,mu} the Specht / Weyl dimensions. A diagram of weight
+    zero drops out of every sum. ``from_mapping`` builds one from a map
+    {diagram: c}; ``items`` and ``value`` read it back by diagram.
     """
 
     d: int
     N: int
-    entries: Mapping[Partition, float]
+    weights: np.ndarray
 
-    @classmethod
-    def uniform(cls, d: int, N: int) -> "PortCoefficients":
-        """c_mu = 1 for every diagram: the maximally entangled port state."""
-        _check_dn(d, N)
-        return cls(d, N, {mu: 1.0 for mu in enumerate_partitions(N, d)})
-
-    @classmethod
-    def from_mapping(
-        cls, d: int, N: int, entries: Mapping[Sequence[int], float]
-    ) -> "PortCoefficients":
-        _check_dn(d, N)
-        clean: dict[Partition, float] = {}
-        for raw_mu, c in entries.items():
-            mu = check_partition(raw_mu)
-            _check_diagram(mu, d, N)
-            try:
-                c = float(c)
-            except OverflowError as exc:
-                raise ValueError(f"coefficient for {mu} overflows float64") from exc
-            if not math.isfinite(c):
-                raise ValueError(f"non-finite coefficient {c!r} for {mu}")
-            if c < 0:
-                raise ValueError(f"negative coefficient {c!r} for {mu}")
-            clean[mu] = c
-        return cls(d, N, clean)
-
-    def value(self, mu: Partition) -> float:
-        return float(self.entries.get(tuple(mu), 0.0))
-
-    def _normalisation_ratio(self) -> float:
-        """sum c*d_mu*m_mu / d**N, which a valid assignment sets to 1: summed
-        exactly in rationals up to the exact threshold (the ratio is at most
-        the largest c, so only an intermediate could overflow a float),
-        log-sum-exp above it."""
-        if self.N <= exact_threshold():
-            total = sum(
-                Fraction(c) * specht_dim(mu) * weyl_dim(mu, self.d)
-                for mu, c in self.entries.items()
-                if c > 0
-            )
-            return float(total / self.d**self.N)
-        logs = [
-            math.log(c) + log_specht_dim(mu) + log_weyl_dim(mu, self.d)
-            for mu, c in sorted(self.entries.items(), reverse=True)
-            if c > 0
-        ]
-        if not logs:
-            return 0.0
-        return math.exp(_logsumexp(logs) - self.N * math.log(self.d))
-
-    def constraint_residual(self) -> float:
-        """Relative deviation of sum c*d_mu*m_mu from d**N."""
-        return abs(self._normalisation_ratio() - 1.0)
-
-    def renormalized(self) -> "PortCoefficients":
-        """The same coefficients rescaled onto sum c*d_mu*m_mu = d**N."""
-        ratio = self._normalisation_ratio()
-        if not ratio > 0:
-            raise ValueError("all coefficients are zero")
-        return PortCoefficients(
-            self.d, self.N, {mu: c / ratio for mu, c in self.entries.items()}
-        )
-
-    def validate(self) -> None:
-        for mu in self.entries:
-            _check_diagram(mu, self.d, self.N)
-        if not all(math.isfinite(c) and c >= 0 for c in self.entries.values()):
-            raise ValueError("port coefficients must be finite and nonnegative")
-        residual = self.constraint_residual()
+    def __post_init__(self) -> None:
+        weights = _checked_weights(self.d, self.N, self.weights)
+        object.__setattr__(self, "weights", weights)
+        residual = abs(_normalisation_ratio(self.d, self.N, weights) - 1.0)
         if residual > NORMALISATION_RTOL:
             raise ValueError(
                 f"port coefficients violate the normalisation "
                 f"sum c*d_mu*m_mu = d**N (relative residual {residual:.3e})"
             )
 
+    @classmethod
+    def uniform(cls, d: int, N: int) -> "PortCoefficients":
+        """c_mu = 1 for every diagram: the maximally entangled port state."""
+        _check_dn(d, N)
+        return cls(d, N, np.ones(partition_level(N, d).table.shape[0]))
 
-def _logsumexp(values: Iterable[float]) -> float:
-    vals = [v for v in values if v != -math.inf]
-    if not vals:
-        return -math.inf
-    top = max(vals)
-    return top + math.log(math.fsum(math.exp(v - top) for v in vals))
+    @classmethod
+    def from_mapping(
+        cls, d: int, N: int, entries: Mapping[Sequence[int], float], renormalize: bool = False
+    ) -> "PortCoefficients":
+        """The coefficients of a map {diagram: c}, diagrams missing from it at
+        weight zero. Each key must be a partition of N into at most d rows.
+        With ``renormalize`` the weights are first rescaled onto
+        sum c*d_mu*m_mu = d**N."""
+        _check_dn(d, N)
+        rows = {mu: m for m, mu in enumerate(table_partitions(partition_level(N, d).table))}
+        weights = np.zeros(len(rows))
+        for raw_mu, c in entries.items():
+            mu = tuple(raw_mu)
+            if mu not in rows:
+                raise ValueError(f"{mu} is not a partition of {N} into at most {d} rows")
+            try:
+                weights[rows[mu]] = float(c)
+            except OverflowError as exc:
+                raise ValueError(f"coefficient for {mu} overflows float64") from exc
+        if renormalize:
+            weights = _checked_weights(d, N, weights)
+            ratio = _normalisation_ratio(d, N, weights)
+            if not ratio > 0:
+                raise ValueError("all coefficients are zero")
+            weights = weights / ratio
+        return cls(d, N, weights)
+
+    def items(self) -> Iterator[tuple[Partition, float]]:
+        """(mu, c_mu) for every diagram, in level-table order."""
+        return zip(table_partitions(partition_level(self.N, self.d).table), self.weights.tolist())
+
+    def value(self, mu: Partition) -> float:
+        """c_mu; 0 for a tuple that is not a diagram of the level."""
+        if len(mu) > self.d:
+            return 0.0
+        row = tuple(mu) + (0,) * (self.d - len(mu))
+        hit = np.flatnonzero((partition_level(self.N, self.d).table == row).all(axis=1))
+        return float(self.weights[hit[0]]) if hit.size else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +290,12 @@ def avg_state_eigenvalue(d: int, N: int, mu, alpha) -> Fraction:
     return _avg_block(d, N, mu, alpha)
 
 
-def _table_weights(mus: Sequence[Partition], coefficients: PortCoefficients | None) -> list[float]:
-    """c_mu for each diagram, in the order given: 1 for every diagram without
-    coefficients (the maximally entangled port state), 0 for one missing
-    from them."""
-    if coefficients is None:
-        return [1.0] * len(mus)
-    return [float(coefficients.entries.get(mu, 0.0)) for mu in mus]
+def _check_same_point(d: int, N: int, coefficients: PortCoefficients | None) -> None:
+    """Refuse coefficients for another (d, N)."""
+    if coefficients is not None and (coefficients.d, coefficients.N) != (d, N):
+        raise ValueError(
+            f"coefficients are for (d, N) = ({coefficients.d}, {coefficients.N})"
+        )
 
 
 def _surds(d: int, mus: Sequence[Partition], weights: Sequence[float]) -> list:
@@ -318,10 +324,10 @@ def _certificate_value(d: int, N: int, surd, surd_sum, m_alpha: int, d_mu: int) 
 def _single_block(d: int, N: int, mu, alpha, coefficients: PortCoefficients | None) -> float:
     """The certificate block of one (alpha, mu), from alpha's covers alone."""
     mu, alpha, covers = _require_box_pair(d, N, mu, alpha)
-    if coefficients is not None:
-        coefficients.validate()
+    _check_same_point(d, N, coefficients)
+    weights = [1.0 if coefficients is None else coefficients.value(m) for m in covers]
     with mpmath.workdps(MP_DPS):
-        surds = _surds(d, covers, _table_weights(covers, coefficients))
+        surds = _surds(d, covers, weights)
         surd_sum = mpmath.fsum(surds)
         surd = surds[covers.index(mu)]
         return _certificate_value(d, N, surd, surd_sum, weyl_dim(alpha, d), specht_dim(mu))
@@ -338,7 +344,7 @@ def opt_block_coefficient(
     d: int, N: int, mu, alpha, coefficients: PortCoefficients
 ) -> float:
     """Block eigenvalue y of the certificate operator for a steered port state
-    (the certificate block at c = ``coefficients``, validated first)."""
+    (the certificate block at c = ``coefficients``)."""
     return _single_block(d, N, mu, alpha, coefficients)
 
 
@@ -365,7 +371,7 @@ def block_spectrum(
     if operator == "Y":
         if coefficients is None:
             raise ValueError("operator Y needs port coefficients")
-        coefficients.validate()
+        _check_same_point(d, N, coefficients)
     level = partition_level(N, d)
     mus = table_partitions(level.table)
     # every alpha grows in row 0: alpha is that cover less its first-row box
@@ -375,7 +381,7 @@ def block_spectrum(
     rows = []
     with mpmath.workdps(MP_DPS):
         if operator != "avg":
-            weights = _table_weights(mus, coefficients if operator == "Y" else None)
+            weights = [1.0] * len(mus) if operator == "X" else coefficients.weights.tolist()
             surds = _surds(d, mus, weights)
             sums = _surd_sums(level.successors, surds)
         for a, (alpha, covers) in enumerate(zip(alphas, level.successors.tolist())):
@@ -404,7 +410,8 @@ def _fidelity_exact(d: int, N: int, coefficients: PortCoefficients | None) -> fl
     level = partition_level(N, d)
     mus = table_partitions(level.table)
     with mpmath.workdps(MP_DPS):
-        surds = _surds(d, mus, _table_weights(mus, coefficients))
+        weights = [1.0] * len(mus) if coefficients is None else coefficients.weights.tolist()
+        surds = _surds(d, mus, weights)
         outer = [s * s for s in _surd_sums(level.successors, surds)]
         return float(mpmath.fsum(outer) / mpmath.mpf(d) ** (N + 2))
 
@@ -557,7 +564,7 @@ def _fidelity_log(d: int, N: int, coefficients: PortCoefficients | None) -> floa
     mus = level.table
     half_log = 0.5 * (_log_specht_vec(mus, N) + _log_weyl_vec(mus))
     if coefficients is not None:
-        weights = _table_weights(table_partitions(mus), coefficients)
+        weights = coefficients.weights.tolist()
         log_c = np.array([math.log(c) if c > 0 else -np.inf for c in weights])
         half_log = half_log + 0.5 * log_c
     inner = _successor_logsumexp(level.successors, half_log)
@@ -588,11 +595,7 @@ def fidelity_given_coefficients(
 ) -> FidelityReport:
     """Fidelity of the protocol with a fixed, explicitly supplied port state."""
     _check_dn(d, N)
-    if (coefficients.d, coefficients.N) != (d, N):
-        raise ValueError(
-            f"coefficients are for (d, N) = ({coefficients.d}, {coefficients.N})"
-        )
-    coefficients.validate()
+    _check_same_point(d, N, coefficients)
     mode = _resolve_mode(N, numeric_mode)
     if mode == EXACT_MODE:
         f = _fidelity_exact(d, N, coefficients)
@@ -717,10 +720,9 @@ def optimize_coefficients(d: int, N: int, numeric_mode: str = "auto") -> Fidelit
     if residual > EIGEN_RESIDUAL_TOL * max(lam, 1.0):
         raise AssertionError(f"eigen residual {residual:.3e} above tolerance")
     log_d = math.log(d)
-    entries: dict[Partition, float] = {}
+    weights = np.zeros(len(mus))
     for i, mu in enumerate(mus):
         if u[i] <= 0.0:
-            entries[mu] = 0.0
             continue
         if mode == EXACT_MODE:
             log_dims = math.log(specht_dim(mu)) + math.log(weyl_dim(mu, d))
@@ -728,12 +730,12 @@ def optimize_coefficients(d: int, N: int, numeric_mode: str = "auto") -> Fidelit
             log_dims = log_specht_row(mu) + log_weyl_row(mu, d)
         log_c = N * log_d + 2.0 * math.log(float(u[i])) - log_dims
         try:
-            entries[mu] = math.exp(log_c)
+            weights[i] = math.exp(log_c)
         except OverflowError:
             raise SizeCapError(
                 f"coefficient of mu={list(mu)} overflows float64 at d={d}, N={N}"
             ) from None
-    coefficients = PortCoefficients(d, N, entries)
+    coefficients = PortCoefficients(d, N, weights)
     f = lam / (d * d)
     return _make_report(
         d,

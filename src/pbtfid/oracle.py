@@ -59,7 +59,6 @@ from .fidelity import PortCoefficients, block_spectrum, fidelity_given_coefficie
 from .partitions import (
     Partition,
     check_partition,
-    enumerate_partitions,
     permutation_cycle_type,
     sn_character,
     specht_dim,
@@ -801,11 +800,9 @@ def build_port_operator(d: int, N: int, coefficients: PortCoefficients) -> Dense
     passes through here, so coefficients for another (d, N) stop here."""
     if (coefficients.d, coefficients.N) != (d, N):
         raise ValueError(f"coefficients are for (d, N) = ({coefficients.d}, {coefficients.N})")
-    coefficients.validate()
     table = _permutation_table(d, N)
     acc = np.zeros((d**N, d**N))
-    for mu in enumerate_partitions(N, d):
-        c = coefficients.value(mu)
+    for mu, c in coefficients.items():
         if c > 0:
             acc = acc + math.sqrt(c) * young_projector(mu, d, table)._matrix
     return DenseOperator(acc, (d,) * N)
@@ -889,7 +886,6 @@ def certificate_Y(d: int, N: int, coefficients: PortCoefficients) -> DenseOperat
     """Y = sum_i eta_i E_i with the same unsteered E as X; Y/N is dual
     feasible for discriminating the steered states eta_i."""
     check_oracle_size(d, N)
-    coefficients.validate()
     ens = pbt_ensemble(d, N)
     etas = _steered_states(d, N, coefficients, ens)
     return certificate(etas, pretty_good_measurement(ens))

@@ -19,19 +19,17 @@ on demand, so a scan over increasing N builds every level once and holds one
 table per row bound, not one per N. ``enumerate_partitions`` is a tuple view
 of the table.
 
-Five per-diagram functions are memoised with ``lru_cache``. The exact
-dimensions (``specht_dim``, ``weyl_dim``) and the validated log-dimensions
-(``log_specht_dim``, ``log_weyl_dim``) are asked for the same diagrams again
-by every evaluation at one point: ``verify`` forms F and two block spectra
-at one (d, N), and ``PortCoefficients.validate`` at (4, 150) takes about
-0.5 s cold and 0.09 s warm. The Murnaghan-Nakayama recursion (``_mn_character``)
-reuses its own results. The box moves (``add_box_successors``,
-``remove_box_predecessors``) and ``dimension_record`` are not cached: the
-sums walk the level index, so these serve single-diagram checks and the
-tests that check the index against them. The log-dimensions wrap row
-kernels (``log_specht_row``, ``log_weyl_row``) that read ln Gamma and ln at
-integers from tables grown on demand; a caller that already holds
-partition tuples, such as a loop over a level, calls the kernels directly.
+Three functions are memoised with ``lru_cache``, without a bound. The exact
+dimensions (``specht_dim``, ``weyl_dim``) are asked for the same diagrams
+again by every exact-hybrid evaluation at one point: ``verify`` forms F and
+two block spectra at one (d, N). The Murnaghan-Nakayama recursion
+(``_mn_character``) reuses its own results. The box moves
+(``add_box_successors``, ``remove_box_predecessors``) and
+``dimension_record`` are not cached: the sums walk the level index, so these
+serve single-diagram checks and the tests that check the index against them.
+The log-dimension row kernels (``log_specht_row``, ``log_weyl_row``) are not
+cached either: they read ln Gamma and ln at integers from tables grown on
+demand, and whole-level sums use the vectorised forms in ``fidelity``.
 Concurrent readers are safe: level arrays are read-only, a level or table
 is complete before it is stored with a single assignment, and two threads
 that race to extend one build equal tables.
@@ -314,8 +312,9 @@ def _integer_logs(n: int) -> tuple[list[float], list[float]]:
 
 
 def log_specht_row(mu: Partition) -> float:
-    """``log_specht_dim`` of a diagram already known to be a partition
-    tuple, unvalidated and uncached; the same sum in the same order."""
+    """ln of the Specht dimension of a partition tuple, unvalidated and
+    uncached, without big-integer arithmetic: the factorial-quotient form
+    with shifted row lengths l_i = mu_i + k - i, O(k^2) per diagram."""
     n, k = sum(mu), len(mu)
     if n == 0:
         return 0.0
@@ -330,8 +329,8 @@ def log_specht_row(mu: Partition) -> float:
 
 
 def log_weyl_row(mu: Partition, d: int) -> float:
-    """``log_weyl_dim`` of a partition tuple with at most ``d`` rows,
-    unvalidated and uncached; the same sum in the same order."""
+    """ln of the Weyl dimension of a partition tuple with at most ``d``
+    rows, unvalidated and uncached: the pairwise product over d padded rows."""
     rows = mu + (0,) * (d - len(mu))
     _, log = _integer_logs(rows[0] + d)
     val = 0.0
@@ -339,28 +338,6 @@ def log_weyl_row(mu: Partition, d: int) -> float:
         for j in range(i + 1, d):
             val += log[rows[i] - rows[j] + j - i] - log[j - i]
     return val
-
-
-@lru_cache(maxsize=None)
-def log_specht_dim(mu: Partition) -> float:
-    """ln of the Specht dimension, without big-integer arithmetic.
-
-    Uses the factorial-quotient form with shifted row lengths
-    l_i = mu_i + k - i, which costs O(k^2) instead of O(n) per diagram and
-    keeps full scans to N ~ 10^3 cheap.
-    """
-    return log_specht_row(check_partition(mu))
-
-
-@lru_cache(maxsize=None)
-def log_weyl_dim(mu: Partition, d: int) -> float:
-    """ln of the Weyl dimension via the pairwise product over d padded rows."""
-    mu = check_partition(mu)
-    if d < 1:
-        raise ValueError("d must be positive")
-    if len(mu) > d:
-        raise ValueError(f"partition {mu} has more than d={d} rows")
-    return log_weyl_row(mu, d)
 
 
 @dataclass(frozen=True)

@@ -197,6 +197,55 @@ class TestFid:
         assert code == EXIT_OK
         assert json.loads(out)["fidelity"] == pytest.approx(0.25, rel=1e-12)
 
+    def test_sparse_file_echoes_every_diagram(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"[2,1,1]": 4.0, "[1,1,1,1]": 12.0}))
+        code, out, err = run_cli(
+            capsys,
+            "fid", "--d", "4", "--N", "4",
+            "--mode", "given-coefficients", "--coefficients", str(path), "--renormalize",
+        )
+        assert code == EXIT_OK, err
+        echoed = json.loads(out)["coefficients"]
+        assert list(echoed) == ["[4]", "[3,1]", "[2,2]", "[2,1,1]", "[1,1,1,1]"]
+        assert [echoed[k] for k in ("[4]", "[3,1]", "[2,2]")] == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"[2]": 5.0, "[ 2]": 1.0, "[1,1]": 1.0}', '{"[2]": 5.0, "[2]": 1.0, "[1,1]": 1.0}'],
+    )
+    def test_diagram_given_twice_is_input_error(self, capsys, tmp_path, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        code, out, err = run_cli(
+            capsys,
+            "fid", "--d", "2", "--N", "2",
+            "--mode", "given-coefficients", "--coefficients", str(path),
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "diagram [2] is given twice" in err
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"[2.7]": 1.0, "[1,1]": 1.0}', "[2.7]"),
+            ('{"[2.0]": 1.0, "[1,1]": 1.0}', "[2.0]"),
+            ('{"[2]": 1.0, "[true,true]": 1.0}', "[true,true]"),
+        ],
+    )
+    def test_non_integer_row_lengths_are_input_error(self, capsys, tmp_path, text, key):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        code, out, err = run_cli(
+            capsys,
+            "fid", "--d", "2", "--N", "2",
+            "--mode", "given-coefficients", "--coefficients", str(path),
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert f"key {key!r} is not a JSON array of integer row lengths" in err
+
     def test_float64_overflow_is_size_cap_without_output(self, capsys):
         code, out, err = run_cli(capsys, "fid", "--d", "2", "--N", "1100", "--mode", "optimized")
         assert code == EXIT_SIZE_CAP
@@ -468,7 +517,7 @@ class TestDeterminism:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(record["coefficients"]))
         coeffs = load_coefficients(str(path), 2, 3, renormalize=False)
-        coeffs.validate()
+        assert coeffs.weights.tolist() == list(record["coefficients"].values())
         again = run_subprocess(
             "fid", "--d", "2", "--N", "3",
             "--mode", "given-coefficients", "--coefficients", str(path),

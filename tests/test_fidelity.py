@@ -1,5 +1,6 @@
 """Formula evaluation, the coefficient optimizer, bounds and scans."""
 
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -30,9 +31,11 @@ from pbtfid import (
     specht_dim,
     weyl_dim,
 )
+import pbtfid.fidelity as fidelity_mod
 from pbtfid.fidelity import (
     DENSE_EIGEN_LIMIT,
     MP_DPS,
+    NORMALISATION_RTOL,
     _cephes_lgamma,
     _fidelity_exact,
     _gram,
@@ -54,7 +57,7 @@ def random_valid_coefficients(d, N, rng):
     raw = rng.random(len(mus)) + 0.05
     total = sum(r * specht_dim(mu) * weyl_dim(mu, d) for r, mu in zip(raw, mus))
     scale = d**N / total
-    return PortCoefficients(d, N, {mu: float(r * scale) for r, mu in zip(raw, mus)})
+    return PortCoefficients.from_mapping(d, N, {mu: float(r * scale) for r, mu in zip(raw, mus)})
 
 
 class TestBlockValues:
@@ -113,7 +116,7 @@ class TestBlockValues:
         assert tr_y == pytest.approx(tr_x, rel=1e-13)
 
     def test_opt_block_value_2_2(self):
-        c = PortCoefficients(2, 2, {(2,): 2.0 / 3.0, (1, 1): 2.0})
+        c = PortCoefficients.from_mapping(2, 2, {(2,): 2.0 / 3.0, (1, 1): 2.0})
         assert opt_block_coefficient(2, 2, (2,), (1,), c) == pytest.approx(0.5, rel=1e-14)
 
     def test_opt_block_trace_identity_random_c(self, oracle_grid):
@@ -320,7 +323,7 @@ class TestColumnLogSumExp:
         for mu in mus:
             if rng.random() < 0.6:
                 raw[mu] = 0.0
-        c = PortCoefficients(d, N, raw).renormalized()
+        c = PortCoefficients.from_mapping(d, N, raw, renormalize=True)
         successors = partition_level(N, d).successors
         half_log = self.half_log(d, N, c)
         terms = np.where(successors >= 0, half_log[successors], -np.inf)
@@ -341,7 +344,7 @@ def coefficients_with_zeros(d, N, seed):
     mus = enumerate_partitions(N, d)
     raw = {mu: 0.0 if rng.random() < 0.4 else float(rng.random() + 0.05) for mu in mus}
     raw[mus[0]] = 1.0
-    return PortCoefficients(d, N, raw).renormalized()
+    return PortCoefficients.from_mapping(d, N, raw, renormalize=True)
 
 
 class TestExactHybridBits:
@@ -459,14 +462,38 @@ class TestExactHybridBits:
         assert len(calls) == n_mu == len(enumerate_partitions(40, d))
 
 
+def residual(coefficients):
+    """|sum c_mu d_mu m_mu / d^N - 1|, summed exactly in rationals."""
+    c, d, N = coefficients, coefficients.d, coefficients.N
+    total = sum(Fraction(w) * specht_dim(mu) * weyl_dim(mu, d) for mu, w in c.items())
+    return float(abs(total / d**N - 1))
+
+
+# a key: a partition of N into at most d rows, usually, or a near miss
+def coefficient_keys(d, N):
+    mus = enumerate_partitions(N, d)
+    near_misses = [(N + 1,), (N - 1, 1, 1)[: d + 1], (0, N), (N, 0), tuple([1] * (N + 1))]
+    return st.sampled_from(mus) | st.sampled_from(near_misses)
+
+
+coefficient_values = st.floats(allow_nan=True, allow_infinity=True) | st.floats(
+    min_value=0.0, max_value=10.0
+) | st.sampled_from([0.0, 1.0, 10**400])
+
+
 class TestPortCoefficients:
+    """Every PortCoefficients is valid and immutable: it is checked once,
+    when it is built, and nothing checks it again."""
+
     def test_uniform_is_valid(self):
-        for d, N in [(2, 5), (3, 4), (1, 3)]:
-            PortCoefficients.uniform(d, N).validate()
+        for d, N in [(2, 5), (3, 4), (1, 3), (3, 45)]:
+            assert residual(PortCoefficients.uniform(d, N)) <= NORMALISATION_RTOL
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^negative coefficient -1.0 for \(2,\)$"):
             PortCoefficients.from_mapping(2, 2, {(2,): -1.0, (1, 1): 2.0})
+        with pytest.raises(ValueError, match=r"^negative coefficient -1.0 for \(2,\)$"):
+            PortCoefficients(2, 2, np.array([-1.0, 2.0]))
 
     def test_rejects_wrong_diagram(self):
         with pytest.raises(ValueError):
@@ -475,9 +502,10 @@ class TestPortCoefficients:
             PortCoefficients.from_mapping(2, 2, {(3,): 1.0})
 
     def test_rejects_bad_normalisation_with_residual(self):
-        bad = PortCoefficients(2, 2, {(2,): 1.0, (1, 1): 2.0})
         with pytest.raises(ValueError, match="residual"):
-            bad.validate()
+            PortCoefficients.from_mapping(2, 2, {(2,): 1.0, (1, 1): 2.0})
+        with pytest.raises(ValueError, match="residual"):
+            PortCoefficients(2, 2, np.array([1.0, 2.0]))
 
     @pytest.mark.parametrize(
         "entries",
@@ -488,71 +516,124 @@ class TestPortCoefficients:
         ],
     )
     def test_validate_rejects_keys_that_are_not_diagrams(self, entries):
-        c = PortCoefficients(2, 2, entries)
         bad = next(mu for mu in entries if mu not in ((2,), (1, 1)))
         message = rf"^{re.escape(str(bad))} is not a partition of 2 into at most 2 rows$"
         with pytest.raises(ValueError, match=message):
-            c.validate()
-        with pytest.raises(ValueError, match=message):
-            fidelity_given_coefficients(2, 2, c)
+            PortCoefficients.from_mapping(2, 2, entries)
 
     def test_validate_rejects_more_rows_than_d(self):
-        c = PortCoefficients(2, 3, {(3,): 0.25, (2, 1): 0.25, (1, 1, 1): 0.0})
         with pytest.raises(ValueError, match=r"^\(1, 1, 1\) is not a partition of 3"):
-            c.validate()
+            PortCoefficients.from_mapping(2, 3, {(3,): 0.25, (2, 1): 0.25, (1, 1, 1): 0.0})
+
+    def test_rejects_weights_off_the_level(self):
+        with pytest.raises(ValueError, match="one per diagram"):
+            PortCoefficients(2, 3, np.ones(3))
 
     def test_missing_entries_default_to_zero(self):
-        c = PortCoefficients(2, 2, {(1, 1): 4.0})
-        c.validate()  # 4 * 1 * 1 == 4 == 2^2
+        c = PortCoefficients.from_mapping(2, 2, {(1, 1): 4.0})  # 4 * 1 * 1 == 4 == 2^2
         assert c.value((2,)) == 0.0
+        assert list(c.items()) == [((2,), 0.0), ((1, 1), 4.0)]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, bad):
         # NaN compares false both ways, so a sign check alone lets it through
         with pytest.raises(ValueError, match="non-finite"):
             PortCoefficients.from_mapping(2, 2, {(2,): bad, (1, 1): 4.0})
-        with pytest.raises(ValueError, match="finite"):
-            PortCoefficients(2, 2, {(2,): bad, (1, 1): 4.0}).validate()
+        with pytest.raises(ValueError, match=r"non-finite coefficient .* for \(2,\)"):
+            PortCoefficients(2, 2, np.array([bad, 4.0]))
 
     def test_rejects_integer_beyond_float64(self):
         with pytest.raises(ValueError, match="overflows float64"):
             PortCoefficients.from_mapping(2, 2, {(2,): 10**400, (1, 1): 4.0})
 
+    def test_weights_refuse_writes(self):
+        source = np.ones(2)
+        c = PortCoefficients(2, 2, source)
+        source[0] = 5.0  # the instance holds its own copy
+        assert c.weights.tolist() == [1.0, 1.0]
+        with pytest.raises(ValueError, match="read-only"):
+            c.weights[0] = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.weights = np.ones(2)
+        assert optimize_coefficients(3, 4).coefficients.weights.flags.writeable is False
+
     @pytest.mark.parametrize("d, N", [(2, 2), (3, 4), (2, 60), (3, 50)])
     def test_renormalized_lands_on_constraint(self, d, N):
         # N = 60 and 50 exceed the default exact threshold: the log-sum-exp sum
-        c = PortCoefficients(d, N, {mu: 7.5 for mu in enumerate_partitions(N, d)})
-        assert c.constraint_residual() > 1.0
-        fixed = c.renormalized()
-        fixed.validate()
-        ones = PortCoefficients.uniform(d, N)
-        for mu in ones.entries:
-            assert fixed.value(mu) == pytest.approx(1.0, rel=1e-12)
+        entries = {mu: 7.5 for mu in enumerate_partitions(N, d)}
+        with pytest.raises(ValueError, match="residual"):
+            PortCoefficients.from_mapping(d, N, entries)
+        fixed = PortCoefficients.from_mapping(d, N, entries, renormalize=True)
+        assert residual(fixed) <= NORMALISATION_RTOL
+        assert np.allclose(fixed.weights, 1.0, rtol=1e-12, atol=0)
 
     def test_renormalized_beyond_float_dimensions(self):
         # d_mu * m_mu at d=2 N=1100 does not fit a float; the log form does
-        c = PortCoefficients(2, 1100, {(550, 550): 1.0}).renormalized()
-        c.validate()
+        c = PortCoefficients.from_mapping(2, 1100, {(550, 550): 1.0}, renormalize=True)
+        assert residual(c) <= NORMALISATION_RTOL
         assert math.isfinite(c.value((550, 550))) and c.value((550, 550)) > 1.0
 
     def test_renormalized_near_float_maximum(self):
         # c * d_mu * m_mu overflows a float although the rescaled c = 1 does not
-        c = PortCoefficients.from_mapping(2, 2, {(2,): 1e308, (1, 1): 1e308})
-        fixed = c.renormalized()
-        fixed.validate()
-        assert fixed.entries == {(2,): 1.0, (1, 1): 1.0}
+        entries = {(2,): 1e308, (1, 1): 1e308}
+        fixed = PortCoefficients.from_mapping(2, 2, entries, renormalize=True)
+        assert fixed.weights.tolist() == [1.0, 1.0]
 
     def test_renormalized_rejects_all_zero(self):
         for N in (3, 60):
             with pytest.raises(ValueError, match="all coefficients are zero"):
-                PortCoefficients(2, N, {}).renormalized()
+                PortCoefficients.from_mapping(2, N, {}, renormalize=True)
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
     def test_random_rescaled_draws_validate(self, seed):
         rng = np.random.default_rng(seed)
         c = random_valid_coefficients(2, 4, rng)
-        c.validate()
+        assert residual(c) <= NORMALISATION_RTOL
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_from_mapping_raises_or_is_valid(self, data):
+        d = data.draw(st.integers(min_value=1, max_value=4), label="d")
+        N = data.draw(st.sampled_from([1, 2, 3, 5, 8, 41, 45]), label="N")
+        entries = data.draw(st.dictionaries(coefficient_keys(d, N), coefficient_values, max_size=8))
+        renormalize = data.draw(st.booleans(), label="renormalize")
+        try:
+            c = PortCoefficients.from_mapping(d, N, entries, renormalize=renormalize)
+        except ValueError:
+            return
+        assert residual(c) <= NORMALISATION_RTOL
+        assert not c.weights.flags.writeable
+
+    def test_block_walk_computes_no_normalisation_sum(self, monkeypatch):
+        # checked once when built: no consumer sums the normalisation again
+        d, N = 3, 30
+        c = optimize_coefficients(d, N).coefficients
+        calls, real = [], fidelity_mod._normalisation_ratio
+
+        def counted(*args):
+            calls.append(args[:2])
+            return real(*args)
+
+        monkeypatch.setattr(fidelity_mod, "_normalisation_ratio", counted)
+        blocks = 0
+        for alpha in enumerate_partitions(N - 1, d):
+            for rel in add_box_successors(alpha, d):
+                assert opt_block_coefficient(d, N, rel.mu, alpha, c) >= 0.0
+                blocks += 1
+        block_spectrum(d, N, "Y", c)
+        fidelity_given_coefficients(d, N, c)
+        assert blocks == 240 and calls == []
+
+    def test_consumers_refuse_coefficients_for_another_point(self):
+        c = PortCoefficients.uniform(2, 3)
+        for call in (
+            lambda: fidelity_given_coefficients(2, 4, c),
+            lambda: block_spectrum(3, 3, "Y", c),
+            lambda: opt_block_coefficient(2, 4, (3, 1), (3,), c),
+        ):
+            with pytest.raises(ValueError, match=r"coefficients are for \(d, N\) = \(2, 3\)"):
+                call()
 
 
 class TestGivenCoefficients:
@@ -564,22 +645,22 @@ class TestGivenCoefficients:
             )
 
     def test_known_point_2_2(self):
-        c = PortCoefficients(2, 2, {(2,): 2.0 / 3.0, (1, 1): 2.0})
+        c = PortCoefficients.from_mapping(2, 2, {(2,): 2.0 / 3.0, (1, 1): 2.0})
         assert fidelity_given_coefficients(2, 2, c).fidelity == pytest.approx(
             0.5, rel=1e-14
         )
 
     def test_single_partition_n1(self):
         for d in (2, 3, 4):
-            c = PortCoefficients(d, 1, {(1,): 1.0})
+            c = PortCoefficients.from_mapping(d, 1, {(1,): 1.0})
             assert fidelity_given_coefficients(d, 1, c).fidelity == pytest.approx(
                 1 / d**2, rel=1e-15
             )
 
     def test_invalid_normalisation_rejected(self):
-        bad = PortCoefficients(2, 3, {(3,): 1.0, (2, 1): 0.5})
+        # refused when built, so no fidelity can be asked of it
         with pytest.raises(ValueError, match="residual"):
-            fidelity_given_coefficients(2, 3, bad)
+            PortCoefficients.from_mapping(2, 3, {(3,): 1.0, (2, 1): 0.5})
 
     def test_mismatched_dn_rejected(self):
         c = PortCoefficients.uniform(2, 3)
@@ -632,7 +713,7 @@ def projected_gradient_maximum(d, N, n_starts=20, seed=424242):
             if abs(value - prev) <= 1e-13 * max(value, 1.0):
                 break
             prev = value
-        c = PortCoefficients(
+        c = PortCoefficients.from_mapping(
             d,
             N,
             {
@@ -666,7 +747,7 @@ class TestOptimize:
         assert rep.coefficients.value((2,)) == pytest.approx(2.0 / 3.0, rel=1e-12)
         assert rep.coefficients.value((1, 1)) == pytest.approx(2.0, rel=1e-12)
         # constraint: (2/3)*1*3 + 2*1*1 == 4 == d^N
-        rep.coefficients.validate()
+        assert residual(rep.coefficients) <= NORMALISATION_RTOL
         assert rep.eigen_data.principal_eigenvalue == pytest.approx(2.0, abs=1e-12)
         assert rep.eigen_data.residual <= 1e-12
         assert not rep.degenerate
@@ -686,7 +767,7 @@ class TestOptimize:
     def test_optimal_coefficients_validate_and_reproduce_f(self, oracle_grid):
         for d, N in oracle_grid:
             rep = optimize_coefficients(d, N)
-            rep.coefficients.validate()
+            assert residual(rep.coefficients) <= NORMALISATION_RTOL
             again = fidelity_given_coefficients(d, N, rep.coefficients)
             assert again.fidelity == pytest.approx(rep.fidelity, rel=1e-12)
 
@@ -748,7 +829,7 @@ class TestOptimize:
         rep = optimize_coefficients(2, 60)
         assert rep.numeric_mode == "log-domain"
         assert rep.fidelity >= fidelity_standard(2, 60).fidelity - 1e-12
-        rep.coefficients.validate()
+        assert residual(rep.coefficients) <= NORMALISATION_RTOL
 
 
 class TestBoundsAndScan:

@@ -79,7 +79,7 @@ def random_valid_coefficients(d, N, rng):
     raw = rng.random(len(mus)) + 0.05
     total = sum(r * specht_dim(mu) * weyl_dim(mu, d) for r, mu in zip(raw, mus))
     scale = d**N / total
-    return PortCoefficients(d, N, {mu: float(r * scale) for r, mu in zip(raw, mus)})
+    return PortCoefficients.from_mapping(d, N, {mu: float(r * scale) for r, mu in zip(raw, mus)})
 
 
 def reference_certificate(d, N, coefficients=None):
@@ -1096,7 +1096,7 @@ class TestPortOperator:
         assert np.allclose(op.matrix, np.eye(8), atol=1e-12)
 
     def test_known_2_2_operator(self):
-        c = PortCoefficients(2, 2, {(2,): 2 / 3, (1, 1): 2.0})
+        c = PortCoefficients.from_mapping(2, 2, {(2,): 2 / 3, (1, 1): 2.0})
         op = build_port_operator(2, 2, c)
         expected = math.sqrt(2 / 3) * young_projector((2,), 2).matrix + math.sqrt(
             2.0
@@ -1177,7 +1177,7 @@ class TestEtaStates:
             assert np.allclose(eta.matrix, build_rho(2, 3, i).matrix, atol=1e-12)
 
     def test_unit_trace(self):
-        c = PortCoefficients(2, 2, {(2,): 2 / 3, (1, 1): 2.0})
+        c = PortCoefficients.from_mapping(2, 2, {(2,): 2 / 3, (1, 1): 2.0})
         for eta in steered_states(2, 2, c):
             assert eta.trace() == pytest.approx(1.0, abs=1e-10)
 
