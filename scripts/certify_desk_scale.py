@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Run the full oracle certification sweep over every size under the cap.
+"""Run the full oracle certification sweep over every size the budget admits.
 
-For each d in (2, 3, 4) and every N >= 1 with d^(N+1) within both --max-dim
-and the oracle cap (PBT_ORACLE_CAP), runs the formula-vs-oracle comparison,
-the spectrum matching, and the dual-certificate checks in the standard
-setting, and in the optimized setting for N up to MAX_PROJECTOR_BOXES, where
-the character averaging of the isotypic projectors stops. Each result line
-gives the run's wall time and the process's peak resident memory so far
-(``ru_maxrss``), which grows with the largest size run.
+For each d in (2, 3, 4) and each mode, standard and optimized, runs the
+formula-vs-oracle comparison, the spectrum matching and the dual-certificate
+checks at N = 1, 2, ..., up to d^(N+1) <= --max-dim; a mode stops at its first
+size over the oracle's memory budget (PBT_ORACLE_BYTES), which raises
+SizeCapError before anything is allocated. Each result line gives the run's
+wall time and the process's peak resident memory so far (``ru_maxrss``), which
+grows with the largest size run.
 
 Example:
     python3 scripts/certify_desk_scale.py --max-dim 256
@@ -18,29 +18,26 @@ import resource
 import sys
 import time
 
-from pbtfid import optimize_coefficients, oracle_cap, run_verification
-from pbtfid.oracle import MAX_PROJECTOR_BOXES
+from pbtfid import SizeCapError, optimize_coefficients, run_verification
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-dim", type=int, default=128, help="cap on d^(N+1)")
     args = parser.parse_args()
-    cap = min(args.max_dim, oracle_cap())
 
     failures = 0
     for d in (2, 3, 4):
-        n = 1
-        while d ** (n + 1) <= cap:
-            modes = ("standard", "optimized") if n <= MAX_PROJECTOR_BOXES else ("standard",)
-            for mode in modes:
-                coeffs = (
-                    optimize_coefficients(d, n).coefficients
-                    if mode == "optimized"
-                    else None
-                )
+        for mode in ("standard", "optimized"):
+            n = 1
+            while d ** (n + 1) <= args.max_dim:
+                coeffs = optimize_coefficients(d, n).coefficients if mode == "optimized" else None
                 start = time.perf_counter()
-                checks = run_verification(d, n, mode, coeffs)
+                try:
+                    checks = run_verification(d, n, mode, coeffs)
+                except SizeCapError as exc:
+                    print(f"[STOP] d={d} N={n} {mode:9s} {exc}")
+                    break
                 wall = time.perf_counter() - start
                 peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
                 ok = all(c.passed for c in checks)
@@ -50,7 +47,7 @@ def main() -> int:
                     f"[{'PASS' if ok else 'FAIL'}] d={d} N={n} {mode:9s} "
                     f"worst deviation {worst:.2e}, {wall:.2f} s, peak RSS {peak_mb:.0f} MB"
                 )
-            n += 1
+                n += 1
     print(f"{failures} failing configurations")
     return 1 if failures else 0
 

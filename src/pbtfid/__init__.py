@@ -17,7 +17,6 @@ from .fidelity import (
     asymptote_standard,
     avg_state_eigenvalue,
     block_spectrum,
-    box_incidence,
     exact_threshold,
     fidelity_given_coefficients,
     fidelity_standard,
@@ -45,7 +44,6 @@ from .oracle import (
     match_block_spectrum,
     maximally_entangled,
     maximally_entangled_vector,
-    oracle_cap,
     partial_trace,
     partial_trace_first,
     pbt_ensemble,

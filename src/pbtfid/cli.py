@@ -36,7 +36,7 @@ from .oracle import (
     block_spectrum_match,
     certificate_X,
     certificate_Y,
-    check_oracle_size,
+    eigenvalues,
     pbt_ensemble,
     run_verification,
 )
@@ -264,7 +264,6 @@ def _cmd_scan(args) -> int:
 def _cmd_verify(args) -> int:
     given = args.mode == "given-coefficients"
     _check_file_flags(args, given, "--mode given-coefficients")
-    check_oracle_size(args.d, args.N)
     coeffs = None
     if args.mode == "optimized":
         coeffs = optimize_coefficients(args.d, args.N).coefficients
@@ -309,8 +308,6 @@ def _cmd_verify(args) -> int:
 
 def _spectrum_rows(args):
     _check_file_flags(args, args.operator == "Y", "--operator Y")
-    if args.compare:
-        check_oracle_size(args.d, args.N)
     coeffs = _file_coefficients(args) if args.operator == "Y" else None
     rows = block_spectrum(args.d, args.N, args.operator, coeffs)
     oracle_info = None
@@ -321,7 +318,7 @@ def _spectrum_rows(args):
             op = certificate_X(args.d, args.N)
         else:
             op = certificate_Y(args.d, args.N, coeffs)
-        oracle_info, _ = block_spectrum_match(op, rows)
+        oracle_info, _ = block_spectrum_match(eigenvalues(op), rows)
     return rows, oracle_info
 
 

@@ -11,8 +11,8 @@ class ConfigError(Exception):
 
 
 class SizeCapError(ValueError):
-    """A computation would exceed a size cap: a dense construction above the
-    configured oracle cap, or a value beyond float64."""
+    """A computation would exceed a size limit: an oracle run estimated over
+    the byte budget PBT_ORACLE_BYTES, or a value beyond float64."""
 
 
 def env_positive_int(name: str, default: int) -> int:

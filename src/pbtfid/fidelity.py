@@ -30,8 +30,7 @@ is filled by a port of cephes' ``lgam``, the routine behind
 ``scipy.special.gammaln``, which it equals bit for bit, so scipy is not
 imported for it. The optimizer forms B^T B and its matvec from the
 successor index of the partition level with numpy; only the iterative
-eigensolver above DENSE_EIGEN_LIMIT, and the CSR view ``box_incidence``,
-import scipy.
+eigensolver above DENSE_EIGEN_LIMIT imports scipy.
 """
 
 from __future__ import annotations
@@ -611,31 +610,11 @@ def fidelity_given_coefficients(
 # ---------------------------------------------------------------------------
 
 
-def box_incidence(d: int, N: int):
-    """Sparse 0/1 incidence B with B[a, m] = 1 iff partition m covers alpha a.
-
-    The optimization objective is u^T (B^T B) u; entry (mu, nu) of B^T B
-    counts the common one-box-removed predecessors of mu and nu.
-    """
-    from scipy.sparse import csr_matrix
-
-    level = partition_level(N, d)
-    succ = level.successors
-    grown = succ >= 0
-    indptr = np.concatenate(([0], np.cumsum(grown.sum(axis=1))))
-    indices = succ[grown]  # row-major: the grown row ascends within each alpha
-    B = csr_matrix(
-        (np.ones(indices.size), indices, indptr),
-        shape=(succ.shape[0], level.table.shape[0]),
-    )
-    return B, table_partitions(level.table)
-
-
 def _gram(successors: np.ndarray, n_mu: int) -> np.ndarray:
     """Dense B^T B of the box incidence B of a successor table
     (``PartitionLevel.successors``): entry (mu, nu) counts the alphas that
-    both cover, an exact small integer, so it equals box_incidence's
-    ``(B.T @ B).toarray()``."""
+    both cover, an exact small integer, so it equals ``(B.T @ B).toarray()``
+    for B in CSR form with the alphas as rows."""
     grown = successors >= 0
     both = grown[:, :, None] & grown[:, None, :]
     flat = (successors[:, :, None] * n_mu + successors[:, None, :])[both]
@@ -646,9 +625,10 @@ def _gram(successors: np.ndarray, n_mu: int) -> np.ndarray:
 
 def _gram_matvec(successors: np.ndarray, n_mu: int):
     """v -> B^T (B v) for the box incidence B of a successor table, adding
-    in the order of box_incidence's CSR products so that the bits equal
-    ``B.T @ (B @ v)``: (B v)_alpha sums alpha's successors in ascending row,
-    then each mu accumulates (B v)_alpha over ascending alpha."""
+    in the order of scipy's CSR products so that the bits equal
+    ``B.T @ (B @ v)``, B in CSR form with the alphas as rows: (B v)_alpha
+    sums alpha's successors in ascending row, then each mu accumulates
+    (B v)_alpha over ascending alpha."""
     grown = successors >= 0
     alpha = np.nonzero(grown)[0]  # row-major: CSR order
     mu = successors[grown]

@@ -2,8 +2,9 @@
 
 Everything the formula modules claim is rebuilt here as explicit operators:
 the discrimination states, the square-root measurement, isotypic projectors,
-the dual-certificate operators, and the full teleportation channel. Sizes are
-capped (d^(N+1) <= PBT_ORACLE_CAP, default 4096): this module certifies.
+the dual-certificate operators, and the full teleportation channel. Each
+entry point estimates its peak memory before it allocates and stops above
+the byte budget PBT_ORACLE_BYTES (``check_oracle_size``): this module certifies.
 
 Every construction here is real symmetric; ``DenseOperator`` also holds
 complex matrices, such as a state conjugated by a Haar unitary. Hermiticity
@@ -37,7 +38,7 @@ any other operator is the one-sector case of the same code. rho_i and
 O x 1_B are built from their nonzero entries, each checked to lie in one
 sector, and the channel's input state psi from its nonzero entries too. No
 full matrix is filled unless ``matrix`` is read. ``verify --d 2 --N 8``
-takes 6 decompositions, each 10 LAPACK calls on blocks of at most 126.
+takes 5 decompositions, each 10 LAPACK calls on blocks of at most 126.
 
 Tensor-factor convention: the N port slots A_1..A_N come first and the single
 B slot is last, with row-major index fusion (np.kron order). Permutations act
@@ -50,6 +51,7 @@ import itertools
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cached_property, reduce
 
 import numpy as np
@@ -65,10 +67,11 @@ from .partitions import (
     weyl_dim,
 )
 
-ORACLE_CAP_ENV = "PBT_ORACLE_CAP"
-DEFAULT_ORACLE_CAP = 4096
-CHANNEL_CAP = 1024  # on d^(N+1): a POVM off the sectors takes full d^(N+1)-square products
-MAX_PROJECTOR_BOXES = 6  # character averaging is factorial in N
+ORACLE_BYTES_ENV = "PBT_ORACLE_BYTES"
+DEFAULT_ORACLE_BYTES = 2**30
+BASE_BYTES = 2**23  # small arrays, LAPACK workspace and Python objects
+LIVE_MEMBERS = 10  # sector-data arrays at a run's peak: 8.6-10.8 at d=2 N=9..12
+PORT_COPIES = 2  # d^N x d^N arrays while O is summed: 1.4 at d=4 N=5
 
 HERMITICITY_TOL = 1e-10
 PSEUDO_INVERSE_RTOL = 1e-10
@@ -76,20 +79,36 @@ POVM_TOL = 1e-10
 CERTIFY_TOL = 1e-8  # on the feasibility bound and on the duality gap
 
 
-def oracle_cap() -> int:
-    """Dense-construction size cap on d^(N+1) (env PBT_ORACLE_CAP)."""
-    return env_positive_int(ORACLE_CAP_ENV, DEFAULT_ORACLE_CAP)
+def check_oracle_size(d: int, N: int, steered: bool = False, entries: int | None = None) -> int:
+    """The estimated peak memory in bytes of an oracle run at (d, N), taken
+    before anything is allocated; SizeCapError over the PBT_ORACLE_BYTES budget.
 
-
-def check_oracle_size(d: int, N: int) -> None:
-    """Raise SizeCapError when a dense (d, N) construction, of dimension
-    d^(N+1), exceeds the oracle cap."""
-    cap = oracle_cap()
-    if d ** (N + 1) > cap:
+    Its terms are fitted to the ru_maxrss growth of verify runs: BASE_BYTES
+    and LIVE_MEMBERS float64 arrays of ``entries``, one operator's data in its
+    sectors. The weight sectors of (C^d)^(N+1) hold the pairs of strings in
+    {0..d-1}^(N+1) with equal letter counts (the constant term of G(z)G(1/z),
+    G = (sum_k z_k)^(N+1)), at least d^(N+1), which stands in when it alone is
+    over budget. A steered run adds the projector table (16 bytes for each of
+    N! d^N entries) and PORT_COPIES d^N x d^N arrays of O.
+    """
+    budget = env_positive_int(ORACLE_BYTES_ENV, DEFAULT_ORACLE_BYTES)
+    if entries is None:
+        n, entries = N + 1, d ** (N + 1)
+        if LIVE_MEMBERS * 8 * entries <= budget:
+            pairs = [1] + [0] * n  # over no letters; a letter fills j places of each
+            for _ in range(d):
+                pairs = [sum(math.comb(m, j) ** 2 * pairs[m - j] for j in range(m + 1))
+                         for m in range(n + 1)]
+            entries = pairs[n]
+    estimate = BASE_BYTES + LIVE_MEMBERS * 8 * entries
+    if steered:
+        estimate += 16 * math.factorial(N) * d**N + PORT_COPIES * 8 * d ** (2 * N)
+    if estimate > budget:
         raise SizeCapError(
-            f"d^(N+1) = {d ** (N + 1)} exceeds the oracle cap {cap} "
-            f"(set {ORACLE_CAP_ENV} to raise it)"
+            f"the oracle at d={d}, N={N} needs an estimated {Decimal(estimate):.3g} bytes, "
+            f"over the budget of {budget} bytes (set {ORACLE_BYTES_ENV} to raise it)"
         )
+    return estimate
 
 
 # ---------------------------------------------------------------------------
@@ -626,9 +645,9 @@ class Ensemble:
         return all(np.array_equal(sectors.gather(first, g), first) for g in stabilizer)
 
     @cached_property
-    def _average_decomposition(self) -> tuple[DenseOperator, DenseOperator]:
-        """Pseudo-inverse square root and support projector of the
-        probability-weighted average, computed on first use."""
+    def _average_decomposition(self) -> tuple[DenseOperator, DenseOperator, np.ndarray]:
+        """Pseudo-inverse square root, support projector and eigenvalues of
+        the probability-weighted average, computed on first use."""
         return _pseudo_inv_sqrt(average_state(self, normalized=True))
 
 
@@ -652,9 +671,9 @@ def average_state(ensemble: Ensemble, normalized: bool = False) -> DenseOperator
 # ---------------------------------------------------------------------------
 
 
-def _pseudo_inv_sqrt(op: DenseOperator) -> tuple[DenseOperator, DenseOperator]:
+def _pseudo_inv_sqrt(op: DenseOperator) -> tuple[DenseOperator, DenseOperator, np.ndarray]:
     """Pseudo-inverse square root and support projector of a PSD operator,
-    in its sectors.
+    in its sectors, and its eigenvalues in sector order.
 
     Eigenvalues below PSEUDO_INVERSE_RTOL times the largest of all blocks
     count as zero, restricting everything to the numerically meaningful
@@ -671,7 +690,8 @@ def _pseudo_inv_sqrt(op: DenseOperator) -> tuple[DenseOperator, DenseOperator]:
         vecs = eigvecs[:, keep]
         inv_block[...] = (vecs / np.sqrt(eigvals[keep])) @ vecs.conj().T
         support_block[...] = vecs @ vecs.conj().T
-    return sectors.operator(inv_sqrt), sectors.operator(support)
+    eigvals = np.concatenate([w for w, _ in pairs])
+    return sectors.operator(inv_sqrt), sectors.operator(support), eigvals
 
 
 def pretty_good_measurement(ensemble: Ensemble) -> Sequence[DenseOperator]:
@@ -746,19 +766,17 @@ def _permutation_table(d: int, n: int) -> tuple[np.ndarray, list[Partition], np.
     (row r of R(pi) has its one entry at column g_pi[r], g_pi the slot gather
     of pi), one row per pi, with the distinct cycle types and the index of
     each pi's type among them. The projectors of one (d, n) share it. Its
-    size is factorial in n, which restricts n to MAX_PROJECTOR_BOXES.
+    size is factorial in n: the positions are filled row by row in place.
     """
-    if n > MAX_PROJECTOR_BOXES:
-        raise SizeCapError(f"character averaging is limited to n <= {MAX_PROJECTOR_BOXES}")
-    if d**n > oracle_cap():
-        raise SizeCapError(f"d^n = {d ** n} exceeds the oracle cap {oracle_cap()}")
+    check_oracle_size(d, n, steered=True)
     full = d**n
-    perms = list(itertools.permutations(range(n)))
-    types = [permutation_cycle_type(perm) for perm in perms]
-    classes = list(dict.fromkeys(types))
-    class_index = np.array([classes.index(lam) for lam in types])
-    columns = np.stack([slot_gather((d,) * n, perm) for perm in perms])
-    return np.arange(0, full * full, full) + columns, classes, class_index
+    positions = np.empty((math.factorial(n), full), dtype=np.intp)
+    classes, class_index = {}, np.empty(len(positions), dtype=np.intp)
+    for k, perm in enumerate(itertools.permutations(range(n))):
+        class_index[k] = classes.setdefault(permutation_cycle_type(perm), len(classes))
+        positions[k] = slot_gather((d,) * n, perm)
+    positions += np.arange(0, full * full, full)
+    return positions, list(classes), class_index
 
 
 def young_projector(mu, d: int, table: tuple | None = None) -> DenseOperator:
@@ -885,7 +903,7 @@ def certificate_X(d: int, N: int) -> DenseOperator:
 def certificate_Y(d: int, N: int, coefficients: PortCoefficients) -> DenseOperator:
     """Y = sum_i eta_i E_i with the same unsteered E as X; Y/N is dual
     feasible for discriminating the steered states eta_i."""
-    check_oracle_size(d, N)
+    check_oracle_size(d, N, steered=True)
     ens = pbt_ensemble(d, N)
     etas = _steered_states(d, N, coefficients, ens)
     return certificate(etas, pretty_good_measurement(ens))
@@ -1046,17 +1064,15 @@ def teleportation_fidelity_direct(
     every E_i psi and its partial trace are formed one sector block at a
     time and accumulated into the d^2 x d^2 output. A POVM not measured
     sector-diagonal is one sector of every row. Sectors whose reaches
-    overlap are still exact, each block as wide as its reach.
+    overlap are still exact, each block as wide as its reach, at most its
+    sector: the POVM's sectors size the run.
     """
-    if d ** (N + 1) > CHANNEL_CAP:
-        raise SizeCapError(
-            f"d^(N+1) = {d ** (N + 1)} exceeds the channel-simulation cap {CHANNEL_CAP}"
-        )
     if len(povm) != N:
         raise ValueError(f"need one POVM element per port, got {len(povm)}")
     _check_factor_dims(povm, (d,) * (N + 1), "POVM element")
-    _check_psd(povm, POVM_TOL, "POVM element")
     sectors, (elements,) = _common(povm)
+    check_oracle_size(d, N, steered=coefficients is not None, entries=sectors.size)
+    _check_psd(povm, POVM_TOL, "POVM element")
     slots = (d,) * (N + 1)
     # protocol row p is discrimination index g[p], g moving B to the front
     protocol_row = np.argsort(slot_gather(slots, [N] + list(range(N))))
@@ -1092,8 +1108,13 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def block_spectrum_match(op: DenseOperator, blocks) -> tuple[list[tuple[float, float]], float]:
-    """Assign the operator's spectrum to the block multiset.
+def eigenvalues(op: DenseOperator) -> np.ndarray:
+    """The operator's eigenvalues, decomposed block by block."""
+    return np.concatenate(_eigensolve(*_measured(op)))
+
+
+def block_spectrum_match(eigvals: np.ndarray, blocks) -> tuple[list[tuple[float, float]], float]:
+    """Assign a spectrum to the block multiset.
 
     The top eigenvalues go to the blocks in increasing block value, each block
     taking as many as its multiplicity. Returns, per block in the given order,
@@ -1101,7 +1122,7 @@ def block_spectrum_match(op: DenseOperator, blocks) -> tuple[list[tuple[float, f
     value, and the largest magnitude among the leftover eigenvalues, which
     must be numerically zero (0.0 when there are none).
     """
-    eigvals = np.sort(np.concatenate(_eigensolve(*_measured(op))))
+    eigvals = np.sort(eigvals)
     rank = sum(b.multiplicity for b in blocks)
     if rank > eigvals.size:
         raise ValueError("block multiset larger than the operator dimension")
@@ -1119,12 +1140,15 @@ def block_spectrum_match(op: DenseOperator, blocks) -> tuple[list[tuple[float, f
     return per_block, float(np.max(np.abs(leftover))) if leftover.size else 0.0
 
 
+def _deviation(per_block: list[tuple[float, float]], leftover: float) -> float:
+    """The largest deviation in a ``block_spectrum_match`` result."""
+    return float(np.max([dev for _, dev in per_block] + [leftover]))
+
+
 def match_block_spectrum(op: DenseOperator, blocks) -> float:
     """Largest deviation between the operator's spectrum and the block
-    multiset: the largest per-block deviation of ``block_spectrum_match``,
-    or its leftover eigenvalue magnitude when that is larger."""
-    per_block, leftover = block_spectrum_match(op, blocks)
-    return float(np.max([dev for _, dev in per_block] + [leftover]))
+    multiset (``block_spectrum_match``)."""
+    return _deviation(*block_spectrum_match(eigenvalues(op), blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -1155,7 +1179,7 @@ def run_verification(
     measurement and the certificate are each built once, and the success
     probability is the one ``certify_optimality`` measures.
     """
-    check_oracle_size(d, N)
+    check_oracle_size(d, N, steered=mode != "standard")
     checks: list[CheckResult] = []
 
     def record(name, deviation, tolerance):
@@ -1177,7 +1201,8 @@ def run_verification(
         cert_blocks = block_spectrum(d, N, "Y", coefficients)
     else:
         raise ValueError(f"unknown verification mode {mode!r}")
-    avg_deviation = match_block_spectrum(average_state(rho_ens), block_spectrum(d, N, "avg"))
+    # the measurement decomposed the average over N; the blocks are of the sum
+    avg = block_spectrum_match(N * rho_ens._average_decomposition[2], block_spectrum(d, N, "avg"))
     cert = certificate(ens.states, povm)
     cert_deviation = match_block_spectrum(cert, cert_blocks)
     sectors, data = _measured(cert)
@@ -1185,7 +1210,7 @@ def run_verification(
     report = certify_optimality(ens, povm, sectors.operator(np.divide(data, N, out=data)))
 
     record("formula_vs_oracle", abs(formula - report.success_probability * N / d**2), 1e-9)
-    record("avg_state_spectrum", avg_deviation, 1e-9)
+    record("avg_state_spectrum", _deviation(*avg), 1e-9)
     record("certificate_spectrum", cert_deviation, 1e-9)
     record("dual_feasibility", max(0.0, -report.feasibility), 1e-9)
     record("duality_gap", abs(report.gap), 1e-8)

@@ -17,9 +17,11 @@ from pbtfid import (
     certificate_X,
     maximally_entangled,
     maximally_entangled_vector,
+    partition_level,
     pbt_ensemble,
     pretty_good_measurement,
 )
+from pbtfid.partitions import table_partitions
 
 # tests that run `python -m pbtfid` in a subprocess import this checkout too
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -57,6 +59,25 @@ def steered_states(d, N, coefficients):
 @pytest.fixture(scope="session")
 def oracle_grid():
     return list(ORACLE_GRID)
+
+
+def box_incidence(d, N):
+    """The CSR reference of the box incidence: B[a, m] = 1 iff diagram m
+    covers alpha a, one row per alpha with its successors ascending, and the
+    diagrams of the columns. The optimizer's Perron kernels add in the order
+    of B's CSR products."""
+    from scipy.sparse import csr_matrix
+
+    level = partition_level(N, d)
+    succ = level.successors
+    grown = succ >= 0
+    indptr = np.concatenate(([0], np.cumsum(grown.sum(axis=1))))
+    indices = succ[grown]  # row-major: the grown row ascends within each alpha
+    B = csr_matrix(
+        (np.ones(indices.size), indices, indptr),
+        shape=(succ.shape[0], level.table.shape[0]),
+    )
+    return B, table_partitions(level.table)
 
 
 # Dense references: full-matrix constructions the oracle replaced with

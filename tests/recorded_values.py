@@ -2,8 +2,8 @@
 of the channel's input state psi, before both were built from their nonzero
 entries. ``test_oracle.py`` checks that every value still agrees to 1e-12
 with the same verdict. Optimized runs use
-``optimize_coefficients(d, N).coefficients``; (2, 8) is over the projector
-cap for them, so the benchmark's optimized points (2, 6) and (3, 4) stand in.
+``optimize_coefficients(d, N).coefficients`` at the benchmark's optimized
+points (2, 6) and (3, 4).
 
 Keys: (d, N, mode). Verify entries map each check to (deviation, passed).
 Channel entries are the fidelity under the square-root measurement of the

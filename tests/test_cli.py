@@ -8,6 +8,7 @@ import os
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -281,12 +282,12 @@ class TestConfiguration:
         assert err.count("\n") == 1 and "PBT_EXACT_THRESHOLD" in err
 
     @pytest.mark.parametrize("value", ["many", "0"])
-    def test_bad_oracle_cap_is_usage_error(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("PBT_ORACLE_CAP", value)
+    def test_bad_oracle_budget_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("PBT_ORACLE_BYTES", value)
         code, out, err = run_cli(capsys, "verify", "--d", "2", "--N", "2")
         assert code == EXIT_USAGE
         assert out == ""
-        assert err.count("\n") == 1 and "PBT_ORACLE_CAP" in err
+        assert err.count("\n") == 1 and "PBT_ORACLE_BYTES" in err
 
 
 class TestScan:
@@ -403,10 +404,27 @@ class TestVerify:
         assert code == EXIT_OK
         assert json.loads(out)["passed"] is True
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("--N", "14"), ("--N", "9", "--mode", "optimized")],
+        ids=["standard-14", "optimized-9"],
+    )
+    def test_over_the_default_budget_stops_before_allocating(self, capsys, monkeypatch, argv):
+        # d=2 N=14 would hold 10 sector members of 1.24 GB each; at N=9 one
+        # projector-table array alone is 1.5 GB
+        monkeypatch.delenv("PBT_ORACLE_BYTES", raising=False)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--d", "2", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_SIZE_CAP and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("size cap: the oracle at d=2") and "PBT_ORACLE_BYTES" in err
+
     def test_size_cap_exit(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--d", "2", "--N", "12")
+        # d=2 N=13 would hold 10 members of 321 MB, over the default budget
+        code, _, err = run_cli(capsys, "verify", "--d", "2", "--N", "13")
         assert code == EXIT_SIZE_CAP
-        assert "cap" in err
+        assert "PBT_ORACLE_BYTES" in err
 
     def test_csv_report(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--d", "3", "--N", "2", "--format", "csv")

@@ -18,7 +18,6 @@ from pbtfid import (
     asymptote_standard,
     avg_state_eigenvalue,
     block_spectrum,
-    box_incidence,
     enumerate_partitions,
     fidelity_given_coefficients,
     fidelity_standard,
@@ -48,6 +47,7 @@ from pbtfid.fidelity import (
     _successor_logsumexp,
 )
 from pbtfid.partitions import partition_level, table_partitions
+from conftest import box_incidence
 
 SQ3 = math.sqrt(3.0)
 

@@ -280,12 +280,26 @@ class TestDiscriminationStates:
                 )
 
     def test_size_cap(self):
-        with pytest.raises(SizeCapError):
-            build_rho(2, 12, 1)
+        # 10 x 8 x C(30, 15) bytes of sector data, over the default 1 GiB
+        message = r"^the oracle at d=2, N=14 needs an estimated 1\.24e\+10 bytes, over the "
+        message += r"budget of 1073741824 bytes \(set PBT_ORACLE_BYTES to raise it\)$"
+        with pytest.raises(SizeCapError, match=message):
+            build_rho(2, 14, 1)
+
+    def test_default_budget_admits_the_desk_grid(self, monkeypatch):
+        # every d^(N+1) <= 4096, steered up to N = 6, and d=2 up to N = 12
+        # (steered N = 8) fits the default 1 GiB
+        monkeypatch.delenv("PBT_ORACLE_BYTES", raising=False)
+        for d in range(2, 65):
+            for N in itertools.takewhile(lambda N: d ** (N + 1) <= 4096, itertools.count(1)):
+                oracle_mod.check_oracle_size(d, N, steered=N <= 6)
+        oracle_mod.check_oracle_size(2, 12)
+        oracle_mod.check_oracle_size(2, 8, steered=True)
 
     def test_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv("PBT_ORACLE_CAP", "8")
-        with pytest.raises(SizeCapError):
+        estimate = oracle_mod.check_oracle_size(2, 3)
+        monkeypatch.setenv("PBT_ORACLE_BYTES", str(estimate - 1))
+        with pytest.raises(SizeCapError, match=f"over the budget of {estimate - 1} bytes"):
             build_rho(2, 3, 1)
         build_rho(2, 2, 1)
 
@@ -767,8 +781,10 @@ def oracle_outputs(d, N, c):
         eta_ensemble(d, N, c), povm, DenseOperator(Y.matrix / N, Y.factor_dims)
     )
     matches = [
-        oracle_mod.block_spectrum_match(average_state(ens), block_spectrum(d, N, "avg")),
-        oracle_mod.block_spectrum_match(X, block_spectrum(d, N, "X")),
+        oracle_mod.block_spectrum_match(
+            oracle_mod.eigenvalues(average_state(ens)), block_spectrum(d, N, "avg")
+        ),
+        oracle_mod.block_spectrum_match(oracle_mod.eigenvalues(X), block_spectrum(d, N, "X")),
     ]
     return {
         "blocked": [is_blocked(op) for op in (ens.states[0], povm[0], X, Y)],
@@ -955,9 +971,14 @@ class TestYoungProjectors:
     def test_single_box(self):
         assert np.allclose(young_projector((1,), 3).matrix, np.eye(3))
 
-    def test_factorial_cap(self):
-        with pytest.raises(SizeCapError):
+    def test_factorial_cap(self, monkeypatch):
+        # the projector table holds 16 bytes for each of the 7! 2^7 entries
+        estimate = oracle_mod.check_oracle_size(2, 7, steered=True)
+        assert estimate - oracle_mod.check_oracle_size(2, 7) == 16 * 5040 * 128 + 2 * 8 * 4**7
+        monkeypatch.setenv("PBT_ORACLE_BYTES", str(estimate - 1))
+        with pytest.raises(SizeCapError, match="d=2, N=7"):
             young_projector((7,), 2)
+        young_projector((6,), 2)
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -1234,7 +1255,7 @@ class TestCertificates:
             dev = match_block_spectrum(cached_certificate_x(d, N), blocks)
             assert dev <= 1e-9
             per_block, leftover = oracle_mod.block_spectrum_match(
-                cached_certificate_x(d, N), blocks
+                oracle_mod.eigenvalues(cached_certificate_x(d, N)), blocks
             )
             assert dev == max([leftover] + [dev for _, dev in per_block])
             for (median, _), b in zip(per_block, blocks):
@@ -1248,7 +1269,8 @@ class TestCertificates:
         blocks = block_spectrum(d, N, "avg")
         eigvals = np.sort(np.concatenate(oracle_mod._eigensolve(*oracle_mod._measured(op))))
         top = eigvals[eigvals.size - sum(b.multiplicity for b in blocks) :]
-        per_block, _ = oracle_mod.block_spectrum_match(op, blocks)
+        # the spectrum is sorted where it is matched
+        per_block, _ = oracle_mod.block_spectrum_match(eigvals[::-1], blocks)
         offset, parities = 0, set()
         for k in sorted(range(len(blocks)), key=lambda k: blocks[k].value):
             m = blocks[k].multiplicity
@@ -1619,13 +1641,22 @@ class TestTeleportationChannel:
         assert read == [] and all(e._matrix is None for e in povm)
         assert shapes and max(max(shape[-2:]) for shape in shapes) <= largest_sector(d, N) == 126
 
-    def test_channel_cap(self):
-        povm = [
-            DenseOperator(np.eye(2**11) / 10, (2,) * 11)
-            for _ in range(10)
-        ]
-        with pytest.raises(SizeCapError):
-            teleportation_fidelity_direct(2, 10, povm)
+    def test_channel_cap(self, monkeypatch):
+        # the channel is sized from the POVM's measured sectors: the weight
+        # sectors of a sector-diagonal POVM, one sector of every row otherwise
+        d, N = 2, 3
+        blocked = list(cached_pgm(d, N))
+        # a tiny entry off the sectors in place of every zero
+        dense = [DenseOperator(e.matrix + (e.matrix == 0) * 1e-300, e.factor_dims) for e in blocked]
+        sizes = [oracle_mod._measured(e)[0].size for e in (blocked[0], dense[0])]
+        assert sizes == [oracle_mod._Sectors.weights((d,) * (N + 1)).size, 16 * 16]
+        budget = oracle_mod.check_oracle_size(d, N, entries=16 * 16) - 1
+        monkeypatch.setenv("PBT_ORACLE_BYTES", str(budget))
+        assert teleportation_fidelity_direct(d, N, blocked) == pytest.approx(
+            fidelity_standard(d, N).fidelity, abs=1e-12
+        )
+        with pytest.raises(SizeCapError, match="d=2, N=3"):
+            teleportation_fidelity_direct(d, N, dense)
 
 
 class TestVerificationBundle:
@@ -1676,11 +1707,12 @@ class TestVerificationBundle:
         # and the POVM are port orbits by construction, so the swap defects
         # are measured once, for the feasibility bound
         assert built == {"rho": 1, "success_probability": 1, "swap_defects": 1}
-        # one eigh of the average state; eigvalsh: port 1 of the states and of
-        # the POVM (exact orbits, validated by port 1), two spectra, one
-        # feasibility eigensolve
-        assert counts["eigh"] <= 1
-        assert counts["eigvalsh"] <= 5
+        # one eigh of the average state, whose eigenvalues are its spectrum
+        # check; eigvalsh: port 1 of the states and of the POVM (exact orbits,
+        # validated by port 1), the certificate's spectrum, one feasibility
+        # eigensolve
+        assert counts["eigh"] == 1
+        assert counts["eigvalsh"] == 4
         # hermiticity is measured on port 1 of the states and of the POVM, on
         # sum_i rho_i E_i before symmetrising, and on K
         assert counts["hermiticity"] <= 4
@@ -1725,12 +1757,12 @@ class TestVerificationBundle:
             return Counter(name for (name, _), _, _ in gathers)
 
         assert all(c.passed for c in run_verification(2, 8, "standard"))
-        # the normalised and the plain average, the stabilizer of rho_1 (in
-        # the PGM), the certificate's terms, rho_k and E_k for the success
-        # probability, rho_k and the images of K - p rho_1 for the
-        # feasibility bound; the states are validated at port 1
+        # the normalised average, the stabilizer of rho_1 (in the PGM), the
+        # certificate's terms, rho_k and E_k for the success probability,
+        # rho_k and the images of K - p rho_1 for the feasibility bound; the
+        # states are validated at port 1
         assert per_consumer() == {
-            "average_state": 14,
+            "average_state": 7,
             "pretty_good_measurement": 2,
             "certificate": 7,
             "success_probability": 14,
@@ -1760,10 +1792,10 @@ class TestVerificationBundle:
         checks = run_verification(d, N, "given-coefficients", c)
         assert all(ch.passed for ch in checks)
         # the rho and eta averages once each; eigvalsh: port 1 of the rho
-        # states, the eta states and the POVM, two spectra, one feasibility
-        # eigensolve
-        assert counts["eigh"] <= 2
-        assert counts["eigvalsh"] <= 6
+        # states, the eta states and the POVM, the certificate's spectrum, one
+        # feasibility eigensolve
+        assert counts["eigh"] == 2
+        assert counts["eigvalsh"] == 5
         assert max(lapack) <= largest_sector(d, N)
 
     def test_bad_mode_rejected(self):
@@ -1845,22 +1877,42 @@ class TestBuiltFromEntries:
             direct = teleportation_fidelity_direct(d, N, cached_pgm(d, N), c)
             assert abs(direct - recorded) <= 1e-12
 
-    def test_verify_memory_at_d2_n10(self):
-        # ru_maxrss growth over the import; the full-matrix construction of
-        # rho_1 and the stored orbit members took 192 MB here, this one 50 MB
+    @pytest.mark.parametrize(
+        "d, N, kind", [(2, 10, "standard"), (2, 8, "optimized"), (2, 10, "channel")]
+    )
+    def test_estimate_bounds_the_memory_growth(self, d, N, kind):
+        # ru_maxrss growth over the import and the formula side, in a fresh
+        # process: the full-matrix construction of rho_1 and the stored
+        # orbit members took 192 MB at standard (2, 10), this one 52 MB
         script = (
-            "import resource\n"
-            "from pbtfid import run_verification\n"
+            "import resource, sys\n"
+            "import pbtfid.oracle as o\n"
+            "from pbtfid import fidelity_standard, optimize_coefficients\n"
+            "d, N, kind = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]\n"
+            "c = optimize_coefficients(d, N).coefficients if kind == 'optimized' else None\n"
+            "formula = fidelity_standard(d, N).fidelity\n"
             "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "assert all(c.passed for c in run_verification(2, 10, 'standard'))\n"
-            "print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base) / 1024)\n"
+            "if kind == 'channel':\n"
+            "    povm = o.pretty_good_measurement(o.pbt_ensemble(d, N))\n"
+            "    assert abs(o.teleportation_fidelity_direct(d, N, povm) - formula) <= 1e-9\n"
+            "    estimate = o.check_oracle_size(d, N, entries=o._measured(povm.first)[0].size)\n"
+            "else:\n"
+            "    assert all(ch.passed for ch in o.run_verification(d, N, kind, c))\n"
+            "    estimate = o.check_oracle_size(d, N, steered=c is not None)\n"
+            "growth = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base\n"
+            "print(growth * 1024, estimate)\n"
         )
+        # a new process's ru_maxrss starts at the resident size of the one
+        # that spawned it, so a small launcher spawns the run
+        launcher = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
         result = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+            [sys.executable, "-c", launcher, sys.executable, "-c", script, str(d), str(N), kind],
+            capture_output=True, text=True, env=env, timeout=120,
         )
         assert result.returncode == 0, result.stderr
-        assert float(result.stdout) <= 100.0
+        growth, estimate = map(int, result.stdout.split())
+        assert growth <= estimate <= 2 * growth
 
 
 def test_oracle_imports_only_the_pinned_fidelity_names():

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,26 +10,47 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def run_script(name, *args, env=None):
     result = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert result.returncode == 0, result.stderr
     return result.stdout
 
 
-def test_certify_desk_scale_sweep_passes():
-    # 2^8 = 256: d=2 standard runs to N=7, past the optimized limit N=6
-    out = run_script("certify_desk_scale.py", "--max-dim", "256")
+def certify_runs(out):
+    """The (d, N, mode) of each PASS line and of each STOP line."""
     lines = out.splitlines()
     assert lines[-1] == "0 failing configurations"
-    runs = [line.split("]", 1)[1].split(" worst")[0].split() for line in lines[:-1]]
-    assert ["d=2", "N=7", "standard"] in runs and ["d=2", "N=7", "optimized"] not in runs
-    assert ["d=2", "N=6", "optimized"] in runs and ["d=2", "N=8", "standard"] not in runs
-    assert ["d=3", "N=4", "optimized"] in runs and ["d=4", "N=3", "standard"] in runs
+    parsed = {"PASS": [], "STOP": []}
+    for line in lines[:-1]:
+        status, rest = line[1:].split("] ", 1)
+        parsed[status].append(rest.split()[:3])
+    return parsed["PASS"], parsed["STOP"]
+
+
+def test_certify_desk_scale_sweep_passes():
+    # 2^8 = 256: under the default budget both d=2 modes run to N=7
+    passed, stopped = certify_runs(run_script("certify_desk_scale.py", "--max-dim", "256"))
+    assert stopped == []
+    assert ["d=2", "N=7", "standard"] in passed and ["d=2", "N=7", "optimized"] in passed
+    assert ["d=2", "N=8", "standard"] not in passed
+    assert ["d=3", "N=4", "optimized"] in passed and ["d=4", "N=3", "standard"] in passed
+
+
+def test_certify_desk_scale_stops_each_mode_at_the_budget():
+    # 16 MiB admits d=2 N=7 standard but not its 7! 2^7-entry projector
+    # table: optimized stops there, and the other modes run on
+    env = {**os.environ, "PBT_ORACLE_BYTES": str(2**24)}
+    out = run_script("certify_desk_scale.py", "--max-dim", "256", env=env)
+    passed, stopped = certify_runs(out)
+    assert stopped == [["d=2", "N=7", "optimized"]]
+    assert ["d=2", "N=7", "standard"] in passed and ["d=2", "N=6", "optimized"] in passed
+    assert ["d=3", "N=4", "optimized"] in passed
 
 
 def test_compare_protocols_reaches_the_qubit_optimum():
