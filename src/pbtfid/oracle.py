@@ -877,6 +877,13 @@ def certificate(states: Sequence[DenseOperator], povm: Sequence[DenseOperator]) 
     When both are ``_PortOrbit``s, sigma_k E_k = Pi_k sigma_1 E_1 Pi_k^T:
     one product and its gathered images. Otherwise each term is its own
     product."""
+    if not states or len(states) != len(povm):
+        raise ValueError(
+            f"need at least one state and one POVM element per state, got "
+            f"{len(povm)} elements for {len(states)} states"
+        )
+    _check_factor_dims(states, states[0].factor_dims, "state")
+    _check_factor_dims(povm, states[0].factor_dims, "POVM element")
     if isinstance(states, _PortOrbit) and isinstance(povm, _PortOrbit):
         sectors, ([sigma], [element]) = _common([states.first], [povm.first])
         first = sectors.product(sigma, element)
@@ -1006,43 +1013,20 @@ def _input_state(
 
 
 def _reached_blocks(
-    entries: tuple[np.ndarray, np.ndarray, np.ndarray], row_sets: list[np.ndarray]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """For each set of rows of the square matrix psi with the given nonzero
-    entries (rows, columns, values), the columns they reach, ascending, and
-    the block psi[rows, columns]."""
+    sectors: _Sectors, entries: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """For each of ``sectors``, the columns its rows reach, ascending, and
+    the block on those rows and columns of the matrix, square or not, with
+    the given entries (rows, columns, values); entries at one (row, column)
+    add."""
     rows, columns, values = entries
-    size = sum(r.size for r in row_sets)
-    owner, local = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
-    for k, r in enumerate(row_sets):
-        owner[r], local[r] = k, np.arange(r.size)
-    blocks = []
-    for k, r in enumerate(row_sets):
-        mine = owner[rows] == k
+    owner = sectors._labels[rows]
+    for k, size in enumerate(sectors.sizes):
+        mine = owner == k
         reached, position = _unique_inverse(columns[mine])
-        block = np.zeros((r.size, reached.size), dtype=values.dtype)
-        block[local[rows[mine]], position] = values[mine]
-        blocks.append((reached, block))
-    return blocks
-
-
-def _traced_block(
-    branch: np.ndarray, block: np.ndarray, position: np.ndarray, d2: int
-) -> np.ndarray:
-    """The d2 x d2 matrix sum_{r, o} branch[r, (o, q)] conj(block[r, (o, q')]),
-    the partial trace over the rows r and the traced slots o: column k of
-    both matrices is (o, q) = divmod(position[k], d2), its position in the
-    traced-then-kept column order. Each matrix is folded to (o, q, r), zero
-    where no column has that (o, q), and the slices of each o multiplied."""
-    traced, kept = np.divmod(position, d2)
-    present, traced = _unique_inverse(traced)
-
-    def fold(matrix: np.ndarray) -> np.ndarray:
-        out = np.zeros((present.size * d2, matrix.shape[0]), dtype=matrix.dtype)
-        out[traced * d2 + kept] = matrix.T
-        return out.reshape(present.size, d2, -1)
-
-    return np.matmul(fold(branch), fold(block).conj().transpose(0, 2, 1)).sum(axis=0)
+        block = np.zeros((size, reached.size), dtype=values.dtype)
+        np.add.at(block, (sectors._local[rows[mine]], position), values[mine])
+        yield reached, block
 
 
 def teleportation_fidelity_direct(
@@ -1055,41 +1039,36 @@ def teleportation_fidelity_direct(
 
     The input state psi of A_0, R and the port state is a matrix with the
     protocol slots A_0..A_N as rows and R, B_1..B_N as columns. Branch i
-    applies E_i to the rows; everything but B_i and R is traced out, and the
-    branches are summed with B_i relabelled as B_0. The POVM is supplied on
-    the discrimination space (ports then B) and read as the protocol
-    measurement by moving the B slot to the front, so a sector of the POVM
-    (``_common``) is a set of protocol rows. Each sector's rows reach a set
-    of columns of psi (``_reached_blocks``), outside which they are zero, so
-    every E_i psi and its partial trace are formed one sector block at a
-    time and accumulated into the d^2 x d^2 output. A POVM not measured
-    sector-diagonal is one sector of every row. Sectors whose reaches
-    overlap are still exact, each block as wide as its reach, at most its
-    sector: the POVM's sectors size the run.
+    applies E_i to the rows and keeps B_i and R as the output pair, whose
+    overlap with the target |Phi> the branches sum. The target is contracted
+    first: F = sum_i tr(w_i^dagger E_i w_i), with w_i = (1 x <Phi|_{R B_i}) psi,
+    whose columns are the other B slots. The POVM is supplied on the
+    discrimination space (ports then B), so psi's rows are read with A_0
+    moved last, as the B slot. Each sector of the POVM (``_common``) reaches
+    a set of columns of w_i (``_reached_blocks``), outside which its rows are
+    zero, and each term is taken one sector block at a time. A POVM not
+    measured sector-diagonal is one sector of every row: the POVM's sectors
+    size the run.
     """
-    if len(povm) != N:
-        raise ValueError(f"need one POVM element per port, got {len(povm)}")
+    if N < 1 or len(povm) != N:
+        raise ValueError(f"need N >= 1 and one POVM element per port, got {len(povm)} for N={N}")
     _check_factor_dims(povm, (d,) * (N + 1), "POVM element")
     sectors, (elements,) = _common(povm)
     check_oracle_size(d, N, steered=coefficients is not None, entries=sectors.size)
     _check_psd(povm, POVM_TOL, "POVM element")
-    slots = (d,) * (N + 1)
-    # protocol row p is discrimination index g[p], g moving B to the front
-    protocol_row = np.argsort(slot_gather(slots, [N] + list(range(N))))
-    row_sets = [protocol_row[index] for index in sectors.index]
-    blocks = _reached_blocks(_input_state(d, N, coefficients), row_sets)
-    output = 0
+    rows, columns, values = _input_state(d, N, coefficients)
+    rows = rows % d**N * d + rows // d**N  # (a_0, a) read as (a, a_0)
+    r, b = np.divmod(columns, d**N)
+    terms = []
     for i in range(1, N + 1):
-        # columns to B_j (j != i), B_i, R: everything but (B_i, R) is traced
-        position = np.argsort(slot_gather(slots, [j for j in range(1, N + 1) if j != i] + [i, 0]))
-        # E_i is read here and freed with the generator, before E_(i+1)
-        traced = (
-            _traced_block(np.matmul(element, block), block, position[columns], d * d)
-            for element, (columns, block) in zip(sectors.blocks(next(elements)), blocks)
-        )
-        output = sum(traced, output)
-    target = maximally_entangled_vector(d)
-    fidelity = float((target.conj() @ output @ target).real)
+        # <Phi|_{R B_i}: keep r = b_i, and index the column by the other B slots
+        step = d ** (N - i)
+        keep = r == b // step % d
+        w = (rows[keep], (b // (step * d) * step + b % step)[keep], values[keep] / math.sqrt(d))
+        blocks = [block for _, block in _reached_blocks(sectors, w)]
+        # E_i is read here and freed with the map, before E_(i+1)
+        terms += map(np.vdot, blocks, map(np.matmul, sectors.blocks(next(elements)), blocks))
+    fidelity = math.fsum(np.real(terms))
     if not -1e-10 <= fidelity <= 1 + 1e-10:
         raise AssertionError(f"entanglement fidelity {fidelity} outside [0, 1]")
     return fidelity

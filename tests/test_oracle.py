@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -1236,6 +1237,23 @@ class TestCertificates:
         with pytest.raises(AssertionError, match=r"^certificate defect 5\.000e-01 above tolerance$"):
             oracle_mod.certificate([sigma], [plus])
 
+    def test_length_mismatch_rejected(self):
+        # zipped, three states against two elements would drop a term
+        ens = cached_ensemble(2, 3)
+        with pytest.raises(ValueError, match="got 2 elements for 3 states$"):
+            oracle_mod.certificate(list(ens.states), list(cached_pgm(2, 3))[:2])
+
+    def test_empty_sequences_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one state"):
+            oracle_mod.certificate([], [])
+
+    def test_povm_on_other_factor_dims_rejected(self):
+        states = list(cached_ensemble(2, 3).states)
+        povm = [DenseOperator(np.eye(8) / 3, (2, 2, 2))] * 3
+        message = "POVM element 0 acts on factor dims (2, 2, 2), not (2, 2, 2, 2)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            oracle_mod.certificate(states, povm)
+
     def test_no_orbit_is_trusted(self):
         # the route is chosen by the arguments alone: [rho_1] * 3 is no port
         # orbit, so against the PGM orbit each term rho_1 E_k is its own
@@ -1537,6 +1555,10 @@ class TestTeleportationChannel:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             teleportation_fidelity_direct(2, 2, povm)
 
+    def test_no_ports_rejected(self):
+        with pytest.raises(ValueError, match="^need N >= 1 .* got 0 for N=0$"):
+            teleportation_fidelity_direct(2, 0, [])
+
     def test_identity_channel_harness(self):
         # the fidelity functional itself: overlap of the target with itself is 1
         phi = maximally_entangled(2)
@@ -1591,8 +1613,8 @@ class TestTeleportationChannel:
         assert direct == pytest.approx(dense_channel_fidelity(d, N, povm), abs=1e-12)
 
     def test_port_state_with_overlapping_reaches(self, monkeypatch):
-        # U on B_1 makes the rows of one POVM sector reach columns that other
-        # sectors reach too: psi is not block-diagonal, and stays exact
+        # U on B_1 makes the rows of one POVM sector reach columns of w_i that
+        # other sectors reach too: w_i is not block-diagonal, and stays exact
         d, N = 2, 3
         povm = list(cached_pgm(d, N))
         U = haar_unitary(d, np.random.default_rng(HAAR_SEED))
@@ -1600,19 +1622,65 @@ class TestTeleportationChannel:
         psi = dense_input_state(d, N).reshape(d ** (N + 1), d, d, -1)
         psi = np.einsum("ij,rajb->raib", U, psi).reshape(d ** (N + 1), -1)
         entries = (*np.nonzero(psi), psi[np.nonzero(psi)])
-        real_blocks, reaches = oracle_mod._reached_blocks, []
+        real_blocks, overlaps = oracle_mod._reached_blocks, []
 
         def reached_blocks(*args):
-            blocks = real_blocks(*args)
-            reaches.extend(columns for columns, _ in blocks)
-            return blocks
+            blocks = list(real_blocks(*args))
+            reaches = [columns for columns, _ in blocks]
+            overlaps.append(sum(c.size for c in reaches) - np.unique(np.concatenate(reaches)).size)
+            return iter(blocks)
 
         monkeypatch.setattr(oracle_mod, "_input_state", lambda *args: entries)
         monkeypatch.setattr(oracle_mod, "_reached_blocks", reached_blocks)
         direct = teleportation_fidelity_direct(d, N, povm)
-        assert sum(c.size for c in reaches) > np.unique(np.concatenate(reaches)).size
+        # one call per branch, its sectors' reaches overlapping in each
+        assert len(overlaps) == N and min(overlaps) > 0
         assert direct == pytest.approx(dense_channel_fidelity(d, N, povm, psi=psi), abs=1e-12)
         assert direct != pytest.approx(fidelity_standard(d, N).fidelity, abs=1e-6)
+
+    def test_channel_holds_one_povm_member_at_a_time(self, monkeypatch):
+        # E_k is gathered as its branch starts, once E_(k-1) is freed
+        live, held = [], []
+        real_gather = oracle_mod._Sectors.gather
+
+        def gather(self, data, g):
+            held.append(sum(ref() is not None for ref in live))
+            out = real_gather(self, data, g)
+            live.append(weakref.ref(out))
+            return out
+
+        povm = pretty_good_measurement(pbt_ensemble(2, 6))
+        monkeypatch.setattr(oracle_mod._Sectors, "gather", gather)
+        teleportation_fidelity_direct(2, 6, povm)
+        assert held == [0] * 5
+
+    @pytest.mark.parametrize("dn", [(2, 2), (2, 3)])
+    def test_entries_on_one_entry_of_w_add(self, monkeypatch, dn):
+        # a psi with entries off a_0 = r puts d entries on each entry of
+        # w_i = (1 x <Phi|_{R B_i}) psi: they add, none overwrites another
+        d, N = dn
+        povm = list(cached_pgm(d, N))
+        rng = np.random.default_rng(83)
+        psi = rng.standard_normal((d ** (N + 1), d ** (N + 1), 2)) @ [1, 1j]
+        psi /= np.linalg.norm(psi)
+        entries = (*np.nonzero(psi), psi[np.nonzero(psi)])
+        monkeypatch.setattr(oracle_mod, "_input_state", lambda *args: entries)
+        direct = teleportation_fidelity_direct(d, N, povm)
+        assert direct == pytest.approx(dense_channel_fidelity(d, N, povm, psi=psi), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "d, N, steered", [(31, 1, False), (16, 2, False), (8, 3, False), (8, 2, True)]
+    )
+    def test_channel_at_large_d(self, d, N, steered):
+        # contracted with the target per branch, no d^2 x d^2 output is
+        # formed: (31, 1) took 6.6 s and (16, 2) 1.6 s when one was
+        c = optimize_coefficients(d, N).coefficients if steered else None
+        formula = fidelity_given_coefficients(d, N, c) if steered else fidelity_standard(d, N)
+        povm = pretty_good_measurement(pbt_ensemble(d, N))
+        start = time.perf_counter()
+        direct = teleportation_fidelity_direct(d, N, povm, c)
+        assert time.perf_counter() - start < 1.0
+        assert direct == pytest.approx(formula.fidelity, abs=1e-9)
 
     def test_channel_at_the_cap_matches_the_formula(self):
         d, N = 2, 9
