@@ -1672,8 +1672,8 @@ class TestTeleportationChannel:
         "d, N, steered", [(31, 1, False), (16, 2, False), (8, 3, False), (8, 2, True)]
     )
     def test_channel_at_large_d(self, d, N, steered):
-        # contracted with the target per branch, no d^2 x d^2 output is
-        # formed: (31, 1) took 6.6 s and (16, 2) 1.6 s when one was
+        # each branch is contracted with the target pair before any sum over
+        # rows, so many small sectors at large d and small N stay cheap
         c = optimize_coefficients(d, N).coefficients if steered else None
         formula = fidelity_given_coefficients(d, N, c) if steered else fidelity_standard(d, N)
         povm = pretty_good_measurement(pbt_ensemble(d, N))
