@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -161,7 +162,7 @@ def load_coefficients(path: str, d: int, N: int, renormalize: bool) -> PortCoeff
 
 def output_record(report, wall_time_ms: float) -> dict:
     margin = report.eigen_data.residual if report.eigen_data is not None else None
-    record = {
+    return {
         "tool": "pbtfid",
         "version": __version__,
         "d": report.d,
@@ -176,19 +177,10 @@ def output_record(report, wall_time_ms: float) -> dict:
             if report.coefficients is not None
             else None
         ),
-        "eigen": (
-            {
-                "principal_eigenvalue": report.eigen_data.principal_eigenvalue,
-                "iterations": report.eigen_data.iterations,
-                "residual": report.eigen_data.residual,
-            }
-            if report.eigen_data is not None
-            else None
-        ),
+        "eigen": dataclasses.asdict(report.eigen_data) if report.eigen_data is not None else None,
         "degenerate": report.degenerate,
         "wall_time_ms": wall_time_ms,
     }
-    return record
 
 
 def _record_csv_row(record: dict) -> list[str]:

@@ -25,8 +25,10 @@ one log-sum-exp of the level's log-dimensions above it). The sums read the
 weights as that array and check nothing again; the single-block functions
 read the weights of their covers by diagram.
 
-The log-domain sums read ln Gamma and ln at integers from tables. ln Gamma
-is filled by a port of cephes' ``lgam``, the routine behind
+The log-domain sums read ln Gamma and ln at integers from tables, and take
+both log-dimensions of a level in one pass over its diagram rows, each
+ln(mu_i - mu_j + j - i) gathered once for the Specht and the Weyl sum.
+ln Gamma is filled by a port of cephes' ``lgam``, the routine behind
 ``scipy.special.gammaln``, which it equals bit for bit, so scipy is not
 imported for it. The optimizer forms B^T B and its matvec from the
 successor index of the partition level with numpy; only the iterative
@@ -125,7 +127,8 @@ def _normalisation_ratio(d: int, N: int, weights: np.ndarray) -> float:
         return float(total / d**N)
     if live.size == 0:
         return 0.0
-    logs = np.log(weights[live]) + _log_specht_vec(rows, N) + _log_weyl_vec(rows)
+    specht, weyl = _log_dims(rows, N)
+    logs = np.log(weights[live]) + specht + weyl
     top = logs.max()
     return math.exp(top + math.log(np.exp(logs - top).sum()) - N * math.log(d))
 
@@ -469,27 +472,28 @@ def _integer_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return lgamma, log
 
 
-def _log_specht_vec(mat: np.ndarray, n: int) -> np.ndarray:
+def _log_dims(mat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """ln d_mu and ln m_mu, two new arrays, for the rows mu of a (K, d) table
+    of partitions of n, one row of the diagrams at a time. With l_i = mu_i +
+    d - 1 - i: ln d_mu = ln n! + sum_{i<j} ln(l_i - l_j) - sum_i ln l_i! and
+    ln m_mu = sum_{i<j} (ln(l_i - l_j) - ln(j - i)), added in that order, each
+    ln(l_i - l_j) gathered once for both (``clip``: no buffered bounds check)."""
     K, d = mat.shape
-    # the shifted row lengths ell_i = mu_i + d - 1 - i, one array per row i
-    ell = [mat[:, i] + (d - 1 - i) for i in range(d)]
     lgamma, log = _integer_tables(n + d)
-    val = np.full(K, math.lgamma(n + 1))
+    specht, weyl = np.full(K, math.lgamma(n + 1)), np.zeros(K)
+    index, term = np.empty(K, dtype=np.int64), np.empty(K)
     for i in range(d):
         for j in range(i + 1, d):
-            val += log[ell[i] - ell[j]]
-        val -= lgamma[ell[i] + 1]
-    return val
-
-
-def _log_weyl_vec(mat: np.ndarray) -> np.ndarray:
-    K, d = mat.shape
-    _, log = _integer_tables(int(mat.max(initial=0)) + d)
-    val = np.zeros(K)
-    for i in range(d):
-        for j in range(i + 1, d):
-            val += log[mat[:, i] - mat[:, j] + (j - i)] - math.log(j - i)
-    return val
+            np.subtract(mat[:, i], mat[:, j], out=index)
+            index += j - i
+            log.take(index, out=term, mode="clip")
+            specht += term
+            term -= math.log(j - i)
+            weyl += term
+        np.add(mat[:, i], d - i, out=index)  # l_i + 1
+        lgamma.take(index, out=term, mode="clip")
+        specht -= term
+    return specht, weyl
 
 
 def _pairwise_sum(columns: list[np.ndarray]) -> np.ndarray:
@@ -522,10 +526,9 @@ def _successor_logsumexp(successors: np.ndarray, half_log: np.ndarray) -> np.nda
     """log sum_i exp(half_log[successors[a, i]]) over the successors of each
     alpha a of a successor table (``PartitionLevel.successors``, -1 for
     none), for the alphas with at least one successor of finite weight, in
-    table order. ``_fidelity_log`` states the order of the operations."""
-    # -1 marks no successor and reads the appended -inf
-    weights = np.concatenate((half_log, [-np.inf]))
-    terms = [weights[column] for column in successors.T]
+    table order. ``half_log`` ends in one slot past the level, -inf, which
+    -1 reads. ``_fidelity_log`` states the order of the operations."""
+    terms = [half_log[column] for column in successors.T]
     peak = terms[0].copy()
     for column in terms[1:]:
         np.maximum(peak, column, out=peak)
@@ -545,8 +548,8 @@ def _successor_logsumexp(successors: np.ndarray, half_log: np.ndarray) -> np.nda
 def _fidelity_log(d: int, N: int, coefficients: PortCoefficients | None) -> float:
     """F as one log-sum-exp per partition level, in float64.
 
-    Each mu's half log-weight 0.5 * ln(c_mu d_mu m_mu) is formed from the
-    level table one row of the diagrams at a time. The inner sum of each
+    Each mu's half log-weight 0.5 * ln(c_mu d_mu m_mu) is formed by one pass
+    over the level table (``_log_dims``), in place. The inner sum of each
     alpha (``_successor_logsumexp``) works on the d columns of the
     successor table, the successors grown in row i, each a contiguous array
     over all alphas: the gathered terms, their peak by ``np.maximum``, and
@@ -560,12 +563,15 @@ def _fidelity_log(d: int, N: int, coefficients: PortCoefficients | None) -> floa
     grows in row 0).
     """
     level = partition_level(N, d)
-    mus = level.table
-    half_log = 0.5 * (_log_specht_vec(mus, N) + _log_weyl_vec(mus))
+    specht, weyl = _log_dims(level.table, N)
+    half_log = np.empty(specht.size + 1)
+    half_log[-1] = -np.inf  # read by successor -1, none
+    np.add(specht, weyl, out=half_log[:-1])
+    half_log *= 0.5
     if coefficients is not None:
         weights = coefficients.weights.tolist()
         log_c = np.array([math.log(c) if c > 0 else -np.inf for c in weights])
-        half_log = half_log + 0.5 * log_c
+        half_log[:-1] += 0.5 * log_c
     inner = _successor_logsumexp(level.successors, half_log)
     if inner.size == 0:
         return 0.0
@@ -582,10 +588,7 @@ def fidelity_standard(d: int, N: int, numeric_mode: str = "auto") -> FidelityRep
     """
     _check_dn(d, N)
     mode = _resolve_mode(N, numeric_mode)
-    if mode == EXACT_MODE:
-        f = _fidelity_exact(d, N, None)
-    else:
-        f = _fidelity_log(d, N, None)
+    f = (_fidelity_exact if mode == EXACT_MODE else _fidelity_log)(d, N, None)
     return _make_report(d, N, "standard", f, mode)
 
 
@@ -596,13 +599,8 @@ def fidelity_given_coefficients(
     _check_dn(d, N)
     _check_same_point(d, N, coefficients)
     mode = _resolve_mode(N, numeric_mode)
-    if mode == EXACT_MODE:
-        f = _fidelity_exact(d, N, coefficients)
-    else:
-        f = _fidelity_log(d, N, coefficients)
-    return _make_report(
-        d, N, "given-coefficients", f, mode, coefficients=coefficients
-    )
+    f = (_fidelity_exact if mode == EXACT_MODE else _fidelity_log)(d, N, coefficients)
+    return _make_report(d, N, "given-coefficients", f, mode, coefficients=coefficients)
 
 
 # ---------------------------------------------------------------------------

@@ -1018,14 +1018,21 @@ def _reached_blocks(
     """For each of ``sectors``, the columns its rows reach, ascending, and
     the block on those rows and columns of the matrix, square or not, with
     the given entries (rows, columns, values); entries at one (row, column)
-    add."""
+    add, in the order given."""
     rows, columns, values = entries
+    # the entries grouped by sector, each sector's in the order given, and
+    # the distinct (sector, column) pairs ascending, one run per sector
+    order = np.argsort(sectors._labels[rows], kind="stable")
+    rows, columns, values = rows[order], columns[order], values[order]
     owner = sectors._labels[rows]
+    keys, position = _unique_inverse(np.stack((owner, columns), axis=1))
+    bounds = np.arange(len(sectors.sizes) + 1)
+    starts, firsts = np.searchsorted(owner, bounds), np.searchsorted(keys[:, 0], bounds)
+    position -= firsts[owner]  # an entry's column in its sector's block
     for k, size in enumerate(sectors.sizes):
-        mine = owner == k
-        reached, position = _unique_inverse(columns[mine])
+        mine, reached = slice(starts[k], starts[k + 1]), keys[firsts[k] : firsts[k + 1], 1]
         block = np.zeros((size, reached.size), dtype=values.dtype)
-        np.add.at(block, (sectors._local[rows[mine]], position), values[mine])
+        np.add.at(block, (sectors._local[rows[mine]], position[mine]), values[mine])
         yield reached, block
 
 

@@ -19,17 +19,20 @@ on demand, so a scan over increasing N builds every level once and holds one
 table per row bound, not one per N. ``enumerate_partitions`` is a tuple view
 of the table.
 
-Three functions are memoised with ``lru_cache``, without a bound. The exact
-dimensions (``specht_dim``, ``weyl_dim``) are asked for the same diagrams
-again by every exact-hybrid evaluation at one point: ``verify`` forms F and
-two block spectra at one (d, N). The Murnaghan-Nakayama recursion
-(``_mn_character``) reuses its own results. The box moves
-(``add_box_successors``, ``remove_box_predecessors``) and
-``dimension_record`` are not cached: the sums walk the level index, so these
-serve single-diagram checks and the tests that check the index against them.
-The log-dimension row kernels (``log_specht_row``, ``log_weyl_row``) are not
-cached either: they read ln Gamma and ln at integers from tables grown on
-demand, and whole-level sums use the vectorised forms in ``fidelity``.
+Three functions are memoised with ``lru_cache``, without a bound, because
+what a run asks of them is bounded. The exact dimensions (``specht_dim``,
+``weyl_dim``) are asked for the same diagrams again by every exact-hybrid
+evaluation at one point (``verify`` forms F and two block spectra at one
+(d, N)); the log-domain sums read none, so a run caches only the diagrams
+of the levels it evaluates exactly, N up to PBT_EXACT_THRESHOLD in a scan
+and N and N - 1 for a block spectrum. The Murnaghan-Nakayama recursion
+(``_mn_character``) reuses its own results; only the oracle's Young
+projectors ask for characters, on the N ports of a steered run, whose N!
+permutation table the oracle's byte budget bounds. No other function is
+memoised: the sums walk the level index (the log-dimensions in one
+vectorised pass in ``fidelity``), the box moves and ``dimension_record``
+serve single-diagram checks, and the optimizer reads the log-dimension row
+kernels per diagram.
 Concurrent readers are safe: level arrays are read-only, a level or table
 is complete before it is stored with a single assignment, and two threads
 that race to extend one build equal tables.

@@ -40,8 +40,7 @@ from pbtfid.fidelity import (
     _gram,
     _gram_matvec,
     _integer_tables,
-    _log_specht_vec,
-    _log_weyl_vec,
+    _log_dims,
     _pairwise_sum,
     _principal_eigenpair,
     _successor_logsumexp,
@@ -244,12 +243,33 @@ class TestScipyFreeKernels:
                 val += np.log(mat[:, i] - mat[:, j] + (j - i)) - math.log(j - i)
         return val
 
-    @pytest.mark.parametrize("d, n_max", [(1, 300), (2, 300), (3, 300), (4, 200), (5, 80)])
+    @pytest.mark.parametrize("d, n_max", [(1, 300), (2, 1000), (3, 300), (4, 200), (5, 80)])
     def test_log_dimension_vectors_equal_the_scipy_formula(self, d, n_max):
         for n in range(n_max + 1):
             mat = partition_level(n, d).table
-            assert np.array_equal(bits(_log_specht_vec(mat, n)), bits(self.scipy_log_specht(mat, n)))
-            assert np.array_equal(bits(_log_weyl_vec(mat)), bits(self.numpy_log_weyl(mat)))
+            specht, weyl = _log_dims(mat, n)
+            assert np.array_equal(bits(specht), bits(self.scipy_log_specht(mat, n)))
+            assert np.array_equal(bits(weyl), bits(self.numpy_log_weyl(mat)))
+
+    @pytest.mark.parametrize("d, n", [(1, 9), (6, 14)])
+    def test_log_dims_keeps_its_input_and_returns_new_arrays(self, d, n):
+        # d = 1 has no row pair, so only the ln Gamma terms run
+        level_table = partition_level(n, d).table
+        mat = np.array(level_table, order="F")
+        specht, weyl = _log_dims(mat, n)
+        assert np.array_equal(mat, level_table)
+        for values in (specht, weyl):
+            assert values.dtype == np.float64 and values.shape == (mat.shape[0],)
+            assert values.flags.writeable and values.flags.owndata
+            assert not np.shares_memory(values, mat)
+        assert not np.shares_memory(specht, weyl)
+        # a second call, on the read-only level table, returns new arrays,
+        # which writes into those of the first call leave alone
+        again = _log_dims(level_table, n)
+        specht.fill(np.nan)
+        weyl.fill(np.nan)
+        assert np.array_equal(bits(again[0]), bits(self.scipy_log_specht(mat, n)))
+        assert np.array_equal(bits(again[1]), bits(self.numpy_log_weyl(mat)))
 
     @pytest.mark.parametrize("d, N", [(2, 7), (3, 9), (4, 12), (4, 60), (3, 152)])
     def test_perron_kernels_equal_the_csr_products(self, d, N):
@@ -287,13 +307,15 @@ class TestColumnLogSumExp:
 
     @staticmethod
     def half_log(d, N, coefficients=None):
+        # followed by the -inf slot that successor -1 (none) reads
         mat = partition_level(N, d).table
-        half_log = 0.5 * (_log_specht_vec(mat, N) + _log_weyl_vec(mat))
+        specht, weyl = _log_dims(mat, N)
+        half_log = 0.5 * (specht + weyl)
         if coefficients is not None:
             values = [coefficients.value(mu) for mu in table_partitions(mat)]
             log_c = np.array([math.log(c) if c > 0 else -np.inf for c in values])
             half_log = half_log + 0.5 * log_c
-        return half_log
+        return np.append(half_log, -np.inf)
 
     @pytest.mark.parametrize("columns", [*range(1, 21), 64, 127, 128, 129, 136, 300])
     def test_pairwise_sum_is_numpys_row_sum(self, columns):
