@@ -565,7 +565,7 @@ def _fidelity_log(d: int, N: int, coefficients: PortCoefficients | None) -> floa
     level = partition_level(N, d)
     specht, weyl = _log_dims(level.table, N)
     half_log = np.empty(specht.size + 1)
-    half_log[-1] = -np.inf  # read by successor -1, none
+    half_log[-1] = -np.inf  # the slot successor -1 (none) reads
     np.add(specht, weyl, out=half_log[:-1])
     half_log *= 0.5
     if coefficients is not None:

@@ -151,7 +151,7 @@ def _next_level(level: PartitionLevel) -> PartitionLevel:
     grown = last[parent] + (filled & 1)
     children = np.arange(parent.size)
     # the transposes are C-ordered (d, K): row i of each is column i of the level
-    table_t = np.take(rows.T, parent, axis=1)
+    table_t = rows.T.take(parent, axis=1)
     table_t.reshape(-1)[grown * parent.size + children] += 1
     successors_t = np.full((d, K), -1, dtype=np.int64)
     flat = successors_t.reshape(-1)
