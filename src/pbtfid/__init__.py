@@ -32,7 +32,6 @@ from .oracle import (
     DenseOperator,
     Ensemble,
     average_state,
-    build_eta,
     build_port_operator,
     build_rho,
     certificate,
@@ -40,14 +39,8 @@ from .oracle import (
     certificate_Y,
     certify_optimality,
     eta_ensemble,
-    haar_unitary,
     match_block_spectrum,
-    maximally_entangled,
-    maximally_entangled_vector,
-    partial_trace,
-    partial_trace_first,
     pbt_ensemble,
-    permutation_operator,
     pretty_good_measurement,
     run_verification,
     success_probability,

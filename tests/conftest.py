@@ -15,8 +15,6 @@ from pbtfid import (
     build_port_operator,
     build_rho,
     certificate_X,
-    maximally_entangled,
-    maximally_entangled_vector,
     partition_level,
     pbt_ensemble,
     pretty_good_measurement,
@@ -46,6 +44,11 @@ def cached_pgm(d, N):
 @lru_cache(maxsize=None)
 def cached_certificate_x(d, N):
     return certificate_X(d, N)
+
+
+def build_eta(d, N, i, coefficients):
+    """Steered discrimination state eta_i = (O x 1_B) rho_i (O x 1_B)."""
+    return oracle_mod._steer(oracle_mod._lifted_port_operator(d, N, coefficients), build_rho(d, N, i))
 
 
 def steered_states(d, N, coefficients):
@@ -81,7 +84,59 @@ def box_incidence(d, N):
 
 
 # Dense references: full-matrix constructions the oracle replaced with
-# constructions from nonzero entries, kept to check those entry by entry.
+# constructions from nonzero entries, kept to check those entry by entry,
+# and the tensor tools the checks are written with.
+
+
+def permutation_operator(perm, d):
+    """Matrix moving the content of slot k to slot perm[k] on (C^d)^(len perm)."""
+    n = len(perm)
+    return np.eye(d**n)[oracle_mod.slot_gather((d,) * n, np.argsort(perm))]
+
+
+def partial_trace(op, traced):
+    """Trace out the listed slots, keeping the rest in their original order."""
+    dims = op.factor_dims
+    n = len(dims)
+    traced_set = set(traced)
+    if not traced_set <= set(range(n)):
+        raise ValueError(f"traced slots {traced} out of range for {n} factors")
+    keep = [k for k in range(n) if k not in traced_set]
+    tensor = op.matrix.reshape(*dims, *dims)
+    row_idx = list(range(n))
+    col_idx = [k if k in traced_set else n + k for k in range(n)]
+    out_idx = [k for k in keep] + [n + k for k in keep]
+    result = np.einsum(tensor, row_idx + col_idx, out_idx)
+    kept_dim = math.prod(dims[k] for k in keep)
+    return DenseOperator(result.reshape(kept_dim, kept_dim), tuple(dims[k] for k in keep))
+
+
+def partial_trace_first(op):
+    """Trace over the first tensor factor."""
+    if len(op.factor_dims) < 2:
+        raise ValueError("partial_trace_first needs at least two tensor factors")
+    return partial_trace(op, [0])
+
+
+def maximally_entangled_vector(d):
+    """(1/sqrt d) sum_i |ii> as a flat vector on two slots."""
+    return (np.eye(d) / math.sqrt(d)).reshape(-1)
+
+
+def maximally_entangled(d):
+    """Rank-1 projector onto the canonical maximally entangled pair."""
+    if d < 1:
+        raise ValueError("d must be positive")
+    v = maximally_entangled_vector(d)
+    return DenseOperator(np.outer(v, v.conj()), (d, d))
+
+
+def haar_unitary(d, rng):
+    """Haar-distributed unitary from the QR factorisation of a complex Gaussian."""
+    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2)
+    q, r = np.linalg.qr(z)
+    phases = np.diagonal(r) / np.abs(np.diagonal(r))
+    return q * phases
 
 
 def reorder_factors(matrix, dims, new_order):

@@ -27,7 +27,6 @@ from pbtfid import (
     lower_bound_standard,
     match_block_spectrum,
     optimize_coefficients,
-    partial_trace_first,
     remove_box_predecessors,
     sn_character,
     specht_dim,
@@ -41,6 +40,7 @@ from conftest import (
     cached_certificate_x,
     cached_ensemble,
     cached_pgm,
+    partial_trace_first,
     steered_states,
 )
 from test_fidelity import projected_gradient_maximum, random_valid_coefficients

@@ -24,7 +24,6 @@ from pbtfid import (
     SizeCapError,
     average_state,
     block_spectrum,
-    build_eta,
     build_port_operator,
     build_rho,
     certificate_X,
@@ -34,16 +33,10 @@ from pbtfid import (
     eta_ensemble,
     fidelity_given_coefficients,
     fidelity_standard,
-    haar_unitary,
     match_block_spectrum,
-    maximally_entangled,
-    maximally_entangled_vector,
     optimize_coefficients,
-    partial_trace,
-    partial_trace_first,
     pbt_ensemble,
     permutation_cycle_type,
-    permutation_operator,
     pretty_good_measurement,
     remove_box_predecessors,
     run_verification,
@@ -56,12 +49,19 @@ from pbtfid import (
 )
 from conftest import (
     ORACLE_GRID,
+    build_eta,
     cached_certificate_x,
     cached_ensemble,
     cached_pgm,
     dense_input_state,
     dense_rho,
     embed_operator,
+    haar_unitary,
+    maximally_entangled,
+    maximally_entangled_vector,
+    partial_trace,
+    partial_trace_first,
+    permutation_operator,
     port_state_vector,
     reorder_factors,
     steered_states,
@@ -281,21 +281,23 @@ class TestDiscriminationStates:
                 )
 
     def test_size_cap(self):
-        # 10 x 8 x C(30, 15) bytes of sector data, over the default 1 GiB
-        message = r"^the oracle at d=2, N=14 needs an estimated 1\.24e\+10 bytes, over the "
+        # 12 x 8 x C(30, 15) / 2 bytes of sector data, over the default 1 GiB:
+        # at even N the letter swap pairs every d=2 sector with another
+        message = r"^the oracle at d=2, N=14 needs an estimated 7\.45e\+9 bytes, over the "
         message += r"budget of 1073741824 bytes \(set PBT_ORACLE_BYTES to raise it\)$"
         with pytest.raises(SizeCapError, match=message):
             build_rho(2, 14, 1)
 
     def test_default_budget_admits_the_desk_grid(self, monkeypatch):
-        # every d^(N+1) <= 4096, steered up to N = 6, and d=2 up to N = 12
-        # (steered N = 8) fits the default 1 GiB
+        # every d^(N+1) <= 4096, steered up to N = 6, d=2 up to N = 12
+        # (steered N = 8) and d=3 up to N = 8 fit the default 1 GiB
         monkeypatch.delenv("PBT_ORACLE_BYTES", raising=False)
         for d in range(2, 65):
             for N in itertools.takewhile(lambda N: d ** (N + 1) <= 4096, itertools.count(1)):
                 oracle_mod.check_oracle_size(d, N, steered=N <= 6)
         oracle_mod.check_oracle_size(2, 12)
         oracle_mod.check_oracle_size(2, 8, steered=True)
+        oracle_mod.check_oracle_size(3, 8)
 
     def test_cap_env_override(self, monkeypatch):
         estimate = oracle_mod.check_oracle_size(2, 3)
@@ -475,6 +477,16 @@ def per_element_pgm(ensemble):
     ]
 
 
+def assert_held_blocks_equal(op, reference):
+    """The oracle computes an operator's representative blocks and gathers
+    the others from them: the representatives equal ``reference`` bit for
+    bit, the other blocks to rounding, as the reference sums their entries
+    in another order."""
+    positions = oracle_mod._measured(op)[0]._positions
+    assert np.array_equal(op.matrix.take(positions), reference.take(positions))
+    assert np.max(np.abs(op.matrix - reference)) <= 1e-14
+
+
 def is_exact_orbit(operators):
     """Whether the operators are an exact port orbit: every swap defect of
     ``_swap_defects`` zero (a NaN defect is not)."""
@@ -522,7 +534,7 @@ class TestOrbitConstruction:
         povm = pretty_good_measurement(ens)
         assert not is_exact_orbit(povm)
         for e, reference in zip(povm, per_element_pgm(ens)):
-            assert np.array_equal(e.matrix, reference)
+            assert_held_blocks_equal(e, reference)
         counts, lapack = count_eigensolves(monkeypatch)
         ps = success_probability(ens, povm)
         assert -1e-10 <= ps <= 1 + 1e-10
@@ -541,14 +553,14 @@ class TestOrbitConstruction:
         assert not is_exact_orbit(perturbed.states)
         povm = pretty_good_measurement(perturbed)
         for e, reference in zip(povm, per_element_pgm(perturbed)):
-            assert np.array_equal(e.matrix, reference)
+            assert_held_blocks_equal(e, reference)
         unperturbed = success_probability(ens, list(cached_pgm(d, N)))
         assert success_probability(perturbed, povm) < unperturbed
         c = random_valid_coefficients(d, N, np.random.default_rng(83))
         etas = oracle_mod._steered_states(d, N, c, perturbed)
         lifted = np.kron(build_port_operator(d, N, c).matrix, np.eye(d))
         for eta, rho in zip(etas, states):
-            assert np.array_equal(eta.matrix, oracle_mod.hermitize(lifted @ rho.matrix @ lifted))
+            assert_held_blocks_equal(eta, oracle_mod.hermitize(lifted @ rho.matrix @ lifted))
 
     @pytest.mark.parametrize(
         "ports, symmetric",
@@ -856,16 +868,20 @@ class TestWeightSectors:
         assert empty[0].size == 0 and empty[1].size == 0
 
     def test_sizes_at_d2_n8(self):
+        # the letter swap pairs sector k with sector 9 - k: 5 held blocks
         sectors = oracle_mod._Sectors.weights((2,) * 9)
         assert sectors.sizes == [math.comb(9, k) for k in range(10)]
-        assert sectors.size == 48620
+        assert [sectors.sizes[k] for k in sectors.held] == [math.comb(9, k) for k in range(5)]
+        assert sectors.multiplicity == [2] * 5
+        assert sectors.size == 48620 // 2 and sectors.plain.size == 48620
 
     def test_data_round_trip_and_gathers(self):
         d, N = 2, 4
         rho = build_rho(d, N, 2).matrix
         sectors = oracle_mod._Sectors.weights((d,) * (N + 1))
-        data = sectors.measure(rho)
-        assert data.size == sectors.size and np.array_equal(sectors.matrix(data), rho)
+        layout, data = sectors.measure(rho)
+        assert layout is sectors and data.size == sectors.size
+        assert np.array_equal(sectors.matrix(data), rho)
         for g in oracle_mod._port_swaps(d, N):
             image = sectors.matrix(sectors.gather(data, g))
             assert np.array_equal(image, rho[g][:, g])
@@ -945,6 +961,145 @@ class TestWeightSectors:
         povm[2] = with_entry(povm[2], math.nan, k, j)
         with pytest.raises(ValueError, match="^POVM element 2 has non-finite entries$"):
             success_probability(cached_ensemble(d, N), povm)
+
+
+class TestLetterOrbits:
+    """A permutation of the letters maps each weight sector onto another:
+    covariant operators are held as one representative block per orbit,
+    measured block against gathered block for operators from outside; any
+    other sector-diagonal operator keeps every sector (the plain layout)."""
+
+    @pytest.mark.parametrize("d, N", [(d, N) for d in (1, 2, 3, 4) for N in range(1, 6)])
+    def test_budget_counts_the_representatives_exactly(self, d, N):
+        sectors = oracle_mod._Sectors.weights((d,) * (N + 1))
+        estimate = oracle_mod.check_oracle_size(d, N)
+        assert estimate == oracle_mod.BASE_BYTES + oracle_mod.LIVE_MEMBERS * 8 * sectors.size
+        # the stand-ins are lower bounds
+        assert oracle_mod._orbit_entries(d, N, 0) <= sectors.size
+        assert sum(m * sectors.sizes[k] ** 2 for k, m in zip(sectors.held, sectors.multiplicity)) == (
+            sectors.plain.size
+        )
+
+    def test_orbit_members_are_letter_images(self):
+        d, N = 3, 2
+        sectors = oracle_mod._Sectors.weights((d,) * (N + 1))
+        digits = np.array(np.unravel_index(np.arange(d ** (N + 1)), (d,) * (N + 1))).T
+        for k, sector in enumerate(sectors.index):
+            source = sectors._source[sector]
+            assert np.array_equal(np.sort(source), sectors.index[sectors._rep[k]])
+            # one letter permutation takes every string of the sector to its source
+            letters = dict(zip(digits[sector].ravel(), digits[source].ravel()))
+            assert len(set(letters.values())) == len(letters)
+            assert np.array_equal(np.vectorize(letters.get)(digits[sector]), digits[source])
+        assert [sectors.sizes[k] for k in sectors.held] == sorted(sectors.sizes[k] for k in sectors.held)
+
+    def test_outside_operators_are_measured(self):
+        d, N = 2, 3
+        rho = build_rho(d, N, 2)
+        covariant = DenseOperator(rho.matrix, rho.factor_dims)
+        layout = oracle_mod._measured(covariant)[0]
+        assert layout == oracle_mod._measured(rho)[0] and layout.multiplicity == [2, 2, 1]
+        # |0000><0000| is the letter swap's image of no entry it holds
+        off = DenseOperator(rho.matrix + np.diag(np.eye(rho.dim)[0]), rho.factor_dims)
+        layout = oracle_mod._measured(off)[0]
+        assert layout.blocked and layout.multiplicity == [1] * len(layout.sizes)
+        assert np.array_equal(off.matrix, rho.matrix + np.diag(np.eye(rho.dim)[0]))
+
+    def test_negative_eigenvalue_in_a_member_block_rejected(self):
+        # rho_2 with -eps on a kernel diagonal entry of the sector that is
+        # not its orbit's representative: the two member blocks differ, and
+        # only the one outside the representatives is indefinite
+        d, N, eps = 2, 3, 1e-3
+        states = list(cached_ensemble(d, N).states)
+        orbits = oracle_mod._Sectors.weights((d,) * (N + 1))
+        m = states[1].matrix.copy()
+        member = next(k for k in range(len(orbits.sizes)) if orbits._rep[k] != k)
+        x = next(x for x in orbits.index[member] if not m[x].any())
+        m[x, x] = -eps
+        states[1] = DenseOperator(m, states[1].factor_dims)
+        layout = oracle_mod._measured(states[1])[0]
+        assert layout.blocked and layout is not orbits and len(layout.held) == len(layout.sizes)
+        assert oracle_mod._lowest(orbits, m.take(orbits._positions)) >= 0
+        low = np.linalg.eigvalsh(m).min()
+        assert low == pytest.approx(-eps, abs=1e-15)
+        with pytest.raises(ValueError, match=rf"^state 1 not PSD \(min eig {low:.3e}\)$"):
+            Ensemble(states, [1 / N] * N)
+        with pytest.raises(ValueError, match=rf"^element 0 not PSD \(min eig {low:.3e}\)$"):
+            oracle_mod._check_psd([states[1]], 1e-12, "element")
+
+    def test_non_covariant_ensemble_equals_one_sector(self, monkeypatch):
+        # each rho_i mixed with |0..0><0..0|, which no letter permutation
+        # keeps: sector-diagonal, not covariant, not a port orbit
+        d, N = 2, 3
+
+        def evaluate():
+            corner = np.diag(np.eye(d ** (N + 1))[0])
+            states = [
+                DenseOperator(0.9 * build_rho(d, N, i).matrix + 0.1 * corner, (d,) * (N + 1))
+                for i in range(1, N + 1)
+            ]
+            ens = Ensemble(states, [0.5, 0.3, 0.2])
+            povm = pretty_good_measurement(ens)
+            k = sum(p * st.matrix @ e.matrix for p, st, e in zip(ens.probs, states, povm))
+            K = DenseOperator((k + k.T) / 2, states[0].factor_dims)
+            report = certify_optimality(ens, povm, K)
+            layouts = [oracle_mod._measured(op)[0] for op in (*states, *povm, K)]
+            values = [success_probability(ens, povm), report.success_probability,
+                      report.feasibility, report.swap_defect, report.dual_value, report.gap]
+            return values, layouts
+
+        blocked, layouts = evaluate()
+        assert all(x.blocked and len(x.held) == len(x.sizes) for x in layouts)
+        dense_only(monkeypatch)
+        dense, layouts = evaluate()
+        assert not any(x.blocked for x in layouts)
+        assert np.max(np.abs(np.subtract(blocked, dense))) <= 1e-12
+
+    @pytest.mark.parametrize("dn", ORACLE_GRID)
+    def test_repeated_spectra_equal_the_plain_sectors(self, dn):
+        d, N = dn
+        ens = cached_ensemble(d, N)
+        c = random_valid_coefficients(d, N, np.random.default_rng(97))
+        operators = [
+            average_state(ens), cached_pgm(d, N)[0], cached_certificate_x(d, N),
+            certificate_Y(d, N, c), eta_ensemble(d, N, c).states[0],
+        ]
+        for op in operators:
+            sectors, data = oracle_mod._measured(op)
+            assert sectors is sectors.covariant and sectors.blocked
+            plain = np.concatenate(oracle_mod._eigensolve(sectors.plain, sectors.unfold(data)))
+            repeated = oracle_mod.eigenvalues(op)
+            assert repeated.size == op.dim
+            assert np.max(np.abs(np.sort(repeated) - np.sort(plain))) <= 1e-12
+
+    @pytest.mark.parametrize("dn", ORACLE_GRID)
+    def test_input_state_is_letter_invariant(self, dn):
+        d, N = dn
+        c = random_valid_coefficients(d, N, np.random.default_rng(101))
+        for coefficients in (None, c):
+            entries = oracle_mod._input_state(d, N, coefficients)
+            assert oracle_mod._letter_invariant(d, N + 1, entries)
+            rows, columns, values = entries
+            # one entry moved to a row no letter permutation maps it to
+            moved = rows.copy()
+            moved[0] = (moved[0] + 1) % d ** (N + 1)
+            assert not oracle_mod._letter_invariant(d, N + 1, (moved, columns, values))
+
+    def test_many_sectors_validate_in_one_call_per_size(self, monkeypatch):
+        # (16, 2): 1936 weight sectors in 3 letter orbits
+        d, N = 16, 2
+        povm = pretty_good_measurement(pbt_ensemble(d, N))
+        sectors = oracle_mod._measured(povm.first)[0]
+        assert len(sectors.sizes) == 1936 and sectors.multiplicity == [240, 1680, 16]
+        counts, lapack = count_eigensolves(monkeypatch)
+        direct = teleportation_fidelity_direct(d, N, povm)
+        assert direct == pytest.approx(fidelity_standard(d, N).fidelity, abs=1e-12)
+        assert counts == {"eigvalsh": 1} and len(lapack) == len({sectors.sizes[k] for k in sectors.held})
+        # the plain layout stacks its equal sizes: one call per size too
+        plain = sectors.plain
+        lapack.clear()
+        oracle_mod._lowest(plain, sectors.unfold(sectors.matrix(povm.first._data).take(plain._positions)))
+        assert len(lapack) == len(set(plain.sizes)) < len(plain.sizes)
 
 
 class TestYoungProjectors:
@@ -1048,10 +1203,13 @@ class TestSlotGather:
             assert np.array_equal(young_projector(mu, d).matrix, expected)
 
     def test_projectors_build_no_permutation_matrix(self, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("permutation_operator called")
+        # the permutation matrices are a test reference, outside the package
+        assert not hasattr(oracle_mod, "permutation_operator")
 
-        monkeypatch.setattr(oracle_mod, "permutation_operator", forbidden)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("identity matrix built")
+
+        monkeypatch.setattr(np, "eye", forbidden)
         for mu in enumerate_partitions(4, 3):
             young_projector(mu, 3)
         build_port_operator(2, 4, PortCoefficients.uniform(2, 4))
@@ -1285,7 +1443,7 @@ class TestCertificates:
         # both points have odd and even multiplicities
         op = average_state(cached_ensemble(d, N))
         blocks = block_spectrum(d, N, "avg")
-        eigvals = np.sort(np.concatenate(oracle_mod._eigensolve(*oracle_mod._measured(op))))
+        eigvals = np.sort(oracle_mod.eigenvalues(op))
         top = eigvals[eigvals.size - sum(b.multiplicity for b in blocks) :]
         # the spectrum is sorted where it is matched
         per_block, _ = oracle_mod.block_spectrum_match(eigvals[::-1], blocks)
@@ -1516,9 +1674,9 @@ class TestCertifyOptimality:
         ens = cached_ensemble(d, N)
         povm = list(cached_pgm(d, N))
         X = cached_certificate_x(d, N)
-        achieved = success_probability(ens, povm)
-        # the POVM validation inside success_probability is not feasibility
-        monkeypatch.setattr(oracle_mod, "success_probability", lambda *args: achieved)
+        success_probability(ens, povm)  # the average's decomposition, cached
+        # the POVM validation inside the success probability is not feasibility
+        monkeypatch.setattr(oracle_mod, "_check_psd", lambda *args: None)
         counts, lapack = count_eigensolves(monkeypatch)
         report = certify_optimality(
             ens, povm, DenseOperator(X.matrix / N, X.factor_dims)
@@ -1750,31 +1908,32 @@ class TestVerificationBundle:
     def test_standard_decomposes_each_operator_once(self, monkeypatch):
         d, N = 2, 4
         built = Counter()
-        real_rho, real_success = oracle_mod.build_rho, oracle_mod.success_probability
+        real_rho, real_pass = oracle_mod.build_rho, oracle_mod._discrimination
         real_defects = oracle_mod._swap_defects
 
         def counted_rho(*args):
             built["rho"] += 1
             return real_rho(*args)
 
-        def counted_success(*args):
-            built["success_probability"] += 1
-            return real_success(*args)
+        def counted_pass(*args):
+            built["discrimination"] += 1
+            return real_pass(*args)
 
         def counted_defects(*args):
             built["swap_defects"] += 1
             return real_defects(*args)
 
         monkeypatch.setattr(oracle_mod, "build_rho", counted_rho)
-        monkeypatch.setattr(oracle_mod, "success_probability", counted_success)
+        monkeypatch.setattr(oracle_mod, "_discrimination", counted_pass)
         monkeypatch.setattr(oracle_mod, "_swap_defects", counted_defects)
         counts, lapack = count_eigensolves(monkeypatch, hermiticity=True)
         checks = run_verification(d, N, "standard")
         assert all(c.passed for c in checks)
         # rho_1 is built, rho_2..rho_N are its gathered images; the states
         # and the POVM are port orbits by construction, so the swap defects
-        # are measured once, for the feasibility bound
-        assert built == {"rho": 1, "success_probability": 1, "swap_defects": 1}
+        # are measured once, for the feasibility bound, in the one pass over
+        # the states that also takes the success probability
+        assert built == {"rho": 1, "discrimination": 1, "swap_defects": 1}
         # one eigh of the average state, whose eigenvalues are its spectrum
         # check; eigvalsh: port 1 of the states and of the POVM (exact orbits,
         # validated by port 1), the certificate's spectrum, one feasibility
@@ -1826,15 +1985,14 @@ class TestVerificationBundle:
 
         assert all(c.passed for c in run_verification(2, 8, "standard"))
         # the normalised average, the stabilizer of rho_1 (in the PGM), the
-        # certificate's terms, rho_k and E_k for the success probability,
-        # rho_k and the images of K - p rho_1 for the feasibility bound; the
-        # states are validated at port 1
+        # certificate's terms, and in one pass rho_k, E_k and the images of
+        # K - p rho_1, for the success probability and the feasibility bound;
+        # the states are validated at port 1
         assert per_consumer() == {
             "average_state": 7,
             "pretty_good_measurement": 2,
             "certificate": 7,
-            "success_probability": 14,
-            "certify_optimality": 14,
+            "certify_optimality": 21,
         }
         gathers.clear()
         ens = oracle_mod.pbt_ensemble(2, 8)

@@ -352,7 +352,7 @@ class TestCharacters:
         permutation matrix on (C^d)^n, i.e. d^(number of cycles)."""
         from itertools import permutations
 
-        from pbtfid import permutation_operator
+        from conftest import permutation_operator
 
         for perm in permutations(range(n)):
             lam = permutation_cycle_type(perm)
