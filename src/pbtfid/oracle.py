@@ -7,37 +7,40 @@ entry point estimates its peak memory before it allocates and stops above
 the byte budget PBT_ORACLE_BYTES (``check_oracle_size``): this module certifies.
 
 Every construction here is real symmetric; ``DenseOperator`` also holds
-complex matrices. Hermiticity is measured where it can fail: in
-``certificate`` before symmetrising, and in input states, measurements and
-dual candidates, non-finite entries rejected, when validated.
+complex matrices, such as a state conjugated by a Haar unitary. Hermiticity
+is measured where it can fail: ``certificate`` measures sum_i sigma_i E_i
+before symmetrising it, and input states, measurements and dual candidates
+are measured, non-finite entries rejected, when validated.
 
 The states rho_i, the square-root measurement E_i, the steered states eta_i
 and the terms sigma_i E_i are port orbits, the images of their port-1
 members under the swap Pi_i of ports 1 and i. A ``_PortOrbit`` holds M_1 and
-the port-swap gathers; a consumer gathers member k when it reads it. Exact
-by construction, an orbit is validated at port 1 alone, any other sequence
-element by element. E_i is an orbit only for equal probabilities and a rho_1
-equal to its image under every permutation of ports 2..N.
+the port-swap gathers; a consumer gathers member k when it reads it and
+drops it before reading the next. Exact by construction, an orbit is
+validated at port 1 alone; any other sequence element by element. E_i is an
+orbit only for equal probabilities and a rho_1 equal to its image under
+every permutation of ports 2..N (``Ensemble._symmetric_orbit``).
 
 The dual candidate K = sum_i p_i sigma_i E_i comes from the measurement
-under test, so tr K is the achieved success probability and the gap is zero
-by construction. The checks are K's spectrum against the closed-form block
-values and feasibility (K >= p_i sigma_i): one eigensolve of K - p_1 sigma_1,
-lowered by the measured swap defects of the other constraints.
+under test (E of the unsteered rho_i, sigma_i = rho_i or eta_i), so tr K is
+the achieved success probability and the gap is zero by construction; the
+checks are feasibility (K >= p_i sigma_i) and K's spectrum against the
+closed-form block values. Feasibility is one eigensolve, of K - p_1 sigma_1,
+lowered by the measured defects of the other constraints against its
+transposed images (``_swap_defects``).
 
-Every operator here commutes with U^(xN) x conj(U). For diagonal U it is
-zero between indices of different weight n_k(a) - [b = k], the digit counts
-of (a_1..a_N, b); for U a letter permutation, each weight sector's block is
-a gather of its image's (``_Sectors``). The oracle's operators are held as
-one block per orbit of sectors; one from outside is measured entry by entry
-and held so when covariant, as every block when only zero off the sectors,
-else as one block. rho_i, O x 1_B and the channel's input state are built
-from their nonzero entries, and no full matrix is filled unless ``matrix``
-is read. ``verify --d 2 --N 8`` decomposes 5 blocks 5 times.
+Every operator here is held as one block per letter-permutation orbit of
+the weight sectors of (C^d)^(N+1) (``pbtfid.sectors``), and eigensolves,
+products, gathers and symmetrisations run block by block; an operator from
+outside is measured entry by entry for that layout. rho_i and O x 1_B are
+built from their nonzero entries, and the channel's input state psi from
+its nonzero entries too, its letter invariance measured. No full matrix is
+filled unless ``matrix`` is read. ``verify --d 2 --N 8`` takes 5
+decompositions, each of 5 blocks, the largest 126.
 
 Tensor-factor convention: the N port slots A_1..A_N come first and the single
-B slot is last, with row-major index fusion (np.kron order). Port
-permutations are index gathers (``slot_gather``).
+B slot is last, with row-major index fusion (np.kron order). Permutations act
+on the A slots only, each as one index gather from ``slot_gather``.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -61,11 +64,19 @@ from .partitions import (
     specht_dim,
     weyl_dim,
 )
+from .sectors import (
+    DenseOperator,
+    _letter_invariant,
+    _measured,
+    _orbit_entries,
+    _Sectors,
+    _unique_inverse,
+)
 
 ORACLE_BYTES_ENV = "PBT_ORACLE_BYTES"
 DEFAULT_ORACLE_BYTES = 2**30
 BASE_BYTES = 2**23  # small arrays, LAPACK workspace and Python objects
-LIVE_MEMBERS = 12  # data arrays at the peak: 9.3-11.0 at d=2 N=10..12, d=3 N=7..8
+LIVE_MEMBERS = 12  # sector-data arrays at a run's peak: 9.3-11.0 at d=2 N=10..12, d=3 N=7..8
 PORT_COPIES = 2  # d^N x d^N arrays while O is summed: 1.4 at d=4 N=5
 
 HERMITICITY_TOL = 1e-10
@@ -75,11 +86,14 @@ CERTIFY_TOL = 1e-8  # on the feasibility bound and on the duality gap
 
 
 def check_oracle_size(d: int, N: int, steered: bool = False, entries: int | None = None) -> int:
-    """The estimated peak bytes of an oracle run at (d, N), before anything
-    is allocated; SizeCapError over the PBT_ORACLE_BYTES budget. Fitted to
-    ru_maxrss growth: BASE_BYTES, LIVE_MEMBERS float64 arrays of ``entries``
-    (``_orbit_entries`` by default), and when steered the projector table (16
-    bytes for each of N! d^N entries) and PORT_COPIES d^N x d^N arrays of O.
+    """The estimated peak memory in bytes of an oracle run at (d, N), taken
+    before anything is allocated; SizeCapError over the PBT_ORACLE_BYTES budget.
+
+    Its terms are fitted to the ru_maxrss growth of verify runs: BASE_BYTES
+    and LIVE_MEMBERS float64 arrays of ``entries``, one operator's data in its
+    blocks, by default one block per letter orbit of the weight sectors
+    (``_orbit_entries``). A steered run adds the projector table (16 bytes for
+    each of N! d^N entries) and PORT_COPIES d^N x d^N arrays of O.
     """
     budget = env_positive_int(ORACLE_BYTES_ENV, DEFAULT_ORACLE_BYTES)
     if entries is None:
@@ -95,330 +109,26 @@ def check_oracle_size(d: int, N: int, steered: bool = False, entries: int | None
     return estimate
 
 
-def _orbit_entries(d: int, N: int, cap: int) -> int:
-    """sum of |sector|^2 over the letter orbits of the weight sectors of
-    (C^d)^(N+1) (``_Sectors.weights``); over ``cap``, a lower bound of it.
-    A weight w = n(a) - e_b, of sum N - 1, has at most one entry -1, its
-    multiset is its orbit, and its sector sum_b N!/prod_k (w + e_b)_k!
-    strings. An orbit has at most d! sectors: d^(N+1) and the pairs of
-    strings with equal letter counts (the constant term of G(z)G(1/z),
-    G = (sum_k z_k)^(N+1)), over d!, bound the sum below.
-    """
-    n, orbit = N + 1, math.factorial(d)
-    bound = d**n // orbit
-    if bound <= cap:
-        pairs = [1] + [0] * n  # over no letters; a letter fills j places of each
-        for _ in range(d):
-            pairs = [sum(math.comb(m, j) ** 2 * pairs[m - j] for j in range(m + 1))
-                     for m in range(n + 1)]
-        bound = pairs[n] // orbit
-    if bound > cap:
-        return bound
-    strings, total = math.factorial(N), 0
-    for parts in _partitions(N - 1, d, N - 1):  # no entry -1: sum over b
-        fill = math.prod(map(math.factorial, parts))
-        total += sum(strings // (fill * (v + 1)) for v in parts + (0,) * (d - len(parts))) ** 2
-    for parts in _partitions(N, d - 1, N):  # one entry -1, at b
-        total += (strings // math.prod(map(math.factorial, parts))) ** 2
-    return total
-
-
-def _partitions(m: int, parts: int, top: int) -> Iterator[tuple[int, ...]]:
-    """The partitions of m into at most ``parts`` parts of at most ``top``."""
-    if m == 0:
-        yield ()
-    elif parts:
-        for first in range(min(m, top), 0, -1):
-            for rest in _partitions(m - first, parts - 1, first):
-                yield (first, *rest)
-
-
 # ---------------------------------------------------------------------------
-# Dense operators, tensor bookkeeping and weight sectors
+# Tensor bookkeeping and block-by-block operations
 # ---------------------------------------------------------------------------
-
-
-class DenseOperator:
-    """A real or complex square matrix on tensor slots of sizes
-    ``factor_dims``; integer or bool input becomes float64. Construction
-    checks the shape only, and the blocks (``_Sectors``) are measured on
-    first use (``_measured``). The oracle's own constructions are built block
-    by block; their ``matrix`` is filled, read-only, when first asked for.
-    """
-
-    def __init__(self, matrix, factor_dims):
-        matrix = np.asarray(matrix)
-        self._matrix = matrix.astype(np.result_type(matrix.dtype, np.float64), copy=False)
-        self.factor_dims = tuple(int(x) for x in factor_dims)
-        dim = math.prod(self.factor_dims)
-        if self._matrix.shape != (dim, dim):
-            raise ValueError(
-                f"matrix shape {self._matrix.shape} does not match factor "
-                f"dims {self.factor_dims}"
-            )
-        self._sectors: _Sectors | None = None
-        self._data: np.ndarray | None = None
-
-    @classmethod
-    def _in_sectors(cls, sectors: _Sectors, data: np.ndarray) -> DenseOperator:
-        """The operator zero off ``sectors`` with the given block data."""
-        op = cls.__new__(cls)
-        op._matrix, op.factor_dims, op._sectors, op._data = None, sectors.dims, sectors, data
-        return op
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = self._sectors.matrix(self._data)
-            self._matrix.flags.writeable = False
-        return self._matrix
-
-    @property
-    def dim(self) -> int:
-        return math.prod(self.factor_dims)
-
-    def trace(self) -> float:
-        if self._data is None:
-            return float(np.trace(self._matrix).real)
-        return float(self._sectors.trace(self._data).real)
 
 
 def hermiticity_defect(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix - matrix.conj().swapaxes(-1, -2)))) if matrix.size else 0.0
 
 
-def hermitize(matrix: np.ndarray) -> np.ndarray:
-    """(M + M^dagger)/2, exactly hermitian in floating point: entry (k, j)
-    is the conjugate of entry (j, k) because both round the same sums."""
-    return (matrix + matrix.conj().T) / 2.0
-
-
 def slot_gather(dims: tuple[int, ...], order) -> np.ndarray:
     """Flat index map of a tensor-slot permutation on slots of sizes ``dims``:
     ``v[slot_gather(dims, order)]`` is ``v`` with new slot j holding old slot
-    ``order[j]``, and ``M[g][:, g]`` reorders both sides of a matrix."""
+    ``order[j]``, and ``M[g][:, g]`` reorders both sides of a matrix.
+    Every slot rearrangement in this module is such a gather."""
     return np.arange(math.prod(dims)).reshape(dims).transpose(order).ravel()
 
 
-def _unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(keys, axis=0, return_inverse=True)`` for integer keys (an
-    entry of a vector or a row of a matrix) by one stable lexicographic sort,
-    as ``np.unique`` imports ``numpy.ma`` on its first call."""
-    rows = keys.reshape(len(keys), math.prod(keys.shape[1:]))
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    new = np.ones(len(keys), dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(len(keys), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return keys[order[new]], inverse
-
-
-class _Sectors:
-    """A partition of the basis indices into sectors, and the matrices zero
-    off them, held as the diagonal blocks of one representative per orbit.
-
-    Sectors are ascending, so a block's lower triangle is the matrix's own
-    (``eigvalsh`` reads it). Index x of a sector is the image of
-    ``_source[x]`` in its representative under a letter permutation: a
-    covariant block is its representative's gathered at
-    ``_local[_source[sector]]``. The data is the ``held`` blocks raveled, by
-    size (``batches`` stacks equal sizes). Elementwise arithmetic, extrema
-    and comparisons read the same on it as on the full matrix; traces and
-    inner products weight a block by its ``multiplicity``, and a spectrum
-    repeats it. ``weights(dims)`` has one representative per letter orbit,
-    ``plain`` each sector its own, ``dense(dims)`` one sector of every index.
-    """
-
-    def __init__(self, dims: tuple[int, ...], labels: np.ndarray, source: np.ndarray | None = None):
-        self.dims = dims
-        self.dim = labels.size
-        self.sizes = np.bincount(labels).tolist()
-        self.index = np.split(np.argsort(labels, kind="stable"), np.cumsum(self.sizes)[:-1])
-        self._labels = labels
-        self._local = np.empty(self.dim, dtype=np.intp)  # position within the sector
-        for sector in self.index:
-            self._local[sector] = np.arange(sector.size)
-        self._source = np.arange(self.dim) if source is None else source
-        self._rep = labels[self._source[[sector[0] for sector in self.index]]]
-        self.held = sorted(set(self._rep.tolist()), key=lambda k: (self.sizes[k], k))
-        self.multiplicity = np.bincount(self._rep)[self.held].tolist()
-        self._block = np.full(len(self.sizes), -1)  # position in ``held``, -1 elsewhere
-        self._block[self.held] = range(len(self.held))
-        held_sizes = [self.sizes[k] for k in self.held]
-        self.size = sum(n * n for n in held_sizes)  # entries in the data
-        starts = itertools.accumulate([0] + held_sizes)
-        data_starts = itertools.accumulate([0] + [n * n for n in held_sizes])
-        # (row start, data start, size) of each held block, and of each
-        # run of equal sizes (data start, count, size)
-        self._spans = list(zip(starts, data_starts, held_sizes))
-        self._batches = [(next(run)[1], 1 + sum(1 for _ in run), n)
-                         for n, run in itertools.groupby(self._spans, key=lambda span: span[2])]
-        self._rows = np.concatenate([self.index[k] for k in self.held])
-        self._row_labels = labels[self._rows]
-        self.covariant = self  # the layout with one representative per orbit
-
-    @classmethod
-    def weights(cls, dims: tuple[int, ...]) -> _Sectors | None:
-        """The weight sectors of (C^d)^(N+1), ports then B, or None for other
-        ``dims``: index (a_1..a_N, b) has weight n_k(a) - [b = k], n_k(a) the
-        ports in state k, which diagonal U^(xN) x conj(U) multiplies by
-        prod_k u_k^weight_k. A letter permutation permutes the weight; an
-        orbit's first sector represents it, reached by the permutation sorting
-        both weights alike. Digit counts, not representation-theory data."""
-        n = len(dims)
-        if n < 2 or dims != (dims[0],) * n:
-            return None
-        d = dims[0]
-        digits = np.arange(d**n)[:, None] // d ** np.arange(n - 1, -1, -1) % d
-        levels = np.arange(d)
-        weight = (digits[:, :-1, None] == levels).sum(axis=1) - (digits[:, -1:] == levels)
-        keys, labels = _unique_inverse(weight)
-        orbit = _unique_inverse(np.sort(keys, axis=1))[1]
-        by_orbit = np.argsort(orbit, kind="stable")
-        rep = by_orbit[np.searchsorted(orbit[by_orbit], orbit)]
-        ranks = np.argsort(keys, axis=1, kind="stable")
-        letters = np.empty_like(ranks)  # letter ranks[s, i] of sector s -> ranks[rep, i]
-        np.put_along_axis(letters, ranks, ranks[rep], axis=1)
-        moved = np.take_along_axis(letters[labels], digits, axis=1)
-        return cls(dims, labels, moved @ d ** np.arange(n - 1, -1, -1))
-
-    @classmethod
-    def dense(cls, dims: tuple[int, ...]) -> _Sectors:
-        return cls(dims, np.zeros(math.prod(dims), dtype=np.intp))
-
-    @cached_property
-    def plain(self) -> _Sectors:
-        """These sectors, each its own representative."""
-        if len(self.held) == len(self.sizes):
-            return self
-        plain = _Sectors(self.dims, self._labels)
-        plain.covariant = self
-        return plain
-
-    @property
-    def blocked(self) -> bool:
-        return len(self.sizes) > 1
-
-    def __eq__(self, other) -> bool:
-        # layouts of one dims differ in sectors or representatives
-        same = isinstance(other, _Sectors) and other.dims == self.dims
-        return same and other.sizes == self.sizes and other.held == self.held
-
-    def blocks(self, data: np.ndarray) -> list[np.ndarray]:
-        """Views of the held blocks in ``data``."""
-        return [data[start : start + n * n].reshape(n, n) for _, start, n in self._spans]
-
-    def batches(self, data: np.ndarray) -> list[np.ndarray]:
-        """Views (k, n, n) of the held blocks in ``data``, stacked by size."""
-        return [data[start : start + k * n * n].reshape(k, n, n) for start, k, n in self._batches]
-
-    @cached_property
-    def _positions(self) -> np.ndarray:
-        """Flat positions in the full matrix of the data entries."""
-        sectors = (self.index[k] for k in self.held)
-        return np.concatenate([(s[:, None] * self.dim + s).ravel() for s in sectors])
-
-    @cached_property
-    def _unfold(self) -> np.ndarray:
-        """Positions in the data of the entries of the plain layout's data."""
-        parts = []
-        for k in self.plain.held:
-            _, start, n = self._spans[self._block[self._rep[k]]]
-            local = self._local[self._source[self.index[k]]]
-            parts.append((start + local[:, None] * n + local).ravel())
-        return np.concatenate(parts)
-
-    def unfold(self, data: np.ndarray) -> np.ndarray:
-        """The data in ``plain``, each orbit member its own block."""
-        return data if self.plain is self else data.take(self._unfold)
-
-    def measure(self, matrix: np.ndarray) -> tuple[_Sectors, np.ndarray] | None:
-        """The layout and data of ``matrix`` when its entries off the sectors
-        are zero, counted entry by entry (a NaN is not zero), else None: one
-        representative per orbit when every block equals its
-        representative's gathered, entry by entry, else the plain layout."""
-        if not self.blocked:
-            return self, matrix.ravel()
-        orbits = self.covariant
-        data = matrix.take(orbits.plain._positions)
-        if np.count_nonzero(data) != np.count_nonzero(matrix):
-            return None
-        if orbits.plain is orbits:
-            return orbits, data
-        reps = matrix.take(orbits._positions)
-        covariant = np.array_equal(reps.take(orbits._unfold), data)
-        return (orbits, reps) if covariant else (orbits.plain, data)
-
-    def matrix(self, data: np.ndarray) -> np.ndarray:
-        """The full matrix with ``data`` as its blocks."""
-        if not self.blocked:
-            return data.reshape(self.dim, self.dim)
-        out = np.zeros((self.dim, self.dim), dtype=data.dtype)
-        out.put(self.plain._positions, self.unfold(data))
-        return out
-
-    def operator(self, data: np.ndarray) -> DenseOperator:
-        return DenseOperator._in_sectors(self, data)
-
-    def gather(self, data: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """The data of ``M[g][:, g]``, M the matrix of ``data`` and g the
-        index gather of a port permutation, which keeps every digit count and
-        commutes with the letter permutations: a gather inside each block."""
-        moved = g[self._rows]
-        if not np.array_equal(self._labels[moved], self._row_labels):
-            raise AssertionError("the gather mixes sectors")
-        local = self._local[moved]
-        out = np.empty_like(data)
-        for src, dst, (start, _, n) in zip(self.blocks(data), self.blocks(out), self._spans):
-            within = local[start : start + n]
-            # in range by construction: "clip" skips the bounds check
-            np.take(src.take(within, axis=0, mode="clip"), within, axis=1, out=dst, mode="clip")
-        return out
-
-    def product(self, *factors: np.ndarray) -> np.ndarray:
-        """The data of the left-to-right product of the factors' matrices."""
-        out = np.empty(self.size, dtype=np.result_type(*factors))
-        for dst, *blocks in zip(self.blocks(out), *map(self.blocks, factors)):
-            dst[...] = reduce(np.matmul, blocks)
-        return out
-
-    def hermitize(self, data: np.ndarray) -> np.ndarray:
-        out = np.empty_like(data)
-        for src, dst in zip(self.blocks(data), self.blocks(out)):
-            dst[...] = hermitize(src)
-        return out
-
-    def trace(self, data: np.ndarray):
-        return sum(m * np.trace(block) for m, block in zip(self.multiplicity, self.blocks(data)))
-
-    def inner(self, a: np.ndarray, b: np.ndarray):
-        """<A, B> = tr(A^dagger B) of the matrices of ``a`` and ``b``."""
-        spans = zip(self.multiplicity, self._spans)
-        return sum(m * np.vdot(a[s : s + n * n], b[s : s + n * n]) for m, (_, s, n) in spans)
-
-    def spectrum(self, eigvals: list[np.ndarray]) -> np.ndarray:
-        """The eigenvalues of a matrix from those of its held blocks."""
-        return np.concatenate([np.tile(w, m) for w, m in zip(eigvals, self.multiplicity)])
-
-
-def _measured(
-    op: DenseOperator, weights: _Sectors | None = None
-) -> tuple[_Sectors, np.ndarray]:
-    """The operator's layout and data, measured on first use
-    (``_Sectors.measure``) in its weight sectors (``weights`` when given for
-    its dims), else dense."""
-    if op._sectors is None:
-        if weights is None or weights.dims != op.factor_dims:
-            weights = _Sectors.weights(op.factor_dims)
-        measured = None if weights is None else weights.measure(op._matrix)
-        op._sectors, op._data = measured or (_Sectors.dense(op.factor_dims), op._matrix.ravel())
-    return op._sectors, op._data
-
-
 def _heads(operators: Sequence[DenseOperator]) -> Sequence[DenseOperator]:
-    """M_1 of a ``_PortOrbit`` (its members share its layout), else every
-    operator."""
+    """M_1 of a ``_PortOrbit`` (its members share its dims and sectors),
+    else every operator."""
     return [operators.first] if isinstance(operators, _PortOrbit) else operators
 
 
@@ -453,7 +163,7 @@ def _common(*groups: Sequence[DenseOperator]) -> tuple[_Sectors, list]:
 
 
 def _zeros(sectors: _Sectors, operators: Sequence[DenseOperator]) -> np.ndarray:
-    """Zero data in ``sectors`` of the operators' sum's dtype."""
+    """Zero data in ``sectors`` of the dtype of sums of the operators."""
     return np.zeros(sectors.size, dtype=np.result_type(*(op._data for op in _heads(operators))))
 
 
@@ -491,7 +201,9 @@ def _port_swaps(d: int, N: int) -> list[np.ndarray]:
 
 def _port_1_stabilizer(d: int, N: int) -> list[np.ndarray]:
     """Index gathers on (C^d)^(N+1) of the swap of ports 2 and 3 and of the
-    cycle of ports 2..N, which generate every permutation of ports 2..N."""
+    cycle of ports 2..N, which together generate every permutation of ports
+    2..N: an operator equal to its gathered images under these equals its
+    image under each such permutation."""
     if N < 3:
         return []
     swap = [0, 2, 1] + list(range(3, N + 1))
@@ -500,10 +212,22 @@ def _port_1_stabilizer(d: int, N: int) -> list[np.ndarray]:
     return [slot_gather((d,) * (N + 1), order) for order in orders]
 
 
+def _port_layout(operators: Sequence[DenseOperator]) -> int | None:
+    """d when the operators are N operators on (C^d)^(N+1), the N port slots
+    and B, so that operator i belongs to port i; None for any other layout."""
+    dims = operators[0].factor_dims if operators else ()
+    ports = dims[:1] * (len(operators) + 1)
+    if dims and all(op.factor_dims == ports for op in _heads(operators)):
+        return dims[0]
+    return None
+
+
 def _swap_defects(sectors: _Sectors, first: np.ndarray, others) -> list[float]:
-    """delta_k = ||Pi_k M_1 Pi_k^T - M_k||_F for ``first`` = M_1 and ``others``
-    = M_2..M_N, data in ``sectors`` of (C^d)^(N+1), each freed before the
-    next is read: lambda_min(M_1) - delta_k bounds lambda_min(M_k) (Weyl)."""
+    """The swap defects delta_k = ||Pi_k M_1 Pi_k^T - M_k||_F of ``first`` =
+    M_1 and ``others`` = M_2..M_N (data in ``sectors`` of dims (d,) * (N + 1),
+    of the dtype of ``first``), each freed before the next is read. By
+    Weyl's inequality lambda_min(M_1) - delta_k bounds lambda_min(M_k), so
+    one eigensolve bounds every M_k, the port symmetry measured."""
     dims = sectors.dims
     swaps = _port_swaps(dims[0], len(dims) - 1)
 
@@ -516,10 +240,13 @@ def _swap_defects(sectors: _Sectors, first: np.ndarray, others) -> list[float]:
 
 
 class _PortOrbit(Sequence):
-    """An exact port orbit: M_1 on (C^d)^(N+1) and its images
-    M_k = Pi_k M_1 Pi_k^T, gathered (``_port_swaps``) each time they are read
-    and kept by nothing. Consumers recognise it by its type and never
-    measure it again; a copy (``list(orbit)``, a slice) is a plain list."""
+    """An exact port orbit: M_1 on (C^d)^(N+1) followed by its images
+    M_k = Pi_k M_1 Pi_k^T under the port-swap gathers (``_port_swaps``).
+
+    It holds M_1 and the gathers: member k is gathered each time it is read,
+    and nothing keeps it. Consumers recognise it by its type and never
+    measure it again. A copy (``list(orbit)``, a slice) is a plain
+    sequence."""
 
     __slots__ = ("first", "gathers")
 
@@ -551,9 +278,14 @@ class _PortOrbit(Sequence):
 def _check_psd(operators: Sequence[DenseOperator], tol: float, name: str) -> None:
     """Raise ValueError unless every operator is finite, hermitian and
     positive semidefinite to within ``tol``, naming the first failing one and
-    its own smallest eigenvalue. A ``_PortOrbit``'s members share M_1's
-    entries and hermiticity defect h_1: they pass when lambda_min(M_1) -
-    dim * h_1 >= -tol (``eigvalsh`` reads one triangle), else are decomposed.
+    its own smallest eigenvalue.
+
+    A ``_PortOrbit`` is checked at M_1: every M_k is a permutation similarity
+    of M_1, with its entries and its hermiticity defect h_1. M_1 takes one
+    eigensolve, and the others are accepted when lambda_min(M_1) - dim * h_1
+    is at least -tol, the last term covering the defect because ``eigvalsh``
+    reads one triangle (of each block, which is the matrix's own). Else each
+    M_k, like every operator of any other sequence, is decomposed itself.
     """
     exact = isinstance(operators, _PortOrbit)
     sectors, (arrays,) = _common(operators)
@@ -581,10 +313,11 @@ def _check_psd(operators: Sequence[DenseOperator], tol: float, name: str) -> Non
 def _from_entries(
     dims: tuple[int, ...], rows: np.ndarray, columns: np.ndarray, values: np.ndarray
 ) -> DenseOperator:
-    """The operator on ``dims`` with the given entries, zero elsewhere: in
-    the weight sectors when each entry lies in one, with one representative
-    per letter orbit when each sector has as many entries as its
-    representative, each equal to the one it is gathered from; else dense."""
+    """The operator on ``dims`` with the given entries, zero elsewhere, in
+    the weight sectors when each entry lies in one, else dense. It holds one
+    block per letter orbit when the entries are covariant, measured on them:
+    each sector has as many entries as its representative, each equal to
+    the entry it is gathered from; else every sector's block."""
     sectors = _Sectors.weights(dims)
     if sectors is None or not np.array_equal(sectors._labels[rows], sectors._labels[columns]):
         sectors = _Sectors.dense(dims)
@@ -649,9 +382,11 @@ class Ensemble:
 
     @cached_property
     def _symmetric_orbit(self) -> bool:
-        """Whether every port permutation permutes the states: a
-        ``_PortOrbit`` with equal probabilities whose rho_1 equals its image
-        under every permutation of ports 2..N entry by entry."""
+        """Whether the ensemble is invariant under every port permutation:
+        its states are a ``_PortOrbit`` with equal probabilities, and
+        rho_1 equals its image under every permutation of the ports 2..N
+        entry by entry (``_port_1_stabilizer``). Then each port permutation
+        permutes the states, and the average commutes with every Pi_k."""
         if not isinstance(self.states, _PortOrbit) or len(set(self.probs)) != 1:
             return False
         sectors, first = _measured(self.states[0])
@@ -672,7 +407,7 @@ def pbt_ensemble(d: int, N: int) -> Ensemble:
 
 
 def average_state(ensemble: Ensemble, normalized: bool = False) -> DenseOperator:
-    """Sum of the states, probability weighted when ``normalized``."""
+    """Sum of the states, probability weighted when ``normalized`` is set."""
     sectors, (arrays,) = _common(ensemble.states)
     total = _zeros(sectors, ensemble.states)
     for p, data in zip(ensemble.probs, arrays):
@@ -687,8 +422,13 @@ def average_state(ensemble: Ensemble, normalized: bool = False) -> DenseOperator
 
 def _pseudo_inv_sqrt(op: DenseOperator) -> tuple[DenseOperator, DenseOperator, np.ndarray]:
     """Pseudo-inverse square root and support projector of a PSD operator,
-    and its eigenvalues; eigenvalues below PSEUDO_INVERSE_RTOL times the
-    largest count as zero."""
+    in its sectors, and its eigenvalues, each block's repeated by its
+    multiplicity.
+
+    Eigenvalues below PSEUDO_INVERSE_RTOL times the largest of all blocks
+    count as zero, restricting everything to the numerically meaningful
+    support.
+    """
     sectors, data = _measured(op)
     pairs = _eigensolve(sectors, data, vectors=True)
     top = max(float(eigvals.max(initial=0.0)) for eigvals, _ in pairs)
@@ -705,10 +445,13 @@ def _pseudo_inv_sqrt(op: DenseOperator) -> tuple[DenseOperator, DenseOperator, n
 
 
 def pretty_good_measurement(ensemble: Ensemble) -> Sequence[DenseOperator]:
-    """Square-root measurement E_i = avg^(-1/2) p_i rho_i avg^(-1/2), a POVM
-    on the support of the average and zero off it. When the port
-    permutations permute the states (``Ensemble._symmetric_orbit``) the
-    average commutes with every Pi_k: the ``_PortOrbit`` of E_1."""
+    """Square-root measurement E_i = avg^(-1/2) p_i rho_i avg^(-1/2).
+
+    The elements form a POVM on the support of the ensemble average; off
+    that support they are zero. An ensemble invariant under every port
+    permutation (``Ensemble._symmetric_orbit``) has an average that commutes
+    with every Pi_k, so E_k = Pi_k E_1 Pi_k^T: the ``_PortOrbit`` of E_1.
+    """
     symmetric = ensemble._symmetric_orbit
     states = ensemble.states[:1] if symmetric else ensemble.states
     sectors, ([inv_sqrt], arrays) = _common([ensemble._average_decomposition[0]], states)
@@ -722,16 +465,18 @@ def pretty_good_measurement(ensemble: Ensemble) -> Sequence[DenseOperator]:
 def _check_factor_dims(
     operators: Sequence[DenseOperator], dims: tuple[int, ...], name: str
 ) -> None:
-    """Raise ValueError naming the first operator not on ``dims``."""
+    """Raise ValueError naming the first operator not acting on ``dims``."""
     for k, op in enumerate(_heads(operators)):
         if op.factor_dims != dims:
             raise ValueError(f"{name} {k} acts on factor dims {op.factor_dims}, not {dims}")
 
 
 def success_probability(ensemble: Ensemble, povm: Sequence[DenseOperator]) -> float:
-    """sum_i p_i tr(rho_i E_i), after validating the POVM: an invalid one, or
-    one incomplete on the support of the average, is rejected with the
-    measured defect."""
+    """sum_i p_i tr(rho_i E_i), after validating the POVM on the support.
+
+    Completeness is required only on the support of the ensemble average: an
+    invalid or incomplete POVM is rejected with the measured defect.
+    """
     return _discrimination(ensemble, povm)[0]
 
 
@@ -790,10 +535,13 @@ def _discrimination(
 
 
 def _permutation_table(d: int, n: int) -> tuple[np.ndarray, list[Partition], np.ndarray]:
-    """For ``young_projector``: the flat positions in a d^n x d^n matrix of
-    R(pi)'s entries (row r at column g_pi[r], g_pi the slot gather), one row
-    per permutation pi of n slots, and the distinct cycle types with each
-    pi's among them."""
+    """Every permutation pi of n slots of size d, for ``young_projector``:
+    the flat positions of the d^n entries of R(pi) in a d^n x d^n matrix
+    (row r of R(pi) has its one entry at column g_pi[r], g_pi the slot gather
+    of pi), one row per pi, with the distinct cycle types and the index of
+    each pi's type among them. The projectors of one (d, n) share it. Its
+    size is factorial in n: the positions are filled row by row in place.
+    """
     check_oracle_size(d, n, steered=True)
     full = d**n
     positions = np.empty((math.factorial(n), full), dtype=np.intp)
@@ -806,10 +554,16 @@ def _permutation_table(d: int, n: int) -> tuple[np.ndarray, list[Partition], np.
 
 
 def young_projector(mu, d: int, table: tuple | None = None) -> DenseOperator:
-    """Projector onto the isotypic component of the slot-permutation action:
-    P_mu = (d_mu / n!) sum_pi chi_mu(pi) R(pi), chi_mu once per cycle type,
-    added at R(pi)'s entries (``table``, ``_permutation_table(d, |mu|)``
-    unless passed); the gather pi gives R(pi^-1), of the same cycle type."""
+    """Projector onto the isotypic component of the slot-permutation action.
+
+    Character averaging: P_mu = (d_mu / n!) sum_pi chi_mu(pi) R(pi), with
+    each chi_mu(pi) added at the positions of R(pi)'s entries
+    (``_permutation_table``), so no permutation matrix is built. chi_mu is
+    evaluated once per cycle type. pi is used as the gather order, which
+    gives R(pi^-1); the sum is the same because pi and pi^-1 share a cycle
+    type. ``table`` is ``_permutation_table(d, |mu|)``, passed by callers
+    that build several projectors of one size; it is built here otherwise.
+    """
     mu = check_partition(mu)
     n = sum(mu)
     if n == 0:
@@ -833,8 +587,9 @@ def young_projector(mu, d: int, table: tuple | None = None) -> DenseOperator:
 
 
 def build_port_operator(d: int, N: int, coefficients: PortCoefficients) -> DenseOperator:
-    """O = sum_mu sqrt(c_mu) P_mu on the N port slots, with one permutation
-    table for all the projectors; coefficients for another (d, N) stop here."""
+    """O = sum_mu sqrt(c_mu) P_mu acting on the N port slots, with one
+    permutation table for all the projectors. Every steered construction
+    passes through here, so coefficients for another (d, N) stop here."""
     if (coefficients.d, coefficients.N) != (d, N):
         raise ValueError(f"coefficients are for (d, N) = ({coefficients.d}, {coefficients.N})")
     table = _permutation_table(d, N)
@@ -855,7 +610,7 @@ def _lifted_port_operator(d: int, N: int, coefficients: PortCoefficients) -> Den
 
 
 def _steer(lifted: DenseOperator, rho: DenseOperator) -> DenseOperator:
-    """(O x 1_B) rho (O x 1_B), in their common layout."""
+    """(O x 1_B) rho (O x 1_B), in the sectors the two share."""
     sectors, ((o, r),) = _common([lifted, rho])
     return sectors.operator(sectors.hermitize(sectors.product(o, r, o)))
 
@@ -863,8 +618,10 @@ def _steer(lifted: DenseOperator, rho: DenseOperator) -> DenseOperator:
 def _steered_states(
     d: int, N: int, coefficients: PortCoefficients, ensemble: Ensemble
 ) -> Sequence[DenseOperator]:
-    """(O x 1_B) rho (O x 1_B) for each state, with O built once. O x 1_B
-    commutes with every port permutation: an orbit steers to an orbit."""
+    """(O x 1_B) rho (O x 1_B) for each state of the ensemble, with O built
+    and measured once. O x 1_B commutes with every port permutation, so
+    when the states are a ``_PortOrbit`` the steered states are the
+    ``_PortOrbit`` of eta_1."""
     lifted = _lifted_port_operator(d, N, coefficients)
     if isinstance(ensemble.states, _PortOrbit):
         return _PortOrbit(_steer(lifted, ensemble.states[0]))
@@ -883,9 +640,12 @@ def eta_ensemble(d: int, N: int, coefficients: PortCoefficients) -> Ensemble:
 
 def certificate(states: Sequence[DenseOperator], povm: Sequence[DenseOperator]) -> DenseOperator:
     """sum_i sigma_i E_i: the dual candidate of the measurement E against the
-    states sigma_i, Hermitised after its defect is checked, n times
-    K = sum_i p_i sigma_i E_i for n states of equal probability. For two
-    ``_PortOrbit``s it is one product and its gathered images."""
+    states sigma_i, Hermitised after its defect is checked. For a uniform
+    ensemble of n states it is n times K = sum_i p_i sigma_i E_i.
+
+    When both are ``_PortOrbit``s, sigma_k E_k = Pi_k sigma_1 E_1 Pi_k^T:
+    one product and its gathered images. Otherwise each term is its own
+    product."""
     if not states or len(states) != len(povm):
         raise ValueError(
             f"need at least one state and one POVM element per state, got "
@@ -910,7 +670,8 @@ def certificate(states: Sequence[DenseOperator], povm: Sequence[DenseOperator]) 
 
 def certificate_X(d: int, N: int) -> DenseOperator:
     """X = sum_i rho_i E_i with E the square-root measurement of the rho_i;
-    X/N is dual feasible, of trace that measurement's success probability."""
+    X/N is dual feasible and its trace over N equals that measurement's
+    success probability."""
     ens = pbt_ensemble(d, N)
     return certificate(ens.states, pretty_good_measurement(ens))
 
@@ -943,11 +704,16 @@ def certify_optimality(
     """Check that K is dual feasible and gap-free for the given measurement.
 
     The ensemble must be N port states on (C^d)^(N+1), state i belonging to
-    port i. Feasibility is the Weyl bound of ``_swap_defects``:
-    lambda_min(K - p_1 sigma_1) - max_i delta_i bounds every
-    lambda_min(K - p_i sigma_i) below, so a K or an ensemble without the port
-    symmetry can only read as less feasible. A failed certificate is a valid
-    negative result; nothing raises unless the inputs are malformed.
+    port i. Feasibility is the Weyl bound of ``_swap_defects`` on the
+    constraints K - p_i sigma_i: lambda_min(K - p_1 sigma_1) - max_i delta_i
+    bounds every lambda_min(K - p_i sigma_i) below, so a K or an ensemble
+    without the port symmetry can only read as less feasible.
+
+    A K built by ``certificate`` from this measurement has no gap by
+    construction; the gap still exposes a K that belongs to another one.
+
+    A failed certificate is a valid negative result; nothing raises unless
+    the inputs are malformed.
     """
     k_sectors, k_data = _measured(K)
     if not np.isfinite(k_data).all():
@@ -955,7 +721,7 @@ def certify_optimality(
     if not _asymmetry(k_sectors, k_data) <= HERMITICITY_TOL:
         raise ValueError("dual candidate K must be hermitian")
     dims, N = ensemble.factor_dims, len(ensemble.states)
-    if not dims or dims != dims[:1] * (N + 1) or K.factor_dims != dims:
+    if _port_layout(ensemble.states) is None or K.factor_dims != dims:
         raise ValueError(
             f"certify_optimality needs N port states on (C^d)^(N+1); got {N} "
             f"states on factor dims {dims} and K on {K.factor_dims}"
@@ -967,12 +733,18 @@ def certify_optimality(
     gap = dual_value - achieved
     certified = feasibility >= -CERTIFY_TOL and abs(gap) <= CERTIFY_TOL
     return CertificateReport(
-        gap, feasibility, swap_defect, achieved, dual_value, certified, CERTIFY_TOL
+        gap=gap,
+        feasibility=feasibility,
+        swap_defect=swap_defect,
+        success_probability=achieved,
+        dual_value=dual_value,
+        certified=certified,
+        tolerance=CERTIFY_TOL,
     )
 
 
 # ---------------------------------------------------------------------------
-# Full channel simulation, spectrum checks and the verification bundle
+# Full channel simulation
 # ---------------------------------------------------------------------------
 
 
@@ -980,8 +752,10 @@ def _input_state(
     d: int, N: int, coefficients: PortCoefficients | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The nonzero entries (rows, columns, values) of the input state
-    |Phi>_{A_0 R} x (O x 1_B) |Phi>^(xN)_{A_i B_i}: ((a_0, a), (r, b)) is
-    [a_0 = r] O_ab / sqrt(d)^(N+1), O the port operator (1 for None)."""
+    |Phi>_{A_0 R} x (O x 1_B) |Phi>^(xN)_{A_i B_i}, rows A_0..A_N and columns
+    R, B_1..B_N: entry ((a_0, a), (r, b)) is [a_0 = r] O_ab / sqrt(d)^(N+1),
+    O the port operator, the identity for None. The pair amplitudes multiply
+    in their kron order."""
     amplitude = 1 / math.sqrt(d)
     pairs = math.prod([amplitude] * N)
     if coefficients is None:
@@ -999,11 +773,13 @@ def _reached_blocks(
     sectors: _Sectors, entries: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """For each held block of ``sectors``, the columns its rows reach,
-    ascending, and the block on those rows and columns of the matrix with
-    the given entries (rows, columns, values), which add, in order."""
+    ascending, and the block on those rows and columns of the matrix, square
+    or not, with the given entries (rows, columns, values); entries at one
+    (row, column) add, in the order given."""
     rows, columns, values = entries
-    # the held sectors' entries by block, each's in order, and the distinct
-    # (block, column) pairs ascending, one run per block
+    # the entries of the held sectors grouped by block, each block's in the
+    # order given, and the distinct (block, column) pairs ascending, one run
+    # per block
     owner = sectors._block[sectors._labels[rows]]
     held = np.flatnonzero(owner >= 0)
     order = held[np.argsort(owner[held], kind="stable")]
@@ -1019,28 +795,6 @@ def _reached_blocks(
         yield reached, block
 
 
-def _letter_invariant(d: int, places: int, entries: tuple[np.ndarray, ...]) -> bool:
-    """Whether entries (rows, columns, values), indices of ``places`` letters
-    in {0..d-1}, are unchanged, entry by entry, when a transposition and a
-    d-cycle, which generate every letter permutation, act on every letter."""
-    rows, columns, values = entries
-
-    def relabel(index, letters):
-        return sum(letters[index // d**k % d] * d**k for k in range(places))
-
-    def ordered(rows, columns):
-        order = np.lexsort((columns, rows))
-        return rows[order], columns[order], values[order]
-
-    reference, swap = ordered(rows, columns), np.arange(d)
-    swap[:2] = swap[1::-1]
-    for letters in (swap, np.roll(np.arange(d), 1)):
-        image = ordered(relabel(rows, letters), relabel(columns, letters))
-        if not all(map(np.array_equal, image, reference)):
-            return False
-    return True
-
-
 def teleportation_fidelity_direct(
     d: int,
     N: int,
@@ -1049,13 +803,19 @@ def teleportation_fidelity_direct(
 ) -> float:
     """Simulate the full teleportation channel and return its entanglement fidelity.
 
-    The input state psi has rows A_0..A_N, read with A_0 last as the POVM's
-    B slot, and columns R, B_1..B_N. Branch i applies E_i to the rows and
-    keeps B_i and R, contracted first with the target |Phi>:
-    F = sum_i tr(w_i^dagger E_i w_i), w_i = (1 x <Phi|_{R B_i}) psi. Each
-    held block of the POVM reaches some columns of w_i (``_reached_blocks``)
-    and counts its multiplicity times when psi is letter-invariant, else
-    every sector is held (``_Sectors.plain``).
+    The input state psi of A_0, R and the port state is a matrix with the
+    protocol slots A_0..A_N as rows and R, B_1..B_N as columns. Branch i
+    applies E_i to the rows and keeps B_i and R as the output pair, whose
+    overlap with the target |Phi> the branches sum. The target is contracted
+    first: F = sum_i tr(w_i^dagger E_i w_i), with w_i = (1 x <Phi|_{R B_i}) psi,
+    whose columns are the other B slots. The POVM is supplied on the
+    discrimination space (ports then B), so psi's rows are read with A_0
+    moved last, as the B slot. Each held block of the POVM (``_common``)
+    reaches a set of columns of w_i (``_reached_blocks``), outside which its
+    rows are zero, and each term is taken one block at a time, counted by
+    the block's multiplicity when psi's entries are measured invariant under
+    the letter permutations (``_letter_invariant``); else every weight sector
+    is held (``_Sectors.plain``). The POVM's blocks size the run.
     """
     if N < 1 or len(povm) != N:
         raise ValueError(f"need N >= 1 and one POVM element per port, got {len(povm)} for N={N}")
@@ -1084,6 +844,11 @@ def teleportation_fidelity_direct(
     return fidelity
 
 
+# ---------------------------------------------------------------------------
+# Spectrum checks
+# ---------------------------------------------------------------------------
+
+
 def eigenvalues(op: DenseOperator) -> np.ndarray:
     """The operator's eigenvalues, block by block."""
     sectors, data = _measured(op)
@@ -1091,10 +856,14 @@ def eigenvalues(op: DenseOperator) -> np.ndarray:
 
 
 def block_spectrum_match(eigvals: np.ndarray, blocks) -> tuple[list[tuple[float, float]], float]:
-    """Assign the top eigenvalues to the blocks in increasing value, as many
-    as each multiplicity: per block, in the given order, the median of its
-    eigenvalues and their largest deviation from its value, and the largest
-    leftover eigenvalue magnitude (0.0 when there are none)."""
+    """Assign a spectrum to the block multiset.
+
+    The top eigenvalues go to the blocks in increasing block value, each block
+    taking as many as its multiplicity. Returns, per block in the given order,
+    the median of its eigenvalues and their largest deviation from the block
+    value, and the largest magnitude among the leftover eigenvalues, which
+    must be numerically zero (0.0 when there are none).
+    """
     eigvals = np.sort(eigvals)
     rank = sum(b.multiplicity for b in blocks)
     if rank > eigvals.size:
@@ -1124,6 +893,11 @@ def match_block_spectrum(op: DenseOperator, blocks) -> float:
     return _deviation(*block_spectrum_match(eigenvalues(op), blocks))
 
 
+# ---------------------------------------------------------------------------
+# Verification bundle (used by the command-line `verify`)
+# ---------------------------------------------------------------------------
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -1138,10 +912,15 @@ def run_verification(
     mode: str = "standard",
     coefficients: PortCoefficients | None = None,
 ) -> list[CheckResult]:
-    """Formula-vs-oracle comparison, spectrum matching, and dual certificates:
-    X/N against the rho ensemble (``standard``), else Y/N against the eta
-    ensemble with the square-root measurement of the *unsteered* states.
-    Each operator is built once."""
+    """Formula-vs-oracle comparison, spectrum matching, and dual certificates.
+
+    For ``standard`` the certificate is X/N against the rho ensemble; for
+    ``given-coefficients`` (or an optimized run, which supplies the optimal
+    coefficients) it is Y/N against the eta ensemble, measured with the
+    square-root measurement of the *unsteered* states. The states, the
+    measurement and the certificate are each built once, and the success
+    probability is the one ``certify_optimality`` measures.
+    """
     check_oracle_size(d, N, steered=mode != "standard")
     checks: list[CheckResult] = []
 

@@ -69,6 +69,7 @@ from conftest import (
 from recorded_values import RECORDED_CHANNEL, RECORDED_VERIFY
 
 import pbtfid.oracle as oracle_mod
+import pbtfid.sectors as sectors_mod
 from pbtfid.fidelity import opt_block_coefficient
 
 SQ3 = math.sqrt(3.0)
@@ -472,7 +473,7 @@ def per_element_pgm(ensemble):
     average, one product per element."""
     inv_sqrt = ensemble._average_decomposition[0].matrix
     return [
-        oracle_mod.hermitize(inv_sqrt @ (p * st.matrix) @ inv_sqrt)
+        sectors_mod.hermitize(inv_sqrt @ (p * st.matrix) @ inv_sqrt)
         for p, st in zip(ensemble.probs, ensemble.states)
     ]
 
@@ -523,7 +524,7 @@ class TestOrbitConstruction:
         assert is_exact_orbit(etas)
         lifted = np.kron(build_port_operator(d, N, c).matrix, np.eye(d))
         for eta, rho in zip(etas, ens.states):
-            reference = oracle_mod.hermitize(lifted @ rho.matrix @ lifted)
+            reference = sectors_mod.hermitize(lifted @ rho.matrix @ lifted)
             assert np.max(np.abs(eta.matrix - reference)) <= 1e-13
 
     def test_unequal_probabilities_take_the_per_element_path(self, monkeypatch):
@@ -560,7 +561,7 @@ class TestOrbitConstruction:
         etas = oracle_mod._steered_states(d, N, c, perturbed)
         lifted = np.kron(build_port_operator(d, N, c).matrix, np.eye(d))
         for eta, rho in zip(etas, states):
-            assert_held_blocks_equal(eta, oracle_mod.hermitize(lifted @ rho.matrix @ lifted))
+            assert_held_blocks_equal(eta, sectors_mod.hermitize(lifted @ rho.matrix @ lifted))
 
     @pytest.mark.parametrize(
         "ports, symmetric",
@@ -606,7 +607,7 @@ class TestOrbitConstruction:
         )
         cert = oracle_mod.certificate(ens.states, povm)
         reference = sum(st.matrix @ e.matrix for st, e in zip(ens.states, povm))
-        assert np.array_equal(cert.matrix, oracle_mod.hermitize(reference))
+        assert np.array_equal(cert.matrix, sectors_mod.hermitize(reference))
 
     def test_exact_orbit_non_hermitian_at_the_psd_edge(self, monkeypatch):
         # rho_1 with -eps at pairs of its upper triangle that the swap of
@@ -1421,7 +1422,7 @@ class TestCertificates:
         povm = pretty_good_measurement(pbt_ensemble(d, N))
         rho_1 = build_rho(d, N, 1)
         cert = oracle_mod.certificate([rho_1] * N, povm)
-        reference = oracle_mod.hermitize(sum(rho_1.matrix @ e.matrix for e in povm))
+        reference = sectors_mod.hermitize(sum(rho_1.matrix @ e.matrix for e in povm))
         assert np.max(np.abs(cert.matrix - reference)) <= 1e-15
         assert cert.trace() == pytest.approx(1.0, abs=1e-12)
 
@@ -2143,18 +2144,21 @@ class TestBuiltFromEntries:
 
 def test_oracle_imports_only_the_pinned_fidelity_names():
     # the oracle is an independent ground truth: it may call the formula side
-    # only to compare with it, never for a shortcut in its own constructions
-    tree = ast.parse(Path(oracle_mod.__file__).read_text())
+    # only to compare with it, never for a shortcut in its own constructions;
+    # its block layouts live in pbtfid.sectors, which imports no pbtfid module
     from_fidelity = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            module = "." * node.level + (node.module or "")
-            if module in (".fidelity", "pbtfid.fidelity"):
-                from_fidelity |= {alias.name for alias in node.names}
-            else:
-                assert "fidelity" not in {alias.name for alias in node.names}, module
-        elif isinstance(node, ast.Import):
-            assert not any(alias.name.startswith("pbtfid") for alias in node.names)
+    for module_file in (oracle_mod.__file__, sectors_mod.__file__):
+        for node in ast.walk(ast.parse(Path(module_file).read_text())):
+            if isinstance(node, ast.ImportFrom):
+                module = "." * node.level + (node.module or "")
+                if module_file == sectors_mod.__file__:
+                    assert not module.startswith((".", "pbtfid")), module
+                if module in (".fidelity", "pbtfid.fidelity"):
+                    from_fidelity |= {alias.name for alias in node.names}
+                else:
+                    assert "fidelity" not in {alias.name for alias in node.names}, module
+            elif isinstance(node, ast.Import):
+                assert not any(alias.name.startswith("pbtfid") for alias in node.names)
     assert from_fidelity == {
         "PortCoefficients",
         "block_spectrum",
