@@ -1000,7 +1000,7 @@ class TestLetterOrbits:
         covariant = DenseOperator(rho.matrix, rho.factor_dims)
         layout = oracle_mod._measured(covariant)[0]
         assert layout == oracle_mod._measured(rho)[0] and layout.multiplicity == [2, 2, 1]
-        # |0000><0000| is the letter swap's image of no entry it holds
+        # |0000><0000| added without its letter-swap image |1111><1111|
         off = DenseOperator(rho.matrix + np.diag(np.eye(rho.dim)[0]), rho.factor_dims)
         layout = oracle_mod._measured(off)[0]
         assert layout.blocked and layout.multiplicity == [1] * len(layout.sizes)
@@ -1081,7 +1081,7 @@ class TestLetterOrbits:
             entries = oracle_mod._input_state(d, N, coefficients)
             assert oracle_mod._letter_invariant(d, N + 1, entries)
             rows, columns, values = entries
-            # one entry moved to a row no letter permutation maps it to
+            # one entry moved to another row, its letter images left in place
             moved = rows.copy()
             moved[0] = (moved[0] + 1) % d ** (N + 1)
             assert not oracle_mod._letter_invariant(d, N + 1, (moved, columns, values))
@@ -1097,10 +1097,11 @@ class TestLetterOrbits:
         assert direct == pytest.approx(fidelity_standard(d, N).fidelity, abs=1e-12)
         assert counts == {"eigvalsh": 1} and len(lapack) == len({sectors.sizes[k] for k in sectors.held})
         # the plain layout stacks its equal sizes: one call per size too
-        plain = sectors.plain
+        plain, first = sectors.plain, povm.first._data
         lapack.clear()
-        oracle_mod._lowest(plain, sectors.unfold(sectors.matrix(povm.first._data).take(plain._positions)))
+        low = oracle_mod._lowest(plain, sectors.unfold(first))
         assert len(lapack) == len(set(plain.sizes)) < len(plain.sizes)
+        assert low == pytest.approx(oracle_mod._lowest(sectors, first), abs=1e-15)
 
 
 class TestYoungProjectors:
