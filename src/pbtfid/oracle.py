@@ -70,7 +70,6 @@ from .sectors import (
     _measured,
     _orbit_entries,
     _Sectors,
-    _unique_inverse,
 )
 
 ORACLE_BYTES_ENV = "PBT_ORACLE_BYTES"
@@ -313,25 +312,14 @@ def _check_psd(operators: Sequence[DenseOperator], tol: float, name: str) -> Non
 def _from_entries(
     dims: tuple[int, ...], rows: np.ndarray, columns: np.ndarray, values: np.ndarray
 ) -> DenseOperator:
-    """The operator on ``dims`` with the given entries, zero elsewhere, in
-    the weight sectors when each entry lies in one, else dense. It holds one
-    block per letter orbit when the entries are covariant, measured on them:
-    each sector has as many entries as its representative, each equal to
-    the entry it is gathered from; else every sector's block."""
-    sectors = _Sectors.weights(dims)
-    if sectors is None or not np.array_equal(sectors._labels[rows], sectors._labels[columns]):
-        sectors = _Sectors.dense(dims)
-    counts = np.bincount(sectors._labels[rows], minlength=len(sectors.sizes))
-    for layout in (sectors, sectors.plain):
-        # each entry at its image in its representative's block
-        row, column = layout._source[rows], layout._source[columns]
-        start, n = np.array(layout._spans).T[1:, layout._block[layout._labels[row]]]
-        position = start + layout._local[row] * n + layout._local[column]
-        data = np.zeros(layout.size, dtype=values.dtype)
-        data[position] = values
-        covariant = np.array_equal(counts, counts[layout._rep])
-        if layout is layout.plain or covariant and np.array_equal(data[position], values):
-            return layout.operator(data)
+    """The operator on ``dims`` with the given entries, at distinct positions
+    and zero elsewhere, in the weight sectors when each entry lies in one
+    (``_Sectors.from_entries``, one block per letter orbit when the entries
+    are covariant), else dense."""
+    weights = _Sectors.weights(dims)
+    held = None if weights is None else weights.from_entries(rows, columns, values)
+    sectors, data = held or _Sectors.dense(dims).from_entries(rows, columns, values)
+    return sectors.operator(data)
 
 
 def build_rho(d: int, N: int, i: int) -> DenseOperator:
@@ -769,32 +757,6 @@ def _input_state(
     return (offset + a).ravel(), (offset + b).ravel(), np.tile(amplitude * port, d)
 
 
-def _reached_blocks(
-    sectors: _Sectors, entries: tuple[np.ndarray, np.ndarray, np.ndarray]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """For each held block of ``sectors``, the columns its rows reach,
-    ascending, and the block on those rows and columns of the matrix, square
-    or not, with the given entries (rows, columns, values); entries at one
-    (row, column) add, in the order given."""
-    rows, columns, values = entries
-    # the entries of the held sectors grouped by block, each block's in the
-    # order given, and the distinct (block, column) pairs ascending, one run
-    # per block
-    owner = sectors._block[sectors._labels[rows]]
-    held = np.flatnonzero(owner >= 0)
-    order = held[np.argsort(owner[held], kind="stable")]
-    rows, columns, values, owner = rows[order], columns[order], values[order], owner[order]
-    keys, position = _unique_inverse(np.stack((owner, columns), axis=1))
-    bounds = np.arange(len(sectors.held) + 1)
-    starts, firsts = np.searchsorted(owner, bounds), np.searchsorted(keys[:, 0], bounds)
-    position -= firsts[owner]  # an entry's column in its sector's block
-    for k, (_, _, size) in enumerate(sectors._spans):
-        mine, reached = slice(starts[k], starts[k + 1]), keys[firsts[k] : firsts[k + 1], 1]
-        block = np.zeros((size, reached.size), dtype=values.dtype)
-        np.add.at(block, (sectors._local[rows[mine]], position[mine]), values[mine])
-        yield reached, block
-
-
 def teleportation_fidelity_direct(
     d: int,
     N: int,
@@ -811,7 +773,7 @@ def teleportation_fidelity_direct(
     whose columns are the other B slots. The POVM is supplied on the
     discrimination space (ports then B), so psi's rows are read with A_0
     moved last, as the B slot. Each held block of the POVM (``_common``)
-    reaches a set of columns of w_i (``_reached_blocks``), outside which its
+    reaches a set of columns of w_i (``_Sectors.reached_blocks``), outside which its
     rows are zero, and each term is taken one block at a time, counted by
     the block's multiplicity when psi's entries are measured invariant under
     the letter permutations (``_letter_invariant``); else every weight sector
@@ -835,7 +797,7 @@ def teleportation_fidelity_direct(
         step = d ** (N - i)
         keep = r == b // step % d
         w = (rows[keep], (b // (step * d) * step + b % step)[keep], values[keep] / math.sqrt(d))
-        blocks = [block for _, block in _reached_blocks(sectors, w)]
+        blocks = [block for _, block in sectors.reached_blocks(w)]
         # E_i is read here and freed with the map, before E_(i+1)
         terms += map(np.vdot, blocks, map(np.matmul, sectors.blocks(next(elements)), blocks))
     fidelity = math.fsum(np.real(terms) * np.tile(sectors.multiplicity, N))

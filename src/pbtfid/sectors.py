@@ -238,6 +238,62 @@ class _Sectors:
         covariant = np.array_equal(reps.take(orbits._unfold), data)
         return (orbits, reps) if covariant else (orbits.plain, data)
 
+    def _place(self, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """Positions in the data of entries (rows, columns), each in one
+        sector: each at its image in its representative's block."""
+        row, column = self._source[rows], self._source[columns]
+        start, n = np.array(self._spans).T[1:, self._block[self._labels[row]]]
+        return start + self._local[row] * n + self._local[column]
+
+    def from_entries(
+        self, rows: np.ndarray, columns: np.ndarray, values: np.ndarray
+    ) -> tuple[_Sectors, np.ndarray] | None:
+        """The layout and data of the matrix with the given entries, at
+        distinct positions and zero elsewhere, when each lies in one sector,
+        else None: held as ``measure`` holds it, measured on the entries
+        alone. They are covariant when each equals the entry placed at its
+        image and the nonzero ones are as many as the gathered blocks hold:
+        a gather is one to one within a sector, so the nonzero entries are
+        then every nonzero entry of the gathered blocks."""
+        orbits = self.covariant
+        if not np.array_equal(orbits._labels[rows], orbits._labels[columns]):
+            return None
+        for layout in (orbits, orbits.plain):
+            position = layout._place(rows, columns)
+            data = np.zeros(layout.size, dtype=values.dtype)
+            data[position] = values
+            if layout is layout.plain:
+                return layout, data
+            held = [np.count_nonzero(block) for block in layout.blocks(data)]
+            gathered = sum(m * n for m, n in zip(layout.multiplicity, held))
+            if np.array_equal(data[position], values) and gathered == np.count_nonzero(values):
+                return layout, data
+
+    def reached_blocks(
+        self, entries: tuple[np.ndarray, np.ndarray, np.ndarray]
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """For each held block, the columns its rows reach, ascending, and
+        the block on those rows and columns of the matrix, square or not,
+        with the given entries (rows, columns, values); entries at one
+        (row, column) add, in the order given."""
+        rows, columns, values = entries
+        # the entries of the held sectors grouped by block, each block's in
+        # the order given, and the distinct (block, column) pairs ascending,
+        # one run per block
+        owner = self._block[self._labels[rows]]
+        held = np.flatnonzero(owner >= 0)
+        order = held[np.argsort(owner[held], kind="stable")]
+        rows, columns, values, owner = rows[order], columns[order], values[order], owner[order]
+        keys, position = _unique_inverse(np.stack((owner, columns), axis=1))
+        bounds = np.arange(len(self.held) + 1)
+        starts, firsts = np.searchsorted(owner, bounds), np.searchsorted(keys[:, 0], bounds)
+        position -= firsts[owner]  # an entry's column in its sector's block
+        for k, (_, _, size) in enumerate(self._spans):
+            mine, reached = slice(starts[k], starts[k + 1]), keys[firsts[k] : firsts[k + 1], 1]
+            block = np.zeros((size, reached.size), dtype=values.dtype)
+            np.add.at(block, (self._local[rows[mine]], position[mine]), values[mine])
+            yield reached, block
+
     def matrix(self, data: np.ndarray) -> np.ndarray:
         """The full matrix with ``data`` as its blocks."""
         if not self.blocked:

@@ -479,12 +479,15 @@ def per_element_pgm(ensemble):
 
 
 def assert_held_blocks_equal(op, reference):
-    """The oracle computes an operator's representative blocks and gathers
-    the others from them: the representatives equal ``reference`` bit for
-    bit, the other blocks to rounding, as the reference sums their entries
-    in another order."""
-    positions = oracle_mod._measured(op)[0]._positions
-    assert np.array_equal(op.matrix.take(positions), reference.take(positions))
+    """The oracle computes an operator's held blocks and gathers the others
+    from them: the held blocks equal ``reference``'s bit for bit, and so
+    does the whole matrix the layout gathers from them; ``reference`` itself
+    agrees to rounding, as it sums the other blocks' entries in another
+    order."""
+    layout = oracle_mod._measured(op)[0]
+    reps = reference.take(layout._positions)
+    assert np.array_equal(op.matrix.take(layout._positions), reps)
+    assert np.array_equal(op.matrix, layout.matrix(reps))
     assert np.max(np.abs(op.matrix - reference)) <= 1e-14
 
 
@@ -857,15 +860,15 @@ class TestWeightSectors:
         levels = np.arange(d)
         weight = (digits[:, :-1, None] == levels).sum(axis=1) - (digits[:, -1:] == levels)
         unique, labels = np.unique(weight, axis=0, return_inverse=True)
-        ours, our_labels = oracle_mod._unique_inverse(weight)
+        ours, our_labels = sectors_mod._unique_inverse(weight)
         assert np.array_equal(ours, unique)
         assert np.array_equal(our_labels, labels.ravel())
         assert np.array_equal(oracle_mod._Sectors.weights((d,) * n)._labels, labels.ravel())
         flat = np.random.default_rng(d * 10 + N).integers(-5, 40, size=300)
         unique, labels = np.unique(flat, return_inverse=True)
-        ours, our_labels = oracle_mod._unique_inverse(flat)
+        ours, our_labels = sectors_mod._unique_inverse(flat)
         assert np.array_equal(ours, unique) and np.array_equal(our_labels, labels)
-        empty = oracle_mod._unique_inverse(np.empty(0, dtype=np.int64))
+        empty = sectors_mod._unique_inverse(np.empty(0, dtype=np.int64))
         assert empty[0].size == 0 and empty[1].size == 0
 
     def test_sizes_at_d2_n8(self):
@@ -993,6 +996,28 @@ class TestLetterOrbits:
             assert len(set(letters.values())) == len(letters)
             assert np.array_equal(np.vectorize(letters.get)(digits[sector]), digits[source])
         assert [sectors.sizes[k] for k in sectors.held] == sorted(sectors.sizes[k] for k in sectors.held)
+
+    @pytest.mark.parametrize("image, covariant", [(0, True), (1, False)])
+    def test_entries_are_measured_at_their_positions(self, image, covariant):
+        # one entry at local (0, 0) of a representative sector, and one in
+        # its letter-swap partner whose image is local (image, image): both
+        # sectors hold one entry of value 1, but only image 0 is covariant
+        dims = (2, 2, 2)
+        sectors = oracle_mod._Sectors.weights(dims)
+        paired = zip(sectors.held, sectors.multiplicity)
+        rep = next(k for k, m in paired if m == 2 and sectors.sizes[k] > 1)
+        partner = next(j for j in range(len(sectors.sizes)) if sectors._rep[j] == rep != j)
+        first = sectors.index[rep][0]
+        member = sectors.index[partner]
+        x = member[sectors._local[sectors._source[member]] == image][0]
+        rows = np.array([first, x])
+        op = oracle_mod._from_entries(dims, rows, rows, np.ones(2))
+        expected = np.zeros((8, 8))
+        expected[rows, rows] = 1.0
+        layout = oracle_mod._measured(op)[0]
+        assert layout.blocked and (layout == sectors) == covariant
+        assert np.array_equal(op.matrix, expected)
+        assert np.count_nonzero(op.matrix) == 2
 
     def test_outside_operators_are_measured(self):
         d, N = 2, 3
@@ -1782,7 +1807,7 @@ class TestTeleportationChannel:
         psi = dense_input_state(d, N).reshape(d ** (N + 1), d, d, -1)
         psi = np.einsum("ij,rajb->raib", U, psi).reshape(d ** (N + 1), -1)
         entries = (*np.nonzero(psi), psi[np.nonzero(psi)])
-        real_blocks, overlaps = oracle_mod._reached_blocks, []
+        real_blocks, overlaps = oracle_mod._Sectors.reached_blocks, []
 
         def reached_blocks(*args):
             blocks = list(real_blocks(*args))
@@ -1791,7 +1816,7 @@ class TestTeleportationChannel:
             return iter(blocks)
 
         monkeypatch.setattr(oracle_mod, "_input_state", lambda *args: entries)
-        monkeypatch.setattr(oracle_mod, "_reached_blocks", reached_blocks)
+        monkeypatch.setattr(oracle_mod._Sectors, "reached_blocks", reached_blocks)
         direct = teleportation_fidelity_direct(d, N, povm)
         # one call per branch, its sectors' reaches overlapping in each
         assert len(overlaps) == N and min(overlaps) > 0
