@@ -15,20 +15,16 @@ from .fidelity import (
     FidelityReport,
     PortCoefficients,
     asymptote_standard,
-    avg_state_eigenvalue,
     block_spectrum,
     exact_threshold,
     fidelity_given_coefficients,
     fidelity_standard,
     lower_bound_standard,
-    opt_block_coefficient,
     optimize_coefficients,
-    pgm_block_coefficient,
     scan,
 )
 from .oracle import (
     CertificateReport,
-    CheckResult,
     DenseOperator,
     Ensemble,
     average_state,
@@ -39,28 +35,21 @@ from .oracle import (
     certificate_Y,
     certify_optimality,
     eta_ensemble,
-    match_block_spectrum,
     pbt_ensemble,
     pretty_good_measurement,
-    run_verification,
     success_probability,
     teleportation_fidelity_direct,
     young_projector,
 )
 from .partitions import (
-    BoxRelation,
-    DimensionRecord,
     Partition,
     PartitionLevel,
-    add_box_successors,
-    conjugacy_class_size,
     conjugate,
-    dimension_record,
     enumerate_partitions,
     partition_level,
     permutation_cycle_type,
-    remove_box_predecessors,
     sn_character,
     specht_dim,
     weyl_dim,
 )
+from .verify import CheckResult, match_block_spectrum, run_verification

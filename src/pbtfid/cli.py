@@ -32,15 +32,8 @@ from .fidelity import (
     optimize_coefficients,
     scan,
 )
-from .oracle import (
-    average_state,
-    block_spectrum_match,
-    certificate_X,
-    certificate_Y,
-    eigenvalues,
-    pbt_ensemble,
-    run_verification,
-)
+from .oracle import average_state, certificate_X, certificate_Y, eigenvalues, pbt_ensemble
+from .verify import block_spectrum_match, run_verification
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1

@@ -15,15 +15,13 @@ Young's lattice, and every whole-level sum walks the successor index of
 ``partition_level(N, d)``: alphas in its canonical descending lexicographic
 order, each alpha's covers in grown-row order, so results do not depend on
 scheduling. The exact-hybrid F and the block spectra form each mu's surd
-sqrt(c_mu d_mu m_mu) once and each alpha's surd sum once; the single-block
-functions use the same formula on the covers of their own alpha.
+sqrt(c_mu d_mu m_mu) once and each alpha's surd sum once.
 
 Port weights c_mu are a ``PortCoefficients``: one read-only weight per row
 of the level table, checked once when built (finite, nonnegative, and
 sum c_mu d_mu m_mu = d^N, summed exactly up to the exact threshold and as
 one log-sum-exp of the level's log-dimensions above it). The sums read the
-weights as that array and check nothing again; the single-block functions
-read the weights of their covers by diagram.
+weights as that array and check nothing again.
 
 The log-domain sums read ln Gamma and ln at integers from tables, and take
 both log-dimensions of a level in one pass over its diagram rows, each
@@ -48,8 +46,6 @@ import numpy as np
 from .config import SizeCapError, env_positive_int
 from .partitions import (
     Partition,
-    add_box_successors,
-    check_partition,
     log_specht_row,
     log_weyl_row,
     partition_level,
@@ -143,7 +139,7 @@ class PortCoefficients:
     satisfy  sum_mu c_mu * d_mu * m_{d,mu} = d**N  to NORMALISATION_RTOL,
     with d_mu / m_{d,mu} the Specht / Weyl dimensions. A diagram of weight
     zero drops out of every sum. ``from_mapping`` builds one from a map
-    {diagram: c}; ``items`` and ``value`` read it back by diagram.
+    {diagram: c}; ``items`` reads it back by diagram.
     """
 
     d: int
@@ -196,14 +192,6 @@ class PortCoefficients:
     def items(self) -> Iterator[tuple[Partition, float]]:
         """(mu, c_mu) for every diagram, in level-table order."""
         return zip(table_partitions(partition_level(self.N, self.d).table), self.weights.tolist())
-
-    def value(self, mu: Partition) -> float:
-        """c_mu; 0 for a tuple that is not a diagram of the level."""
-        if len(mu) > self.d:
-            return 0.0
-        row = tuple(mu) + (0,) * (self.d - len(mu))
-        hit = np.flatnonzero((partition_level(self.N, self.d).table == row).all(axis=1))
-        return float(self.weights[hit[0]]) if hit.size else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -259,39 +247,6 @@ def _make_report(d, N, mode, fidelity, numeric_mode, **kw) -> FidelityReport:
 # ---------------------------------------------------------------------------
 
 
-def _require_box_pair(d: int, N: int, mu, alpha) -> tuple[Partition, Partition, list[Partition]]:
-    """The validated pair and alpha's covers, the diagrams alpha + box."""
-    _check_dn(d, N)
-    mu = check_partition(mu)
-    alpha = check_partition(alpha)
-    if sum(alpha) != N - 1:
-        raise ValueError(f"alpha must be a partition of N-1 = {N - 1}, got {alpha}")
-    if sum(mu) != N:
-        raise ValueError(f"mu must be a partition of N = {N}, got {mu}")
-    if len(alpha) > d or len(mu) > d:
-        raise ValueError(f"row bound d = {d} exceeded")
-    covers = [rel.mu for rel in add_box_successors(alpha, d)]
-    if mu not in covers:
-        raise ValueError(f"{mu} is not {alpha} plus a single box")
-    return mu, alpha, covers
-
-
-def _avg_block(d: int, N: int, mu: Partition, alpha: Partition) -> Fraction:
-    return Fraction(
-        N * weyl_dim(mu, d) * specht_dim(alpha),
-        d**N * weyl_dim(alpha, d) * specht_dim(mu),
-    )
-
-
-def avg_state_eigenvalue(d: int, N: int, mu, alpha) -> Fraction:
-    """Eigenvalue of the unnormalised average input state on block (alpha, mu).
-
-    r = (N / d^N) * m_mu * d_alpha / (m_alpha * d_mu), exact.
-    """
-    mu, alpha, _ = _require_box_pair(d, N, mu, alpha)
-    return _avg_block(d, N, mu, alpha)
-
-
 def _check_same_point(d: int, N: int, coefficients: PortCoefficients | None) -> None:
     """Refuse coefficients for another (d, N)."""
     if coefficients is not None and (coefficients.d, coefficients.N) != (d, N):
@@ -323,33 +278,6 @@ def _certificate_value(d: int, N: int, surd, surd_sum, m_alpha: int, d_mu: int) 
     return float(surd * surd_sum / (m_alpha * d_mu) / mpmath.mpf(d) ** N)
 
 
-def _single_block(d: int, N: int, mu, alpha, coefficients: PortCoefficients | None) -> float:
-    """The certificate block of one (alpha, mu), from alpha's covers alone."""
-    mu, alpha, covers = _require_box_pair(d, N, mu, alpha)
-    _check_same_point(d, N, coefficients)
-    weights = [1.0 if coefficients is None else coefficients.value(m) for m in covers]
-    with mpmath.workdps(MP_DPS):
-        surds = _surds(d, covers, weights)
-        surd_sum = mpmath.fsum(surds)
-        surd = surds[covers.index(mu)]
-        return _certificate_value(d, N, surd, surd_sum, weyl_dim(alpha, d), specht_dim(mu))
-
-
-def pgm_block_coefficient(d: int, N: int, mu, alpha) -> float:
-    """Block eigenvalue x of the square-root-measurement certificate operator:
-    the certificate block at c = 1, x = sqrt(m_mu/d_mu) / (m_alpha d^N)
-    * sum_{mu'} sqrt(d_mu' m_mu')."""
-    return _single_block(d, N, mu, alpha, None)
-
-
-def opt_block_coefficient(
-    d: int, N: int, mu, alpha, coefficients: PortCoefficients
-) -> float:
-    """Block eigenvalue y of the certificate operator for a steered port state
-    (the certificate block at c = ``coefficients``)."""
-    return _single_block(d, N, mu, alpha, coefficients)
-
-
 @dataclass(frozen=True)
 class BlockValue:
     """One (alpha, mu) block: its eigenvalue and dimension m_alpha * d_mu."""
@@ -366,7 +294,8 @@ def block_spectrum(
     """Per-block eigenvalues of the average state ("avg") or a certificate
     operator ("X", "Y"), in canonical partition order: alphas in table order,
     each alpha's covers in grown-row order. Walks the successor index of
-    ``partition_level(N, d)``; each surd and each surd sum is formed once."""
+    ``partition_level(N, d)``; each surd and each surd sum is formed once.
+    Port coefficients are taken by "Y" alone, and refused for the others."""
     _check_dn(d, N)
     if operator not in ("avg", "X", "Y"):
         raise ValueError(f"unknown operator {operator!r}")
@@ -374,6 +303,8 @@ def block_spectrum(
         if coefficients is None:
             raise ValueError("operator Y needs port coefficients")
         _check_same_point(d, N, coefficients)
+    elif coefficients is not None:
+        raise ValueError(f"operator {operator} takes no port coefficients")
     level = partition_level(N, d)
     mus = table_partitions(level.table)
     # every alpha grows in row 0: alpha is that cover less its first-row box
@@ -393,7 +324,10 @@ def block_spectrum(
                     continue
                 mu, d_mu = mus[m], specht_dim(mus[m])
                 if operator == "avg":
-                    value = float(_avg_block(d, N, mu, alpha))
+                    # r = (N / d^N) m_mu d_alpha / (m_alpha d_mu), exact
+                    value = float(
+                        Fraction(N * weyl_dim(mu, d) * specht_dim(alpha), d**N * m_alpha * d_mu)
+                    )
                 else:
                     value = _certificate_value(d, N, surds[m], sums[a], m_alpha, d_mu)
                 rows.append(BlockValue(alpha, mu, value, m_alpha * d_mu))

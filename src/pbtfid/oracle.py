@@ -2,9 +2,11 @@
 
 Everything the formula modules claim is rebuilt here as explicit operators:
 the discrimination states, the square-root measurement, isotypic projectors,
-the dual-certificate operators, and the full teleportation channel. Each
-entry point estimates its peak memory before it allocates and stops above
-the byte budget PBT_ORACLE_BYTES (``check_oracle_size``): this module certifies.
+the dual-certificate operators, and the full teleportation channel. Nothing
+here reads a formula: of ``pbtfid.fidelity`` only the ``PortCoefficients``
+data comes in, and ``pbtfid.verify`` sets the results against the formulas.
+Each entry point estimates its peak memory before it allocates and stops
+above the byte budget PBT_ORACLE_BYTES (``check_oracle_size``).
 
 Every construction here is real symmetric; ``DenseOperator`` also holds
 complex matrices, such as a state conjugated by a Haar unitary. Hermiticity
@@ -24,10 +26,10 @@ every permutation of ports 2..N (``Ensemble._symmetric_orbit``).
 The dual candidate K = sum_i p_i sigma_i E_i comes from the measurement
 under test (E of the unsteered rho_i, sigma_i = rho_i or eta_i), so tr K is
 the achieved success probability and the gap is zero by construction; the
-checks are feasibility (K >= p_i sigma_i) and K's spectrum against the
-closed-form block values. Feasibility is one eigensolve, of K - p_1 sigma_1,
-lowered by the measured defects of the other constraints against its
-transposed images (``_swap_defects``).
+check is feasibility, K >= p_i sigma_i (``pbtfid.verify`` also matches K's
+spectrum with the closed-form block values). Feasibility is one eigensolve,
+of K - p_1 sigma_1, lowered by the measured defects of the other
+constraints against its transposed images (``_swap_defects``).
 
 Every operator here is held as one block per letter-permutation orbit of
 the weight sectors of (C^d)^(N+1) (``pbtfid.sectors``), and eigensolves,
@@ -55,15 +57,8 @@ from functools import cached_property
 import numpy as np
 
 from .config import SizeCapError, env_positive_int
-from .fidelity import PortCoefficients, block_spectrum, fidelity_given_coefficients, fidelity_standard
-from .partitions import (
-    Partition,
-    check_partition,
-    permutation_cycle_type,
-    sn_character,
-    specht_dim,
-    weyl_dim,
-)
+from .fidelity import PortCoefficients
+from .partitions import Partition, check_partition, permutation_cycle_type, sn_character
 from .sectors import (
     DenseOperator,
     _letter_invariant,
@@ -547,10 +542,11 @@ def young_projector(mu, d: int, table: tuple | None = None) -> DenseOperator:
     Character averaging: P_mu = (d_mu / n!) sum_pi chi_mu(pi) R(pi), with
     each chi_mu(pi) added at the positions of R(pi)'s entries
     (``_permutation_table``), so no permutation matrix is built. chi_mu is
-    evaluated once per cycle type. pi is used as the gather order, which
-    gives R(pi^-1); the sum is the same because pi and pi^-1 share a cycle
-    type. ``table`` is ``_permutation_table(d, |mu|)``, passed by callers
-    that build several projectors of one size; it is built here otherwise.
+    evaluated once per cycle type, and d_mu is chi_mu at the identity. pi is
+    used as the gather order, which gives R(pi^-1); the sum is the same
+    because pi and pi^-1 share a cycle type. ``table`` is
+    ``_permutation_table(d, |mu|)``, passed by callers that build several
+    projectors of one size; it is built here otherwise.
     """
     mu = check_partition(mu)
     n = sum(mu)
@@ -565,7 +561,7 @@ def young_projector(mu, d: int, table: tuple | None = None) -> DenseOperator:
     acc = np.bincount(
         positions.ravel(), np.repeat(chi[class_index], full), full * full
     ).reshape(full, full)
-    proj = acc * (specht_dim(mu) / math.factorial(n))
+    proj = acc * (chi[classes.index((1,) * n)] / math.factorial(n))
     return DenseOperator(proj, (d,) * n)
 
 
@@ -807,7 +803,7 @@ def teleportation_fidelity_direct(
 
 
 # ---------------------------------------------------------------------------
-# Spectrum checks
+# Spectra
 # ---------------------------------------------------------------------------
 
 
@@ -815,107 +811,3 @@ def eigenvalues(op: DenseOperator) -> np.ndarray:
     """The operator's eigenvalues, block by block."""
     sectors, data = _measured(op)
     return sectors.spectrum(_eigensolve(sectors, data))
-
-
-def block_spectrum_match(eigvals: np.ndarray, blocks) -> tuple[list[tuple[float, float]], float]:
-    """Assign a spectrum to the block multiset.
-
-    The top eigenvalues go to the blocks in increasing block value, each block
-    taking as many as its multiplicity. Returns, per block in the given order,
-    the median of its eigenvalues and their largest deviation from the block
-    value, and the largest magnitude among the leftover eigenvalues, which
-    must be numerically zero (0.0 when there are none).
-    """
-    eigvals = np.sort(eigvals)
-    rank = sum(b.multiplicity for b in blocks)
-    if rank > eigvals.size:
-        raise ValueError("block multiset larger than the operator dimension")
-    top = eigvals[eigvals.size - rank :]
-    per_block: list[tuple[float, float]] = [(0.0, 0.0)] * len(blocks)
-    offset = 0
-    for k in sorted(range(len(blocks)), key=lambda k: blocks[k].value):
-        m = blocks[k].multiplicity
-        chunk = top[offset : offset + m]
-        offset += m
-        # the chunk is sorted, so its median is read off (np.median imports numpy.ma)
-        median = (chunk[(m - 1) // 2] + chunk[m // 2]) / 2
-        per_block[k] = (float(median), float(np.max(np.abs(chunk - blocks[k].value))))
-    leftover = eigvals[: eigvals.size - rank]
-    return per_block, float(np.max(np.abs(leftover))) if leftover.size else 0.0
-
-
-def _deviation(per_block: list[tuple[float, float]], leftover: float) -> float:
-    """The largest deviation in a ``block_spectrum_match`` result."""
-    return float(np.max([dev for _, dev in per_block] + [leftover]))
-
-
-def match_block_spectrum(op: DenseOperator, blocks) -> float:
-    """Largest deviation between the operator's spectrum and the block
-    multiset (``block_spectrum_match``)."""
-    return _deviation(*block_spectrum_match(eigenvalues(op), blocks))
-
-
-# ---------------------------------------------------------------------------
-# Verification bundle (used by the command-line `verify`)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    deviation: float
-    tolerance: float
-
-
-def run_verification(
-    d: int,
-    N: int,
-    mode: str = "standard",
-    coefficients: PortCoefficients | None = None,
-) -> list[CheckResult]:
-    """Formula-vs-oracle comparison, spectrum matching, and dual certificates.
-
-    For ``standard`` the certificate is X/N against the rho ensemble; for
-    ``given-coefficients`` (or an optimized run, which supplies the optimal
-    coefficients) it is Y/N against the eta ensemble, measured with the
-    square-root measurement of the *unsteered* states. The states, the
-    measurement and the certificate are each built once, and the success
-    probability is the one ``certify_optimality`` measures.
-    """
-    check_oracle_size(d, N, steered=mode != "standard")
-    checks: list[CheckResult] = []
-
-    def record(name, deviation, tolerance):
-        checks.append(CheckResult(name, deviation <= tolerance, deviation, tolerance))
-
-    rho_ens = pbt_ensemble(d, N)
-    povm = pretty_good_measurement(rho_ens)
-    if mode == "standard":
-        if coefficients is not None:
-            raise ValueError("standard mode does not take coefficients")
-        formula = fidelity_standard(d, N).fidelity
-        ens = rho_ens
-        cert_blocks = block_spectrum(d, N, "X")
-    elif mode in ("given-coefficients", "optimized"):
-        if coefficients is None:
-            raise ValueError(f"{mode} mode needs coefficients")
-        formula = fidelity_given_coefficients(d, N, coefficients).fidelity
-        ens = Ensemble(_steered_states(d, N, coefficients, rho_ens), rho_ens.probs)
-        cert_blocks = block_spectrum(d, N, "Y", coefficients)
-    else:
-        raise ValueError(f"unknown verification mode {mode!r}")
-    # the measurement decomposed the average over N; the blocks are of the sum
-    avg = block_spectrum_match(N * rho_ens._average_decomposition[2], block_spectrum(d, N, "avg"))
-    cert = certificate(ens.states, povm)
-    cert_deviation = match_block_spectrum(cert, cert_blocks)
-    sectors, data = _measured(cert)
-    # K = cert / N in place of cert, which is not read again
-    report = certify_optimality(ens, povm, sectors.operator(np.divide(data, N, out=data)))
-
-    record("formula_vs_oracle", abs(formula - report.success_probability * N / d**2), 1e-9)
-    record("avg_state_spectrum", _deviation(*avg), 1e-9)
-    record("certificate_spectrum", cert_deviation, 1e-9)
-    record("dual_feasibility", max(0.0, -report.feasibility), 1e-9)
-    record("duality_gap", abs(report.gap), 1e-8)
-    return checks

@@ -30,9 +30,8 @@ and N and N - 1 for a block spectrum. The Murnaghan-Nakayama recursion
 projectors ask for characters, on the N ports of a steered run, whose N!
 permutation table the oracle's byte budget bounds. No other function is
 memoised: the sums walk the level index (the log-dimensions in one
-vectorised pass in ``fidelity``), the box moves and ``dimension_record``
-serve single-diagram checks, and the optimizer reads the log-dimension row
-kernels per diagram.
+vectorised pass in ``fidelity``), and the optimizer reads the log-dimension
+row kernels per diagram.
 Concurrent readers are safe: level arrays are read-only, a level or table
 is complete before it is stored with a single assignment, and two threads
 that race to extend one build equal tables.
@@ -42,7 +41,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -202,58 +200,6 @@ def enumerate_partitions(n: int, max_rows: int) -> tuple[Partition, ...]:
     return table_partitions(partition_level(n, max_rows).table)
 
 
-@dataclass(frozen=True)
-class BoxRelation:
-    """A covering pair alpha < mu in Young's lattice.
-
-    ``row`` is the 0-based index of the row that differs: mu equals alpha
-    with one extra box in that row.
-    """
-
-    alpha: Partition
-    mu: Partition
-    row: int
-
-
-def add_box_successors(alpha: Partition, d: int) -> tuple[BoxRelation, ...]:
-    """All diagrams mu = alpha + one box with at most ``d`` rows.
-
-    Candidates that would not be weakly decreasing are dropped, so only
-    valid diagrams are emitted. Ordered by the grown row, which coincides
-    with descending lexicographic order of mu.
-    """
-    alpha = check_partition(alpha)
-    if d < 1:
-        raise ValueError("row bound d must be positive")
-    if len(alpha) > d:
-        raise ValueError(f"partition {alpha} already exceeds {d} rows")
-    out = []
-    for i in range(min(len(alpha) + 1, d)):
-        if i < len(alpha):
-            if i > 0 and alpha[i] + 1 > alpha[i - 1]:
-                continue
-            mu = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
-        else:
-            mu = alpha + (1,)
-        out.append(BoxRelation(alpha=alpha, mu=mu, row=i))
-    return tuple(out)
-
-
-def remove_box_predecessors(mu: Partition) -> tuple[BoxRelation, ...]:
-    """All diagrams alpha = mu minus one box, i.e. rows i with mu_i > mu_{i+1}."""
-    mu = check_partition(mu)
-    if not mu:
-        raise ValueError("the empty partition has no box to remove")
-    out = []
-    for i in range(len(mu)):
-        below = mu[i + 1] if i + 1 < len(mu) else 0
-        if mu[i] > below:
-            shrunk = mu[i] - 1
-            alpha = mu[:i] + ((shrunk,) if shrunk else ()) + mu[i + 1 :]
-            out.append(BoxRelation(alpha=alpha, mu=mu, row=i))
-    return tuple(out)
-
-
 def _hook_product(mu: Partition) -> int:
     conj = conjugate(mu)
     prod = 1
@@ -343,28 +289,6 @@ def log_weyl_row(mu: Partition, d: int) -> float:
     return val
 
 
-@dataclass(frozen=True)
-class DimensionRecord:
-    """Exact Specht/Weyl dimensions of one diagram plus their logarithms."""
-
-    partition: Partition
-    specht_dim: int
-    weyl_dim: int
-    log_specht: float
-    log_weyl: float
-
-
-def dimension_record(mu: Partition, d: int) -> DimensionRecord:
-    """Full dimension data for ``mu`` under the row bound ``d``.
-
-    The logarithms are taken of the exact integers (math.log accepts
-    arbitrary-size ints), so exp(log) matches the exact value to a few ulp.
-    """
-    ds = specht_dim(mu)
-    mw = weyl_dim(mu, d)
-    return DimensionRecord(mu, ds, mw, math.log(ds), math.log(mw))
-
-
 # ---------------------------------------------------------------------------
 # Symmetric-group characters (Murnaghan-Nakayama recursion)
 # ---------------------------------------------------------------------------
@@ -419,13 +343,3 @@ def permutation_cycle_type(perm: Sequence[int]) -> Partition:
             length += 1
         lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
-
-
-def conjugacy_class_size(cycle_type: Partition) -> int:
-    """Number of permutations in S_n with the given cycle type."""
-    lam = check_partition(cycle_type)
-    n = sum(lam)
-    centraliser = 1
-    for length, mult in Counter(lam).items():
-        centraliser *= length**mult * math.factorial(mult)
-    return math.factorial(n) // centraliser

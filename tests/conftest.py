@@ -3,8 +3,10 @@ many cross-checks at the same desk-scale points do not rebuild PGMs."""
 
 import math
 import os
+from collections import Counter
 from functools import lru_cache, reduce
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from pbtfid import (
     pbt_ensemble,
     pretty_good_measurement,
 )
-from pbtfid.partitions import table_partitions
+from pbtfid.partitions import Partition, check_partition, table_partitions
 
 # tests that run `python -m pbtfid` in a subprocess import this checkout too
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -81,6 +83,57 @@ def box_incidence(d, N):
         shape=(succ.shape[0], level.table.shape[0]),
     )
     return B, table_partitions(level.table)
+
+
+# Combinatorial references: single-diagram routes to what the level tables
+# index, kept to check the tables and the block values against.
+
+
+class BoxRelation(NamedTuple):
+    """A covering pair alpha < mu in Young's lattice: mu is alpha with one
+    more box in row ``row`` (0-based)."""
+
+    alpha: Partition
+    mu: Partition
+    row: int
+
+
+def add_box_successors(alpha, d):
+    """All diagrams mu = alpha + one box with at most ``d`` rows, ordered by
+    the grown row, which is descending lexicographic order of mu."""
+    alpha = check_partition(alpha)
+    if len(alpha) > d:
+        raise ValueError(f"partition {alpha} already exceeds {d} rows")
+    out = []
+    for i in range(min(len(alpha) + 1, d)):
+        if i < len(alpha):
+            if i > 0 and alpha[i] + 1 > alpha[i - 1]:
+                continue
+            mu = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
+        else:
+            mu = alpha + (1,)
+        out.append(BoxRelation(alpha, mu, i))
+    return tuple(out)
+
+
+def remove_box_predecessors(mu):
+    """All diagrams alpha = mu minus one box: rows i with mu_i > mu_{i+1}."""
+    mu = check_partition(mu)
+    out = []
+    for i in range(len(mu)):
+        if mu[i] > (mu[i + 1] if i + 1 < len(mu) else 0):
+            alpha = mu[:i] + ((mu[i] - 1,) if mu[i] > 1 else ()) + mu[i + 1 :]
+            out.append(BoxRelation(alpha, mu, i))
+    return tuple(out)
+
+
+def conjugacy_class_size(cycle_type):
+    """Number of permutations in S_n with the given cycle type."""
+    lam = check_partition(cycle_type)
+    centraliser = 1
+    for length, mult in Counter(lam).items():
+        centraliser *= length**mult * math.factorial(mult)
+    return math.factorial(sum(lam)) // centraliser
 
 
 # Dense references: full-matrix constructions the oracle replaced with

@@ -15,19 +15,16 @@ import pytest
 from pbtfid import (
     DenseOperator,
     PortCoefficients,
-    add_box_successors,
     block_spectrum,
     build_rho,
     certificate_Y,
     certify_optimality,
-    conjugacy_class_size,
     enumerate_partitions,
     eta_ensemble,
     fidelity_standard,
     lower_bound_standard,
     match_block_spectrum,
     optimize_coefficients,
-    remove_box_predecessors,
     sn_character,
     specht_dim,
     success_probability,
@@ -37,10 +34,13 @@ from pbtfid import (
 )
 from conftest import (
     ORACLE_GRID,
+    add_box_successors,
     cached_certificate_x,
     cached_ensemble,
     cached_pgm,
+    conjugacy_class_size,
     partial_trace_first,
+    remove_box_predecessors,
     steered_states,
 )
 from test_fidelity import projected_gradient_maximum, random_valid_coefficients

@@ -1,7 +1,10 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import ast
 import csv
 import hashlib
+import inspect
+import re
 import io
 import json
 import os
@@ -14,6 +17,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import pbtfid
 from pbtfid import fidelity_standard
 from pbtfid.cli import (
     EXIT_INPUT,
@@ -29,7 +33,8 @@ from pbtfid.cli import (
 )
 
 SQ3 = math.sqrt(3.0)
-REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+REPO = Path(__file__).resolve().parents[1]
+REFERENCE = REPO / "perfbench" / "reference"
 
 
 def run_cli(capsys, *argv):
@@ -437,7 +442,7 @@ class TestVerify:
         # deliberately wrong coefficients file cannot fail (it is validated),
         # so force a failing check by monkeypatching run_verification
         import pbtfid.cli as cli_mod
-        from pbtfid.oracle import CheckResult
+        from pbtfid.verify import CheckResult
 
         monkeypatch.setattr(
             cli_mod,
@@ -631,3 +636,52 @@ class TestImportHygiene:
         assert "scipy.sparse.linalg" in loaded_modules(
             "fid", "--d", "3", "--N", "152", "--mode", "optimized"
         )
+
+
+class TestPackageSurface:
+    """Every name ``pbtfid`` exports has a use: it is an entry point the
+    README lists, or code in src/, scripts/ or perfbench/ refers to it."""
+
+    @staticmethod
+    def exported() -> set[str]:
+        return {
+            name
+            for name, value in vars(pbtfid).items()
+            if not name.startswith("_") and not inspect.ismodule(value)
+        }
+
+    @staticmethod
+    def readme_entry_points() -> set[str]:
+        # the list after the paragraph that introduces it
+        text = (REPO / "README.md").read_text()
+        listing = text.split("Library entry points", 1)[1].split("\n\n")[1]
+        return set(re.findall(r"`(\w+)`", listing))
+
+    @staticmethod
+    def has_caller(names: set[str]) -> set[str]:
+        """The names that code outside the package's re-exports imports or
+        reads as an attribute, or that their own module reads."""
+        home = {name: getattr(getattr(pbtfid, name), "__module__", None) for name in names}
+        found = set()
+        for tree in ("src", "scripts", "perfbench"):
+            for path in (REPO / tree).rglob("*.py"):
+                if path == REPO / "src" / "pbtfid" / "__init__.py":
+                    continue
+                module = f"pbtfid.{path.stem}" if tree == "src" else path.name
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.ImportFrom):
+                        found |= {alias.name for alias in node.names}
+                    elif isinstance(node, ast.Attribute):
+                        found.add(node.attr)
+                    elif isinstance(node, ast.Name) and home.get(node.id) == module:
+                        found.add(node.id)
+        return names & found
+
+    def test_readme_lists_only_exported_names(self):
+        entry_points = self.readme_entry_points()
+        assert "run_verification" in entry_points
+        assert entry_points <= self.exported()
+
+    def test_every_export_is_an_entry_point_or_has_a_caller(self):
+        rest = self.exported() - self.readme_entry_points()
+        assert rest - self.has_caller(rest) == set()

@@ -14,18 +14,13 @@ from hypothesis import strategies as st
 from pbtfid import (
     PortCoefficients,
     SizeCapError,
-    add_box_successors,
     asymptote_standard,
-    avg_state_eigenvalue,
     block_spectrum,
     enumerate_partitions,
     fidelity_given_coefficients,
     fidelity_standard,
     lower_bound_standard,
-    opt_block_coefficient,
     optimize_coefficients,
-    pgm_block_coefficient,
-    remove_box_predecessors,
     scan,
     specht_dim,
     weyl_dim,
@@ -46,7 +41,7 @@ from pbtfid.fidelity import (
     _successor_logsumexp,
 )
 from pbtfid.partitions import partition_level, table_partitions
-from conftest import box_incidence
+from conftest import add_box_successors, box_incidence
 
 SQ3 = math.sqrt(3.0)
 
@@ -59,77 +54,63 @@ def random_valid_coefficients(d, N, rng):
     return PortCoefficients.from_mapping(d, N, {mu: float(r * scale) for r, mu in zip(raw, mus)})
 
 
+def block_values(d, N, operator, coefficients=None):
+    """{(alpha, mu): (value, multiplicity)} of a ``block_spectrum`` table."""
+    rows = block_spectrum(d, N, operator, coefficients)
+    return {(b.alpha, b.mu): (b.value, b.multiplicity) for b in rows}
+
+
+def block_trace(d, N, operator, coefficients=None):
+    """sum of value * multiplicity over a ``block_spectrum`` table."""
+    return sum(b.value * b.multiplicity for b in block_spectrum(d, N, operator, coefficients))
+
+
 class TestBlockValues:
     def test_avg_eigenvalues_2_2(self):
-        assert avg_state_eigenvalue(2, 2, (2,), (1,)) == Fraction(3, 4)
-        assert avg_state_eigenvalue(2, 2, (1, 1), (1,)) == Fraction(1, 4)
+        assert block_values(2, 2, "avg") == {((1,), (2,)): (0.75, 2), ((1,), (1, 1)): (0.25, 2)}
 
     def test_avg_trace_identity_is_exact(self):
-        # sum of r * m_alpha * d_mu over all blocks equals tr(rho_bar) = N
+        # each value is the exact r = (N / d^N) m_mu d_alpha / (m_alpha d_mu)
+        # rounded once, and sum of r * m_alpha * d_mu equals tr(rho_bar) = N
         for d, N in [(2, 4), (3, 3), (4, 2), (2, 9), (5, 3)]:
             total = Fraction(0)
-            for alpha in enumerate_partitions(N - 1, d):
-                for rel in add_box_successors(alpha, d):
-                    total += avg_state_eigenvalue(d, N, rel.mu, alpha) * (
-                        weyl_dim(alpha, d) * specht_dim(rel.mu)
-                    )
+            for b in block_spectrum(d, N, "avg"):
+                m_alpha = weyl_dim(b.alpha, d)
+                r = Fraction(
+                    N * weyl_dim(b.mu, d) * specht_dim(b.alpha),
+                    d**N * m_alpha * specht_dim(b.mu),
+                )
+                assert b.value == float(r)
+                assert b.multiplicity == m_alpha * specht_dim(b.mu)
+                total += r * b.multiplicity
             assert total == N
 
-    def test_rejects_non_covering_pairs(self):
-        with pytest.raises(ValueError):
-            avg_state_eigenvalue(2, 2, (2,), (2,))
-        with pytest.raises(ValueError):
-            avg_state_eigenvalue(3, 3, (1, 1, 1), (2,))
-        with pytest.raises(ValueError):
-            pgm_block_coefficient(2, 4, (2, 2), (2, 2))
-
     def test_pgm_block_values_2_2(self):
-        assert pgm_block_coefficient(2, 2, (2,), (1,)) == pytest.approx(
-            (3 + SQ3) / 8, rel=1e-15
-        )
-        assert pgm_block_coefficient(2, 2, (1, 1), (1,)) == pytest.approx(
-            (SQ3 + 1) / 8, rel=1e-15
-        )
+        values = block_values(2, 2, "X")
+        assert values[(1,), (2,)][0] == pytest.approx((3 + SQ3) / 8, rel=1e-15)
+        assert values[(1,), (1, 1)][0] == pytest.approx((SQ3 + 1) / 8, rel=1e-15)
 
     def test_pgm_block_trace_identity(self, oracle_grid):
         # sum x * m_alpha * d_mu == N * p_succ == d^2 F^std
         for d, N in oracle_grid:
-            total = 0.0
-            for alpha in enumerate_partitions(N - 1, d):
-                for rel in add_box_successors(alpha, d):
-                    total += pgm_block_coefficient(d, N, rel.mu, alpha) * (
-                        weyl_dim(alpha, d) * specht_dim(rel.mu)
-                    )
             expected = N * fidelity_standard(d, N).success_probability
-            assert total == pytest.approx(expected, rel=1e-12)
+            assert block_trace(d, N, "X") == pytest.approx(expected, rel=1e-12)
 
     def test_opt_block_uniform_reduces_to_pgm_trace(self):
         d, N = 2, 3
         ones = PortCoefficients.uniform(d, N)
-        tr_y = tr_x = 0.0
-        for alpha in enumerate_partitions(N - 1, d):
-            for rel in add_box_successors(alpha, d):
-                mult = weyl_dim(alpha, d) * specht_dim(rel.mu)
-                tr_y += opt_block_coefficient(d, N, rel.mu, alpha, ones) * mult
-                tr_x += pgm_block_coefficient(d, N, rel.mu, alpha) * mult
-        assert tr_y == pytest.approx(tr_x, rel=1e-13)
+        assert block_trace(d, N, "Y", ones) == pytest.approx(block_trace(d, N, "X"), rel=1e-13)
 
     def test_opt_block_value_2_2(self):
         c = PortCoefficients.from_mapping(2, 2, {(2,): 2.0 / 3.0, (1, 1): 2.0})
-        assert opt_block_coefficient(2, 2, (2,), (1,), c) == pytest.approx(0.5, rel=1e-14)
+        assert block_values(2, 2, "Y", c)[(1,), (2,)][0] == pytest.approx(0.5, rel=1e-14)
 
     def test_opt_block_trace_identity_random_c(self, oracle_grid):
         rng = np.random.default_rng(11)
         for d, N in oracle_grid:
             c = random_valid_coefficients(d, N, rng)
-            total = 0.0
-            for alpha in enumerate_partitions(N - 1, d):
-                for rel in add_box_successors(alpha, d):
-                    total += opt_block_coefficient(d, N, rel.mu, alpha, c) * (
-                        weyl_dim(alpha, d) * specht_dim(rel.mu)
-                    )
             expected = N * fidelity_given_coefficients(d, N, c).success_probability
-            assert total == pytest.approx(expected, rel=1e-12)
+            assert block_trace(d, N, "Y", c) == pytest.approx(expected, rel=1e-12)
 
 
 class TestStandardFidelity:
@@ -312,7 +293,7 @@ class TestColumnLogSumExp:
         specht, weyl = _log_dims(mat, N)
         half_log = 0.5 * (specht + weyl)
         if coefficients is not None:
-            values = [coefficients.value(mu) for mu in table_partitions(mat)]
+            values = coefficients.weights.tolist()
             log_c = np.array([math.log(c) if c > 0 else -np.inf for c in values])
             half_log = half_log + 0.5 * log_c
         return np.append(half_log, -np.inf)
@@ -378,7 +359,7 @@ class TestExactHybridBits:
 
     @staticmethod
     def tuple_walk_fidelity(d, N, coefficients):
-        weight = (lambda mu: 1.0) if coefficients is None else coefficients.value
+        weight = (lambda mu: 1.0) if coefficients is None else dict(coefficients.items()).__getitem__
         with mpmath.workdps(MP_DPS):
             outer = []
             for alpha in enumerate_partitions(N - 1, d):
@@ -410,7 +391,7 @@ class TestExactHybridBits:
 
     @classmethod
     def tuple_walk_spectrum(cls, d, N, operator, coefficients=None):
-        weight = (lambda mu: 1.0) if coefficients is None else coefficients.value
+        weight = (lambda mu: 1.0) if coefficients is None else dict(coefficients.items()).__getitem__
         rows = []
         for alpha in enumerate_partitions(N - 1, d):
             for rel in add_box_successors(alpha, d):
@@ -449,16 +430,6 @@ class TestExactHybridBits:
         for operator, coefficients in (("avg", None), ("X", None), ("Y", c)):
             rows = self.rows_of(block_spectrum(d, N, operator, coefficients))
             assert rows == self.tuple_walk_spectrum(d, N, operator, coefficients)
-
-    @pytest.mark.parametrize("d, N", [(2, 5), (3, 4), (4, 4)])
-    def test_single_blocks_equal_the_tuple_walk(self, d, N):
-        c = coefficients_with_zeros(d, N, 11 * d + N)
-        for alpha in enumerate_partitions(N - 1, d):
-            for rel in add_box_successors(alpha, d):
-                x = pgm_block_coefficient(d, N, rel.mu, alpha)
-                y = opt_block_coefficient(d, N, rel.mu, alpha, c)
-                assert x == self.tuple_walk_block(d, N, rel.mu, alpha, lambda mu: 1.0)
-                assert y == self.tuple_walk_block(d, N, rel.mu, alpha, c.value)
 
     def test_y_above_the_113_bit_line_equals_the_tuple_walk(self):
         # c * d_mu exceeds the 166-bit working precision once d_mu reaches
@@ -553,7 +524,6 @@ class TestPortCoefficients:
 
     def test_missing_entries_default_to_zero(self):
         c = PortCoefficients.from_mapping(2, 2, {(1, 1): 4.0})  # 4 * 1 * 1 == 4 == 2^2
-        assert c.value((2,)) == 0.0
         assert list(c.items()) == [((2,), 0.0), ((1, 1), 4.0)]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -593,7 +563,8 @@ class TestPortCoefficients:
         # d_mu * m_mu at d=2 N=1100 does not fit a float; the log form does
         c = PortCoefficients.from_mapping(2, 1100, {(550, 550): 1.0}, renormalize=True)
         assert residual(c) <= NORMALISATION_RTOL
-        assert math.isfinite(c.value((550, 550))) and c.value((550, 550)) > 1.0
+        weight = dict(c.items())[(550, 550)]
+        assert math.isfinite(weight) and weight > 1.0
 
     def test_renormalized_near_float_maximum(self):
         # c * d_mu * m_mu overflows a float although the rescaled c = 1 does not
@@ -638,21 +609,16 @@ class TestPortCoefficients:
             return real(*args)
 
         monkeypatch.setattr(fidelity_mod, "_normalisation_ratio", counted)
-        blocks = 0
-        for alpha in enumerate_partitions(N - 1, d):
-            for rel in add_box_successors(alpha, d):
-                assert opt_block_coefficient(d, N, rel.mu, alpha, c) >= 0.0
-                blocks += 1
-        block_spectrum(d, N, "Y", c)
+        blocks = block_spectrum(d, N, "Y", c)
+        assert all(b.value >= 0.0 for b in blocks)
         fidelity_given_coefficients(d, N, c)
-        assert blocks == 240 and calls == []
+        assert len(blocks) == 240 and calls == []
 
     def test_consumers_refuse_coefficients_for_another_point(self):
         c = PortCoefficients.uniform(2, 3)
         for call in (
             lambda: fidelity_given_coefficients(2, 4, c),
             lambda: block_spectrum(3, 3, "Y", c),
-            lambda: opt_block_coefficient(2, 4, (3, 1), (3,), c),
         ):
             with pytest.raises(ValueError, match=r"coefficients are for \(d, N\) = \(2, 3\)"):
                 call()
@@ -766,8 +732,9 @@ class TestOptimize:
     def test_two_qubit_optimum(self):
         rep = optimize_coefficients(2, 2)
         assert rep.fidelity == pytest.approx(0.5, abs=1e-12)
-        assert rep.coefficients.value((2,)) == pytest.approx(2.0 / 3.0, rel=1e-12)
-        assert rep.coefficients.value((1, 1)) == pytest.approx(2.0, rel=1e-12)
+        weights = dict(rep.coefficients.items())
+        assert weights[(2,)] == pytest.approx(2.0 / 3.0, rel=1e-12)
+        assert weights[(1, 1)] == pytest.approx(2.0, rel=1e-12)
         # constraint: (2/3)*1*3 + 2*1*1 == 4 == d^N
         assert residual(rep.coefficients) <= NORMALISATION_RTOL
         assert rep.eigen_data.principal_eigenvalue == pytest.approx(2.0, abs=1e-12)
@@ -911,3 +878,9 @@ class TestBlockSpectrumTable:
     def test_y_requires_coefficients(self):
         with pytest.raises(ValueError):
             block_spectrum(2, 2, "Y")
+
+    @pytest.mark.parametrize("operator", ["avg", "X"])
+    def test_only_y_takes_coefficients(self, operator):
+        c = PortCoefficients.uniform(2, 2)
+        with pytest.raises(ValueError, match=rf"^operator {operator} takes no port coefficients$"):
+            block_spectrum(2, 2, operator, c)

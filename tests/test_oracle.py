@@ -38,7 +38,6 @@ from pbtfid import (
     pbt_ensemble,
     permutation_cycle_type,
     pretty_good_measurement,
-    remove_box_predecessors,
     run_verification,
     sn_character,
     specht_dim,
@@ -63,6 +62,7 @@ from conftest import (
     partial_trace_first,
     permutation_operator,
     port_state_vector,
+    remove_box_predecessors,
     reorder_factors,
     steered_states,
 )
@@ -70,7 +70,7 @@ from recorded_values import RECORDED_CHANNEL, RECORDED_VERIFY
 
 import pbtfid.oracle as oracle_mod
 import pbtfid.sectors as sectors_mod
-from pbtfid.fidelity import opt_block_coefficient
+import pbtfid.verify as verify_mod
 
 SQ3 = math.sqrt(3.0)
 HAAR_SEED = 20240  # fixed seed for all Haar-unitary symmetry checks
@@ -798,10 +798,10 @@ def oracle_outputs(d, N, c):
         eta_ensemble(d, N, c), povm, DenseOperator(Y.matrix / N, Y.factor_dims)
     )
     matches = [
-        oracle_mod.block_spectrum_match(
+        verify_mod.block_spectrum_match(
             oracle_mod.eigenvalues(average_state(ens)), block_spectrum(d, N, "avg")
         ),
-        oracle_mod.block_spectrum_match(oracle_mod.eigenvalues(X), block_spectrum(d, N, "X")),
+        verify_mod.block_spectrum_match(oracle_mod.eigenvalues(X), block_spectrum(d, N, "X")),
     ]
     return {
         "blocked": [is_blocked(op) for op in (ens.states[0], povm[0], X, Y)],
@@ -1316,8 +1316,8 @@ class TestPortOperator:
         d, N = dn
         c = random_valid_coefficients(d, N, np.random.default_rng(67))
         expected = np.zeros((d**N, d**N))
-        for mu in enumerate_partitions(N, d):
-            expected = expected + math.sqrt(c.value(mu)) * young_projector(mu, d).matrix
+        for mu, weight in c.items():
+            expected = expected + math.sqrt(weight) * young_projector(mu, d).matrix
         built = Counter()
         real_table = oracle_mod._permutation_table
 
@@ -1457,7 +1457,7 @@ class TestCertificates:
             blocks = block_spectrum(d, N, "X")
             dev = match_block_spectrum(cached_certificate_x(d, N), blocks)
             assert dev <= 1e-9
-            per_block, leftover = oracle_mod.block_spectrum_match(
+            per_block, leftover = verify_mod.block_spectrum_match(
                 oracle_mod.eigenvalues(cached_certificate_x(d, N)), blocks
             )
             assert dev == max([leftover] + [dev for _, dev in per_block])
@@ -1473,7 +1473,7 @@ class TestCertificates:
         eigvals = np.sort(oracle_mod.eigenvalues(op))
         top = eigvals[eigvals.size - sum(b.multiplicity for b in blocks) :]
         # the spectrum is sorted where it is matched
-        per_block, _ = oracle_mod.block_spectrum_match(eigvals[::-1], blocks)
+        per_block, _ = verify_mod.block_spectrum_match(eigvals[::-1], blocks)
         offset, parities = 0, set()
         for k in sorted(range(len(blocks)), key=lambda k: blocks[k].value):
             m = blocks[k].multiplicity
@@ -2057,6 +2057,32 @@ class TestVerificationBundle:
         with pytest.raises(ValueError):
             run_verification(2, 2, "given-coefficients", None)
 
+    @pytest.mark.parametrize(
+        "mode, uniform, message",
+        [
+            ("bogus", False, "unknown verification mode 'bogus'"),
+            ("given-coefficients", False, "given-coefficients mode needs coefficients"),
+            ("optimized", False, "optimized mode needs coefficients"),
+            ("standard", True, "standard mode does not take coefficients"),
+        ],
+    )
+    def test_arguments_are_checked_before_anything_is_built(
+        self, monkeypatch, mode, uniform, message
+    ):
+        built = []
+
+        def spy(name):
+            return lambda *args, **kwargs: built.append(name)
+
+        for name in ("check_oracle_size", "build_rho", "pbt_ensemble", "pretty_good_measurement"):
+            monkeypatch.setattr(oracle_mod, name, spy(name))
+        for name in ("block_spectrum", "fidelity_standard", "fidelity_given_coefficients"):
+            monkeypatch.setattr(verify_mod, name, spy(name))
+        c = PortCoefficients.uniform(2, 2) if uniform else None
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_verification(2, 2, mode, c)
+        assert built == []
+
 
 class TestBuiltFromEntries:
     """rho_i, O x 1_B and the channel's input state are built from their
@@ -2140,7 +2166,7 @@ class TestBuiltFromEntries:
         script = (
             "import resource, sys\n"
             "import pbtfid.oracle as o\n"
-            "from pbtfid import fidelity_standard, optimize_coefficients\n"
+            "from pbtfid import fidelity_standard, optimize_coefficients, run_verification\n"
             "d, N, kind = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]\n"
             "c = optimize_coefficients(d, N).coefficients if kind == 'optimized' else None\n"
             "formula = fidelity_standard(d, N).fidelity\n"
@@ -2150,7 +2176,7 @@ class TestBuiltFromEntries:
             "    assert abs(o.teleportation_fidelity_direct(d, N, povm) - formula) <= 1e-9\n"
             "    estimate = o.check_oracle_size(d, N, entries=o._measured(povm.first)[0].size)\n"
             "else:\n"
-            "    assert all(ch.passed for ch in o.run_verification(d, N, kind, c))\n"
+            "    assert all(ch.passed for ch in run_verification(d, N, kind, c))\n"
             "    estimate = o.check_oracle_size(d, N, steered=c is not None)\n"
             "growth = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base\n"
             "print(growth * 1024, estimate)\n"
@@ -2169,25 +2195,25 @@ class TestBuiltFromEntries:
 
 
 def test_oracle_imports_only_the_pinned_fidelity_names():
-    # the oracle is an independent ground truth: it may call the formula side
-    # only to compare with it, never for a shortcut in its own constructions;
-    # its block layouts live in pbtfid.sectors, which imports no pbtfid module
-    from_fidelity = set()
+    # the oracle is an independent ground truth: of the formula side it takes
+    # the PortCoefficients data alone, and it reads no dimension formula (the
+    # comparison lives in pbtfid.verify); its block layouts live in
+    # pbtfid.sectors, which imports no pbtfid module
+    from_fidelity, imported = set(), set()
     for module_file in (oracle_mod.__file__, sectors_mod.__file__):
         for node in ast.walk(ast.parse(Path(module_file).read_text())):
             if isinstance(node, ast.ImportFrom):
                 module = "." * node.level + (node.module or "")
+                names = {alias.name for alias in node.names}
+                imported |= names
                 if module_file == sectors_mod.__file__:
                     assert not module.startswith((".", "pbtfid")), module
+                assert module not in (".verify", "pbtfid.verify"), module
                 if module in (".fidelity", "pbtfid.fidelity"):
-                    from_fidelity |= {alias.name for alias in node.names}
+                    from_fidelity |= names
                 else:
-                    assert "fidelity" not in {alias.name for alias in node.names}, module
+                    assert not names & {"fidelity", "verify"}, module
             elif isinstance(node, ast.Import):
                 assert not any(alias.name.startswith("pbtfid") for alias in node.names)
-    assert from_fidelity == {
-        "PortCoefficients",
-        "block_spectrum",
-        "fidelity_given_coefficients",
-        "fidelity_standard",
-    }
+    assert from_fidelity == {"PortCoefficients"}
+    assert not imported & {"specht_dim", "weyl_dim"}
