@@ -40,7 +40,7 @@ from pbtfid.fidelity import (
     _principal_eigenpair,
     _successor_logsumexp,
 )
-from pbtfid.partitions import partition_level, table_partitions
+from pbtfid.partitions import partition_level
 from conftest import add_box_successors, box_incidence
 
 SQ3 = math.sqrt(3.0)

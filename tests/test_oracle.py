@@ -2051,24 +2051,8 @@ class TestVerificationBundle:
         assert counts["eigvalsh"] == 5
         assert max(lapack) <= largest_sector(d, N)
 
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            run_verification(2, 2, "bogus")
-        with pytest.raises(ValueError):
-            run_verification(2, 2, "given-coefficients", None)
-
-    @pytest.mark.parametrize(
-        "mode, uniform, message",
-        [
-            ("bogus", False, "unknown verification mode 'bogus'"),
-            ("given-coefficients", False, "given-coefficients mode needs coefficients"),
-            ("optimized", False, "optimized mode needs coefficients"),
-            ("standard", True, "standard mode does not take coefficients"),
-        ],
-    )
-    def test_arguments_are_checked_before_anything_is_built(
-        self, monkeypatch, mode, uniform, message
-    ):
+    def test_bad_mode_rejected(self, monkeypatch):
+        # the mode and the coefficients are checked before anything is built
         built = []
 
         def spy(name):
@@ -2078,9 +2062,15 @@ class TestVerificationBundle:
             monkeypatch.setattr(oracle_mod, name, spy(name))
         for name in ("block_spectrum", "fidelity_standard", "fidelity_given_coefficients"):
             monkeypatch.setattr(verify_mod, name, spy(name))
-        c = PortCoefficients.uniform(2, 2) if uniform else None
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            run_verification(2, 2, mode, c)
+        uniform = PortCoefficients.uniform(2, 2)
+        for mode, c, message in [
+            ("bogus", None, "unknown verification mode 'bogus'"),
+            ("given-coefficients", None, "given-coefficients mode needs coefficients"),
+            ("optimized", None, "optimized mode needs coefficients"),
+            ("standard", uniform, "standard mode does not take coefficients"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                run_verification(2, 2, mode, c)
         assert built == []
 
 
