@@ -34,11 +34,12 @@ constraints against its transposed images (``_swap_defects``).
 Every operator here is held as one block per letter-permutation orbit of
 the weight sectors of (C^d)^(N+1) (``pbtfid.sectors``), and eigensolves,
 products, gathers and symmetrisations run block by block; an operator from
-outside is measured entry by entry for that layout. rho_i and O x 1_B are
-built from their nonzero entries, and the channel's input state psi from
-its nonzero entries too, its letter invariance measured. No full matrix is
-filled unless ``matrix`` is read. ``verify --d 2 --N 8`` takes 5
-decompositions, each of 5 blocks, the largest 126.
+outside is measured entry by entry for that layout, and held dense when it
+is not letter invariant. rho_i and O x 1_B are built from their nonzero
+entries, and the channel's input state psi from its nonzero entries too,
+its letter invariance measured. No full matrix is filled unless ``matrix``
+is read. ``verify --d 2 --N 8`` takes 5 decompositions, each of 5 blocks,
+the largest 126.
 
 Tensor-factor convention: the N port slots A_1..A_N come first and the single
 B slot is last, with row-major index fusion (np.kron order). Permutations act
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
@@ -86,8 +88,9 @@ def check_oracle_size(d: int, N: int, steered: bool = False, entries: int | None
     Its terms are fitted to the ru_maxrss growth of verify runs: BASE_BYTES
     and LIVE_MEMBERS float64 arrays of ``entries``, one operator's data in its
     blocks, by default one block per letter orbit of the weight sectors
-    (``_orbit_entries``). A steered run adds the projector table (16 bytes for
-    each of N! d^N entries) and PORT_COPIES d^N x d^N arrays of O.
+    (``_orbit_entries``). A steered run adds 16 bytes for each of the N! d^N
+    entries of the permutation table, which holds 8 of them (the rest is
+    margin), and PORT_COPIES d^N x d^N arrays of O.
     """
     budget = env_positive_int(ORACLE_BYTES_ENV, DEFAULT_ORACLE_BYTES)
     if entries is None:
@@ -129,8 +132,8 @@ def _heads(operators: Sequence[DenseOperator]) -> Sequence[DenseOperator]:
 def _common(*groups: Sequence[DenseOperator]) -> tuple[_Sectors, list]:
     """The layout shared by groups of operators on one factor dims, and an
     iterator over each group's data in it: their own when they share one,
-    else ``plain`` when every operator is sector-diagonal, else dense. An
-    orbit is measured at M_1 and its members are gathered as read."""
+    else dense. An orbit is measured at M_1 and its members are gathered as
+    read."""
     heads = [op for group in groups for op in _heads(group)]
     known = [op._sectors for op in heads if op._sectors is not None]
     weights = next((sectors for sectors in known if sectors.blocked), None)
@@ -139,13 +142,10 @@ def _common(*groups: Sequence[DenseOperator]) -> tuple[_Sectors, list]:
     layouts = [_measured(op, weights)[0] for op in heads]
     sectors = layouts[0]
     if not all(other == sectors for other in layouts):
-        blocked = all(other.blocked for other in layouts)
-        sectors = sectors.plain if blocked else _Sectors.dense(sectors.dims)
+        sectors = _Sectors.dense(sectors.dims)
 
     def recast(layout, data):
-        if layout == sectors:
-            return data
-        return layout.unfold(data) if sectors.blocked else layout.matrix(data).ravel()
+        return data if layout == sectors else layout.matrix(data).ravel()
 
     def stream(group):
         if isinstance(group, _PortOrbit):
@@ -163,12 +163,9 @@ def _zeros(sectors: _Sectors, operators: Sequence[DenseOperator]) -> np.ndarray:
 
 def _eigensolve(sectors: _Sectors, data: np.ndarray, vectors: bool = False) -> list:
     """The oracle's one decomposition: ``eigh`` (with ``vectors``) or
-    ``eigvalsh`` of each held block, one call per block size."""
+    ``eigvalsh`` of each held block."""
     solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
-    solved = [solve(batch) for batch in sectors.batches(data)]
-    if vectors:
-        return [pair for w, v in solved for pair in zip(w, v)]
-    return [w for batch in solved for w in batch]
+    return [solve(block) for block in sectors.blocks(data)]
 
 
 def _lowest(sectors: _Sectors, data: np.ndarray) -> float:
@@ -179,7 +176,7 @@ def _lowest(sectors: _Sectors, data: np.ndarray) -> float:
 def _asymmetry(sectors: _Sectors, data: np.ndarray) -> float:
     """The largest entrywise hermiticity defect of the matrix of ``data``
     (NaN propagates)."""
-    return float(np.max([hermiticity_defect(batch) for batch in sectors.batches(data)]))
+    return float(np.max([hermiticity_defect(block) for block in sectors.blocks(data)]))
 
 
 def _port_swaps(d: int, N: int) -> list[np.ndarray]:
@@ -239,7 +236,7 @@ class _PortOrbit(Sequence):
 
     It holds M_1 and the gathers: member k is gathered each time it is read,
     and nothing keeps it. Consumers recognise it by its type and never
-    measure it again. A copy (``list(orbit)``, a slice) is a plain
+    measure it again. A copy (``list(orbit)``, a slice) is an ordinary
     sequence."""
 
     __slots__ = ("first", "gathers")
@@ -308,12 +305,13 @@ def _from_entries(
     dims: tuple[int, ...], rows: np.ndarray, columns: np.ndarray, values: np.ndarray
 ) -> DenseOperator:
     """The operator on ``dims`` with the given entries, at distinct positions
-    and zero elsewhere, in the weight sectors when each entry lies in one
-    (``_Sectors.from_entries``, one block per letter orbit when the entries
-    are covariant), else dense."""
-    weights = _Sectors.weights(dims)
-    held = None if weights is None else weights.from_entries(rows, columns, values)
-    sectors, data = held or _Sectors.dense(dims).from_entries(rows, columns, values)
+    and zero elsewhere, one block per letter orbit of the weight sectors when
+    the entries are letter invariant (``_Sectors.from_entries``), else dense."""
+    sectors = _Sectors.weights(dims)
+    data = None if sectors is None else sectors.from_entries(rows, columns, values)
+    if data is None:  # one sector holds any finite entries
+        sectors = _Sectors.dense(dims)
+        data = sectors.from_entries(rows, columns, values)
     return sectors.operator(data)
 
 
@@ -517,36 +515,46 @@ def _discrimination(
 # ---------------------------------------------------------------------------
 
 
-def _permutation_table(d: int, n: int) -> tuple[np.ndarray, list[Partition], np.ndarray]:
-    """Every permutation pi of n slots of size d, for ``young_projector``:
-    the flat positions of the d^n entries of R(pi) in a d^n x d^n matrix
-    (row r of R(pi) has its one entry at column g_pi[r], g_pi the slot gather
-    of pi), one row per pi, with the distinct cycle types and the index of
-    each pi's type among them. The projectors of one (d, n) share it. Its
-    size is factorial in n: the positions are filled row by row in place.
+def _permutation_table(d: int, n: int) -> tuple[list[Partition], list[np.ndarray]]:
+    """Every permutation pi of n slots of size d, grouped by cycle type: the
+    distinct cycle types, and for each the flat positions of the d^n entries
+    of R(pi) in a d^n x d^n matrix (row r of R(pi) has its one entry at
+    column g_pi[r], g_pi the slot gather of pi), one row per pi. Its size is
+    factorial in n: the positions are filled row by row in place, and each
+    type's rows are a view of them.
     """
     check_oracle_size(d, n, steered=True)
     full = d**n
-    positions = np.empty((math.factorial(n), full), dtype=np.intp)
-    classes, class_index = {}, np.empty(len(positions), dtype=np.intp)
-    for k, perm in enumerate(itertools.permutations(range(n))):
-        class_index[k] = classes.setdefault(permutation_cycle_type(perm), len(classes))
+    perms = itertools.permutations(range(n))
+    typed = sorted((permutation_cycle_type(perm), perm) for perm in perms)
+    positions = np.empty((len(typed), full), dtype=np.intp)
+    for k, (_, perm) in enumerate(typed):
         positions[k] = slot_gather((d,) * n, perm)
     positions += np.arange(0, full * full, full)
-    return positions, list(classes), class_index
+    counts = Counter(lam for lam, _ in typed)  # in the sorted order
+    return list(counts), np.split(positions, np.cumsum(list(counts.values()))[:-1])
 
 
-def young_projector(mu, d: int, table: tuple | None = None) -> DenseOperator:
+def _class_sum(rows: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
+    """sum_pi weights[cycle type of pi] R(pi), from the rows of each type of
+    a ``_permutation_table``: each type's weight times the number of its
+    permutations with an entry at each position (``bincount``, exact), so no
+    permutation matrix is built and an entry rounds one term per type. pi is
+    used as the gather order, which gives R(pi^-1); the sum is the same
+    because pi and pi^-1 share a cycle type."""
+    full = rows[0].shape[1]
+    acc = np.zeros(full * full)
+    for weight, positions in zip(weights, rows):
+        acc += weight * np.bincount(positions.ravel(), minlength=full * full)
+    return acc.reshape(full, full)
+
+
+def young_projector(mu, d: int) -> DenseOperator:
     """Projector onto the isotypic component of the slot-permutation action.
 
-    Character averaging: P_mu = (d_mu / n!) sum_pi chi_mu(pi) R(pi), with
-    each chi_mu(pi) added at the positions of R(pi)'s entries
-    (``_permutation_table``), so no permutation matrix is built. chi_mu is
-    evaluated once per cycle type, and d_mu is chi_mu at the identity. pi is
-    used as the gather order, which gives R(pi^-1); the sum is the same
-    because pi and pi^-1 share a cycle type. ``table`` is
-    ``_permutation_table(d, |mu|)``, passed by callers that build several
-    projectors of one size; it is built here otherwise.
+    Character averaging: P_mu = (d_mu / n!) sum_pi chi_mu(pi) R(pi)
+    (``_class_sum``). chi_mu is evaluated once per cycle type, and d_mu is
+    chi_mu at the identity.
     """
     mu = check_partition(mu)
     n = sum(mu)
@@ -554,14 +562,10 @@ def young_projector(mu, d: int, table: tuple | None = None) -> DenseOperator:
         raise ValueError("need a nonempty diagram")
     if len(mu) > d:
         raise ValueError(f"partition {mu} has more than d={d} rows")
-    positions, classes, class_index = table if table is not None else _permutation_table(d, n)
-    full = d**n
+    classes, rows = _permutation_table(d, n)
     chi = np.array([sn_character(mu, lam) for lam in classes], dtype=float)
-    # the sums are integers, exact in float64 in any order
-    acc = np.bincount(
-        positions.ravel(), np.repeat(chi[class_index], full), full * full
-    ).reshape(full, full)
-    proj = acc * (chi[classes.index((1,) * n)] / math.factorial(n))
+    # the sums are integers, exact in float64 in any order, and scaled once
+    proj = _class_sum(rows, chi) * (chi[classes.index((1,) * n)] / math.factorial(n))
     return DenseOperator(proj, (d,) * n)
 
 
@@ -571,17 +575,21 @@ def young_projector(mu, d: int, table: tuple | None = None) -> DenseOperator:
 
 
 def build_port_operator(d: int, N: int, coefficients: PortCoefficients) -> DenseOperator:
-    """O = sum_mu sqrt(c_mu) P_mu acting on the N port slots, with one
-    permutation table for all the projectors. Every steered construction
-    passes through here, so coefficients for another (d, N) stop here."""
+    """O = sum_mu sqrt(c_mu) P_mu acting on the N port slots: one class sum
+    (``_class_sum``) with the weight sum_mu sqrt(c_mu) d_mu chi_mu(pi) / N!
+    per cycle type, the projectors' character averages combined. Every
+    steered construction passes through here, so coefficients for another
+    (d, N) stop here."""
     if (coefficients.d, coefficients.N) != (d, N):
         raise ValueError(f"coefficients are for (d, N) = ({coefficients.d}, {coefficients.N})")
-    table = _permutation_table(d, N)
-    acc = np.zeros((d**N, d**N))
+    classes, rows = _permutation_table(d, N)
+    identity = classes.index((1,) * N)
+    weights = np.zeros(len(classes))
     for mu, c in coefficients.items():
         if c > 0:
-            acc = acc + math.sqrt(c) * young_projector(mu, d, table)._matrix
-    return DenseOperator(acc, (d,) * N)
+            chi = np.array([sn_character(mu, lam) for lam in classes], dtype=float)
+            weights += math.sqrt(c) * (chi[identity] / math.factorial(N)) * chi
+    return DenseOperator(_class_sum(rows, weights), (d,) * N)
 
 
 def _lifted_port_operator(d: int, N: int, coefficients: PortCoefficients) -> DenseOperator:
@@ -771,9 +779,10 @@ def teleportation_fidelity_direct(
     moved last, as the B slot. Each held block of the POVM (``_common``)
     reaches a set of columns of w_i (``_Sectors.reached_blocks``), outside which its
     rows are zero, and each term is taken one block at a time, counted by
-    the block's multiplicity when psi's entries are measured invariant under
-    the letter permutations (``_letter_invariant``); else every weight sector
-    is held (``_Sectors.plain``). The POVM's blocks size the run.
+    the block's multiplicity. That count needs psi invariant under the
+    letter permutations, as it is by construction (O is a sum of isotypic
+    projectors); its entries are measured so (``_letter_invariant``), and an
+    AssertionError stops the run otherwise. The POVM's blocks size the run.
     """
     if N < 1 or len(povm) != N:
         raise ValueError(f"need N >= 1 and one POVM element per port, got {len(povm)} for N={N}")
@@ -784,8 +793,7 @@ def teleportation_fidelity_direct(
     rows, columns, values = _input_state(d, N, coefficients)
     rows = rows % d**N * d + rows // d**N  # (a_0, a) read as (a, a_0)
     if not _letter_invariant(d, N + 1, (rows, columns, values)):
-        elements, sectors = map(sectors.unfold, elements), sectors.plain
-        check_oracle_size(d, N, steered=coefficients is not None, entries=sectors.size)
+        raise AssertionError("the input state is not invariant under the letter permutations")
     r, b = np.divmod(columns, d**N)
     terms = []
     for i in range(1, N + 1):

@@ -1,6 +1,6 @@
 """Young-diagram combinatorics for bounded-row partitions.
 
-Partitions are plain tuples of weakly decreasing positive integers with no
+Partitions are tuples of weakly decreasing positive integers with no
 trailing zeros; the empty tuple is the unique partition of 0. A row bound
 ``d`` is always passed as a separate argument, never stored, so the same
 tuple can be reused under any bound.

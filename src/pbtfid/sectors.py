@@ -7,11 +7,11 @@ the digit counts of (a_1..a_N, b); for U a permutation of the letters
 {0..d-1}, the block of each weight sector is a fixed gather of the block of
 the sector it is the image of. ``_Sectors`` holds such an operator as one
 block per orbit of sectors under the letter permutations, with its
-multiplicity. The oracle's own constructions are covariant by construction;
-an operator from outside is measured entry by entry (``_measured``): held
-so when every block equals its representative's gathered, as every
-sector's block when it is only zero off the sectors, else as one dense
-block. One code runs all three layouts, block by block.
+multiplicity. The oracle's own constructions are letter invariant, equal to
+their images under every letter permutation, by construction; an operator
+from outside is measured entry by entry (``_measured``): held so when every
+block equals its representative's gathered, else as one dense block. One
+code runs both layouts, block by block.
 """
 
 from __future__ import annotations
@@ -37,10 +37,9 @@ class DenseOperator:
 
     An operator also has a block layout (``_Sectors``), measured on first use
     (``_measured``): one block per letter orbit of the weight sectors when
-    its matrix is covariant, every sector's block when it is only zero off
-    them, else one block of every index. The oracle's constructions from
-    sector-diagonal operators are built block by block; their full
-    ``matrix`` is filled, read-only, when first asked for.
+    its matrix is letter invariant, else one block of every index. The
+    oracle's constructions from such operators are built block by block;
+    their full ``matrix`` is filled, read-only, when first asked for.
     """
 
     def __init__(self, matrix, factor_dims):
@@ -95,20 +94,18 @@ class _Sectors:
     block is the matrix's own and ``eigvalsh`` reads the same entries block
     by block as it does on the full matrix. Index x of any sector is the
     image of ``_source[x]``, in the sector's representative, under a
-    permutation of the letters, so the block of a covariant matrix is its
-    representative's block gathered at ``_local[_source[sector]]``. The data
-    of a matrix is the ``held`` representatives' blocks, raveled and
-    concatenated by size, so that ``batches`` views equal sizes as one
-    stack. Elementwise arithmetic, maxima, minima and comparisons read the
-    same on the data as on the full matrix; products, eigensolves,
-    symmetrisation and the port-permutation gathers go block by block; a
-    trace or an inner product weights each block by its ``multiplicity``,
-    and a spectrum repeats it.
+    permutation of the letters, so the block of a letter-invariant matrix is
+    its representative's block gathered at ``_local[_source[sector]]``. The
+    data of a matrix is the ``held`` representatives' blocks, raveled and
+    concatenated, smallest first. Elementwise arithmetic, maxima, minima and
+    comparisons read the same on the data as on the full matrix; products,
+    eigensolves, symmetrisation and the port-permutation gathers go block by
+    block; a trace or an inner product weights each block by its
+    ``multiplicity``, and a spectrum repeats it.
 
     ``weights(dims)`` gives the weight sectors of the port layout, one
-    representative per letter orbit; ``plain`` the same sectors, each its
-    own representative, for a matrix that is not covariant; ``dense(dims)``
-    one sector holding every index, whose data is the full matrix raveled.
+    representative per letter orbit; ``dense(dims)`` one sector holding
+    every index, whose data is the full matrix raveled.
     """
 
     def __init__(self, dims: tuple[int, ...], labels: np.ndarray, source: np.ndarray | None = None):
@@ -130,14 +127,10 @@ class _Sectors:
         self.size = sum(n * n for n in held_sizes)  # entries in the data
         starts = itertools.accumulate([0] + held_sizes)
         data_starts = itertools.accumulate([0] + [n * n for n in held_sizes])
-        # (row start, data start, size) of each held block, and of each
-        # run of equal sizes (data start, count, size)
+        # (row start, data start, size) of each held block
         self._spans = list(zip(starts, data_starts, held_sizes))
-        self._batches = [(next(run)[1], 1 + sum(1 for _ in run), n)
-                         for n, run in itertools.groupby(self._spans, key=lambda span: span[2])]
         self._rows = np.concatenate([self.index[k] for k in self.held])
         self._row_labels = labels[self._rows]
-        self.covariant = self  # the layout with one representative per orbit
 
     @classmethod
     def weights(cls, dims: tuple[int, ...]) -> _Sectors | None:
@@ -174,69 +167,24 @@ class _Sectors:
     def dense(cls, dims: tuple[int, ...]) -> _Sectors:
         return cls(dims, np.zeros(math.prod(dims), dtype=np.intp))
 
-    @cached_property
-    def plain(self) -> _Sectors:
-        """These sectors, each its own representative."""
-        if len(self.held) == len(self.sizes):
-            return self
-        plain = _Sectors(self.dims, self._labels)
-        plain.covariant = self
-        return plain
-
     @property
     def blocked(self) -> bool:
         return len(self.sizes) > 1
 
     def __eq__(self, other) -> bool:
-        # the layouts of one dims differ in their sectors or representatives
+        # the two layouts of one dims differ in their sectors
         same = isinstance(other, _Sectors) and other.dims == self.dims
-        return same and other.sizes == self.sizes and other.held == self.held
+        return same and other.sizes == self.sizes
 
     def blocks(self, data: np.ndarray) -> list[np.ndarray]:
         """Views of the held blocks in ``data``."""
         return [data[start : start + n * n].reshape(n, n) for _, start, n in self._spans]
 
-    def batches(self, data: np.ndarray) -> list[np.ndarray]:
-        """Views of the held blocks in ``data``, each run of equal sizes as
-        one (k, n, n) stack."""
-        return [data[start : start + k * n * n].reshape(k, n, n) for start, k, n in self._batches]
-
-    @cached_property
-    def _positions(self) -> np.ndarray:
-        """Flat positions in the full matrix of the data entries."""
-        sectors = (self.index[k] for k in self.held)
-        return np.concatenate([(s[:, None] * self.dim + s).ravel() for s in sectors])
-
-    @cached_property
-    def _unfold(self) -> np.ndarray:
-        """Positions in the data of the entries of the plain layout's data."""
-        parts = []
-        for k in self.plain.held:
-            _, start, n = self._spans[self._block[self._rep[k]]]
-            local = self._local[self._source[self.index[k]]]
-            parts.append((start + local[:, None] * n + local).ravel())
-        return np.concatenate(parts)
-
-    def unfold(self, data: np.ndarray) -> np.ndarray:
-        """The data in the plain layout: each orbit member its own block."""
-        return data if self.plain is self else data.take(self._unfold)
-
-    def measure(self, matrix: np.ndarray) -> tuple[_Sectors, np.ndarray] | None:
-        """The layout and data of ``matrix`` when its entries off the sectors
-        are zero, counted entry by entry (a NaN is not zero), else None: one
-        representative per orbit when every block equals its
-        representative's gathered, entry by entry, else the plain layout."""
-        if not self.blocked:
-            return self, matrix.ravel()
-        orbits = self.covariant
-        data = matrix.take(orbits.plain._positions)
-        if np.count_nonzero(data) != np.count_nonzero(matrix):
-            return None
-        if orbits.plain is orbits:
-            return orbits, data
-        reps = matrix.take(orbits._positions)
-        covariant = np.array_equal(reps.take(orbits._unfold), data)
-        return (orbits, reps) if covariant else (orbits.plain, data)
+    def measure(self, matrix: np.ndarray) -> np.ndarray | None:
+        """``from_entries`` of the nonzero entries of ``matrix`` (a NaN is
+        not zero)."""
+        rows, columns = np.nonzero(matrix)
+        return self.from_entries(rows, columns, matrix[rows, columns])
 
     def _place(self, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
         """Positions in the data of entries (rows, columns), each in one
@@ -247,27 +195,24 @@ class _Sectors:
 
     def from_entries(
         self, rows: np.ndarray, columns: np.ndarray, values: np.ndarray
-    ) -> tuple[_Sectors, np.ndarray] | None:
-        """The layout and data of the matrix with the given entries, at
-        distinct positions and zero elsewhere, when each lies in one sector,
-        else None: held as ``measure`` holds it, measured on the entries
-        alone. They are covariant when each equals the entry placed at its
-        image and the nonzero ones are as many as the gathered blocks hold:
-        a gather is one to one within a sector, so the nonzero entries are
-        then every nonzero entry of the gathered blocks."""
-        orbits = self.covariant
-        if not np.array_equal(orbits._labels[rows], orbits._labels[columns]):
+    ) -> np.ndarray | None:
+        """The data of the matrix with the given entries, at distinct
+        positions and zero elsewhere, when these blocks hold it, else None:
+        each entry lies in one sector, equals the entry placed at its image,
+        and the nonzero entries are as many as the gathered blocks hold. A
+        gather is one to one within a sector, so the nonzero entries are
+        then every nonzero entry of the gathered blocks, and the matrix is
+        letter invariant. A NaN equals no entry."""
+        if not np.array_equal(self._labels[rows], self._labels[columns]):
             return None
-        for layout in (orbits, orbits.plain):
-            position = layout._place(rows, columns)
-            data = np.zeros(layout.size, dtype=values.dtype)
-            data[position] = values
-            if layout is layout.plain:
-                return layout, data
-            held = [np.count_nonzero(block) for block in layout.blocks(data)]
-            gathered = sum(m * n for m, n in zip(layout.multiplicity, held))
-            if np.array_equal(data[position], values) and gathered == np.count_nonzero(values):
-                return layout, data
+        position = self._place(rows, columns)
+        data = np.zeros(self.size, dtype=values.dtype)
+        data[position] = values
+        held = [np.count_nonzero(block) for block in self.blocks(data)]
+        gathered = sum(m * n for m, n in zip(self.multiplicity, held))
+        if np.array_equal(data[position], values) and gathered == np.count_nonzero(values):
+            return data
+        return None
 
     def reached_blocks(
         self, entries: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -294,12 +239,22 @@ class _Sectors:
             np.add.at(block, (self._local[rows[mine]], position[mine]), values[mine])
             yield reached, block
 
+    @cached_property
+    def _expansion(self) -> tuple[np.ndarray, np.ndarray]:
+        """The flat position in the full matrix of every entry of every
+        sector's block, and the position in the data of the entry it is
+        gathered from."""
+        rows = np.concatenate([np.repeat(sector, sector.size) for sector in self.index])
+        columns = np.concatenate([np.tile(sector, sector.size) for sector in self.index])
+        return rows * self.dim + columns, self._place(rows, columns)
+
     def matrix(self, data: np.ndarray) -> np.ndarray:
         """The full matrix with ``data`` as its blocks."""
         if not self.blocked:
             return data.reshape(self.dim, self.dim)
+        positions, gathered = self._expansion
         out = np.zeros((self.dim, self.dim), dtype=data.dtype)
-        out.put(self.plain._positions, self.unfold(data))
+        out.put(positions, data.take(gathered))
         return out
 
     def operator(self, data: np.ndarray) -> DenseOperator:
@@ -351,13 +306,15 @@ def _measured(
     op: DenseOperator, weights: _Sectors | None = None
 ) -> tuple[_Sectors, np.ndarray]:
     """The operator's sectors and its data in them, measured on first use
-    (``_Sectors.measure``) in its weight sectors (``weights`` when given for
-    its dims), else the dense layout."""
+    (``_Sectors.measure``) in its letter orbits of weight sectors
+    (``weights`` when given for its dims), else the dense layout."""
     if op._sectors is None:
         if weights is None or weights.dims != op.factor_dims:
             weights = _Sectors.weights(op.factor_dims)
-        measured = None if weights is None else weights.measure(op._matrix)
-        op._sectors, op._data = measured or (_Sectors.dense(op.factor_dims), op._matrix.ravel())
+        data = None if weights is None else weights.measure(op._matrix)
+        if data is None:
+            weights, data = _Sectors.dense(op.factor_dims), op._matrix.ravel()
+        op._sectors, op._data = weights, data
     return op._sectors, op._data
 
 

@@ -478,6 +478,13 @@ def per_element_pgm(ensemble):
     ]
 
 
+def held_data(layout, matrix):
+    """The data of ``matrix`` in ``layout``: the blocks of its held sectors,
+    raveled and concatenated in order."""
+    held = (layout.index[k] for k in layout.held)
+    return np.concatenate([matrix[np.ix_(sector, sector)].ravel() for sector in held])
+
+
 def assert_held_blocks_equal(op, reference):
     """The oracle computes an operator's held blocks and gathers the others
     from them: the held blocks equal ``reference``'s bit for bit, and so
@@ -485,8 +492,8 @@ def assert_held_blocks_equal(op, reference):
     agrees to rounding, as it sums the other blocks' entries in another
     order."""
     layout = oracle_mod._measured(op)[0]
-    reps = reference.take(layout._positions)
-    assert np.array_equal(op.matrix.take(layout._positions), reps)
+    reps = held_data(layout, reference)
+    assert np.array_equal(held_data(layout, op.matrix), reps)
     assert np.array_equal(op.matrix, layout.matrix(reps))
     assert np.max(np.abs(op.matrix - reference)) <= 1e-14
 
@@ -709,8 +716,9 @@ class TestOrbitValidation:
         counts, lapack = count_eigensolves(monkeypatch)
         assert success_probability(ens, povm) == pytest.approx(0.5, abs=1e-12)
         assert counts == {"eigvalsh": 2}
-        # P is diagonal, so both elements are decomposed block by block
-        assert max(lapack) <= largest_sector(2, 2)
+        # the letter swap takes P to |1><1| on port 1, so P is not covariant
+        # and both elements are decomposed whole
+        assert not any(map(is_blocked, povm)) and lapack == [8, 8]
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_non_psd_state_named_with_its_own_eigenvalue(self, k):
@@ -877,14 +885,14 @@ class TestWeightSectors:
         assert sectors.sizes == [math.comb(9, k) for k in range(10)]
         assert [sectors.sizes[k] for k in sectors.held] == [math.comb(9, k) for k in range(5)]
         assert sectors.multiplicity == [2] * 5
-        assert sectors.size == 48620 // 2 and sectors.plain.size == 48620
+        assert sectors.size == 48620 // 2 and sum(n * n for n in sectors.sizes) == 48620
 
     def test_data_round_trip_and_gathers(self):
         d, N = 2, 4
         rho = build_rho(d, N, 2).matrix
         sectors = oracle_mod._Sectors.weights((d,) * (N + 1))
-        layout, data = sectors.measure(rho)
-        assert layout is sectors and data.size == sectors.size
+        data = sectors.measure(rho)
+        assert data.size == sectors.size
         assert np.array_equal(sectors.matrix(data), rho)
         for g in oracle_mod._port_swaps(d, N):
             image = sectors.matrix(sectors.gather(data, g))
@@ -958,7 +966,8 @@ class TestWeightSectors:
         k, j = (sectors.index[0][0], big[0]) if off_sector else (big[0], big[1])
         states = list(cached_ensemble(d, N).states)
         states[2] = with_entry(states[2], math.nan, k, j)
-        assert is_blocked(states[2]) != off_sector
+        # a NaN equals no entry, so no letter orbit holds it
+        assert not is_blocked(states[2])
         with pytest.raises(ValueError, match="^state 2 has non-finite entries$"):
             Ensemble(states, [1 / N] * N)
         povm = list(cached_pgm(d, N))
@@ -970,8 +979,8 @@ class TestWeightSectors:
 class TestLetterOrbits:
     """A permutation of the letters maps each weight sector onto another:
     covariant operators are held as one representative block per orbit,
-    measured block against gathered block for operators from outside; any
-    other sector-diagonal operator keeps every sector (the plain layout)."""
+    measured entry against gathered entry for operators from outside; any
+    other operator is held dense."""
 
     @pytest.mark.parametrize("d, N", [(d, N) for d in (1, 2, 3, 4) for N in range(1, 6)])
     def test_budget_counts_the_representatives_exactly(self, d, N):
@@ -980,9 +989,8 @@ class TestLetterOrbits:
         assert estimate == oracle_mod.BASE_BYTES + oracle_mod.LIVE_MEMBERS * 8 * sectors.size
         # the stand-ins are lower bounds
         assert oracle_mod._orbit_entries(d, N, 0) <= sectors.size
-        assert sum(m * sectors.sizes[k] ** 2 for k, m in zip(sectors.held, sectors.multiplicity)) == (
-            sectors.plain.size
-        )
+        held = zip(sectors.held, sectors.multiplicity)
+        assert sum(m * sectors.sizes[k] ** 2 for k, m in held) == sum(n * n for n in sectors.sizes)
 
     def test_orbit_members_are_letter_images(self):
         d, N = 3, 2
@@ -1015,7 +1023,7 @@ class TestLetterOrbits:
         expected = np.zeros((8, 8))
         expected[rows, rows] = 1.0
         layout = oracle_mod._measured(op)[0]
-        assert layout.blocked and (layout == sectors) == covariant
+        assert (layout == sectors) == layout.blocked == covariant
         assert np.array_equal(op.matrix, expected)
         assert np.count_nonzero(op.matrix) == 2
 
@@ -1027,14 +1035,14 @@ class TestLetterOrbits:
         assert layout == oracle_mod._measured(rho)[0] and layout.multiplicity == [2, 2, 1]
         # |0000><0000| added without its letter-swap image |1111><1111|
         off = DenseOperator(rho.matrix + np.diag(np.eye(rho.dim)[0]), rho.factor_dims)
-        layout = oracle_mod._measured(off)[0]
-        assert layout.blocked and layout.multiplicity == [1] * len(layout.sizes)
+        assert not is_blocked(off)
         assert np.array_equal(off.matrix, rho.matrix + np.diag(np.eye(rho.dim)[0]))
 
     def test_negative_eigenvalue_in_a_member_block_rejected(self):
         # rho_2 with -eps on a kernel diagonal entry of the sector that is
         # not its orbit's representative: the two member blocks differ, and
-        # only the one outside the representatives is indefinite
+        # only the one outside the representatives is indefinite, so the
+        # state is held dense
         d, N, eps = 2, 3, 1e-3
         states = list(cached_ensemble(d, N).states)
         orbits = oracle_mod._Sectors.weights((d,) * (N + 1))
@@ -1043,9 +1051,8 @@ class TestLetterOrbits:
         x = next(x for x in orbits.index[member] if not m[x].any())
         m[x, x] = -eps
         states[1] = DenseOperator(m, states[1].factor_dims)
-        layout = oracle_mod._measured(states[1])[0]
-        assert layout.blocked and layout is not orbits and len(layout.held) == len(layout.sizes)
-        assert oracle_mod._lowest(orbits, m.take(orbits._positions)) >= 0
+        assert not is_blocked(states[1])
+        assert oracle_mod._lowest(orbits, held_data(orbits, m)) >= 0
         low = np.linalg.eigvalsh(m).min()
         assert low == pytest.approx(-eps, abs=1e-15)
         with pytest.raises(ValueError, match=rf"^state 1 not PSD \(min eig {low:.3e}\)$"):
@@ -1053,33 +1060,30 @@ class TestLetterOrbits:
         with pytest.raises(ValueError, match=rf"^element 0 not PSD \(min eig {low:.3e}\)$"):
             oracle_mod._check_psd([states[1]], 1e-12, "element")
 
-    def test_non_covariant_ensemble_equals_one_sector(self, monkeypatch):
+    def test_non_covariant_ensemble_equals_one_sector(self):
         # each rho_i mixed with |0..0><0..0|, which no letter permutation
-        # keeps: sector-diagonal, not covariant, not a port orbit
+        # keeps: sector-diagonal, not covariant, not a port orbit, so every
+        # operator is held as one sector of every index
         d, N = 2, 3
-
-        def evaluate():
-            corner = np.diag(np.eye(d ** (N + 1))[0])
-            states = [
-                DenseOperator(0.9 * build_rho(d, N, i).matrix + 0.1 * corner, (d,) * (N + 1))
-                for i in range(1, N + 1)
-            ]
-            ens = Ensemble(states, [0.5, 0.3, 0.2])
-            povm = pretty_good_measurement(ens)
-            k = sum(p * st.matrix @ e.matrix for p, st, e in zip(ens.probs, states, povm))
-            K = DenseOperator((k + k.T) / 2, states[0].factor_dims)
-            report = certify_optimality(ens, povm, K)
-            layouts = [oracle_mod._measured(op)[0] for op in (*states, *povm, K)]
-            values = [success_probability(ens, povm), report.success_probability,
-                      report.feasibility, report.swap_defect, report.dual_value, report.gap]
-            return values, layouts
-
-        blocked, layouts = evaluate()
-        assert all(x.blocked and len(x.held) == len(x.sizes) for x in layouts)
-        dense_only(monkeypatch)
-        dense, layouts = evaluate()
-        assert not any(x.blocked for x in layouts)
-        assert np.max(np.abs(np.subtract(blocked, dense))) <= 1e-12
+        corner = np.diag(np.eye(d ** (N + 1))[0])
+        mats = [0.9 * build_rho(d, N, i).matrix + 0.1 * corner for i in range(1, N + 1)]
+        ens = Ensemble([DenseOperator(m, (d,) * (N + 1)) for m in mats], [0.5, 0.3, 0.2])
+        povm = pretty_good_measurement(ens)
+        k = sum(p * m @ e.matrix for p, m, e in zip(ens.probs, mats, povm))
+        K = DenseOperator((k + k.T) / 2, ens.factor_dims)
+        report = certify_optimality(ens, povm, K)
+        assert not any(map(is_blocked, (*ens.states, *povm, K)))
+        # the square-root measurement with numpy alone
+        w, vecs = np.linalg.eigh(sum(p * m for p, m in zip(ens.probs, mats)))
+        keep = w > 1e-10 * w.max()
+        inv_sqrt = (vecs[:, keep] / np.sqrt(w[keep])) @ vecs[:, keep].T
+        reference = math.fsum(
+            p * p * float(np.trace(m @ inv_sqrt @ m @ inv_sqrt)) for p, m in zip(ens.probs, mats)
+        )
+        assert success_probability(ens, povm) == pytest.approx(reference, abs=1e-12)
+        assert report.success_probability == pytest.approx(reference, abs=1e-12)
+        assert report.dual_value == pytest.approx(np.trace(k), abs=1e-12)
+        assert report.feasibility <= per_state_minimum(ens, K) + 1e-12
 
     @pytest.mark.parametrize("dn", ORACLE_GRID)
     def test_repeated_spectra_equal_the_plain_sectors(self, dn):
@@ -1091,12 +1095,48 @@ class TestLetterOrbits:
             certificate_Y(d, N, c), eta_ensemble(d, N, c).states[0],
         ]
         for op in operators:
-            sectors, data = oracle_mod._measured(op)
-            assert sectors is sectors.covariant and sectors.blocked
-            plain = np.concatenate(oracle_mod._eigensolve(sectors.plain, sectors.unfold(data)))
+            sectors = oracle_mod._measured(op)[0]
+            assert sectors == oracle_mod._Sectors.weights(op.factor_dims)
+            # every weight sector's block of the full matrix, decomposed alone
+            m = op.matrix
+            plain = np.concatenate([np.linalg.eigvalsh(m[np.ix_(s, s)]) for s in sectors.index])
             repeated = oracle_mod.eigenvalues(op)
             assert repeated.size == op.dim
             assert np.max(np.abs(np.sort(repeated) - np.sort(plain))) <= 1e-12
+
+    @pytest.mark.parametrize("dn", ORACLE_GRID + [(2, 6), (3, 4)])
+    def test_constructions_are_held_in_letter_orbits(self, dn):
+        # the oracle's own operators are covariant by construction: rho_1,
+        # O x 1_B, E_1, X, Y and eta_1 are each held one block per letter
+        # orbit, none dense
+        d, N = dn
+        c = random_valid_coefficients(d, N, np.random.default_rng(103))
+        ens = pbt_ensemble(d, N)
+        operators = [
+            ens.states[0], oracle_mod._lifted_port_operator(d, N, c),
+            pretty_good_measurement(ens)[0], certificate_X(d, N), certificate_Y(d, N, c),
+            eta_ensemble(d, N, c).states[0],
+        ]
+        orbits = oracle_mod._Sectors.weights((d,) * (N + 1))
+        assert len(orbits.held) < len(orbits.sizes)
+        for op in operators:
+            assert oracle_mod._measured(op)[0] == orbits
+
+    @pytest.mark.parametrize("mode, d, N, built", [("standard", 2, 8, 1), ("optimized", 2, 6, 2)])
+    def test_layouts_built_per_run(self, monkeypatch, mode, d, N, built):
+        # one orbit layout for rho_1, and one for O x 1_B when steered: the
+        # rest share theirs
+        c = optimize_coefficients(d, N).coefficients if mode == "optimized" else None
+        layouts = []
+        real_init = oracle_mod._Sectors.__init__
+
+        def init(self, *args):
+            layouts.append(self)
+            real_init(self, *args)
+
+        monkeypatch.setattr(oracle_mod._Sectors, "__init__", init)
+        assert all(ch.passed for ch in run_verification(d, N, mode, c))
+        assert len(layouts) == built and all(layout.blocked for layout in layouts)
 
     @pytest.mark.parametrize("dn", ORACLE_GRID)
     def test_input_state_is_letter_invariant(self, dn):
@@ -1121,12 +1161,6 @@ class TestLetterOrbits:
         direct = teleportation_fidelity_direct(d, N, povm)
         assert direct == pytest.approx(fidelity_standard(d, N).fidelity, abs=1e-12)
         assert counts == {"eigvalsh": 1} and len(lapack) == len({sectors.sizes[k] for k in sectors.held})
-        # the plain layout stacks its equal sizes: one call per size too
-        plain, first = sectors.plain, povm.first._data
-        lapack.clear()
-        low = oracle_mod._lowest(plain, sectors.unfold(first))
-        assert len(lapack) == len(set(plain.sizes)) < len(plain.sizes)
-        assert low == pytest.approx(oracle_mod._lowest(sectors, first), abs=1e-15)
 
 
 class TestYoungProjectors:
@@ -1328,7 +1362,10 @@ class TestPortOperator:
         monkeypatch.setattr(oracle_mod, "_permutation_table", counted_table)
         op = build_port_operator(d, N, c)
         assert built == {(d, N): 1}
-        assert np.array_equal(op.matrix, expected)
+        # O sums per cycle type, the reference per projector: the zeros
+        # agree, and the other entries to rounding
+        assert np.array_equal(op.matrix == 0, expected == 0)
+        assert np.max(np.abs(op.matrix - expected)) <= 16 * np.finfo(float).eps
 
     def test_normalisation_and_symmetries(self):
         rng = np.random.default_rng(17)
@@ -1799,29 +1836,41 @@ class TestTeleportationChannel:
 
     def test_port_state_with_overlapping_reaches(self, monkeypatch):
         # U on B_1 makes the rows of one POVM sector reach columns of w_i that
-        # other sectors reach too: w_i is not block-diagonal, and stays exact
+        # other sectors reach too: w_i is not block-diagonal, and its blocks
+        # stay exact, with entries given twice at one (row, column) added
         d, N = 2, 3
-        povm = list(cached_pgm(d, N))
+        povm = cached_pgm(d, N)
+        sectors = oracle_mod._measured(povm.first)[0]
         U = haar_unitary(d, np.random.default_rng(HAAR_SEED))
         # columns R, B_1, B_2..B_N: U acts on B_1
         psi = dense_input_state(d, N).reshape(d ** (N + 1), d, d, -1)
         psi = np.einsum("ij,rajb->raib", U, psi).reshape(d ** (N + 1), -1)
+        rows, columns = np.nonzero(psi)
+        values = psi[rows, columns] / math.sqrt(d)
+        rows = rows % d**N * d + rows // d**N  # A_0 read last, as the B slot
+        r, b = np.divmod(columns, d**N)
+        for i in range(1, N + 1):
+            # w_i = (1 x <Phi|_{R B_i}) psi, its rows in the POVM's order
+            slots = psi.reshape(d, d**N, d, d ** (i - 1), d, d ** (N - i))
+            w = np.einsum("xarprq->axpq", slots).reshape(d ** (N + 1), -1) / math.sqrt(d)
+            step = d ** (N - i)
+            keep = r == b // step % d
+            other = b // (step * d) * step + b % step
+            # each entry of w_i in two halves
+            halves = [np.tile(x[keep], 2) for x in (rows, other, values / 2)]
+            blocks = list(sectors.reached_blocks(halves))
+            reaches = [reached for reached, _ in blocks]
+            assert sum(c.size for c in reaches) > np.unique(np.concatenate(reaches)).size
+            for k, (reached, block) in zip(sectors.held, blocks):
+                assert np.array_equal(block, w[np.ix_(sectors.index[k], reached)])
+                assert np.count_nonzero(block) == np.count_nonzero(w[sectors.index[k]])
+        # the channel counts each held block by its multiplicity, which needs
+        # psi letter invariant: this one is not, and stops the run
         entries = (*np.nonzero(psi), psi[np.nonzero(psi)])
-        real_blocks, overlaps = oracle_mod._Sectors.reached_blocks, []
-
-        def reached_blocks(*args):
-            blocks = list(real_blocks(*args))
-            reaches = [columns for columns, _ in blocks]
-            overlaps.append(sum(c.size for c in reaches) - np.unique(np.concatenate(reaches)).size)
-            return iter(blocks)
-
         monkeypatch.setattr(oracle_mod, "_input_state", lambda *args: entries)
-        monkeypatch.setattr(oracle_mod._Sectors, "reached_blocks", reached_blocks)
-        direct = teleportation_fidelity_direct(d, N, povm)
-        # one call per branch, its sectors' reaches overlapping in each
-        assert len(overlaps) == N and min(overlaps) > 0
-        assert direct == pytest.approx(dense_channel_fidelity(d, N, povm, psi=psi), abs=1e-12)
-        assert direct != pytest.approx(fidelity_standard(d, N).fidelity, abs=1e-6)
+        message = "^the input state is not invariant under the letter permutations$"
+        with pytest.raises(AssertionError, match=message):
+            teleportation_fidelity_direct(d, N, povm)
 
     def test_channel_holds_one_povm_member_at_a_time(self, monkeypatch):
         # E_k is gathered as its branch starts, once E_(k-1) is freed
@@ -1842,11 +1891,17 @@ class TestTeleportationChannel:
     @pytest.mark.parametrize("dn", [(2, 2), (2, 3)])
     def test_entries_on_one_entry_of_w_add(self, monkeypatch, dn):
         # a psi with entries off a_0 = r puts d entries on each entry of
-        # w_i = (1 x <Phi|_{R B_i}) psi: they add, none overwrites another
+        # w_i = (1 x <Phi|_{R B_i}) psi: they add, none overwrites another.
+        # psi is the sum of a random matrix's letter images, so that it is
+        # letter invariant, as the channel requires
         d, N = dn
         povm = list(cached_pgm(d, N))
         rng = np.random.default_rng(83)
         psi = rng.standard_normal((d ** (N + 1), d ** (N + 1), 2)) @ [1, 1j]
+        digits = np.arange(d ** (N + 1))[:, None] // d ** np.arange(N + 1) % d
+        images = [np.array(letters)[digits] @ d ** np.arange(N + 1)
+                  for letters in itertools.permutations(range(d))]
+        psi = sum(psi[np.ix_(g, g)] for g in images)
         psi /= np.linalg.norm(psi)
         entries = (*np.nonzero(psi), psi[np.nonzero(psi)])
         monkeypatch.setattr(oracle_mod, "_input_state", lambda *args: entries)
