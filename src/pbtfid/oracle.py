@@ -33,13 +33,13 @@ constraints against its transposed images (``_swap_defects``).
 
 Every operator here is held as one block per letter-permutation orbit of
 the weight sectors of (C^d)^(N+1) (``pbtfid.sectors``), and eigensolves,
-products, gathers and symmetrisations run block by block; an operator from
-outside is measured entry by entry for that layout, and held dense when it
+products, gathers and symmetrisations run block by block; every operator is
+measured for that layout when built, entry by entry, and held dense when it
 is not letter invariant. rho_i and O x 1_B are built from their nonzero
 entries, and the channel's input state psi from its nonzero entries too,
-its letter invariance measured. No full matrix is filled unless ``matrix``
-is read. ``verify --d 2 --N 8`` takes 5 decompositions, each of 5 blocks,
-the largest 126.
+measured in the measurement's layout. No full matrix is filled unless
+``matrix`` is read. ``verify --d 2 --N 8`` takes 5 decompositions, each of
+5 blocks, the largest 126.
 
 Tensor-factor convention: the N port slots A_1..A_N come first and the single
 B slot is last, with row-major index fusion (np.kron order). Permutations act
@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
@@ -61,19 +60,13 @@ import numpy as np
 from .config import SizeCapError, env_positive_int
 from .fidelity import PortCoefficients
 from .partitions import Partition, check_partition, permutation_cycle_type, sn_character
-from .sectors import (
-    DenseOperator,
-    _letter_invariant,
-    _measured,
-    _orbit_entries,
-    _Sectors,
-)
+from .sectors import DenseOperator, _layout, _orbit_entries, _Sectors
 
 ORACLE_BYTES_ENV = "PBT_ORACLE_BYTES"
 DEFAULT_ORACLE_BYTES = 2**30
 BASE_BYTES = 2**23  # small arrays, LAPACK workspace and Python objects
 LIVE_MEMBERS = 12  # sector-data arrays at a run's peak: 9.3-11.0 at d=2 N=10..12, d=3 N=7..8
-PORT_COPIES = 2  # d^N x d^N arrays while O is summed: 1.4 at d=4 N=5
+PORT_COPIES = 3  # d^N x d^N arrays while O is summed: the sum, a type's counts and their product
 
 HERMITICITY_TOL = 1e-10
 PSEUDO_INVERSE_RTOL = 1e-10
@@ -88,16 +81,17 @@ def check_oracle_size(d: int, N: int, steered: bool = False, entries: int | None
     Its terms are fitted to the ru_maxrss growth of verify runs: BASE_BYTES
     and LIVE_MEMBERS float64 arrays of ``entries``, one operator's data in its
     blocks, by default one block per letter orbit of the weight sectors
-    (``_orbit_entries``). A steered run adds 16 bytes for each of the N! d^N
-    entries of the permutation table, which holds 8 of them (the rest is
-    margin), and PORT_COPIES d^N x d^N arrays of O.
+    (``_orbit_entries``). A steered run adds the permutation table, N! d^N
+    entries of 8 bytes, and PORT_COPIES float64 d^N x d^N arrays of O; fitted
+    at d=2 N=7..8, d=3 N=6..7, d=4 N=6 and d=5 N=5, the estimate is 1.06 to
+    2.2 times the growth.
     """
     budget = env_positive_int(ORACLE_BYTES_ENV, DEFAULT_ORACLE_BYTES)
     if entries is None:
         entries = _orbit_entries(d, N, budget // (LIVE_MEMBERS * 8))
     estimate = BASE_BYTES + LIVE_MEMBERS * 8 * entries
     if steered:
-        estimate += 16 * math.factorial(N) * d**N + PORT_COPIES * 8 * d ** (2 * N)
+        estimate += 8 * math.factorial(N) * d**N + PORT_COPIES * 8 * d ** (2 * N)
     if estimate > budget:
         raise SizeCapError(
             f"the oracle at d={d}, N={N} needs an estimated {Decimal(estimate):.3g} bytes, "
@@ -132,16 +126,10 @@ def _heads(operators: Sequence[DenseOperator]) -> Sequence[DenseOperator]:
 def _common(*groups: Sequence[DenseOperator]) -> tuple[_Sectors, list]:
     """The layout shared by groups of operators on one factor dims, and an
     iterator over each group's data in it: their own when they share one,
-    else dense. An orbit is measured at M_1 and its members are gathered as
-    read."""
+    else dense. An orbit's members are gathered from M_1 as read."""
     heads = [op for group in groups for op in _heads(group)]
-    known = [op._sectors for op in heads if op._sectors is not None]
-    weights = next((sectors for sectors in known if sectors.blocked), None)
-    if weights is None and len(known) < len(heads):
-        weights = _Sectors.weights(heads[0].factor_dims)
-    layouts = [_measured(op, weights)[0] for op in heads]
-    sectors = layouts[0]
-    if not all(other == sectors for other in layouts):
+    sectors = heads[0]._sectors
+    if not all(op._sectors == sectors for op in heads):
         sectors = _Sectors.dense(sectors.dims)
 
     def recast(layout, data):
@@ -243,13 +231,12 @@ class _PortOrbit(Sequence):
 
     def __init__(self, first: DenseOperator):
         dims = first.factor_dims
-        _measured(first)
         self.first = first
         self.gathers = _port_swaps(dims[0], len(dims) - 1)
 
     def data(self) -> Iterator[np.ndarray]:
         """Each member's data in the sectors of M_1, gathered as read."""
-        sectors, first = _measured(self.first)
+        sectors, first = self.first._sectors, self.first._data
         yield first
         for g in self.gathers:
             yield sectors.gather(first, g)
@@ -257,10 +244,10 @@ class _PortOrbit(Sequence):
     def __getitem__(self, k):
         if isinstance(k, slice):
             return [self[j] for j in range(len(self))[k]]
-        k, (sectors, first) = range(len(self))[k], _measured(self.first)
+        k, sectors = range(len(self))[k], self.first._sectors
         if k == 0:
             return self.first
-        return sectors.operator(sectors.gather(first, self.gathers[k - 1]))
+        return sectors.operator(sectors.gather(self.first._data, self.gathers[k - 1]))
 
     def __len__(self) -> int:
         return len(self.gathers) + 1
@@ -305,14 +292,8 @@ def _from_entries(
     dims: tuple[int, ...], rows: np.ndarray, columns: np.ndarray, values: np.ndarray
 ) -> DenseOperator:
     """The operator on ``dims`` with the given entries, at distinct positions
-    and zero elsewhere, one block per letter orbit of the weight sectors when
-    the entries are letter invariant (``_Sectors.from_entries``), else dense."""
-    sectors = _Sectors.weights(dims)
-    data = None if sectors is None else sectors.from_entries(rows, columns, values)
-    if data is None:  # one sector holds any finite entries
-        sectors = _Sectors.dense(dims)
-        data = sectors.from_entries(rows, columns, values)
-    return sectors.operator(data)
+    and zero elsewhere, in the layout its entries take (``_layout``)."""
+    return DenseOperator._in_sectors(*_layout(dims, rows, columns, values))
 
 
 def build_rho(d: int, N: int, i: int) -> DenseOperator:
@@ -352,8 +333,7 @@ class Ensemble:
         _check_psd(self.states, 1e-12, "state")
         # an orbit's members permute the diagonal of M_1
         for k, st in enumerate(_heads(self.states)):
-            sectors, data = _measured(st)
-            tr = sectors.trace(data)
+            tr = st._sectors.trace(st._data)
             if not abs(tr - 1.0) <= 1e-12:
                 raise ValueError(f"state {k} has trace {tr}")
 
@@ -370,7 +350,7 @@ class Ensemble:
         permutes the states, and the average commutes with every Pi_k."""
         if not isinstance(self.states, _PortOrbit) or len(set(self.probs)) != 1:
             return False
-        sectors, first = _measured(self.states[0])
+        sectors, first = self.states[0]._sectors, self.states[0]._data
         stabilizer = _port_1_stabilizer(self.factor_dims[0], len(self.states))
         return all(np.array_equal(sectors.gather(first, g), first) for g in stabilizer)
 
@@ -410,7 +390,7 @@ def _pseudo_inv_sqrt(op: DenseOperator) -> tuple[DenseOperator, DenseOperator, n
     count as zero, restricting everything to the numerically meaningful
     support.
     """
-    sectors, data = _measured(op)
+    sectors, data = op._sectors, op._data
     pairs = _eigensolve(sectors, data, vectors=True)
     top = max(float(eigvals.max(initial=0.0)) for eigvals, _ in pairs)
     inv_sqrt, support = np.empty_like(data), np.empty_like(data)
@@ -517,22 +497,31 @@ def _discrimination(
 
 def _permutation_table(d: int, n: int) -> tuple[list[Partition], list[np.ndarray]]:
     """Every permutation pi of n slots of size d, grouped by cycle type: the
-    distinct cycle types, and for each the flat positions of the d^n entries
-    of R(pi) in a d^n x d^n matrix (row r of R(pi) has its one entry at
-    column g_pi[r], g_pi the slot gather of pi), one row per pi. Its size is
-    factorial in n: the positions are filled row by row in place, and each
-    type's rows are a view of them.
+    distinct cycle types, ascending, and for each the flat positions of the
+    d^n entries of R(pi) in a d^n x d^n matrix (row r of R(pi) has its one
+    entry at column g_pi[r], g_pi the slot gather of pi), one row per pi in
+    the order enumerated. Its size is factorial in n: one pass numbers each
+    pi's cycle type, a second fills pi's row in place, and each type's rows
+    are a view of them.
     """
     check_oracle_size(d, n, steered=True)
     full = d**n
+    number = {}  # cycle type -> its number, in the order first met
     perms = itertools.permutations(range(n))
-    typed = sorted((permutation_cycle_type(perm), perm) for perm in perms)
-    positions = np.empty((len(typed), full), dtype=np.intp)
-    for k, (_, perm) in enumerate(typed):
-        positions[k] = slot_gather((d,) * n, perm)
+    kind = np.fromiter(
+        (number.setdefault(permutation_cycle_type(perm), len(number)) for perm in perms),
+        dtype=np.intp,
+        count=math.factorial(n),
+    )
+    classes = sorted(number)
+    kind = np.argsort([number[lam] for lam in classes])[kind]  # the place in ``classes``
+    row = np.empty_like(kind)
+    row[np.argsort(kind, kind="stable")] = np.arange(kind.size)
+    positions = np.empty((kind.size, full), dtype=np.intp)
+    for r, perm in zip(row.tolist(), itertools.permutations(range(n))):
+        positions[r] = slot_gather((d,) * n, perm)
     positions += np.arange(0, full * full, full)
-    counts = Counter(lam for lam, _ in typed)  # in the sorted order
-    return list(counts), np.split(positions, np.cumsum(list(counts.values()))[:-1])
+    return classes, np.split(positions, np.cumsum(np.bincount(kind))[:-1])
 
 
 def _class_sum(rows: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
@@ -566,7 +555,7 @@ def young_projector(mu, d: int) -> DenseOperator:
     chi = np.array([sn_character(mu, lam) for lam in classes], dtype=float)
     # the sums are integers, exact in float64 in any order, and scaled once
     proj = _class_sum(rows, chi) * (chi[classes.index((1,) * n)] / math.factorial(n))
-    return DenseOperator(proj, (d,) * n)
+    return _Sectors.dense((d,) * n).operator(proj.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -574,12 +563,14 @@ def young_projector(mu, d: int) -> DenseOperator:
 # ---------------------------------------------------------------------------
 
 
-def build_port_operator(d: int, N: int, coefficients: PortCoefficients) -> DenseOperator:
-    """O = sum_mu sqrt(c_mu) P_mu acting on the N port slots: one class sum
-    (``_class_sum``) with the weight sum_mu sqrt(c_mu) d_mu chi_mu(pi) / N!
-    per cycle type, the projectors' character averages combined. Every
-    steered construction passes through here, so coefficients for another
-    (d, N) stop here."""
+def _port_entries(
+    d: int, N: int, coefficients: PortCoefficients
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries (rows, columns, values) of O = sum_mu sqrt(c_mu)
+    P_mu on the N port slots: one class sum (``_class_sum``) with the weight
+    sum_mu sqrt(c_mu) d_mu chi_mu(pi) / N! per cycle type, the projectors'
+    character averages combined. Every steered construction passes through
+    here, so coefficients for another (d, N) stop here."""
     if (coefficients.d, coefficients.N) != (d, N):
         raise ValueError(f"coefficients are for (d, N) = ({coefficients.d}, {coefficients.N})")
     classes, rows = _permutation_table(d, N)
@@ -589,16 +580,24 @@ def build_port_operator(d: int, N: int, coefficients: PortCoefficients) -> Dense
         if c > 0:
             chi = np.array([sn_character(mu, lam) for lam in classes], dtype=float)
             weights += math.sqrt(c) * (chi[identity] / math.factorial(N)) * chi
-    return DenseOperator(_class_sum(rows, weights), (d,) * N)
+    port = _class_sum(rows, weights)
+    a, a_out = np.nonzero(port)
+    return a, a_out, port[a, a_out]
+
+
+def build_port_operator(d: int, N: int, coefficients: PortCoefficients) -> DenseOperator:
+    """O = sum_mu sqrt(c_mu) P_mu acting on the N port slots, held dense,
+    from its nonzero entries (``_port_entries``)."""
+    dense = _Sectors.dense((d,) * N)
+    return dense.operator(dense.from_entries(*_port_entries(d, N, coefficients)))
 
 
 def _lifted_port_operator(d: int, N: int, coefficients: PortCoefficients) -> DenseOperator:
     """O x 1_B, from the nonzero entries O_aa' at ((a, b), (a', b))."""
-    port = build_port_operator(d, N, coefficients)._matrix
-    a, a_out = np.nonzero(port)
+    a, a_out, port = _port_entries(d, N, coefficients)
     b = np.arange(d)
     rows, columns = (a[:, None] * d + b).ravel(), (a_out[:, None] * d + b).ravel()
-    return _from_entries((d,) * (N + 1), rows, columns, np.repeat(port[a, a_out], d))
+    return _from_entries((d,) * (N + 1), rows, columns, np.repeat(port, d))
 
 
 def _steer(lifted: DenseOperator, rho: DenseOperator) -> DenseOperator:
@@ -707,7 +706,7 @@ def certify_optimality(
     A failed certificate is a valid negative result; nothing raises unless
     the inputs are malformed.
     """
-    k_sectors, k_data = _measured(K)
+    k_sectors, k_data = K._sectors, K._data
     if not np.isfinite(k_data).all():
         raise ValueError("dual candidate K has non-finite entries")
     if not _asymmetry(k_sectors, k_data) <= HERMITICITY_TOL:
@@ -754,9 +753,8 @@ def _input_state(
         a = b = np.arange(d**N)
         port = np.full(d**N, pairs)
     else:
-        port_op = build_port_operator(d, N, coefficients)._matrix
-        a, b = np.nonzero(port_op)
-        port = port_op[a, b] * pairs
+        a, b, port = _port_entries(d, N, coefficients)
+        port = port * pairs
     offset = np.arange(d)[:, None] * d**N  # a_0 = r
     return (offset + a).ravel(), (offset + b).ravel(), np.tile(amplitude * port, d)
 
@@ -779,9 +777,11 @@ def teleportation_fidelity_direct(
     moved last, as the B slot. Each held block of the POVM (``_common``)
     reaches a set of columns of w_i (``_Sectors.reached_blocks``), outside which its
     rows are zero, and each term is taken one block at a time, counted by
-    the block's multiplicity. That count needs psi invariant under the
-    letter permutations, as it is by construction (O is a sum of isotypic
-    projectors); its entries are measured so (``_letter_invariant``), and an
+    the block's multiplicity. That count needs psi held in the POVM's
+    layout, read with rows (a, a_0) and columns (b, r): zero between its
+    sectors and each block its representative's gathered, as it is by
+    construction (O is a sum of isotypic projectors, and a_0 = r). Its
+    entries are measured so (``_Sectors.from_entries``), and an
     AssertionError stops the run otherwise. The POVM's blocks size the run.
     """
     if N < 1 or len(povm) != N:
@@ -792,9 +792,9 @@ def teleportation_fidelity_direct(
     _check_psd(povm, POVM_TOL, "POVM element")
     rows, columns, values = _input_state(d, N, coefficients)
     rows = rows % d**N * d + rows // d**N  # (a_0, a) read as (a, a_0)
-    if not _letter_invariant(d, N + 1, (rows, columns, values)):
-        raise AssertionError("the input state is not invariant under the letter permutations")
     r, b = np.divmod(columns, d**N)
+    if sectors.from_entries(rows, b * d + r, values) is None:  # (r, b) read as (b, r)
+        raise AssertionError("the input state is not held in the POVM's letter orbits")
     terms = []
     for i in range(1, N + 1):
         # <Phi|_{R B_i}: keep r = b_i, and index the column by the other B slots
@@ -817,5 +817,4 @@ def teleportation_fidelity_direct(
 
 def eigenvalues(op: DenseOperator) -> np.ndarray:
     """The operator's eigenvalues, block by block."""
-    sectors, data = _measured(op)
-    return sectors.spectrum(_eigensolve(sectors, data))
+    return op._sectors.spectrum(_eigensolve(op._sectors, op._data))

@@ -7,11 +7,10 @@ the digit counts of (a_1..a_N, b); for U a permutation of the letters
 {0..d-1}, the block of each weight sector is a fixed gather of the block of
 the sector it is the image of. ``_Sectors`` holds such an operator as one
 block per orbit of sectors under the letter permutations, with its
-multiplicity. The oracle's own constructions are letter invariant, equal to
-their images under every letter permutation, by construction; an operator
-from outside is measured entry by entry (``_measured``): held so when every
-block equals its representative's gathered, else as one dense block. One
-code runs both layouts, block by block.
+multiplicity. Every operator is measured when built, entry by entry
+(``_layout``): held so when every block equals its representative's
+gathered, as the oracle's own constructions do by construction, else as one
+dense block. One code runs both layouts, block by block.
 """
 
 from __future__ import annotations
@@ -31,51 +30,49 @@ class DenseOperator:
     input stays complex; the oracle's own constructions are real symmetric.
 
     ``factor_dims`` lists the dimension of each tensor slot. Construction
-    checks the shape only: hermiticity is measured where a matrix is
-    symmetrised (``certificate``) or taken as input (``_check_psd`` for
-    states and measurements, ``certify_optimality`` for the dual candidate).
+    checks the shape and measures the layout only: hermiticity is measured
+    where a matrix is symmetrised (``certificate``) or taken as input
+    (``_check_psd`` for states and measurements, ``certify_optimality`` for
+    the dual candidate).
 
-    An operator also has a block layout (``_Sectors``), measured on first use
-    (``_measured``): one block per letter orbit of the weight sectors when
-    its matrix is letter invariant, else one block of every index. The
-    oracle's constructions from such operators are built block by block;
-    their full ``matrix`` is filled, read-only, when first asked for.
+    An operator is held in a block layout (``_Sectors``) with its data in
+    it, measured when built (``_layout``): one block per letter orbit of the
+    weight sectors when its entries are letter invariant, else one block of
+    every index. The oracle's constructions from such operators are built
+    block by block; their full ``matrix`` is filled, read-only, when first
+    asked for.
     """
 
     def __init__(self, matrix, factor_dims):
         matrix = np.asarray(matrix)
-        self._matrix = matrix.astype(np.result_type(matrix.dtype, np.float64), copy=False)
+        matrix = matrix.astype(np.result_type(matrix.dtype, np.float64), copy=False)
         self.factor_dims = tuple(int(x) for x in factor_dims)
-        dim = math.prod(self.factor_dims)
-        if self._matrix.shape != (dim, dim):
+        if matrix.shape != (self.dim, self.dim):
             raise ValueError(
-                f"matrix shape {self._matrix.shape} does not match factor "
+                f"matrix shape {matrix.shape} does not match factor "
                 f"dims {self.factor_dims}"
             )
-        self._sectors: _Sectors | None = None
-        self._data: np.ndarray | None = None
+        rows, columns = np.nonzero(matrix)  # a NaN is not zero
+        self._sectors, self._data = _layout(self.factor_dims, rows, columns, matrix[rows, columns])
 
     @classmethod
     def _in_sectors(cls, sectors: _Sectors, data: np.ndarray) -> DenseOperator:
         """The operator zero off ``sectors`` with the given block data."""
         op = cls.__new__(cls)
-        op._matrix, op.factor_dims, op._sectors, op._data = None, sectors.dims, sectors, data
+        op.factor_dims, op._sectors, op._data = sectors.dims, sectors, data
         return op
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = self._sectors.matrix(self._data)
-            self._matrix.flags.writeable = False
-        return self._matrix
+        matrix = self._sectors.matrix(self._data)
+        matrix.flags.writeable = False
+        return matrix
 
     @property
     def dim(self) -> int:
         return math.prod(self.factor_dims)
 
     def trace(self) -> float:
-        if self._data is None:
-            return float(np.trace(self._matrix).real)
         return float(self._sectors.trace(self._data).real)
 
 
@@ -145,10 +142,13 @@ class _Sectors:
         A permutation of the letters maps the sector of weight w onto that
         of w permuted. An orbit's first sector represents it, and each
         string is mapped into it by the letter permutation that sorts both
-        weights alike (stable ``argsort``)."""
+        weights alike (stable ``argsort``). The layout built for each dims
+        is kept (``_layouts``)."""
         n = len(dims)
         if n < 2 or dims != (dims[0],) * n:
             return None
+        if ("weights", dims) in _layouts:
+            return _layouts["weights", dims]
         d = dims[0]
         digits = np.arange(d**n)[:, None] // d ** np.arange(n - 1, -1, -1) % d
         levels = np.arange(d)
@@ -161,11 +161,15 @@ class _Sectors:
         letters = np.empty_like(ranks)  # letter ranks[s, i] of sector s -> ranks[rep, i]
         np.put_along_axis(letters, ranks, ranks[rep], axis=1)
         moved = np.take_along_axis(letters[labels], digits, axis=1)
-        return cls(dims, labels, moved @ d ** np.arange(n - 1, -1, -1))
+        _layouts["weights", dims] = cls(dims, labels, moved @ d ** np.arange(n - 1, -1, -1))
+        return _layouts["weights", dims]
 
     @classmethod
     def dense(cls, dims: tuple[int, ...]) -> _Sectors:
-        return cls(dims, np.zeros(math.prod(dims), dtype=np.intp))
+        """One sector of every index; the layout built for each dims is kept."""
+        if ("dense", dims) not in _layouts:
+            _layouts["dense", dims] = cls(dims, np.zeros(math.prod(dims), dtype=np.intp))
+        return _layouts["dense", dims]
 
     @property
     def blocked(self) -> bool:
@@ -179,12 +183,6 @@ class _Sectors:
     def blocks(self, data: np.ndarray) -> list[np.ndarray]:
         """Views of the held blocks in ``data``."""
         return [data[start : start + n * n].reshape(n, n) for _, start, n in self._spans]
-
-    def measure(self, matrix: np.ndarray) -> np.ndarray | None:
-        """``from_entries`` of the nonzero entries of ``matrix`` (a NaN is
-        not zero)."""
-        rows, columns = np.nonzero(matrix)
-        return self.from_entries(rows, columns, matrix[rows, columns])
 
     def _place(self, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
         """Positions in the data of entries (rows, columns), each in one
@@ -302,20 +300,25 @@ class _Sectors:
         return np.concatenate([np.tile(w, m) for w, m in zip(eigvals, self.multiplicity)])
 
 
-def _measured(
-    op: DenseOperator, weights: _Sectors | None = None
+# (kind, dims) -> the layout built for it; a layout is not changed once
+# built, so every run in the process can share it
+_layouts: dict[tuple[str, tuple[int, ...]], _Sectors] = {}
+
+
+def _layout(
+    dims: tuple[int, ...], rows: np.ndarray, columns: np.ndarray, values: np.ndarray
 ) -> tuple[_Sectors, np.ndarray]:
-    """The operator's sectors and its data in them, measured on first use
-    (``_Sectors.measure``) in its letter orbits of weight sectors
-    (``weights`` when given for its dims), else the dense layout."""
-    if op._sectors is None:
-        if weights is None or weights.dims != op.factor_dims:
-            weights = _Sectors.weights(op.factor_dims)
-        data = None if weights is None else weights.measure(op._matrix)
-        if data is None:
-            weights, data = _Sectors.dense(op.factor_dims), op._matrix.ravel()
-        op._sectors, op._data = weights, data
-    return op._sectors, op._data
+    """The layout and data of the operator on ``dims`` with the given
+    entries, at distinct positions and zero elsewhere: one block per letter
+    orbit of the weight sectors when ``_Sectors.from_entries`` accepts the
+    entries, else dense."""
+    sectors = _Sectors.weights(dims)
+    data = None if sectors is None else sectors.from_entries(rows, columns, values)
+    if data is None:  # one block of every index holds any entries, NaN too
+        sectors = _Sectors.dense(dims)
+        data = np.zeros(sectors.size, dtype=values.dtype)
+        data[rows * sectors.dim + columns] = values
+    return sectors, data
 
 
 def _unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -331,29 +334,6 @@ def _unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inverse = np.empty(len(keys), dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
     return keys[order[new]], inverse
-
-
-def _letter_invariant(d: int, places: int, entries: tuple[np.ndarray, ...]) -> bool:
-    """Whether entries (rows, columns, values), each index a string of
-    ``places`` letters in {0..d-1}, are unchanged when a permutation of the
-    letters acts on every letter of both indices, measured entry by entry
-    for a transposition and a d-cycle, which generate every permutation."""
-    rows, columns, values = entries
-
-    def relabel(index, letters):
-        return sum(letters[index // d**k % d] * d**k for k in range(places))
-
-    def ordered(rows, columns):
-        order = np.lexsort((columns, rows))
-        return rows[order], columns[order], values[order]
-
-    reference, swap = ordered(rows, columns), np.arange(d)
-    swap[:2] = swap[1::-1]
-    for letters in (swap, np.roll(np.arange(d), 1)):
-        image = ordered(relabel(rows, letters), relabel(columns, letters))
-        if not all(map(np.array_equal, image, reference)):
-            return False
-    return True
 
 
 def _orbit_entries(d: int, N: int, cap: int) -> int:

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import oracle
 from .fidelity import PortCoefficients, block_spectrum, fidelity_given_coefficients, fidelity_standard
-from .sectors import _measured
 
 
 @dataclass(frozen=True)
@@ -110,9 +109,9 @@ def run_verification(
     avg = block_spectrum_match(N * rho_ens._average_decomposition[2], block_spectrum(d, N, "avg"))
     cert = oracle.certificate(ens.states, povm)
     cert_deviation = match_block_spectrum(cert, cert_blocks)
-    sectors, data = _measured(cert)
     # K = cert / N in place of cert, which is not read again
-    report = oracle.certify_optimality(ens, povm, sectors.operator(np.divide(data, N, out=data)))
+    K = cert._sectors.operator(np.divide(cert._data, N, out=cert._data))
+    report = oracle.certify_optimality(ens, povm, K)
 
     record("formula_vs_oracle", abs(formula - report.success_probability * N / d**2), 1e-9)
     record("avg_state_spectrum", _deviation(*avg), 1e-9)

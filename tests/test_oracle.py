@@ -153,7 +153,7 @@ def largest_sector(d, N):
 
 def is_blocked(op):
     """Whether the oracle measures the operator zero off its weight sectors."""
-    return oracle_mod._measured(op)[0].blocked
+    return op._sectors.blocked
 
 
 def with_asymmetry(op, eps):
@@ -491,7 +491,7 @@ def assert_held_blocks_equal(op, reference):
     does the whole matrix the layout gathers from them; ``reference`` itself
     agrees to rounding, as it sums the other blocks' entries in another
     order."""
-    layout = oracle_mod._measured(op)[0]
+    layout = op._sectors
     reps = held_data(layout, reference)
     assert np.array_equal(held_data(layout, op.matrix), reps)
     assert np.array_equal(op.matrix, layout.matrix(reps))
@@ -891,8 +891,10 @@ class TestWeightSectors:
         d, N = 2, 4
         rho = build_rho(d, N, 2).matrix
         sectors = oracle_mod._Sectors.weights((d,) * (N + 1))
-        data = sectors.measure(rho)
-        assert data.size == sectors.size
+        # measured when built, in the layout kept for its dims
+        op = DenseOperator(rho, (d,) * (N + 1))
+        data = op._data
+        assert op._sectors is sectors and data.size == sectors.size
         assert np.array_equal(sectors.matrix(data), rho)
         for g in oracle_mod._port_swaps(d, N):
             image = sectors.matrix(sectors.gather(data, g))
@@ -1022,7 +1024,7 @@ class TestLetterOrbits:
         op = oracle_mod._from_entries(dims, rows, rows, np.ones(2))
         expected = np.zeros((8, 8))
         expected[rows, rows] = 1.0
-        layout = oracle_mod._measured(op)[0]
+        layout = op._sectors
         assert (layout == sectors) == layout.blocked == covariant
         assert np.array_equal(op.matrix, expected)
         assert np.count_nonzero(op.matrix) == 2
@@ -1031,8 +1033,8 @@ class TestLetterOrbits:
         d, N = 2, 3
         rho = build_rho(d, N, 2)
         covariant = DenseOperator(rho.matrix, rho.factor_dims)
-        layout = oracle_mod._measured(covariant)[0]
-        assert layout == oracle_mod._measured(rho)[0] and layout.multiplicity == [2, 2, 1]
+        layout = covariant._sectors
+        assert layout == rho._sectors and layout.multiplicity == [2, 2, 1]
         # |0000><0000| added without its letter-swap image |1111><1111|
         off = DenseOperator(rho.matrix + np.diag(np.eye(rho.dim)[0]), rho.factor_dims)
         assert not is_blocked(off)
@@ -1095,7 +1097,7 @@ class TestLetterOrbits:
             certificate_Y(d, N, c), eta_ensemble(d, N, c).states[0],
         ]
         for op in operators:
-            sectors = oracle_mod._measured(op)[0]
+            sectors = op._sectors
             assert sectors == oracle_mod._Sectors.weights(op.factor_dims)
             # every weight sector's block of the full matrix, decomposed alone
             m = op.matrix
@@ -1120,13 +1122,15 @@ class TestLetterOrbits:
         orbits = oracle_mod._Sectors.weights((d,) * (N + 1))
         assert len(orbits.held) < len(orbits.sizes)
         for op in operators:
-            assert oracle_mod._measured(op)[0] == orbits
+            assert op._sectors == orbits
 
-    @pytest.mark.parametrize("mode, d, N, built", [("standard", 2, 8, 1), ("optimized", 2, 6, 2)])
+    @pytest.mark.parametrize("mode, d, N, built", [("standard", 2, 8, 1), ("optimized", 2, 6, 1)])
     def test_layouts_built_per_run(self, monkeypatch, mode, d, N, built):
-        # one orbit layout for rho_1, and one for O x 1_B when steered: the
-        # rest share theirs
+        # one orbit layout for (C^d)^(N+1), kept for its dims and shared by
+        # rho_1, O x 1_B and everything built from them; none for O on
+        # (C^d)^N and no dense layout. A second run builds none
         c = optimize_coefficients(d, N).coefficients if mode == "optimized" else None
+        sectors_mod._layouts.clear()
         layouts = []
         real_init = oracle_mod._Sectors.__init__
 
@@ -1135,27 +1139,40 @@ class TestLetterOrbits:
             real_init(self, *args)
 
         monkeypatch.setattr(oracle_mod._Sectors, "__init__", init)
-        assert all(ch.passed for ch in run_verification(d, N, mode, c))
-        assert len(layouts) == built and all(layout.blocked for layout in layouts)
+        for count in (built, 0):
+            layouts.clear()
+            assert all(ch.passed for ch in run_verification(d, N, mode, c))
+            assert len(layouts) == count and all(layout.blocked for layout in layouts)
 
     @pytest.mark.parametrize("dn", ORACLE_GRID)
-    def test_input_state_is_letter_invariant(self, dn):
+    def test_input_state_is_letter_invariant(self, monkeypatch, dn):
+        # the channel measures psi in the POVM's letter orbits: held there
+        # as built, and refused with one entry moved to another row (out of
+        # its sector) or doubled (in its sector), its letter images left
         d, N = dn
         c = random_valid_coefficients(d, N, np.random.default_rng(101))
+        povm = cached_pgm(d, N)
+        message = "^the input state is not held in the POVM's letter orbits$"
         for coefficients in (None, c):
-            entries = oracle_mod._input_state(d, N, coefficients)
-            assert oracle_mod._letter_invariant(d, N + 1, entries)
-            rows, columns, values = entries
-            # one entry moved to another row, its letter images left in place
-            moved = rows.copy()
+            formula = (fidelity_standard(d, N) if coefficients is None
+                       else fidelity_given_coefficients(d, N, coefficients))
+            direct = teleportation_fidelity_direct(d, N, povm, coefficients)
+            assert direct == pytest.approx(formula.fidelity, abs=1e-9)
+            rows, columns, values = oracle_mod._input_state(d, N, coefficients)
+            moved, doubled = rows.copy(), values.copy()
             moved[0] = (moved[0] + 1) % d ** (N + 1)
-            assert not oracle_mod._letter_invariant(d, N + 1, (moved, columns, values))
+            doubled[0] *= 2
+            for broken in ((moved, columns, values), (rows, columns, doubled)):
+                monkeypatch.setattr(oracle_mod, "_input_state", lambda *args: broken)
+                with pytest.raises(AssertionError, match=message):
+                    teleportation_fidelity_direct(d, N, povm, coefficients)
+            monkeypatch.undo()
 
     def test_many_sectors_validate_in_one_call_per_size(self, monkeypatch):
         # (16, 2): 1936 weight sectors in 3 letter orbits
         d, N = 16, 2
         povm = pretty_good_measurement(pbt_ensemble(d, N))
-        sectors = oracle_mod._measured(povm.first)[0]
+        sectors = povm.first._sectors
         assert len(sectors.sizes) == 1936 and sectors.multiplicity == [240, 1680, 16]
         counts, lapack = count_eigensolves(monkeypatch)
         direct = teleportation_fidelity_direct(d, N, povm)
@@ -1189,9 +1206,10 @@ class TestYoungProjectors:
         assert np.allclose(young_projector((1,), 3).matrix, np.eye(3))
 
     def test_factorial_cap(self, monkeypatch):
-        # the projector table holds 16 bytes for each of the 7! 2^7 entries
+        # the projector table holds 8 bytes for each of the 7! 2^7 entries
         estimate = oracle_mod.check_oracle_size(2, 7, steered=True)
-        assert estimate - oracle_mod.check_oracle_size(2, 7) == 16 * 5040 * 128 + 2 * 8 * 4**7
+        port = oracle_mod.PORT_COPIES * 8 * 4**7
+        assert estimate - oracle_mod.check_oracle_size(2, 7) == 8 * 5040 * 128 + port
         monkeypatch.setenv("PBT_ORACLE_BYTES", str(estimate - 1))
         with pytest.raises(SizeCapError, match="d=2, N=7"):
             young_projector((7,), 2)
@@ -1840,7 +1858,7 @@ class TestTeleportationChannel:
         # stay exact, with entries given twice at one (row, column) added
         d, N = 2, 3
         povm = cached_pgm(d, N)
-        sectors = oracle_mod._measured(povm.first)[0]
+        sectors = povm.first._sectors
         U = haar_unitary(d, np.random.default_rng(HAAR_SEED))
         # columns R, B_1, B_2..B_N: U acts on B_1
         psi = dense_input_state(d, N).reshape(d ** (N + 1), d, d, -1)
@@ -1865,10 +1883,11 @@ class TestTeleportationChannel:
                 assert np.array_equal(block, w[np.ix_(sectors.index[k], reached)])
                 assert np.count_nonzero(block) == np.count_nonzero(w[sectors.index[k]])
         # the channel counts each held block by its multiplicity, which needs
-        # psi letter invariant: this one is not, and stops the run
+        # psi held in the POVM's letter orbits: this one is not, and stops
+        # the run
         entries = (*np.nonzero(psi), psi[np.nonzero(psi)])
         monkeypatch.setattr(oracle_mod, "_input_state", lambda *args: entries)
-        message = "^the input state is not invariant under the letter permutations$"
+        message = "^the input state is not held in the POVM's letter orbits$"
         with pytest.raises(AssertionError, match=message):
             teleportation_fidelity_direct(d, N, povm)
 
@@ -1892,8 +1911,11 @@ class TestTeleportationChannel:
     def test_entries_on_one_entry_of_w_add(self, monkeypatch, dn):
         # a psi with entries off a_0 = r puts d entries on each entry of
         # w_i = (1 x <Phi|_{R B_i}) psi: they add, none overwrites another.
-        # psi is the sum of a random matrix's letter images, so that it is
-        # letter invariant, as the channel requires
+        # psi is the sum of a random matrix's letter images, zero between
+        # the weight sectors of rows (a, a_0) and columns (b, r), so that it
+        # is held in the POVM's letter orbits, as the channel requires; the
+        # d entries of one entry of w_i share a sector. Letter invariant but
+        # across the sectors, the same sum is refused
         d, N = dn
         povm = list(cached_pgm(d, N))
         rng = np.random.default_rng(83)
@@ -1903,10 +1925,21 @@ class TestTeleportationChannel:
                   for letters in itertools.permutations(range(d))]
         psi = sum(psi[np.ix_(g, g)] for g in images)
         psi /= np.linalg.norm(psi)
-        entries = (*np.nonzero(psi), psi[np.nonzero(psi)])
-        monkeypatch.setattr(oracle_mod, "_input_state", lambda *args: entries)
-        direct = teleportation_fidelity_direct(d, N, povm)
-        assert direct == pytest.approx(dense_channel_fidelity(d, N, povm, psi=psi), abs=1e-12)
+        index = np.arange(d ** (N + 1))
+        read = index % d**N * d + index // d**N  # (a_0, a) as (a, a_0), (r, b) as (b, r)
+        labels = oracle_mod._Sectors.weights((d,) * (N + 1))._labels[read]
+        held = np.where(labels[:, None] == labels, psi, 0)
+        held /= np.linalg.norm(held)
+
+        def channel(state):
+            entries = (*np.nonzero(state), state[np.nonzero(state)])
+            monkeypatch.setattr(oracle_mod, "_input_state", lambda *args: entries)
+            return teleportation_fidelity_direct(d, N, povm)
+
+        reference = dense_channel_fidelity(d, N, povm, psi=held)
+        assert channel(held) == pytest.approx(reference, abs=1e-12)
+        with pytest.raises(AssertionError, match="^the input state is not held"):
+            channel(psi)
 
     @pytest.mark.parametrize(
         "d, N, steered", [(31, 1, False), (16, 2, False), (8, 3, False), (8, 2, True)]
@@ -1936,7 +1969,7 @@ class TestTeleportationChannel:
 
         def matrix(op):
             read.append(op)
-            return real_matrix.fget(op)
+            return real_matrix.func(op)
 
         def matmul(*operands, **kwargs):
             shapes.extend(np.shape(a) for a in operands)
@@ -1946,7 +1979,7 @@ class TestTeleportationChannel:
         monkeypatch.setattr(np, "matmul", matmul)
         direct = teleportation_fidelity_direct(d, N, povm)
         assert direct == pytest.approx(fidelity_standard(d, N).fidelity, abs=1e-9)
-        assert read == [] and all(e._matrix is None for e in povm)
+        assert read == [] and not any("matrix" in vars(e) for e in povm)
         assert shapes and max(max(shape[-2:]) for shape in shapes) <= largest_sector(d, N) == 126
 
     def test_channel_cap(self, monkeypatch):
@@ -1956,7 +1989,7 @@ class TestTeleportationChannel:
         blocked = list(cached_pgm(d, N))
         # a tiny entry off the sectors in place of every zero
         dense = [DenseOperator(e.matrix + (e.matrix == 0) * 1e-300, e.factor_dims) for e in blocked]
-        sizes = [oracle_mod._measured(e)[0].size for e in (blocked[0], dense[0])]
+        sizes = [e._sectors.size for e in (blocked[0], dense[0])]
         assert sizes == [oracle_mod._Sectors.weights((d,) * (N + 1)).size, 16 * 16]
         budget = oracle_mod.check_oracle_size(d, N, entries=16 * 16) - 1
         monkeypatch.setenv("PBT_ORACLE_BYTES", str(budget))
@@ -2138,7 +2171,7 @@ class TestBuiltFromEntries:
         for d, N in oracle_grid + [(1, 3), (2, 1), (4, 2)]:
             for i in range(1, N + 1):
                 rho = build_rho(d, N, i)
-                assert rho._matrix is None and is_blocked(rho) == (d > 1)
+                assert "matrix" not in vars(rho) and is_blocked(rho) == (d > 1)
                 reference = dense_rho(d, N, i).matrix
                 assert np.array_equal(rho.matrix, reference)
                 assert np.array_equal(np.signbit(rho.matrix), np.signbit(reference))
@@ -2219,7 +2252,7 @@ class TestBuiltFromEntries:
             "if kind == 'channel':\n"
             "    povm = o.pretty_good_measurement(o.pbt_ensemble(d, N))\n"
             "    assert abs(o.teleportation_fidelity_direct(d, N, povm) - formula) <= 1e-9\n"
-            "    estimate = o.check_oracle_size(d, N, entries=o._measured(povm.first)[0].size)\n"
+            "    estimate = o.check_oracle_size(d, N, entries=povm.first._sectors.size)\n"
             "else:\n"
             "    assert all(ch.passed for ch in run_verification(d, N, kind, c))\n"
             "    estimate = o.check_oracle_size(d, N, steered=c is not None)\n"
@@ -2243,7 +2276,9 @@ def test_oracle_imports_only_the_pinned_fidelity_names():
     # the oracle is an independent ground truth: of the formula side it takes
     # the PortCoefficients data alone, and it reads no dimension formula (the
     # comparison lives in pbtfid.verify); its block layouts live in
-    # pbtfid.sectors, which imports no pbtfid module
+    # pbtfid.sectors, a leaf that imports the standard library and numpy
+    # alone, and no module at run time
+    leaf = set(sys.stdlib_module_names) | {"numpy"}
     from_fidelity, imported = set(), set()
     for module_file in (oracle_mod.__file__, sectors_mod.__file__):
         for node in ast.walk(ast.parse(Path(module_file).read_text())):
@@ -2252,7 +2287,7 @@ def test_oracle_imports_only_the_pinned_fidelity_names():
                 names = {alias.name for alias in node.names}
                 imported |= names
                 if module_file == sectors_mod.__file__:
-                    assert not module.startswith((".", "pbtfid")), module
+                    assert module.split(".")[0] in leaf, module
                 assert module not in (".verify", "pbtfid.verify"), module
                 if module in (".fidelity", "pbtfid.fidelity"):
                     from_fidelity |= names
@@ -2260,5 +2295,9 @@ def test_oracle_imports_only_the_pinned_fidelity_names():
                     assert not names & {"fidelity", "verify"}, module
             elif isinstance(node, ast.Import):
                 assert not any(alias.name.startswith("pbtfid") for alias in node.names)
+                if module_file == sectors_mod.__file__:
+                    assert {alias.name.split(".")[0] for alias in node.names} <= leaf
+            elif isinstance(node, ast.Name) and module_file == sectors_mod.__file__:
+                assert node.id not in ("__import__", "importlib"), node.id
     assert from_fidelity == {"PortCoefficients"}
     assert not imported & {"specht_dim", "weyl_dim"}

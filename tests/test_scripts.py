@@ -43,9 +43,9 @@ def test_certify_desk_scale_sweep_passes():
 
 
 def test_certify_desk_scale_stops_each_mode_at_the_budget():
-    # 16 MiB admits d=2 N=7 standard but not its 7! 2^7-entry projector
+    # 12 MiB admits d=2 N=7 standard but not its 7! 2^7-entry projector
     # table: optimized stops there, and the other modes run on
-    env = {**os.environ, "PBT_ORACLE_BYTES": str(2**24)}
+    env = {**os.environ, "PBT_ORACLE_BYTES": str(12 * 2**20)}
     out = run_script("certify_desk_scale.py", "--max-dim", "256", env=env)
     passed, stopped = certify_runs(out)
     assert stopped == [["d=2", "N=7", "optimized"]]
