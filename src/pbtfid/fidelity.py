@@ -3,9 +3,9 @@
 Two numeric modes back every evaluation:
 
 * ``exact-hybrid`` (default for N up to PBT_EXACT_THRESHOLD, 40): Specht and
-  Weyl dimensions are exact integers, square roots and sums are taken with
-  mpmath at 50 decimal digits, and the final value is rounded once to a
-  double.
+  Weyl dimensions are exact integers, square roots and sums are taken in the
+  stdlib ``decimal`` at 50 significant digits (correctly rounded square
+  roots, in C), and the final value is rounded once to a double.
 * ``log-domain``: everything is carried as logarithms in float64 with
   log-sum-exp aggregation, which keeps scans to N ~ 10^3 fast and overflow
   free.
@@ -37,10 +37,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-import mpmath
 import numpy as np
 
 from .config import SizeCapError, env_positive_int
@@ -56,7 +56,8 @@ from .partitions import (
 
 EXACT_THRESHOLD_ENV = "PBT_EXACT_THRESHOLD"
 DEFAULT_EXACT_THRESHOLD = 40
-MP_DPS = 50  # ~166-bit mantissa for the exact-hybrid surd sums
+MP_DPS = 50  # significant digits of the exact-hybrid surd sums
+_EXACT_CONTEXT = Context(prec=MP_DPS)  # the sums run in copies, never the caller's
 
 EXACT_MODE = "exact-hybrid"
 LOG_MODE = "log-domain"
@@ -255,27 +256,27 @@ def _check_same_point(d: int, N: int, coefficients: PortCoefficients | None) -> 
         )
 
 
-def _surds(d: int, mus: Sequence[Partition], weights: Sequence[float]) -> list:
-    """sqrt(c_mu d_mu m_mu) for each diagram, at the working precision. The
-    integer d_mu m_mu is exact, so c * (d_mu m_mu) rounds once and c = 1 is
-    exact; c = 0 gives 0, which ``mpmath.fsum`` skips."""
+def _surds(d: int, mus: Sequence[Partition], weights: Sequence[float]) -> list[Decimal]:
+    """sqrt(c_mu d_mu m_mu) for each diagram, in the current decimal context.
+    The double c and the integer d_mu m_mu convert exactly, so c * (d_mu m_mu)
+    rounds at most once; c = 0 gives a surd of 0."""
     return [
-        mpmath.sqrt(mpmath.mpf(c) * (specht_dim(mu) * weyl_dim(mu, d)))
+        (Decimal(c) * (specht_dim(mu) * weyl_dim(mu, d))).sqrt()
         for mu, c in zip(mus, weights)
     ]
 
 
-def _surd_sums(successors: np.ndarray, surds: list) -> list:
+def _surd_sums(successors: np.ndarray, surds: list[Decimal]) -> list[Decimal]:
     """S_alpha, the sum of the surds of alpha's covers in grown-row order,
     for each row alpha of a successor table (-1 for no cover)."""
-    return [mpmath.fsum([surds[m] for m in row if m >= 0]) for row in successors.tolist()]
+    return [sum([surds[m] for m in row if m >= 0]) for row in successors.tolist()]
 
 
 def _certificate_value(d: int, N: int, surd, surd_sum, m_alpha: int, d_mu: int) -> float:
     """Certificate block eigenvalue (1/d^N) * surd_mu * S_alpha / (m_alpha d_mu)
     for port weights c, with surd_mu = sqrt(c_mu d_mu m_mu) and S_alpha the
-    surd sum over alpha's covers; under MP_DPS digits."""
-    return float(surd * surd_sum / (m_alpha * d_mu) / mpmath.mpf(d) ** N)
+    surd sum over alpha's covers; one division by the integer m_alpha d_mu d^N."""
+    return float(surd * surd_sum / (m_alpha * d_mu * d**N))
 
 
 @dataclass(frozen=True)
@@ -312,7 +313,7 @@ def block_spectrum(
     alpha_table[:, 0] -= 1
     alphas = table_partitions(alpha_table)
     rows = []
-    with mpmath.workdps(MP_DPS):
+    with localcontext(_EXACT_CONTEXT):
         if operator != "avg":
             weights = [1.0] * len(mus) if operator == "X" else coefficients.weights.tolist()
             surds = _surds(d, mus, weights)
@@ -345,11 +346,10 @@ def _fidelity_exact(d: int, N: int, coefficients: PortCoefficients | None) -> fl
     of the successor index."""
     level = partition_level(N, d)
     mus = table_partitions(level.table)
-    with mpmath.workdps(MP_DPS):
-        weights = [1.0] * len(mus) if coefficients is None else coefficients.weights.tolist()
-        surds = _surds(d, mus, weights)
-        outer = [s * s for s in _surd_sums(level.successors, surds)]
-        return float(mpmath.fsum(outer) / mpmath.mpf(d) ** (N + 2))
+    weights = [1.0] * len(mus) if coefficients is None else coefficients.weights.tolist()
+    with localcontext(_EXACT_CONTEXT):
+        sums = _surd_sums(level.successors, _surds(d, mus, weights))
+        return float(sum([s * s for s in sums]) / d ** (N + 2))
 
 
 # cephes' lgam, the routine behind scipy.special.gammaln: the Stirling-series

@@ -606,16 +606,18 @@ def loaded_modules(*argv) -> set[str]:
     return set(json.loads(result.stdout))
 
 
-def scipy_modules(modules: set[str]) -> set[str]:
-    return {m for m in modules if m == "scipy" or m.startswith("scipy.")}
+def modules_of(package: str, modules: set[str]) -> set[str]:
+    return {m for m in modules if m == package or m.startswith(package + ".")}
 
 
 class TestImportHygiene:
-    """scipy is loaded only where ARPACK runs, and numpy.ma never, because
-    each costs import time that every invocation would pay."""
+    """scipy is loaded only where ARPACK runs, and numpy.ma and mpmath
+    never, because each costs import time that every invocation would pay."""
 
     def test_import_loads_no_scipy(self):
-        assert scipy_modules(loaded_modules()) == set()
+        modules = loaded_modules()
+        assert modules_of("scipy", modules) == set()
+        assert modules_of("mpmath", modules) == set()
 
     @pytest.mark.parametrize(
         "argv",
@@ -623,19 +625,40 @@ class TestImportHygiene:
             ("scan", "--d", "2", "--from", "1", "--to", "60"),
             ("fid", "--d", "3", "--N", "150", "--mode", "optimized"),
             ("verify", "--d", "2", "--N", "4"),
+            ("verify", "--d", "2", "--N", "4", "--mode", "optimized"),
             ("channel",),
+            ("spectrum", "--d", "2", "--N", "6", "--operator", "X"),
         ],
-        ids=["scan", "dense-optimize", "verify", "channel"],
+        ids=["scan", "dense-optimize", "verify", "optimized-verify", "channel", "spectrum-X"],
     )
     def test_run_loads_neither_scipy_nor_numpy_ma(self, argv):
         modules = loaded_modules(*argv)
-        assert scipy_modules(modules) == set()
+        assert modules_of("scipy", modules) == set()
         assert "numpy.ma" not in modules
+        assert modules_of("mpmath", modules) == set()
 
     def test_iterative_perron_solve_loads_scipy_sparse_linalg(self):
         assert "scipy.sparse.linalg" in loaded_modules(
             "fid", "--d", "3", "--N", "152", "--mode", "optimized"
         )
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    # every import in the package, at module level or inside a function,
+    # that is neither the standard library nor pbtfid itself is a runtime
+    # dependency of pyproject.toml, and every runtime dependency is imported
+    text = (REPO / "pyproject.toml").read_text()
+    listing = re.search(r"^dependencies = \[(.*?)\]", text, re.M | re.S).group(1)
+    declared = {re.match(r"[\w.-]+", spec).group() for spec in re.findall(r'"([^"]+)"', listing)}
+    local = set(sys.stdlib_module_names) | {"pbtfid"}
+    found = set()
+    for path in (REPO / "src" / "pbtfid").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    assert found - local == declared == {"numpy", "scipy"}
 
 
 class TestPackageSurface:

@@ -1,8 +1,10 @@
 """Formula evaluation, the coefficient optimizer, bounds and scans."""
 
 import dataclasses
+import decimal
 import math
 import re
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -353,7 +355,8 @@ def coefficients_with_zeros(d, N, seed):
 class TestExactHybridBits:
     """The exact-hybrid F and the block spectra walk the level index and form
     each surd once. Every value equals, bit for bit, the tuple walk they
-    replaced, frozen here: alphas from ``enumerate_partitions``, covers from
+    replaced, frozen here in mpmath's binary arithmetic, independent of the
+    package's decimal one: alphas from ``enumerate_partitions``, covers from
     ``add_box_successors``, and each certificate block re-forming its surds
     as c * d_mu * m_mu, left to right."""
 
@@ -441,17 +444,56 @@ class TestExactHybridBits:
         assert max(specht_dim(mu) for _, mu, _, _ in rows) >= 2**113
         assert rows == self.tuple_walk_spectrum(d, N, "Y", c)
 
+    @pytest.mark.parametrize("d, N", [(2, 200), (4, 90)])
+    def test_fidelity_past_50_digits_equals_the_tuple_walk(self, d, N, monkeypatch):
+        # the largest d_mu m_mu outgrow the MP_DPS working digits, so their
+        # radicands round; the doubles still agree
+        monkeypatch.setenv("PBT_EXACT_THRESHOLD", str(N))
+        report = fidelity_standard(d, N)
+        assert report.numeric_mode == "exact-hybrid"
+        assert max(specht_dim(mu) * weyl_dim(mu, d) for mu in enumerate_partitions(N, d)) > 10**MP_DPS
+        assert report.fidelity == self.tuple_walk_fidelity(d, N, None)
+
+    @pytest.mark.parametrize("tiny", [5e-324, 2.2e-308, 1e-200])
+    @pytest.mark.parametrize("d, N", [(2, 9), (3, 7), (4, 6)])
+    def test_extreme_weights_equal_the_tuple_walk(self, d, N, tiny):
+        # every other diagram weighted at a subnormal, at the smallest normal
+        # double or deep below the working digits
+        mus = enumerate_partitions(N, d)
+        c = PortCoefficients.from_mapping(
+            d, N, {mu: tiny if i % 2 else 1.0 for i, mu in enumerate(mus)}, renormalize=True
+        )
+        assert 0 < min(w for w in c.weights if w > 0) <= tiny * 10
+        assert _fidelity_exact(d, N, c) == self.tuple_walk_fidelity(d, N, c)
+        assert self.rows_of(block_spectrum(d, N, "Y", c)) == self.tuple_walk_spectrum(d, N, "Y", c)
+
+    def test_sums_neither_read_nor_change_the_callers_decimal_context(self):
+        expected = fidelity_standard(3, 12), block_spectrum(2, 8, "X")
+        with decimal.localcontext() as caller:
+            caller.prec = 5
+            caller.traps[decimal.Inexact] = True
+            before = repr(caller)
+            got = fidelity_standard(3, 12), block_spectrum(2, 8, "X")
+            assert decimal.getcontext() is caller
+            assert repr(caller) == before
+        assert got == expected
+
     @pytest.mark.parametrize("d, n_mu", [(2, 21), (3, 154), (4, 632)])
-    def test_each_surd_is_formed_once(self, d, n_mu, monkeypatch):
+    def test_each_surd_is_formed_once(self, d, n_mu):
+        # Decimal.sqrt is a C method and cannot be patched; the profile hook
+        # sees every call of it
         calls = []
-        real_sqrt = mpmath.sqrt
 
-        def sqrt(x):
-            calls.append(x)
-            return real_sqrt(x)
+        def profile(frame, event, arg):
+            if event == "c_call" and getattr(arg, "__qualname__", None) == "Decimal.sqrt":
+                calls.append(arg)
 
-        monkeypatch.setattr(mpmath, "sqrt", sqrt)
-        _fidelity_exact(d, 40, None)
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            _fidelity_exact(d, 40, None)
+        finally:
+            sys.setprofile(previous)
         assert len(calls) == n_mu == len(enumerate_partitions(40, d))
 
 
