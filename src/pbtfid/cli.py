@@ -1,5 +1,13 @@
 """Batch command-line surface: fid, scan, verify, spectrum.
 
+One table, ``COMMANDS``, gives each command's options; it drives the parser
+and the ``-h``/``--help`` text. An option is spelled in full (no
+abbreviations), its value given as ``--name value`` or ``--name=value``; a
+repeated option keeps its last value. ``pbtfid --help`` and
+``pbtfid COMMAND --help`` print help, ``pbtfid --version`` the version. A
+malformed command line prints one ``usage error: ...`` line on stderr and
+exits 2.
+
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
 1 verification failure, 2 usage or configuration error, 3 input-file error,
 4 size cap, 5 internal error.
@@ -13,12 +21,12 @@ representation.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import dataclasses
 import json
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -111,7 +119,7 @@ def format_number(value) -> str:
 
 
 def _partition_key(mu) -> str:
-    return json.dumps(list(mu), separators=(",", ":"), allow_nan=False)
+    return "[" + ",".join(map(str, mu)) + "]"
 
 
 def load_coefficients(path: str, d: int, N: int, renormalize: bool) -> PortCoefficients:
@@ -349,73 +357,146 @@ def _cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+_D = ("--d", "d", "int", "local dimension")
+_N = ("--N", "N", "int", "number of ports")
+_FORMAT = ("--format", "format", ("json", "csv"), "output format")
+_MODE = ("--mode", "mode", ("standard", "optimized", "given-coefficients"), "protocol")
+_FILE = (
+    ("--coefficients", "coefficients", "path", "JSON coefficients file"),
+    ("--renormalize", "renormalize", "flag", "rescale file coefficients onto the constraint surface"),
+)
+
+# Every command: its summary, its handler and its options. An option is
+# (name, destination, kind, help); its kind is "int" (an integer >= 1 that
+# must be given), a tuple of choices (the first is the default), "path"
+# (default none) or "flag" (default off).
+COMMANDS = {
+    "fid": ("fidelity of a single (d, N) point", _cmd_fid, (_D, _N, _MODE, _FORMAT, *_FILE)),
+    "scan": (
+        "fidelity over a range of N",
+        _cmd_scan,
+        (_D, ("--from", "n_min", "int", "first N"), ("--to", "n_max", "int", "last N"), _MODE, _FORMAT),
+    ),
+    "verify": (
+        "certify formulas against the dense oracle",
+        _cmd_verify,
+        (_D, _N, _MODE, _FORMAT, *_FILE),
+    ),
+    "spectrum": (
+        "block eigenvalue table",
+        _cmd_spectrum,
+        (
+            _D,
+            _N,
+            ("--operator", "operator", ("avg", "X", "Y"), "block operator"),
+            ("--compare", "compare", "flag", "add dense-oracle eigenvalue columns"),
+            _FORMAT,
+            *_FILE,
+        ),
+    ),
+}
+_HELP = ("-h", "--help")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pbtfid",
-        description="Entanglement fidelity of port-based teleportation protocols.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _spelled(name: str, kind) -> str:
+    if kind == "flag":
+        return name
+    return f"{name} " + ("{" + ",".join(kind) + "}" if isinstance(kind, tuple) else kind.upper())
 
-    def common(p, with_mode=True):
-        p.add_argument("--d", type=_positive_int, required=True, help="local dimension")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-        if with_mode:
-            p.add_argument(
-                "--mode",
-                choices=["standard", "optimized", "given-coefficients"],
-                default="standard",
-            )
 
-    def coefficients_file(p):
-        p.add_argument("--coefficients", default=None, help="JSON coefficients file")
-        p.add_argument(
-            "--renormalize",
-            action="store_true",
-            help="rescale file coefficients onto the constraint surface",
-        )
+def _usage(command: str) -> str:
+    words = [f"pbtfid {command}"]
+    for name, _, kind, _ in COMMANDS[command][2]:
+        words.append(_spelled(name, kind) if kind == "int" else f"[{_spelled(name, kind)}]")
+    return " ".join(words)
 
-    fid = sub.add_parser("fid", help="fidelity of a single (d, N) point")
-    fid.add_argument("--N", type=_positive_int, required=True, help="number of ports")
-    common(fid)
-    coefficients_file(fid)
-    fid.set_defaults(func=_cmd_fid)
 
-    scan_p = sub.add_parser("scan", help="fidelity over a range of N")
-    scan_p.add_argument("--from", dest="n_min", type=_positive_int, required=True)
-    scan_p.add_argument("--to", dest="n_max", type=_positive_int, required=True)
-    common(scan_p)
-    scan_p.set_defaults(func=_cmd_scan)
+def _help(command: str | None) -> str:
+    """The -h/--help text of one command, or of the program when None."""
+    if command is None:
+        lines = [
+            "Entanglement fidelity of port-based teleportation protocols.",
+            "",
+            *(f"{'usage:' if k == 0 else '':6} {_usage(c)}" for k, c in enumerate(COMMANDS)),
+            "       pbtfid --version",
+            "",
+            *(f"  {c:10}{summary}" for c, (summary, _, _) in COMMANDS.items()),
+            "",
+            "Options are spelled out in full, as --name VALUE or --name=VALUE;",
+            "'pbtfid COMMAND --help' describes a command's options.",
+        ]
+    else:
+        lines = [f"usage: {_usage(command)}", "", COMMANDS[command][0], ""]
+        for name, _, kind, text in COMMANDS[command][2]:
+            default = f" (default {kind[0]})" if isinstance(kind, tuple) else ""
+            lines += [f"  {_spelled(name, kind)}", f"        {text}{default}"]
+    return "\n".join(lines) + "\n"
 
-    verify = sub.add_parser("verify", help="certify formulas against the dense oracle")
-    verify.add_argument("--N", type=_positive_int, required=True)
-    common(verify)
-    coefficients_file(verify)
-    verify.set_defaults(func=_cmd_verify)
 
-    spectrum = sub.add_parser("spectrum", help="block eigenvalue table")
-    spectrum.add_argument("--N", type=_positive_int, required=True)
-    spectrum.add_argument("--operator", choices=["avg", "X", "Y"], default="avg")
-    spectrum.add_argument(
-        "--compare", action="store_true", help="add dense-oracle eigenvalue columns"
-    )
-    common(spectrum, with_mode=False)
-    coefficients_file(spectrum)
-    spectrum.set_defaults(func=_cmd_spectrum)
-    return parser
+def _show(args) -> int:
+    sys.stdout.write(args.text)
+    return EXIT_OK
+
+
+def _value(name: str, kind, text: str):
+    if kind == "int":
+        try:
+            value = int(text)
+        except ValueError:
+            raise UsageError(f"{name} needs an integer, got {text!r}") from None
+        if value < 1:
+            raise UsageError(f"{name} must be >= 1, got {value}")
+        return value
+    if isinstance(kind, tuple) and text not in kind:
+        raise UsageError(f"{name} must be one of {', '.join(kind)}, got {text!r}")
+    return text
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The options of one argv, with ``func``, the function that runs them.
+
+    ``-h``/``--help`` and ``--version`` parse to a ``func`` that prints their
+    text. Any malformed argv raises UsageError.
+    """
+    if not argv:
+        raise UsageError(f"no command; choose one of {', '.join(COMMANDS)}")
+    command, *rest = argv
+    if command in _HELP or command == "--version":
+        text = _help(None) if command in _HELP else __version__ + "\n"
+        return SimpleNamespace(func=_show, text=text)
+    if command not in COMMANDS:
+        raise UsageError(f"unknown command {command!r}; choose one of {', '.join(COMMANDS)}")
+    options = {name: (dest, kind) for name, dest, kind, _ in COMMANDS[command][2]}
+    values = {}
+    tokens = iter(rest)
+    for token in tokens:
+        if token in _HELP:
+            return SimpleNamespace(func=_show, text=_help(command))
+        name, has_value, text = token.partition("=")
+        if name not in options:
+            raise UsageError(f"{command} has no option {name!r}")
+        dest, kind = options[name]
+        if kind == "flag":
+            if has_value:
+                raise UsageError(f"{name} takes no value")
+            values[dest] = True
+            continue
+        if not has_value:
+            text = next(tokens, None)
+            if text is None or text.startswith("--"):
+                raise UsageError(f"{name} needs a value")
+        values[dest] = _value(name, kind, text)
+    for name, dest, kind, _ in COMMANDS[command][2]:
+        if dest not in values:
+            if kind == "int":
+                raise UsageError(f"{command} requires {name}")
+            values[dest] = kind[0] if isinstance(kind, tuple) else (False if kind == "flag" else None)
+    return SimpleNamespace(func=COMMANDS[command][1], **values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

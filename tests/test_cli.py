@@ -20,6 +20,7 @@ import pytest
 import pbtfid
 from pbtfid import fidelity_standard
 from pbtfid.cli import (
+    COMMANDS,
     EXIT_INPUT,
     EXIT_INTERNAL,
     EXIT_OK,
@@ -30,6 +31,7 @@ from pbtfid.cli import (
     format_number,
     load_coefficients,
     main,
+    parse_args,
 )
 
 SQ3 = math.sqrt(3.0)
@@ -293,6 +295,55 @@ class TestConfiguration:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.count("\n") == 1 and "PBT_ORACLE_BYTES" in err
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["fidelity", "--d", "2", "--N", "2"],
+            ["fid", "--d", "2", "--N", "2", "--ports", "3"],
+            ["fid", "--d", "2", "--N", "2", "--form", "csv"],
+            ["fid", "--d", "2", "--N"],
+            ["fid", "--d", "--N", "2"],
+            ["fid", "--d", "2", "--N", "two"],
+            ["scan", "--d", "2", "--from", "0", "--to", "3"],
+            ["fid", "--d", "2", "--N", "2", "--mode", "best"],
+            ["spectrum", "--d", "2", "--N", "2", "--compare=yes"],
+            ["spectrum", "--d", "2", "--N", "2", "--compare", "yes"],
+            ["verify", "--N", "2"],
+        ],
+        ids=[
+            "no-command", "unknown-command", "unknown-option", "abbreviated-option",
+            "missing-value", "option-as-value", "non-integer", "integer-below-one",
+            "bad-choice", "value-to-flag", "stray-argument", "missing-required",
+        ],
+    )
+    def test_malformed_argv_is_one_usage_error_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("usage error: ")
+
+    def test_equals_sign_and_repeated_options(self):
+        spaced = parse_args(["scan", "--d", "2", "--from", "1", "--to", "4", "--format", "csv"])
+        assert parse_args(["scan", "--d=2", "--from=1", "--to=4", "--format=csv"]) == spaced
+        assert parse_args(["scan", "--d", "3", "--from", "1", "--to", "4", "--d=2",
+                           "--format", "json", "--format", "csv"]) == spaced
+        assert (spaced.d, spaced.n_min, spaced.n_max, spaced.mode) == (2, 1, 4, "standard")
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    @pytest.mark.parametrize("command", [None, *COMMANDS])
+    def test_help_names_every_option(self, capsys, command, flag):
+        argv = [flag] if command is None else [command, "--d", "2", flag]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert err == ""
+        named = set(re.findall(r"--\w[\w-]*", out))
+        for name in COMMANDS if command is None else [command]:
+            assert name in out
+            assert {option[0] for option in COMMANDS[name][2]} <= named
 
 
 class TestScan:
@@ -577,6 +628,7 @@ class TestDeterminism:
     def test_version_flag(self):
         result = run_subprocess("--version")
         assert result.returncode == 0
+        assert result.stdout == pbtfid.__version__ + "\n"
 
 
 # Run in a fresh interpreter: import the CLI, run one job with its output
@@ -611,13 +663,15 @@ def modules_of(package: str, modules: set[str]) -> set[str]:
 
 
 class TestImportHygiene:
-    """scipy is loaded only where ARPACK runs, and numpy.ma and mpmath
-    never, because each costs import time that every invocation would pay."""
+    """scipy is loaded only where ARPACK runs, and numpy.ma, mpmath,
+    argparse, gettext and locale never, because each costs import time that
+    every invocation would pay."""
 
     def test_import_loads_no_scipy(self):
         modules = loaded_modules()
         assert modules_of("scipy", modules) == set()
         assert modules_of("mpmath", modules) == set()
+        assert modules & {"argparse", "gettext", "locale"} == set()
 
     @pytest.mark.parametrize(
         "argv",
@@ -636,6 +690,7 @@ class TestImportHygiene:
         assert modules_of("scipy", modules) == set()
         assert "numpy.ma" not in modules
         assert modules_of("mpmath", modules) == set()
+        assert modules & {"argparse", "gettext", "locale"} == set()
 
     def test_iterative_perron_solve_loads_scipy_sparse_linalg(self):
         assert "scipy.sparse.linalg" in loaded_modules(
