@@ -16,7 +16,6 @@ from .fidelity import (
     PortCoefficients,
     asymptote_standard,
     block_spectrum,
-    exact_threshold,
     fidelity_given_coefficients,
     fidelity_standard,
     lower_bound_standard,

@@ -28,8 +28,6 @@ import sys
 import time
 from types import SimpleNamespace
 
-import numpy as np
-
 from . import __version__
 from .config import ConfigError, SizeCapError
 from .fidelity import (
@@ -105,17 +103,13 @@ class _KeyPairs(list):
 
 
 def format_number(value) -> str:
-    """Fixed decimal formatting: 17 significant digits, positional >= 1e-4."""
+    """17 significant digits, trailing zeros dropped: positional from 1e-4
+    to below 1e17, which bounds every value printed (F and p_succ are at
+    most 1, a block value at most d); scientific below 1e-4."""
     if value is None:
         return ""
     v = float(value)
-    if v == 0.0:
-        return "0"
-    if abs(v) >= 1e-4:
-        return np.format_float_positional(
-            v, precision=17, unique=False, fractional=False, trim="-"
-        )
-    return f"{v:.17g}"
+    return "0" if v == 0.0 else f"{v:.17g}"
 
 
 def _partition_key(mu) -> str:

@@ -1,5 +1,6 @@
-"""Settings read from the environment, validated where they are read, and the
-errors that a configured or numeric limit raises."""
+"""The one setting read from the environment, the oracle's byte budget
+PBT_ORACLE_BYTES (validated where it is read), and the errors that a
+configured or numeric limit raises."""
 
 from __future__ import annotations
 

@@ -1,14 +1,14 @@
 """Closed-form teleportation fidelities and port-state optimization.
 
-Two numeric modes back every evaluation:
+N alone picks the numeric route of every evaluation:
 
-* ``exact-hybrid`` (default for N up to PBT_EXACT_THRESHOLD, 40): Specht and
-  Weyl dimensions are exact integers, square roots and sums are taken in the
+* ``exact-hybrid`` for N up to EXACT_THRESHOLD (40): Specht and Weyl
+  dimensions are exact integers, square roots and sums are taken in the
   stdlib ``decimal`` at 50 significant digits (correctly rounded square
   roots, in C), and the final value is rounded once to a double.
-* ``log-domain``: everything is carried as logarithms in float64 with
-  log-sum-exp aggregation, which keeps scans to N ~ 10^3 fast and overflow
-  free.
+* ``log-domain`` above it: everything is carried as logarithms in float64
+  with log-sum-exp aggregation, which keeps scans to N ~ 10^3 fast and
+  overflow free.
 
 Every formula is a sum over the one-box edges alpha -> mu = alpha + box of
 Young's lattice, and every whole-level sum walks the successor index of
@@ -19,7 +19,7 @@ sqrt(c_mu d_mu m_mu) once and each alpha's surd sum once.
 
 Port weights c_mu are a ``PortCoefficients``: one read-only weight per row
 of the level table, checked once when built (finite, nonnegative, and
-sum c_mu d_mu m_mu = d^N, summed exactly up to the exact threshold and as
+sum c_mu d_mu m_mu = d^N, summed exactly up to EXACT_THRESHOLD and as
 one log-sum-exp of the level's log-dimensions above it). The sums read the
 weights as that array and check nothing again.
 
@@ -43,7 +43,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .config import SizeCapError, env_positive_int
+from .config import SizeCapError
 from .partitions import (
     Partition,
     log_specht_row,
@@ -54,8 +54,7 @@ from .partitions import (
     weyl_dim,
 )
 
-EXACT_THRESHOLD_ENV = "PBT_EXACT_THRESHOLD"
-DEFAULT_EXACT_THRESHOLD = 40
+EXACT_THRESHOLD = 40  # largest N evaluated exact-hybrid; log-domain above it
 MP_DPS = 50  # significant digits of the exact-hybrid surd sums
 _EXACT_CONTEXT = Context(prec=MP_DPS)  # the sums run in copies, never the caller's
 
@@ -67,19 +66,6 @@ DEGENERACY_RTOL = 1e-10
 EIGEN_RESIDUAL_TOL = 1e-12
 EIGSH_TOL = 1e-13
 NORMALISATION_RTOL = 1e-12  # PortCoefficients on sum c*d_mu*m_mu = d**N
-
-
-def exact_threshold() -> int:
-    """Largest N evaluated in exact-hybrid mode (env PBT_EXACT_THRESHOLD)."""
-    return env_positive_int(EXACT_THRESHOLD_ENV, DEFAULT_EXACT_THRESHOLD)
-
-
-def _resolve_mode(N: int, numeric_mode: str) -> str:
-    if numeric_mode == "auto":
-        return EXACT_MODE if N <= exact_threshold() else LOG_MODE
-    if numeric_mode in (EXACT_MODE, LOG_MODE):
-        return numeric_mode
-    raise ValueError(f"unknown numeric mode {numeric_mode!r}")
 
 
 def _check_dn(d: int, N: int) -> None:
@@ -111,12 +97,12 @@ def _checked_weights(d: int, N: int, weights) -> np.ndarray:
 
 def _normalisation_ratio(d: int, N: int, weights: np.ndarray) -> float:
     """sum c*d_mu*m_mu / d**N over the level, which a valid assignment sets
-    to 1: summed exactly in rationals up to the exact threshold (the ratio is
+    to 1: summed exactly in rationals up to EXACT_THRESHOLD (the ratio is
     at most the largest c, so only an intermediate could overflow a float),
     as one log-sum-exp of the level's log-dimensions above it."""
     live = np.flatnonzero(weights > 0)
     rows = partition_level(N, d).table[live]
-    if N <= exact_threshold():
+    if N <= EXACT_THRESHOLD:
         total = sum(
             Fraction(c) * specht_dim(mu) * weyl_dim(mu, d)
             for mu, c in zip(table_partitions(rows), weights[live].tolist())
@@ -430,32 +416,6 @@ def _log_dims(mat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return specht, weyl
 
 
-def _pairwise_sum(columns: list[np.ndarray]) -> np.ndarray:
-    """The elementwise sum of equal-length columns, added in the order of
-    numpy's ``pairwise_sum``, so that its bits equal ``.sum(axis=1)`` of the
-    C-ordered matrix holding them as columns: one after another below 8
-    columns, 8 running sums joined as a tree up to 128, halves above.
-    Adds into the columns."""
-    n = len(columns)
-    if n < 8:
-        total = columns[0]
-        for column in columns[1:]:
-            total += column
-        return total
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(columns[:half]) + _pairwise_sum(columns[half:])
-    r = columns[:8]
-    tail = n - n % 8
-    for i in range(8, tail, 8):
-        for j in range(8):
-            r[j] += columns[i + j]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for column in columns[tail:]:
-        total += column
-    return total
-
-
 def _successor_logsumexp(successors: np.ndarray, half_log: np.ndarray) -> np.ndarray:
     """log sum_i exp(half_log[successors[a, i]]) over the successors of each
     alpha a of a successor table (``PartitionLevel.successors``, -1 for
@@ -470,10 +430,11 @@ def _successor_logsumexp(successors: np.ndarray, half_log: np.ndarray) -> np.nda
         live = peak > -np.inf
         terms = [column[live] for column in terms]
         peak = peak[live]
+    total = np.zeros_like(peak)
     for column in terms:
         np.subtract(column, peak, out=column)
         np.exp(column, out=column)
-    total = _pairwise_sum(terms)
+        total += column
     np.log(total, out=total)
     total += peak
     return total
@@ -487,14 +448,11 @@ def _fidelity_log(d: int, N: int, coefficients: PortCoefficients | None) -> floa
     alpha (``_successor_logsumexp``) works on the d columns of the
     successor table, the successors grown in row i, each a contiguous array
     over all alphas: the gathered terms, their peak by ``np.maximum``, and
-    their exponentials added in the order of numpy's row sum
-    (``_pairwise_sum``). So every alpha's log-sum keeps the bits of the
-    (K, d) matrix form, ``terms.max(axis=1)`` plus the log of
-    ``exp(terms - peak).sum(axis=1)``. F alone does not pin that order:
-    only the largest few alphas reach its last bit. Alphas whose every
-    successor weighs zero are dropped, with a compacting copy only when one
-    exists, which never happens for the standard port state (every alpha
-    grows in row 0).
+    their exponentials added one column after another, in row order. Below
+    8 columns that is the order of numpy's ``.sum(axis=1)`` on the (K, d)
+    matrix form too. Alphas whose every successor weighs zero are dropped,
+    with a compacting copy only when one exists, which never happens for
+    the standard port state (every alpha grows in row 0).
     """
     level = partition_level(N, d)
     specht, weyl = _log_dims(level.table, N)
@@ -515,25 +473,27 @@ def _fidelity_log(d: int, N: int, coefficients: PortCoefficients | None) -> floa
     return float(math.exp(log_f))
 
 
-def fidelity_standard(d: int, N: int, numeric_mode: str = "auto") -> FidelityReport:
+def _fidelity(d: int, N: int, coefficients: PortCoefficients | None) -> tuple[float, str]:
+    """F by the numeric route of N, and the route's name."""
+    if N <= EXACT_THRESHOLD:
+        return _fidelity_exact(d, N, coefficients), EXACT_MODE
+    return _fidelity_log(d, N, coefficients), LOG_MODE
+
+
+def fidelity_standard(d: int, N: int) -> FidelityReport:
     """Entanglement fidelity of the protocol on N maximally entangled ports.
 
     F = d^-(N+2) * sum_alpha ( sum_{mu = alpha+box} sqrt(d_mu m_mu) )^2.
     """
     _check_dn(d, N)
-    mode = _resolve_mode(N, numeric_mode)
-    f = (_fidelity_exact if mode == EXACT_MODE else _fidelity_log)(d, N, None)
-    return _make_report(d, N, "standard", f, mode)
+    return _make_report(d, N, "standard", *_fidelity(d, N, None))
 
 
-def fidelity_given_coefficients(
-    d: int, N: int, coefficients: PortCoefficients, numeric_mode: str = "auto"
-) -> FidelityReport:
+def fidelity_given_coefficients(d: int, N: int, coefficients: PortCoefficients) -> FidelityReport:
     """Fidelity of the protocol with a fixed, explicitly supplied port state."""
     _check_dn(d, N)
     _check_same_point(d, N, coefficients)
-    mode = _resolve_mode(N, numeric_mode)
-    f = (_fidelity_exact if mode == EXACT_MODE else _fidelity_log)(d, N, coefficients)
+    f, mode = _fidelity(d, N, coefficients)
     return _make_report(d, N, "given-coefficients", f, mode, coefficients=coefficients)
 
 
@@ -616,7 +576,7 @@ def _principal_eigenpair(successors: np.ndarray, n_mu: int):
     return lam, u, residual, degenerate
 
 
-def optimize_coefficients(d: int, N: int, numeric_mode: str = "auto") -> FidelityReport:
+def optimize_coefficients(d: int, N: int) -> FidelityReport:
     """Best fidelity over all symmetric port states.
 
     Substituting u_mu = sqrt(c_mu d_mu m_mu) turns the constrained maximisation
@@ -625,7 +585,7 @@ def optimize_coefficients(d: int, N: int, numeric_mode: str = "auto") -> Fidelit
     A weight too large for float64 raises SizeCapError naming its diagram.
     """
     _check_dn(d, N)
-    mode = _resolve_mode(N, numeric_mode)
+    exact = N <= EXACT_THRESHOLD
     level = partition_level(N, d)
     mus = table_partitions(level.table)
     lam, u, residual, degenerate = _principal_eigenpair(level.successors, len(mus))
@@ -636,7 +596,7 @@ def optimize_coefficients(d: int, N: int, numeric_mode: str = "auto") -> Fidelit
     for i, mu in enumerate(mus):
         if u[i] <= 0.0:
             continue
-        if mode == EXACT_MODE:
+        if exact:
             log_dims = math.log(specht_dim(mu)) + math.log(weyl_dim(mu, d))
         else:
             log_dims = log_specht_row(mu) + log_weyl_row(mu, d)
@@ -654,7 +614,7 @@ def optimize_coefficients(d: int, N: int, numeric_mode: str = "auto") -> Fidelit
         N,
         "optimized",
         f,
-        mode,
+        EXACT_MODE if exact else LOG_MODE,
         coefficients=coefficients,
         eigen_data=EigenData(lam, 0, residual),
         degenerate=degenerate,

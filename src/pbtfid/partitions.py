@@ -24,9 +24,9 @@ what a run asks of them is bounded. The exact dimensions (``specht_dim``,
 ``weyl_dim``) are asked for the same diagrams again by every exact-hybrid
 evaluation at one point (``verify`` forms F and two block spectra at one
 (d, N)); the log-domain sums read none, so a run caches only the diagrams
-of the levels it evaluates exactly, N up to PBT_EXACT_THRESHOLD in a scan
-and N and N - 1 for a block spectrum. The Murnaghan-Nakayama recursion
-(``_mn_character``) reuses its own results; only the oracle's Young
+of the levels it evaluates exactly, N up to 40 (``fidelity.EXACT_THRESHOLD``)
+in a scan and N and N - 1 for a block spectrum. The Murnaghan-Nakayama
+recursion (``_mn_character``) reuses its own results; only the oracle's Young
 projectors ask for characters, on the N ports of a steered run, whose N!
 permutation table the oracle's byte budget bounds. No other function is
 memoised: the sums walk the level index (the log-dimensions in one

@@ -15,7 +15,10 @@ import time
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pbtfid
 from pbtfid import fidelity_standard
@@ -65,6 +68,27 @@ class TestFormatting:
 
     def test_tiny_values_may_be_scientific(self):
         assert float(format_number(3.2e-12)) == 3.2e-12
+
+    @staticmethod
+    def numpy_positional(v):
+        """The numpy formatter that printed every value at 1e-4 and above."""
+        if v == 0.0:
+            return "0"
+        if abs(v) >= 1e-4:
+            return np.format_float_positional(
+                v, precision=17, unique=False, fractional=False, trim="-"
+            )
+        return f"{v:.17g}"
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.floats(min_value=1e-4, max_value=1e17, exclude_max=True), st.booleans())
+    def test_equals_numpys_positional_form(self, magnitude, negative):
+        v = -magnitude if negative else magnitude
+        assert format_number(v) == self.numpy_positional(v)
+
+    def test_special_values_equal_numpys_positional_form(self):
+        for v in (math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e-4, 1e17 - 16):
+            assert format_number(v) == self.numpy_positional(v)
 
 
 class TestFid:
@@ -280,21 +304,28 @@ class TestFid:
 
 
 class TestConfiguration:
-    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
-    def test_bad_exact_threshold_is_usage_error(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("PBT_EXACT_THRESHOLD", value)
-        code, out, err = run_cli(capsys, "fid", "--d", "2", "--N", "3")
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert err.count("\n") == 1 and "PBT_EXACT_THRESHOLD" in err
-
-    @pytest.mark.parametrize("value", ["many", "0"])
+    @pytest.mark.parametrize("value", ["many", "0", "-3", "1.5"])
     def test_bad_oracle_budget_is_usage_error(self, capsys, monkeypatch, value):
         monkeypatch.setenv("PBT_ORACLE_BYTES", value)
         code, out, err = run_cli(capsys, "verify", "--d", "2", "--N", "2")
         assert code == EXIT_USAGE
         assert out == ""
         assert err.count("\n") == 1 and "PBT_ORACLE_BYTES" in err
+
+    def test_the_oracle_budget_is_the_only_environment_setting(self):
+        # the environment is read in config.py alone, and every setting read
+        # through env_positive_int is the oracle's byte budget
+        readers, names = set(), set()
+        for path in (REPO / "src" / "pbtfid").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                    readers.add(path.name)
+                elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                    readers.add(path.name)
+                elif isinstance(node, ast.Call) and ast.unparse(node.func) == "env_positive_int":
+                    names.add(ast.unparse(node.args[0]))
+        assert readers == {"config.py"}
+        assert names == {"ORACLE_BYTES_ENV"}
 
 
 class TestParser:
@@ -520,8 +551,6 @@ class TestSpectrum:
         code, out, _ = run_cli(capsys, "spectrum", "--d", "2", "--N", "3", "--operator", "X")
         assert code == EXIT_OK
         payload = json.loads(out)
-        import numpy as np
-
         from pbtfid import certificate_X
 
         rank = int(

@@ -34,11 +34,11 @@ from pbtfid.fidelity import (
     NORMALISATION_RTOL,
     _cephes_lgamma,
     _fidelity_exact,
+    _fidelity_log,
     _gram,
     _gram_matvec,
     _integer_tables,
     _log_dims,
-    _pairwise_sum,
     _principal_eigenpair,
     _successor_logsumexp,
 )
@@ -146,43 +146,29 @@ class TestStandardFidelity:
         # (12, 40) overflows a base-(N+1) int64 packing of 12 rows
         points = [(d, n) for d in (1, 2, 3, 4) for n in range(1, 31)]
         for d, n in points + [(5, 40), (8, 40), (12, 40)]:
-            fe = fidelity_standard(d, n, "exact-hybrid").fidelity
-            fl = fidelity_standard(d, n, "log-domain").fidelity
-            assert fl == pytest.approx(fe, rel=1e-12)
-
-    @staticmethod
-    def _check_across_threshold(points, threshold):
-        for d, n in points:
-            auto = fidelity_standard(d, n)
-            expected = "exact-hybrid" if n <= threshold else "log-domain"
-            assert auto.numeric_mode == expected, (d, n)
-            fe = fidelity_standard(d, n, "exact-hybrid").fidelity
-            fl = fidelity_standard(d, n, "log-domain").fidelity
-            assert auto.fidelity == (fe if n <= threshold else fl)
+            fe = _fidelity_exact(d, n, None)
+            fl = _fidelity_log(d, n, None)
             assert fl == pytest.approx(fe, rel=1e-12)
 
     def test_modes_agree_across_the_default_threshold(self):
-        points = [(d, n) for d in (2, 3, 4, 5) for n in range(38, 44)]
-        self._check_across_threshold(points, 40)
+        for d, n in [(d, n) for d in (2, 3, 4, 5) for n in range(38, 44)]:
+            auto = fidelity_standard(d, n)
+            expected = "exact-hybrid" if n <= 40 else "log-domain"
+            assert auto.numeric_mode == expected, (d, n)
+            fe = _fidelity_exact(d, n, None)
+            fl = _fidelity_log(d, n, None)
+            assert auto.fidelity == (fe if n <= 40 else fl)
+            assert fl == pytest.approx(fe, rel=1e-12)
 
-    def test_modes_agree_across_a_lowered_threshold(self, monkeypatch):
-        monkeypatch.setenv("PBT_EXACT_THRESHOLD", "10")
-        points = [(d, n) for d in (2, 3, 4, 5) for n in range(9, 13)]
-        self._check_across_threshold(points, 10)
-
-    def test_numeric_mode_selection(self, monkeypatch):
+    def test_numeric_mode_selection(self):
         assert fidelity_standard(2, 40).numeric_mode == "exact-hybrid"
         assert fidelity_standard(2, 41).numeric_mode == "log-domain"
-        monkeypatch.setenv("PBT_EXACT_THRESHOLD", "10")
-        assert fidelity_standard(2, 11).numeric_mode == "log-domain"
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             fidelity_standard(0, 3)
         with pytest.raises(ValueError):
             fidelity_standard(2, 0)
-        with pytest.raises(ValueError):
-            fidelity_standard(2, 3, numeric_mode="bogus")
 
 
 def bits(values):
@@ -269,17 +255,36 @@ class TestScipyFreeKernels:
 class TestColumnLogSumExp:
     """The log-domain sum runs column by column, one row of the diagrams at a
     time. Every alpha's log-sum equals, bit for bit, the (K, d) matrix form
-    it replaced, frozen here: F alone does not pin the row-sum order, since
+    with its exponentials added in row order, and below 8 rows also numpy's
+    ``.sum(axis=1)`` of that matrix: F alone does not pin the order, since
     only the largest few alphas reach its last bit."""
 
     @staticmethod
-    def matrix_logsumexp(successors, half_log):
-        # the C-ordered table, whose .sum(axis=1) adds along each row
+    def matrix_logsumexp(successors, half_log, row_sum):
+        # the C-ordered table; row_sum adds each row of the exponentials
         successors = np.ascontiguousarray(successors)
         terms = np.where(successors >= 0, half_log[successors], -np.inf)
         peak = terms.max(axis=1)
         live = peak > -np.inf
-        return peak[live] + np.log(np.exp(terms[live] - peak[live, None]).sum(axis=1))
+        scaled = np.exp(terms[live] - peak[live, None])
+        return peak[live] + np.log(row_sum(scaled))
+
+    @staticmethod
+    def in_order(scaled):
+        total = scaled[:, 0].copy()
+        for column in scaled.T[1:]:
+            total += column
+        return total
+
+    def check_rows(self, d, successors, half_log):
+        """The log-sums, checked against the matrix forms."""
+        inner = _successor_logsumexp(successors, half_log)
+        in_order = self.matrix_logsumexp(successors, half_log, self.in_order)
+        assert np.array_equal(bits(inner), bits(in_order))
+        if d < 8:
+            numpy_sum = self.matrix_logsumexp(successors, half_log, lambda x: x.sum(axis=1))
+            assert np.array_equal(bits(inner), bits(numpy_sum))
+        return inner
 
     @staticmethod
     def fidelity_of(inner, d, N):
@@ -300,25 +305,14 @@ class TestColumnLogSumExp:
             half_log = half_log + 0.5 * log_c
         return np.append(half_log, -np.inf)
 
-    @pytest.mark.parametrize("columns", [*range(1, 21), 64, 127, 128, 129, 136, 300])
-    def test_pairwise_sum_is_numpys_row_sum(self, columns):
-        # sequential below 8 columns, 8 running sums to 128, then halves
-        x = np.exp(np.random.default_rng(columns).standard_normal((400, columns)) * 5)
-        total = _pairwise_sum([x[:, i].copy() for i in range(columns)])
-        assert np.array_equal(bits(total), bits(x.sum(axis=1)))
-
     @pytest.mark.parametrize(
         "d, n_min, n_max", [(d, 41, 41) for d in range(1, 11)] + [(3, 41, 120), (5, 41, 60)]
     )
     def test_standard_rows_equal_the_matrix_form(self, d, n_min, n_max):
         for N in range(n_min, n_max + 1):
             successors = partition_level(N, d).successors
-            half_log = self.half_log(d, N)
-            inner = _successor_logsumexp(successors, half_log)
-            expected = self.matrix_logsumexp(successors, half_log)
-            assert np.array_equal(bits(inner), bits(expected))
-            report = fidelity_standard(d, N, numeric_mode="log-domain")
-            assert report.fidelity == self.fidelity_of(expected, d, N)
+            inner = self.check_rows(d, successors, self.half_log(d, N))
+            assert _fidelity_log(d, N, None) == self.fidelity_of(inner, d, N)
 
     @pytest.mark.parametrize("d, N", [(2, 60), (3, 45), (4, 41), (9, 41)])
     def test_alphas_without_a_live_successor_are_dropped(self, d, N):
@@ -334,12 +328,9 @@ class TestColumnLogSumExp:
         terms = np.where(successors >= 0, half_log[successors], -np.inf)
         dead = int((terms.max(axis=1) == -np.inf).sum())
         assert 0 < dead < successors.shape[0]
-        inner = _successor_logsumexp(successors, half_log)
-        expected = self.matrix_logsumexp(successors, half_log)
+        inner = self.check_rows(d, successors, half_log)
         assert inner.size == successors.shape[0] - dead
-        assert np.array_equal(bits(inner), bits(expected))
-        report = fidelity_given_coefficients(d, N, c, numeric_mode="log-domain")
-        assert report.fidelity == self.fidelity_of(expected, d, N)
+        assert _fidelity_log(d, N, c) == self.fidelity_of(inner, d, N)
 
 
 def coefficients_with_zeros(d, N, seed):
@@ -445,14 +436,11 @@ class TestExactHybridBits:
         assert rows == self.tuple_walk_spectrum(d, N, "Y", c)
 
     @pytest.mark.parametrize("d, N", [(2, 200), (4, 90)])
-    def test_fidelity_past_50_digits_equals_the_tuple_walk(self, d, N, monkeypatch):
+    def test_fidelity_past_50_digits_equals_the_tuple_walk(self, d, N):
         # the largest d_mu m_mu outgrow the MP_DPS working digits, so their
         # radicands round; the doubles still agree
-        monkeypatch.setenv("PBT_EXACT_THRESHOLD", str(N))
-        report = fidelity_standard(d, N)
-        assert report.numeric_mode == "exact-hybrid"
         assert max(specht_dim(mu) * weyl_dim(mu, d) for mu in enumerate_partitions(N, d)) > 10**MP_DPS
-        assert report.fidelity == self.tuple_walk_fidelity(d, N, None)
+        assert _fidelity_exact(d, N, None) == self.tuple_walk_fidelity(d, N, None)
 
     @pytest.mark.parametrize("tiny", [5e-324, 2.2e-308, 1e-200])
     @pytest.mark.parametrize("d, N", [(2, 9), (3, 7), (4, 6)])
@@ -701,8 +689,8 @@ class TestGivenCoefficients:
         rng = np.random.default_rng(5)
         for d, N in [(2, 6), (3, 5)]:
             c = random_valid_coefficients(d, N, rng)
-            fe = fidelity_given_coefficients(d, N, c, "exact-hybrid").fidelity
-            fl = fidelity_given_coefficients(d, N, c, "log-domain").fidelity
+            fe = _fidelity_exact(d, N, c)
+            fl = _fidelity_log(d, N, c)
             assert fl == pytest.approx(fe, rel=1e-10)
 
 
