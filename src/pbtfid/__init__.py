@@ -46,7 +46,6 @@ from .partitions import (
     conjugate,
     enumerate_partitions,
     partition_level,
-    permutation_cycle_type,
     sn_character,
     specht_dim,
     weyl_dim,

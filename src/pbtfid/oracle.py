@@ -33,13 +33,16 @@ constraints against its transposed images (``_swap_defects``).
 
 Every operator here is held as one block per letter-permutation orbit of
 the weight sectors of (C^d)^(N+1) (``pbtfid.sectors``), and eigensolves,
-products, gathers and symmetrisations run block by block; every operator is
-measured for that layout when built, entry by entry, and held dense when it
-is not letter invariant. rho_i and O x 1_B are built from their nonzero
-entries, and the channel's input state psi from its nonzero entries too,
-measured in the measurement's layout. No full matrix is filled unless
-``matrix`` is read. ``verify --d 2 --N 8`` takes 5 decompositions, each of
-5 blocks, the largest 126.
+products, gathers and symmetrisations run block by block; an operator built
+from entries, rho_i and the channel's input state psi, is measured for that
+layout, entry by entry, and held dense when it is not letter invariant. The
+isotypic projectors and O = sum_mu sqrt(c_mu) P_mu, on the N port slots,
+are held per letter orbit of the letter-count sectors: spectral projectors
+of the transposition class sum, each entry the mean over its orbit under
+slot and letter permutations, so that O and O x 1_B commute with both bit
+for bit (``_isotypic_sum``). No full matrix is filled unless ``matrix`` is
+read. ``verify --d 2 --N 8`` takes 5 decompositions, each of 5 blocks, the
+largest 126.
 
 Tensor-factor convention: the N port slots A_1..A_N come first and the single
 B slot is last, with row-major index fusion (np.kron order). Permutations act
@@ -59,14 +62,24 @@ import numpy as np
 
 from .config import SizeCapError, env_positive_int
 from .fidelity import PortCoefficients
-from .partitions import Partition, check_partition, permutation_cycle_type, sn_character
-from .sectors import DenseOperator, _layout, _orbit_entries, _Sectors
+from .partitions import Partition, check_partition, enumerate_partitions
+from .sectors import (
+    DenseOperator,
+    _digits,
+    _equal_count_pairs,
+    _layout,
+    _orbit_entries,
+    _orbit_sizes,
+    _Sectors,
+    _unique_inverse,
+)
 
 ORACLE_BYTES_ENV = "PBT_ORACLE_BYTES"
 DEFAULT_ORACLE_BYTES = 2**30
-BASE_BYTES = 2**23  # small arrays, LAPACK workspace and Python objects
-LIVE_MEMBERS = 12  # sector-data arrays at a run's peak: 9.3-11.0 at d=2 N=10..12, d=3 N=7..8
-PORT_COPIES = 3  # d^N x d^N arrays while O is summed: the sum, a type's counts and their product
+BASE_BYTES = 2**23  # small arrays and Python objects
+LIVE_MEMBERS = 10  # sector-data arrays at a run's peak
+LAPACK_COPIES = 3  # arrays of the largest block's size: eigh's input, eigenvectors, workspace
+PORT_ARRAYS = 10  # index and value arrays per entry of the port state, in the steered channel
 
 HERMITICITY_TOL = 1e-10
 PSEUDO_INVERSE_RTOL = 1e-10
@@ -74,24 +87,33 @@ POVM_TOL = 1e-10
 CERTIFY_TOL = 1e-8  # on the feasibility bound and on the duality gap
 
 
-def check_oracle_size(d: int, N: int, steered: bool = False, entries: int | None = None) -> int:
+def check_oracle_size(d: int, N: int, steered: bool = False, layout: _Sectors | None = None) -> int:
     """The estimated peak memory in bytes of an oracle run at (d, N), taken
     before anything is allocated; SizeCapError over the PBT_ORACLE_BYTES budget.
 
-    Its terms are fitted to the ru_maxrss growth of verify runs: BASE_BYTES
-    and LIVE_MEMBERS float64 arrays of ``entries``, one operator's data in its
-    blocks, by default one block per letter orbit of the weight sectors
-    (``_orbit_entries``). A steered run adds the permutation table, N! d^N
-    entries of 8 bytes, and PORT_COPIES float64 d^N x d^N arrays of O; fitted
-    at d=2 N=7..8, d=3 N=6..7, d=4 N=6 and d=5 N=5, the estimate is 1.06 to
-    2.2 times the growth.
+    Its terms are fitted to the ru_maxrss growth of verify and channel runs
+    at d=2 N=8..12, d=3 N=6..8, d=4 N=5..6 and d=5 N=5: BASE_BYTES,
+    LIVE_MEMBERS float64 arrays of one operator's data in its blocks, and
+    LAPACK_COPIES of the largest block, in ``layout``, by default one block
+    per letter orbit of the weight sectors (``_orbit_entries``,
+    ``_orbit_sizes``). A steered run adds PORT_ARRAYS 8-byte arrays of the
+    entries of the port state, d times the pairs of port strings with equal
+    letter counts (``_equal_count_pairs``), which the channel's input state
+    holds. Over the runs that grow by more than 20 MB the estimate is 1.04
+    to 1.21 times the growth of standard verify, 1.04 to 1.76 times that of
+    the channel and 1.32 to 2.9 times that of steered verify, whose port
+    state is never held as entries.
     """
     budget = env_positive_int(ORACLE_BYTES_ENV, DEFAULT_ORACLE_BYTES)
-    if entries is None:
-        entries = _orbit_entries(d, N, budget // (LIVE_MEMBERS * 8))
-    estimate = BASE_BYTES + LIVE_MEMBERS * 8 * entries
+    if layout is None:
+        cap = budget // (LIVE_MEMBERS * 8)
+        entries = _orbit_entries(d, N, cap)
+        largest = max(_orbit_sizes(d, N)) if entries <= cap else 0
+    else:
+        entries, largest = layout.size, max(layout.sizes[k] for k in layout.held)
+    estimate = BASE_BYTES + 8 * (LIVE_MEMBERS * entries + LAPACK_COPIES * largest**2)
     if steered:
-        estimate += 8 * math.factorial(N) * d**N + PORT_COPIES * 8 * d ** (2 * N)
+        estimate += PORT_ARRAYS * 8 * d * _equal_count_pairs(d, N)
     if estimate > budget:
         raise SizeCapError(
             f"the oracle at d={d}, N={N} needs an estimated {Decimal(estimate):.3g} bytes, "
@@ -495,67 +517,175 @@ def _discrimination(
 # ---------------------------------------------------------------------------
 
 
-def _permutation_table(d: int, n: int) -> tuple[list[Partition], list[np.ndarray]]:
-    """Every permutation pi of n slots of size d, grouped by cycle type: the
-    distinct cycle types, ascending, and for each the flat positions of the
-    d^n entries of R(pi) in a d^n x d^n matrix (row r of R(pi) has its one
-    entry at column g_pi[r], g_pi the slot gather of pi), one row per pi in
-    the order enumerated. Its size is factorial in n: one pass numbers each
-    pi's cycle type, a second fills pi's row in place, and each type's rows
-    are a view of them.
-    """
+class SeparationError(ArithmeticError):
+    """The content power sums of a list of diagrams do not tell every two of
+    them apart, so the power sums of the Jucys-Murphy elements cannot label
+    their isotypic components."""
+
+
+def _content_sums(mus: Sequence[Partition]) -> list[tuple[int, ...]]:
+    """The power sums p_m(mu) = sum over the boxes (i, j) of mu of (j - i)^m,
+    m = 1..M, of each diagram, with M the least that tells every two of
+    ``mus`` apart; SeparationError when none up to the diagrams' size does.
+    p_m(mu) is the eigenvalue of sum_k X_k^m, X_k = sum_(j<k) (j k) the
+    Jucys-Murphy elements, on the isotypic component of mu (Okounkov and
+    Vershik); p_1 is the eigenvalue of the transposition class sum."""
+    contents = [[j - i for i, row in enumerate(mu) for j in range(row)] for mu in mus]
+    sums: list[tuple[int, ...]] = [()] * len(mus)
+    for m in range(1, max(map(len, contents)) + 1):
+        sums = [s + (sum(c**m for c in boxes),) for s, boxes in zip(sums, contents)]
+        if len(set(sums)) == len(sums):
+            return sums
+    raise SeparationError(f"the content power sums do not tell the diagrams {list(mus)} apart")
+
+
+def _power_sum(xs: list[list[np.ndarray]], vectors: np.ndarray, m: int) -> np.ndarray:
+    """vectors^T (sum_k X_k^m) vectors, each X_k applied to a block as the
+    sum of its transpositions' gathers ``xs[k]``."""
+
+    def apply(gathers, v):
+        return sum(v[g] for g in gathers)
+
+    total = np.zeros((vectors.shape[1],) * 2)
+    for gathers in xs:
+        half = vectors
+        for _ in range(m // 2):
+            half = apply(gathers, half)
+        total += half.T @ (apply(gathers, half) if m % 2 else half)
+    return total
+
+
+def _components(xs, sums, candidates, matrix, vectors, m) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal columns spanning the isotypic components of
+    ``candidates`` in one block, and the diagram of each column: ``matrix``
+    is p_m restricted to the span of ``vectors`` (every index of the block
+    for None), the sum of the candidates' components, which share
+    p_1..p_(m-1). Each eigenvalue is measured against their p_m, and the
+    columns of a p_m that candidates share too are split by p_(m+1)."""
+    values, rotation = np.linalg.eigh(matrix)
+    basis = rotation if vectors is None else vectors @ rotation
+    shared: dict[int, list[int]] = {}
+    for i in candidates:
+        shared.setdefault(sums[i][m - 1], []).append(i)
+    levels = sorted(shared)
+    nearest = np.abs(values[:, None] - np.array(levels, dtype=float)).argmin(axis=1)
+    miss = float(np.abs(values - np.take(levels, nearest)).max(initial=0.0))
+    if not miss <= 0.25:
+        raise AssertionError(f"an eigenvalue of p_{m} lies {miss:.3g} from every content power sum")
+    diagram = np.array([shared[level][0] for level in levels])[nearest]
+    for k, level in enumerate(levels):
+        if len(shared[level]) > 1 and (columns := nearest == k).any():
+            split = basis[:, columns]
+            restricted = _power_sum(xs, split, m + 1)
+            refined = _components(xs, sums, shared[level], restricted, split, m + 1)
+            basis[:, columns], diagram[columns] = refined
+    return basis, diagram
+
+
+def _orbit_means(sectors: _Sectors, data: np.ndarray) -> np.ndarray:
+    """The data of an operator on (C^d)^n in its letter-count ``sectors``,
+    each entry replaced by the mean over its orbit under the slot
+    permutations and the letter permutations that keep its sector.
+
+    Pair (a, a') has the slot-permutation orbit of its multiset of letter
+    pairs (a_k, a'_k), held sorted, which also fixes the sector; a letter
+    permutation that keeps the sector's counts, which permutes letters of
+    equal count, maps it to another, and the least of its images, by
+    lexicographic rank, names the orbit. Every entry of an orbit then holds
+    one number, so the operator commutes with every slot and letter
+    permutation bit for bit."""
+    d, n = sectors.dims[0], len(sectors.dims)
+    code = np.min_scalar_type(d * d)  # a letter pair x d + y, in the fewest bytes
+    digits = _digits(d, n).astype(code)
+    row, column = sectors.held_entries()
+    keys, orbit = _unique_inverse(np.sort(digits[row] * code.type(d) + digits[column], axis=1))
+    del row, column
+    held = [sectors.index[k] for k in sectors.held]
+    key_block = np.empty(len(keys), dtype=np.intp)
+    key_block[orbit] = np.repeat(np.arange(len(held)), [rows.size**2 for rows in held])
+    images, owners = [keys], [np.arange(len(keys))]
+    counts = (digits[[rows[0] for rows in held]][:, :, None] == np.arange(d)).sum(axis=1)
+    for b, count in enumerate(counts.tolist()):
+        equal: dict[int, list[int]] = {}
+        for letter, c in enumerate(count):
+            equal.setdefault(c, []).append(letter)
+        groups = [letters for c, letters in equal.items() if c and len(letters) > 1]
+        if not groups:
+            continue  # no two letters of equal count in the sector
+        mine = np.flatnonzero(key_block == b)
+        first, second = np.divmod(keys[mine], code.type(d))
+        perms = itertools.product(*map(itertools.permutations, groups))
+        for perm in itertools.islice(perms, 1, None):  # all but the identity
+            letters = np.arange(d, dtype=code)
+            letters[sum(groups, [])] = sum(perm, ())
+            images.append(np.sort(letters[first] * code.type(d) + letters[second], axis=1))
+            owners.append(mine)
+    rank = _unique_inverse(np.concatenate(images))[1]
+    least = np.full(len(keys), rank.size)
+    np.minimum.at(least, np.concatenate(owners), rank)
+    orbit = least[orbit]
+    total, size = np.bincount(orbit, weights=data), np.bincount(orbit)
+    return (total / np.maximum(size, 1))[orbit]  # a rank that is no orbit's least has size 0
+
+
+def _isotypic_sum(
+    d: int, n: int, mus: Sequence[Partition], weights: Sequence[float]
+) -> DenseOperator:
+    """sum_mu weights[mu] P_mu on (C^d)^n, over ``mus``, every diagram of n
+    with at most d rows, P_mu the projector onto the isotypic component of
+    the slot permutations, held one block per letter orbit of the
+    letter-count sectors (``_Sectors.counts``), which every slot
+    permutation keeps.
+
+    P_mu is a spectral projector of the transposition class sum
+    T = sum_(j<k) (j k), whose eigenvalue on the component of mu is mu's
+    content sum: T is built from the n(n-1)/2 transpositions, block by
+    block, and each block decomposed once. Diagrams of equal content sum are
+    split by the higher power sums of the Jucys-Murphy elements
+    (``_content_sums``), restricted to their shared eigenvectors
+    (``_components``). No permutation matrix and no character is formed.
+    Each entry is then the mean over its orbit (``_orbit_means``)."""
     check_oracle_size(d, n, steered=True)
-    full = d**n
-    number = {}  # cycle type -> its number, in the order first met
-    perms = itertools.permutations(range(n))
-    kind = np.fromiter(
-        (number.setdefault(permutation_cycle_type(perm), len(number)) for perm in perms),
-        dtype=np.intp,
-        count=math.factorial(n),
-    )
-    classes = sorted(number)
-    kind = np.argsort([number[lam] for lam in classes])[kind]  # the place in ``classes``
-    row = np.empty_like(kind)
-    row[np.argsort(kind, kind="stable")] = np.arange(kind.size)
-    positions = np.empty((kind.size, full), dtype=np.intp)
-    for r, perm in zip(row.tolist(), itertools.permutations(range(n))):
-        positions[r] = slot_gather((d,) * n, perm)
-    positions += np.arange(0, full * full, full)
-    return classes, np.split(positions, np.cumsum(np.bincount(kind))[:-1])
+    sums = _content_sums(mus)
+    dims = (d,) * n
+    sectors = _Sectors.counts(dims)
+    swaps = _transpositions(d, n)
+    T = sectors.permutation_sum(swaps)
+    # X_k, k = 2..n, as the gathers of its transpositions (j k) inside each
+    # block, read when diagrams share their content sum
+    xs = [[sectors.local_gathers(g) for g in swaps[k * (k - 1) // 2 : k * (k + 1) // 2]]
+          for k in range(1, n)] if len(sums[0]) > 1 else []
+    weights = np.asarray(weights, dtype=float)
+    data = np.zeros(sectors.size)
+    for b, (matrix, block) in enumerate(zip(sectors.blocks(T), sectors.blocks(data))):
+        gathers = [[g[b] for g in row] for row in xs]
+        basis, diagram = _components(gathers, sums, range(len(mus)), matrix, None, 1)
+        block[...] = (basis * weights[diagram]) @ basis.T
+    return sectors.operator(_orbit_means(sectors, data))
 
 
-def _class_sum(rows: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
-    """sum_pi weights[cycle type of pi] R(pi), from the rows of each type of
-    a ``_permutation_table``: each type's weight times the number of its
-    permutations with an entry at each position (``bincount``, exact), so no
-    permutation matrix is built and an entry rounds one term per type. pi is
-    used as the gather order, which gives R(pi^-1); the sum is the same
-    because pi and pi^-1 share a cycle type."""
-    full = rows[0].shape[1]
-    acc = np.zeros(full * full)
-    for weight, positions in zip(weights, rows):
-        acc += weight * np.bincount(positions.ravel(), minlength=full * full)
-    return acc.reshape(full, full)
+def _transpositions(d: int, n: int) -> np.ndarray:
+    """The index gathers of the transpositions (j k), j < k, of the slots of
+    (C^d)^n, one row each, ordered by k and then j: swapping digits j and k
+    of index x moves it by (a_k - a_j)(d^(n-1-j) - d^(n-1-k)), the
+    ``slot_gather`` of the swap."""
+    k, j = np.tril_indices(n, -1)
+    place, digits = d ** np.arange(n - 1, -1, -1), _digits(d, n).T
+    return np.arange(d**n) + (digits[k] - digits[j]) * (place[j] - place[k])[:, None]
 
 
 def young_projector(mu, d: int) -> DenseOperator:
-    """Projector onto the isotypic component of the slot-permutation action.
-
-    Character averaging: P_mu = (d_mu / n!) sum_pi chi_mu(pi) R(pi)
-    (``_class_sum``). chi_mu is evaluated once per cycle type, and d_mu is
-    chi_mu at the identity.
-    """
+    """Projector onto the isotypic component of mu of the slot-permutation
+    action on (C^d)^n, a spectral projector of the transposition class sum
+    (``_isotypic_sum``)."""
     mu = check_partition(mu)
     n = sum(mu)
     if n == 0:
         raise ValueError("need a nonempty diagram")
     if len(mu) > d:
         raise ValueError(f"partition {mu} has more than d={d} rows")
-    classes, rows = _permutation_table(d, n)
-    chi = np.array([sn_character(mu, lam) for lam in classes], dtype=float)
-    # the sums are integers, exact in float64 in any order, and scaled once
-    proj = _class_sum(rows, chi) * (chi[classes.index((1,) * n)] / math.factorial(n))
-    return _Sectors.dense((d,) * n).operator(proj.ravel())
+    mus = enumerate_partitions(n, d)
+    return _isotypic_sum(d, n, mus, [float(nu == mu) for nu in mus])
 
 
 # ---------------------------------------------------------------------------
@@ -567,37 +697,38 @@ def _port_entries(
     d: int, N: int, coefficients: PortCoefficients
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The nonzero entries (rows, columns, values) of O = sum_mu sqrt(c_mu)
-    P_mu on the N port slots: one class sum (``_class_sum``) with the weight
-    sum_mu sqrt(c_mu) d_mu chi_mu(pi) / N! per cycle type, the projectors'
-    character averages combined. Every steered construction passes through
-    here, so coefficients for another (d, N) stop here."""
-    if (coefficients.d, coefficients.N) != (d, N):
-        raise ValueError(f"coefficients are for (d, N) = ({coefficients.d}, {coefficients.N})")
-    classes, rows = _permutation_table(d, N)
-    identity = classes.index((1,) * N)
-    weights = np.zeros(len(classes))
-    for mu, c in coefficients.items():
-        if c > 0:
-            chi = np.array([sn_character(mu, lam) for lam in classes], dtype=float)
-            weights += math.sqrt(c) * (chi[identity] / math.factorial(N)) * chi
-    port = _class_sum(rows, weights)
-    a, a_out = np.nonzero(port)
-    return a, a_out, port[a, a_out]
+    P_mu on the N port slots (``build_port_operator``), each sector's
+    gathered from its orbit's block."""
+    port = build_port_operator(d, N, coefficients)
+    positions, gathered = port._sectors._expansion
+    values = port._data[gathered]
+    keep = np.flatnonzero(values)
+    a, a_out = np.divmod(positions[keep], port.dim)
+    return a, a_out, values[keep]
 
 
 def build_port_operator(d: int, N: int, coefficients: PortCoefficients) -> DenseOperator:
-    """O = sum_mu sqrt(c_mu) P_mu acting on the N port slots, held dense,
-    from its nonzero entries (``_port_entries``)."""
-    dense = _Sectors.dense((d,) * N)
-    return dense.operator(dense.from_entries(*_port_entries(d, N, coefficients)))
+    """O = sum_mu sqrt(c_mu) P_mu acting on the N port slots
+    (``_isotypic_sum``). Every steered construction passes through here, so
+    coefficients for another (d, N) stop here."""
+    if (coefficients.d, coefficients.N) != (d, N):
+        raise ValueError(f"coefficients are for (d, N) = ({coefficients.d}, {coefficients.N})")
+    mus, c = zip(*coefficients.items())
+    return _isotypic_sum(d, N, mus, [math.sqrt(x) for x in c])
 
 
 def _lifted_port_operator(d: int, N: int, coefficients: PortCoefficients) -> DenseOperator:
-    """O x 1_B, from the nonzero entries O_aa' at ((a, b), (a', b))."""
-    a, a_out, port = _port_entries(d, N, coefficients)
-    b = np.arange(d)
-    rows, columns = (a[:, None] * d + b).ravel(), (a_out[:, None] * d + b).ravel()
-    return _from_entries((d,) * (N + 1), rows, columns, np.repeat(port, d))
+    """O x 1_B, entry ((a, b), (a', b')) = [b = b'] O_aa', held one block
+    per letter orbit of the weight sectors (dense where there are none):
+    O commutes with every letter permutation bit for bit, and so does
+    O x 1_B."""
+    port = build_port_operator(d, N, coefficients)
+    dims = (d,) * (N + 1)
+    sectors = _Sectors.weights(dims) or _Sectors.dense(dims)
+    (a, b), (a_out, b_out) = (np.divmod(index, d) for index in sectors.held_entries())
+    data = port._sectors.entries(port._data, a, a_out)
+    data[b != b_out] = 0.0
+    return sectors.operator(data)
 
 
 def _steer(lifted: DenseOperator, rho: DenseOperator) -> DenseOperator:
@@ -788,7 +919,7 @@ def teleportation_fidelity_direct(
         raise ValueError(f"need N >= 1 and one POVM element per port, got {len(povm)} for N={N}")
     _check_factor_dims(povm, (d,) * (N + 1), "POVM element")
     sectors, (elements,) = _common(povm)
-    check_oracle_size(d, N, steered=coefficients is not None, entries=sectors.size)
+    check_oracle_size(d, N, steered=coefficients is not None, layout=sectors)
     _check_psd(povm, POVM_TOL, "POVM element")
     rows, columns, values = _input_state(d, N, coefficients)
     rows = rows % d**N * d + rows // d**N  # (a_0, a) read as (a, a_0)

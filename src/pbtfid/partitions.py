@@ -26,9 +26,10 @@ evaluation at one point (``verify`` forms F and two block spectra at one
 (d, N)); the log-domain sums read none, so a run caches only the diagrams
 of the levels it evaluates exactly, N up to 40 (``fidelity.EXACT_THRESHOLD``)
 in a scan and N and N - 1 for a block spectrum. The Murnaghan-Nakayama
-recursion (``_mn_character``) reuses its own results; only the oracle's Young
-projectors ask for characters, on the N ports of a steered run, whose N!
-permutation table the oracle's byte budget bounds. No other function is
+recursion (``_mn_character``) reuses its own results, for the diagrams and
+cycle types its callers ask of ``sn_character``; the oracle asks for none
+(its isotypic projectors are spectral projectors of the transposition
+class sum). No other function is
 memoised: the sums walk the level index (the log-dimensions in one
 vectorised pass in ``fidelity``), and the optimizer reads the log-dimension
 row kernels per diagram.
@@ -326,20 +327,3 @@ def _mn_character(mu: Partition, lam: Partition) -> int:
         nu = tuple(v for v in rows if v)
         total += (-1) ** height * _mn_character(nu, rest)
     return total
-
-
-def permutation_cycle_type(perm: Sequence[int]) -> Partition:
-    """Cycle type of a permutation in one-line form (perm[k] is the image of k)."""
-    n = len(perm)
-    seen = [False] * n
-    lengths = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        length, j = 0, start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))

@@ -7,10 +7,13 @@ the digit counts of (a_1..a_N, b); for U a permutation of the letters
 {0..d-1}, the block of each weight sector is a fixed gather of the block of
 the sector it is the image of. ``_Sectors`` holds such an operator as one
 block per orbit of sectors under the letter permutations, with its
-multiplicity. Every operator is measured when built, entry by entry
+multiplicity. An operator built from entries is measured, entry by entry
 (``_layout``): held so when every block equals its representative's
 gathered, as the oracle's own constructions do by construction, else as one
-dense block. One code runs both layouts, block by block.
+dense block. Operators on the N port slots alone that commute with U^(xN),
+such as the isotypic projectors, are held the same way in the letter-count
+sectors n_k(a) (``_Sectors.counts``). One code runs every layout, block by
+block.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -108,14 +111,15 @@ class _Sectors:
     def __init__(self, dims: tuple[int, ...], labels: np.ndarray, source: np.ndarray | None = None):
         self.dims = dims
         self.dim = labels.size
-        self.sizes = np.bincount(labels).tolist()
-        self.index = np.split(np.argsort(labels, kind="stable"), np.cumsum(self.sizes)[:-1])
+        counts = np.bincount(labels)
+        self.sizes = counts.tolist()
+        order, firsts = np.argsort(labels, kind="stable"), np.cumsum(counts) - counts
+        self.index = np.split(order, firsts[1:])
         self._labels = labels
         self._local = np.empty(self.dim, dtype=np.intp)  # position within the sector
-        for sector in self.index:
-            self._local[sector] = np.arange(sector.size)
+        self._local[order] = np.arange(self.dim) - np.repeat(firsts, counts)
         self._source = np.arange(self.dim) if source is None else source
-        self._rep = labels[self._source[[sector[0] for sector in self.index]]]
+        self._rep = labels[self._source[order[firsts]]]
         self.held = sorted(set(self._rep.tolist()), key=lambda k: (self.sizes[k], k))
         self.multiplicity = np.bincount(self._rep)[self.held].tolist()
         self._block = np.full(len(self.sizes), -1)  # position in ``held``, -1 elsewhere
@@ -137,22 +141,41 @@ class _Sectors:
         state k: U^(xN) x conj(U) multiplies it by prod_k u_k^weight_k for
         diagonal U, so every operator commuting with these is zero between
         indices of different weights. The weights are digit counts of the
-        index, not representation-theory data.
+        index, not representation-theory data. One block per letter orbit
+        (``_letter_orbits``)."""
+        n = len(dims)
+        if n < 2 or dims != (dims[0],) * n:
+            return None
+        return cls._letter_orbits("weights", dims)
+
+    @classmethod
+    def counts(cls, dims: tuple[int, ...]) -> _Sectors:
+        """The letter-count sectors of (C^d)^n: index (a_1..a_n) has the
+        weight n_k(a), which U^(xn) multiplies by prod_k u_k^n_k(a) for
+        diagonal U, so every operator commuting with U^(xn), such as a slot
+        permutation, keeps each sector. One block per letter orbit
+        (``_letter_orbits``)."""
+        return cls._letter_orbits("counts", dims)
+
+    @classmethod
+    def _letter_orbits(cls, kind: str, dims: tuple[int, ...]) -> _Sectors:
+        """The ``weights`` or ``counts`` sectors of (C^d)^n, one per weight
+        vector, held one per orbit under the letter permutations.
 
         A permutation of the letters maps the sector of weight w onto that
         of w permuted. An orbit's first sector represents it, and each
         string is mapped into it by the letter permutation that sorts both
-        weights alike (stable ``argsort``). The layout built for each dims
-        is kept (``_layouts``)."""
-        n = len(dims)
-        if n < 2 or dims != (dims[0],) * n:
-            return None
-        if ("weights", dims) in _layouts:
-            return _layouts["weights", dims]
-        d = dims[0]
-        digits = np.arange(d**n)[:, None] // d ** np.arange(n - 1, -1, -1) % d
+        weights alike (stable ``argsort``). The layout built for each kind
+        and dims is kept (``_layouts``)."""
+        if (kind, dims) in _layouts:
+            return _layouts[kind, dims]
+        d, n = dims[0], len(dims)
+        digits = _digits(d, n)
         levels = np.arange(d)
-        weight = (digits[:, :-1, None] == levels).sum(axis=1) - (digits[:, -1:] == levels)
+        ports = digits if kind == "counts" else digits[:, :-1]
+        weight = (ports[:, :, None] == levels).sum(axis=1)
+        if kind == "weights":
+            weight -= digits[:, -1:] == levels
         keys, labels = _unique_inverse(weight)
         orbit = _unique_inverse(np.sort(keys, axis=1))[1]
         by_orbit = np.argsort(orbit, kind="stable")
@@ -161,8 +184,8 @@ class _Sectors:
         letters = np.empty_like(ranks)  # letter ranks[s, i] of sector s -> ranks[rep, i]
         np.put_along_axis(letters, ranks, ranks[rep], axis=1)
         moved = np.take_along_axis(letters[labels], digits, axis=1)
-        _layouts["weights", dims] = cls(dims, labels, moved @ d ** np.arange(n - 1, -1, -1))
-        return _layouts["weights", dims]
+        _layouts[kind, dims] = cls(dims, labels, moved @ d ** np.arange(n - 1, -1, -1))
+        return _layouts[kind, dims]
 
     @classmethod
     def dense(cls, dims: tuple[int, ...]) -> _Sectors:
@@ -176,9 +199,11 @@ class _Sectors:
         return len(self.sizes) > 1
 
     def __eq__(self, other) -> bool:
-        # the two layouts of one dims differ in their sectors
+        # layouts of one dims are equal when they put every index in the same sector
+        if self is other:
+            return True
         same = isinstance(other, _Sectors) and other.dims == self.dims
-        return same and other.sizes == self.sizes
+        return same and np.array_equal(other._labels, self._labels)
 
     def blocks(self, data: np.ndarray) -> list[np.ndarray]:
         """Views of the held blocks in ``data``."""
@@ -258,18 +283,51 @@ class _Sectors:
     def operator(self, data: np.ndarray) -> DenseOperator:
         return DenseOperator._in_sectors(self, data)
 
+    def _moved(self, g: np.ndarray) -> np.ndarray:
+        """The position within its block of the image under g of every held
+        row, g the index gather of a port permutation, which keeps every
+        digit count and commutes with the letter permutations, so it maps
+        each sector onto itself; one row per gather of a stack."""
+        moved = g[..., self._rows]
+        if not (self._labels[moved] == self._row_labels).all():
+            raise AssertionError("the gather mixes sectors")
+        return self._local[moved]
+
+    def local_gathers(self, g: np.ndarray) -> list[np.ndarray]:
+        """For each held block, the index gather g inside it (``_moved``)."""
+        local = self._moved(g)
+        return [local[start : start + n] for start, _, n in self._spans]
+
+    def permutation_sum(self, gathers: np.ndarray) -> np.ndarray:
+        """The data of the sum of the port permutations' matrices R_g,
+        (R_g v) = v[g], over a stack of gathers g: each has one entry 1 in
+        each held row (``_moved``), and the sum counts them."""
+        starts = np.concatenate([s + n * np.arange(n) for _, s, n in self._spans])
+        ones = (starts + self._moved(gathers)).ravel()
+        return np.bincount(ones, minlength=self.size).astype(float)
+
+    def entries(self, data: np.ndarray, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """The entries at (rows, columns) of the matrix of ``data``: zero
+        between two sectors, else each at its image in its representative's
+        block."""
+        same = np.flatnonzero(self._labels[rows] == self._labels[columns])
+        out = np.zeros(rows.shape, dtype=data.dtype)
+        out[same] = data[self._place(rows[same], columns[same])]
+        return out
+
+    def held_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """The row and the column index of every entry of the data."""
+        held = [self.index[k] for k in self.held]
+        rows = np.concatenate([index.repeat(index.size) for index in held])
+        columns = [index[None].repeat(index.size, axis=0).ravel() for index in held]
+        return rows, np.concatenate(columns)
+
     def gather(self, data: np.ndarray, g: np.ndarray) -> np.ndarray:
         """The data of ``M[g][:, g]``, M the matrix of ``data`` and g
-        the index gather of a port permutation. A port permutation keeps
-        every digit count and commutes with the letter permutations, so it
-        maps each sector onto itself and acts as a gather inside each block."""
-        moved = g[self._rows]
-        if not np.array_equal(self._labels[moved], self._row_labels):
-            raise AssertionError("the gather mixes sectors")
-        local = self._local[moved]
+        the index gather of a port permutation, one gather inside each
+        block (``local_gathers``)."""
         out = np.empty_like(data)
-        for src, dst, (start, _, n) in zip(self.blocks(data), self.blocks(out), self._spans):
-            within = local[start : start + n]
+        for src, dst, within in zip(self.blocks(data), self.blocks(out), self.local_gathers(g)):
             # in range by construction: "clip" skips the bounds check
             np.take(src.take(within, axis=0, mode="clip"), within, axis=1, out=dst, mode="clip")
         return out
@@ -321,6 +379,12 @@ def _layout(
     return sectors, data
 
 
+def _digits(d: int, n: int) -> np.ndarray:
+    """The base-d digits of every index of (C^d)^n, one row per index, the
+    first slot's digit first."""
+    return np.arange(d**n)[:, None] // d ** np.arange(n - 1, -1, -1) % d
+
+
 def _unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(keys, axis=0, return_inverse=True)`` for integer keys, one
     per entry of a vector or row of a matrix, by one stable lexicographic
@@ -339,31 +403,44 @@ def _unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _orbit_entries(d: int, N: int, cap: int) -> int:
     """The data entries of an operator on (C^d)^(N+1) held in one weight
     sector per letter orbit (``_Sectors.weights``): the sum over the orbits
-    of |sector|^2, or a lower bound of it over ``cap``.
-
-    A weight w = n(a) - e_b sums to N - 1, with at most one entry -1; its
-    orbit is its multiset, and its sector holds sum_b N!/prod_k (w + e_b)_k!
-    strings. An orbit has at most d! sectors, so d^(N+1)/d! and the pairs of
-    strings with equal letter counts over d! (the pairs are the constant
-    term of G(z)G(1/z), G = (sum_k z_k)^(N+1)) bound the sum below.
-    """
+    of |sector|^2 (``_orbit_sizes``), or a lower bound of it over ``cap``.
+    An orbit has at most d! sectors, so d^(N+1)/d! and the pairs of strings
+    with equal letter counts over d! (``_equal_count_pairs``) bound the sum
+    below."""
     n, orbit = N + 1, math.factorial(d)
     bound = d**n // orbit
     if bound <= cap:
-        pairs = [1] + [0] * n  # over no letters; a letter fills j places of each
-        for _ in range(d):
-            pairs = [sum(math.comb(m, j) ** 2 * pairs[m - j] for j in range(m + 1))
-                     for m in range(n + 1)]
-        bound = pairs[n] // orbit
+        bound = _equal_count_pairs(d, n) // orbit
     if bound > cap:
         return bound
-    strings, total = math.factorial(N), 0
+    return sum(size * size for size in _orbit_sizes(d, N))
+
+
+@lru_cache(maxsize=None)
+def _orbit_sizes(d: int, N: int) -> tuple[int, ...]:
+    """The size of one weight sector per letter orbit of (C^d)^(N+1). A
+    weight w = n(a) - e_b sums to N - 1, with at most one entry -1; its
+    orbit is its multiset, and its sector holds sum_b N!/prod_k (w + e_b)_k!
+    strings. Kept per (d, N): every entry point of a run asks for them."""
+    strings, sizes = math.factorial(N), []
     for parts in _partitions(N - 1, d, N - 1):  # no entry -1: sum over b
         fill = math.prod(map(math.factorial, parts))
-        total += sum(strings // (fill * (v + 1)) for v in parts + (0,) * (d - len(parts))) ** 2
+        sizes.append(sum(strings // (fill * (v + 1)) for v in parts + (0,) * (d - len(parts))))
     for parts in _partitions(N, d - 1, N):  # one entry -1, at b
-        total += (strings // math.prod(map(math.factorial, parts))) ** 2
-    return total
+        sizes.append(strings // math.prod(map(math.factorial, parts)))
+    return tuple(sizes)
+
+
+@lru_cache(maxsize=None)
+def _equal_count_pairs(d: int, n: int) -> int:
+    """The pairs of strings of n letters from d with equal letter counts,
+    the entries of the letter-count sectors of (C^d)^n: the constant term
+    of G(z)G(1/z), G = (sum_k z_k)^n."""
+    pairs = [1] + [0] * n  # over no letters; a letter fills j places of each
+    for _ in range(d):
+        pairs = [sum(math.comb(m, j) ** 2 * pairs[m - j] for j in range(m + 1))
+                 for m in range(n + 1)]
+    return pairs[n]
 
 
 def _partitions(m: int, parts: int, top: int) -> Iterator[tuple[int, ...]]:

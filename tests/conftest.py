@@ -1,6 +1,7 @@
 """Shared fixtures. Oracle constructions are cached per (d, N) so that the
 many cross-checks at the same desk-scale points do not rebuild PGMs."""
 
+import itertools
 import math
 import os
 from collections import Counter
@@ -20,6 +21,8 @@ from pbtfid import (
     partition_level,
     pbt_ensemble,
     pretty_good_measurement,
+    sn_character,
+    specht_dim,
 )
 from pbtfid.partitions import Partition, check_partition, table_partitions
 
@@ -134,6 +137,49 @@ def conjugacy_class_size(cycle_type):
     for length, mult in Counter(lam).items():
         centraliser *= length**mult * math.factorial(mult)
     return math.factorial(sum(lam)) // centraliser
+
+
+def permutation_cycle_type(perm):
+    """Cycle type of a permutation in one-line form (perm[k] is the image of k)."""
+    n = len(perm)
+    seen = [False] * n
+    lengths = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        length, j = 0, start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+@lru_cache(maxsize=1)
+def _class_sums(d, n):
+    """{cycle type: the sum of the permutation matrices of its permutations}
+    on (C^d)^n, in integers: row r of R(pi) has its one entry at the slot
+    gather of pi. That is R(pi^-1), which shares pi's cycle type, so each
+    class sum is the same."""
+    dim, positions = d**n, {}
+    for perm in itertools.permutations(range(n)):
+        row = np.arange(dim) * dim + oracle_mod.slot_gather((d,) * n, perm)
+        positions.setdefault(permutation_cycle_type(perm), []).append(row)
+    return {
+        lam: np.bincount(np.concatenate(rows), minlength=dim * dim).reshape(dim, dim)
+        for lam, rows in positions.items()
+    }
+
+
+def character_average(mu, d):
+    """The isotypic projector of mu on (C^d)^n by character averaging,
+    P_mu = (d_mu / n!) sum_pi chi_mu(pi) R(pi), one class sum per cycle
+    type: the construction the oracle's spectral projectors replaced. The
+    character sum is an exact integer matrix, scaled once."""
+    n = sum(mu)
+    acc = sum(sn_character(mu, lam) * class_sum for lam, class_sum in _class_sums(d, n).items())
+    return acc * (specht_dim(mu) / math.factorial(n))
 
 
 # Dense references: full-matrix constructions the oracle replaced with

@@ -493,12 +493,12 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "argv",
-        [("--N", "14"), ("--N", "9", "--mode", "optimized")],
-        ids=["standard-14", "optimized-9"],
+        [("--N", "14"), ("--N", "13", "--mode", "optimized")],
+        ids=["standard-14", "optimized-13"],
     )
     def test_over_the_default_budget_stops_before_allocating(self, capsys, monkeypatch, argv):
-        # d=2 N=14 would hold 10 sector members of 1.24 GB each; at N=9 one
-        # projector-table array alone is 1.5 GB
+        # d=2 N=14 would hold 10 sector members of 1.24 GB each; at N=13 the
+        # port state's entries alone take 10 arrays of 166 MB
         monkeypatch.delenv("PBT_ORACLE_BYTES", raising=False)
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "verify", "--d", "2", *argv)

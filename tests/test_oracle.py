@@ -36,10 +36,8 @@ from pbtfid import (
     match_block_spectrum,
     optimize_coefficients,
     pbt_ensemble,
-    permutation_cycle_type,
     pretty_good_measurement,
     run_verification,
-    sn_character,
     specht_dim,
     success_probability,
     teleportation_fidelity_direct,
@@ -52,6 +50,7 @@ from conftest import (
     cached_certificate_x,
     cached_ensemble,
     cached_pgm,
+    character_average,
     dense_input_state,
     dense_rho,
     embed_operator,
@@ -282,23 +281,23 @@ class TestDiscriminationStates:
                 )
 
     def test_size_cap(self):
-        # 12 x 8 x C(30, 15) / 2 bytes of sector data, over the default 1 GiB:
+        # 10 x 8 x C(30, 15) / 2 bytes of sector data, over the default 1 GiB:
         # at even N the letter swap pairs every d=2 sector with another
-        message = r"^the oracle at d=2, N=14 needs an estimated 7\.45e\+9 bytes, over the "
+        message = r"^the oracle at d=2, N=14 needs an estimated 6\.21e\+9 bytes, over the "
         message += r"budget of 1073741824 bytes \(set PBT_ORACLE_BYTES to raise it\)$"
         with pytest.raises(SizeCapError, match=message):
             build_rho(2, 14, 1)
 
     def test_default_budget_admits_the_desk_grid(self, monkeypatch):
-        # every d^(N+1) <= 4096, steered up to N = 6, d=2 up to N = 12
-        # (steered N = 8) and d=3 up to N = 8 fit the default 1 GiB
+        # every d^(N+1) <= 4096 steered, d=2 up to N = 12 (steered N = 11)
+        # and d=3 up to N = 8, steered too, fit the default 1 GiB
         monkeypatch.delenv("PBT_ORACLE_BYTES", raising=False)
         for d in range(2, 65):
             for N in itertools.takewhile(lambda N: d ** (N + 1) <= 4096, itertools.count(1)):
-                oracle_mod.check_oracle_size(d, N, steered=N <= 6)
+                oracle_mod.check_oracle_size(d, N, steered=True)
         oracle_mod.check_oracle_size(2, 12)
-        oracle_mod.check_oracle_size(2, 8, steered=True)
-        oracle_mod.check_oracle_size(3, 8)
+        oracle_mod.check_oracle_size(2, 11, steered=True)
+        oracle_mod.check_oracle_size(3, 8, steered=True)
 
     def test_cap_env_override(self, monkeypatch):
         estimate = oracle_mod.check_oracle_size(2, 3)
@@ -988,7 +987,10 @@ class TestLetterOrbits:
     def test_budget_counts_the_representatives_exactly(self, d, N):
         sectors = oracle_mod._Sectors.weights((d,) * (N + 1))
         estimate = oracle_mod.check_oracle_size(d, N)
-        assert estimate == oracle_mod.BASE_BYTES + oracle_mod.LIVE_MEMBERS * 8 * sectors.size
+        largest = max(sectors.sizes)
+        held = oracle_mod.LIVE_MEMBERS * sectors.size + oracle_mod.LAPACK_COPIES * largest**2
+        assert estimate == oracle_mod.BASE_BYTES + 8 * held
+        assert estimate == oracle_mod.check_oracle_size(d, N, layout=sectors)
         # the stand-ins are lower bounds
         assert oracle_mod._orbit_entries(d, N, 0) <= sectors.size
         held = zip(sectors.held, sectors.multiplicity)
@@ -1124,11 +1126,44 @@ class TestLetterOrbits:
         for op in operators:
             assert op._sectors == orbits
 
+    @pytest.mark.parametrize("dn", [(2, 6), (3, 4), (3, 6)])
+    def test_port_operator_and_projectors_are_held_in_letter_orbits(self, dn):
+        # O and each P_mu commute with every slot and letter permutation bit
+        # for bit, by construction, so they are held one block per letter
+        # orbit of the letter-count sectors, and O x 1_B and eta_1 one block
+        # per letter orbit of the weight sectors: none is dense
+        d, N = dn
+        c = random_valid_coefficients(d, N, np.random.default_rng(107))
+        counts = oracle_mod._Sectors.counts((d,) * N)
+        weights = oracle_mod._Sectors.weights((d,) * (N + 1))
+        assert len(counts.held) < len(counts.sizes) and len(weights.held) < len(weights.sizes)
+        port = build_port_operator(d, N, c)
+        projectors = [young_projector(mu, d) for mu in enumerate_partitions(N, d)]
+        assert all(op._sectors == counts for op in [port, *projectors])
+        steered = [oracle_mod._lifted_port_operator(d, N, c), eta_ensemble(d, N, c).states[0]]
+        assert all(op._sectors == weights for op in steered)
+        # the full O, gathered by each transposition of two slots and by the
+        # cyclic shift of the letters
+        m, dims = port.matrix, (d,) * N
+        digits = np.array(np.unravel_index(np.arange(d**N), dims))
+        shift = np.ravel_multi_index((digits + 1) % d, dims)
+        swaps = []
+        for j, k in itertools.combinations(range(N), 2):
+            order = list(range(N))
+            order[j], order[k] = k, j
+            swaps.append(oracle_mod.slot_gather(dims, order))
+        # the oracle's transpositions are these gathers
+        built = [tuple(g) for g in oracle_mod._transpositions(d, N)]
+        assert sorted(built) == sorted(map(tuple, swaps))
+        for g in [shift, *swaps]:
+            assert np.array_equal(m[np.ix_(g, g)], m)
+
     @pytest.mark.parametrize("mode, d, N, built", [("standard", 2, 8, 1), ("optimized", 2, 6, 1)])
     def test_layouts_built_per_run(self, monkeypatch, mode, d, N, built):
-        # one orbit layout for (C^d)^(N+1), kept for its dims and shared by
-        # rho_1, O x 1_B and everything built from them; none for O on
-        # (C^d)^N and no dense layout. A second run builds none
+        # ``built`` orbit layouts for (C^d)^(N+1), kept for its dims and
+        # shared by rho_1, O x 1_B and everything built from them; a steered
+        # run adds one for O on (C^d)^N, and no run a dense layout. A second
+        # run builds none
         c = optimize_coefficients(d, N).coefficients if mode == "optimized" else None
         sectors_mod._layouts.clear()
         layouts = []
@@ -1142,7 +1177,9 @@ class TestLetterOrbits:
         for count in (built, 0):
             layouts.clear()
             assert all(ch.passed for ch in run_verification(d, N, mode, c))
-            assert len(layouts) == count and all(layout.blocked for layout in layouts)
+            ports = [layout for layout in layouts if len(layout.dims) == N]
+            assert len(ports) == (count and mode == "optimized")
+            assert len(layouts) - len(ports) == count and all(layout.blocked for layout in layouts)
 
     @pytest.mark.parametrize("dn", ORACLE_GRID)
     def test_input_state_is_letter_invariant(self, monkeypatch, dn):
@@ -1206,14 +1243,59 @@ class TestYoungProjectors:
         assert np.allclose(young_projector((1,), 3).matrix, np.eye(3))
 
     def test_factorial_cap(self, monkeypatch):
-        # the projector table holds 8 bytes for each of the 7! 2^7 entries
+        # no factorial term: a steered run adds PORT_ARRAYS 8-byte arrays of
+        # the port state's entries, d times the C(14, 7) pairs of 7-letter
+        # binary strings with equal letter counts
         estimate = oracle_mod.check_oracle_size(2, 7, steered=True)
-        port = oracle_mod.PORT_COPIES * 8 * 4**7
-        assert estimate - oracle_mod.check_oracle_size(2, 7) == 8 * 5040 * 128 + port
+        port = oracle_mod.PORT_ARRAYS * 8 * 2 * math.comb(14, 7)
+        assert estimate - oracle_mod.check_oracle_size(2, 7) == port
         monkeypatch.setenv("PBT_ORACLE_BYTES", str(estimate - 1))
         with pytest.raises(SizeCapError, match="d=2, N=7"):
             young_projector((7,), 2)
         young_projector((6,), 2)
+
+    @pytest.mark.parametrize("d, n", [(2, 6), (3, 4), (3, 6)])
+    def test_projectors_are_idempotent_complete_and_of_measured_rank(self, d, n):
+        # measured in ulp of 1 at (2, 6), (3, 4) and (3, 6): P^2 - P at
+        # most 3.0, 0.75 and 16.8; P_mu P_nu at most 3.1, 0.41 and 12.3;
+        # sum_mu P_mu - 1 at most 2.0, 1.25 and 8.2
+        eps = np.finfo(float).eps
+        mus = enumerate_partitions(n, d)
+        projs = [young_projector(mu, d).matrix for mu in mus]
+        for mu, p in zip(mus, projs):
+            assert np.abs(p @ p - p).max() <= 32 * eps
+            # the rank, as eigenvalues above 1/2 counted, is d_mu m_mu
+            rank = np.count_nonzero(np.linalg.eigvalsh(p) > 0.5)
+            assert rank == specht_dim(mu) * weyl_dim(mu, d), mu
+        for a, b in itertools.combinations(projs, 2):
+            assert np.abs(a @ b).max() <= 32 * eps
+        assert np.abs(sum(projs) - np.eye(d**n)).max() <= 16 * eps
+
+    def test_content_sum_collision_is_separated(self, monkeypatch):
+        # (4,1,1) and (3,3) both have content sum 3, the first collision of
+        # diagrams with at most d rows; the second power sums, 19 and 7,
+        # split them
+        d, n = 3, 6
+        mus = enumerate_partitions(n, d)
+        sums = dict(zip(mus, oracle_mod._content_sums(mus)))
+        assert sums[(4, 1, 1)] == (3, 19) and sums[(3, 3)] == (3, 7)
+        _, lapack = count_eigensolves(monkeypatch)
+        a, b = young_projector((4, 1, 1), d), young_projector((3, 3), d)
+        # per projector, one eigh of T in each of the 7 held blocks, and one
+        # of p_2 on the shared eigenvalue 3 in the 4 blocks of the letter
+        # counts (4,1,1), (3,3), (3,2,1) and (2,2,2) that hold either diagram
+        assert len(a._sectors.held) == 7 and len(lapack) == 2 * (7 + 4)
+        for mu, p in [((4, 1, 1), a.matrix), ((3, 3), b.matrix)]:
+            rank = np.count_nonzero(np.linalg.eigvalsh(p) > 0.5)
+            assert rank == specht_dim(mu) * weyl_dim(mu, d) == {(4, 1, 1): 100, (3, 3): 50}[mu]
+        assert np.abs(a.matrix @ b.matrix).max() <= 32 * np.finfo(float).eps
+
+    def test_inseparable_diagrams_raise_a_named_error(self):
+        # the separation is computed from the list of diagrams: a list whose
+        # content power sums never differ cannot be labelled
+        assert oracle_mod._content_sums([(2, 1), (3,)]) == [(0,), (3,)]
+        with pytest.raises(oracle_mod.SeparationError, match=r"do not tell the diagrams"):
+            oracle_mod._content_sums([(2, 1), (2, 1)])
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -1267,19 +1349,15 @@ class TestSlotGather:
             assert np.array_equal(permutation_operator(perm, d), _basis_permutation(perm, d))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_young_projector_equals_character_sum(self, d, n):
-        # the character sums are integers, so equality is exact
-        terms = [
-            (permutation_cycle_type(perm), permutation_operator(perm, d))
-            for perm in itertools.permutations(range(n))
-        ]
+        # the spectral projectors against character averaging, whose integer
+        # sums round once: measured at most 1.125 ulp of 1 at d <= 2 and at
+        # (3, 1..5), and 8.7 ulp at (3, 6), where (4,1,1) and (3,3) share
+        # their content sum and are split by the second power sum
         for mu in enumerate_partitions(n, d):
-            acc = np.zeros((d**n, d**n))
-            for lam, mat in terms:
-                acc += sn_character(mu, lam) * mat
-            expected = acc * (specht_dim(mu) / math.factorial(n))
-            assert np.array_equal(young_projector(mu, d).matrix, expected)
+            error = np.abs(young_projector(mu, d).matrix - character_average(mu, d)).max()
+            assert error <= 16 * np.finfo(float).eps, mu
 
     def test_projectors_build_no_permutation_matrix(self, monkeypatch):
         # the permutation matrices are a test reference, outside the package
@@ -1365,25 +1443,18 @@ class TestPortOperator:
 
     @pytest.mark.parametrize("dn", [(2, 6), (3, 4)])
     def test_one_permutation_table_for_all_projectors(self, monkeypatch, dn):
+        # O from one decomposition per block, against the sum of the
+        # character averages: measured 1.24 ulp of the largest sqrt(c) at
+        # (2, 6) and 0.88 at (3, 4); no permutation table is built
         d, N = dn
         c = random_valid_coefficients(d, N, np.random.default_rng(67))
-        expected = np.zeros((d**N, d**N))
-        for mu, weight in c.items():
-            expected = expected + math.sqrt(weight) * young_projector(mu, d).matrix
-        built = Counter()
-        real_table = oracle_mod._permutation_table
-
-        def counted_table(*args):
-            built[args] += 1
-            return real_table(*args)
-
-        monkeypatch.setattr(oracle_mod, "_permutation_table", counted_table)
+        expected = sum(math.sqrt(weight) * character_average(mu, d) for mu, weight in c.items())
+        assert not hasattr(oracle_mod, "_permutation_table")
+        _, lapack = count_eigensolves(monkeypatch)
         op = build_port_operator(d, N, c)
-        assert built == {(d, N): 1}
-        # O sums per cycle type, the reference per projector: the zeros
-        # agree, and the other entries to rounding
-        assert np.array_equal(op.matrix == 0, expected == 0)
-        assert np.max(np.abs(op.matrix - expected)) <= 16 * np.finfo(float).eps
+        assert len(lapack) == len(op._sectors.held)  # one eigh per held block
+        scale = max(math.sqrt(weight) for _, weight in c.items())
+        assert np.max(np.abs(op.matrix - expected)) <= 4 * scale * np.finfo(float).eps
 
     def test_normalisation_and_symmetries(self):
         rng = np.random.default_rng(17)
@@ -1991,7 +2062,7 @@ class TestTeleportationChannel:
         dense = [DenseOperator(e.matrix + (e.matrix == 0) * 1e-300, e.factor_dims) for e in blocked]
         sizes = [e._sectors.size for e in (blocked[0], dense[0])]
         assert sizes == [oracle_mod._Sectors.weights((d,) * (N + 1)).size, 16 * 16]
-        budget = oracle_mod.check_oracle_size(d, N, entries=16 * 16) - 1
+        budget = oracle_mod.check_oracle_size(d, N, layout=dense[0]._sectors) - 1
         monkeypatch.setenv("PBT_ORACLE_BYTES", str(budget))
         assert teleportation_fidelity_direct(d, N, blocked) == pytest.approx(
             fidelity_standard(d, N).fidelity, abs=1e-12
@@ -2235,12 +2306,12 @@ class TestBuiltFromEntries:
             assert abs(direct - recorded) <= 1e-12
 
     @pytest.mark.parametrize(
-        "d, N, kind", [(2, 10, "standard"), (2, 8, "optimized"), (2, 10, "channel")]
+        "d, N, kind", [(2, 10, "standard"), (2, 10, "optimized"), (2, 10, "channel")]
     )
     def test_estimate_bounds_the_memory_growth(self, d, N, kind):
         # ru_maxrss growth over the import and the formula side, in a fresh
         # process: the full-matrix construction of rho_1 and the stored
-        # orbit members took 192 MB at standard (2, 10), this one 52 MB
+        # orbit members took 192 MB at standard (2, 10), this one 35 MB
         script = (
             "import resource, sys\n"
             "import pbtfid.oracle as o\n"
@@ -2252,7 +2323,7 @@ class TestBuiltFromEntries:
             "if kind == 'channel':\n"
             "    povm = o.pretty_good_measurement(o.pbt_ensemble(d, N))\n"
             "    assert abs(o.teleportation_fidelity_direct(d, N, povm) - formula) <= 1e-9\n"
-            "    estimate = o.check_oracle_size(d, N, entries=povm.first._sectors.size)\n"
+            "    estimate = o.check_oracle_size(d, N, layout=povm.first._sectors)\n"
             "else:\n"
             "    assert all(ch.passed for ch in run_verification(d, N, kind, c))\n"
             "    estimate = o.check_oracle_size(d, N, steered=c is not None)\n"
@@ -2301,3 +2372,6 @@ def test_oracle_imports_only_the_pinned_fidelity_names():
                 assert node.id not in ("__import__", "importlib"), node.id
     assert from_fidelity == {"PortCoefficients"}
     assert not imported & {"specht_dim", "weyl_dim"}
+    # the isotypic projectors come from the transposition class sum: no
+    # character or cycle-type function of pbtfid.partitions is imported
+    assert not {name for name in imported if "character" in name or "cycle" in name}

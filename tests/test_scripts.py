@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from pbtfid.oracle import check_oracle_size
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -23,13 +25,19 @@ def run_script(name, *args, env=None):
 
 
 def certify_runs(out):
-    """The (d, N, mode) of each PASS line and of each STOP line."""
+    """The (d, N, mode) of each PASS line and of each STOP line; each PASS
+    line's estimate is the oracle's own."""
     lines = out.splitlines()
     assert lines[-1] == "0 failing configurations"
     parsed = {"PASS": [], "STOP": []}
     for line in lines[:-1]:
         status, rest = line[1:].split("] ", 1)
-        parsed[status].append(rest.split()[:3])
+        run = rest.split()[:3]
+        parsed[status].append(run)
+        if status == "PASS":
+            d, n = (int(field.split("=")[1]) for field in run[:2])
+            estimate = check_oracle_size(d, n, steered=run[2] == "optimized")
+            assert rest.endswith(f", estimate {estimate / 2**20:.1f} MB"), line
     return parsed["PASS"], parsed["STOP"]
 
 
@@ -43,9 +51,10 @@ def test_certify_desk_scale_sweep_passes():
 
 
 def test_certify_desk_scale_stops_each_mode_at_the_budget():
-    # 12 MiB admits d=2 N=7 standard but not its 7! 2^7-entry projector
-    # table: optimized stops there, and the other modes run on
-    env = {**os.environ, "PBT_ORACLE_BYTES": str(12 * 2**20)}
+    # a byte below the steered estimate at d=2 N=7 admits d=2 N=7 standard,
+    # whose estimate lacks the port operator's entries: optimized stops
+    # there, and the other modes run on
+    env = {**os.environ, "PBT_ORACLE_BYTES": str(check_oracle_size(2, 7, steered=True) - 1)}
     out = run_script("certify_desk_scale.py", "--max-dim", "256", env=env)
     passed, stopped = certify_runs(out)
     assert stopped == [["d=2", "N=7", "optimized"]]
