@@ -452,7 +452,9 @@ def _fidelity_log(d: int, N: int, coefficients: PortCoefficients | None) -> floa
     8 columns that is the order of numpy's ``.sum(axis=1)`` on the (K, d)
     matrix form too. Alphas whose every successor weighs zero are dropped,
     with a compacting copy only when one exists, which never happens for
-    the standard port state (every alpha grows in row 0).
+    the standard port state (every alpha grows in row 0). Some alpha always
+    stays: a normalised ``PortCoefficients`` has a c_mu > 0, and mu's
+    parents are live.
     """
     level = partition_level(N, d)
     specht, weyl = _log_dims(level.table, N)
@@ -465,8 +467,6 @@ def _fidelity_log(d: int, N: int, coefficients: PortCoefficients | None) -> floa
         log_c = np.array([math.log(c) if c > 0 else -np.inf for c in weights])
         half_log[:-1] += 0.5 * log_c
     inner = _successor_logsumexp(level.successors, half_log)
-    if inner.size == 0:
-        return 0.0
     doubled = 2.0 * inner
     top = doubled.max()
     log_f = top + math.log(np.exp(doubled - top).sum()) - (N + 2) * math.log(d)

@@ -34,15 +34,16 @@ constraints against its transposed images (``_swap_defects``).
 Every operator here is held as one block per letter-permutation orbit of
 the weight sectors of (C^d)^(N+1) (``pbtfid.sectors``), and eigensolves,
 products, gathers and symmetrisations run block by block; an operator built
-from entries, rho_i and the channel's input state psi, is measured for that
-layout, entry by entry, and held dense when it is not letter invariant. The
-isotypic projectors and O = sum_mu sqrt(c_mu) P_mu, on the N port slots,
-are held per letter orbit of the letter-count sectors: spectral projectors
-of the transposition class sum, each entry the mean over its orbit under
-slot and letter permutations, so that O and O x 1_B commute with both bit
-for bit (``_isotypic_sum``). No full matrix is filled unless ``matrix`` is
-read. ``verify --d 2 --N 8`` takes 5 decompositions, each of 5 blocks, the
-largest 126.
+from entries, rho_i, is measured for that layout, entry by entry, and held
+dense when it is not letter invariant. The isotypic projectors and
+O = sum_mu sqrt(c_mu) P_mu, on the N port slots, are held per letter orbit
+of the letter-count sectors: spectral projectors of the transposition class
+sum, each entry the mean over its orbit under slot and letter permutations,
+so that O and O x 1_B commute with both bit for bit (``_isotypic_sum``).
+The channel's input state psi is O x 1_B scaled, and so held in the weight
+sectors' letter orbits by construction. No full matrix is filled unless
+``matrix`` is read. ``verify --d 2 --N 8`` takes 5 decompositions, each of 5
+blocks, the largest 126.
 
 Tensor-factor convention: the N port slots A_1..A_N come first and the single
 B slot is last, with row-major index fusion (np.kron order). Permutations act
@@ -66,7 +67,6 @@ from .partitions import Partition, check_partition, enumerate_partitions
 from .sectors import (
     DenseOperator,
     _digits,
-    _equal_count_pairs,
     _layout,
     _orbit_entries,
     _orbit_sizes,
@@ -79,7 +79,7 @@ DEFAULT_ORACLE_BYTES = 2**30
 BASE_BYTES = 2**23  # small arrays and Python objects
 LIVE_MEMBERS = 10  # sector-data arrays at a run's peak
 LAPACK_COPIES = 3  # arrays of the largest block's size: eigh's input, eigenvectors, workspace
-PORT_ARRAYS = 10  # index and value arrays per entry of the port state, in the steered channel
+STEERED_MEMBERS = 4  # sector-data arrays a steered run holds beyond a standard one
 
 HERMITICITY_TOL = 1e-10
 PSEUDO_INVERSE_RTOL = 1e-10
@@ -92,28 +92,26 @@ def check_oracle_size(d: int, N: int, steered: bool = False, layout: _Sectors | 
     before anything is allocated; SizeCapError over the PBT_ORACLE_BYTES budget.
 
     Its terms are fitted to the ru_maxrss growth of verify and channel runs
-    at d=2 N=8..12, d=3 N=6..8, d=4 N=5..6 and d=5 N=5: BASE_BYTES,
+    at d=2 N=8..12, d=3 N=6..8, d=4 N=5..6 and d=5 N=5..6: BASE_BYTES,
     LIVE_MEMBERS float64 arrays of one operator's data in its blocks, and
     LAPACK_COPIES of the largest block, in ``layout``, by default one block
     per letter orbit of the weight sectors (``_orbit_entries``,
-    ``_orbit_sizes``). A steered run adds PORT_ARRAYS 8-byte arrays of the
-    entries of the port state, d times the pairs of port strings with equal
-    letter counts (``_equal_count_pairs``), which the channel's input state
-    holds. Over the runs that grow by more than 20 MB the estimate is 1.04
-    to 1.21 times the growth of standard verify, 1.04 to 1.76 times that of
-    the channel and 1.32 to 2.9 times that of steered verify, whose port
-    state is never held as entries.
+    ``_orbit_sizes``). A steered run adds STEERED_MEMBERS arrays of that
+    data, such as O x 1_B and eta_1: steered verify outgrew standard verify
+    by 2.5 to 3.5 of them. Over the runs that grow by more than 20 MB the
+    estimate is 1.02 to 1.20 times the growth of standard verify, 1.08 to
+    1.21 times that of steered verify, 1.62 to 1.74 times that of the
+    channel and 1.44 to 1.90 times that of the steered channel.
     """
     budget = env_positive_int(ORACLE_BYTES_ENV, DEFAULT_ORACLE_BYTES)
+    members = LIVE_MEMBERS + STEERED_MEMBERS * steered
     if layout is None:
-        cap = budget // (LIVE_MEMBERS * 8)
+        cap = budget // (members * 8)
         entries = _orbit_entries(d, N, cap)
         largest = max(_orbit_sizes(d, N)) if entries <= cap else 0
     else:
         entries, largest = layout.size, max(layout.sizes[k] for k in layout.held)
-    estimate = BASE_BYTES + 8 * (LIVE_MEMBERS * entries + LAPACK_COPIES * largest**2)
-    if steered:
-        estimate += PORT_ARRAYS * 8 * d * _equal_count_pairs(d, N)
+    estimate = BASE_BYTES + 8 * (members * entries + LAPACK_COPIES * largest**2)
     if estimate > budget:
         raise SizeCapError(
             f"the oracle at d={d}, N={N} needs an estimated {Decimal(estimate):.3g} bytes, "
@@ -693,20 +691,6 @@ def young_projector(mu, d: int) -> DenseOperator:
 # ---------------------------------------------------------------------------
 
 
-def _port_entries(
-    d: int, N: int, coefficients: PortCoefficients
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzero entries (rows, columns, values) of O = sum_mu sqrt(c_mu)
-    P_mu on the N port slots (``build_port_operator``), each sector's
-    gathered from its orbit's block."""
-    port = build_port_operator(d, N, coefficients)
-    positions, gathered = port._sectors._expansion
-    values = port._data[gathered]
-    keep = np.flatnonzero(values)
-    a, a_out = np.divmod(positions[keep], port.dim)
-    return a, a_out, values[keep]
-
-
 def build_port_operator(d: int, N: int, coefficients: PortCoefficients) -> DenseOperator:
     """O = sum_mu sqrt(c_mu) P_mu acting on the N port slots
     (``_isotypic_sum``). Every steered construction passes through here, so
@@ -717,17 +701,20 @@ def build_port_operator(d: int, N: int, coefficients: PortCoefficients) -> Dense
     return _isotypic_sum(d, N, mus, [math.sqrt(x) for x in c])
 
 
-def _lifted_port_operator(d: int, N: int, coefficients: PortCoefficients) -> DenseOperator:
-    """O x 1_B, entry ((a, b), (a', b')) = [b = b'] O_aa', held one block
-    per letter orbit of the weight sectors (dense where there are none):
-    O commutes with every letter permutation bit for bit, and so does
-    O x 1_B."""
-    port = build_port_operator(d, N, coefficients)
+def _lifted_port_operator(d: int, N: int, coefficients: PortCoefficients | None) -> DenseOperator:
+    """O x 1_B, entry ((a, b), (a', b')) = [b = b'] O_aa', O the identity
+    for None, held one block per letter orbit of the weight sectors (dense
+    where there are none): O commutes with every letter permutation bit for
+    bit, and so does O x 1_B."""
+    # O first: its size check comes before anything here is allocated
+    port = None if coefficients is None else build_port_operator(d, N, coefficients)
     dims = (d,) * (N + 1)
     sectors = _Sectors.weights(dims) or _Sectors.dense(dims)
-    (a, b), (a_out, b_out) = (np.divmod(index, d) for index in sectors.held_entries())
-    data = port._sectors.entries(port._data, a, a_out)
-    data[b != b_out] = 0.0
+    rows, columns = sectors.held_entries()
+    if port is None:
+        return sectors.operator((rows == columns).astype(float))
+    data = port._sectors.entries(port._data, rows // d, columns // d)
+    data[rows % d != columns % d] = 0.0
     return sectors.operator(data)
 
 
@@ -870,24 +857,19 @@ def certify_optimality(
 # ---------------------------------------------------------------------------
 
 
-def _input_state(
-    d: int, N: int, coefficients: PortCoefficients | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzero entries (rows, columns, values) of the input state
-    |Phi>_{A_0 R} x (O x 1_B) |Phi>^(xN)_{A_i B_i}, rows A_0..A_N and columns
-    R, B_1..B_N: entry ((a_0, a), (r, b)) is [a_0 = r] O_ab / sqrt(d)^(N+1),
-    O the port operator, the identity for None. The pair amplitudes multiply
-    in their kron order."""
+def _input_state(d: int, N: int, coefficients: PortCoefficients | None) -> DenseOperator:
+    """The input state |Phi>_{A_0 R} x (O x 1_B) |Phi>^(xN)_{A_i B_i} as a
+    matrix with rows (A_1..A_N, A_0) and columns (B_1..B_N, R): entry
+    ((a, a_0), (b, r)) is [a_0 = r] O_ab / sqrt(d)^(N+1), O the port
+    operator, the identity for None. That is O x 1_B scaled
+    (``_lifted_port_operator``), held in its letter orbits: O times the
+    product of the N port pairs' amplitudes, in kron order, then times the
+    A_0 R pair's."""
+    lifted = _lifted_port_operator(d, N, coefficients)
     amplitude = 1 / math.sqrt(d)
-    pairs = math.prod([amplitude] * N)
-    if coefficients is None:
-        a = b = np.arange(d**N)
-        port = np.full(d**N, pairs)
-    else:
-        a, b, port = _port_entries(d, N, coefficients)
-        port = port * pairs
-    offset = np.arange(d)[:, None] * d**N  # a_0 = r
-    return (offset + a).ravel(), (offset + b).ravel(), np.tile(amplitude * port, d)
+    data = lifted._data * math.prod([amplitude] * N)
+    data *= amplitude
+    return lifted._sectors.operator(data)
 
 
 def teleportation_fidelity_direct(
@@ -904,28 +886,24 @@ def teleportation_fidelity_direct(
     overlap with the target |Phi> the branches sum. The target is contracted
     first: F = sum_i tr(w_i^dagger E_i w_i), with w_i = (1 x <Phi|_{R B_i}) psi,
     whose columns are the other B slots. The POVM is supplied on the
-    discrimination space (ports then B), so psi's rows are read with A_0
-    moved last, as the B slot. Each held block of the POVM (``_common``)
-    reaches a set of columns of w_i (``_Sectors.reached_blocks``), outside which its
-    rows are zero, and each term is taken one block at a time, counted by
-    the block's multiplicity. That count needs psi held in the POVM's
-    layout, read with rows (a, a_0) and columns (b, r): zero between its
-    sectors and each block its representative's gathered, as it is by
-    construction (O is a sum of isotypic projectors, and a_0 = r). Its
-    entries are measured so (``_Sectors.from_entries``), and an
-    AssertionError stops the run otherwise. The POVM's blocks size the run.
+    discrimination space (ports then B), so psi is built with A_0 moved last
+    in its rows, as the B slot, and R last in its columns
+    (``_input_state``), and read in the layout it shares with the POVM,
+    dense when theirs differ (``_common``). Each held block of the POVM
+    reaches a set of columns of w_i (``_Sectors.reached_blocks``), outside
+    which its rows are zero, and each term is taken one block at a time,
+    counted by the block's multiplicity. The POVM's blocks size the run.
     """
     if N < 1 or len(povm) != N:
         raise ValueError(f"need N >= 1 and one POVM element per port, got {len(povm)} for N={N}")
     _check_factor_dims(povm, (d,) * (N + 1), "POVM element")
-    sectors, (elements,) = _common(povm)
-    check_oracle_size(d, N, steered=coefficients is not None, layout=sectors)
+    check_oracle_size(d, N, steered=coefficients is not None, layout=_common(povm)[0])
     _check_psd(povm, POVM_TOL, "POVM element")
-    rows, columns, values = _input_state(d, N, coefficients)
-    rows = rows % d**N * d + rows // d**N  # (a_0, a) read as (a, a_0)
-    r, b = np.divmod(columns, d**N)
-    if sectors.from_entries(rows, b * d + r, values) is None:  # (r, b) read as (b, r)
-        raise AssertionError("the input state is not held in the POVM's letter orbits")
+    sectors, (elements, [psi]) = _common(povm, [_input_state(d, N, coefficients)])
+    rows, columns = sectors.held_entries()
+    held = np.flatnonzero(psi)
+    rows, (b, r), values = rows[held], np.divmod(columns[held], d), psi[held]
+    del columns, psi
     terms = []
     for i in range(1, N + 1):
         # <Phi|_{R B_i}: keep r = b_i, and index the column by the other B slots

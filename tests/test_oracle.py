@@ -117,6 +117,22 @@ def dense_channel_fidelity(d, N, povm, coefficients=None, psi=None):
     return float((target.conj() @ output @ target).real)
 
 
+def as_input_state(d, N, psi):
+    """A full input state in protocol order (rows A_0..A_N, columns
+    R, B_1..B_N) as the channel reads it from ``oracle._input_state``:
+    rows (A_1..A_N, A_0) and columns (B_1..B_N, R), its layout measured."""
+    g = oracle_mod.slot_gather((d,) * (N + 1), [*range(1, N + 1), 0])
+    return DenseOperator(psi[np.ix_(g, g)], (d,) * (N + 1))
+
+
+def letter_images(d, n):
+    """The index gather of every permutation of the letters 0..d-1 on
+    (C^d)^n, applied to each slot alike."""
+    digits = np.arange(d**n)[:, None] // d ** np.arange(n) % d
+    return [np.array(letters)[digits] @ d ** np.arange(n)
+            for letters in itertools.permutations(range(d))]
+
+
 def count_eigensolves(monkeypatch, hermiticity=False):
     """Count the oracle's operator decompositions from here on, as "eigh"
     (with eigenvectors) or "eigvalsh", and its hermiticity measurements, as
@@ -289,15 +305,14 @@ class TestDiscriminationStates:
             build_rho(2, 14, 1)
 
     def test_default_budget_admits_the_desk_grid(self, monkeypatch):
-        # every d^(N+1) <= 4096 steered, d=2 up to N = 12 (steered N = 11)
-        # and d=3 up to N = 8, steered too, fit the default 1 GiB
+        # every d^(N+1) <= 4096 steered, and d=2 up to N = 12, d=3 up to
+        # N = 8 and d=5 up to N = 6, steered too, fit the default 1 GiB
         monkeypatch.delenv("PBT_ORACLE_BYTES", raising=False)
         for d in range(2, 65):
             for N in itertools.takewhile(lambda N: d ** (N + 1) <= 4096, itertools.count(1)):
                 oracle_mod.check_oracle_size(d, N, steered=True)
-        oracle_mod.check_oracle_size(2, 12)
-        oracle_mod.check_oracle_size(2, 11, steered=True)
-        oracle_mod.check_oracle_size(3, 8, steered=True)
+        for d, N in [(2, 12), (3, 8), (5, 6)]:
+            oracle_mod.check_oracle_size(d, N, steered=True)
 
     def test_cap_env_override(self, monkeypatch):
         estimate = oracle_mod.check_oracle_size(2, 3)
@@ -1182,28 +1197,22 @@ class TestLetterOrbits:
             assert len(layouts) - len(ports) == count and all(layout.blocked for layout in layouts)
 
     @pytest.mark.parametrize("dn", ORACLE_GRID)
-    def test_input_state_is_letter_invariant(self, monkeypatch, dn):
-        # the channel measures psi in the POVM's letter orbits: held there
-        # as built, and refused with one entry moved to another row (out of
-        # its sector) or doubled (in its sector), its letter images left
+    def test_input_state_is_letter_invariant(self, dn):
+        # psi is O x 1_B scaled: equal bit for bit to its image under every
+        # letter permutation, held in the POVM's letter orbits as built, so
+        # that the channel counts each block by its multiplicity
         d, N = dn
         c = random_valid_coefficients(d, N, np.random.default_rng(101))
         povm = cached_pgm(d, N)
-        message = "^the input state is not held in the POVM's letter orbits$"
+        images = letter_images(d, N + 1)
         for coefficients in (None, c):
+            psi = oracle_mod._input_state(d, N, coefficients)
+            assert psi._sectors == oracle_mod._Sectors.weights((d,) * (N + 1)) == povm.first._sectors
+            assert all(np.array_equal(psi.matrix[np.ix_(g, g)], psi.matrix) for g in images)
             formula = (fidelity_standard(d, N) if coefficients is None
                        else fidelity_given_coefficients(d, N, coefficients))
             direct = teleportation_fidelity_direct(d, N, povm, coefficients)
             assert direct == pytest.approx(formula.fidelity, abs=1e-9)
-            rows, columns, values = oracle_mod._input_state(d, N, coefficients)
-            moved, doubled = rows.copy(), values.copy()
-            moved[0] = (moved[0] + 1) % d ** (N + 1)
-            doubled[0] *= 2
-            for broken in ((moved, columns, values), (rows, columns, doubled)):
-                monkeypatch.setattr(oracle_mod, "_input_state", lambda *args: broken)
-                with pytest.raises(AssertionError, match=message):
-                    teleportation_fidelity_direct(d, N, povm, coefficients)
-            monkeypatch.undo()
 
     def test_many_sectors_validate_in_one_call_per_size(self, monkeypatch):
         # (16, 2): 1936 weight sectors in 3 letter orbits
@@ -1243,12 +1252,12 @@ class TestYoungProjectors:
         assert np.allclose(young_projector((1,), 3).matrix, np.eye(3))
 
     def test_factorial_cap(self, monkeypatch):
-        # no factorial term: a steered run adds PORT_ARRAYS 8-byte arrays of
-        # the port state's entries, d times the C(14, 7) pairs of 7-letter
-        # binary strings with equal letter counts
+        # no factorial term: a steered run adds STEERED_MEMBERS float64
+        # arrays of one operator's data in the letter orbits of the weight
+        # sectors
         estimate = oracle_mod.check_oracle_size(2, 7, steered=True)
-        port = oracle_mod.PORT_ARRAYS * 8 * 2 * math.comb(14, 7)
-        assert estimate - oracle_mod.check_oracle_size(2, 7) == port
+        steered = oracle_mod.STEERED_MEMBERS * 8 * oracle_mod._Sectors.weights((2,) * 8).size
+        assert estimate - oracle_mod.check_oracle_size(2, 7) == steered
         monkeypatch.setenv("PBT_ORACLE_BYTES", str(estimate - 1))
         with pytest.raises(SizeCapError, match="d=2, N=7"):
             young_projector((7,), 2)
@@ -1953,14 +1962,13 @@ class TestTeleportationChannel:
             for k, (reached, block) in zip(sectors.held, blocks):
                 assert np.array_equal(block, w[np.ix_(sectors.index[k], reached)])
                 assert np.count_nonzero(block) == np.count_nonzero(w[sectors.index[k]])
-        # the channel counts each held block by its multiplicity, which needs
-        # psi held in the POVM's letter orbits: this one is not, and stops
-        # the run
-        entries = (*np.nonzero(psi), psi[np.nonzero(psi)])
-        monkeypatch.setattr(oracle_mod, "_input_state", lambda *args: entries)
-        message = "^the input state is not held in the POVM's letter orbits$"
-        with pytest.raises(AssertionError, match=message):
-            teleportation_fidelity_direct(d, N, povm)
+        # this psi is not letter invariant: it is held dense, and so is the
+        # POVM in the channel
+        injected = as_input_state(d, N, psi)
+        assert not is_blocked(injected)
+        monkeypatch.setattr(oracle_mod, "_input_state", lambda *args: injected)
+        direct = teleportation_fidelity_direct(d, N, povm)
+        assert direct == pytest.approx(dense_channel_fidelity(d, N, povm, psi=psi), abs=1e-12)
 
     def test_channel_holds_one_povm_member_at_a_time(self, monkeypatch):
         # E_k is gathered as its branch starts, once E_(k-1) is freed
@@ -1984,33 +1992,39 @@ class TestTeleportationChannel:
         # w_i = (1 x <Phi|_{R B_i}) psi: they add, none overwrites another.
         # psi is the sum of a random matrix's letter images, zero between
         # the weight sectors of rows (a, a_0) and columns (b, r), so that it
-        # is held in the POVM's letter orbits, as the channel requires; the
-        # d entries of one entry of w_i share a sector. Letter invariant but
-        # across the sectors, the same sum is refused
+        # is held in the POVM's letter orbits; the d entries of one entry of
+        # w_i share a sector. Letter invariant but across the sectors, the
+        # same sum is held dense, and the channel reads the POVM dense too
         d, N = dn
         povm = list(cached_pgm(d, N))
         rng = np.random.default_rng(83)
         psi = rng.standard_normal((d ** (N + 1), d ** (N + 1), 2)) @ [1, 1j]
-        digits = np.arange(d ** (N + 1))[:, None] // d ** np.arange(N + 1) % d
-        images = [np.array(letters)[digits] @ d ** np.arange(N + 1)
-                  for letters in itertools.permutations(range(d))]
-        psi = sum(psi[np.ix_(g, g)] for g in images)
+        psi = sum(psi[np.ix_(g, g)] for g in letter_images(d, N + 1))
         psi /= np.linalg.norm(psi)
-        index = np.arange(d ** (N + 1))
-        read = index % d**N * d + index // d**N  # (a_0, a) as (a, a_0), (r, b) as (b, r)
+        read = oracle_mod.slot_gather((d,) * (N + 1), [N, *range(N)])
         labels = oracle_mod._Sectors.weights((d,) * (N + 1))._labels[read]
         held = np.where(labels[:, None] == labels, psi, 0)
         held /= np.linalg.norm(held)
+        for state, blocked in ((held, True), (psi, False)):
+            injected = as_input_state(d, N, state)
+            assert is_blocked(injected) == blocked
+            monkeypatch.setattr(oracle_mod, "_input_state", lambda *args: injected)
+            direct = teleportation_fidelity_direct(d, N, povm)
+            assert direct == pytest.approx(dense_channel_fidelity(d, N, povm, psi=state), abs=1e-12)
 
-        def channel(state):
-            entries = (*np.nonzero(state), state[np.nonzero(state)])
-            monkeypatch.setattr(oracle_mod, "_input_state", lambda *args: entries)
-            return teleportation_fidelity_direct(d, N, povm)
+    def test_steered_channel_reads_no_sector_expansion(self, monkeypatch):
+        # O x 1_B is written block by block from O's blocks: no entry list
+        # of the full port operator is formed
+        d, N = 3, 4
+        c = optimize_coefficients(d, N).coefficients
+        povm = cached_pgm(d, N)
 
-        reference = dense_channel_fidelity(d, N, povm, psi=held)
-        assert channel(held) == pytest.approx(reference, abs=1e-12)
-        with pytest.raises(AssertionError, match="^the input state is not held"):
-            channel(psi)
+        def forbidden(sectors):
+            raise AssertionError("_Sectors._expansion read")
+
+        monkeypatch.setattr(oracle_mod._Sectors, "_expansion", property(forbidden))
+        direct = teleportation_fidelity_direct(d, N, povm, c)
+        assert direct == pytest.approx(fidelity_given_coefficients(d, N, c).fidelity, abs=1e-9)
 
     @pytest.mark.parametrize(
         "d, N, steered", [(31, 1, False), (16, 2, False), (8, 3, False), (8, 2, True)]
@@ -2264,15 +2278,15 @@ class TestBuiltFromEntries:
             assert np.array_equal(lifted.matrix, expected)
 
     def test_input_state_equals_the_dense_construction(self, oracle_grid):
+        # psi's rows (a, a_0) and columns (b, r) read back to the protocol
+        # order (a_0, a) and (r, b)
         rng = np.random.default_rng(73)
         for d, N in oracle_grid:
+            read = oracle_mod.slot_gather((d,) * (N + 1), [N, *range(N)])
             for c in (None, random_valid_coefficients(d, N, rng)):
-                rows, columns, values = oracle_mod._input_state(d, N, c)
-                reference = dense_input_state(d, N, c)
-                assert rows.size == (d ** (N + 1) if c is None else np.count_nonzero(reference))
-                built = np.zeros_like(reference)
-                built[rows, columns] = values
-                assert np.array_equal(built, reference)
+                psi = oracle_mod._input_state(d, N, c)
+                assert "matrix" not in vars(psi) and is_blocked(psi)
+                assert np.array_equal(psi.matrix[np.ix_(read, read)], dense_input_state(d, N, c))
 
     def test_verification_reads_no_full_matrix(self, monkeypatch, oracle_grid):
         coefficients = {dn: optimize_coefficients(*dn).coefficients for dn in oracle_grid}
@@ -2306,7 +2320,8 @@ class TestBuiltFromEntries:
             assert abs(direct - recorded) <= 1e-12
 
     @pytest.mark.parametrize(
-        "d, N, kind", [(2, 10, "standard"), (2, 10, "optimized"), (2, 10, "channel")]
+        "d, N, kind",
+        [(2, 10, "standard"), (2, 10, "optimized"), (2, 10, "channel"), (2, 10, "steered channel")],
     )
     def test_estimate_bounds_the_memory_growth(self, d, N, kind):
         # ru_maxrss growth over the import and the formula side, in a fresh
@@ -2315,18 +2330,21 @@ class TestBuiltFromEntries:
         script = (
             "import resource, sys\n"
             "import pbtfid.oracle as o\n"
-            "from pbtfid import fidelity_standard, optimize_coefficients, run_verification\n"
+            "from pbtfid import fidelity_given_coefficients, fidelity_standard\n"
+            "from pbtfid import optimize_coefficients, run_verification\n"
             "d, N, kind = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]\n"
-            "c = optimize_coefficients(d, N).coefficients if kind == 'optimized' else None\n"
-            "formula = fidelity_standard(d, N).fidelity\n"
+            "steered = kind in ('optimized', 'steered channel')\n"
+            "c = optimize_coefficients(d, N).coefficients if steered else None\n"
+            "formula = fidelity_given_coefficients(d, N, c) if steered else fidelity_standard(d, N)\n"
             "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "if kind == 'channel':\n"
+            "if kind.endswith('channel'):\n"
             "    povm = o.pretty_good_measurement(o.pbt_ensemble(d, N))\n"
-            "    assert abs(o.teleportation_fidelity_direct(d, N, povm) - formula) <= 1e-9\n"
-            "    estimate = o.check_oracle_size(d, N, layout=povm.first._sectors)\n"
+            "    direct = o.teleportation_fidelity_direct(d, N, povm, c)\n"
+            "    assert abs(direct - formula.fidelity) <= 1e-9\n"
+            "    estimate = o.check_oracle_size(d, N, steered, layout=povm.first._sectors)\n"
             "else:\n"
             "    assert all(ch.passed for ch in run_verification(d, N, kind, c))\n"
-            "    estimate = o.check_oracle_size(d, N, steered=c is not None)\n"
+            "    estimate = o.check_oracle_size(d, N, steered)\n"
             "growth = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base\n"
             "print(growth * 1024, estimate)\n"
         )

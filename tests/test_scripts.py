@@ -52,8 +52,8 @@ def test_certify_desk_scale_sweep_passes():
 
 def test_certify_desk_scale_stops_each_mode_at_the_budget():
     # a byte below the steered estimate at d=2 N=7 admits d=2 N=7 standard,
-    # whose estimate lacks the port operator's entries: optimized stops
-    # there, and the other modes run on
+    # whose estimate lacks the steered run's STEERED_MEMBERS arrays:
+    # optimized stops there, and the other modes run on
     env = {**os.environ, "PBT_ORACLE_BYTES": str(check_oracle_size(2, 7, steered=True) - 1)}
     out = run_script("certify_desk_scale.py", "--max-dim", "256", env=env)
     passed, stopped = certify_runs(out)
