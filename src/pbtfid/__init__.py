@@ -20,7 +20,6 @@ from .fidelity import (
     fidelity_standard,
     lower_bound_standard,
     optimize_coefficients,
-    scan,
 )
 from .oracle import (
     CertificateReport,

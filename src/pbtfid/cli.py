@@ -11,6 +11,8 @@ exits 2.
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
 1 verification failure, 2 usage or configuration error, 3 input-file error,
 4 size cap, 5 internal error.
+Every command writes through ``_write``: a column table of (CSV header,
+record key) pairs picks the CSV cells, and JSON carries each record whole.
 ``scan`` writes each row as soon as it is computed: when a size cap stops it
 part-way (exit 4), the rows of the points before the cap are already on
 stdout, and stderr carries one line naming the cap.
@@ -36,7 +38,6 @@ from .fidelity import (
     fidelity_given_coefficients,
     fidelity_standard,
     optimize_coefficients,
-    scan,
 )
 from .oracle import average_state, certificate_X, certificate_Y, eigenvalues, pbt_ensemble
 from .verify import block_spectrum_match, run_verification
@@ -48,7 +49,18 @@ EXIT_INPUT = 3
 EXIT_SIZE_CAP = 4
 EXIT_INTERNAL = 5
 
-CSV_COLUMNS = ["d", "N", "mode", "F", "p_succ", "numeric_mode", "certificate_margin"]
+# CSV columns of each table: (header, record key)
+REPORT_COLUMNS = (
+    ("d", "d"), ("N", "N"), ("mode", "mode"), ("F", "fidelity"), ("p_succ", "success_probability"),
+    ("numeric_mode", "numeric_mode"), ("certificate_margin", "certificate_margin"),
+)
+CHECK_COLUMNS = (
+    ("check", "name"), ("passed", "passed"), ("deviation", "deviation"), ("tolerance", "tolerance")
+)
+SPECTRUM_COLUMNS = (
+    ("alpha", "alpha"), ("mu", "mu"), ("value", "value"), ("multiplicity", "multiplicity")
+)
+COMPARE_COLUMNS = (("oracle", "oracle"), ("deviation", "deviation"))
 
 OUTPUT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -116,6 +128,39 @@ def _partition_key(mu) -> str:
     return "[" + ",".join(map(str, mu)) + "]"
 
 
+def _cell(value) -> str:
+    """A CSV cell: a bool in lower case, a diagram as its key, a number
+    through format_number, anything else as its str."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return _partition_key(value)
+    if value is None or isinstance(value, float):
+        return format_number(value)
+    return str(value)
+
+
+def _write(fmt: str, columns, records, envelope=None) -> None:
+    """Write ``records`` (dicts) to stdout.
+
+    CSV is a header, then one row per record over ``columns``, (header, key)
+    pairs; JSON is one line per record. Both write each record as soon as it
+    is drawn, so a generator streams. With an ``envelope`` (key, head), JSON
+    is one object instead: ``head`` with the records as a list under ``key``.
+    """
+    if fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow([header for header, _ in columns])
+        for record in records:
+            writer.writerow([_cell(record[key]) for _, key in columns])
+    elif envelope is None:
+        for record in records:
+            sys.stdout.write(json.dumps(record, allow_nan=False) + "\n")
+    else:
+        key, head = envelope
+        sys.stdout.write(json.dumps({**head, key: list(records)}, allow_nan=False) + "\n")
+
+
 def load_coefficients(path: str, d: int, N: int, renormalize: bool) -> PortCoefficients:
     """Read a JSON map {"[rows...]": c} and build the coefficients.
 
@@ -155,51 +200,6 @@ def load_coefficients(path: str, d: int, N: int, renormalize: bool) -> PortCoeff
         raise CoefficientsFileError(f"{path}: {exc}") from exc
 
 
-def output_record(report, wall_time_ms: float) -> dict:
-    margin = report.eigen_data.residual if report.eigen_data is not None else None
-    return {
-        "tool": "pbtfid",
-        "version": __version__,
-        "d": report.d,
-        "N": report.N,
-        "mode": report.mode,
-        "fidelity": report.fidelity,
-        "success_probability": report.success_probability,
-        "numeric_mode": report.numeric_mode,
-        "certificate_margin": margin,
-        "coefficients": (
-            {_partition_key(mu): c for mu, c in report.coefficients.items()}
-            if report.coefficients is not None
-            else None
-        ),
-        "eigen": dataclasses.asdict(report.eigen_data) if report.eigen_data is not None else None,
-        "degenerate": report.degenerate,
-        "wall_time_ms": wall_time_ms,
-    }
-
-
-def _record_csv_row(record: dict) -> list[str]:
-    return [
-        str(record["d"]),
-        str(record["N"]),
-        record["mode"],
-        format_number(record["fidelity"]),
-        format_number(record["success_probability"]),
-        record["numeric_mode"],
-        format_number(record["certificate_margin"]),
-    ]
-
-
-def _record_writer(fmt: str, out):
-    """Write the CSV header now (nothing for JSON lines) and return a
-    function that writes one record."""
-    if fmt == "json":
-        return lambda record: out.write(json.dumps(record, allow_nan=False) + "\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    return lambda record: writer.writerow(_record_csv_row(record))
-
-
 class UsageError(Exception):
     pass
 
@@ -217,20 +217,44 @@ def _file_coefficients(args) -> PortCoefficients:
     return load_coefficients(args.coefficients, args.d, args.N, args.renormalize)
 
 
-def _resolve_report(args):
-    _check_file_flags(args, args.mode == "given-coefficients", "--mode given-coefficients")
+def _head(d: int, N: int, **fields) -> dict:
+    """The fields that open every JSON object: the tool, its version, the point."""
+    return {"tool": "pbtfid", "version": __version__, "d": d, "N": N, **fields}
+
+
+def _record(args, N: int) -> dict:
+    """Evaluate the protocol of ``args.mode`` at (args.d, N) and time it."""
+    start = time.perf_counter()
     if args.mode == "standard":
-        return fidelity_standard(args.d, args.N)
-    if args.mode == "optimized":
-        return optimize_coefficients(args.d, args.N)
-    return fidelity_given_coefficients(args.d, args.N, _file_coefficients(args))
+        report = fidelity_standard(args.d, N)
+    elif args.mode == "optimized":
+        report = optimize_coefficients(args.d, N)
+    else:  # fid alone takes a coefficients file, at its own N
+        report = fidelity_given_coefficients(args.d, N, _file_coefficients(args))
+    wall = (time.perf_counter() - start) * 1000.0
+    eigen, coefficients = report.eigen_data, report.coefficients
+    return _head(
+        report.d,
+        report.N,
+        mode=report.mode,
+        fidelity=report.fidelity,
+        success_probability=report.success_probability,
+        numeric_mode=report.numeric_mode,
+        certificate_margin=eigen.residual if eigen is not None else None,
+        coefficients=(
+            {_partition_key(mu): c for mu, c in coefficients.items()}
+            if coefficients is not None
+            else None
+        ),
+        eigen=dataclasses.asdict(eigen) if eigen is not None else None,
+        degenerate=report.degenerate,
+        wall_time_ms=wall,
+    )
 
 
 def _cmd_fid(args) -> int:
-    start = time.perf_counter()
-    report = _resolve_report(args)
-    wall = (time.perf_counter() - start) * 1000.0
-    _record_writer(args.format, sys.stdout)(output_record(report, wall))
+    _check_file_flags(args, args.mode == "given-coefficients", "--mode given-coefficients")
+    _write(args.format, REPORT_COLUMNS, [_record(args, args.N)])
     return EXIT_OK
 
 
@@ -239,12 +263,8 @@ def _cmd_scan(args) -> int:
         raise UsageError("scan supports only standard and optimized modes")
     if not 1 <= args.n_min <= args.n_max:
         raise UsageError(f"bad range: need 1 <= from <= to, got {args.n_min}..{args.n_max}")
-    write = _record_writer(args.format, sys.stdout)
-    for n in range(args.n_min, args.n_max + 1):
-        start = time.perf_counter()
-        report = scan(args.d, [n], mode=args.mode)[0]
-        wall = (time.perf_counter() - start) * 1000.0
-        write(output_record(report, wall))
+    points = range(args.n_min, args.n_max + 1)
+    _write(args.format, REPORT_COLUMNS, (_record(args, n) for n in points))
     return EXIT_OK
 
 
@@ -264,40 +284,17 @@ def _cmd_verify(args) -> int:
             f"[{status}] {c.name}: deviation {c.deviation:.3e} (tol {c.tolerance:.0e})",
             file=sys.stderr,
         )
-    if args.format == "json":
-        payload = {
-            "tool": "pbtfid",
-            "version": __version__,
-            "d": args.d,
-            "N": args.N,
-            "mode": args.mode,
-            "passed": all_passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "deviation": c.deviation,
-                    "tolerance": c.tolerance,
-                }
-                for c in checks
-            ],
-        }
-        sys.stdout.write(json.dumps(payload, allow_nan=False) + "\n")
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["check", "passed", "deviation", "tolerance"])
-        for c in checks:
-            writer.writerow(
-                [c.name, str(c.passed).lower(), format_number(c.deviation), format_number(c.tolerance)]
-            )
+    head = _head(args.d, args.N, mode=args.mode, passed=all_passed)
+    _write(args.format, CHECK_COLUMNS, map(dataclasses.asdict, checks), ("checks", head))
     return EXIT_OK if all_passed else EXIT_VERIFY_FAIL
 
 
-def _spectrum_rows(args):
+def _cmd_spectrum(args) -> int:
     _check_file_flags(args, args.operator == "Y", "--operator Y")
     coeffs = _file_coefficients(args) if args.operator == "Y" else None
-    rows = block_spectrum(args.d, args.N, args.operator, coeffs)
-    oracle_info = None
+    blocks = block_spectrum(args.d, args.N, args.operator, coeffs)
+    rows = [dataclasses.asdict(b) for b in blocks]
+    columns = SPECTRUM_COLUMNS
     if args.compare:
         if args.operator == "avg":
             op = average_state(pbt_ensemble(args.d, args.N))
@@ -305,49 +302,11 @@ def _spectrum_rows(args):
             op = certificate_X(args.d, args.N)
         else:
             op = certificate_Y(args.d, args.N, coeffs)
-        oracle_info, _ = block_spectrum_match(eigenvalues(op), rows)
-    return rows, oracle_info
-
-
-def _cmd_spectrum(args) -> int:
-    rows, oracle_info = _spectrum_rows(args)
-    if args.format == "json":
-        payload_rows = []
-        for k, r in enumerate(rows):
-            entry = {
-                "alpha": list(r.alpha),
-                "mu": list(r.mu),
-                "value": r.value,
-                "multiplicity": r.multiplicity,
-            }
-            if oracle_info is not None:
-                entry["oracle"], entry["deviation"] = oracle_info[k]
-            payload_rows.append(entry)
-        payload = {
-            "tool": "pbtfid",
-            "version": __version__,
-            "d": args.d,
-            "N": args.N,
-            "operator": args.operator,
-            "rows": payload_rows,
-        }
-        sys.stdout.write(json.dumps(payload, allow_nan=False) + "\n")
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        header = ["alpha", "mu", "value", "multiplicity"]
-        if oracle_info is not None:
-            header += ["oracle", "deviation"]
-        writer.writerow(header)
-        for k, r in enumerate(rows):
-            row = [
-                _partition_key(r.alpha),
-                _partition_key(r.mu),
-                format_number(r.value),
-                str(r.multiplicity),
-            ]
-            if oracle_info is not None:
-                row += [format_number(oracle_info[k][0]), format_number(oracle_info[k][1])]
-            writer.writerow(row)
+        matched, _ = block_spectrum_match(eigenvalues(op), blocks)
+        for row, (value, deviation) in zip(rows, matched):
+            row.update(oracle=value, deviation=deviation)
+        columns += COMPARE_COLUMNS
+    _write(args.format, columns, rows, ("rows", _head(args.d, args.N, operator=args.operator)))
     return EXIT_OK
 
 

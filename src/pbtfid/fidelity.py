@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -622,7 +622,7 @@ def optimize_coefficients(d: int, N: int) -> FidelityReport:
 
 
 # ---------------------------------------------------------------------------
-# Bounds, asymptotics, scans
+# Bounds and asymptotics
 # ---------------------------------------------------------------------------
 
 
@@ -636,15 +636,3 @@ def lower_bound_standard(d: int, N: int) -> float:
     """Guaranteed lower bound max(0, 1 - (d^2 - 1) / N)."""
     _check_dn(d, N)
     return max(0.0, 1.0 - (d * d - 1.0) / N)
-
-
-def scan(d: int, n_values: Iterable[int], mode: str = "standard") -> list[FidelityReport]:
-    """Evaluate one report per N; the numeric mode is selected per point."""
-    values = list(n_values)
-    if not values:
-        raise ValueError("N range must be nonempty")
-    if mode == "standard":
-        return [fidelity_standard(d, n) for n in values]
-    if mode == "optimized":
-        return [optimize_coefficients(d, n) for n in values]
-    raise ValueError(f"unknown scan mode {mode!r}")

@@ -78,7 +78,7 @@ ORACLE_BYTES_ENV = "PBT_ORACLE_BYTES"
 DEFAULT_ORACLE_BYTES = 2**30
 BASE_BYTES = 2**23  # small arrays and Python objects
 LIVE_MEMBERS = 10  # sector-data arrays at a run's peak
-LAPACK_COPIES = 3  # arrays of the largest block's size: eigh's input, eigenvectors, workspace
+LAPACK_COPIES = 4  # arrays of the largest block's size: eigensolver copies, workspace, slack
 STEERED_MEMBERS = 4  # sector-data arrays a steered run holds beyond a standard one
 
 HERMITICITY_TOL = 1e-10
@@ -98,10 +98,12 @@ def check_oracle_size(d: int, N: int, steered: bool = False, layout: _Sectors | 
     per letter orbit of the weight sectors (``_orbit_entries``,
     ``_orbit_sizes``). A steered run adds STEERED_MEMBERS arrays of that
     data, such as O x 1_B and eta_1: steered verify outgrew standard verify
-    by 2.5 to 3.5 of them. Over the runs that grow by more than 20 MB the
-    estimate is 1.02 to 1.20 times the growth of standard verify, 1.08 to
-    1.21 times that of steered verify, 1.62 to 1.74 times that of the
-    channel and 1.44 to 1.90 times that of the steered channel.
+    by 2.5 to 3.5 of them. At its peak standard verify holds about 11 such
+    arrays and 1.5 largest blocks; the fourth copy of the largest block
+    covers the eleventh array. Over the runs that grow by more than 20 MB
+    the estimate is 1.07 to 1.25 times the growth of standard verify, 1.12
+    to 1.30 times that of steered verify, 1.70 to 1.85 times that of the
+    channel and 1.49 to 1.98 times that of the steered channel.
     """
     budget = env_positive_int(ORACLE_BYTES_ENV, DEFAULT_ORACLE_BYTES)
     members = LIVE_MEMBERS + STEERED_MEMBERS * steered

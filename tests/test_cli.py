@@ -660,6 +660,233 @@ class TestDeterminism:
         assert result.stdout == pbtfid.__version__ + "\n"
 
 
+# stdout of every command at small points, in both formats, recorded before
+# the commands shared one table writer. The cells the dense oracle measures
+# (verify's deviations, spectrum --compare's oracle and deviation) and
+# wall_time_ms read "*"; every other byte is pinned. FILE names the
+# coefficients file {"[2]": 2/3, "[1,1]": 2}.
+GOLDEN_STDOUT = {
+    ('fid --d 2 --N 3', 'csv'): (
+        'd,N,mode,F,p_succ,numeric_mode,certificate_margin\n'
+        '2,3,standard,0.625,0.83333333333333337,exact-hybrid,\n'
+    ),
+    ('fid --d 2 --N 3', 'json'): (
+        '{"tool": "pbtfid", "version": "0.1.0", "d": 2, "N": 3, "mode": "standard", '
+        '"fidelity": 0.625, "success_probability": 0.8333333333333334, '
+        '"numeric_mode": "exact-hybrid", "certificate_margin": null, "coefficients": null, '
+        '"eigen": null, "degenerate": false, "wall_time_ms": *}\n'
+    ),
+    ('fid --d 3 --N 4 --mode optimized', 'csv'): (
+        'd,N,mode,F,p_succ,numeric_mode,certificate_margin\n'
+        '3,4,optimized,0.43104280461909067,0.96984631039295399,exact-hybrid,'
+        '1.1102230246251565e-15\n'
+    ),
+    ('fid --d 3 --N 4 --mode optimized', 'json'): (
+        '{"tool": "pbtfid", "version": "0.1.0", "d": 3, "N": 4, "mode": "optimized", '
+        '"fidelity": 0.43104280461909067, "success_probability": 0.969846310392954, '
+        '"numeric_mode": "exact-hybrid", "certificate_margin": 1.1102230246251565e-15, '
+        '"coefficients": {"[4]": 0.2807466682572269, "[3,1]": 0.7758770483143638, '
+        '"[2,2]": 1.2395277334996042, "[2,1,1]": 2.9999999999999996}, '
+        '"eigen": {"principal_eigenvalue": 3.879385241571816, "iterations": 0, '
+        '"residual": 1.1102230246251565e-15}, "degenerate": false, "wall_time_ms": *}\n'
+    ),
+    ('fid --d 2 --N 2 --mode given-coefficients --coefficients FILE', 'csv'): (
+        'd,N,mode,F,p_succ,numeric_mode,certificate_margin\n'
+        '2,2,given-coefficients,0.5,1,exact-hybrid,\n'
+    ),
+    ('fid --d 2 --N 2 --mode given-coefficients --coefficients FILE', 'json'): (
+        '{"tool": "pbtfid", "version": "0.1.0", "d": 2, "N": 2, '
+        '"mode": "given-coefficients", "fidelity": 0.5, "success_probability": 1.0, '
+        '"numeric_mode": "exact-hybrid", "certificate_margin": null, '
+        '"coefficients": {"[2]": 0.6666666666666666, "[1,1]": 2.0}, "eigen": null, '
+        '"degenerate": false, "wall_time_ms": *}\n'
+    ),
+    ('scan --d 2 --from 40 --to 41', 'csv'): (
+        'd,N,mode,F,p_succ,numeric_mode,certificate_margin\n'
+        '2,40,standard,0.98157925969098647,0.098157925969098642,exact-hybrid,\n'
+        '2,41,standard,0.98202124046156025,0.095806950288932713,log-domain,\n'
+    ),
+    ('scan --d 2 --from 40 --to 41', 'json'): (
+        '{"tool": "pbtfid", "version": "0.1.0", "d": 2, "N": 40, "mode": "standard", '
+        '"fidelity": 0.9815792596909865, "success_probability": 0.09815792596909864, '
+        '"numeric_mode": "exact-hybrid", "certificate_margin": null, "coefficients": null, '
+        '"eigen": null, "degenerate": false, "wall_time_ms": *}\n'
+        '{"tool": "pbtfid", "version": "0.1.0", "d": 2, "N": 41, "mode": "standard", '
+        '"fidelity": 0.9820212404615603, "success_probability": 0.09580695028893271, '
+        '"numeric_mode": "log-domain", "certificate_margin": null, "coefficients": null, '
+        '"eigen": null, "degenerate": false, "wall_time_ms": *}\n'
+    ),
+    ('scan --d 2 --from 40 --to 41 --mode optimized', 'csv'): (
+        'd,N,mode,F,p_succ,numeric_mode,certificate_margin\n'
+        '2,40,optimized,0.99441541311256421,0.099441541311256418,exact-hybrid,'
+        '1.8669622420799034e-15\n'
+        '2,41,optimized,0.99467168403755535,0.097041139906102955,log-domain,'
+        '2.340578502594923e-15\n'
+    ),
+    ('scan --d 2 --from 40 --to 41 --mode optimized', 'json'): (
+        '{"tool": "pbtfid", "version": "0.1.0", "d": 2, "N": 40, "mode": "optimized", '
+        '"fidelity": 0.9944154131125642, "success_probability": 0.09944154131125642, '
+        '"numeric_mode": "exact-hybrid", "certificate_margin": 1.8669622420799034e-15, '
+        '"coefficients": {"[40]": 14263224.666808542, "[39,1]": 3408969.0758934687, '
+        '"[38,2]": 510474.40073767665, "[37,3]": 82194.18612364645, '
+        '"[36,4]": 15133.674998888517, "[35,5]": 3203.5232546566153, '
+        '"[34,6]": 775.078611013659, "[33,7]": 212.64375890663155, '
+        '"[32,8]": 65.6476548251576, "[31,9]": 22.651061588152437, '
+        '"[30,10]": 8.683837171358428, "[29,11]": 3.6805951038071565, '
+        '"[28,12]": 1.7173980466175123, "[27,13]": 0.8790703845920939, '
+        '"[26,14]": 0.49213136153983655, "[25,15]": 0.3005855791053195, '
+        '"[24,16]": 0.1998961463225019, "[23,17]": 0.14450523257344633, '
+        '"[22,18]": 0.11341167995805647, "[21,19]": 0.09654413853800416, '
+        '"[20,20]": 0.08908919610270892}, '
+        '"eigen": {"principal_eigenvalue": 3.977661652450257, "iterations": 0, '
+        '"residual": 1.8669622420799034e-15}, "degenerate": false, "wall_time_ms": *}\n'
+        '{"tool": "pbtfid", "version": "0.1.0", "d": 2, "N": 41, "mode": "optimized", '
+        '"fidelity": 0.9946716840375553, "success_probability": 0.09704113990610296, '
+        '"numeric_mode": "log-domain", "certificate_margin": 2.340578502594923e-15, '
+        '"coefficients": {"[41]": 25951474.450376302, "[40,1]": 6044230.366453357, '
+        '"[39,2]": 881857.3000412928, "[38,3]": 138319.48541835308, '
+        '"[37,4]": 24802.510685928835, "[36,5]": 5111.62674799393, '
+        '"[35,6]": 1203.671997273599, "[34,7]": 321.27527657827477, '
+        '"[33,8]": 96.4532420806936, "[32,9]": 32.34809880139991, '
+        '"[31,10]": 12.047645430046206, "[30,11]": 4.957737743570325, '
+        '"[29,12]": 2.2445628620725233, "[28,13]": 1.11397138702291, '
+        '"[27,14]": 0.6042091761024284, "[26,15]": 0.35724517676823453, '
+        '"[25,16]": 0.229772361950162, "[24,17]": 0.16048678042366996, '
+        '"[23,18]": 0.12156355916723902, "[22,19]": 0.09975744131118096, '
+        '"[21,20]": 0.08862441209326771}, '
+        '"eigen": {"principal_eigenvalue": 3.9786867361502214, "iterations": 0, '
+        '"residual": 2.340578502594923e-15}, "degenerate": false, "wall_time_ms": *}\n'
+    ),
+    ('spectrum --d 2 --N 3 --operator avg', 'csv'): (
+        'alpha,mu,value,multiplicity\n'
+        '[2],[3],0.5,3\n'
+        '[2],"[2,1]",0.125,6\n'
+        '"[1,1]","[2,1]",0.375,2\n'
+    ),
+    ('spectrum --d 2 --N 3 --operator avg', 'json'): (
+        '{"tool": "pbtfid", "version": "0.1.0", "d": 2, "N": 3, "operator": "avg", '
+        '"rows": [{"alpha": [2], "mu": [3], "value": 0.5, "multiplicity": 3}, '
+        '{"alpha": [2], "mu": [2, 1], "value": 0.125, "multiplicity": 6}, {"alpha": [1, '
+        '1], "mu": [2, 1], "value": 0.375, "multiplicity": 2}]}\n'
+    ),
+    ('spectrum --d 2 --N 3 --operator X', 'csv'): (
+        'alpha,mu,value,multiplicity\n'
+        '[2],[3],0.33333333333333331,3\n'
+        '[2],"[2,1]",0.16666666666666666,6\n'
+        '"[1,1]","[2,1]",0.25,2\n'
+    ),
+    ('spectrum --d 2 --N 3 --operator X', 'json'): (
+        '{"tool": "pbtfid", "version": "0.1.0", "d": 2, "N": 3, "operator": "X", '
+        '"rows": [{"alpha": [2], "mu": [3], "value": 0.3333333333333333, '
+        '"multiplicity": 3}, {"alpha": [2], "mu": [2, 1], "value": 0.16666666666666666, '
+        '"multiplicity": 6}, {"alpha": [1, 1], "mu": [2, 1], "value": 0.25, '
+        '"multiplicity": 2}]}\n'
+    ),
+    ('spectrum --d 2 --N 2 --operator Y --coefficients FILE', 'csv'): (
+        'alpha,mu,value,multiplicity\n'
+        '[1],[2],0.5,2\n'
+        '[1],"[1,1]",0.5,2\n'
+    ),
+    ('spectrum --d 2 --N 2 --operator Y --coefficients FILE', 'json'): (
+        '{"tool": "pbtfid", "version": "0.1.0", "d": 2, "N": 2, "operator": "Y", '
+        '"rows": [{"alpha": [1], "mu": [2], "value": 0.5, "multiplicity": 2}, '
+        '{"alpha": [1], "mu": [1, 1], "value": 0.5, "multiplicity": 2}]}\n'
+    ),
+    ('verify --d 2 --N 3', 'csv'): (
+        'check,passed,deviation,tolerance\n'
+        'formula_vs_oracle,true,*,1.0000000000000001e-09\n'
+        'avg_state_spectrum,true,*,1.0000000000000001e-09\n'
+        'certificate_spectrum,true,*,1.0000000000000001e-09\n'
+        'dual_feasibility,true,*,1.0000000000000001e-09\n'
+        'duality_gap,true,*,1e-08\n'
+    ),
+    ('verify --d 2 --N 3', 'json'): (
+        '{"tool": "pbtfid", "version": "0.1.0", "d": 2, "N": 3, "mode": "standard", '
+        '"passed": true, "checks": [{"name": "formula_vs_oracle", "passed": true, '
+        '"deviation": *, "tolerance": 1e-09}, {"name": "avg_state_spectrum", '
+        '"passed": true, "deviation": *, "tolerance": 1e-09}, '
+        '{"name": "certificate_spectrum", "passed": true, "deviation": *, '
+        '"tolerance": 1e-09}, {"name": "dual_feasibility", "passed": true, "deviation": *, '
+        '"tolerance": 1e-09}, {"name": "duality_gap", "passed": true, "deviation": *, '
+        '"tolerance": 1e-08}]}\n'
+    ),
+    ('verify --d 2 --N 3 --mode optimized', 'csv'): (
+        'check,passed,deviation,tolerance\n'
+        'formula_vs_oracle,true,*,1.0000000000000001e-09\n'
+        'avg_state_spectrum,true,*,1.0000000000000001e-09\n'
+        'certificate_spectrum,true,*,1.0000000000000001e-09\n'
+        'dual_feasibility,true,*,1.0000000000000001e-09\n'
+        'duality_gap,true,*,1e-08\n'
+    ),
+    ('verify --d 2 --N 3 --mode optimized', 'json'): (
+        '{"tool": "pbtfid", "version": "0.1.0", "d": 2, "N": 3, "mode": "optimized", '
+        '"passed": true, "checks": [{"name": "formula_vs_oracle", "passed": true, '
+        '"deviation": *, "tolerance": 1e-09}, {"name": "avg_state_spectrum", '
+        '"passed": true, "deviation": *, "tolerance": 1e-09}, '
+        '{"name": "certificate_spectrum", "passed": true, "deviation": *, '
+        '"tolerance": 1e-09}, {"name": "dual_feasibility", "passed": true, "deviation": *, '
+        '"tolerance": 1e-09}, {"name": "duality_gap", "passed": true, "deviation": *, '
+        '"tolerance": 1e-08}]}\n'
+    ),
+    ('spectrum --d 2 --N 3 --operator X --compare', 'csv'): (
+        'alpha,mu,value,multiplicity,oracle,deviation\n'
+        '[2],[3],0.33333333333333331,3,*,*\n'
+        '[2],"[2,1]",0.16666666666666666,6,*,*\n'
+        '"[1,1]","[2,1]",0.25,2,*,*\n'
+    ),
+    ('spectrum --d 2 --N 3 --operator X --compare', 'json'): (
+        '{"tool": "pbtfid", "version": "0.1.0", "d": 2, "N": 3, "operator": "X", '
+        '"rows": [{"alpha": [2], "mu": [3], "value": 0.3333333333333333, '
+        '"multiplicity": 3, "oracle": *, "deviation": *}, {"alpha": [2], "mu": [2, 1], '
+        '"value": 0.16666666666666666, "multiplicity": 6, "oracle": *, "deviation": *}, '
+        '{"alpha": [1, 1], "mu": [2, 1], "value": 0.25, "multiplicity": 2, "oracle": *, '
+        '"deviation": *}]}\n'
+    ),
+    ('spectrum --d 2 --N 2 --operator Y --coefficients FILE --compare', 'csv'): (
+        'alpha,mu,value,multiplicity,oracle,deviation\n'
+        '[1],[2],0.5,2,*,*\n'
+        '[1],"[1,1]",0.5,2,*,*\n'
+    ),
+    ('spectrum --d 2 --N 2 --operator Y --coefficients FILE --compare', 'json'): (
+        '{"tool": "pbtfid", "version": "0.1.0", "d": 2, "N": 2, "operator": "Y", '
+        '"rows": [{"alpha": [1], "mu": [2], "value": 0.5, "multiplicity": 2, "oracle": *, '
+        '"deviation": *}, {"alpha": [1], "mu": [1, 1], "value": 0.5, "multiplicity": 2, '
+        '"oracle": *, "deviation": *}]}\n'
+    ),
+}
+MEASURED = ("oracle", "deviation")
+
+
+def mask_measured(out: str) -> str:
+    """``out`` with the measured cells and the wall time replaced by "*"."""
+    if out.startswith("{"):
+        return re.sub(r'"(wall_time_ms|oracle|deviation)": [^,}]+', r'"\1": *', out)
+    lines = out.split("\n")
+    names = lines[0].split(",")
+    # negative column indices: the measured cells are numbers right of any
+    # quoted diagram, so a split from the right finds them
+    measured = [k - len(names) for k, name in enumerate(names) if name in MEASURED]
+    for i, line in enumerate(lines[1:], start=1):
+        if measured and line:
+            cells = line.rsplit(",", -measured[0])
+            for k in measured:
+                cells[k] = "*"
+            lines[i] = ",".join(cells)
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "command, fmt", sorted(GOLDEN_STDOUT), ids=lambda v: v.replace(" --", "-").replace(" ", "=")
+)
+def test_stdout_matches_the_recorded_bytes(capsys, tmp_path, command, fmt):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"[2]": 2 / 3, "[1,1]": 2.0}))
+    argv = [str(path) if word == "FILE" else word for word in command.split()]
+    code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+    assert code == EXIT_OK
+    assert mask_measured(out) == GOLDEN_STDOUT[command, fmt]
+
+
 # Run in a fresh interpreter: import the CLI, run one job with its output
 # discarded, print the names of every loaded module.
 MODULE_PROBE = """
@@ -743,6 +970,48 @@ def test_third_party_imports_are_the_declared_dependencies():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 found.add(node.module.split(".")[0])
     assert found - local == declared == {"numpy", "scipy"}
+
+
+def test_only_the_writer_formats_stdout():
+    # every table reaches stdout through _write: no other code in cli.py
+    # makes a csv.writer, calls json.dumps or touches sys.stdout (but _show,
+    # which prints the help and version text), and print goes to stderr;
+    # json.load and json.loads read coefficient files
+    tree = ast.parse((REPO / "src" / "pbtfid" / "cli.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def uses(node, *names):
+        return {
+            n
+            for n in ast.walk(node)
+            if isinstance(n, ast.Attribute)
+            and isinstance(n.value, ast.Name)
+            and f"{n.value.id}.{n.attr}" in names
+        }
+
+    formatters = uses(functions["_write"], "csv.writer", "json.dumps")
+    assert formatters and uses(tree, "csv.writer", "json.dumps") == formatters
+    stdout = uses(functions["_write"], "sys.stdout") | uses(functions["_show"], "sys.stdout")
+    assert uses(tree, "sys.stdout") == stdout
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module not in ("csv", "json"), node.module
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+            assert [k.arg for k in node.keywords] == ["file"]
+            assert ast.unparse(node.keywords[0].value) == "sys.stderr"
+
+
+def test_no_module_defines_or_exports_scan():
+    # a range of N is the CLI's loop over single points
+    assert not hasattr(pbtfid, "scan")
+    for path in (REPO / "src" / "pbtfid").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                assert node.name != "scan", path.name
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                assert node.id != "scan", path.name
+            elif isinstance(node, ast.alias):
+                assert (node.asname or node.name) != "scan", path.name
 
 
 class TestPackageSurface:

@@ -23,7 +23,6 @@ from pbtfid import (
     fidelity_standard,
     lower_bound_standard,
     optimize_coefficients,
-    scan,
     specht_dim,
     weyl_dim,
 )
@@ -863,29 +862,22 @@ class TestBoundsAndScan:
         assert lower_bound_standard(3, 80) == pytest.approx(0.9)
 
     def test_scan_standard_monotone_small(self):
-        reports = scan(2, range(1, 5), mode="standard")
-        values = [r.fidelity for r in reports]
+        values = [fidelity_standard(2, n).fidelity for n in range(1, 5)]
         assert values == sorted(values)
         assert values[0] == 0.25
 
     def test_scan_respects_bounds(self):
-        for rep in scan(3, range(1, 61), mode="standard"):
-            assert lower_bound_standard(3, rep.N) <= rep.fidelity <= 1.0
+        for n in range(1, 61):
+            assert lower_bound_standard(3, n) <= fidelity_standard(3, n).fidelity <= 1.0
 
     def test_scan_optimized_single(self):
-        rep = scan(2, [1], mode="optimized")[0]
+        rep = optimize_coefficients(2, 1)
         assert rep.fidelity == pytest.approx(0.25, rel=1e-14)
         assert rep.mode == "optimized"
 
-    def test_scan_rejects_empty_and_bad_mode(self):
-        with pytest.raises(ValueError):
-            scan(2, [], mode="standard")
-        with pytest.raises(ValueError):
-            scan(2, [1, 2], mode="given-coefficients")
-
     def test_d1_is_always_perfect(self):
-        for rep in scan(1, range(1, 8), mode="standard"):
-            assert rep.fidelity == 1.0
+        for n in range(1, 8):
+            assert fidelity_standard(1, n).fidelity == 1.0
 
 
 class TestBlockSpectrumTable:
