@@ -42,10 +42,8 @@ from .oracle import (
 from .partitions import (
     Partition,
     PartitionLevel,
-    conjugate,
     enumerate_partitions,
     partition_level,
-    sn_character,
     specht_dim,
     weyl_dim,
 )

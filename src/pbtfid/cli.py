@@ -62,14 +62,20 @@ SPECTRUM_COLUMNS = (
 )
 COMPARE_COLUMNS = (("oracle", "oracle"), ("deviation", "deviation"))
 
+# the fields that open every JSON object (_head)
+_HEAD = {
+    "tool": {"const": "pbtfid"},
+    "version": {"type": "string"},
+    "d": {"type": "integer", "minimum": 1},
+    "N": {"type": "integer", "minimum": 1},
+}
+_DIAGRAM = {"type": "array", "items": {"type": "integer", "minimum": 1}}
+
 OUTPUT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
     "required": [
-        "tool",
-        "version",
-        "d",
-        "N",
+        *_HEAD,
         "mode",
         "fidelity",
         "success_probability",
@@ -78,10 +84,7 @@ OUTPUT_SCHEMA = {
         "wall_time_ms",
     ],
     "properties": {
-        "tool": {"const": "pbtfid"},
-        "version": {"type": "string"},
-        "d": {"type": "integer", "minimum": 1},
-        "N": {"type": "integer", "minimum": 1},
+        **_HEAD,
         "mode": {"enum": ["standard", "given-coefficients", "optimized"]},
         "fidelity": {"type": "number", "minimum": 0, "maximum": 1},
         "success_probability": {"type": "number", "minimum": 0, "maximum": 1},
@@ -101,6 +104,61 @@ OUTPUT_SCHEMA = {
         },
         "degenerate": {"type": "boolean"},
         "wall_time_ms": {"type": "number"},
+    },
+}
+
+SPECTRUM_SCHEMA = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "type": "object",
+    "required": [*_HEAD, "operator", "rows"],
+    "additionalProperties": False,
+    "properties": {
+        **_HEAD,
+        "operator": {"enum": ["avg", "X", "Y"]},
+        "rows": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["alpha", "mu", "value", "multiplicity"],
+                "additionalProperties": False,
+                "properties": {
+                    "alpha": _DIAGRAM,
+                    "mu": _DIAGRAM,
+                    # an exact zero or a normal double: block_spectrum refuses the rest
+                    "value": {"type": "number", "anyOf": [{"const": 0}, {"minimum": sys.float_info.min}]},
+                    "multiplicity": {"type": "integer", "minimum": 1},
+                    "oracle": {"type": "number"},
+                    "deviation": {"type": "number", "minimum": 0},
+                },
+            },
+        },
+    },
+}
+
+VERIFY_SCHEMA = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "type": "object",
+    "required": [*_HEAD, "mode", "passed", "checks"],
+    "additionalProperties": False,
+    "properties": {
+        **_HEAD,
+        "mode": {"enum": ["standard", "given-coefficients", "optimized"]},
+        "passed": {"type": "boolean"},
+        "checks": {
+            "type": "array",
+            "minItems": 1,
+            "items": {
+                "type": "object",
+                "required": ["name", "passed", "deviation", "tolerance"],
+                "additionalProperties": False,
+                "properties": {
+                    "name": {"type": "string"},
+                    "passed": {"type": "boolean"},
+                    "deviation": {"type": "number"},
+                    "tolerance": {"type": "number", "exclusiveMinimum": 0},
+                },
+            },
+        },
     },
 }
 
@@ -293,7 +351,7 @@ def _cmd_spectrum(args) -> int:
     _check_file_flags(args, args.operator == "Y", "--operator Y")
     coeffs = _file_coefficients(args) if args.operator == "Y" else None
     blocks = block_spectrum(args.d, args.N, args.operator, coeffs)
-    rows = [dataclasses.asdict(b) for b in blocks]
+    rows = [dict(vars(b)) for b in blocks]  # fields are flat: no deep copy
     columns = SPECTRUM_COLUMNS
     if args.compare:
         if args.operator == "avg":

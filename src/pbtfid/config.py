@@ -13,7 +13,8 @@ class ConfigError(Exception):
 
 class SizeCapError(ValueError):
     """A computation would exceed a size limit: an oracle run estimated over
-    the byte budget PBT_ORACLE_BYTES, or a value beyond float64."""
+    the byte budget PBT_ORACLE_BYTES, or a value beyond float64's normal
+    range."""
 
 
 def env_positive_int(name: str, default: int) -> int:

@@ -36,6 +36,7 @@ eigensolver above DENSE_EIGEN_LIMIT imports scipy.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
@@ -142,12 +143,6 @@ class PortCoefficients:
                 f"port coefficients violate the normalisation "
                 f"sum c*d_mu*m_mu = d**N (relative residual {residual:.3e})"
             )
-
-    @classmethod
-    def uniform(cls, d: int, N: int) -> "PortCoefficients":
-        """c_mu = 1 for every diagram: the maximally entangled port state."""
-        _check_dn(d, N)
-        return cls(d, N, np.ones(partition_level(N, d).table.shape[0]))
 
     @classmethod
     def from_mapping(
@@ -258,13 +253,6 @@ def _surd_sums(successors: np.ndarray, surds: list[Decimal]) -> list[Decimal]:
     return [sum([surds[m] for m in row if m >= 0]) for row in successors.tolist()]
 
 
-def _certificate_value(d: int, N: int, surd, surd_sum, m_alpha: int, d_mu: int) -> float:
-    """Certificate block eigenvalue (1/d^N) * surd_mu * S_alpha / (m_alpha d_mu)
-    for port weights c, with surd_mu = sqrt(c_mu d_mu m_mu) and S_alpha the
-    surd sum over alpha's covers; one division by the integer m_alpha d_mu d^N."""
-    return float(surd * surd_sum / (m_alpha * d_mu * d**N))
-
-
 @dataclass(frozen=True)
 class BlockValue:
     """One (alpha, mu) block: its eigenvalue and dimension m_alpha * d_mu."""
@@ -282,7 +270,10 @@ def block_spectrum(
     operator ("X", "Y"), in canonical partition order: alphas in table order,
     each alpha's covers in grown-row order. Walks the successor index of
     ``partition_level(N, d)``; each surd and each surd sum is formed once.
-    Port coefficients are taken by "Y" alone, and refused for the others."""
+    Port coefficients are taken by "Y" alone, and refused for the others.
+    A value that is positive but below the smallest normal double raises
+    SizeCapError naming the first such block; an exact zero (Y with
+    c_mu = 0) is kept."""
     _check_dn(d, N)
     if operator not in ("avg", "X", "Y"):
         raise ValueError(f"unknown operator {operator!r}")
@@ -298,7 +289,7 @@ def block_spectrum(
     alpha_table = level.table[level.successors[:, 0]]
     alpha_table[:, 0] -= 1
     alphas = table_partitions(alpha_table)
-    rows = []
+    rows, scale = [], d**N
     with localcontext(_EXACT_CONTEXT):
         if operator != "avg":
             weights = [1.0] * len(mus) if operator == "X" else coefficients.weights.tolist()
@@ -312,11 +303,16 @@ def block_spectrum(
                 mu, d_mu = mus[m], specht_dim(mus[m])
                 if operator == "avg":
                     # r = (N / d^N) m_mu d_alpha / (m_alpha d_mu), exact
-                    value = float(
-                        Fraction(N * weyl_dim(mu, d) * specht_dim(alpha), d**N * m_alpha * d_mu)
-                    )
+                    exact = Fraction(N * weyl_dim(mu, d) * specht_dim(alpha), scale * m_alpha * d_mu)
                 else:
-                    value = _certificate_value(d, N, surds[m], sums[a], m_alpha, d_mu)
+                    # (1/d^N) surd_mu S_alpha / (m_alpha d_mu), one division
+                    exact = surds[m] * sums[a] / (m_alpha * d_mu * scale)
+                value = float(exact)
+                if exact and value < sys.float_info.min:
+                    raise SizeCapError(
+                        f"{operator} block value of (alpha, mu) = ({alpha}, {mu}) at d={d}, N={N} "
+                        f"is below the smallest normal double"
+                    )
                 rows.append(BlockValue(alpha, mu, value, m_alpha * d_mu))
     return rows
 

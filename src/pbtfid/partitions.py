@@ -19,20 +19,18 @@ on demand, so a scan over increasing N builds every level once and holds one
 table per row bound, not one per N. ``enumerate_partitions`` is a tuple view
 of the table.
 
-Three functions are memoised with ``lru_cache``, without a bound, because
-what a run asks of them is bounded. The exact dimensions (``specht_dim``,
-``weyl_dim``) are asked for the same diagrams again by every exact-hybrid
-evaluation at one point (``verify`` forms F and two block spectra at one
-(d, N)); the log-domain sums read none, so a run caches only the diagrams
-of the levels it evaluates exactly, N up to 40 (``fidelity.EXACT_THRESHOLD``)
-in a scan and N and N - 1 for a block spectrum. The Murnaghan-Nakayama
-recursion (``_mn_character``) reuses its own results, for the diagrams and
-cycle types its callers ask of ``sn_character``; the oracle asks for none
-(its isotypic projectors are spectral projectors of the transposition
-class sum). No other function is
-memoised: the sums walk the level index (the log-dimensions in one
-vectorised pass in ``fidelity``), and the optimizer reads the log-dimension
-row kernels per diagram.
+Two functions are memoised with ``lru_cache``, without a bound, because
+what a run asks of them is bounded: the exact dimensions ``specht_dim`` and
+``weyl_dim``. ``block_spectrum`` asks for each diagram's dimensions once
+per edge it lies on, up to d times, and ``verify`` forms F and two block
+spectra at one (d, N); the log-domain sums read none, so a run caches only
+the diagrams of the levels it evaluates exactly, N up to 40
+(``fidelity.EXACT_THRESHOLD``) in a scan and N and N - 1 for a block
+spectrum. Without the caches ``spectrum --operator X`` at (3, 400) took
+1.87 s, with them 1.41 s (fresh processes, median of 3, one 2-vCPU
+virtual machine). No other function is memoised: the sums walk the
+level index (the log-dimensions in one vectorised pass in ``fidelity``),
+and the optimizer reads the log-dimension row kernels per diagram.
 Concurrent readers are safe: level arrays are read-only, a level or table
 is complete before it is stored with a single assignment, and two threads
 that race to extend one build equal tables.
@@ -63,17 +61,6 @@ def check_partition(parts: Iterable[int]) -> Partition:
     if not is_valid_partition(mu):
         raise ValueError(f"not a valid partition: {parts!r}")
     return mu
-
-
-def conjugate(mu: Partition) -> Partition:
-    """Transpose of the diagram: columns become rows."""
-    if not mu:
-        return ()
-    out = [0] * mu[0]
-    for row in mu:
-        for j in range(row):
-            out[j] += 1
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -201,44 +188,70 @@ def enumerate_partitions(n: int, max_rows: int) -> tuple[Partition, ...]:
     return table_partitions(partition_level(n, max_rows).table)
 
 
-def _hook_product(mu: Partition) -> int:
-    conj = conjugate(mu)
-    prod = 1
-    for i, row in enumerate(mu):
-        for j in range(row):
-            prod *= row - j + conj[j] - i - 1
-    return prod
+def _shifted_rows(mu: Partition) -> tuple[list[int], int]:
+    """The shifted row lengths l_i = mu_i + k - 1 - i of a k-row diagram,
+    which strictly decrease, and their Vandermonde prod_{i<j} (l_i - l_j)."""
+    k = len(mu)
+    ell = [mu[i] + k - 1 - i for i in range(k)]
+    return ell, math.prod(ell[i] - ell[j] for i in range(k) for j in range(i + 1, k))
 
 
 @lru_cache(maxsize=None)
 def specht_dim(mu: Partition) -> int:
     """Exact dimension of the symmetric-group irrep labelled by ``mu``.
 
-    Hook length formula: n! divided by the product of all hook lengths.
+    Frobenius' formula over the shifted row lengths l_i = mu_i + k - 1 - i
+    of the k rows: n! prod_{i<j} (l_i - l_j) / prod_i l_i!, with n! / l_0!
+    taken as one falling product.
     """
     mu = check_partition(mu)
-    return math.factorial(sum(mu)) // _hook_product(mu)
+    if not mu:
+        return 1
+    (head, *rest), vandermonde = _shifted_rows(mu)
+    n = sum(mu)
+    return math.perm(n, n - head) * vandermonde // math.prod(map(math.factorial, rest))
+
+
+def _weyl_quotient(mu: Partition, d: int) -> tuple[int, int]:
+    """Numerator and divisor of Weyl's formula for a diagram of k <= d rows.
+
+    prod_{i<j<=d} (mu_i - mu_j + j - i) / (j - i) splits into the pairs of
+    rows, prod_{i<j<k} (l_i - l_j) / (j - i) with l_i = mu_i + k - 1 - i,
+    and the pairs of a row with the s = d - k empty ones,
+    prod_{i<k} perm(l_i + s, mu_i) / perm(l_i, mu_i). Each of the latter
+    equals perm(l_i + s, s) / perm(d - 1 - i, s). The shorter of the two
+    is taken, min(mu_i, s) factors a side, so no intermediate grows with d
+    at a fixed diagram, nor with the rows at a fixed d.
+    """
+    ell, numerator = _shifted_rows(mu)
+    k, s = len(mu), d - len(mu)
+    divisor = math.prod(map(math.factorial, range(k)))  # prod_{i<j<k} (j - i)
+    for i, row in enumerate(mu):
+        if s < row:
+            numerator *= math.perm(ell[i] + s, s)
+            divisor *= math.perm(d - 1 - i, s)
+        else:
+            numerator *= math.perm(ell[i] + s, row)
+            divisor *= math.perm(ell[i], row)
+    return numerator, divisor
 
 
 @lru_cache(maxsize=None)
 def weyl_dim(mu: Partition, d: int) -> int:
     """Exact dimension of the U(d) irrep labelled by ``mu``.
 
-    Hook-content formula: product over cells of (d + column - row) divided
-    by the hook length. Rejects diagrams with more than ``d`` rows.
+    Weyl's formula prod_{i<j<=d} (mu_i - mu_j + j - i) / (j - i), taken
+    over the diagram's own rows (``_weyl_quotient``). Rejects diagrams with
+    more than ``d`` rows.
     """
     mu = check_partition(mu)
     if d < 1:
         raise ValueError("d must be positive")
     if len(mu) > d:
         raise ValueError(f"partition {mu} has more than d={d} rows")
-    num = 1
-    for i, row in enumerate(mu):
-        for j in range(row):
-            num *= d + j - i
-    q, r = divmod(num, _hook_product(mu))
+    q, r = divmod(*_weyl_quotient(mu, d))
     if r:
-        raise ArithmeticError(f"hook-content quotient for {mu}, d={d} is not an integer")
+        raise ArithmeticError(f"Weyl quotient for {mu}, d={d} is not an integer")
     return q
 
 
@@ -288,42 +301,3 @@ def log_weyl_row(mu: Partition, d: int) -> float:
         for j in range(i + 1, d):
             val += log[rows[i] - rows[j] + j - i] - log[j - i]
     return val
-
-
-# ---------------------------------------------------------------------------
-# Symmetric-group characters (Murnaghan-Nakayama recursion)
-# ---------------------------------------------------------------------------
-
-
-def sn_character(mu: Partition, cycle_type: Partition) -> int:
-    """Irreducible S_n character of ``mu`` on the class with the given cycle type."""
-    mu = check_partition(mu)
-    lam = tuple(sorted(check_partition(cycle_type), reverse=True))
-    if sum(mu) != sum(lam):
-        raise ValueError(
-            f"size mismatch: |mu| = {sum(mu)} but |cycle_type| = {sum(lam)}"
-        )
-    return _mn_character(mu, lam)
-
-
-@lru_cache(maxsize=None)
-def _mn_character(mu: Partition, lam: Partition) -> int:
-    if not lam:
-        return 1
-    strip, rest = lam[0], lam[1:]
-    k = len(mu)
-    beta = [mu[i] + k - 1 - i for i in range(k)]
-    occupied = set(beta)
-    total = 0
-    for b in beta:
-        nb = b - strip
-        if nb < 0 or nb in occupied:
-            continue
-        height = sum(1 for c in beta if nb < c < b)
-        new_beta = sorted((c for c in beta if c != b), reverse=True)
-        new_beta.append(nb)
-        new_beta.sort(reverse=True)
-        rows = [new_beta[i] - (k - 1 - i) for i in range(k)]
-        nu = tuple(v for v in rows if v)
-        total += (-1) ** height * _mn_character(nu, rest)
-    return total

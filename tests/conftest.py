@@ -15,13 +15,13 @@ import pytest
 import pbtfid.oracle as oracle_mod
 from pbtfid import (
     DenseOperator,
+    PortCoefficients,
     build_port_operator,
     build_rho,
     certificate_X,
     partition_level,
     pbt_ensemble,
     pretty_good_measurement,
-    sn_character,
     specht_dim,
 )
 from pbtfid.partitions import Partition, check_partition, table_partitions
@@ -128,6 +128,73 @@ def remove_box_predecessors(mu):
             alpha = mu[:i] + ((mu[i] - 1,) if mu[i] > 1 else ()) + mu[i + 1 :]
             out.append(BoxRelation(alpha, mu, i))
     return tuple(out)
+
+
+def uniform_coefficients(d, N):
+    """c_mu = 1 for every diagram: the maximally entangled port state."""
+    return PortCoefficients(d, N, np.ones(partition_level(N, d).table.shape[0]))
+
+
+def conjugate(mu):
+    """Transpose of the diagram: columns become rows."""
+    mu = check_partition(mu)
+    return tuple(sum(1 for row in mu if row > j) for j in range(mu[0] if mu else 0))
+
+
+def hook_product(mu):
+    """The product of the hook lengths of mu's cells: for cell (i, j), the
+    cells right of it in its row and below it in its column, plus itself."""
+    conj = conjugate(mu)
+    return math.prod(row - j + conj[j] - i - 1 for i, row in enumerate(mu) for j in range(row))
+
+
+def hook_length_dim(mu):
+    """The Specht dimension by the hook length formula, n! / hook product."""
+    return math.factorial(sum(mu)) // hook_product(mu)
+
+
+def hook_content_dim(mu, d):
+    """The Weyl dimension by the hook-content formula: the product of
+    d + column - row over the cells, divided by the hook product."""
+    q, r = divmod(math.prod(d + j - i for i, row in enumerate(mu) for j in range(row)), hook_product(mu))
+    assert r == 0, (mu, d)
+    return q
+
+
+def sn_character(mu, cycle_type):
+    """Irreducible S_n character of ``mu`` on the class with the given cycle
+    type, by the Murnaghan-Nakayama recursion."""
+    mu = check_partition(mu)
+    lam = tuple(sorted(check_partition(cycle_type), reverse=True))
+    if sum(mu) != sum(lam):
+        raise ValueError(f"size mismatch: |mu| = {sum(mu)} but |cycle_type| = {sum(lam)}")
+    return _mn_character(mu, lam)
+
+
+@lru_cache(maxsize=None)
+def _mn_character(mu, lam):
+    """Remove a border strip of length lam[0] in every way, on the shifted
+    row lengths beta_i = mu_i + k - 1 - i: a strip is a move of one beta
+    to an unoccupied smaller value, of height the betas it passes."""
+    if not lam:
+        return 1
+    strip, rest = lam[0], lam[1:]
+    k = len(mu)
+    beta = [mu[i] + k - 1 - i for i in range(k)]
+    occupied = set(beta)
+    total = 0
+    for b in beta:
+        nb = b - strip
+        if nb < 0 or nb in occupied:
+            continue
+        height = sum(1 for c in beta if nb < c < b)
+        new_beta = sorted((c for c in beta if c != b), reverse=True)
+        new_beta.append(nb)
+        new_beta.sort(reverse=True)
+        rows = [new_beta[i] - (k - 1 - i) for i in range(k)]
+        nu = tuple(v for v in rows if v)
+        total += (-1) ** height * _mn_character(nu, rest)
+    return total
 
 
 def conjugacy_class_size(cycle_type):

@@ -25,7 +25,6 @@ from pbtfid import (
     lower_bound_standard,
     match_block_spectrum,
     optimize_coefficients,
-    sn_character,
     specht_dim,
     success_probability,
     teleportation_fidelity_direct,
@@ -42,6 +41,7 @@ from conftest import (
     conjugacy_class_size,
     partial_trace_first,
     remove_box_predecessors,
+    sn_character,
     steered_states,
 )
 from test_fidelity import projected_gradient_maximum, random_valid_coefficients

@@ -31,6 +31,8 @@ from pbtfid.cli import (
     EXIT_USAGE,
     EXIT_VERIFY_FAIL,
     OUTPUT_SCHEMA,
+    SPECTRUM_SCHEMA,
+    VERIFY_SCHEMA,
     format_number,
     load_coefficients,
     main,
@@ -599,6 +601,74 @@ class TestSpectrum:
         assert all(r["deviation"] < 1e-9 for r in payload["rows"])
 
 
+    @pytest.mark.parametrize("operator", ["X", "avg"])
+    def test_every_value_is_normal_below_the_underflow(self, capsys, operator):
+        code, out, _ = run_cli(capsys, "spectrum", "--d", "2", "--N", "1022", "--operator", operator)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        jsonschema.validate(payload, SPECTRUM_SCHEMA)
+        assert min(r["value"] for r in payload["rows"]) >= sys.float_info.min
+
+    @pytest.mark.parametrize("operator", ["X", "avg"])
+    def test_underflow_is_a_named_size_cap(self, capsys, operator):
+        code, out, err = run_cli(
+            capsys, "spectrum", "--d", "2", "--N", "1023", "--operator", operator, "--format", "csv"
+        )
+        assert code == EXIT_SIZE_CAP
+        assert out == ""
+        assert err == (
+            f"size cap: {operator} block value of (alpha, mu) = ((1022,), (1022, 1)) "
+            "at d=2, N=1023 is below the smallest normal double\n"
+        )
+
+    def test_exact_zero_prints(self, capsys, tmp_path):
+        # c = 0 on [1,1] gives that Y block the value 0 exactly
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"[2]": 4 / 3}))
+        code, out, _ = run_cli(
+            capsys, "spectrum", "--d", "2", "--N", "2", "--operator", "Y", "--coefficients", str(path)
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        jsonschema.validate(payload, SPECTRUM_SCHEMA)
+        assert [r["value"] for r in payload["rows"]] == [pytest.approx(0.5), 0.0]
+
+    @pytest.mark.parametrize(
+        "d, N, operator, digest",
+        [
+            (2, 1000, "X", "c8e349a68f932824d028caefc92dc03ee9021e03adb1cd073c59549310192a1e"),
+            (3, 200, "avg", "5ded4f1caf87160ff85846cd1db2c0b4b448d3770171a5aeaf6c2df365614e30"),
+        ],
+    )
+    def test_csv_matches_the_recorded_digest(self, capsys, d, N, operator, digest):
+        # recorded when the dimensions were hook-length and hook-content products
+        code, out, _ = run_cli(
+            capsys, "spectrum", "--d", str(d), "--N", str(N), "--operator", operator, "--format", "csv"
+        )
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestSchemas:
+    def test_spectrum_value_is_zero_or_normal(self):
+        record = {
+            "tool": "pbtfid", "version": "0.1.0", "d": 2, "N": 2, "operator": "X",
+            "rows": [{"alpha": [1], "mu": [2], "value": 0.0, "multiplicity": 2}],
+        }
+        jsonschema.validate(record, SPECTRUM_SCHEMA)
+        for value in (5e-324, sys.float_info.min / 2, -0.5, "0.5"):
+            record["rows"][0]["value"] = value
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(record, SPECTRUM_SCHEMA)
+
+    def test_verify_needs_its_checks(self):
+        record = {"tool": "pbtfid", "version": "0.1.0", "d": 2, "N": 2, "mode": "standard", "passed": True}
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(record, VERIFY_SCHEMA)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**record, "checks": []}, VERIFY_SCHEMA)
+
+
 class TestDeterminism:
     def test_csv_output_byte_identical(self):
         a = run_subprocess("scan", "--d", "2", "--from", "1", "--to", "12", "--format", "csv")
@@ -855,6 +925,7 @@ GOLDEN_STDOUT = {
     ),
 }
 MEASURED = ("oracle", "deviation")
+SCHEMAS = {"fid": OUTPUT_SCHEMA, "scan": OUTPUT_SCHEMA, "spectrum": SPECTRUM_SCHEMA, "verify": VERIFY_SCHEMA}
 
 
 def mask_measured(out: str) -> str:
@@ -885,6 +956,9 @@ def test_stdout_matches_the_recorded_bytes(capsys, tmp_path, command, fmt):
     code, out, _ = run_cli(capsys, *argv, "--format", fmt)
     assert code == EXIT_OK
     assert mask_measured(out) == GOLDEN_STDOUT[command, fmt]
+    if fmt == "json":
+        for line in out.splitlines():
+            jsonschema.validate(json.loads(line), SCHEMAS[argv[0]])
 
 
 # Run in a fresh interpreter: import the CLI, run one job with its output
@@ -1061,3 +1135,13 @@ class TestPackageSurface:
     def test_every_export_is_an_entry_point_or_has_a_caller(self):
         rest = self.exported() - self.readme_entry_points()
         assert rest - self.has_caller(rest) == set()
+
+    def test_test_references_are_defined_only_in_the_tests(self):
+        # no runtime code reads the character recursion, the diagram
+        # transpose, the hook formulas or the all-ones port weights
+        references = {"sn_character", "_mn_character", "conjugate", "_hook_product", "uniform"}
+        for path in (REPO / "src" / "pbtfid").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    assert node.name not in references, (path.name, node.name)
+        assert not references & self.exported()

@@ -42,7 +42,7 @@ from pbtfid.fidelity import (
     _successor_logsumexp,
 )
 from pbtfid.partitions import partition_level
-from conftest import add_box_successors, box_incidence
+from conftest import add_box_successors, box_incidence, uniform_coefficients
 
 SQ3 = math.sqrt(3.0)
 
@@ -99,7 +99,7 @@ class TestBlockValues:
 
     def test_opt_block_uniform_reduces_to_pgm_trace(self):
         d, N = 2, 3
-        ones = PortCoefficients.uniform(d, N)
+        ones = uniform_coefficients(d, N)
         assert block_trace(d, N, "Y", ones) == pytest.approx(block_trace(d, N, "X"), rel=1e-13)
 
     def test_opt_block_value_2_2(self):
@@ -445,14 +445,22 @@ class TestExactHybridBits:
     @pytest.mark.parametrize("d, N", [(2, 9), (3, 7), (4, 6)])
     def test_extreme_weights_equal_the_tuple_walk(self, d, N, tiny):
         # every other diagram weighted at a subnormal, at the smallest normal
-        # double or deep below the working digits
+        # double or deep below the working digits; a positive block value
+        # whose double is not normal is refused, naming the first such block
         mus = enumerate_partitions(N, d)
         c = PortCoefficients.from_mapping(
             d, N, {mu: tiny if i % 2 else 1.0 for i, mu in enumerate(mus)}, renormalize=True
         )
         assert 0 < min(w for w in c.weights if w > 0) <= tiny * 10
         assert _fidelity_exact(d, N, c) == self.tuple_walk_fidelity(d, N, c)
-        assert self.rows_of(block_spectrum(d, N, "Y", c)) == self.tuple_walk_spectrum(d, N, "Y", c)
+        expected = self.tuple_walk_spectrum(d, N, "Y", c)
+        weight = dict(c.items())
+        refused = [(a, mu) for a, mu, value, _ in expected if weight[mu] > 0 and value < sys.float_info.min]
+        if refused:
+            with pytest.raises(SizeCapError, match=re.escape(f"{refused[0]} at d={d}, N={N}")):
+                block_spectrum(d, N, "Y", c)
+        else:
+            assert self.rows_of(block_spectrum(d, N, "Y", c)) == expected
 
     def test_sums_neither_read_nor_change_the_callers_decimal_context(self):
         expected = fidelity_standard(3, 12), block_spectrum(2, 8, "X")
@@ -509,7 +517,7 @@ class TestPortCoefficients:
 
     def test_uniform_is_valid(self):
         for d, N in [(2, 5), (3, 4), (1, 3), (3, 45)]:
-            assert residual(PortCoefficients.uniform(d, N)) <= NORMALISATION_RTOL
+            assert residual(uniform_coefficients(d, N)) <= NORMALISATION_RTOL
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match=r"^negative coefficient -1.0 for \(2,\)$"):
@@ -644,7 +652,7 @@ class TestPortCoefficients:
         assert len(blocks) == 240 and calls == []
 
     def test_consumers_refuse_coefficients_for_another_point(self):
-        c = PortCoefficients.uniform(2, 3)
+        c = uniform_coefficients(2, 3)
         for call in (
             lambda: fidelity_given_coefficients(2, 4, c),
             lambda: block_spectrum(3, 3, "Y", c),
@@ -656,7 +664,7 @@ class TestPortCoefficients:
 class TestGivenCoefficients:
     def test_uniform_recovers_standard(self):
         for d, N in [(2, 2), (2, 4), (3, 3)]:
-            ones = PortCoefficients.uniform(d, N)
+            ones = uniform_coefficients(d, N)
             assert fidelity_given_coefficients(d, N, ones).fidelity == pytest.approx(
                 fidelity_standard(d, N).fidelity, rel=1e-14
             )
@@ -680,7 +688,7 @@ class TestGivenCoefficients:
             PortCoefficients.from_mapping(2, 3, {(3,): 1.0, (2, 1): 0.5})
 
     def test_mismatched_dn_rejected(self):
-        c = PortCoefficients.uniform(2, 3)
+        c = uniform_coefficients(2, 3)
         with pytest.raises(ValueError):
             fidelity_given_coefficients(2, 4, c)
 
@@ -903,6 +911,6 @@ class TestBlockSpectrumTable:
 
     @pytest.mark.parametrize("operator", ["avg", "X"])
     def test_only_y_takes_coefficients(self, operator):
-        c = PortCoefficients.uniform(2, 2)
+        c = uniform_coefficients(2, 2)
         with pytest.raises(ValueError, match=rf"^operator {operator} takes no port coefficients$"):
             block_spectrum(2, 2, operator, c)

@@ -64,6 +64,7 @@ from conftest import (
     remove_box_predecessors,
     reorder_factors,
     steered_states,
+    uniform_coefficients,
 )
 from recorded_values import RECORDED_CHANNEL, RECORDED_VERIFY
 
@@ -1378,7 +1379,7 @@ class TestSlotGather:
         monkeypatch.setattr(np, "eye", forbidden)
         for mu in enumerate_partitions(4, 3):
             young_projector(mu, 3)
-        build_port_operator(2, 4, PortCoefficients.uniform(2, 4))
+        build_port_operator(2, 4, uniform_coefficients(2, 4))
 
     def test_reorder_and_embed_on_mixed_dims(self):
         rng = np.random.default_rng(11)
@@ -1437,7 +1438,7 @@ class TestPartialTrace:
 
 class TestPortOperator:
     def test_uniform_coefficients_give_identity(self):
-        ones = PortCoefficients.uniform(2, 3)
+        ones = uniform_coefficients(2, 3)
         op = build_port_operator(2, 3, ones)
         assert np.allclose(op.matrix, np.eye(8), atol=1e-12)
 
@@ -1500,7 +1501,7 @@ class TestPortOperator:
             build(c)
 
     def test_coefficients_for_another_d_rejected(self):
-        c = PortCoefficients.uniform(3, 3)
+        c = uniform_coefficients(3, 3)
         with pytest.raises(ValueError, match=r"^coefficients are for \(d, N\) = \(3, 3\)$"):
             teleportation_fidelity_direct(2, 3, list(cached_pgm(2, 3)), c)
 
@@ -1514,7 +1515,7 @@ class TestEtaStates:
             assert np.array_equal(eta.matrix, build_eta(d, N, i, c).matrix)
 
     def test_uniform_reduces_to_rho(self):
-        ones = PortCoefficients.uniform(2, 3)
+        ones = uniform_coefficients(2, 3)
         for i, eta in enumerate(steered_states(2, 3, ones), start=1):
             assert np.allclose(eta.matrix, build_rho(2, 3, i).matrix, atol=1e-12)
 
@@ -1648,7 +1649,7 @@ class TestCertificates:
             assert np.max(np.abs(pm @ X - X @ pm)) <= 1e-10
 
     def test_y_with_uniform_coefficients_is_x(self):
-        ones = PortCoefficients.uniform(2, 3)
+        ones = uniform_coefficients(2, 3)
         Y = certificate_Y(2, 3, ones)
         assert np.max(np.abs(Y.matrix - cached_certificate_x(2, 3).matrix)) <= 1e-12
 
@@ -2235,7 +2236,7 @@ class TestVerificationBundle:
             monkeypatch.setattr(oracle_mod, name, spy(name))
         for name in ("block_spectrum", "fidelity_standard", "fidelity_given_coefficients"):
             monkeypatch.setattr(verify_mod, name, spy(name))
-        uniform = PortCoefficients.uniform(2, 2)
+        uniform = uniform_coefficients(2, 2)
         for mode, c, message in [
             ("bogus", None, "unknown verification mode 'bogus'"),
             ("given-coefficients", None, "given-coefficients mode needs coefficients"),

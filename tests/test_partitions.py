@@ -1,4 +1,5 @@
-"""Combinatorics: enumeration, box moves, dimensions, characters."""
+"""Combinatorics: enumeration, box moves, dimensions, and the test-side
+character and hook-formula references."""
 
 import importlib
 import math
@@ -14,10 +15,8 @@ from hypothesis import strategies as st
 
 import pbtfid
 from pbtfid import (
-    conjugate,
     enumerate_partitions,
     partition_level,
-    sn_character,
     specht_dim,
     weyl_dim,
 )
@@ -25,8 +24,12 @@ from pbtfid.partitions import log_specht_row, log_weyl_row
 from conftest import (
     add_box_successors,
     conjugacy_class_size,
+    conjugate,
+    hook_content_dim,
+    hook_length_dim,
     permutation_cycle_type,
     remove_box_predecessors,
+    sn_character,
 )
 
 partitions_strategy = (
@@ -225,9 +228,28 @@ class TestDimensions:
 
     def test_weyl_integrality_check_is_not_an_assert(self, monkeypatch):
         # survives python -O; the diagram must not be cached already
-        monkeypatch.setattr("pbtfid.partitions._hook_product", lambda mu: 10**9 + 7)
+        quotient = pbtfid.partitions._weyl_quotient
+        monkeypatch.setattr(
+            "pbtfid.partitions._weyl_quotient", lambda mu, d: (quotient(mu, d)[0], 10**9 + 7)
+        )
         with pytest.raises(ArithmeticError):
             weyl_dim((9, 4, 4, 2), 13)
+
+    def test_closed_forms_equal_the_hook_formulas(self):
+        # every diagram with n <= 25 and d <= 8, through the uncached bodies
+        specht, weyl = specht_dim.__wrapped__, weyl_dim.__wrapped__
+        for n in range(26):
+            for mu in enumerate_partitions(n, 8):
+                assert specht(mu) == hook_length_dim(mu), mu
+                for d in range(max(len(mu), 1), 9):
+                    assert weyl(mu, d) == hook_content_dim(mu, d), (mu, d)
+
+    @pytest.mark.parametrize("d", [13, 50, 1000, 10**6])
+    def test_weyl_closed_form_at_large_d(self, d):
+        # rows shorter and longer than the d - k empty rows of small d
+        for mu in [(9, 4, 4, 2), (1,), (3,), (12, 12), (40, 7, 1), (2,) * 12, (60, 30, 30, 1, 1)]:
+            if len(mu) <= d:
+                assert weyl_dim.__wrapped__(mu, d) == hook_content_dim(mu, d), (mu, d)
 
     def test_weyl_rejects_too_many_rows(self):
         with pytest.raises(ValueError):
@@ -280,7 +302,7 @@ class TestDimensions:
 class TestCaches:
     def test_only_three_functions_are_memoised(self):
         # every lru_cache in the package, module-level or on a class; a new
-        # one must be added here on purpose (these five are unbounded; the
+        # one must be added here on purpose (these four are unbounded; the
         # oracle's byte estimate reads the sector sizes of one (d, N) at
         # every entry point of a run)
         cached = set()
@@ -299,7 +321,6 @@ class TestCaches:
         assert cached == {
             "pbtfid.partitions.specht_dim",
             "pbtfid.partitions.weyl_dim",
-            "pbtfid.partitions._mn_character",
             "pbtfid.sectors._equal_count_pairs",
             "pbtfid.sectors._orbit_sizes",
         }
