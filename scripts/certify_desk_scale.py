@@ -37,7 +37,7 @@ def main() -> int:
                 coeffs = optimize_coefficients(d, n).coefficients if mode == "optimized" else None
                 start = time.perf_counter()
                 try:
-                    checks = run_verification(d, n, mode, coeffs)
+                    checks = run_verification(d, n, coeffs)
                 except SizeCapError as exc:
                     print(f"[STOP] d={d} N={n} {mode:9s} {exc}")
                     break

@@ -334,7 +334,7 @@ def _cmd_verify(args) -> int:
         coeffs = optimize_coefficients(args.d, args.N).coefficients
     elif given:
         coeffs = _file_coefficients(args)
-    checks = run_verification(args.d, args.N, args.mode, coeffs)
+    checks = run_verification(args.d, args.N, coeffs)
     all_passed = all(c.passed for c in checks)
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
@@ -527,6 +527,9 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    import signal  # here: importing this module and main() leave SIGPIPE alone
+
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)  # a closed stdout ends the run silently
     sys.exit(main())
 
 

@@ -47,10 +47,10 @@ import numpy as np
 from .config import SizeCapError
 from .partitions import (
     Partition,
+    PartitionLevel,
     log_specht_row,
     log_weyl_row,
     partition_level,
-    specht_dim,
     table_partitions,
     weyl_dim,
 )
@@ -101,17 +101,15 @@ def _normalisation_ratio(d: int, N: int, weights: np.ndarray) -> float:
     to 1: summed exactly in rationals up to EXACT_THRESHOLD (the ratio is
     at most the largest c, so only an intermediate could overflow a float),
     as one log-sum-exp of the level's log-dimensions above it."""
-    live = np.flatnonzero(weights > 0)
-    rows = partition_level(N, d).table[live]
+    level = partition_level(N, d)
     if N <= EXACT_THRESHOLD:
-        total = sum(
-            Fraction(c) * specht_dim(mu) * weyl_dim(mu, d)
-            for mu, c in zip(table_partitions(rows), weights[live].tolist())
-        )
+        dims = zip(weights.tolist(), level.specht, level.weyl)
+        total = sum(Fraction(c) * s * w for c, s, w in dims if c > 0)
         return float(total / d**N)
+    live = np.flatnonzero(weights > 0)
     if live.size == 0:
         return 0.0
-    specht, weyl = _log_dims(rows, N)
+    specht, weyl = _log_dims(level.table[live], N)
     logs = np.log(weights[live]) + specht + weyl
     top = logs.max()
     return math.exp(top + math.log(np.exp(logs - top).sum()) - N * math.log(d))
@@ -237,14 +235,11 @@ def _check_same_point(d: int, N: int, coefficients: PortCoefficients | None) -> 
         )
 
 
-def _surds(d: int, mus: Sequence[Partition], weights: Sequence[float]) -> list[Decimal]:
-    """sqrt(c_mu d_mu m_mu) for each diagram, in the current decimal context.
-    The double c and the integer d_mu m_mu convert exactly, so c * (d_mu m_mu)
-    rounds at most once; c = 0 gives a surd of 0."""
-    return [
-        (Decimal(c) * (specht_dim(mu) * weyl_dim(mu, d))).sqrt()
-        for mu, c in zip(mus, weights)
-    ]
+def _surds(level: PartitionLevel, weights: Sequence[float]) -> list[Decimal]:
+    """sqrt(c_mu d_mu m_mu) for each diagram of the level, in the current
+    decimal context. The double c and the integer d_mu m_mu convert exactly,
+    so c * (d_mu m_mu) rounds at most once; c = 0 gives a surd of 0."""
+    return [(Decimal(c) * (s * w)).sqrt() for s, w, c in zip(level.specht, level.weyl, weights)]
 
 
 def _surd_sums(successors: np.ndarray, surds: list[Decimal]) -> list[Decimal]:
@@ -273,7 +268,13 @@ def block_spectrum(
     Port coefficients are taken by "Y" alone, and refused for the others.
     A value that is positive but below the smallest normal double raises
     SizeCapError naming the first such block; an exact zero (Y with
-    c_mu = 0) is kept."""
+    c_mu = 0) is kept.
+
+    The avg value of the edge adding a box to row i of alpha is
+    (d + alpha_i - i) / d^N, d plus the box's content, rounded once: the
+    rational (N / d^N) m_mu d_alpha / (m_alpha d_mu), since m_mu / m_alpha = R
+    and d_mu / d_alpha = N R / (d + alpha_i - i), R = prod_{j != i} (l_i + 1 -
+    l_j) / (l_i - l_j) over l_j = alpha_j + d - 1 - j."""
     _check_dn(d, N)
     if operator not in ("avg", "X", "Y"):
         raise ValueError(f"unknown operator {operator!r}")
@@ -284,7 +285,7 @@ def block_spectrum(
     elif coefficients is not None:
         raise ValueError(f"operator {operator} takes no port coefficients")
     level = partition_level(N, d)
-    mus = table_partitions(level.table)
+    mus, specht = table_partitions(level.table), level.specht
     # every alpha grows in row 0: alpha is that cover less its first-row box
     alpha_table = level.table[level.successors[:, 0]]
     alpha_table[:, 0] -= 1
@@ -293,17 +294,17 @@ def block_spectrum(
     with localcontext(_EXACT_CONTEXT):
         if operator != "avg":
             weights = [1.0] * len(mus) if operator == "X" else coefficients.weights.tolist()
-            surds = _surds(d, mus, weights)
+            surds = _surds(level, weights)
             sums = _surd_sums(level.successors, surds)
-        for a, (alpha, covers) in enumerate(zip(alphas, level.successors.tolist())):
+        edges = zip(alphas, alpha_table.tolist(), level.successors.tolist())
+        for a, (alpha, alpha_rows, covers) in enumerate(edges):
             m_alpha = weyl_dim(alpha, d)
-            for m in covers:
+            for i, m in enumerate(covers):
                 if m < 0:
                     continue
-                mu, d_mu = mus[m], specht_dim(mus[m])
+                mu, d_mu = mus[m], specht[m]
                 if operator == "avg":
-                    # r = (N / d^N) m_mu d_alpha / (m_alpha d_mu), exact
-                    exact = Fraction(N * weyl_dim(mu, d) * specht_dim(alpha), scale * m_alpha * d_mu)
+                    exact = Fraction(d + alpha_rows[i] - i, scale)  # d + the box's content
                 else:
                     # (1/d^N) surd_mu S_alpha / (m_alpha d_mu), one division
                     exact = surds[m] * sums[a] / (m_alpha * d_mu * scale)
@@ -327,10 +328,9 @@ def _fidelity_exact(d: int, N: int, coefficients: PortCoefficients | None) -> fl
     double: each mu's surd formed once, each alpha's surd sum over its row
     of the successor index."""
     level = partition_level(N, d)
-    mus = table_partitions(level.table)
-    weights = [1.0] * len(mus) if coefficients is None else coefficients.weights.tolist()
+    weights = [1.0] * level.table.shape[0] if coefficients is None else coefficients.weights.tolist()
     with localcontext(_EXACT_CONTEXT):
-        sums = _surd_sums(level.successors, _surds(d, mus, weights))
+        sums = _surd_sums(level.successors, _surds(level, weights))
         return float(sum([s * s for s in sums]) / d ** (N + 2))
 
 
@@ -593,7 +593,7 @@ def optimize_coefficients(d: int, N: int) -> FidelityReport:
         if u[i] <= 0.0:
             continue
         if exact:
-            log_dims = math.log(specht_dim(mu)) + math.log(weyl_dim(mu, d))
+            log_dims = math.log(level.specht[i]) + math.log(level.weyl[i])
         else:
             log_dims = log_specht_row(mu) + log_weyl_row(mu, d)
         log_c = N * log_d + 2.0 * math.log(float(u[i])) - log_dims

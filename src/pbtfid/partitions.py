@@ -19,21 +19,19 @@ on demand, so a scan over increasing N builds every level once and holds one
 table per row bound, not one per N. ``enumerate_partitions`` is a tuple view
 of the table.
 
-Two functions are memoised with ``lru_cache``, without a bound, because
-what a run asks of them is bounded: the exact dimensions ``specht_dim`` and
-``weyl_dim``. ``block_spectrum`` asks for each diagram's dimensions once
-per edge it lies on, up to d times, and ``verify`` forms F and two block
-spectra at one (d, N); the log-domain sums read none, so a run caches only
-the diagrams of the levels it evaluates exactly, N up to 40
-(``fidelity.EXACT_THRESHOLD``) in a scan and N and N - 1 for a block
-spectrum. Without the caches ``spectrum --operator X`` at (3, 400) took
-1.87 s, with them 1.41 s (fresh processes, median of 3, one 2-vCPU
-virtual machine). No other function is memoised: the sums walk the
-level index (the log-dimensions in one vectorised pass in ``fidelity``),
-and the optimizer reads the log-dimension row kernels per diagram.
+The exact dimensions are level data: ``PartitionLevel.specht`` and
+``PartitionLevel.weyl`` list them in table order, formed on first read and
+dropped with the level, so every reader at one (d, N) shares one list and a
+scan holds the lists of one level per row bound. ``specht_dim`` and
+``weyl_dim`` form one diagram's dimension and keep nothing; no function
+here is memoised. The log-domain sums read no exact dimension: they walk
+the level index (the log-dimensions in one vectorised pass in
+``fidelity``), and the optimizer reads the log-dimension row kernels per
+diagram above ``fidelity.EXACT_THRESHOLD``.
 Concurrent readers are safe: level arrays are read-only, a level or table
 is complete before it is stored with a single assignment, and two threads
-that race to extend one build equal tables.
+that race to extend one, or to read a level's dimensions first, build equal
+tables or lists.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -81,6 +79,8 @@ class PartitionLevel:
     ``table`` and ``successors`` are Fortran-ordered: column ``i``, row i of
     every diagram or the successors grown in row i, is contiguous. The
     values, shapes and the order of the diagrams do not depend on it.
+    ``specht`` and ``weyl``, formed on first read, list the exact dimensions
+    d_mu and m_{d,mu} of the diagrams in table order.
     """
 
     n: int
@@ -88,6 +88,14 @@ class PartitionLevel:
     lengths: np.ndarray
     parent: np.ndarray
     successors: np.ndarray
+
+    @cached_property
+    def specht(self) -> list[int]:
+        return [specht_dim(mu) for mu in table_partitions(self.table)]
+
+    @cached_property
+    def weyl(self) -> list[int]:
+        return [weyl_dim(mu, self.table.shape[1]) for mu in table_partitions(self.table)]
 
 
 # one level per row bound: the last one requested, extended on demand
@@ -196,7 +204,6 @@ def _shifted_rows(mu: Partition) -> tuple[list[int], int]:
     return ell, math.prod(ell[i] - ell[j] for i in range(k) for j in range(i + 1, k))
 
 
-@lru_cache(maxsize=None)
 def specht_dim(mu: Partition) -> int:
     """Exact dimension of the symmetric-group irrep labelled by ``mu``.
 
@@ -236,7 +243,6 @@ def _weyl_quotient(mu: Partition, d: int) -> tuple[int, int]:
     return numerator, divisor
 
 
-@lru_cache(maxsize=None)
 def weyl_dim(mu: Partition, d: int) -> int:
     """Exact dimension of the U(d) irrep labelled by ``mu``.
 

@@ -66,30 +66,18 @@ def match_block_spectrum(op: oracle.DenseOperator, blocks) -> float:
     return _deviation(*block_spectrum_match(oracle.eigenvalues(op), blocks))
 
 
-def run_verification(
-    d: int,
-    N: int,
-    mode: str = "standard",
-    coefficients: PortCoefficients | None = None,
-) -> list[CheckResult]:
+def run_verification(d: int, N: int, coefficients: PortCoefficients | None = None) -> list[CheckResult]:
     """Formula-vs-oracle comparison, spectrum matching, and dual certificates.
 
-    For ``standard`` the certificate is X/N against the rho ensemble; for
-    ``given-coefficients`` (or an optimized run, which supplies the optimal
-    coefficients) it is Y/N against the eta ensemble, measured with the
-    square-root measurement of the *unsteered* states. The mode and the
-    coefficients are checked before anything is built. The states, the
-    measurement and the certificate are each built once, and the success
-    probability is the one ``certify_optimality`` measures.
+    Without coefficients the protocol is the standard one and the
+    certificate is X/N against the rho ensemble; with coefficients (given,
+    or the optimal ones of an optimized run) it is Y/N against the eta
+    ensemble, measured with the square-root measurement of the *unsteered*
+    states. The states, the measurement and the certificate are each built
+    once, and the success probability is the one ``certify_optimality``
+    measures.
     """
-    if mode not in ("standard", "given-coefficients", "optimized"):
-        raise ValueError(f"unknown verification mode {mode!r}")
-    standard = mode == "standard"
-    if standard and coefficients is not None:
-        raise ValueError("standard mode does not take coefficients")
-    if not standard and coefficients is None:
-        raise ValueError(f"{mode} mode needs coefficients")
-    oracle.check_oracle_size(d, N, steered=not standard)
+    oracle.check_oracle_size(d, N, steered=coefficients is not None)
     checks: list[CheckResult] = []
 
     def record(name, deviation, tolerance):
@@ -97,7 +85,7 @@ def run_verification(
 
     rho_ens = oracle.pbt_ensemble(d, N)
     povm = oracle.pretty_good_measurement(rho_ens)
-    if standard:
+    if coefficients is None:
         formula = fidelity_standard(d, N).fidelity
         ens = rho_ens
         cert_blocks = block_spectrum(d, N, "X")

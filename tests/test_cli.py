@@ -9,6 +9,7 @@ import io
 import json
 import os
 import math
+import signal
 import subprocess
 import sys
 import time
@@ -429,6 +430,21 @@ class TestScan:
             assert [r["N"] for r in records] == [1056, 1057, 1058]
             for record in records:
                 jsonschema.validate(record, OUTPUT_SCHEMA)
+
+    def test_closed_stdout_ends_the_scan_silently(self):
+        # a reader that stops early (| head -1) ends the process by SIGPIPE:
+        # no internal error and no exit 5. The 138 kB of CSV overfill the pipe
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pbtfid", "scan", "--d", "2", "--from", "1", "--to", "2000",
+             "--format", "csv"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"d,N,mode,F,p_succ,numeric_mode,certificate_margin\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == -signal.SIGPIPE
+        assert err == b""
 
     def test_bad_range_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "scan", "--d", "2", "--from", "5", "--to", "2")

@@ -5,7 +5,9 @@ import decimal
 import math
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -27,6 +29,7 @@ from pbtfid import (
     weyl_dim,
 )
 import pbtfid.fidelity as fidelity_mod
+import pbtfid.partitions as partitions_mod
 from pbtfid.fidelity import (
     DENSE_EIGEN_LIMIT,
     MP_DPS,
@@ -71,20 +74,55 @@ class TestBlockValues:
         assert block_values(2, 2, "avg") == {((1,), (2,)): (0.75, 2), ((1,), (1, 1)): (0.25, 2)}
 
     def test_avg_trace_identity_is_exact(self):
-        # each value is the exact r = (N / d^N) m_mu d_alpha / (m_alpha d_mu)
-        # rounded once, and sum of r * m_alpha * d_mu equals tr(rho_bar) = N
-        for d, N in [(2, 4), (3, 3), (4, 2), (2, 9), (5, 3)]:
-            total = Fraction(0)
+        # each value is (d + content of the added box) / d^N rounded once,
+        # the same rational as r = (N / d^N) m_mu d_alpha / (m_alpha d_mu),
+        # and sum of r * m_alpha * d_mu equals tr(rho_bar) = N
+        points = [(d, N) for d in range(1, 6) for N in range(1, 13)] + [(2, 1022), (3, 300)]
+        for d, N in points:
+            specht = lru_cache(maxsize=None)(specht_dim)
+            weyl = lru_cache(maxsize=None)(lambda mu: weyl_dim(mu, d))
+            total = 0
             for b in block_spectrum(d, N, "avg"):
-                m_alpha = weyl_dim(b.alpha, d)
-                r = Fraction(
-                    N * weyl_dim(b.mu, d) * specht_dim(b.alpha),
-                    d**N * m_alpha * specht_dim(b.mu),
-                )
+                row = next(i for i, a in enumerate(b.alpha + (0,)) if b.mu[i] != a)
+                content = b.mu[row] - 1 - row
+                r = Fraction(N * weyl(b.mu) * specht(b.alpha), d**N * weyl(b.alpha) * specht(b.mu))
+                assert r == Fraction(d + content, d**N), (d, N, b.alpha, b.mu)
                 assert b.value == float(r)
-                assert b.multiplicity == m_alpha * specht_dim(b.mu)
-                total += r * b.multiplicity
-            assert total == N
+                assert b.multiplicity == weyl(b.alpha) * specht(b.mu)
+                total += (d + content) * b.multiplicity
+            assert total == N * d**N
+
+    def test_each_level_diagram_is_formed_once(self, monkeypatch):
+        # the exact dimensions are level data: a verify-like flow at (3, 6)
+        # forms each diagram's d_mu and m_mu once, and m_alpha once per alpha
+        # and block spectrum; the log-domain routes form none
+        formed = Counter()
+
+        def counting(name, fn):
+            def count(mu, *args):
+                formed[name, mu] += 1
+                return fn(mu, *args)
+
+            return count
+
+        specht, weyl = counting("specht", specht_dim), counting("weyl", weyl_dim)
+        for module in (partitions_mod, fidelity_mod):
+            monkeypatch.setattr(module, "specht_dim", specht, raising=False)
+            monkeypatch.setattr(module, "weyl_dim", weyl)
+        monkeypatch.setattr(partitions_mod, "_levels", {})
+        d, N = 3, 6
+        c = optimize_coefficients(d, N).coefficients
+        PortCoefficients(d, N, c.weights)
+        fidelity_given_coefficients(d, N, c)
+        block_spectrum(d, N, "avg")
+        block_spectrum(d, N, "Y", c)
+        mus, alphas = enumerate_partitions(N, d), enumerate_partitions(N - 1, d)
+        expected = {(name, mu): 1 for name in ("specht", "weyl") for mu in mus}
+        assert formed == Counter({**expected, **{("weyl", alpha): 2 for alpha in alphas}})
+        formed.clear()
+        fidelity_standard(2, 500)
+        optimize_coefficients(3, 150)
+        assert not formed
 
     def test_pgm_block_values_2_2(self):
         values = block_values(2, 2, "X")

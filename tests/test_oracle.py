@@ -1192,7 +1192,7 @@ class TestLetterOrbits:
         monkeypatch.setattr(oracle_mod._Sectors, "__init__", init)
         for count in (built, 0):
             layouts.clear()
-            assert all(ch.passed for ch in run_verification(d, N, mode, c))
+            assert all(ch.passed for ch in run_verification(d, N, c))
             ports = [layout for layout in layouts if len(layout.dims) == N]
             assert len(ports) == (count and mode == "optimized")
             assert len(layouts) - len(ports) == count and all(layout.blocked for layout in layouts)
@@ -2089,7 +2089,7 @@ class TestTeleportationChannel:
 class TestVerificationBundle:
     def test_standard_passes(self, oracle_grid):
         for d, N in oracle_grid[:3]:
-            checks = run_verification(d, N, "standard")
+            checks = run_verification(d, N)
             assert all(c.passed for c in checks)
             names = {c.name for c in checks}
             assert names == {
@@ -2103,7 +2103,7 @@ class TestVerificationBundle:
     def test_given_coefficients_passes(self):
         rng = np.random.default_rng(53)
         c = random_valid_coefficients(2, 3, rng)
-        checks = run_verification(2, 3, "given-coefficients", c)
+        checks = run_verification(2, 3, c)
         assert all(ch.passed for ch in checks)
 
     def test_standard_decomposes_each_operator_once(self, monkeypatch):
@@ -2128,7 +2128,7 @@ class TestVerificationBundle:
         monkeypatch.setattr(oracle_mod, "_discrimination", counted_pass)
         monkeypatch.setattr(oracle_mod, "_swap_defects", counted_defects)
         counts, lapack = count_eigensolves(monkeypatch, hermiticity=True)
-        checks = run_verification(d, N, "standard")
+        checks = run_verification(d, N)
         assert all(c.passed for c in checks)
         # rho_1 is built, rho_2..rho_N are its gathered images; the states
         # and the POVM are port orbits by construction, so the swap defects
@@ -2184,7 +2184,7 @@ class TestVerificationBundle:
             assert set(gathers.values()) == {1}
             return Counter(name for (name, _), _, _ in gathers)
 
-        assert all(c.passed for c in run_verification(2, 8, "standard"))
+        assert all(c.passed for c in run_verification(2, 8))
         # the normalised average, the stabilizer of rho_1 (in the PGM), the
         # certificate's terms, and in one pass rho_k, E_k and the images of
         # K - p rho_1, for the success probability and the feasibility bound;
@@ -2216,7 +2216,7 @@ class TestVerificationBundle:
         d, N = 2, 3
         c = random_valid_coefficients(d, N, np.random.default_rng(61))
         counts, lapack = count_eigensolves(monkeypatch)
-        checks = run_verification(d, N, "given-coefficients", c)
+        checks = run_verification(d, N, c)
         assert all(ch.passed for ch in checks)
         # the rho and eta averages once each; eigvalsh: port 1 of the rho
         # states, the eta states and the POVM, the certificate's spectrum, one
@@ -2224,28 +2224,6 @@ class TestVerificationBundle:
         assert counts["eigh"] == 2
         assert counts["eigvalsh"] == 5
         assert max(lapack) <= largest_sector(d, N)
-
-    def test_bad_mode_rejected(self, monkeypatch):
-        # the mode and the coefficients are checked before anything is built
-        built = []
-
-        def spy(name):
-            return lambda *args, **kwargs: built.append(name)
-
-        for name in ("check_oracle_size", "build_rho", "pbt_ensemble", "pretty_good_measurement"):
-            monkeypatch.setattr(oracle_mod, name, spy(name))
-        for name in ("block_spectrum", "fidelity_standard", "fidelity_given_coefficients"):
-            monkeypatch.setattr(verify_mod, name, spy(name))
-        uniform = uniform_coefficients(2, 2)
-        for mode, c, message in [
-            ("bogus", None, "unknown verification mode 'bogus'"),
-            ("given-coefficients", None, "given-coefficients mode needs coefficients"),
-            ("optimized", None, "optimized mode needs coefficients"),
-            ("standard", uniform, "standard mode does not take coefficients"),
-        ]:
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                run_verification(2, 2, mode, c)
-        assert built == []
 
 
 class TestBuiltFromEntries:
@@ -2297,8 +2275,8 @@ class TestBuiltFromEntries:
 
         monkeypatch.setattr(DenseOperator, "matrix", property(forbidden))
         for d, N in oracle_grid:
-            assert all(c.passed for c in run_verification(d, N, "standard"))
-            checks = run_verification(d, N, "optimized", coefficients[d, N])
+            assert all(c.passed for c in run_verification(d, N))
+            checks = run_verification(d, N, coefficients[d, N])
             assert all(c.passed for c in checks)
         povm = pretty_good_measurement(pbt_ensemble(2, 4))
         direct = teleportation_fidelity_direct(2, 4, povm)
@@ -2308,7 +2286,7 @@ class TestBuiltFromEntries:
     def test_verification_agrees_with_the_recorded_values(self, key):
         d, N, mode = key
         c = optimize_coefficients(d, N).coefficients if mode == "optimized" else None
-        checks = run_verification(d, N, mode, c)
+        checks = run_verification(d, N, c)
         assert [ch.name for ch in checks] == list(RECORDED_VERIFY[key])
         for ch in checks:
             deviation, passed = RECORDED_VERIFY[key][ch.name]
@@ -2344,7 +2322,7 @@ class TestBuiltFromEntries:
             "    assert abs(direct - formula.fidelity) <= 1e-9\n"
             "    estimate = o.check_oracle_size(d, N, steered, layout=povm.first._sectors)\n"
             "else:\n"
-            "    assert all(ch.passed for ch in run_verification(d, N, kind, c))\n"
+            "    assert all(ch.passed for ch in run_verification(d, N, c))\n"
             "    estimate = o.check_oracle_size(d, N, steered)\n"
             "growth = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base\n"
             "print(growth * 1024, estimate)\n"

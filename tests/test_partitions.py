@@ -227,7 +227,7 @@ class TestDimensions:
         assert weyl_dim((2, 1), 2) == 2
 
     def test_weyl_integrality_check_is_not_an_assert(self, monkeypatch):
-        # survives python -O; the diagram must not be cached already
+        # survives python -O
         quotient = pbtfid.partitions._weyl_quotient
         monkeypatch.setattr(
             "pbtfid.partitions._weyl_quotient", lambda mu, d: (quotient(mu, d)[0], 10**9 + 7)
@@ -236,20 +236,19 @@ class TestDimensions:
             weyl_dim((9, 4, 4, 2), 13)
 
     def test_closed_forms_equal_the_hook_formulas(self):
-        # every diagram with n <= 25 and d <= 8, through the uncached bodies
-        specht, weyl = specht_dim.__wrapped__, weyl_dim.__wrapped__
+        # every diagram with n <= 25 and d <= 8
         for n in range(26):
             for mu in enumerate_partitions(n, 8):
-                assert specht(mu) == hook_length_dim(mu), mu
+                assert specht_dim(mu) == hook_length_dim(mu), mu
                 for d in range(max(len(mu), 1), 9):
-                    assert weyl(mu, d) == hook_content_dim(mu, d), (mu, d)
+                    assert weyl_dim(mu, d) == hook_content_dim(mu, d), (mu, d)
 
     @pytest.mark.parametrize("d", [13, 50, 1000, 10**6])
     def test_weyl_closed_form_at_large_d(self, d):
         # rows shorter and longer than the d - k empty rows of small d
         for mu in [(9, 4, 4, 2), (1,), (3,), (12, 12), (40, 7, 1), (2,) * 12, (60, 30, 30, 1, 1)]:
             if len(mu) <= d:
-                assert weyl_dim.__wrapped__(mu, d) == hook_content_dim(mu, d), (mu, d)
+                assert weyl_dim(mu, d) == hook_content_dim(mu, d), (mu, d)
 
     def test_weyl_rejects_too_many_rows(self):
         with pytest.raises(ValueError):
@@ -257,11 +256,12 @@ class TestDimensions:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_schur_weyl_dimension_sum(self, d):
+        # the level's dimensions are the diagrams', in table order
         for n in range(0, 31):
-            total = sum(
-                specht_dim(mu) * weyl_dim(mu, d) for mu in enumerate_partitions(n, d)
-            )
-            assert total == d**n
+            level, mus = partition_level(n, d), enumerate_partitions(n, d)
+            assert level.specht == [specht_dim(mu) for mu in mus]
+            assert level.weyl == [weyl_dim(mu, d) for mu in mus]
+            assert sum(s * w for s, w in zip(level.specht, level.weyl)) == d**n
 
     @given(mu=partitions_strategy)
     def test_specht_branching(self, mu):
@@ -300,11 +300,12 @@ class TestDimensions:
 
 
 class TestCaches:
-    def test_only_three_functions_are_memoised(self):
+    def test_only_orbit_sizes_and_equal_count_pairs_are_memoised(self):
         # every lru_cache in the package, module-level or on a class; a new
-        # one must be added here on purpose (these four are unbounded; the
-        # oracle's byte estimate reads the sector sizes of one (d, N) at
-        # every entry point of a run)
+        # one must be added here on purpose (both are unbounded; the oracle's
+        # byte estimate reads the sector sizes of one (d, N) at every entry
+        # point of a run). The exact dimensions are level data instead
+        # (PartitionLevel.specht, PartitionLevel.weyl)
         cached = set()
         for info in pkgutil.iter_modules(pbtfid.__path__):
             if info.name == "__main__":  # importing it runs the CLI
@@ -319,8 +320,6 @@ class TestCaches:
                 if hasattr(fn, "cache_info") and fn.__module__ == module.__name__:
                     cached.add(f"{module.__name__}.{name}")
         assert cached == {
-            "pbtfid.partitions.specht_dim",
-            "pbtfid.partitions.weyl_dim",
             "pbtfid.sectors._equal_count_pairs",
             "pbtfid.sectors._orbit_sizes",
         }
